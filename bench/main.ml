@@ -494,8 +494,9 @@ let micro () =
 (* ---------- perf suite (--json): host throughput + CPI stack ---------- *)
 
 (* Times the cycle engine alone: compilation and the functional ISS run
-   happen once per configuration outside the timed region, and each
-   repetition re-creates only the lockstep checker (part of the default
+   happen once per configuration outside the timed region, the collected
+   trace feeds each repetition through a fresh stream window, and each
+   repetition re-creates the lockstep checker (part of the default
    simulation loop, so it stays inside the measurement).  Throughput is
    reported as simulated kilocycles per host second. *)
 let json_suite out =
@@ -515,12 +516,16 @@ let json_suite out =
   in
   let time_engine (model : Ooo_common.Params.t) target (w : Workloads.t) =
     let run_reps mk_checker trace decode_static =
+      let window () = Ooo_common.Window.of_array trace in
       (* one untimed warmup settles the heap before measuring *)
-      ignore (Engine.run model ~trace ~decode_static ~checker:(mk_checker ()) ());
+      ignore
+        (Engine.run model ~window:(window ()) ~decode_static
+           ~checker:(mk_checker ()) ());
       List.init reps (fun _ ->
           let checker = mk_checker () in
+          let window = window () in
           let t0 = Unix.gettimeofday () in
-          let s = Engine.run model ~trace ~decode_static ~checker () in
+          let s = Engine.run model ~window ~decode_static ~checker () in
           let dt = Unix.gettimeofday () -. t0 in
           (float_of_int s.Engine.cycles /. dt /. 1000., s))
     in
@@ -536,7 +541,7 @@ let json_suite out =
       run_reps
         (fun () ->
            Ooo_common.Checker.create ~rename:model.Ooo_common.Params.rename
-             ~trace:r.Iss.Trace.trace ())
+             ~retired:r.Iss.Trace.retired ())
         r.Iss.Trace.trace
         (Ooo_riscv.Pipeline.static_uop image)
     | Exp.Straight_re | Exp.Straight_raw ->
@@ -558,7 +563,8 @@ let json_suite out =
         (fun () ->
            Ooo_common.Checker.create
              ~max_dist:Ooo_common.Params.straight_max_dist
-             ~rename:model.Ooo_common.Params.rename ~trace:r.Iss.Trace.trace ())
+             ~rename:model.Ooo_common.Params.rename
+             ~retired:r.Iss.Trace.retired ())
         r.Iss.Trace.trace
         (Ooo_straight.Pipeline.static_uop image)
   in

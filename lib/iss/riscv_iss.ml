@@ -39,15 +39,81 @@ type session = {
   config : config;
   mutable uops : Trace.uop list;
   on_retire : (int -> Trace.uop -> unit) option;
+  shapes : (Trace.uop array * Trace.uop array) Lazy.t;
+      (* per text word, the retired uop with a branch not taken and
+         taken (see [shape_table]) *)
 }
+
+(* The uop the instruction at [pc] retires as, given its dynamic
+   outcomes: the memory address, whether a branch was taken, and the pc
+   the run continues at (JALR's target). *)
+let retired_uop pc (insn : Isa.resolved) ~mem_addr ~taken ~next : Trace.uop =
+  let fu =
+    match Isa.kind insn with
+    | Isa.Kmul -> Trace.FU_mul
+    | Isa.Kdiv -> Trace.FU_div
+    | Isa.Kload -> Trace.FU_load
+    | Isa.Kstore -> Trace.FU_store
+    | Isa.Kbranch | Isa.Kjump -> Trace.FU_branch
+    | Isa.Kalu | Isa.Khalt -> Trace.FU_alu
+  in
+  let ctrl =
+    match insn with
+    | Isa.Branch (_, _, _, off) -> Trace.Cond { taken; target = pc + off }
+    | Isa.Jal (rd, off) ->
+      Trace.Uncond { target = pc + off; is_call = rd = 1; is_ret = false }
+    | Isa.Jalr (rd, rs1, _) ->
+      Trace.Uncond { target = next; is_call = rd = 1; is_ret = rd = 0 && rs1 = 1 }
+    | _ -> Trace.Not_ctrl
+  in
+  let dest = match Isa.dest insn with Some rd -> rd | None -> 0 in
+  { Trace.pc;
+    fu;
+    srcs_dist = [||];
+    srcs_reg = Array.of_list (List.filter (fun r -> r <> 0) (Isa.sources insn));
+    dest_reg = dest;
+    has_dest = dest <> 0;
+    is_rmov = false;
+    is_nop = false;
+    is_spadd = false;
+    mem_addr;
+    ctrl }
+
+let uop_shape pc insn = retired_uop pc insn ~mem_addr:0 ~taken:false ~next:(-1)
+
+(* The uops of the text, built at the first retirement that asks for one
+   and shared by every retirement whose dynamic fields they hold: the
+   cycle engine keeps thousands of uops in flight, and fresh ones would
+   each be promoted out of the minor heap. *)
+let shape_table text_base code =
+  lazy
+    (let uops taken =
+       Array.mapi
+         (fun i insn ->
+            retired_uop (text_base + (4 * i)) insn ~mem_addr:0 ~taken
+              ~next:(-1))
+         code
+     in
+     (uops false, uops true))
+
+(* The retired uop of [insn], the text word [idx] at [pc]: built afresh
+   only when it carries a memory address or an indirect target. *)
+let session_uop s idx pc (insn : Isa.resolved) ~mem_addr ~taken ~next =
+  match insn with
+  | Isa.Lw _ | Isa.Sw _ | Isa.Jalr _ ->
+    retired_uop pc insn ~mem_addr ~taken ~next
+  | _ ->
+    let not_taken, taken_ = Lazy.force s.shapes in
+    if taken then taken_.(idx) else not_taken.(idx)
 
 let start ?(config = default_config) ?on_retire (image : Image.t) : session =
   let mem = Memory.create () in
   Memory.load_image mem image;
   let regs = Array.make 32 0l in
   regs.(2) <- Int32.of_int Layout.stack_top;
-  { code = decode_text image;
-    text_base = image.Image.text_base;
+  let code = decode_text image and text_base = image.Image.text_base in
+  { code;
+    text_base;
     mem;
     regs;
     pc = image.Image.entry;
@@ -55,10 +121,13 @@ let start ?(config = default_config) ?on_retire (image : Image.t) : session =
     halted = false;
     config;
     uops = [];
-    on_retire }
+    on_retire;
+    shapes = shape_table text_base code }
 
-(* [step s] executes one instruction. *)
-let step (s : session) : unit =
+(* [exec s ~want] executes one instruction.  It returns the retired uop
+   when [want], trace collection or the observer asks for one, and
+   [Trace.placeholder] otherwise, so a plain run builds no uops. *)
+let exec (s : session) ~want : Trace.uop =
   if s.count >= s.config.max_insns then
     Diag.error
       ~context:[ ("retired", string_of_int s.count);
@@ -74,7 +143,7 @@ let step (s : session) : unit =
   let here = s.pc in
   let next = ref (here + 4) in
   let mem_addr = ref 0 in
-  let ctrl = ref Trace.Not_ctrl in
+  let taken = ref false in
   let regs = s.regs in
   let set rd v = if rd <> 0 then regs.(rd) <- v in
   (match insn with
@@ -82,20 +151,17 @@ let step (s : session) : unit =
    | Isa.Auipc (rd, i) ->
      set rd (Int32.add (Int32.of_int here) (Int32.shift_left i 12))
    | Isa.Jal (rd, off) ->
-     let target = here + off in
      set rd (Int32.of_int (here + 4));
-     next := target;
-     ctrl := Trace.Uncond { target; is_call = rd = 1; is_ret = false }
+     next := here + off
    | Isa.Jalr (rd, rs1, imm) ->
      let target = (Int32.to_int regs.(rs1) + imm) land 0xFFFFFFFE in
      set rd (Int32.of_int (here + 4));
-     next := target;
-     ctrl := Trace.Uncond { target; is_call = rd = 1; is_ret = rd = 0 && rs1 = 1 }
+     next := target
    | Isa.Branch (cond, rs1, rs2, off) ->
-     let taken = Isa.eval_branch cond regs.(rs1) regs.(rs2) in
-     let target = here + off in
-     if taken then next := target;
-     ctrl := Trace.Cond { taken; target }
+     if Isa.eval_branch cond regs.(rs1) regs.(rs2) then begin
+       taken := true;
+       next := here + off
+     end
    | Isa.Lw (rd, rs1, imm) ->
      let addr = (Int32.to_int regs.(rs1) + imm) land 0xFFFFFFFF in
      mem_addr := addr;
@@ -108,35 +174,24 @@ let step (s : session) : unit =
      set rd (Isa.eval_alu (Isa.alu_of_alui op) regs.(rs1) (Int32.of_int imm))
    | Isa.Alu (op, rd, rs1, rs2) -> set rd (Isa.eval_alu op regs.(rs1) regs.(rs2))
    | Isa.Ebreak -> s.halted <- true);
-  if s.config.collect_trace || s.on_retire <> None then begin
-    let fu =
-      match Isa.kind insn with
-      | Isa.Kmul -> Trace.FU_mul
-      | Isa.Kdiv -> Trace.FU_div
-      | Isa.Kload -> Trace.FU_load
-      | Isa.Kstore -> Trace.FU_store
-      | Isa.Kbranch | Isa.Kjump -> Trace.FU_branch
-      | Isa.Kalu | Isa.Khalt -> Trace.FU_alu
-    in
-    let dest = match Isa.dest insn with Some rd -> rd | None -> 0 in
-    let u =
-      { Trace.pc = here;
-        fu;
-        srcs_dist = [||];
-        srcs_reg = Array.of_list (List.filter (fun r -> r <> 0) (Isa.sources insn));
-        dest_reg = dest;
-        has_dest = dest <> 0;
-        is_rmov = false;
-        is_nop = false;
-        is_spadd = false;
-        mem_addr = !mem_addr;
-        ctrl = !ctrl }
-    in
-    if s.config.collect_trace then s.uops <- u :: s.uops;
-    match s.on_retire with Some f -> f s.count u | None -> ()
-  end;
+  let u =
+    if want || s.config.collect_trace || s.on_retire <> None then begin
+      let u =
+        session_uop s idx here insn ~mem_addr:!mem_addr ~taken:!taken
+          ~next:!next
+      in
+      if s.config.collect_trace then s.uops <- u :: s.uops;
+      (match s.on_retire with Some f -> f s.count u | None -> ());
+      u
+    end
+    else Trace.placeholder
+  in
   s.count <- s.count + 1;
-  s.pc <- !next
+  s.pc <- !next;
+  u
+
+let step (s : session) : unit = ignore (exec s ~want:false)
+let step_uop (s : session) : Trace.uop = exec s ~want:true
 
 let run_session ?(until = max_int) (s : session) : unit =
   while (not s.halted) && s.count < until do

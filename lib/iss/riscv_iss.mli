@@ -24,6 +24,16 @@ val step : session -> unit
     retired count) on budget overrun, or [Mem_unaligned]/[Mem_mmio] on
     memory faults. *)
 
+val step_uop : session -> Trace.uop
+(** Like {!step}, and return the retired instruction's uop (see
+    {!Straight_iss.step_uop}).  @raise as {!step}. *)
+
+val uop_shape : int -> Riscv_isa.Isa.resolved -> Trace.uop
+(** [uop_shape pc insn] is the uop [insn] at [pc] retires as with its
+    dynamic outcomes unresolved: branches not taken, JALR's target
+    [-1], memory address [0] — the wrong-path view of the static
+    image. *)
+
 val run_session : ?until:int -> session -> unit
 (** Execute until [ebreak], or until the retired count reaches
     [until]. *)

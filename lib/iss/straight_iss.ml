@@ -63,15 +63,82 @@ type session = {
   on_retire : (int -> Trace.uop -> unit) option;
       (* observer fed (index, uop) at every retirement, independent of
          trace collection — the functional-warming / sampling tap *)
+  shapes : (Trace.uop array * Trace.uop array) Lazy.t;
+      (* per text word, the retired uop with a conditional branch not
+         taken and taken (see [shape_table]) *)
 }
+
+(* The uop the instruction at [pc] retires as, given its dynamic
+   outcomes: the memory address, whether a conditional branch was taken,
+   and the pc the run continues at (JR's target). *)
+let retired_uop pc (insn : Isa.resolved) ~mem_addr ~taken ~next : Trace.uop =
+  let fu =
+    match Isa.kind insn with
+    | Isa.Kmul -> Trace.FU_mul
+    | Isa.Kdiv -> Trace.FU_div
+    | Isa.Kload -> Trace.FU_load
+    | Isa.Kstore -> Trace.FU_store
+    | Isa.Kbranch | Isa.Kjump -> Trace.FU_branch
+    | Isa.Kalu | Isa.Krmov | Isa.Knop | Isa.Khalt -> Trace.FU_alu
+  in
+  let ctrl =
+    match insn with
+    | Isa.Bez (_, off) | Isa.Bnz (_, off) ->
+      Trace.Cond { taken; target = pc + (4 * off) }
+    | Isa.J off ->
+      Trace.Uncond { target = pc + (4 * off); is_call = false; is_ret = false }
+    | Isa.Jal off ->
+      Trace.Uncond { target = pc + (4 * off); is_call = true; is_ret = false }
+    | Isa.Jr _ -> Trace.Uncond { target = next; is_call = false; is_ret = true }
+    | _ -> Trace.Not_ctrl
+  in
+  { Trace.pc;
+    fu;
+    srcs_dist = Array.of_list (List.filter (fun d -> d > 0) (Isa.sources insn));
+    srcs_reg = [||];
+    dest_reg = 0;
+    has_dest = true;
+    is_rmov = (match insn with Isa.Rmov _ -> true | _ -> false);
+    is_nop = (match insn with Isa.Nop -> true | _ -> false);
+    is_spadd = (match insn with Isa.Spadd _ -> true | _ -> false);
+    mem_addr;
+    ctrl }
+
+let uop_shape pc insn = retired_uop pc insn ~mem_addr:0 ~taken:false ~next:(-1)
+
+(* The uops of the text, built at the first retirement that asks for one
+   and shared by every retirement whose dynamic fields they hold: the
+   cycle engine keeps thousands of uops in flight, and fresh ones would
+   each be promoted out of the minor heap. *)
+let shape_table text_base code =
+  lazy
+    (let uops taken =
+       Array.mapi
+         (fun i insn ->
+            retired_uop (text_base + (4 * i)) insn ~mem_addr:0 ~taken
+              ~next:(-1))
+         code
+     in
+     (uops false, uops true))
+
+(* The retired uop of [insn], the text word [idx] at [pc]: built afresh
+   only when it carries a memory address or an indirect target. *)
+let session_uop s idx pc (insn : Isa.resolved) ~mem_addr ~taken ~next =
+  match insn with
+  | Isa.Ld _ | Isa.St _ | Isa.Jr _ ->
+    retired_uop pc insn ~mem_addr ~taken ~next
+  | _ ->
+    let not_taken, taken_ = Lazy.force s.shapes in
+    if taken then taken_.(idx) else not_taken.(idx)
 
 (* [start ?config image] loads the image and returns a fresh session at the
    reset state (SP at the stack top, PC at the entry point). *)
 let start ?(config = default_config) ?on_retire (image : Image.t) : session =
   let mem = Memory.create () in
   Memory.load_image mem image;
-  { code = decode_text image;
-    text_base = image.Image.text_base;
+  let code = decode_text image and text_base = image.Image.text_base in
+  { code;
+    text_base;
     mem;
     regs = Array.make ring 0l;
     sp = Int32.of_int Layout.stack_top;
@@ -81,7 +148,8 @@ let start ?(config = default_config) ?on_retire (image : Image.t) : session =
     config;
     uops = [];
     dist_hist = Array.make (Isa.max_dist + 1) 0;
-    on_retire }
+    on_retire;
+    shapes = shape_table text_base code }
 
 (* The precise architectural state at an instruction boundary: PC, SP, RP,
    and the last [max_dist] register values (window.(i) is the value at
@@ -110,9 +178,10 @@ let checkpoint (s : session) : arch_state =
    property. *)
 let resume ?(config = default_config) ?on_retire (image : Image.t)
     (mem : Memory.t) (st : arch_state) : session =
+  let code = decode_text image and text_base = image.Image.text_base in
   let s =
-    { code = decode_text image;
-      text_base = image.Image.text_base;
+    { code;
+      text_base;
       mem;
       regs = Array.make ring 0l;
       sp = st.a_sp;
@@ -122,7 +191,8 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
       config;
       uops = [];
       dist_hist = Array.make (Isa.max_dist + 1) 0;
-      on_retire }
+      on_retire;
+      shapes = shape_table text_base code }
   in
   Array.iteri
     (fun i v ->
@@ -131,8 +201,10 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
     st.a_window;
   s
 
-(* [step s] executes one instruction. *)
-let step (s : session) : unit =
+(* [exec s ~want] executes one instruction.  It returns the retired uop
+   when [want], trace collection or the observer asks for one, and
+   [Trace.placeholder] otherwise, so a plain run builds no uops. *)
+let exec (s : session) ~want : Trace.uop =
   if s.count >= s.config.max_insns then
     Diag.error
       ~context:[ ("retired", string_of_int s.count);
@@ -148,7 +220,7 @@ let step (s : session) : unit =
   let next = ref (here + 4) in
   let result = ref 0l in
   let mem_addr = ref 0 in
-  let ctrl = ref Trace.Not_ctrl in
+  let taken = ref false in
   let read_src d = if d = 0 then 0l else s.regs.((s.count - d) land ring_mask) in
   let record_dist d =
     if s.config.collect_dist && d > 0 then
@@ -179,64 +251,47 @@ let step (s : session) : unit =
      result := value
    | Isa.Bez (a, off) ->
      record_dist a;
-     let taken = read_src a = 0l in
-     let target = here + (4 * off) in
-     if taken then next := target;
-     ctrl := Trace.Cond { taken; target }
+     if read_src a = 0l then begin
+       taken := true;
+       next := here + (4 * off)
+     end
    | Isa.Bnz (a, off) ->
      record_dist a;
-     let taken = read_src a <> 0l in
-     let target = here + (4 * off) in
-     if taken then next := target;
-     ctrl := Trace.Cond { taken; target }
-   | Isa.J off ->
-     let target = here + (4 * off) in
-     next := target;
-     ctrl := Trace.Uncond { target; is_call = false; is_ret = false }
+     if read_src a <> 0l then begin
+       taken := true;
+       next := here + (4 * off)
+     end
+   | Isa.J off -> next := here + (4 * off)
    | Isa.Jal off ->
-     let target = here + (4 * off) in
      result := Int32.of_int (here + 4);
-     next := target;
-     ctrl := Trace.Uncond { target; is_call = true; is_ret = false }
+     next := here + (4 * off)
    | Isa.Jr a ->
      record_dist a;
-     let target = Int32.to_int (read_src a) land 0xFFFFFFFF in
-     next := target;
-     result := Int32.of_int (here + 4);
-     ctrl := Trace.Uncond { target; is_call = false; is_ret = true }
+     next := Int32.to_int (read_src a) land 0xFFFFFFFF;
+     result := Int32.of_int (here + 4)
    | Isa.Spadd i ->
      s.sp <- Int32.add s.sp (Int32.of_int i);
      result := s.sp
    | Isa.Halt -> s.halted <- true);
   s.regs.(s.count land ring_mask) <- !result;
-  if s.config.collect_trace || s.on_retire <> None then begin
-    let fu =
-      match Isa.kind insn with
-      | Isa.Kmul -> Trace.FU_mul
-      | Isa.Kdiv -> Trace.FU_div
-      | Isa.Kload -> Trace.FU_load
-      | Isa.Kstore -> Trace.FU_store
-      | Isa.Kbranch | Isa.Kjump -> Trace.FU_branch
-      | Isa.Kalu | Isa.Krmov | Isa.Knop | Isa.Khalt -> Trace.FU_alu
-    in
-    let u =
-      { Trace.pc = here;
-        fu;
-        srcs_dist = Array.of_list (List.filter (fun d -> d > 0) (Isa.sources insn));
-        srcs_reg = [||];
-        dest_reg = 0;
-        has_dest = true;
-        is_rmov = (match insn with Isa.Rmov _ -> true | _ -> false);
-        is_nop = (match insn with Isa.Nop -> true | _ -> false);
-        is_spadd = (match insn with Isa.Spadd _ -> true | _ -> false);
-        mem_addr = !mem_addr;
-        ctrl = !ctrl }
-    in
-    if s.config.collect_trace then s.uops <- u :: s.uops;
-    match s.on_retire with Some f -> f s.count u | None -> ()
-  end;
+  let u =
+    if want || s.config.collect_trace || s.on_retire <> None then begin
+      let u =
+        session_uop s idx here insn ~mem_addr:!mem_addr ~taken:!taken
+          ~next:!next
+      in
+      if s.config.collect_trace then s.uops <- u :: s.uops;
+      (match s.on_retire with Some f -> f s.count u | None -> ());
+      u
+    end
+    else Trace.placeholder
+  in
   s.count <- s.count + 1;
-  s.pc <- !next
+  s.pc <- !next;
+  u
+
+let step (s : session) : unit = ignore (exec s ~want:false)
+let step_uop (s : session) : Trace.uop = exec s ~want:true
 
 (* [run_session ?until s] executes until HALT (or until the retired count
    reaches [until]). *)
@@ -269,17 +324,23 @@ let exit_value (s : session) : int32 =
 (* [run_with_interrupt ~at image] takes a precise interrupt after [at]
    retired instructions: the session is checkpointed, destroyed, and
    rebuilt from only {PC, SP, RP, window} + memory before continuing.
-   The combined run must equal an uninterrupted one. *)
+   The combined run must equal an uninterrupted one: the resumed session
+   collects its own trace and histogram, so both halves are joined. *)
 let run_with_interrupt ?(config = default_config) ~(at : int)
     (image : Image.t) : Trace.run =
   let s = start ~config image in
   run_session ~until:at s;
   if s.halted then finish s
   else begin
-    let st = checkpoint s in
-    let s' = resume ~config image s.mem st in
+    let before = finish s in
+    let s' = resume ~config image s.mem (checkpoint s) in
     run_session s';
-    let r = finish s' in
-    (* the console is in shared memory state; retired counts accumulate *)
-    { r with Trace.retired = r.Trace.retired }
+    (* the console lives in the shared memory; retired counts continue
+       from the checkpointed RP *)
+    let after = finish s' in
+    { after with
+      Trace.trace = Array.append before.Trace.trace after.Trace.trace;
+      dist_histogram =
+        Array.map2 ( + ) before.Trace.dist_histogram
+          after.Trace.dist_histogram }
   end

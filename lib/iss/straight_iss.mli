@@ -40,6 +40,18 @@ val step : session -> unit
     retired count) on budget overrun, or [Mem_unaligned]/[Mem_mmio] on
     memory faults. *)
 
+val step_uop : session -> Trace.uop
+(** Like {!step}, and return the retired instruction's uop — what the
+    cycle engine's window pulls from a live run.  Uops without a memory
+    address or an indirect target are shared between retirements of the
+    same text word.  @raise as {!step}. *)
+
+val uop_shape : int -> Straight_isa.Isa.resolved -> Trace.uop
+(** [uop_shape pc insn] is the uop [insn] at [pc] retires as with its
+    dynamic outcomes unresolved: conditional branches not taken, JR's
+    target [-1], memory address [0] — the wrong-path view of the static
+    image. *)
+
 val run_session : ?until:int -> session -> unit
 (** Execute until HALT, or until the retired count reaches [until]. *)
 
@@ -81,4 +93,5 @@ val run_with_interrupt :
   ?config:config -> at:int -> Assembler.Image.t -> Trace.run
 (** Take a precise interrupt after [at] retired instructions: checkpoint,
     destroy the session, rebuild from the checkpoint, continue.  The
-    result must equal an uninterrupted {!run} (tested). *)
+    result — output, retired count, trace and distance histogram — must
+    equal an uninterrupted {!run} (tested). *)

@@ -37,6 +37,11 @@ type uop = {
   ctrl : ctrl;
 }
 
+let placeholder =
+  { pc = -1; fu = FU_alu; srcs_dist = [||]; srcs_reg = [||]; dest_reg = 0;
+    has_dest = false; is_rmov = false; is_nop = false; is_spadd = false;
+    mem_addr = 0; ctrl = Not_ctrl }
+
 let kind_label u =
   match u.fu with
   | FU_load -> "LD"
@@ -45,42 +50,64 @@ let kind_label u =
   | FU_mul | FU_div -> "ALU"
   | FU_alu -> if u.is_rmov then "RMOV" else if u.is_nop then "NOP" else "ALU"
 
-(* Canonical digest of a uop trace, used by the snapshot machinery to
-   prove that a regenerated trace matches the one a checkpoint was taken
-   against.  Every field participates, so any behavioural change to the
-   ISS or the compilers changes the digest. *)
-let digest (trace : uop array) : string =
-  let b = Buffer.create (64 * Array.length trace) in
+(* Canonical fingerprint of a retirement stream, used by the snapshot
+   machinery to prove that a regenerated run matches the one a
+   checkpoint was taken against.  Every field of every uop is written to
+   a buffer; every [digest_chunk] uops the buffer is folded into a
+   running MD5 chain, so a stream of any length is fingerprinted in
+   bounded memory.  Any behavioural change to the ISS or the compilers
+   changes the digest. *)
+type digest_state = { dbuf : Buffer.t; mutable pending : int }
+
+let digest_chunk = 4096
+
+let digest_init () =
+  let dbuf = Buffer.create (64 * digest_chunk) in
+  Buffer.add_string dbuf "straight-trace-digest/2";
+  { dbuf; pending = 0 }
+
+let digest_add st u =
+  let b = st.dbuf in
   let add_int n = Buffer.add_string b (string_of_int n); Buffer.add_char b ',' in
   let add_bool v = Buffer.add_char b (if v then '1' else '0') in
   let fu_code = function
     | FU_alu -> 0 | FU_mul -> 1 | FU_div -> 2 | FU_branch -> 3
     | FU_load -> 4 | FU_store -> 5
   in
-  Array.iter
-    (fun u ->
-       add_int u.pc;
-       add_int (fu_code u.fu);
-       Array.iter add_int u.srcs_dist;
-       Buffer.add_char b ';';
-       Array.iter add_int u.srcs_reg;
-       Buffer.add_char b ';';
-       add_int u.dest_reg;
-       add_bool u.has_dest;
-       add_bool u.is_rmov;
-       add_bool u.is_nop;
-       add_bool u.is_spadd;
-       add_int u.mem_addr;
-       (match u.ctrl with
-        | Not_ctrl -> Buffer.add_char b 'n'
-        | Cond { taken; target } ->
-          Buffer.add_char b 'c'; add_bool taken; add_int target
-        | Uncond { target; is_call; is_ret } ->
-          Buffer.add_char b 'u'; add_int target; add_bool is_call;
-          add_bool is_ret);
-       Buffer.add_char b '\n')
-    trace;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  add_int u.pc;
+  add_int (fu_code u.fu);
+  Array.iter add_int u.srcs_dist;
+  Buffer.add_char b ';';
+  Array.iter add_int u.srcs_reg;
+  Buffer.add_char b ';';
+  add_int u.dest_reg;
+  add_bool u.has_dest;
+  add_bool u.is_rmov;
+  add_bool u.is_nop;
+  add_bool u.is_spadd;
+  add_int u.mem_addr;
+  (match u.ctrl with
+   | Not_ctrl -> Buffer.add_char b 'n'
+   | Cond { taken; target } ->
+     Buffer.add_char b 'c'; add_bool taken; add_int target
+   | Uncond { target; is_call; is_ret } ->
+     Buffer.add_char b 'u'; add_int target; add_bool is_call;
+     add_bool is_ret);
+  Buffer.add_char b '\n';
+  st.pending <- st.pending + 1;
+  if st.pending = digest_chunk then begin
+    let h = Digest.string (Buffer.contents b) in
+    Buffer.clear b;
+    Buffer.add_string b h;
+    st.pending <- 0
+  end
+
+let digest_result st = Digest.to_hex (Digest.string (Buffer.contents st.dbuf))
+
+let digest (trace : uop array) : string =
+  let st = digest_init () in
+  Array.iter (digest_add st) trace;
+  digest_result st
 
 (* A completed program run. *)
 type run = {

@@ -38,15 +38,31 @@ type uop = {
   ctrl : ctrl;
 }
 
+val placeholder : uop
+(** A uop no program retires (pc [-1], no operands): the filler for
+    empty slots and for retirements nobody asked a uop of. *)
+
 val kind_label : uop -> string
 (** The Fig. 15 bucket: ["ALU"], ["LD"], ["ST"], ["Jump+Branch"],
     ["RMOV"], or ["NOP"]. *)
 
+(** Incremental fingerprint of a retirement stream: every field of
+    every uop, folded into an MD5 chain in fixed-size chunks, so a stream
+    of any length is fingerprinted in bounded memory.  The snapshot
+    machinery regenerates the stream from the workload source on restore
+    and uses this to prove it matches the one the checkpoint was taken
+    against. *)
+type digest_state
+
+val digest_init : unit -> digest_state
+val digest_add : digest_state -> uop -> unit
+
+val digest_result : digest_state -> string
+(** Hex digest of the uops added so far. *)
+
 val digest : uop array -> string
-(** Canonical MD5 hex digest over every field of every uop.  The
-    snapshot machinery regenerates the trace from the workload source on
-    restore and uses this to prove it matches the one the checkpoint was
-    taken against. *)
+(** [digest a] is the fold of {!digest_add} over [a]: the same
+    fingerprint as streaming the uops one by one. *)
 
 (** A completed program run. *)
 type run = {

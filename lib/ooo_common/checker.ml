@@ -1,12 +1,12 @@
 (* Lockstep golden-model checker: validates commit-stream invariants
-   against the ISS trace and reports divergence as a structured
-   Diag.Error instead of a crash.  See the interface for the invariant
-   list. *)
+   against the ISS retirement stream and reports divergence as a
+   structured Diag.Error instead of a crash.  See the interface for the
+   invariant list. *)
 
 module Trace = Iss.Trace
 
 type t = {
-  trace : Trace.uop array;
+  retired : int;                   (* golden retirement count *)
   rename : Params.rename_model;
   max_dist : int option;
   phys_regs : int option;          (* RMT models only *)
@@ -14,22 +14,34 @@ type t = {
   mutable last_seq : int;
   mutable last_cycle : int;
   mutable checked : int;
+  mutable next_pc : int;
+      (* where the golden run continues after the last correct-path
+         commit; -1 before the first (a region or slice may start
+         anywhere) *)
 }
 
-let create ?max_dist ~rename ~trace () =
+let create ?max_dist ~rename ~retired () =
   let phys_regs =
     match rename with
     | Params.Rmt { phys_regs } | Params.Rmt_checkpoint { phys_regs; _ } ->
       Some phys_regs
     | Params.Rp -> None
   in
-  { trace; rename;
+  { retired; rename;
     max_dist = (match rename with Params.Rp -> max_dist | _ -> None);
     phys_regs;
     last_trace_idx = -1;
     last_seq = -1;
     last_cycle = 0;
-    checked = 0 }
+    checked = 0;
+    next_pc = -1 }
+
+(* the pc the golden run executes after [u] retires *)
+let successor_pc (u : Trace.uop) =
+  match u.Trace.ctrl with
+  | Trace.Not_ctrl -> u.Trace.pc + 4
+  | Trace.Cond { taken; target } -> if taken then target else u.Trace.pc + 4
+  | Trace.Uncond { target; _ } -> target
 
 let fu_name = function
   | Trace.FU_alu -> "alu" | Trace.FU_mul -> "mul" | Trace.FU_div -> "div"
@@ -51,7 +63,7 @@ let diverge t ~invariant ~cycle ~seq ~trace_idx fmt =
                Diag.Checker_divergence msg)))
     fmt
 
-let on_commit t ~cycle ~seq ~trace_idx ~wrong_path ~free_regs uop =
+let on_commit t ~cycle ~seq ~trace_idx ~wrong_path ~free_regs ~golden uop =
   let fail invariant fmt = diverge t ~invariant ~cycle ~seq ~trace_idx fmt in
   (* ROB FIFO discipline: seq strictly increasing, cycle nondecreasing *)
   if seq <= t.last_seq then
@@ -70,17 +82,21 @@ let on_commit t ~cycle ~seq ~trace_idx ~wrong_path ~free_regs uop =
       fail "program-order"
         "committed trace index %d, expected %d" trace_idx
         (t.last_trace_idx + 1);
-    if trace_idx < 0 || trace_idx >= Array.length t.trace then
+    if trace_idx < 0 || trace_idx >= t.retired then
       fail "trace-bounds" "trace index %d outside [0, %d)" trace_idx
-        (Array.length t.trace);
-    (* golden lockstep: the retired uop is the golden trace entry *)
-    let g = t.trace.(trace_idx) in
-    if uop.Trace.pc <> g.Trace.pc then
+        t.retired;
+    (* golden lockstep: the retired uop is the stream's entry at its
+       index, and it sits where the golden run went after the previous
+       commit *)
+    if t.next_pc >= 0 && uop.Trace.pc <> t.next_pc then
+      fail "pc-lockstep" "retired pc 0x%x, golden model continues at 0x%x"
+        uop.Trace.pc t.next_pc;
+    if uop.Trace.pc <> golden.Trace.pc then
       fail "pc-lockstep" "retired pc 0x%x, golden model has 0x%x"
-        uop.Trace.pc g.Trace.pc;
-    if uop.Trace.fu <> g.Trace.fu then
+        uop.Trace.pc golden.Trace.pc;
+    if uop.Trace.fu <> golden.Trace.fu then
       fail "fu-lockstep" "retired fu %s, golden model has %s"
-        (fu_name uop.Trace.fu) (fu_name g.Trace.fu);
+        (fu_name uop.Trace.fu) (fu_name golden.Trace.fu);
     (match t.rename with
      | Params.Rp ->
        (* STRAIGHT: write-once (every instruction produces exactly one
@@ -111,7 +127,8 @@ let on_commit t ~cycle ~seq ~trace_idx ~wrong_path ~free_regs uop =
        if uop.Trace.has_dest <> (uop.Trace.dest_reg <> 0) then
          fail "rmt-dest" "has_dest inconsistent with dest x%d at 0x%x"
            uop.Trace.dest_reg uop.Trace.pc);
-    t.last_trace_idx <- trace_idx
+    t.last_trace_idx <- trace_idx;
+    t.next_pc <- successor_pc uop
   end;
   (* free-list accounting is global: wrong-path drains release too *)
   (match t.phys_regs with
@@ -125,13 +142,14 @@ let on_commit t ~cycle ~seq ~trace_idx ~wrong_path ~free_regs uop =
   t.checked <- t.checked + 1
 
 let on_finish t ~cycles ~committed ~free_regs =
-  let n = Array.length t.trace in
+  let n = t.retired in
   let fail invariant fmt =
     diverge t ~invariant ~cycle:cycles ~seq:t.last_seq
       ~trace_idx:t.last_trace_idx fmt
   in
   if committed <> n then
-    fail "exactly-once" "committed %d instructions, trace has %d" committed n;
+    fail "exactly-once" "committed %d instructions, golden run retired %d"
+      committed n;
   if t.last_trace_idx <> n - 1 then
     fail "exactly-once" "last committed trace index %d, expected %d"
       t.last_trace_idx (n - 1);
@@ -145,16 +163,18 @@ let on_finish t ~cycles ~committed ~free_regs =
 
 let commits_checked t = t.checked
 
-(* Checkpointing: the trace and configuration are rebuilt on restore;
-   only the lockstep cursor travels. *)
+(* Checkpointing: the retired count and configuration are rebuilt on
+   restore; only the lockstep cursor travels. *)
 let save b t =
   Bin.w_int b t.last_trace_idx;
   Bin.w_int b t.last_seq;
   Bin.w_int b t.last_cycle;
-  Bin.w_int b t.checked
+  Bin.w_int b t.checked;
+  Bin.w_int b t.next_pc
 
 let load r t =
   t.last_trace_idx <- Bin.r_int r;
   t.last_seq <- Bin.r_int r;
   t.last_cycle <- Bin.r_int r;
-  t.checked <- Bin.r_int r
+  t.checked <- Bin.r_int r;
+  t.next_pc <- Bin.r_int r

@@ -3,7 +3,8 @@
    codes for the most part").
 
    The model is trace-driven on the correct path (the functional simulator
-   supplies oracle branch outcomes and memory addresses) and fetches
+   supplies oracle branch outcomes and memory addresses, pulled through a
+   bounded [Window] as fetch reaches them) and fetches
    wrong-path instructions from the static image after a misprediction, so
    that squash cost — the ROB walk whose length is the number of squashed
    entries — is modeled faithfully.  See DESIGN.md for the wrong-path
@@ -173,7 +174,7 @@ let next_pow2 n =
 
 type t = {
   p : Params.t;
-  trace : Trace.uop array;
+  uops : Window.t;                  (* the correct-path retirement stream *)
   n_trace : int;
   decode_static : int -> Trace.uop option;
   checker : Checker.t option;
@@ -190,7 +191,6 @@ type t = {
   mutable win : dyn array;
   mutable win_mask : int;
   mutable next_seq : int;
-  trace_seq : int array;
   (* pipeline structures, all seq-sorted *)
   frontend_q : Ring.t;
   rob : Ring.t;
@@ -250,19 +250,14 @@ let mix_slot (u : Trace.uop) =
 
 let mix_labels = [| "LD"; "ST"; "Jump+Branch"; "ALU"; "RMOV"; "NOP" |]
 
-let create (p : Params.t) ~(trace : Trace.uop array)
+let create (p : Params.t) ~(window : Window.t)
     ~(decode_static : int -> Trace.uop option)
     ?(checker : Checker.t option) ?(warm : Warm.t option) () : t =
-  let n_trace = Array.length trace in
+  let n_trace = Window.length window in
   if n_trace = 0 then
     Diag.error Diag.Config_error "empty trace: nothing to simulate";
-  let dummy_uop =
-    { Trace.pc = -1; fu = Trace.FU_alu; srcs_dist = [||]; srcs_reg = [||];
-      dest_reg = 0; has_dest = false; is_rmov = false; is_nop = false;
-      is_spadd = false; mem_addr = 0; ctrl = Trace.Not_ctrl }
-  in
   let dummy =
-    { seq = -1; uop = dummy_uop; wrong_path = false; trace_idx = -1;
+    { seq = -1; uop = Trace.placeholder; wrong_path = false; trace_idx = -1;
       fetched_at = 0; producers = []; dispatched = false; dispatched_at = 0;
       issued = false; ready_at = 0; replay_bump = 0; mispredicted = false;
       resume_idx = -1; addr_known = false; executed_load = false;
@@ -296,7 +291,7 @@ let create (p : Params.t) ~(trace : Trace.uop array)
       Cache.reset_stats w.Warm.hier;
       (w.Warm.hier, w.Warm.pred, w.Warm.ras)
   in
-  { p; trace; n_trace; decode_static; checker;
+  { p; uops = window; n_trace; decode_static; checker;
     hier; pred; ras;
     memdep = Memdep.create ();
     inj = Inject.make p.inject;
@@ -305,7 +300,6 @@ let create (p : Params.t) ~(trace : Trace.uop array)
     win = Array.make 1024 dummy;
     win_mask = 1023;
     next_seq = 0;
-    trace_seq = Array.make n_trace (-1);
     frontend_q = Ring.create dummy;
     rob = Ring.create dummy;
     ldq = Ring.create dummy;
@@ -608,8 +602,11 @@ let commit t =
        | Some ck ->
          Checker.on_commit ck ~cycle:t.now ~seq:d.seq
            ~trace_idx:d.trace_idx ~wrong_path:d.wrong_path
-           ~free_regs:t.free_regs d.uop
-       | None -> ())
+           ~free_regs:t.free_regs
+           ~golden:(Window.find t.uops d.trace_idx) d.uop
+       | None -> ());
+      (* the stream window keeps only uncommitted correct-path uops *)
+      if not d.wrong_path then Window.release t.uops (d.trace_idx + 1)
     end
     else continue_ := false
   done
@@ -839,18 +836,16 @@ let dispatch t =
              if win_mem t s then ps := s :: !ps
            end
            else begin
-             let pidx = d.trace_idx - dist in
-             if pidx >= 0 then begin
-               let s = t.trace_seq.(pidx) in
-               if s >= 0 && win_mem t s then ps := s :: !ps
-             end
+             (* committed producers have left the stream window *)
+             let s = Window.seq t.uops (d.trace_idx - dist) in
+             if s >= 0 && win_mem t s then ps := s :: !ps
            end
          done;
          d.producers <- !ps;
          t.act.rp_ops <- t.act.rp_ops + Array.length srcs + 1;
          d.ras_snapshot <- Branch_pred.Ras.save t.ras);
       register_producers t d;
-      if not d.wrong_path then t.trace_seq.(d.trace_idx) <- d.seq;
+      if not d.wrong_path then Window.set_seq t.uops d.trace_idx d.seq;
       d.dispatched <- true;
       d.dispatched_at <- t.now;
       Ring.push_back t.rob d;
@@ -877,7 +872,7 @@ let fetch t =
       | Fetch_correct idx ->
         if idx >= t.n_trace then continue_ := false
         else begin
-          let uop = t.trace.(idx) in
+          let uop = Window.get t.uops idx in
           (* instruction cache: one probe per line per group *)
           let line = uop.Trace.pc lsr t.hier.Cache.l1i.Cache.line_shift in
           if line <> !line_touched then begin
@@ -1121,6 +1116,8 @@ let step t =
 let finished t = t.done_
 let cycle t = t.now
 let committed_count t = t.committed
+let window t = t.uops
+let inflight t = Ring.length t.rob + Ring.length t.frontend_q
 
 (* Mid-run snapshot of the cycle-accounting buckets; the interval
    sampler subtracts the snapshot taken at the warmup boundary from the
@@ -1159,17 +1156,17 @@ let finish t : stats =
       (match t.checker with Some ck -> Checker.commits_checked ck | None -> 0);
     cpi_stack = Stats.freeze t.cpi }
 
-(* [run p ~trace ~decode_static ?checker ()] simulates the whole trace
+(* [run p ~window ~decode_static ?checker ()] simulates the whole stream
    and returns timing statistics.  [decode_static pc] supplies wrong-path
    instructions.  [checker] is the lockstep golden-model checker, fed at
    every commit.  Faults from [p.inject] are injected at fetch/issue
    opportunities; a deadlock or lack of forward progress trips the
    watchdog, which raises [Diag.Error Sim_deadlock] carrying a full
    machine-readable pipeline snapshot. *)
-let run (p : Params.t) ~(trace : Trace.uop array)
+let run (p : Params.t) ~(window : Window.t)
     ~(decode_static : int -> Trace.uop option)
     ?(checker : Checker.t option) () : stats =
-  let t = create p ~trace ~decode_static ?checker () in
+  let t = create p ~window ~decode_static ?checker () in
   while not t.done_ do step t done;
   finish t
 
@@ -1188,13 +1185,16 @@ let run (p : Params.t) ~(trace : Trace.uop array)
    - fired edges never persist ([fire_edges] clears the whole list);
    - timing-wheel slots may hold squashed producers, but all of their
      consumers were squashed with them, so dead entries are dropped;
-   - [trace_seq] entries for committed producers are stale in exactly
-     the way a [-1] is (the [win_mem] guard fails either way), so the
-     array is rebuilt sparsely from live dispatched correct-path dyns;
-   - correct-path uops are shared with [trace] and stored by index;
-     wrong-path uops are serialized inline. *)
+   - the stream window starts at the committed count (every older uop
+     has committed), and its dispatch seqs are rebuilt from live
+     dispatched correct-path dyns: a seq the image does not restore
+     belonged to a squashed or committed dyn, which the [win_mem] guard
+     treats exactly like [-1];
+   - correct-path uops are regenerated through the window and stored by
+     index; wrong-path uops are serialized inline. *)
 
-let engine_version = 1
+(* v2: the checker cursor carries the golden next pc *)
+let engine_version = 2
 
 (* The uop codec lives in Uop_io so the sampling checkpoints share it. *)
 let w_uop = Uop_io.write
@@ -1234,11 +1234,13 @@ let r_dyn t r : dyn * int list =
   let trace_idx = Bin.r_int r in
   let uop =
     if trace_idx < 0 then r_uop r
-    else if trace_idx < t.n_trace then t.trace.(trace_idx)
+    else if trace_idx >= Window.base t.uops && trace_idx < t.n_trace then
+      Window.get t.uops trace_idx
     else
       raise
         (Bin.Corrupt
-           (Printf.sprintf "dyn trace index %d outside trace of %d" trace_idx
+           (Printf.sprintf "dyn trace index %d outside the uncommitted \
+                            stream [%d, %d)" trace_idx (Window.base t.uops)
               t.n_trace))
   in
   let fetched_at = Bin.r_int r in
@@ -1342,10 +1344,10 @@ let save b t =
    | None -> Bin.w_bool b false
    | Some ck -> Bin.w_bool b true; Checker.save b ck)
 
-let restore (p : Params.t) ~(trace : Trace.uop array)
+let restore (p : Params.t) ~(window : Window.t)
     ~(decode_static : int -> Trace.uop option)
     ?(checker : Checker.t option) (r : Bin.reader) : t =
-  let t = create p ~trace ~decode_static ?checker () in
+  let t = create p ~window ~decode_static ?checker () in
   let v = Bin.r_int r in
   if v <> engine_version then
     raise
@@ -1362,6 +1364,13 @@ let restore (p : Params.t) ~(trace : Trace.uop array)
   t.now <- Bin.r_int r;
   t.done_ <- Bin.r_bool r;
   t.committed <- Bin.r_int r;
+  if t.committed < 0 || t.committed > t.n_trace then
+    raise
+      (Bin.Corrupt
+         (Printf.sprintf "engine image committed %d of a %d-uop stream"
+            t.committed t.n_trace));
+  (* every uop below the committed count has left the window *)
+  Window.seek t.uops t.committed;
   t.commits_now <- Bin.r_int r;
   t.wrong_fetched <- Bin.r_int r;
   t.branch_misp <- Bin.r_int r;
@@ -1380,7 +1389,15 @@ let restore (p : Params.t) ~(trace : Trace.uop array)
   Bin.r_int_array_into r t.lc_pc;
   Bin.r_int_array_into r t.mix_counts;
   (match Bin.r_int r with
-   | 0 -> t.mode <- Fetch_correct (Bin.r_int r)
+   | 0 ->
+     let idx = Bin.r_int r in
+     (* fetch resumes at or past the committed count *)
+     if idx < t.committed || idx > t.n_trace then
+       raise
+         (Bin.Corrupt
+            (Printf.sprintf "fetch index %d outside [%d, %d]" idx t.committed
+               t.n_trace));
+     t.mode <- Fetch_correct idx
    | 1 -> t.mode <- Fetch_wrong (Bin.r_int r)
    | 2 -> t.mode <- Fetch_stalled
    | n -> raise (Bin.Corrupt (Printf.sprintf "bad fetch-mode tag %d" n)));
@@ -1447,10 +1464,11 @@ let restore (p : Params.t) ~(trace : Trace.uop array)
         let ri = Bin.r_int r in
         let inc = Bin.r_bool r in
         (c, s, ri, inc));
-  (* trace_seq: sparse rebuild from live dispatched correct-path dyns;
-     stale entries behave exactly like -1 behind the win_mem guard *)
+  (* dispatch seqs: sparse rebuild from live dispatched correct-path
+     dyns; missing entries behave exactly like stale ones behind the
+     win_mem guard *)
   Ring.iter
-    (fun d -> if not d.wrong_path then t.trace_seq.(d.trace_idx) <- d.seq)
+    (fun d -> if not d.wrong_path then Window.set_seq t.uops d.trace_idx d.seq)
     t.rob;
   t.pred.Branch_pred.load r;
   Branch_pred.Ras.load_full r t.ras;

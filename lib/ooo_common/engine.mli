@@ -2,9 +2,11 @@
     superscalar pipelines (Section V-A: "both simulators share common
     codes for the most part").
 
-    Trace-driven on the correct path; fetches wrong-path instructions from
-    the static image after a misprediction so that squash cost (walk
-    length, resource pollution) is modeled.  The two cores differ exactly
+    Trace-driven on the correct path — the uops come through a bounded
+    {!Window} over the retirement stream, pulled as fetch reaches them —
+    and fetches wrong-path instructions from the static image after a
+    misprediction so that squash cost (walk length, resource pollution)
+    is modeled.  The two cores differ exactly
     where the paper says they do: operand determination (RMT + free list
     vs. RP arithmetic), front-end depth, and recovery (serialized ROB walk
     vs. a single ROB read).  See DESIGN.md for the modeling notes. *)
@@ -54,19 +56,22 @@ type t
 
 val create :
   Params.t ->
-  trace:Iss.Trace.uop array ->
+  window:Window.t ->
   decode_static:(int -> Iss.Trace.uop option) ->
   ?checker:Checker.t ->
   ?warm:Warm.t ->
   unit -> t
-(** Fresh engine at cycle 0.  When [warm] is supplied the engine adopts
-    its functionally warmed caches, branch predictor and RAS instead of
-    cold ones (their access/miss counters are zeroed first so measured
-    stats cover only the detailed region) — the fast-forward/sampling
-    handoff.  [trace] may be any contiguous slice of a program's
-    retirement stream: RP-relative producers that precede the slice are
-    treated as already committed, matching a mid-program start.
-    @raise Diag.Error with code [Config_error] on an empty trace. *)
+(** Fresh engine at cycle 0 over an unread [window].  When [warm] is
+    supplied the engine adopts its functionally warmed caches, branch
+    predictor and RAS instead of cold ones (their access/miss counters
+    are zeroed first so measured stats cover only the detailed region)
+    — the fast-forward/sampling handoff.  The window's stream may be any
+    contiguous slice of a program's retirement stream: RP-relative
+    producers that precede the slice are treated as already committed,
+    matching a mid-program start.  The engine pulls uops as fetch
+    reaches them and releases them at commit, so the window never holds
+    more than the uops in flight.
+    @raise Diag.Error with code [Config_error] on an empty stream. *)
 
 val step : t -> unit
 (** Simulate one cycle.  The watchdog runs first, at the cycle boundary,
@@ -79,10 +84,18 @@ val step : t -> unit
     [Checker_divergence] from the checker. *)
 
 val finished : t -> bool
-(** The last trace entry has committed; [step] is no longer meaningful. *)
+(** The last stream entry has committed; [step] is no longer
+    meaningful. *)
 
 val cycle : t -> int
 val committed_count : t -> int
+
+val window : t -> Window.t
+(** The stream window the engine reads (for its high-water mark). *)
+
+val inflight : t -> int
+(** Instructions now in the ROB or the front-end queue, wrong path
+    included. *)
 
 val cpi_now : t -> Stats.cpi_stack
 (** Mid-run snapshot of the cycle-accounting buckets (buckets sum to
@@ -95,18 +108,18 @@ val finish : t -> stats
 
 val run :
   Params.t ->
-  trace:Iss.Trace.uop array ->
+  window:Window.t ->
   decode_static:(int -> Iss.Trace.uop option) ->
   ?checker:Checker.t ->
   unit -> stats
-(** [run p ~trace ~decode_static ?checker ()] simulates the whole
-    correct-path [trace] on model [p]; [decode_static pc] supplies
+(** [run p ~window ~decode_static ?checker ()] simulates the whole
+    correct-path stream on model [p]; [decode_static pc] supplies
     wrong-path instructions from the program image ([None] stalls
     wrong-path fetch).  [checker], when present, is fed every commit and
     the end-of-run state (lockstep golden-model checking).  Faults from
     [p.inject] are injected at fetch and issue opportunities.
 
-    @raise Diag.Error with code [Config_error] on an empty trace, code
+    @raise Diag.Error with code [Config_error] on an empty stream, code
     [Sim_deadlock] when the watchdog trips (total cycle budget exceeded,
     or no commit for 20k cycles) — the diagnostic context is a pipeline
     snapshot naming the stuck instruction and all queue occupancies —
@@ -121,13 +134,15 @@ val save : Buffer.t -> t -> unit
 
 val restore :
   Params.t ->
-  trace:Iss.Trace.uop array ->
+  window:Window.t ->
   decode_static:(int -> Iss.Trace.uop option) ->
   ?checker:Checker.t ->
   Bin.reader -> t
-(** Inverse of {!save}.  [p] and [trace] must be the ones the image was
-    saved under (the snapshot file layer enforces this; the engine layer
-    shape-checks trace length, wheel geometry, and internal references).
-    A checkpoint taken with a lockstep checker must be restored with
-    one, and vice versa.
+(** Inverse of {!save}.  [p] and the window's stream must be the ones
+    the image was saved under (the snapshot file layer enforces this;
+    the engine layer shape-checks stream length, wheel geometry, and
+    internal references).  The unread [window] is {!Window.seek}ed to
+    the image's committed count, so a live source skips ahead instead
+    of replaying what already committed.  A checkpoint taken with a
+    lockstep checker must be restored with one, and vice versa.
     @raise Bin.Corrupt on any malformed or mismatched image. *)

@@ -7,87 +7,77 @@ module Encoding = Riscv_isa.Encoding
 module Image = Assembler.Image
 module Trace = Iss.Trace
 
-let static_uop (image : Image.t) pc : Trace.uop option =
-  match Image.fetch_word image pc with
-  | None -> None
-  | Some w ->
-    (match Encoding.decode w with
-     | None -> None
-     | Some insn ->
-       let fu =
-         match Isa.kind insn with
-         | Isa.Kmul -> Trace.FU_mul
-         | Isa.Kdiv -> Trace.FU_div
-         | Isa.Kload -> Trace.FU_load
-         | Isa.Kstore -> Trace.FU_store
-         | Isa.Kbranch | Isa.Kjump -> Trace.FU_branch
-         | Isa.Kalu -> Trace.FU_alu
-         | Isa.Khalt -> Trace.FU_alu
-       in
-       (match insn with
-        | Isa.Ebreak -> None
-        | _ ->
-          let ctrl =
-            match insn with
-            | Isa.Branch (_, _, _, off) ->
-              Trace.Cond { taken = false; target = pc + off }
-            | Isa.Jal (rd, off) ->
-              Trace.Uncond
-                { target = pc + off; is_call = rd = 1; is_ret = false }
-            | Isa.Jalr (rd, rs1, _) ->
-              Trace.Uncond
-                { target = -1; is_call = rd = 1; is_ret = rd = 0 && rs1 = 1 }
-            | _ -> Trace.Not_ctrl
-          in
-          let dest = match Isa.dest insn with Some r -> r | None -> 0 in
-          Some
-            { Trace.pc;
-              fu;
-              srcs_dist = [||];
-              srcs_reg =
-                Array.of_list (List.filter (fun r -> r <> 0) (Isa.sources insn));
-              dest_reg = dest;
-              has_dest = dest <> 0;
-              is_rmov = false;
-              is_nop = false;
-              is_spadd = false;
-              mem_addr = 0;
-              ctrl }))
+(* Wrong-path fetch decodes the static image once: applying
+   [static_uop image] builds a table over the text words, and every
+   fetch returns the shared entry for its pc. *)
+let static_uop (image : Image.t) : int -> Trace.uop option =
+  let base = image.Image.text_base in
+  let table =
+    Array.mapi
+      (fun i w ->
+         match Encoding.decode w with
+         | None | Some Isa.Ebreak -> None
+         | Some insn -> Some (Iss.Riscv_iss.uop_shape (base + (4 * i)) insn))
+      image.Image.text
+  in
+  fun pc ->
+    if pc >= base && pc < base + (4 * Array.length table) && pc land 3 = 0
+    then table.((pc - base) asr 2)
+    else None
 
 type result = {
   stats : Ooo_common.Engine.stats;
   output : string;
 }
 
-(* A live run: the cycle-level engine plus the ISS result it replays
-   (the ISS always runs to completion first — the engine is
-   trace-driven). *)
+(* A live run: the cycle-level engine plus the functional outcome of the
+   run it replays (an ISS pre-pass without a trace completes first; the
+   engine then pulls the correct path from a second ISS session through
+   a bounded window). *)
 type session = {
   engine : Ooo_common.Engine.t;
   run_info : Trace.run;
 }
 
-let iss_run ~max_insns image =
-  Iss.Riscv_iss.run
-    ~config:{ Iss.Riscv_iss.collect_trace = true; max_insns }
-    image
+let iss_config ~max_insns =
+  { Iss.Riscv_iss.collect_trace = false; max_insns }
 
-(* The ISS trace doubles as the golden model: unless [check] is false, a
-   lockstep checker validates every commit against it. *)
-let make_checker ~check (params : Ooo_common.Params.t) (r : Trace.run) =
+(* The functional pre-pass: ISS faults surface here, before any engine
+   exists. *)
+let prepass ~max_insns ?(until = max_int) image : Trace.run =
+  let s = Iss.Riscv_iss.start ~config:(iss_config ~max_insns) image in
+  Iss.Riscv_iss.run_session ~until s;
+  Iss.Riscv_iss.finish s
+
+(* The window over session [s], whose next retirement is stream index
+   0 at absolute retirement [origin]. *)
+let window_of s ~origin ~length =
+  Ooo_common.Window.of_source ~length
+    ~next:(fun () -> Iss.Riscv_iss.step_uop s)
+    ~skip:(fun n -> Iss.Riscv_iss.run_session ~until:(origin + n) s)
+
+let stream ~max_insns ~length image =
+  window_of ~origin:0 ~length
+    (Iss.Riscv_iss.start ~config:(iss_config ~max_insns) image)
+
+(* The ISS doubles as the golden model: unless [check] is false, a
+   lockstep checker validates every commit against the stream. *)
+let make_checker ~check (params : Ooo_common.Params.t) ~retired =
   if check then
     Some
-      (Ooo_common.Checker.create
-         ~rename:params.Ooo_common.Params.rename ~trace:r.Trace.trace ())
+      (Ooo_common.Checker.create ~rename:params.Ooo_common.Params.rename
+         ~retired ())
   else None
 
 let start ?(max_insns = 50_000_000) ?(check = true)
     (params : Ooo_common.Params.t) (image : Image.t) : session =
-  let r = iss_run ~max_insns image in
-  let checker = make_checker ~check params r in
+  let r = prepass ~max_insns image in
+  let retired = r.Trace.retired in
   let engine =
-    Ooo_common.Engine.create params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker ()
+    Ooo_common.Engine.create params
+      ~window:(stream ~max_insns ~length:retired image)
+      ~decode_static:(static_uop image)
+      ?checker:(make_checker ~check params ~retired) ()
   in
   { engine; run_info = r }
 
@@ -95,47 +85,46 @@ let start ?(max_insns = 50_000_000) ?(check = true)
    [from] retirements — warming caches/predictors along the way unless
    [warm] is false — and stands up the timing model over the next [len]
    retirements only (to the end of the program when [len] is omitted).
-   The renamer starts with a fresh RMT over the sub-trace: operands whose
-   producers precede the region read the architectural file, exactly as
-   they would mid-flight with the window drained. *)
+   The renamer starts with a fresh RMT over the sub-stream: operands
+   whose producers precede the region read the architectural file,
+   exactly as they would mid-flight with the window drained. *)
 let start_region ?(max_insns = 50_000_000) ?(check = true) ?(warm = true)
     ~(from : int) ?len (params : Ooo_common.Params.t) (image : Image.t)
     : session =
   let stop = match len with None -> max_int | Some l -> from + l in
-  let w = if warm then Some (Ooo_common.Warm.create params) else None in
-  let buf = ref [] in
-  let on_retire idx u =
-    if idx < from then
-      (match w with Some w -> Ooo_common.Warm.observe w u | None -> ())
-    else if idx < stop then buf := u :: !buf
-  in
-  let s =
-    Iss.Riscv_iss.start
-      ~config:{ Iss.Riscv_iss.collect_trace = false; max_insns }
-      ~on_retire image
-  in
-  Iss.Riscv_iss.run_session ~until:stop s;
-  let r0 = Iss.Riscv_iss.finish s in
-  let r = { r0 with Trace.trace = Array.of_list (List.rev !buf) } in
-  if Array.length r.Trace.trace = 0 then
+  let r = prepass ~max_insns ~until:stop image in
+  let n = r.Trace.retired - from in
+  if n <= 0 then
     Diag.error Diag.Config_error
       "region start %d is past the end of the run (%d retired)" from
       r.Trace.retired;
-  let checker = make_checker ~check params r in
+  let w = if warm then Some (Ooo_common.Warm.create params) else None in
+  let on_retire =
+    Option.map
+      (fun w idx u -> if idx < from then Ooo_common.Warm.observe w u)
+      w
+  in
+  let s =
+    Iss.Riscv_iss.start ~config:(iss_config ~max_insns) ?on_retire image
+  in
+  Iss.Riscv_iss.run_session ~until:from s;
   let engine =
-    Ooo_common.Engine.create params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker ?warm:w ()
+    Ooo_common.Engine.create params ~window:(window_of s ~origin:from ~length:n)
+      ~decode_static:(static_uop image)
+      ?checker:(make_checker ~check params ~retired:n) ?warm:w ()
   in
   { engine; run_info = r }
 
 let resume ?(max_insns = 50_000_000) ?(check = true)
     (params : Ooo_common.Params.t) (image : Image.t)
     (reader : Ooo_common.Bin.reader) : session =
-  let r = iss_run ~max_insns image in
-  let checker = make_checker ~check params r in
+  let r = prepass ~max_insns image in
+  let retired = r.Trace.retired in
   let engine =
-    Ooo_common.Engine.restore params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker reader
+    Ooo_common.Engine.restore params
+      ~window:(stream ~max_insns ~length:retired image)
+      ~decode_static:(static_uop image)
+      ?checker:(make_checker ~check params ~retired) reader
   in
   { engine; run_info = r }
 

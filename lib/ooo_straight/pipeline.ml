@@ -7,55 +7,23 @@ module Encoding = Straight_isa.Encoding
 module Image = Assembler.Image
 module Trace = Iss.Trace
 
-(* Decode a static instruction for wrong-path fetch: no dynamic outcomes,
-   only the statically known structure. *)
-let static_uop (image : Image.t) pc : Trace.uop option =
-  match Image.fetch_word image pc with
-  | None -> None
-  | Some w ->
-    (match Encoding.decode w with
-     | None -> None
-     | Some insn ->
-       let fu =
-         match Isa.kind insn with
-         | Isa.Kmul -> Trace.FU_mul
-         | Isa.Kdiv -> Trace.FU_div
-         | Isa.Kload -> Trace.FU_load
-         | Isa.Kstore -> Trace.FU_store
-         | Isa.Kbranch | Isa.Kjump -> Trace.FU_branch
-         | Isa.Kalu | Isa.Krmov | Isa.Knop -> Trace.FU_alu
-         | Isa.Khalt -> Trace.FU_alu
-       in
-       (match insn with
-        | Isa.Halt -> None (* wrong-path fetch stops at HALT *)
-        | _ ->
-          let ctrl =
-            match insn with
-            | Isa.Bez (_, off) | Isa.Bnz (_, off) ->
-              Trace.Cond { taken = false; target = pc + (4 * off) }
-            | Isa.J off ->
-              Trace.Uncond
-                { target = pc + (4 * off); is_call = false; is_ret = false }
-            | Isa.Jal off ->
-              Trace.Uncond
-                { target = pc + (4 * off); is_call = true; is_ret = false }
-            | Isa.Jr _ ->
-              Trace.Uncond { target = -1; is_call = false; is_ret = true }
-            | _ -> Trace.Not_ctrl
-          in
-          Some
-            { Trace.pc;
-              fu;
-              srcs_dist =
-                Array.of_list (List.filter (fun d -> d > 0) (Isa.sources insn));
-              srcs_reg = [||];
-              dest_reg = 0;
-              has_dest = true;
-              is_rmov = (match insn with Isa.Rmov _ -> true | _ -> false);
-              is_nop = (match insn with Isa.Nop -> true | _ -> false);
-              is_spadd = (match insn with Isa.Spadd _ -> true | _ -> false);
-              mem_addr = 0;
-              ctrl }))
+(* Wrong-path fetch decodes the static image once: applying
+   [static_uop image] builds a table over the text words, and every
+   fetch returns the shared entry for its pc. *)
+let static_uop (image : Image.t) : int -> Trace.uop option =
+  let base = image.Image.text_base in
+  let table =
+    Array.mapi
+      (fun i w ->
+         match Encoding.decode w with
+         | None | Some Isa.Halt -> None (* wrong-path fetch stops at HALT *)
+         | Some insn -> Some (Iss.Straight_iss.uop_shape (base + (4 * i)) insn))
+      image.Image.text
+  in
+  fun pc ->
+    if pc >= base && pc < base + (4 * Array.length table) && pc land 3 = 0
+    then table.((pc - base) asr 2)
+    else None
 
 type result = {
   stats : Ooo_common.Engine.stats;
@@ -63,38 +31,58 @@ type result = {
   dist_histogram : int array;
 }
 
-(* A live run: the cycle-level engine plus the ISS result it replays.
-   The ISS always runs to completion first (the engine is trace-driven),
-   so a session holds the whole functional outcome from the start; the
-   snapshot layer uses that to fingerprint checkpoints. *)
+(* A live run: the cycle-level engine plus the functional outcome of the
+   run it replays.  A pre-pass of the ISS (no trace) completes before
+   the engine exists, so the session holds the output, retired count
+   and distance histogram from the start; the engine then pulls the
+   correct path from a second ISS session through a bounded window. *)
 type session = {
   engine : Ooo_common.Engine.t;
   run_info : Trace.run;
 }
 
-let iss_run ~max_insns image =
-  Iss.Straight_iss.run
-    ~config:{ Iss.Straight_iss.collect_trace = true;
-              collect_dist = true; max_insns }
-    image
+let iss_config ~max_insns ~collect_dist =
+  { Iss.Straight_iss.collect_trace = false; collect_dist; max_insns }
 
-(* The ISS trace doubles as the golden model: unless [check] is false, a
-   lockstep checker validates every commit against it. *)
-let make_checker ~check ~max_dist (params : Ooo_common.Params.t)
-    (r : Trace.run) =
+(* The functional pre-pass: ISS faults surface here, before any engine
+   exists. *)
+let prepass ~max_insns ?(until = max_int) ~collect_dist image : Trace.run =
+  let s =
+    Iss.Straight_iss.start ~config:(iss_config ~max_insns ~collect_dist) image
+  in
+  Iss.Straight_iss.run_session ~until s;
+  Iss.Straight_iss.finish s
+
+(* The window over session [s], whose next retirement is stream index
+   0 at absolute retirement [origin]. *)
+let window_of s ~origin ~length =
+  Ooo_common.Window.of_source ~length
+    ~next:(fun () -> Iss.Straight_iss.step_uop s)
+    ~skip:(fun n -> Iss.Straight_iss.run_session ~until:(origin + n) s)
+
+let stream ~max_insns ~length image =
+  window_of ~origin:0 ~length
+    (Iss.Straight_iss.start
+       ~config:(iss_config ~max_insns ~collect_dist:false) image)
+
+(* The ISS doubles as the golden model: unless [check] is false, a
+   lockstep checker validates every commit against the stream. *)
+let make_checker ~check ~max_dist (params : Ooo_common.Params.t) ~retired =
   if check then
     Some
       (Ooo_common.Checker.create ~max_dist
-         ~rename:params.Ooo_common.Params.rename ~trace:r.Trace.trace ())
+         ~rename:params.Ooo_common.Params.rename ~retired ())
   else None
 
 let start ?(max_insns = 50_000_000) ?(check = true) ?(max_dist = Isa.max_dist)
     (params : Ooo_common.Params.t) (image : Image.t) : session =
-  let r = iss_run ~max_insns image in
-  let checker = make_checker ~check ~max_dist params r in
+  let r = prepass ~max_insns ~collect_dist:true image in
+  let retired = r.Trace.retired in
   let engine =
-    Ooo_common.Engine.create params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker ()
+    Ooo_common.Engine.create params
+      ~window:(stream ~max_insns ~length:retired image)
+      ~decode_static:(static_uop image)
+      ?checker:(make_checker ~check ~max_dist params ~retired) ()
   in
   { engine; run_info = r }
 
@@ -102,48 +90,47 @@ let start ?(max_insns = 50_000_000) ?(check = true) ?(max_dist = Isa.max_dist)
    [from] retirements — warming caches/predictors along the way unless
    [warm] is false — and stands up the timing model over the next [len]
    retirements only (to the end of the program when [len] is omitted).
-   The engine starts at cycle 0 on the sub-trace: RP operands whose
+   The engine starts at cycle 0 on the sub-stream: RP operands whose
    producers precede the region resolve as already-committed, exactly as
    they would mid-flight. *)
 let start_region ?(max_insns = 50_000_000) ?(check = true)
     ?(max_dist = Isa.max_dist) ?(warm = true) ~(from : int) ?len
     (params : Ooo_common.Params.t) (image : Image.t) : session =
   let stop = match len with None -> max_int | Some l -> from + l in
-  let w = if warm then Some (Ooo_common.Warm.create params) else None in
-  let buf = ref [] in
-  let on_retire idx u =
-    if idx < from then
-      (match w with Some w -> Ooo_common.Warm.observe w u | None -> ())
-    else if idx < stop then buf := u :: !buf
-  in
-  let s =
-    Iss.Straight_iss.start
-      ~config:{ Iss.Straight_iss.collect_trace = false;
-                collect_dist = false; max_insns }
-      ~on_retire image
-  in
-  Iss.Straight_iss.run_session ~until:stop s;
-  let r0 = Iss.Straight_iss.finish s in
-  let r = { r0 with Trace.trace = Array.of_list (List.rev !buf) } in
-  if Array.length r.Trace.trace = 0 then
+  let r = prepass ~max_insns ~until:stop ~collect_dist:false image in
+  let n = r.Trace.retired - from in
+  if n <= 0 then
     Diag.error Diag.Config_error
       "region start %d is past the end of the run (%d retired)" from
       r.Trace.retired;
-  let checker = make_checker ~check ~max_dist params r in
+  let w = if warm then Some (Ooo_common.Warm.create params) else None in
+  let on_retire =
+    Option.map
+      (fun w idx u -> if idx < from then Ooo_common.Warm.observe w u)
+      w
+  in
+  let s =
+    Iss.Straight_iss.start
+      ~config:(iss_config ~max_insns ~collect_dist:false) ?on_retire image
+  in
+  Iss.Straight_iss.run_session ~until:from s;
   let engine =
-    Ooo_common.Engine.create params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker ?warm:w ()
+    Ooo_common.Engine.create params ~window:(window_of s ~origin:from ~length:n)
+      ~decode_static:(static_uop image)
+      ?checker:(make_checker ~check ~max_dist params ~retired:n) ?warm:w ()
   in
   { engine; run_info = r }
 
 let resume ?(max_insns = 50_000_000) ?(check = true) ?(max_dist = Isa.max_dist)
     (params : Ooo_common.Params.t) (image : Image.t)
     (reader : Ooo_common.Bin.reader) : session =
-  let r = iss_run ~max_insns image in
-  let checker = make_checker ~check ~max_dist params r in
+  let r = prepass ~max_insns ~collect_dist:true image in
+  let retired = r.Trace.retired in
   let engine =
-    Ooo_common.Engine.restore params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker reader
+    Ooo_common.Engine.restore params
+      ~window:(stream ~max_insns ~length:retired image)
+      ~decode_static:(static_uop image)
+      ?checker:(make_checker ~check ~max_dist params ~retired) reader
   in
   { engine; run_info = r }
 

@@ -337,7 +337,8 @@ let run_file path : result =
       if spec.Sim.check then
         Some
           (Ooo_common.Checker.create ~max_dist:spec.Sim.max_dist
-             ~rename:spec.Sim.params.Params.rename ~trace:uops ())
+             ~rename:spec.Sim.params.Params.rename ~retired:(Array.length uops)
+             ())
       else None
     in
     let decode_static =
@@ -347,8 +348,8 @@ let run_file path : result =
         Ooo_straight.Pipeline.static_uop image
     in
     let engine =
-      Engine.create spec.Sim.params ~trace:uops ~decode_static ?checker ~warm
-        ()
+      Engine.create spec.Sim.params ~window:(Ooo_common.Window.of_array uops)
+        ~decode_static ?checker ~warm ()
     in
     (* detailed warmup: simulate until the warmup prefix has committed,
        then snapshot the accounting so the interval is measured alone *)

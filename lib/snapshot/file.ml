@@ -7,8 +7,9 @@ module Bin = Ooo_common.Bin
 let magic = "STR8SNAP"
 
 (* v2 added the [kind] discriminator (engine image vs. sampling-interval
-   checkpoint); v1 files are rejected with a version message. *)
-let version = 2
+   checkpoint); v3 changed [trace_digest] to the chunked, incremental
+   stream digest.  Older files are rejected with a version message. *)
+let version = 3
 let header_len = 24
 
 (* What the payload after the meta section holds. *)

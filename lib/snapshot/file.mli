@@ -14,8 +14,8 @@
     The meta section embeds the full workload source and model
     configuration, so a snapshot file alone reproduces its run: restore
     recompiles the workload, re-runs the functional simulator (which is
-    deterministic), and proves the regenerated trace identical via
-    {!meta.trace_digest} before handing the engine image over.
+    deterministic), and proves the regenerated retirement stream
+    identical via {!meta.trace_digest} before handing the session over.
 
     Writes are atomic (temp file + [rename] in the destination
     directory), so a crash mid-checkpoint can never leave a torn file
@@ -54,7 +54,9 @@ type meta = {
   check : bool;                 (** lockstep checker armed *)
   cycle : int;                  (** engine cycle at the save point *)
   committed : int;
-  trace_digest : string;        (** {!Iss.Trace.digest} of the uop trace *)
+  trace_digest : string;
+      (** {!Iss.Trace} digest of the retirement stream (engine images:
+          the whole run; interval files: the stored slice) *)
   output : string;              (** ISS console output (full run) *)
   retired : int;                (** ISS retired count (full run) *)
   dist_histogram : int array;

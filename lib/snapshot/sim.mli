@@ -9,9 +9,12 @@
     counts) is bit-identical to the uninterrupted run.
 
     Restoring re-runs the deterministic functional simulator and proves
-    the regenerated trace identical to the one the checkpoint was taken
-    against ({!Iss.Trace.digest}) before touching the engine image, so a
-    snapshot can never silently resume against drifted code. *)
+    the regenerated retirement stream identical to the one the
+    checkpoint was taken against (the incremental {!Iss.Trace} digest,
+    computed in bounded memory) before the restored session is handed
+    out, so a snapshot can never silently resume against drifted code.
+    A session computes that fingerprint at most once, and only when it
+    is saved or restored. *)
 
 type spec = {
   target : Straight_core.Experiment.target;
@@ -43,12 +46,12 @@ val spec_of_meta : string -> File.meta -> spec
 type session
 
 val start : spec -> session
-(** Compile the workload, run the functional simulator, stand the
-    engine up at cycle 0. *)
+(** Compile the workload, run the functional pre-pass, stand the engine
+    up at cycle 0 over the streamed correct path. *)
 
 val restore : string -> session
 (** Rebuild a session from a checkpoint file alone: the embedded spec
-    is recompiled and the regenerated trace is verified against the
+    is recompiled and the regenerated stream is verified against the
     stored digest and functional outcome.
     @raise Diag.Error code [Snapshot_error] on any corrupt, truncated,
     version-mismatched, or workload-mismatched file. *)

@@ -247,16 +247,33 @@ int main() {
     { Straight_cc.Codegen.max_dist = 31; level = Straight_cc.Codegen.Re_plus }
   in
   let image = Straight_cc.Codegen.compile_to_image ~config prog in
-  let reference = Iss.Straight_iss.run image in
+  (* both collections on: the interrupted run must also return the
+     whole trace and distance histogram, not just the resumed half *)
+  let config =
+    { Iss.Straight_iss.default_config with
+      collect_trace = true; collect_dist = true }
+  in
+  let reference = Iss.Straight_iss.run ~config image in
   List.iter
     (fun at ->
-       let r = Iss.Straight_iss.run_with_interrupt ~at image in
+       let r = Iss.Straight_iss.run_with_interrupt ~config ~at image in
        Alcotest.(check string)
          (Printf.sprintf "interrupt at %d: same output" at)
          reference.Iss.Trace.output r.Iss.Trace.output;
        Alcotest.(check int)
          (Printf.sprintf "interrupt at %d: same retired count" at)
-         reference.Iss.Trace.retired r.Iss.Trace.retired)
+         reference.Iss.Trace.retired r.Iss.Trace.retired;
+       Alcotest.(check int)
+         (Printf.sprintf "interrupt at %d: same trace length" at)
+         (Array.length reference.Iss.Trace.trace)
+         (Array.length r.Iss.Trace.trace);
+       Alcotest.(check string)
+         (Printf.sprintf "interrupt at %d: same trace digest" at)
+         (Iss.Trace.digest reference.Iss.Trace.trace)
+         (Iss.Trace.digest r.Iss.Trace.trace);
+       Alcotest.(check (array int))
+         (Printf.sprintf "interrupt at %d: same distance histogram" at)
+         reference.Iss.Trace.dist_histogram r.Iss.Trace.dist_histogram)
     [ 1; 7; 50; 123; 500; 1234 ]
 
 let test_checkpoint_window_only () =

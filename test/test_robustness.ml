@@ -118,8 +118,9 @@ let test_watchdog_deadlock () =
 (* ---------- checker divergence ---------- *)
 
 let test_checker_divergence () =
-  (* feed the checker a tampered golden trace: the engine's (correct)
-     commit stream must be reported as divergence at the first commit *)
+  (* feed the engine a tampered stream: the second uop claims the pc
+     after the one the golden run went to, and the checker must report
+     the commit stream's divergence at that commit *)
   let image = Lazy.force straight_image in
   let r =
     Iss.Straight_iss.run
@@ -127,14 +128,14 @@ let test_checker_divergence () =
                 max_insns = 10_000_000 }
       image
   in
-  let trace = r.Trace.trace in
-  let tampered = Array.copy trace in
-  tampered.(0) <- { tampered.(0) with Trace.pc = tampered.(0).Trace.pc + 4 };
+  let tampered = Array.copy r.Trace.trace in
+  tampered.(1) <- { tampered.(1) with Trace.pc = tampered.(1).Trace.pc + 4 };
   let checker =
-    Checker.create ~rename:Params.Rp ~trace:tampered ()
+    Checker.create ~rename:Params.Rp ~retired:r.Trace.retired ()
   in
   match
-    Engine.run Params.straight_2way ~trace
+    Engine.run Params.straight_2way
+      ~window:(Ooo_common.Window.of_array tampered)
       ~decode_static:(Ooo_straight.Pipeline.static_uop image) ~checker ()
   with
   | _ -> Alcotest.fail "checker accepted a divergent golden trace"
@@ -144,7 +145,43 @@ let test_checker_divergence () =
     Alcotest.(check int) "divergence exit code" 7 (Diag.exit_code d.Diag.code);
     Alcotest.(check (option string)) "pc-lockstep invariant"
       (Some "pc-lockstep")
-      (List.assoc_opt "invariant" d.Diag.context)
+      (List.assoc_opt "invariant" d.Diag.context);
+    Alcotest.(check (option string)) "at the tampered commit" (Some "1")
+      (List.assoc_opt "trace_idx" d.Diag.context)
+
+let test_checker_golden_lockstep () =
+  (* the first commit has no predecessor to continue from, so only the
+     comparison with the golden entry can reject it: a golden entry that
+     differs from the committed uop in pc, or in fu class alone, must be
+     reported at trace index 0 *)
+  let u =
+    { Trace.placeholder with Trace.pc = 0x1000; fu = Trace.FU_alu;
+                             has_dest = true }
+  in
+  let expect name invariant golden =
+    let checker = Checker.create ~rename:Params.Rp ~retired:2 () in
+    match
+      Checker.on_commit checker ~cycle:1 ~seq:0 ~trace_idx:0
+        ~wrong_path:false ~free_regs:0 ~golden u
+    with
+    | () -> Alcotest.failf "%s: checker accepted the commit" name
+    | exception Diag.Error d ->
+      Alcotest.(check string) (name ^ ": code") "CHECKER_DIVERGENCE"
+        (Diag.code_name d.Diag.code);
+      Alcotest.(check (option string)) (name ^ ": invariant")
+        (Some invariant)
+        (List.assoc_opt "invariant" d.Diag.context);
+      Alcotest.(check (option string)) (name ^ ": trace_idx") (Some "0")
+        (List.assoc_opt "trace_idx" d.Diag.context)
+  in
+  expect "pc differs" "pc-lockstep" { u with Trace.pc = 0x1004 };
+  expect "fu differs" "fu-lockstep" { u with Trace.fu = Trace.FU_load };
+  (* and the golden entry equal to the committed uop is accepted *)
+  let checker = Checker.create ~rename:Params.Rp ~retired:2 () in
+  Checker.on_commit checker ~cycle:1 ~seq:0 ~trace_idx:0 ~wrong_path:false
+    ~free_regs:0 ~golden:u u;
+  Alcotest.(check int) "matching commit checked" 1
+    (Checker.commits_checked checker)
 
 (* ---------- restore then re-inject ---------- *)
 
@@ -313,6 +350,8 @@ let suite =
     ("pool: SIGTERM reaps workers and sweeps temp files", `Quick,
      test_pool_sigterm_cleanup);
     ("checker: divergence reported", `Quick, test_checker_divergence);
+    ("checker: golden pc/fu mismatch reported", `Quick,
+     test_checker_golden_lockstep);
     ("exit codes distinct", `Quick, test_exit_codes_distinct) ]
 
 let () = Alcotest.run "robustness" [ ("robustness", suite) ]
