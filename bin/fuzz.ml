@@ -30,34 +30,22 @@ type failure = {
   f_minimized : string option;
 }
 
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let failure_json_string ?(indent = "    ") (f : failure) : string =
   let buf = Buffer.create 256 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   out "%s{\n" indent;
   out "%s  \"seed\": %d,\n" indent f.f_seed;
-  out "%s  \"kind\": \"%s\",\n" indent (json_escape f.f_kind);
+  out "%s  \"kind\": \"%s\",\n" indent (Lint_report.json_escape f.f_kind);
   out "%s  \"detail\": [%s],\n" indent
     (String.concat ", "
-       (List.map (fun d -> "\"" ^ json_escape d ^ "\"") f.f_detail));
-  out "%s  \"source\": \"%s\"" indent (json_escape f.f_source);
+       (List.map
+          (fun d -> "\"" ^ Lint_report.json_escape d ^ "\"")
+          f.f_detail));
+  out "%s  \"source\": \"%s\"" indent (Lint_report.json_escape f.f_source);
   (match f.f_minimized with
-   | Some m -> out ",\n%s  \"minimized\": \"%s\"\n" indent (json_escape m)
+   | Some m ->
+     out ",\n%s  \"minimized\": \"%s\"\n" indent
+       (Lint_report.json_escape m)
    | None -> out "\n");
   out "%s}" indent;
   Buffer.contents buf

@@ -390,7 +390,7 @@ let () =
   in
   if !sample <> "" then
     try run_sampled () with
-    | Sweep.Pool.Interrupted _ -> exit 130
+    | Sweep.Pool.Interrupted s -> exit (128 + Sweep.Pool.posix_signal s)
     | e -> handle_failure e
   else if !fast_forward > 0 then
     try run_fast_forward () with e -> handle_failure e

@@ -258,27 +258,20 @@ let () =
       pt.Sweep.Grid.params.Params.name pt.Sweep.Grid.workload.Workloads.name
       attempt backoff reason
   in
-  (* OCaml's Sys.sig* numbers are runtime-internal negatives; map the
-     two we trap back to the POSIX values for the 128+N exit code. *)
-  let posix_signal s =
-    if s = Sys.sigint then 2 else if s = Sys.sigterm then 15 else 15
-  in
   let records, summary =
     try
       Sweep.Driver.sweep ~procs:!procs ~timeout:!timeout ~retries:!retries
         ~cache_dir:!cache_dir ~checkpoint_every:!checkpoint_every ~on_record
         ~on_retry spec
     with Sweep.Pool.Interrupted s ->
-      let n = posix_signal s in
+      let n = Sweep.Pool.posix_signal s in
       Printf.eprintf
         "sweep: interrupted by signal %d; workers reaped, completed points \
          cached\n%!" n;
       exit (128 + n)
   in
   let doc = Sweep.Driver.to_json spec summary records in
-  (match Filename.dirname !out with
-   | "" | "." -> ()
-   | d -> if not (Sys.file_exists d) then Unix.mkdir d 0o755);
+  Sweep.Store.mkdir_p (Filename.dirname !out);
   Out_channel.with_open_text !out (fun oc ->
       output_string oc (J.to_string doc));
   if !figures <> "none" then

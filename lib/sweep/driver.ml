@@ -11,14 +11,6 @@ type summary = {
   wall_seconds : float;
 }
 
-let ensure_dir path =
-  if not (Sys.file_exists path) then begin
-    let parent = Filename.dirname path in
-    if parent <> path && not (Sys.file_exists parent) then
-      (try Unix.mkdir parent 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* remove torn checkpoint temp files a SIGKILLed worker may have left;
    completed checkpoints (".snap", written atomically) stay — they are
    the resume points.  Temp names are "<key>.snap.tmp.<pid>". *)
@@ -72,7 +64,7 @@ let sweep ?(procs = 0) ?(timeout = 600.) ?(retries = 1)
         (fun i -> finish i (Runner.run ~sample_store:cache_dir points.(i)))
         todo
     else begin
-      ensure_dir ckpt_dir;
+      Store.mkdir_p ckpt_dir;
       let worker j =
         let i = todo.(j) in
         let r =

@@ -1,110 +1,32 @@
-(* Fork-based self-scheduling worker pool (see pool.mli).
+(* Fork-based worker pool (see pool.mli).
 
-   Parent/worker protocol, one line each way per job:
+   One worker session, [Persistent]; the batch [run] is a retry,
+   backoff and signal policy over it.  Parent/worker protocol, one line
+   each way per job:
 
-     parent -> worker:  "<job index>\n"
-     worker -> parent:  "ok <idx> <payload>\n"  |  "err <idx> <msg>\n"
+     parent -> worker:  "<id> <payload>\n"
+     worker -> parent:  "ok <id> <payload>\n"  |  "err <id> <msg>\n"
 
-   The payload is produced in the child, so it must be newline-free
-   (the sweep ships compact JSON); [String.escaped] guards the error
-   path.  Workers are stateless between jobs — all job data lives in
-   the [worker] closure, which the child inherits through fork — so a
-   killed worker is replaced by simply forking again. *)
+   The result payload is produced in the child, so it must be
+   newline-free (the sweep ships compact JSON); [String.escaped] guards
+   the error path.  Workers are stateless between jobs — job data lives
+   in the payload or in the worker closure, which the child inherits
+   through fork — so a killed worker is replaced by simply forking
+   again. *)
 
 exception Interrupted of int
 
+(* OCaml's Sys.sig* numbers are runtime-internal negatives; map the two
+   [run] traps back to their POSIX values. *)
+let posix_signal s = if s = Sys.sigint then 2 else 15
+
 type event =
   | Retry of { job : int; attempt : int; backoff : float; reason : string }
-
-type worker_slot = {
-  pid : int;
-  job_fd : Unix.file_descr;       (* raw write end, for sibling cleanup *)
-  job_w : out_channel;            (* parent writes job indices *)
-  res_fd : Unix.file_descr;       (* select()able result pipe *)
-  res_ic : in_channel;
-  mutable current : int option;   (* in-flight job index *)
-  mutable started : float;
-}
 
 let oneline s =
   match String.index_opt s '\n' with
   | None -> s
   | Some i -> String.sub s 0 i
-
-(* Deterministic jitter in [0.75, 1.25], derived from the job identity,
-   so two attempts of the same job always wait the same amount (the
-   recovery-determinism tests rely on reproducible pool behavior) while
-   different jobs still decorrelate. *)
-let backoff_delay ~base ~cap idx attempt =
-  let raw = min cap (base *. (2. ** float_of_int (attempt - 1))) in
-  let h = Hashtbl.hash (idx, attempt) land 0xffff in
-  raw *. (0.75 +. (0.5 *. float_of_int h /. 65535.))
-
-(* [siblings] are the parent's pipe ends for the other live workers:
-   fork duplicates them into the child, and a child holding a copy of a
-   sibling's job-pipe write end would keep that sibling alive past the
-   parent's close (no EOF ever arrives), so the child drops them all
-   before entering its job loop. *)
-let spawn ~(siblings : Unix.file_descr list) (worker : int -> string) :
-  worker_slot =
-  let jr, jw = Unix.pipe ~cloexec:false () in
-  let rr, rw = Unix.pipe ~cloexec:false () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-    Unix.close jw;
-    Unix.close rr;
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      siblings;
-    (* the parent's interrupt choreography (kill, reap, cleanup) must
-       run exactly once, in the parent: children take the default
-       disposition and simply die when the parent guns them down *)
-    (try Sys.set_signal Sys.sigint Sys.Signal_default
-     with Invalid_argument _ -> ());
-    (try Sys.set_signal Sys.sigterm Sys.Signal_default
-     with Invalid_argument _ -> ());
-    let ic = Unix.in_channel_of_descr jr in
-    let oc = Unix.out_channel_of_descr rw in
-    let rec loop () =
-      match input_line ic with
-      | exception End_of_file -> ()
-      | line ->
-        let idx = int_of_string (String.trim line) in
-        let reply =
-          match worker idx with
-          | payload -> Printf.sprintf "ok %d %s" idx (oneline payload)
-          | exception e ->
-            Printf.sprintf "err %d %s" idx
-              (String.escaped (Printexc.to_string e))
-        in
-        output_string oc (reply ^ "\n");
-        flush oc;
-        loop ()
-    in
-    (try loop () with _ -> ());
-    (* _exit: skip at_exit/buffer flushing inherited from the parent *)
-    Unix._exit 0
-  | pid ->
-    Unix.close jr;
-    Unix.close rw;
-    { pid;
-      job_fd = jw;
-      job_w = Unix.out_channel_of_descr jw;
-      res_fd = rr;
-      res_ic = Unix.in_channel_of_descr rr;
-      current = None;
-      started = 0. }
-
-let dismiss (w : worker_slot) ~kill =
-  if kill then (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  (try close_out w.job_w with Sys_error _ -> ());
-  (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
-  try close_in w.res_ic with Sys_error _ -> ()
-
-let sibling_fds workers =
-  List.concat_map (fun w -> [ w.job_fd; w.res_fd ]) workers
 
 (* a signal can land during select(); treat the EINTR as an empty wait
    and let the loop head observe the interrupt flag *)
@@ -113,192 +35,9 @@ let select_read fds t =
   | r, _, _ -> r
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
 
-let run ~jobs ~(worker : int -> string) ~procs ?(timeout = 600.) ?(retries = 1)
-    ?(backoff_base = 0.25) ?(backoff_cap = 30.) ?(on_event = fun _ -> ())
-    ?(on_interrupt = fun () -> ())
-    ~(on_result : int -> (string, string) result -> unit) () : unit =
-  let procs = max 1 (min procs (max 1 jobs)) in
-  (* a worker killed between select() and the parent's write must not
-     SIGPIPE the parent; the write path handles the EPIPE instead *)
-  let old_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
-  in
-  (* SIGINT/SIGTERM only raise a flag here; the loop head does the
-     actual shutdown at a point where the worker list is consistent *)
-  let interrupted = ref None in
-  let install s =
-    try Some (Sys.signal s (Sys.Signal_handle (fun _ -> interrupted := Some s)))
-    with Invalid_argument _ -> None
-  in
-  let old_sigint = install Sys.sigint in
-  let old_sigterm = install Sys.sigterm in
-  let restore_signals () =
-    let put s = function
-      | Some b -> (try ignore (Sys.signal s b) with Invalid_argument _ -> ())
-      | None -> ()
-    in
-    put Sys.sigint old_sigint;
-    put Sys.sigterm old_sigterm;
-    put Sys.sigpipe old_sigpipe
-  in
-  let pending = Queue.create () in
-  for i = 0 to jobs - 1 do
-    Queue.add (i, 0) pending
-  done;
-  (* retries waiting out their backoff: (eligible_at, idx, attempt) *)
-  let delayed = ref [] in
-  let attempts = Array.make (max 1 jobs) 0 in
-  let done_count = ref 0 in
-  let workers = ref [] in
-  let abort signal =
-    List.iter (fun w -> dismiss w ~kill:true) !workers;
-    workers := [];
-    on_interrupt ();
-    restore_signals ();
-    raise (Interrupted signal)
-  in
-  (* Every exit path — normal completion, Interrupted, or an exception
-     escaping a callback ([on_result]/[on_event] raising, a malformed
-     result line) — must dismiss the workers and restore the handlers:
-     a long-lived caller otherwise leaks child processes and keeps its
-     SIGINT/SIGTERM/SIGPIPE handlers hijacked.  The happy paths empty
-     [workers] themselves, so the [finally] is their no-op; on the
-     escape paths it SIGKILLs whatever is left. *)
-  Fun.protect
-    ~finally:(fun () ->
-        List.iter (fun w -> dismiss w ~kill:true) !workers;
-        workers := [];
-        restore_signals ())
-  @@ fun () ->
-  for _ = 1 to procs do
-    workers := spawn ~siblings:(sibling_fds !workers) worker :: !workers
-  done;
-  let assign w =
-    match Queue.take_opt pending with
-    | None -> ()
-    | Some (idx, tries) ->
-      attempts.(idx) <- tries;
-      w.current <- Some idx;
-      w.started <- Unix.gettimeofday ();
-      (try
-         output_string w.job_w (string_of_int idx ^ "\n");
-         flush w.job_w
-       with Sys_error _ ->
-         (* worker already gone: recycle the job and the worker *)
-         w.current <- None;
-         Queue.add (idx, tries) pending;
-         dismiss w ~kill:true;
-         let rest = List.filter (fun x -> x.pid <> w.pid) !workers in
-         workers := spawn ~siblings:(sibling_fds rest) worker :: rest)
-  in
-  let fail_or_retry idx msg =
-    if attempts.(idx) < retries then begin
-      let attempt = attempts.(idx) + 1 in
-      let backoff = backoff_delay ~base:backoff_base ~cap:backoff_cap idx attempt in
-      on_event (Retry { job = idx; attempt; backoff; reason = msg });
-      delayed :=
-        (Unix.gettimeofday () +. backoff, idx, attempt) :: !delayed
-    end
-    else begin
-      incr done_count;
-      on_result idx (Error msg)
-    end
-  in
-  (* replace a dead/hung worker, recycling its in-flight job *)
-  let replace w ~kill ~msg =
-    (match w.current with
-     | Some idx -> fail_or_retry idx msg
-     | None -> ());
-    dismiss w ~kill;
-    let rest = List.filter (fun x -> x.pid <> w.pid) !workers in
-    let w' = spawn ~siblings:(sibling_fds rest) worker in
-    workers := w' :: rest;
-    w'
-  in
-  while !done_count < jobs do
-    (match !interrupted with Some s -> abort s | None -> ());
-    (* promote retries whose backoff has elapsed *)
-    if !delayed <> [] then begin
-      let now = Unix.gettimeofday () in
-      let due, later = List.partition (fun (at, _, _) -> at <= now) !delayed in
-      delayed := later;
-      List.iter
-        (fun (_, idx, attempt) -> Queue.add (idx, attempt) pending)
-        (List.sort compare due)
-    end;
-    List.iter (fun w -> if w.current = None then assign w) !workers;
-    let busy = List.filter (fun w -> w.current <> None) !workers in
-    if busy = [] then
-      (* everything idle: either retries are waiting out their backoff,
-         or (guarding against a protocol bug) nothing is due at all *)
-      ignore (select_read [] 0.01)
-    else begin
-      let fds = List.map (fun w -> w.res_fd) busy in
-      let readable = select_read fds 0.2 in
-      List.iter
-        (fun w ->
-           if List.mem w.res_fd readable then
-             match input_line w.res_ic with
-             | exception End_of_file ->
-               ignore (replace w ~kill:true ~msg:"worker died")
-             | line ->
-               (* [w.current] stays set until the line parses: a
-                  malformed reply (bad tag, non-numeric index) recycles
-                  both the worker and its in-flight job instead of
-                  losing the job or raising out of the loop *)
-               (match String.split_on_char ' ' line with
-                | "ok" :: idx :: rest
-                  when int_of_string_opt idx <> None ->
-                  w.current <- None;
-                  incr done_count;
-                  on_result (int_of_string idx)
-                    (Ok (String.concat " " rest))
-                | "err" :: idx :: rest
-                  when int_of_string_opt idx <> None ->
-                  w.current <- None;
-                  let msg = String.concat " " rest in
-                  fail_or_retry (int_of_string idx)
-                    (try Scanf.unescaped msg with _ -> msg)
-                | _ ->
-                  ignore
-                    (replace w ~kill:true
-                       ~msg:("pool protocol violation: " ^ line))))
-        busy;
-      (* enforce per-attempt timeouts *)
-      let now = Unix.gettimeofday () in
-      List.iter
-        (fun w ->
-           match w.current with
-           | Some _ when now -. w.started > timeout ->
-             ignore
-               (replace w ~kill:true
-                  ~msg:(Printf.sprintf "timeout after %.0fs" timeout))
-           | _ -> ())
-        !workers
-    end
-  done;
-  (match !interrupted with Some s -> abort s | None -> ());
-  (* two-phase shutdown: drop every job pipe first so EOF reaches all
-     children, then reap *)
-  List.iter
-    (fun w -> try close_out w.job_w with Sys_error _ -> ())
-    !workers;
-  List.iter (fun w -> dismiss w ~kill:false) !workers;
-  workers := [];
-  restore_signals ()
-
-(* ---------- persistent sessions (straightd) ---------- *)
-
-(* Same fork/pipe machinery as the batch [run], but jobs arrive over
-   time and carry their own payload (the batch protocol only ships an
-   index because the job list is fixed at fork time):
-
-     parent -> worker:  "<id> <payload>\n"
-     worker -> parent:  "ok <id> <payload>\n"  |  "err <id> <msg>\n"
-
-   No signal handling and no retries here: the resident daemon owns its
-   signals and decides retry policy per request. *)
+(* No signal handling and no retries in the session: the resident
+   daemon owns its signals and decides retry policy per request, and
+   the batch [run] below adds its own. *)
 module Persistent = struct
   type job = { id : int; payload : string }
 
@@ -324,6 +63,11 @@ module Persistent = struct
   let p_sibling_fds pool =
     List.concat_map (fun w -> [ w.p_job_fd; w.p_res_fd ]) pool
 
+  (* [siblings] are the parent's pipe ends for the other live workers:
+     fork duplicates them into the child, and a child holding a copy of
+     a sibling's job-pipe write end would keep that sibling alive past
+     the parent's close (no EOF ever arrives), so the child drops them
+     all before entering its job loop. *)
   let p_spawn t ~siblings : pworker =
     let jr, jw = Unix.pipe ~cloexec:false () in
     let rr, rw = Unix.pipe ~cloexec:false () in
@@ -372,6 +116,7 @@ module Persistent = struct
           loop ()
       in
       (try loop () with _ -> ());
+      (* _exit: skip at_exit/buffer flushing inherited from the parent *)
       Unix._exit 0
     | pid ->
       Unix.close jr;
@@ -401,9 +146,14 @@ module Persistent = struct
         queue = Queue.create ();
         alive = true }
     in
-    for _ = 1 to t.n_procs do
-      t.pool <- p_spawn t ~siblings:(p_sibling_fds t.pool) :: t.pool
-    done;
+    (try
+       for _ = 1 to t.n_procs do
+         t.pool <- p_spawn t ~siblings:(p_sibling_fds t.pool) :: t.pool
+       done
+     with e ->
+       (* a failed fork must not strand the workers already forked *)
+       List.iter (fun w -> p_dismiss w ~kill:true) t.pool;
+       raise e);
     t
 
   let procs t = t.n_procs
@@ -507,7 +257,9 @@ module Persistent = struct
     if t.alive then begin
       t.alive <- false;
       (* idle workers get EOF and exit on their own; busy ones are
-         mid-simulation and get the axe *)
+         mid-simulation and get the axe.  Every job pipe closes before
+         the first reap, so the idle workers exit in parallel. *)
+      List.iter (fun w -> close_out_noerr w.p_job_w) t.pool;
       List.iter
         (fun w -> p_dismiss w ~kill:(w.p_current <> None))
         t.pool;
@@ -515,3 +267,113 @@ module Persistent = struct
       Queue.clear t.queue
     end
 end
+
+(* ---------- batch runs: a fixed job list over one session ---------- *)
+
+(* Deterministic jitter in [0.75, 1.25], derived from the job identity,
+   so two attempts of the same job always wait the same amount (the
+   recovery-determinism tests rely on reproducible pool behavior) while
+   different jobs still decorrelate. *)
+let backoff_delay idx attempt =
+  let raw = min 30. (0.25 *. (2. ** float_of_int (attempt - 1))) in
+  let h = Hashtbl.hash (idx, attempt) land 0xffff in
+  raw *. (0.75 +. (0.5 *. float_of_int h /. 65535.))
+
+let run ~jobs ~(worker : int -> string) ~procs ?(timeout = 600.) ?(retries = 1)
+    ?(on_event = fun _ -> ()) ?(on_interrupt = fun () -> ())
+    ~(on_result : int -> (string, string) result -> unit) () : unit =
+  if jobs > 0 then begin
+    let p =
+      Persistent.create ~procs:(min procs jobs)
+        ~worker:(fun payload -> worker (int_of_string payload))
+        ()
+    in
+    (* a worker killed between select() and the parent's write must not
+       SIGPIPE the parent; the session's write path handles the EPIPE *)
+    let old_sigpipe =
+      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+      with Invalid_argument _ -> None
+    in
+    (* SIGINT/SIGTERM only raise a flag here; the loop head does the
+       actual shutdown at a point where the session is consistent *)
+    let interrupted = ref None in
+    let install s =
+      try Some (Sys.signal s (Sys.Signal_handle (fun _ -> interrupted := Some s)))
+      with Invalid_argument _ -> None
+    in
+    let old_sigint = install Sys.sigint in
+    let old_sigterm = install Sys.sigterm in
+    (* Every exit path — normal completion, Interrupted, or an exception
+       escaping a callback ([on_result]/[on_event] raising) — must shut
+       the session down and restore the handlers: a long-lived caller
+       otherwise leaks child processes and keeps its SIGINT/SIGTERM/
+       SIGPIPE handlers hijacked. *)
+    Fun.protect
+      ~finally:(fun () ->
+          Persistent.shutdown p;
+          let put s = function
+            | Some b -> (try ignore (Sys.signal s b) with Invalid_argument _ -> ())
+            | None -> ()
+          in
+          put Sys.sigint old_sigint;
+          put Sys.sigterm old_sigterm;
+          put Sys.sigpipe old_sigpipe)
+    @@ fun () ->
+    let check_interrupt () =
+      match !interrupted with
+      | Some s ->
+        Persistent.shutdown p;
+        on_interrupt ();
+        raise (Interrupted s)
+      | None -> ()
+    in
+    (* jobs not yet handed to the session, and retries waiting out
+       their backoff: (eligible_at, idx) *)
+    let pending = Queue.create () in
+    for i = 0 to jobs - 1 do
+      Queue.add i pending
+    done;
+    let delayed = ref [] in
+    let attempts = Array.make jobs 0 in
+    let done_count = ref 0 in
+    let finish (idx, outcome) =
+      match outcome with
+      | Error msg when attempts.(idx) < retries ->
+        let attempt = attempts.(idx) + 1 in
+        attempts.(idx) <- attempt;
+        let backoff = backoff_delay idx attempt in
+        on_event (Retry { job = idx; attempt; backoff; reason = msg });
+        delayed := (Unix.gettimeofday () +. backoff, idx) :: !delayed
+      | _ ->
+        incr done_count;
+        on_result idx outcome
+    in
+    while !done_count < jobs do
+      check_interrupt ();
+      (* promote retries whose backoff has elapsed *)
+      if !delayed <> [] then begin
+        let now = Unix.gettimeofday () in
+        let due, later = List.partition (fun (at, _) -> at <= now) !delayed in
+        delayed := later;
+        List.iter (fun (_, idx) -> Queue.add idx pending) (List.sort compare due)
+      end;
+      (* hand the session at most one job per worker: [poll] dispatches
+         queued jobs before [run] delivers the results it returns, so a
+         deeper queue would start jobs that a raising [on_result] then
+         kills *)
+      while
+        Persistent.running p + Persistent.queued p < Persistent.procs p
+        && not (Queue.is_empty pending)
+      do
+        let idx = Queue.take pending in
+        Persistent.submit p ~id:idx (string_of_int idx)
+      done;
+      (* with nothing in flight, only retries waiting out their backoff
+         remain *)
+      (match Persistent.result_fds p with
+       | [] -> ignore (select_read [] 0.01)
+       | fds -> ignore (select_read fds 0.2));
+      List.iter finish (Persistent.poll ~timeout_job:timeout p)
+    done;
+    check_interrupt ()
+  end

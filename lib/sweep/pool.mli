@@ -1,45 +1,21 @@
-(** Fork-based self-scheduling worker pool.
+(** Fork-based worker pool.
 
-    [run ~jobs ~worker ~procs ~on_result ()] forks [procs] workers,
-    hands each idle worker the next pending job index over a pipe, and
-    collects one result line per job.  Jobs are strings produced by
-    [worker] in the child (a compact JSON line in the sweep); the
-    parent receives them in completion order via [on_result].
-
-    Fault handling:
-    - a job that runs past [timeout] seconds gets its worker killed
-      (SIGKILL) and is retried on a fresh worker up to [retries] times;
-    - a worker that raises ships the exception text back and the job is
-      retried the same way;
-    - a worker that dies unexpectedly (EOF on its result pipe) is
-      respawned and its in-flight job retried;
-    - each retry waits out a capped exponential backoff
-      ([min cap (base * 2^(attempt-1))], jittered deterministically in
-      [0.75, 1.25] from the job index and attempt number) before
-      becoming eligible again, so a point that dies from transient
-      resource pressure does not immediately re-trip it.  Every retry
-      is announced through [on_event].
-
-    A job whose retries are exhausted is reported as [Error msg].
-    [run] returns once every job has a result.  The caller must flush
-    [stdout]/[stderr] before calling (children inherit the buffers).
-
-    Interruption: [run] installs SIGINT/SIGTERM handlers for its
-    duration.  On either signal it kills and reaps every worker (no
-    orphan processes), runs [on_interrupt] (the caller's chance to
-    sweep temp files), restores the previous handlers, and raises
-    {!Interrupted} with the signal number — partial results already
-    delivered through [on_result] remain valid.
-
-    Cleanup is unconditional: whatever ends [run] — normal completion,
-    {!Interrupted}, or an exception escaping [on_result]/[on_event] —
-    every worker is dismissed and reaped and the previous signal
-    handlers are restored before the exception propagates. *)
+    One worker session, {!Persistent}: it forks [procs] workers, hands
+    each idle worker the next queued job (an integer id and a string
+    payload) over a pipe, and collects one result line per job.  The
+    resident daemon ([straightd]) drives a session directly.  {!run} is
+    the batch policy over a session — a fixed job list with retries,
+    backoff and SIGINT/SIGTERM shutdown — used by the sweep driver and
+    [straightsim -sample]. *)
 
 exception Interrupted of int
 (** Raised out of {!run} after a SIGINT/SIGTERM shutdown; carries the
-    signal number (use [128 + Sys.sigint -> exit code] conventions at
-    the CLI). *)
+    OCaml signal number ({!posix_signal} maps it for the CLI's
+    [128 + signal] exit code). *)
+
+val posix_signal : int -> int
+(** POSIX number of a signal {!run} traps: 2 for [Sys.sigint], 15 for
+    [Sys.sigterm]. *)
 
 (** Scheduling notifications (today: retries). *)
 type event =
@@ -47,38 +23,15 @@ type event =
       (** [job] will be re-run as attempt [attempt] (1 = first retry)
           after [backoff] seconds, because of [reason]. *)
 
-val run :
-  jobs:int ->
-  worker:(int -> string) ->
-  procs:int ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff_base:float ->
-  ?backoff_cap:float ->
-  ?on_event:(event -> unit) ->
-  ?on_interrupt:(unit -> unit) ->
-  on_result:(int -> (string, string) result -> unit) ->
-  unit ->
-  unit
-(** @param timeout per-attempt wall-clock budget, seconds (default 600)
-    @param retries extra attempts after the first failure (default 1)
-    @param backoff_base first-retry delay, seconds (default 0.25)
-    @param backoff_cap backoff ceiling, seconds (default 30)
-    [procs] is clamped to at least 1.  Result strings must be single
-    lines; the worker's return value is truncated at the first
-    newline.
-    @raise Interrupted on SIGINT/SIGTERM. *)
+(** Persistent worker sessions.
 
-(** Persistent worker sessions for long-running callers ([straightd]).
-
-    Unlike {!run}, jobs arrive over time and carry a string payload
-    (the batch protocol ships only an index because the job list is
-    fixed at fork time).  The pool installs no signal handlers and
-    never retries — a resident daemon owns its signals and decides
-    retry policy per request.  The caller should ignore SIGPIPE for
-    the session's lifetime (a worker dying between [submit] and the
-    pipe write would otherwise kill the parent); worker loss is
-    reported as an [Error] result and the worker respawned. *)
+    Jobs arrive over time and carry a string payload.  The session
+    installs no signal handlers and never retries — a resident daemon
+    owns its signals and decides retry policy per request, and {!run}
+    adds its own.  The caller should ignore SIGPIPE for the session's
+    lifetime (a worker dying between [submit] and the pipe write would
+    otherwise kill the parent); worker loss is reported as an [Error]
+    result and the worker respawned. *)
 module Persistent : sig
   type t
 
@@ -119,3 +72,57 @@ module Persistent : sig
   (** Dismiss and reap every worker (idle ones exit on EOF, busy ones
       are killed).  Idempotent. *)
 end
+
+val run :
+  jobs:int ->
+  worker:(int -> string) ->
+  procs:int ->
+  ?timeout:float ->
+  ?retries:int ->
+  ?on_event:(event -> unit) ->
+  ?on_interrupt:(unit -> unit) ->
+  on_result:(int -> (string, string) result -> unit) ->
+  unit ->
+  unit
+(** [run ~jobs ~worker ~procs ~on_result ()] runs jobs [0 .. jobs-1] on
+    one {!Persistent} session of [min procs jobs] workers (at least 1):
+    job [i] is submitted with payload [string_of_int i] and the child
+    runs [worker i].  Results are strings produced by [worker] in the
+    child (a compact JSON line in the sweep), truncated at the first
+    newline; the parent receives them in completion order via
+    [on_result].  [jobs = 0] returns without forking.
+
+    Fault handling:
+    - a job that runs past [timeout] seconds gets its worker killed
+      (SIGKILL) and is retried on a fresh worker up to [retries] times;
+    - a worker that raises ships the exception text back and the job is
+      retried the same way;
+    - a worker that dies unexpectedly (EOF on its result pipe) is
+      respawned and its in-flight job retried;
+    - each retry waits out a capped exponential backoff
+      ([min 30 (0.25 * 2^(attempt-1))] seconds, jittered
+      deterministically in [0.75, 1.25] from the job index and attempt
+      number) before becoming eligible again, so a point that dies from
+      transient resource pressure does not immediately re-trip it.
+      Every retry is announced through [on_event].
+
+    A job whose retries are exhausted is reported as [Error msg].
+    [run] returns once every job has a result.  The caller must flush
+    [stdout]/[stderr] before calling (children inherit the buffers).
+
+    Interruption: [run] installs SIGINT/SIGTERM handlers for its
+    duration.  On either signal it kills and reaps every worker (no
+    orphan processes), runs [on_interrupt] (the caller's chance to
+    sweep temp files), restores the previous handlers, and raises
+    {!Interrupted} with the signal number — partial results already
+    delivered through [on_result] remain valid.
+
+    Cleanup is unconditional: whatever ends [run] — normal completion,
+    {!Interrupted}, or an exception escaping [on_result]/[on_event] —
+    the session is shut down (every worker reaped) and the previous
+    signal handlers are restored before the exception propagates.
+
+    @param timeout per-attempt wall-clock budget, seconds (default 600;
+    0 = no limit)
+    @param retries extra attempts after the first failure (default 1)
+    @raise Interrupted on SIGINT/SIGTERM. *)

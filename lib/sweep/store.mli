@@ -16,6 +16,10 @@ val code_digest : unit -> string
 val key : Grid.point -> string
 (** Stable content address (hex). *)
 
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents (an existing one is
+    fine, so concurrent creators do not race). *)
+
 val lookup : dir:string -> string -> Runner.record option
 (** [lookup ~dir key] returns the cached record with [cached = true],
     or [None] on a miss or an unreadable/corrupt entry (corrupt entries

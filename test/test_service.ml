@@ -13,6 +13,8 @@
    - N identical concurrent requests coalesce onto one job: every
      client gets the record, the daemon's own counters show exactly one
      simulation;
+   - a sweep request returns the same records as the CLI driver on the
+     same grid (daemon == CLI);
    - a shutdown request drains cleanly: exit 0, socket unlinked. *)
 
 module J = Ooo_common.Stats.Json
@@ -246,6 +248,50 @@ let test_concurrent_coalescing () =
         (status_int "coalesced" st + status_int "cache_hits" st >= n - 1);
       List.iter Client.close cs)
 
+let test_sweep_matches_cli () =
+  (* daemon == CLI: the daemon's sweep op and the CLI driver agree on
+     every record of the smoke grid, up to host time and cache state *)
+  let render (r : Sweep.Runner.record) =
+    J.to_string ~indent:false
+      (Sweep.Runner.to_json
+         { r with Sweep.Runner.host_seconds = 0.; cached = false })
+  in
+  let field name j =
+    match J.member name j with
+    | Some v -> v
+    | None -> Alcotest.failf "sweep reply without %S" name
+  in
+  let summary_int name s =
+    match J.get_int (J.member name s) with
+    | Some n -> n
+    | None -> Alcotest.failf "sweep summary without %S" name
+  in
+  with_daemon (fun ~sock ~cache:_ ~pid:_ ->
+      let c = Client.connect sock in
+      let reply =
+        Client.request c
+          (J.Obj [ ("op", J.Str "sweep"); ("grid", J.Str "smoke") ])
+      in
+      Client.close c;
+      let result = field "result" reply in
+      let daemon_records =
+        match J.get_list (J.member "records" result) with
+        | Some l -> List.map (fun j -> render (Sweep.Runner.of_json j)) l
+        | None -> Alcotest.fail "sweep records are not a list"
+      in
+      let daemon_summary = field "summary" result in
+      let records, summary =
+        Sweep.Driver.sweep ~procs:0 ~cache_dir:(tmpdir "straightd-cli")
+          Sweep.Grid.smoke
+      in
+      Alcotest.(check (list string)) "daemon records equal the CLI's"
+        (List.map render records) daemon_records;
+      Alcotest.(check int) "daemon total" 2 (summary_int "total" daemon_summary);
+      Alcotest.(check int) "daemon failed" 0
+        (summary_int "failed" daemon_summary);
+      Alcotest.(check int) "CLI total" 2 summary.Sweep.Driver.total;
+      Alcotest.(check int) "CLI failed" 0 summary.Sweep.Driver.failed)
+
 let test_clean_shutdown () =
   with_daemon (fun ~sock ~cache:_ ~pid ->
       let c = Client.connect sock in
@@ -270,6 +316,8 @@ let suite =
       test_disconnect_mid_job;
     Alcotest.test_case "daemon: identical requests coalesce" `Slow
       test_concurrent_coalescing;
+    Alcotest.test_case "daemon: sweep equals the CLI sweep" `Slow
+      test_sweep_matches_cli;
     Alcotest.test_case "daemon: clean shutdown" `Quick test_clean_shutdown ]
 
 let () = Alcotest.run "service" [ ("service", suite) ]

@@ -5,8 +5,10 @@
    - the content-addressed store (hit after save, miss across keys,
      corrupt entries degrade to misses);
    - the fork pool (results, worker exceptions, retry exhaustion,
-     timeout kill);
-   - the in-process driver cache contract (second run = all hits);
+     timeout kill, a worker dying mid-job) and its persistent session
+     driven directly;
+   - the in-process driver cache contract (second run = all hits) and
+     a cache directory nested under missing parents;
    - the pinned golden corpus: the 12-point 3x2x2 grid's cycles and
      CPI stacks must match test/sweep_golden.json exactly.  Regenerate
      the corpus after an intentional timing change with
@@ -292,6 +294,89 @@ let test_pool_callback_exception () =
   Alcotest.(check bool) "SIGINT handler restored" true (is_ours cur_int);
   Alcotest.(check bool) "SIGTERM handler restored" true (is_ours cur_term)
 
+let test_pool_worker_death () =
+  (* job 1's worker dies on its first attempt only (a marker file tells
+     the attempts apart): the pool respawns it and retries after the
+     jittered first backoff step, or fails the job without a budget *)
+  let run ~retries =
+    let marker = Filename.concat (tmpdir "straight-pool-death") "died" in
+    let results = Array.make 2 None in
+    let events = ref [] in
+    Sweep.Pool.run ~jobs:2 ~procs:1 ~timeout:30. ~retries
+      ~worker:(fun i ->
+          if i = 1 && not (Sys.file_exists marker) then begin
+            close_out (open_out marker);
+            Unix._exit 3
+          end;
+          string_of_int i)
+      ~on_event:(fun e -> events := e :: !events)
+      ~on_result:(fun i r -> results.(i) <- Some r)
+      ();
+    (results, List.rev !events)
+  in
+  let results, events = run ~retries:1 in
+  (match events with
+   | [ Sweep.Pool.Retry
+         { job = 1; attempt = 1; backoff; reason = "worker died" } ] ->
+     Alcotest.(check bool) "backoff within 0.25 s +/- 25%" true
+       (backoff >= 0.1875 && backoff <= 0.3125)
+   | _ -> Alcotest.fail "expected exactly one worker-died retry of job 1");
+  Alcotest.(check bool) "both jobs succeed after the retry" true
+    (results = [| Some (Ok "0"); Some (Ok "1") |]);
+  let results, events = run ~retries:0 in
+  Alcotest.(check int) "no retry without a budget" 0 (List.length events);
+  Alcotest.(check bool) "the job whose worker died fails" true
+    (results = [| Some (Ok "0"); Some (Error "worker died") |])
+
+let test_persistent_failures () =
+  let module P = Sweep.Pool.Persistent in
+  let p =
+    P.create ~procs:1
+      ~worker:(function
+          | "raise" -> failwith "kaboom"
+          | "exit" -> Unix._exit 3
+          | "hang" -> Unix.sleepf 60.; "late"
+          | s -> "echo " ^ s)
+      ()
+  in
+  let next_id = ref 0 in
+  (* submit one job and wait for its result the way the daemon does:
+     select on the busy result pipes, then poll *)
+  let job ?timeout_job payload =
+    incr next_id;
+    let id = !next_id in
+    P.submit p ~id payload;
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec wait () =
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "job %S never answered" payload;
+      (try ignore (Unix.select (P.result_fds p) [] [] 0.05)
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      match List.assoc_opt id (P.poll ?timeout_job p) with
+      | Some r -> r
+      | None -> wait ()
+    in
+    wait ()
+  in
+  Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
+  Alcotest.(check bool) "a raising payload names the exception" true
+    (job "raise" = Error (Printexc.to_string (Failure "kaboom")));
+  Alcotest.(check bool) "an exiting payload reports a dead worker" true
+    (job "exit" = Error "worker died");
+  Alcotest.(check bool) "the respawned worker serves the next job" true
+    (job "a" = Ok "echo a");
+  (match job ~timeout_job:0.3 "hang" with
+   | Error msg ->
+     Alcotest.(check bool) "a hung job times out" true
+       (String.length msg >= 7 && String.sub msg 0 7 = "timeout")
+   | Ok _ -> Alcotest.fail "a hung job cannot succeed");
+  Alcotest.(check bool) "the replacement worker serves the next job" true
+    (job "b" = Ok "echo b");
+  P.shutdown p;
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | _ -> Alcotest.fail "a worker survived shutdown"
+
 (* ---------- stale temp hygiene ---------- *)
 
 let test_store_stale_tmp_sweep () =
@@ -375,6 +460,20 @@ let test_driver_cache_hits () =
    | Some l -> Alcotest.(check int) "one record per point" 2 (List.length l)
    | None -> Alcotest.fail "records list missing")
 
+let test_driver_nested_cache_dir () =
+  (* the pool path creates the checkpoint directory under a cache
+     directory none of whose parents exist yet *)
+  let dir =
+    List.fold_left Filename.concat (tmpdir "straight-sweep-nested")
+      [ "a"; "b"; "c" ]
+  in
+  let records, s =
+    Sweep.Driver.sweep ~procs:1 ~cache_dir:dir
+      { Sweep.Grid.smoke with Sweep.Grid.workloads = [ "fib" ] }
+  in
+  Alcotest.(check int) "one record" 1 (List.length records);
+  Alcotest.(check int) "no failures" 0 s.Sweep.Driver.failed
+
 (* ---------- golden corpus ---------- *)
 
 (* dune runtest sandboxes the dep beside the test binary; dune exec
@@ -452,6 +551,12 @@ let props_suite =
     Alcotest.test_case "pool: timeout kill" `Quick test_pool_timeout;
     Alcotest.test_case "pool: callback exception leaks nothing" `Quick
       test_pool_callback_exception;
+    Alcotest.test_case "pool: dead worker is retried" `Quick
+      test_pool_worker_death;
+    Alcotest.test_case "pool: persistent session failures" `Quick
+      test_persistent_failures;
+    Alcotest.test_case "driver: nested cache directory" `Quick
+      test_driver_nested_cache_dir;
     Alcotest.test_case "store: stale temp sweep" `Quick
       test_store_stale_tmp_sweep;
     Alcotest.test_case "store: failed rename unlinks temp" `Quick
