@@ -46,11 +46,12 @@ lint-workloads:
 
 # Translation validation (straight-tv/1): symbolically re-execute every
 # benchmark's IR and linked machine code in lockstep at O0/O1/O2 through
-# both back ends, requiring every observable to agree; then inject
-# seeded codegen bugs and require each to be rejected.
+# both back ends, requiring every observable to agree and no function to
+# be abstained on; then inject 300 seeded codegen bugs and require each
+# to be rejected.
 tv:
 	dune exec bin/fuzz.exe -- -tv-workloads -json tv-report.json
-	dune exec bin/fuzz.exe -- -tv-mutations 12
+	dune exec bin/fuzz.exe -- -tv-mutations 300
 
 # Differential-fuzz smoke run: a fixed-seed batch (deterministic, so a
 # failure is reproducible by seed number) with the translation validator

@@ -161,53 +161,71 @@ let opt_levels =
   [ (Ssa_ir.Passes.O0, "O0"); (Ssa_ir.Passes.O1, "O1");
     (Ssa_ir.Passes.O2, "O2") ]
 
+(* The benchmark programs [-lint-workloads] and [-tv-workloads] cover. *)
+let workloads () =
+  [ Workloads.dhrystone (); Workloads.coremark (); Workloads.fib ();
+    Workloads.iota (); Workloads.sort (); Workloads.quicksort ();
+    Workloads.pointer_chase () ]
+  @ Workloads.all_wasm ()
+
 (* ---- translation validation (lib/tv) ---- *)
 
 let tv_config level =
   { Straight_cc.Codegen.max_dist = Straight_isa.Isa.max_dist; level }
 
-(* Validate one source through every back-end configuration.  Only
-   [Error] findings are failures; [tv-abstain] Infos are the validator
-   explicitly giving up on a function and are reported separately. *)
+(* Validate one source through every back-end configuration; each run
+   returns the number of functions it validated and the findings.
+   [tv-abstain] Infos are the validator explicitly giving up on a
+   function: never a pass, and counted on every surface. *)
 let tv_runs ?(opt = Ssa_ir.Passes.O2) (src : string) :
-  (string * (unit -> Lint_report.finding list)) list =
-  let prog () = Straight_core.Compile.frontend ~opt src in
+  (string * (unit -> int * Lint_report.finding list)) list =
+  let run validate () =
+    let p = Straight_core.Compile.frontend ~opt src in
+    (List.length p.Ssa_ir.Ir.funcs, validate p)
+  in
   [ ("straight-re+",
-     fun () ->
-       Tv.Validate.validate_straight
-         ~config:(tv_config Straight_cc.Codegen.Re_plus) (prog ()));
+     run
+       (Tv.Validate.validate_straight
+          ~config:(tv_config Straight_cc.Codegen.Re_plus)));
     ("straight-raw",
-     fun () ->
-       Tv.Validate.validate_straight
-         ~config:(tv_config Straight_cc.Codegen.Raw) (prog ()));
-    ("riscv", fun () -> Tv.Validate.validate_riscv (prog ())) ]
+     run
+       (Tv.Validate.validate_straight
+          ~config:(tv_config Straight_cc.Codegen.Raw)));
+    ("riscv", run Tv.Validate.validate_riscv) ]
 
+let abstentions findings =
+  List.filter (fun f -> f.Lint_report.check = "tv-abstain") findings
+
+(* Returns the function validations, the abstentions and the failure
+   lines: only [Error] findings fail a seed. *)
 let tv_source ?(opt = Ssa_ir.Passes.O2) ~(report_crash : bool)
-    (src : string) : string list =
-  List.concat_map
-    (fun (tname, run) ->
+    (src : string) : int * int * string list =
+  List.fold_left
+    (fun (nv, na, lines) (tname, run) ->
        match run () with
-       | findings ->
-         List.map
-           (fun f ->
-              Printf.sprintf "%s: %s" tname (Lint_report.finding_to_string f))
-           (Lint_report.errors findings)
+       | nfuncs, findings ->
+         ( nv + nfuncs,
+           na + List.length (abstentions findings),
+           lines
+           @ List.map
+               (fun f ->
+                  Printf.sprintf "%s: %s" tname
+                    (Lint_report.finding_to_string f))
+               (Lint_report.errors findings) )
        | exception e when report_crash ->
-         [ Printf.sprintf "%s: tv crashed: %s" tname (Printexc.to_string e) ]
-       | exception _ -> [])
-    (tv_runs ~opt src)
+         ( nv, na,
+           lines
+           @ [ Printf.sprintf "%s: tv crashed: %s" tname
+                 (Printexc.to_string e) ] )
+       | exception _ -> (nv, na, lines))
+    (0, 0, []) (tv_runs ~opt src)
 
 (* [-tv-workloads]: every benchmark x middle-end level x back-end
+   configuration.  An [Error] finding or an abstention fails the
    configuration.  Returns the labeled finding groups (for the
    [straight-tv/1] JSON report) alongside the failures. *)
 let tv_workloads () :
   (string * Lint_report.finding list) list * failure list =
-  let workloads =
-    [ Workloads.dhrystone (); Workloads.coremark (); Workloads.fib ();
-      Workloads.iota (); Workloads.sort (); Workloads.quicksort ();
-      Workloads.pointer_chase () ]
-    @ Workloads.all_wasm ()
-  in
   let groups = ref [] and failures = ref [] in
   List.iter
     (fun (w : Workloads.t) ->
@@ -219,30 +237,24 @@ let tv_workloads () :
                    Printf.sprintf "%s:%s:%s" w.Workloads.name tname oname
                  in
                  match run () with
-                 | findings ->
+                 | _, findings ->
                    groups := (label, findings) :: !groups;
                    let errs = Lint_report.errors findings in
-                   let abstained =
-                     List.length
-                       (List.filter
-                          (fun f -> f.Lint_report.check = "tv-abstain")
-                          findings)
-                   in
-                   if errs = [] then
-                     Printf.printf "tv %-32s validated%s\n%!" label
-                       (if abstained = 0 then ""
-                        else Printf.sprintf " (%d abstained)" abstained)
+                   let abst = abstentions findings in
+                   if errs = [] && abst = [] then
+                     Printf.printf "tv %-32s validated\n%!" label
                    else begin
-                     Printf.printf "tv %-32s %d error%s\n%!" label
-                       (List.length errs)
-                       (if List.length errs = 1 then "" else "s");
+                     Printf.printf "tv %-32s %d error%s, %d abstained\n%!"
+                       label (List.length errs)
+                       (if List.length errs = 1 then "" else "s")
+                       (List.length abst);
                      failures :=
                        { f_seed = -1; f_kind = "tv";
                          f_detail =
                            List.map
                              (fun f ->
                                 label ^ ": " ^ Lint_report.finding_to_string f)
-                             errs;
+                             (errs @ abst);
                          f_source = ""; f_minimized = None }
                        :: !failures
                    end
@@ -256,7 +268,7 @@ let tv_workloads () :
                      :: !failures)
               (tv_runs ~opt w.Workloads.source))
          opt_levels)
-    workloads;
+    (workloads ());
   (List.rev !groups, List.rev !failures)
 
 (* Behavioral fingerprint of an image on the functional simulator:
@@ -354,12 +366,6 @@ let tv_mutations ~(base : int) (n : int) : failure list =
    ISAs.  Also writes a JSON report when [-json] is given (handled by
    the caller through the returned failures). *)
 let lint_workloads () : failure list =
-  let workloads =
-    [ Workloads.dhrystone (); Workloads.coremark (); Workloads.fib ();
-      Workloads.iota (); Workloads.sort (); Workloads.quicksort ();
-      Workloads.pointer_chase () ]
-    @ Workloads.all_wasm ()
-  in
   List.concat_map
     (fun (w : Workloads.t) ->
        List.filter_map
@@ -377,7 +383,7 @@ let lint_workloads () : failure list =
               Some { f_seed = -1; f_kind = "lint"; f_detail = findings;
                      f_source = ""; f_minimized = None })
          opt_levels)
-    workloads
+    (workloads ())
 
 let () =
   let seed = ref 1 in
@@ -449,6 +455,7 @@ let () =
      | _ -> ())
   end;
   let tv_groups = ref [] in
+  let tv_validations = ref 0 and tv_abstained = ref 0 in
   if !workloads_only then failures := lint_workloads ()
   else if !tv_workloads_only then begin
     let groups, fs = tv_workloads () in
@@ -494,7 +501,9 @@ let () =
           { f_seed = s; f_kind = "lint"; f_detail = lint_findings;
             f_source = src; f_minimized = None };
       if !do_tv then begin
-        let tv_findings = tv_source ~report_crash:!lint_only src in
+        let nv, na, tv_findings = tv_source ~report_crash:!lint_only src in
+        tv_validations := !tv_validations + nv;
+        tv_abstained := !tv_abstained + na;
         if tv_findings <> [] then
           add_failure
             { f_seed = s; f_kind = "tv"; f_detail = tv_findings;
@@ -530,6 +539,9 @@ let () =
     done
   end;
   let failures = List.rev !failures in
+  if !do_tv && not batch_mode then
+    Printf.printf "tv: %d validations, %d abstained\n" !tv_validations
+      !tv_abstained;
   if !json_file <> "" then begin
     if !tv_workloads_only then
       (* the machine-readable TV report keeps every finding, including

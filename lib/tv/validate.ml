@@ -116,7 +116,7 @@ type fctx = {
   lv : An.liveness;
   bounds : (int, Ir.block_id list) Hashtbl.t;  (* label addr -> bids *)
   block_addr : (Ir.block_id, int) Hashtbl.t;
-  max_dist : int;
+  read_bound : int;           (* deepest ring slot a read can reach *)
   mutable frame_disp : int;   (* net SP displacement after the prologue *)
   mutable findings : finding list;  (* reversed *)
   seen : (int * string * string, unit) Hashtbl.t;
@@ -408,13 +408,19 @@ let ring_read (r : ring) (d : int) : T.t =
   else if d <= r.flen then List.nth r.front (d - 1)
   else r.rest
 
-(* Keep the front long enough for any legal distance; deeper slots are
-   unreadable (max_dist), so truncation loses nothing. *)
-let ring_push (r : ring) (t : T.t) ~(max_dist : int) : ring =
+(* Keep the front as deep as any read can reach.  Every ring read is an
+   operand of a decoded word of this image, a JAL argument (distances
+   1..arity) or the return slot a JR reads (distance 1), so no read goes
+   deeper than [bound] ([read_bound]).  A push only buries a slot deeper,
+   so a slot below the bound is never read again: truncating it here, or
+   collapsing it into [rest] at a join, changes no term that a check
+   compares.  The bound comes from the code under validation, so a
+   mutant that reads deeper raises the bound itself. *)
+let ring_push (r : ring) (t : T.t) ~(bound : int) : ring =
   let front = t :: r.front and flen = r.flen + 1 in
-  if flen > max_dist + 256 then
-    { r with front = List.filteri (fun i _ -> i < max_dist) front;
-             flen = max_dist }
+  if flen > bound + 256 then
+    { r with front = List.filteri (fun i _ -> i < bound) front;
+             flen = bound }
   else { r with front; flen }
 
 let exec_straight ctx (r0 : ring) (mmem0 : T.t IMap.t) (ver0 : int)
@@ -429,7 +435,7 @@ let exec_straight ctx (r0 : ring) (mmem0 : T.t IMap.t) (ver0 : int)
   let pc = ref start_pc and moved = ref false in
   let pred = ref pred0 in
   let read d = ring_read !r d in
-  let push t = r := ring_push !r t ~max_dist:ctx.max_dist in
+  let push t = r := ring_push !r t ~bound:ctx.read_bound in
   let rec loop () =
     if arrived ctx ~pc:!pc ~moved:!moved ~src_bid ~goal then
       (!r, !mmem, !ver, !evs)
@@ -842,7 +848,7 @@ let join_states ctx (sidx : int) (a : state) (b : state) : state =
   let ms =
     match a.ms, b.ms with
     | Mring ra, Mring rb ->
-      let n = min (max ra.flen rb.flen) ctx.max_dist in
+      let n = min (max ra.flen rb.flen) ctx.read_bound in
       let front =
         List.init n
           (fun i ->
@@ -1075,9 +1081,31 @@ let decode_code target (image : Image.t) : code =
     Cstraight (Array.map Straight_isa.Encoding.decode image.Image.text)
   | Riscv -> Criscv (Array.map Riscv_isa.Encoding.decode image.Image.text)
 
+(* The deepest STRAIGHT ring slot any read of this image can reach (see
+   [ring_push]): the largest source distance of a decoded text word, the
+   largest callee arity, and 1 for the return value; never above
+   [max_dist].  Compiled code reads far less deep than the encoding
+   allows (Fig. 16), and joins cost one lane per slot. *)
+let read_bound ~max_dist (code : code) (prog : Ir.program) : int =
+  match code with
+  | Criscv _ -> max_dist
+  | Cstraight insns ->
+    let deepest =
+      Array.fold_left
+        (fun acc -> function
+           | Some i -> List.fold_left max acc (Sisa.sources i)
+           | None -> acc)
+        1 insns
+    in
+    min max_dist
+      (List.fold_left
+         (fun acc (f : Ir.func) -> max acc f.Ir.nparams)
+         deepest prog.Ir.funcs)
+
 let validate_image ?(max_dist = Sisa.max_dist) ~(target : target)
     (prog : Ir.program) (image : Image.t) : finding list =
   let code = decode_code target image in
+  let read_bound = read_bound ~max_dist code prog in
   let arity = Hashtbl.create 16 in
   List.iter
     (fun (f : Ir.func) -> Hashtbl.replace arity f.Ir.name f.Ir.nparams)
@@ -1124,7 +1152,7 @@ let validate_image ?(max_dist = Sisa.max_dist) ~(target : target)
          cfg.An.blocks;
        let ctx =
          { target; image; code; arity; fun_addrs; globals; fn = f; cfg; lv;
-           bounds; block_addr; max_dist; frame_disp = 0; findings = [];
+           bounds; block_addr; read_bound; frame_disp = 0; findings = [];
            seen = Hashtbl.create 16;
            errors = 0; steps = 0 }
        in

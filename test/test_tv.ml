@@ -10,7 +10,11 @@
      would show up as Info findings and are asserted away too).
    - Rejection: pinned mutation-harness seeds must each be caught with
      an Error finding naming the mutated function — the regression net
-     against the validator silently going blind. *)
+     against the validator silently going blind.
+   - Deep distances: a function that reads far deeper than compiled
+     workloads do validates at max distance 1023, and a corrupted deep
+     read is still rejected, pinning that the validator's ring bound
+     comes from the code under validation. *)
 
 module T = Tv.Term
 module V = Tv.Validate
@@ -164,7 +168,9 @@ let accept_tests =
       accept_case (Workloads.fib ()) Ssa_ir.Passes.O2 "O2";
       accept_case (Workloads.sort ()) Ssa_ir.Passes.O2 "O2";
       accept_case (Workloads.quicksort ()) Ssa_ir.Passes.O1 "O1";
-      accept_case (Workloads.pointer_chase ()) Ssa_ir.Passes.O2 "O2" ]
+      accept_case (Workloads.pointer_chase ()) Ssa_ir.Passes.O2 "O2";
+      accept_case (Workloads.dhrystone ()) Ssa_ir.Passes.O2 "O2";
+      accept_case (Workloads.coremark ()) Ssa_ir.Passes.O2 "O2" ]
 
 (* validate_straight must leave its input reusable (it clones before the
    back end's in-place mutation) *)
@@ -215,6 +221,93 @@ let mutation_tests =
          `Quick (test_mutation_seed s))
     pinned_mutation_seeds
 
+(* ---------- deep distances ---------- *)
+
+(* [deep] keeps 48 locals live across a loop, so its code reads deeper
+   than the ~34 that compiled workloads reach (Fig. 16). *)
+let deep_source =
+  let n = 48 in
+  String.concat ""
+    ([ "int deep(int x) {\n" ]
+     @ List.init n (fun i ->
+         Printf.sprintf "  int a%d = x * %d + %d;\n" i (i + 3) i)
+     @ [ "  int s = 0;\n";
+         "  for (int i = 0; i < x; i++) s = s + i;\n";
+         Printf.sprintf "  return s%s;\n}\n"
+           (String.concat "" (List.init n (Printf.sprintf " + a%d")));
+         "int main() {\n  putint(deep(5));\n  return 0;\n}\n" ])
+
+let workload_reach = 34
+
+let deep_validate prog items =
+  V.validate_image ~max_dist:Straight_isa.Isa.max_dist ~target:V.Straight
+    prog (Assembler.Asm.Straight.assemble ~entry:"_start" items)
+
+let deepest_source (image : Assembler.Image.t) =
+  Array.fold_left
+    (fun acc w ->
+       match Straight_isa.Encoding.decode w with
+       | Some i -> List.fold_left max acc (Straight_isa.Isa.sources i)
+       | None -> acc)
+    0 image.Assembler.Image.text
+
+(* The first ALU operand in [deep] that reads deeper than
+   [workload_reach]: its item index and a rebuilder for the operand. *)
+let first_deep_alu items =
+  let inside = ref false and found = ref None in
+  List.iteri
+    (fun idx it ->
+       match it with
+       | Assembler.Asm.Label l ->
+         if l = Straight_cc.Codegen.func_label "deep" then inside := true
+         else if l <> "" && l.[0] <> '.' then inside := false
+       | Assembler.Asm.Insn (Straight_isa.Isa.Alu (op, a, b))
+         when !inside && !found = None ->
+         let alu a b = Assembler.Asm.Insn (Straight_isa.Isa.Alu (op, a, b)) in
+         if a > workload_reach then found := Some (idx, a, fun d -> alu d b)
+         else if b > workload_reach then
+           found := Some (idx, b, fun d -> alu a d)
+       | _ -> ())
+    items;
+  match !found with
+  | Some site -> site
+  | None -> Alcotest.fail "deep has no ALU operand past the workload reach"
+
+let test_deep level () =
+  let prog =
+    Straight_core.Compile.frontend ~opt:Ssa_ir.Passes.O2 deep_source
+  in
+  let items = Straight_cc.Codegen.compile ~config:(tv_config level) prog in
+  let deepest =
+    deepest_source (Assembler.Asm.Straight.assemble ~entry:"_start" items)
+  in
+  if deepest <= workload_reach then
+    Alcotest.failf "deepest source distance %d does not pass %d" deepest
+      workload_reach;
+  assert_validates "deep" (deep_validate prog items) ();
+  let idx, d, rebuild = first_deep_alu items in
+  List.iter
+    (fun d' ->
+       let items' =
+         List.mapi (fun i it -> if i = idx then rebuild d' else it) items
+       in
+       let rejected =
+         List.exists
+           (fun (f : Lint_report.finding) ->
+              f.Lint_report.severity = Lint_report.Error
+              && f.Lint_report.func = Some "deep")
+           (deep_validate prog items')
+       in
+       if not rejected then
+         Alcotest.failf "distance %d corrupted to %d was not rejected" d d')
+    [ d + 1; 200 ]
+
+let deep_tests =
+  [ Alcotest.test_case "deep straight-re+ O2" `Quick
+      (test_deep Straight_cc.Codegen.Re_plus);
+    Alcotest.test_case "deep straight-raw O2" `Quick
+      (test_deep Straight_cc.Codegen.Raw) ]
+
 (* ---------- lint_report JSON shape ---------- *)
 
 let contains ~needle hay =
@@ -262,6 +355,7 @@ let () =
        [ Alcotest.test_case "input program reusable" `Quick
            test_clone_isolation ]);
       ("mutation-rejection", mutation_tests);
+      ("deep-distance", deep_tests);
       ("report-json",
        [ Alcotest.test_case "straight-tv/1 shape" `Quick test_report_json;
          Alcotest.test_case "finding func rendering" `Quick
