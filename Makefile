@@ -1,4 +1,4 @@
-.PHONY: check build test bench bench-json bench-gate fuzz-smoke \
+.PHONY: check build test examples bench bench-json bench-gate fuzz-smoke \
 	wasm-smoke lint lint-workloads tv fmt \
 	sweep-quick sweep-smoke snapshot-smoke sample-smoke stream-smoke \
 	daemon-smoke coverage clean
@@ -13,6 +13,16 @@ test:
 
 fmt:
 	dune build @fmt
+
+# Run every program in examples/ (they document the public API): each
+# must exit 0, not just build.
+EXAMPLES = quickstart compiler_tour pipeline_explorer distance_profile \
+	power_report asm_playground
+examples:
+	dune build $(EXAMPLES:%=./examples/%.exe)
+	@set -e; for e in $(EXAMPLES); do \
+	  echo "examples: $$e"; ./_build/default/examples/$$e.exe >/dev/null; \
+	done
 
 bench:
 	dune exec bench/main.exe -- --quick

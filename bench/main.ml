@@ -22,6 +22,7 @@
 
 module Models = Straight_core.Models
 module Exp = Straight_core.Experiment
+module Compile = Straight_core.Compile
 module Engine = Ooo_common.Engine
 module Stats = Ooo_common.Stats
 
@@ -38,43 +39,20 @@ let header title =
    fault-injection plan included) plus the run knobs that live outside
    Params.t — the same key family the sweep subsystem's on-disk cache
    uses, so a config change can never alias a stale result through a
-   shared model name.  The checkpoint knobs are part of the key even
-   though the fixpoint contract says a resumed run is bit-identical: the
-   perf gate times these runs, and a run that saved snapshots or resumed
-   mid-flight must never be served where an uninterrupted measurement is
-   expected (or vice versa). *)
+   shared model name. *)
 let cache : (string, Exp.result) Hashtbl.t = Hashtbl.create 32
 
-let run ?max_dist ?(check = true) ?(checkpoint_every = 0) ?restore_from
-    ~model ~target w =
+let run ?max_dist ~model ~target w =
   let key =
-    Printf.sprintf "%s/%s/%s/%d/%b/ck%d/%s"
+    Printf.sprintf "%s/%s/%s/%d"
       (Ooo_common.Params.digest model)
       (Exp.target_label target) w.Workloads.name
       (Option.value ~default:Ooo_common.Params.straight_max_dist max_dist)
-      check checkpoint_every
-      (Option.value ~default:"" restore_from)
   in
   match Hashtbl.find_opt cache key with
   | Some r -> r
   | None ->
-    let r =
-      if checkpoint_every = 0 && restore_from = None then
-        Exp.run ?max_dist ~check ~model ~target w
-      else
-        let spec = Snapshot.Sim.spec ?max_dist ~check ~model ~target w in
-        let checkpoint_path =
-          Filename.temp_file "straight-bench" ".snap"
-        in
-        match
-          Snapshot.Sim.run ~checkpoint_every ~checkpoint_path ?restore_from
-            spec
-        with
-        | Snapshot.Sim.Completed r ->
-          (try Sys.remove checkpoint_path with Sys_error _ -> ());
-          r
-        | Snapshot.Sim.Stopped _ -> assert false (* no stop_at here *)
-    in
+    let r = Exp.run ?max_dist ~model ~target w in
     Hashtbl.replace cache key r;
     r
 
@@ -131,17 +109,15 @@ let table1 () =
 let fig10 () =
   header "Fig. 10: iota() compiled RAW vs RE+";
   let src = (Workloads.iota ~n:16 ()).Workloads.source in
-  let show level label =
-    let asm = Straight_core.Compile.straight_asm ~max_dist:1023 ~level src in
-    let image, stats =
-      Straight_core.Compile.to_straight ~max_dist:1023 ~level src
-    in
-    let r = Iss.Straight_iss.run image in
+  let show target label =
+    let out = Compile.compile (Exp.codegen ~max_dist:1023 target) src in
+    let stats = Option.get out.Compile.stats in
+    let r = Iss.Straight_iss.run out.Compile.image in
     Printf.printf "--- %s: %d static instructions (%d RMOV, %d NOP), %d retired ---\n"
       label stats.Straight_cc.Codegen.total stats.Straight_cc.Codegen.rmov
       stats.Straight_cc.Codegen.nop r.Iss.Trace.retired;
     (* print only the iota function body *)
-    let lines = String.split_on_char '\n' asm in
+    let lines = String.split_on_char '\n' (Lazy.force out.Compile.listing) in
     let in_f = ref false in
     List.iter
       (fun l ->
@@ -150,8 +126,8 @@ let fig10 () =
          if !in_f then print_endline l)
       lines
   in
-  show Straight_cc.Codegen.Raw "RAW (basic algorithm, Sections IV-A..C)";
-  show Straight_cc.Codegen.Re_plus "RE+ (redundancy elimination, Section IV-D)"
+  show Exp.Straight_raw "RAW (basic algorithm, Sections IV-A..C)";
+  show Exp.Straight_re "RE+ (redundancy elimination, Section IV-D)"
 
 (* ---------- Figs. 11/12: relative performance ---------- *)
 
@@ -260,15 +236,15 @@ let fig16 () =
   Printf.printf "\n";
   List.iter
     (fun (w : Workloads.t) ->
-       let image, _ =
-         Straight_core.Compile.to_straight ~max_dist:1023
-           ~level:Straight_cc.Codegen.Re_plus w.Workloads.source
+       let out =
+         Compile.compile (Exp.codegen ~max_dist:1023 Exp.Straight_re)
+           w.Workloads.source
        in
        let r =
          Iss.Straight_iss.run
            ~config:{ Iss.Straight_iss.collect_trace = false;
                      collect_dist = true; max_insns = 50_000_000 }
-           image
+           out.Compile.image
        in
        let hist = r.Iss.Trace.dist_histogram in
        let total = Array.fold_left ( + ) 0 hist in
@@ -366,26 +342,20 @@ let ablation () =
   List.iter
     (fun (name, opt) ->
        let compile_run target =
-         let p = Minic.Lower.compile w.Workloads.source in
-         List.iter (Ssa_ir.Passes.optimize_at opt) p.Ssa_ir.Ir.funcs;
+         let image =
+           (Compile.compile ~opt (Exp.codegen target) w.Workloads.source)
+             .Compile.image
+         in
          match target with
-         | `Riscv ->
-           let image = Riscv_cc.Codegen.compile_to_image p in
+         | Exp.Riscv ->
            (Ooo_riscv.Pipeline.run Models.ss_4way image)
              .Ooo_riscv.Pipeline.stats.Engine.cycles
-         | `Straight ->
-           let image =
-             Straight_cc.Codegen.compile_to_image
-               ~config:{ Straight_cc.Codegen.max_dist =
-                           Ooo_common.Params.straight_max_dist;
-                         level = Straight_cc.Codegen.Re_plus }
-               p
-           in
+         | Exp.Straight_re | Exp.Straight_raw ->
            (Ooo_straight.Pipeline.run Models.straight_4way image)
              .Ooo_straight.Pipeline.stats.Engine.cycles
        in
-       Printf.printf "%-6s %12d %14d\n%!" name (compile_run `Riscv)
-         (compile_run `Straight))
+       Printf.printf "%-6s %12d %14d\n%!" name (compile_run Exp.Riscv)
+         (compile_run Exp.Straight_re))
     [ ("O0", Ssa_ir.Passes.O0); ("O1", Ssa_ir.Passes.O1);
       ("O2", Ssa_ir.Passes.O2) ]
 
@@ -529,9 +499,11 @@ let json_suite out =
           let dt = Unix.gettimeofday () -. t0 in
           (float_of_int s.Engine.cycles /. dt /. 1000., s))
     in
+    let image =
+      (Compile.compile (Exp.codegen target) w.Workloads.source).Compile.image
+    in
     match target with
     | Exp.Riscv ->
-      let image = Straight_core.Compile.to_riscv w.Workloads.source in
       let r =
         Iss.Riscv_iss.run
           ~config:{ Iss.Riscv_iss.collect_trace = true;
@@ -545,14 +517,6 @@ let json_suite out =
         r.Iss.Trace.trace
         (Ooo_riscv.Pipeline.static_uop image)
     | Exp.Straight_re | Exp.Straight_raw ->
-      let level =
-        match target with
-        | Exp.Straight_raw -> Straight_cc.Codegen.Raw
-        | _ -> Straight_cc.Codegen.Re_plus
-      in
-      let image, _ =
-        Straight_core.Compile.to_straight ~level w.Workloads.source
-      in
       let r =
         Iss.Straight_iss.run
           ~config:{ Iss.Straight_iss.collect_trace = true;

@@ -20,6 +20,8 @@
    campaign with the same -seed/-count resumes where it was killed
    instead of re-fuzzing from the start. *)
 
+module File = Snapshot.File
+
 let usage = "usage: fuzz [-seed N] [-count N] [-target minic|wasm] [-shrink] [-lint-only] [-lint-workloads] [-tv] [-tv-workloads] [-tv-mutations N] [-json FILE] [-corpus DIR] [-v]"
 
 type failure = {
@@ -64,30 +66,20 @@ let write_json (file : string) (failures : failure list) : unit =
 
 (* -corpus persistence: every write is tmp+rename so a SIGKILL mid-write
    can never leave a torn or half-visible file in the corpus. *)
-let write_atomic (path : string) (contents : string) : unit =
-  let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  let oc = open_out tmp in
-  (try output_string oc contents; close_out oc
-   with e -> close_out_noerr oc; (try Sys.remove tmp with Sys_error _ -> ()); raise e);
-  Sys.rename tmp path
-
-let ensure_dir path =
-  if not (Sys.file_exists path) then
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
 let corpus_save (dir : string) ~(ext : string) (f : failure) : unit =
   let stem = Filename.concat dir (Printf.sprintf "seed-%05d" f.f_seed) in
-  write_atomic (stem ^ ".json") (failure_json_string ~indent:"" f ^ "\n");
-  if f.f_source <> "" then write_atomic (stem ^ ext) f.f_source;
+  let save path s = File.write_atomic path (fun oc -> output_string oc s) in
+  save (stem ^ ".json") (failure_json_string ~indent:"" f ^ "\n");
+  if f.f_source <> "" then save (stem ^ ext) f.f_source;
   match f.f_minimized with
-  | Some m -> write_atomic (stem ^ ".min" ^ ext) m
+  | Some m -> save (stem ^ ".min" ^ ext) m
   | None -> ()
 
 (* progress marker: last fully processed seed, updated after each seed
    so a restarted campaign resumes at the next one. *)
 let corpus_mark (dir : string) (s : int) : unit =
-  write_atomic (Filename.concat dir "progress") (string_of_int s ^ "\n")
+  File.write_atomic (Filename.concat dir "progress") (fun oc ->
+      Printf.fprintf oc "%d\n" s)
 
 let corpus_last_done (dir : string) : int option =
   let path = Filename.concat dir "progress" in
@@ -134,21 +126,23 @@ let lint_source ?(opt = Ssa_ir.Passes.O2) ~(report_crash : bool)
   in
   let straight level label =
     match
-      Straight_core.Compile.to_straight ~opt
-        ~max_dist:Straight_isa.Isa.max_dist ~level src
+      Straight_core.Compile.compile ~opt
+        (Straight_core.Compile.Straight
+           { Straight_cc.Codegen.max_dist = Straight_isa.Isa.max_dist; level })
+        src
     with
-    | image, _ -> lint_one label image
+    | out -> lint_one label out.Straight_core.Compile.image
     | exception e when report_crash ->
       [ Printf.sprintf "%s: compile crashed: %s" label (Printexc.to_string e) ]
     | exception _ -> []
   in
   let riscv () =
-    match Straight_core.Compile.to_riscv ~opt src with
-    | image ->
+    match Straight_core.Compile.compile ~opt Straight_core.Compile.Riscv src with
+    | out ->
       List.map
         (fun f ->
            Printf.sprintf "riscv: %s" (Lint_report.finding_to_string f))
-        (Riscv_lint.Lint.lint image)
+        (Riscv_lint.Lint.lint out.Straight_core.Compile.image)
     | exception e when report_crash ->
       [ Printf.sprintf "riscv: compile crashed: %s" (Printexc.to_string e) ]
     | exception _ -> []
@@ -436,7 +430,7 @@ let () =
     !workloads_only || !tv_workloads_only || !tv_mutations_n > 0
   in
   if !corpus <> "" && not batch_mode then begin
-    ensure_dir !corpus;
+    File.mkdir_p !corpus;
     (match corpus_last_done !corpus with
      | Some last when last >= !seed ->
        first := last + 1;

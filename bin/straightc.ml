@@ -9,6 +9,7 @@
    findings. *)
 
 module Diagnostics = Straight_core.Diagnostics
+module Compile = Straight_core.Compile
 
 let main () =
   let usage =
@@ -117,60 +118,44 @@ let main () =
     | Ssa_ir.Passes.O1 -> "O1"
     | Ssa_ir.Passes.O2 -> "O2"
   in
-  match !target with
-  | "straight" ->
-    let level = if !raw then Straight_cc.Codegen.Raw else Straight_cc.Codegen.Re_plus in
-    let config = { Straight_cc.Codegen.max_dist = !maxdist; level } in
-    (* TV first: the back end mutates the IR in place, and the validator
-       wants to clone-and-compile the pristine program itself. *)
-    if !tv then
-      finish_tv
-        (Printf.sprintf "%s:straight:%s" !file olabel)
-        (Tv.Validate.validate_straight ~config prog);
-    let items = Straight_cc.Codegen.compile ~config prog in
-    if !show_asm then
-      print_string (Assembler.Asm.Straight.program_to_string items);
-    if !dump then
-      print_string
-        (Assembler.Asm.disassemble_straight
-           (Assembler.Asm.Straight.assemble ~entry:"_start" items));
-    if !run then begin
-      let image = Assembler.Asm.Straight.assemble ~entry:"_start" items in
-      let r = Iss.Straight_iss.run image in
-      print_string r.Iss.Trace.output;
-      Printf.printf "[retired %d instructions]\n" r.Iss.Trace.retired
-    end;
-    if !lint then begin
-      let image = Assembler.Asm.Straight.assemble ~entry:"_start" items in
-      finish_lint
-        (Printf.sprintf "%s:straight:%s" !file olabel)
-        (Straight_lint.Lint.lint ~max_dist:!maxdist image)
-    end
-  | "riscv" ->
-    if !tv then
-      finish_tv
-        (Printf.sprintf "%s:riscv:%s" !file olabel)
-        (Tv.Validate.validate_riscv prog);
-    let items = Riscv_cc.Codegen.compile prog in
-    if !show_asm then
-      print_string (Assembler.Asm.Riscv.program_to_string items);
-    if !dump then
-      print_string
-        (Assembler.Asm.disassemble_riscv
-           (Assembler.Asm.Riscv.assemble ~entry:"_start" items));
-    if !run then begin
-      let image = Assembler.Asm.Riscv.assemble ~entry:"_start" items in
-      let r = Iss.Riscv_iss.run image in
-      print_string r.Iss.Trace.output;
-      Printf.printf "[retired %d instructions]\n" r.Iss.Trace.retired
-    end;
-    if !lint then begin
-      let image = Assembler.Asm.Riscv.assemble ~entry:"_start" items in
-      finish_lint
-        (Printf.sprintf "%s:riscv:%s" !file olabel)
-        (Riscv_lint.Lint.lint image)
-    end
-  | t -> Printf.eprintf "unknown target %s\n" t; exit 2
+  let compile_target =
+    match !target with
+    | "straight" ->
+      let level =
+        if !raw then Straight_cc.Codegen.Raw else Straight_cc.Codegen.Re_plus
+      in
+      Compile.Straight { Straight_cc.Codegen.max_dist = !maxdist; level }
+    | "riscv" -> Compile.Riscv
+    | t -> Printf.eprintf "unknown target %s\n" t; exit 2
+  in
+  let label = Printf.sprintf "%s:%s:%s" !file !target olabel in
+  (* TV first: the back end mutates the IR in place, and the validator
+     wants to clone-and-compile the pristine program itself. *)
+  if !tv then
+    finish_tv label
+      (match compile_target with
+       | Compile.Straight config -> Tv.Validate.validate_straight ~config prog
+       | Compile.Riscv -> Tv.Validate.validate_riscv prog);
+  let out = Compile.backend compile_target prog in
+  if !show_asm then print_string (Lazy.force out.Compile.listing);
+  let disassemble, execute, verify =
+    match compile_target with
+    | Compile.Straight _ ->
+      ( Assembler.Asm.disassemble_straight,
+        (fun image -> Iss.Straight_iss.run image),
+        Straight_lint.Lint.lint ~max_dist:!maxdist )
+    | Compile.Riscv ->
+      ( Assembler.Asm.disassemble_riscv,
+        (fun image -> Iss.Riscv_iss.run image),
+        fun image -> Riscv_lint.Lint.lint image )
+  in
+  if !dump then print_string (disassemble out.Compile.image);
+  if !run then begin
+    let r = execute out.Compile.image in
+    print_string r.Iss.Trace.output;
+    Printf.printf "[retired %d instructions]\n" r.Iss.Trace.retired
+  end;
+  if !lint then finish_lint label (verify out.Compile.image)
 
 let () =
   try main () with

@@ -2,8 +2,8 @@
    workload) for a chosen Table-I model and report timing statistics.
 
      straightsim [-model ss-2way|straight-2way|ss-4way|straight-4way]
-                 [-target straight|straight-raw|riscv] [-tage] [-ideal]
-                 [-maxdist N] [-rob N] [-sched N] [-no-check]
+                 [-target straight|straight-re|straight-raw|riscv|ss]
+                 [-tage] [-ideal] [-maxdist N] [-rob N] [-sched N] [-no-check]
                  [-inject all|flip,tag,spurious,stretch] [-seed N]
                  [-inject-period N] [-dump-on-error FILE]
                  [-stats-json FILE] [-checkpoint FILE]
@@ -117,7 +117,8 @@ let () =
   let file = ref "" in
   let spec =
     [ ("-model", Arg.Set_string model_name, "ss-2way|straight-2way|ss-4way|straight-4way");
-      ("-target", Arg.Set_string target_name, "straight|straight-raw|riscv");
+      ("-target", Arg.Set_string target_name,
+       "straight|straight-re|straight-raw|riscv|ss");
       ("-tage", Arg.Set tage, "use the TAGE branch predictor");
       ("-ideal", Arg.Set ideal, "idealize misprediction recovery (fig 13)");
       ("-maxdist", Arg.Set_int maxdist, "maximum source distance (STRAIGHT)");
@@ -189,11 +190,9 @@ let () =
         model
   in
   let target =
-    match !target_name with
-    | "straight" -> Exp.Straight_re
-    | "straight-raw" -> Exp.Straight_raw
-    | "riscv" -> Exp.Riscv
-    | t -> Printf.eprintf "unknown target %s\n" t; exit 2
+    match Exp.of_name !target_name with
+    | Some t -> t
+    | None -> Printf.eprintf "unknown target %s\n" !target_name; exit 2
   in
   (match target, model.Params.rename with
    | Exp.Riscv, Params.Rp

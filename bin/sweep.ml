@@ -201,17 +201,11 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let base_spec =
-    match !grid with
-    | "default" -> Sweep.Grid.default ~quick:!quick
-    | "smoke" -> Sweep.Grid.smoke
-    | "golden" -> Sweep.Grid.golden
-    | g ->
-      Printf.eprintf "unknown grid %S (default|smoke|golden)\n" g;
+    match Sweep.Grid.preset ~quick:!quick !grid with
+    | Some spec -> spec
+    | None ->
+      Printf.eprintf "unknown grid %S (default|smoke|golden)\n" !grid;
       usage ()
-  in
-  (* presets carry their own quick flag; -quick forces it on *)
-  let base_spec =
-    if !quick then { base_spec with Sweep.Grid.quick = true } else base_spec
   in
   let spec =
     List.fold_left (fun s f -> f s) base_spec (List.rev !spec_override)
@@ -271,7 +265,7 @@ let () =
       exit (128 + n)
   in
   let doc = Sweep.Driver.to_json spec summary records in
-  Sweep.Store.mkdir_p (Filename.dirname !out);
+  Snapshot.File.mkdir_p (Filename.dirname !out);
   Out_channel.with_open_text !out (fun oc ->
       output_string oc (J.to_string doc));
   if !figures <> "none" then

@@ -19,26 +19,31 @@ let () =
        if f.Ssa_ir.Ir.name = "iota" then
          print_string (Ssa_ir.Ir.func_to_string f))
     prog.Ssa_ir.Ir.funcs;
+  (* one compile per target: the listing and the image come from the
+     same code-generator run *)
+  let compile target =
+    Straight_core.Compile.compile
+      (Straight_core.Experiment.codegen ~max_dist:1023 target)
+      source
+  in
+  let raw = compile Straight_core.Experiment.Straight_raw in
+  let re = compile Straight_core.Experiment.Straight_re in
+  let rv = compile Straight_core.Experiment.Riscv in
+  let listing (out : Straight_core.Compile.output) =
+    print_string (Lazy.force out.Straight_core.Compile.listing)
+  in
   banner "STRAIGHT, RAW (distance fixing with RMOV/NOP padding)";
-  print_string
-    (Straight_core.Compile.straight_asm ~max_dist:1023
-       ~level:Straight_cc.Codegen.Raw source);
+  listing raw;
   banner "STRAIGHT, RE+ (producers sunk into frame slots, stack relays)";
-  print_string
-    (Straight_core.Compile.straight_asm ~max_dist:1023
-       ~level:Straight_cc.Codegen.Re_plus source);
+  listing re;
   banner "RV32IM (the superscalar baseline)";
-  print_string (Straight_core.Compile.riscv_asm source);
+  listing rv;
   banner "dynamic instruction counts";
-  let retired level =
-    let image, _ = Straight_core.Compile.to_straight ~max_dist:1023 ~level source in
-    (Iss.Straight_iss.run image).Iss.Trace.retired
+  let retired (out : Straight_core.Compile.output) =
+    (Iss.Straight_iss.run out.Straight_core.Compile.image).Iss.Trace.retired
   in
   let riscv_retired =
-    let image = Straight_core.Compile.to_riscv source in
-    (Iss.Riscv_iss.run image).Iss.Trace.retired
+    (Iss.Riscv_iss.run rv.Straight_core.Compile.image).Iss.Trace.retired
   in
   Printf.printf "RV32IM: %d, STRAIGHT RAW: %d, STRAIGHT RE+: %d\n"
-    riscv_retired
-    (retired Straight_cc.Codegen.Raw)
-    (retired Straight_cc.Codegen.Re_plus)
+    riscv_retired (retired raw) (retired re)

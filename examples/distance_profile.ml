@@ -7,15 +7,17 @@
 let () =
   List.iter
     (fun (w : Workloads.t) ->
-       let image, _ =
-         Straight_core.Compile.to_straight ~max_dist:1023
-           ~level:Straight_cc.Codegen.Re_plus w.Workloads.source
+       let out =
+         Straight_core.Compile.compile
+           (Straight_core.Experiment.codegen ~max_dist:1023
+              Straight_core.Experiment.Straight_re)
+           w.Workloads.source
        in
        let r =
          Iss.Straight_iss.run
            ~config:{ Iss.Straight_iss.collect_trace = false;
                      collect_dist = true; max_insns = 50_000_000 }
-           image
+           out.Straight_core.Compile.image
        in
        let hist = r.Iss.Trace.dist_histogram in
        let total = Array.fold_left ( + ) 0 hist in

@@ -10,11 +10,11 @@ module Engine = Ooo_common.Engine
 let workload = Workloads.coremark ~iterations:1 ()
 
 let compile () =
-  let image, _ =
-    Straight_core.Compile.to_straight ~max_dist:Params.straight_max_dist
-      ~level:Straight_cc.Codegen.Re_plus workload.Workloads.source
-  in
-  image
+  (Straight_core.Compile.compile
+     (Straight_core.Experiment.codegen ~max_dist:Params.straight_max_dist
+        Straight_core.Experiment.Straight_re)
+     workload.Workloads.source)
+    .Straight_core.Compile.image
 
 let () =
   let image = compile () in

@@ -23,14 +23,16 @@ int main() {
 
 let () =
   print_endline "=== STRAIGHT assembly (RE+, max distance 31) ===";
-  print_string
-    (Straight_core.Compile.straight_asm ~max_dist:31
-       ~level:Straight_cc.Codegen.Re_plus source);
-  (* compile to a loadable image and execute on the functional simulator *)
-  let image, stats =
-    Straight_core.Compile.to_straight ~max_dist:31
-      ~level:Straight_cc.Codegen.Re_plus source
+  let out =
+    Straight_core.Compile.compile
+      (Straight_core.Experiment.codegen ~max_dist:31
+         Straight_core.Experiment.Straight_re)
+      source
   in
+  print_string (Lazy.force out.Straight_core.Compile.listing);
+  (* the same compile's image, executed on the functional simulator *)
+  let image = out.Straight_core.Compile.image in
+  let stats = Option.get out.Straight_core.Compile.stats in
   let run = Iss.Straight_iss.run image in
   Printf.printf "=== program output ===\n%s" run.Iss.Trace.output;
   Printf.printf "=== statistics ===\n";

@@ -14,6 +14,7 @@
 
 module Ir = Ssa_ir.Ir
 module Codegen = Straight_cc.Codegen
+module Compile = Straight_core.Compile
 
 type target =
   | Interp_opt
@@ -69,10 +70,7 @@ let global_layout (p : Ir.program) : (string * int * int) list =
    pipeline: the SSA is re-validated after each pass, so a middle-end bug
    surfaces as "pass X broke the IR" at the seed that triggers it instead
    of as a downstream divergence to triage. *)
-let frontend ?(optimize = true) (src : string) : Ir.program =
-  let p = Wasm.Front.compile_any src in
-  if optimize then List.iter Ssa_ir.Passes.checked p.Ir.funcs;
-  p
+let frontend src = Compile.frontend ~checked:true src
 
 let max_insns = 10_000_000
 
@@ -101,8 +99,10 @@ let run_target (src : string) (t : target) : exec =
           layout }
   | Straight (level, max_dist) ->
     let p = frontend src in
-    let config = { Codegen.max_dist; level } in
-    let image = Codegen.compile_to_image ~config p in
+    let image =
+      (Compile.backend (Compile.Straight { Codegen.max_dist; level }) p)
+        .Compile.image
+    in
     let session =
       Iss.Straight_iss.start
         ~config:{ Iss.Straight_iss.default_config with max_insns }
@@ -117,7 +117,7 @@ let run_target (src : string) (t : target) : exec =
           (Iss.Straight_iss.session_memory session) }
   | Riscv ->
     let p = frontend src in
-    let image = Riscv_cc.Codegen.compile_to_image p in
+    let image = (Compile.backend Compile.Riscv p).Compile.image in
     let o =
       Iss.Riscv_iss.run_outcome
         ~config:{ Iss.Riscv_iss.default_config with max_insns }
@@ -128,7 +128,7 @@ let run_target (src : string) (t : target) : exec =
       globals = globals_of_mem (global_layout p) o.Iss.Riscv_iss.mem }
 
 let reference (src : string) : exec =
-  let p = frontend ~optimize:false src in
+  let p = Compile.frontend ~opt:Ssa_ir.Passes.O0 src in
   let s = Ssa_ir.Interp.run_snapshot ~max_steps:max_insns p in
   let layout = global_layout p in
   { output = s.Ssa_ir.Interp.output;

@@ -796,6 +796,3 @@ let compile (p : Ir.program) : item list =
       p.Ir.data
   in
   start @ funcs @ data
-
-let compile_to_image (p : Ir.program) : Assembler.Image.t =
-  Assembler.Asm.Riscv.assemble ~entry:"_start" (compile p)

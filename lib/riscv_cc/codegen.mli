@@ -36,5 +36,3 @@ val layout_globals : Ssa_ir.Ir.data_def list -> (string, int) Hashtbl.t
 val compile : Ssa_ir.Ir.program -> item list
 (** Generate the complete RV32IM item list: the [_start] stub
     ([jal ra, main; ebreak]), all functions, and the data section. *)
-
-val compile_to_image : Ssa_ir.Ir.program -> Assembler.Image.t

@@ -40,19 +40,6 @@ type result = {
 
 (* ---------- content addressing ---------- *)
 
-let code_digest =
-  let memo = ref None in
-  fun () ->
-    match !memo with
-    | Some d -> d
-    | None ->
-      let d =
-        try Digest.to_hex (Digest.file Sys.executable_name)
-        with Sys_error _ -> "unknown-executable"
-      in
-      memo := Some d;
-      d
-
 let plan_key (spec : Sim.spec) (sp : Spec.t) : string =
   let manifest =
     String.concat "\n"
@@ -66,7 +53,7 @@ let plan_key (spec : Sim.spec) (sp : Spec.t) : string =
         string_of_int spec.Sim.max_insns;
         string_of_int spec.Sim.max_dist;
         string_of_bool spec.Sim.check;
-        code_digest () ]
+        File.code_digest () ]
   in
   Digest.to_hex (Digest.string manifest)
 
@@ -174,18 +161,6 @@ let load_manifest path key : plan option =
        | Some p when p.key = key -> Some p
        | _ -> None)
 
-let write_manifest path (p : plan) =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (Json.to_string (plan_to_json p));
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
 (* ---------- materialization ---------- *)
 
 (* One open collection window: the warmed state was snapshotted at
@@ -199,13 +174,6 @@ type window = {
   mutable w_buf : Trace.uop list;
 }
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
   let key = plan_key spec sp in
   let sdir = Filename.concat dir "sample" in
@@ -214,7 +182,7 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
   | Some p when List.for_all (fun e -> Sys.file_exists e.path) p.entries ->
     (p, true)
   | _ ->
-    mkdir_p sdir;
+    File.mkdir_p sdir;
     let image = Sim.compile spec in
     let warm = Warm.create spec.Sim.params in
     let period = sp.Spec.every * sp.Spec.interval in
@@ -297,7 +265,8 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
       { key; total_retired;
         entries = List.sort (fun a b -> compare a.index b.index) !entries }
     in
-    write_manifest manifest_path p;
+    File.write_atomic manifest_path (fun oc ->
+        output_string oc (Json.to_string (plan_to_json p)));
     (p, false)
 
 (* ---------- running one interval ---------- *)

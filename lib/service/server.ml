@@ -17,6 +17,7 @@ module Store = Sweep.Store
 module Runner = Sweep.Runner
 module Persistent = Sweep.Pool.Persistent
 module Compile = Straight_core.Compile
+module Exp = Straight_core.Experiment
 
 let max_line = 1 lsl 20 (* a request line this long is an attack, not a job *)
 
@@ -29,7 +30,7 @@ type client = {
 type sweep_agg = {
   sa_client : client;
   sa_id : string;
-  sa_grid : string;
+  sa_spec : Grid.spec;  (* the expanded request, overrides included *)
   sa_total : int;
   sa_records : Runner.record option array;
   sa_t0 : float;
@@ -82,26 +83,22 @@ let compile_key ~target ~(w : Workloads.t) =
             w.Workloads.name;
             string_of_int w.Workloads.iterations;
             Digest.to_hex (Digest.string w.Workloads.source);
-            Store.code_digest () ]))
+            Snapshot.File.code_digest () ]))
 
 let compile_doc ~target ~(w : Workloads.t) : J.t =
-  let label, asm =
-    match target with
-    | "ss" | "riscv" ->
-      ("SS", Compile.riscv_asm w.Workloads.source)
-    | "straight-raw" ->
-      ( "STRAIGHT(RAW)",
-        Compile.straight_asm ~level:Straight_cc.Codegen.Raw
-          w.Workloads.source )
-    | "straight" | "straight-re" ->
-      ( "STRAIGHT(RE+)",
-        Compile.straight_asm ~level:Straight_cc.Codegen.Re_plus
-          w.Workloads.source )
-    | t -> raise (Proto.Bad_request (Diag.Config_error, "unknown target " ^ t))
+  let t =
+    match Exp.of_name target with
+    | Some t -> t
+    | None ->
+      raise (Proto.Bad_request (Diag.Config_error, "unknown target " ^ target))
+  in
+  let asm =
+    Lazy.force
+      (Compile.compile (Exp.codegen t) w.Workloads.source).Compile.listing
   in
   J.Obj
     [ ("schema", J.Str "straightd-compile/1");
-      ("target", J.Str label);
+      ("target", J.Str (Exp.target_label t));
       ("workload", J.Str w.Workloads.name);
       ("iterations", J.Int w.Workloads.iterations);
       ("asm_lines",
@@ -253,23 +250,17 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
       |> List.filter_map Fun.id
       |> List.sort Runner.compare_order
     in
-    let result =
-      J.Obj
-        [ ("schema", J.Str "straight-sweep/1");
-          ("grid", J.Str agg.sa_grid);
-          ("summary",
-           J.Obj
-             [ ("total", J.Int agg.sa_total);
-               ("executed", J.Int agg.sa_executed);
-               ("cached", J.Int agg.sa_cached);
-               ("failed", J.Int agg.sa_failed);
-               ("wall_seconds",
-                J.Float (Unix.gettimeofday () -. agg.sa_t0)) ]);
-          ("records", J.List (List.map Runner.to_json records)) ]
+    let summary =
+      { Sweep.Driver.total = agg.sa_total;
+        executed = agg.sa_executed;
+        cached = agg.sa_cached;
+        failed = agg.sa_failed;
+        wall_seconds = Unix.gettimeofday () -. agg.sa_t0 }
     in
     send agg.sa_client
       (Proto.reply_result ~id:agg.sa_id ~op:"sweep"
-         ~cached:(agg.sa_executed = 0 && agg.sa_failed = 0) result)
+         ~cached:(agg.sa_executed = 0 && agg.sa_failed = 0)
+         (Sweep.Driver.to_json agg.sa_spec summary records))
   in
   let sweep_point_done (agg : sweep_agg) i (res : Runner.record option) =
     (match res with
@@ -340,14 +331,7 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
          enqueue (Direct (c, id, op)) key (Proto.point_req_to_json preq))
   in
   let handle_sweep (c : client) id (sreq : Proto.sweep_req) =
-    let base =
-      match sreq.Proto.sw_grid with
-      | "default" -> Some (Grid.default ~quick:sreq.Proto.sw_quick)
-      | "smoke" -> Some Grid.smoke
-      | "golden" -> Some Grid.golden
-      | _ -> None
-    in
-    match base with
+    match Grid.preset ~quick:sreq.Proto.sw_quick sreq.Proto.sw_grid with
     | None ->
       send c
         (Proto.reply_error ~id Diag.Config_error
@@ -360,8 +344,7 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
             Option.value ~default:spec.Grid.machines sreq.Proto.sw_machines;
           widths = Option.value ~default:spec.Grid.widths sreq.Proto.sw_widths;
           workloads =
-            Option.value ~default:spec.Grid.workloads sreq.Proto.sw_workloads;
-          quick = spec.Grid.quick || sreq.Proto.sw_quick }
+            Option.value ~default:spec.Grid.workloads sreq.Proto.sw_workloads }
       in
       (match Grid.expand spec with
        | exception Invalid_argument m ->
@@ -369,7 +352,7 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
        | points ->
          let n = List.length points in
          let agg =
-           { sa_client = c; sa_id = id; sa_grid = sreq.Proto.sw_grid;
+           { sa_client = c; sa_id = id; sa_spec = spec;
              sa_total = n; sa_records = Array.make (max 1 n) None;
              sa_t0 = Unix.gettimeofday (); sa_done = 0; sa_cached = 0;
              sa_executed = 0; sa_failed = 0 }

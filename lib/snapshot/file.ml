@@ -110,6 +110,28 @@ let reject path fmt =
          Diag.Snapshot_error "cannot restore checkpoint %s: %s" path reason)
     fmt
 
+(* ---------- file-system helpers shared by every store ---------- *)
+
+let rec mkdir_p d =
+  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
+let write_atomic path (write : out_channel -> unit) =
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  try
+    let oc = open_out_bin tmp in
+    (try write oc; close_out oc with e -> close_out_noerr oc; raise e);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+let code_digest =
+  let d = lazy (Digest.to_hex (Digest.file Sys.executable_name)) in
+  fun () -> Lazy.force d
+
 let save path (m : meta) ~(payload : string) =
   let body = payload in
   let payload = Buffer.create (String.length body + 4096) in
@@ -121,15 +143,9 @@ let save path (m : meta) ~(payload : string) =
   put_le hdr version 4;
   put_le hdr (String.length payload) 8;
   put_le hdr (Bin.crc32 payload) 4;
-  (* atomic: temp file in the destination directory, then rename *)
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (Buffer.contents hdr);
-     output_string oc payload;
-     close_out oc
-   with e -> close_out_noerr oc; (try Sys.remove tmp with Sys_error _ -> ()); raise e);
-  Sys.rename tmp path
+  write_atomic path (fun oc ->
+      output_string oc (Buffer.contents hdr);
+      output_string oc payload)
 
 let load path : meta * Bin.reader =
   let raw =

@@ -62,6 +62,22 @@ type meta = {
   dist_histogram : int array;
 }
 
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents (an existing one is
+    fine, so concurrent creators do not race). *)
+
+val write_atomic : string -> (out_channel -> unit) -> unit
+(** [write_atomic path write] runs [write] on a temp file next to [path]
+    (["<path>.tmp.<pid>"]) and renames it over [path], so a reader never
+    sees a torn file.  When the write or the rename fails, the temp file
+    is removed before the error propagates.
+    @raise Sys_error when the destination is not writable. *)
+
+val code_digest : unit -> string
+(** MD5 of the running executable (computed once, cached): the "code
+    hash" every content-addressed store key ends with, so a rebuild
+    invalidates what an older build stored. *)
+
 val save : string -> meta -> payload:string -> unit
 (** [save path meta ~payload] atomically writes the container; the
     payload's shape is named by [meta.kind].

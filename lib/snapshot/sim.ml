@@ -31,16 +31,8 @@ type session = {
 }
 
 let compile (s : spec) : Assembler.Image.t =
-  match s.target with
-  | Exp.Riscv -> Compile.to_riscv s.workload.Workloads.source
-  | Exp.Straight_raw ->
-    fst
-      (Compile.to_straight ~max_dist:s.max_dist
-         ~level:Straight_cc.Codegen.Raw s.workload.Workloads.source)
-  | Exp.Straight_re ->
-    fst
-      (Compile.to_straight ~max_dist:s.max_dist
-         ~level:Straight_cc.Codegen.Re_plus s.workload.Workloads.source)
+  (Compile.compile (Exp.codegen ~max_dist:s.max_dist s.target)
+     s.workload.Workloads.source).Compile.image
 
 let start (s : spec) : session =
   let image = compile s in

@@ -1623,10 +1623,6 @@ let compile ?(config = default_config) (p : Ir.program) : item list =
   in
   start @ funcs @ data
 
-(* [compile_to_image ?config p] assembles the generated items. *)
-let compile_to_image ?config (p : Ir.program) : Assembler.Image.t =
-  Assembler.Asm.Straight.assemble ~entry:"_start" (compile ?config p)
-
 (* Static instruction-mix statistics over generated items (Fig. 15 input). *)
 type stats = {
   total : int;

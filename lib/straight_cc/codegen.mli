@@ -63,8 +63,6 @@ val compile : ?config:config -> Ssa_ir.Ir.program -> item list
 (** Generate the complete assembly item list: the [_start] stub ([JAL
     main; HALT]), all functions, and the data section. *)
 
-val compile_to_image : ?config:config -> Ssa_ir.Ir.program -> Assembler.Image.t
-
 (** Static instruction-mix statistics over generated items (input to the
     Fig. 15 comparison). *)
 type stats = {

@@ -5,10 +5,10 @@
    {[
      let exp = Straight_core.Experiment.run
          ~model:Straight_core.Models.straight_4way
-         ~target:(Straight `Re_plus)
+         ~target:Straight_core.Experiment.Straight_re
          (Workloads.coremark ())
      in
-     Printf.printf "IPC %.2f\n" exp.ipc
+     Printf.printf "IPC %.2f\n" exp.Straight_core.Experiment.ipc
    ]}
 
    See examples/ for runnable programs and bench/ for the per-figure
@@ -55,10 +55,23 @@ module Diagnostics = struct
     | _ -> None
 end
 
+(* The one compile pipeline (the paper's Fig. 7): source -> SSA IR ->
+   a code generator -> the assembler.  Every library and binary that
+   turns source or IR into an image goes through [backend].  Two callers
+   assemble items themselves: the translation validator's mutation
+   harness, which assembles items it has mutated, and the benchmark's
+   per-layer wrappers (stackbench/layer.ml), which time each layer on
+   its own. *)
 module Compile = struct
   type target =
-    | Straight of Straight_cc.Codegen.opt_level   (* RAW or RE+ *)
+    | Straight of Straight_cc.Codegen.config   (* RAW or RE+, max distance *)
     | Riscv
+
+  type output = {
+    image : Assembler.Image.t;
+    listing : string Lazy.t;
+    stats : Straight_cc.Codegen.stats option;
+  }
 
   (* [frontend ?opt ?checked src] parses + lowers + optimizes source
      into SSA IR (each call returns a fresh program: back ends mutate
@@ -77,33 +90,24 @@ module Compile = struct
     List.iter (run opt) p.Ssa_ir.Ir.funcs;
     p
 
-  (* [to_straight ?max_dist ~level src] compiles MiniC to a STRAIGHT
-     image. *)
-  let to_straight ?opt ?checked
-      ?(max_dist = Ooo_common.Params.straight_max_dist)
-      ~(level : Straight_cc.Codegen.opt_level) (src : string) :
-    Assembler.Image.t * Straight_cc.Codegen.stats =
-    let p = frontend ?opt ?checked src in
-    let config = { Straight_cc.Codegen.max_dist; level } in
-    let items = Straight_cc.Codegen.compile ~config p in
-    let stats = Straight_cc.Codegen.stats_of_items items in
-    (Assembler.Asm.Straight.assemble ~entry:"_start" items, stats)
+  (* [backend target p] generates code for [p] (mutating it) and links
+     the items at [_start]; the listing is printed from the same items
+     on demand. *)
+  let backend (target : target) (p : Ssa_ir.Ir.program) : output =
+    match target with
+    | Straight config ->
+      let items = Straight_cc.Codegen.compile ~config p in
+      { image = Assembler.Asm.Straight.assemble ~entry:"_start" items;
+        listing = lazy (Assembler.Asm.Straight.program_to_string items);
+        stats = Some (Straight_cc.Codegen.stats_of_items items) }
+    | Riscv ->
+      let items = Riscv_cc.Codegen.compile p in
+      { image = Assembler.Asm.Riscv.assemble ~entry:"_start" items;
+        listing = lazy (Assembler.Asm.Riscv.program_to_string items);
+        stats = None }
 
-  (* [to_riscv src] compiles MiniC to an RV32IM image. *)
-  let to_riscv ?opt ?checked (src : string) : Assembler.Image.t =
-    Riscv_cc.Codegen.compile_to_image (frontend ?opt ?checked src)
-
-  (* [straight_asm ...] returns the generated assembly text (Fig. 10). *)
-  let straight_asm ?opt ?checked
-      ?(max_dist = Ooo_common.Params.straight_max_dist)
-      ~level (src : string) : string =
-    let config = { Straight_cc.Codegen.max_dist; level } in
-    Assembler.Asm.Straight.program_to_string
-      (Straight_cc.Codegen.compile ~config (frontend ?opt ?checked src))
-
-  let riscv_asm ?opt ?checked (src : string) : string =
-    Assembler.Asm.Riscv.program_to_string
-      (Riscv_cc.Codegen.compile (frontend ?opt ?checked src))
+  let compile ?opt ?checked (target : target) (src : string) : output =
+    backend target (frontend ?opt ?checked src)
 end
 
 module Experiment = struct
@@ -116,6 +120,21 @@ module Experiment = struct
     | Straight_raw -> "STRAIGHT(RAW)"
     | Straight_re -> "STRAIGHT(RE+)"
     | Riscv -> "SS"
+
+  (* The one map from an experiment target to its code generator. *)
+  let codegen ?(max_dist = Ooo_common.Params.straight_max_dist) = function
+    | Straight_raw ->
+      Compile.Straight { Straight_cc.Codegen.max_dist; level = Raw }
+    | Straight_re ->
+      Compile.Straight { Straight_cc.Codegen.max_dist; level = Re_plus }
+    | Riscv -> Compile.Riscv
+
+  (* The one table of target names the command-line tools accept. *)
+  let of_name = function
+    | "straight" | "straight-re" -> Some Straight_re
+    | "straight-raw" -> Some Straight_raw
+    | "riscv" | "ss" -> Some Riscv
+    | _ -> None
 
   type result = {
     workload : string;
@@ -134,36 +153,29 @@ module Experiment = struct
   let run ?(max_dist = Ooo_common.Params.straight_max_dist) ?(check = true)
       ~(model : Ooo_common.Params.t) ~(target : target)
       (w : Workloads.t) : result =
-    match target with
-    | Riscv ->
-      let image = Compile.to_riscv w.Workloads.source in
-      let r = Ooo_riscv.Pipeline.run ~check model image in
-      { workload = w.Workloads.name;
-        model = model.Ooo_common.Params.name;
-        target;
-        cycles = r.Ooo_riscv.Pipeline.stats.Ooo_common.Engine.cycles;
-        committed = r.Ooo_riscv.Pipeline.stats.Ooo_common.Engine.committed;
-        ipc = r.Ooo_riscv.Pipeline.stats.Ooo_common.Engine.ipc;
-        output = r.Ooo_riscv.Pipeline.output;
-        stats = r.Ooo_riscv.Pipeline.stats;
-        dist_histogram = [||] }
-    | Straight_raw | Straight_re ->
-      let level =
-        match target with
-        | Straight_raw -> Straight_cc.Codegen.Raw
-        | _ -> Straight_cc.Codegen.Re_plus
-      in
-      let image, _ = Compile.to_straight ~max_dist ~level w.Workloads.source in
-      let r = Ooo_straight.Pipeline.run ~check ~max_dist model image in
-      { workload = w.Workloads.name;
-        model = model.Ooo_common.Params.name;
-        target;
-        cycles = r.Ooo_straight.Pipeline.stats.Ooo_common.Engine.cycles;
-        committed = r.Ooo_straight.Pipeline.stats.Ooo_common.Engine.committed;
-        ipc = r.Ooo_straight.Pipeline.stats.Ooo_common.Engine.ipc;
-        output = r.Ooo_straight.Pipeline.output;
-        stats = r.Ooo_straight.Pipeline.stats;
-        dist_histogram = r.Ooo_straight.Pipeline.dist_histogram }
+    let image =
+      (Compile.compile (codegen ~max_dist target) w.Workloads.source)
+        .Compile.image
+    in
+    let stats, output, dist_histogram =
+      match target with
+      | Riscv ->
+        let r = Ooo_riscv.Pipeline.run ~check model image in
+        (r.Ooo_riscv.Pipeline.stats, r.Ooo_riscv.Pipeline.output, [||])
+      | Straight_raw | Straight_re ->
+        let r = Ooo_straight.Pipeline.run ~check ~max_dist model image in
+        ( r.Ooo_straight.Pipeline.stats, r.Ooo_straight.Pipeline.output,
+          r.Ooo_straight.Pipeline.dist_histogram )
+    in
+    { workload = w.Workloads.name;
+      model = model.Ooo_common.Params.name;
+      target;
+      cycles = stats.Ooo_common.Engine.cycles;
+      committed = stats.Ooo_common.Engine.committed;
+      ipc = stats.Ooo_common.Engine.ipc;
+      output;
+      stats;
+      dist_histogram }
 
   (* Relative performance (inverse cycles), the metric of Figs. 11-14. *)
   let relative_perf ~(baseline : result) (r : result) : float =

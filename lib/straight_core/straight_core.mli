@@ -33,11 +33,22 @@ module Diagnostics : sig
       anything unrecognized yields [None]. *)
 end
 
-(** Compilation pipelines: MiniC source -> SSA IR -> either target. *)
+(** The one compile pipeline (Fig. 7): source -> SSA IR -> the STRAIGHT
+    or RV32IM code generator -> the assembler.  Every source-to-image
+    path in the libraries and binaries goes through {!Compile.backend}. *)
 module Compile : sig
   type target =
-    | Straight of Straight_cc.Codegen.opt_level
+    | Straight of Straight_cc.Codegen.config
+        (** RAW or RE+ at the configured maximum distance *)
     | Riscv
+
+  type output = {
+    image : Assembler.Image.t;   (** linked at [_start] *)
+    listing : string Lazy.t;
+        (** the assembly text of the same items (Fig. 10-style
+            inspection), printed on demand *)
+    stats : Straight_cc.Codegen.stats option;  (** STRAIGHT only *)
+  }
 
   val frontend :
     ?opt:Ssa_ir.Passes.opt_level -> ?checked:bool -> string ->
@@ -48,24 +59,15 @@ module Compile : sig
       {!Ssa_ir.Passes.checked_at}, validating the SSA after every pass so
       a violation blames the culprit pass by name. *)
 
-  val to_straight :
-    ?opt:Ssa_ir.Passes.opt_level -> ?checked:bool ->
-    ?max_dist:int -> level:Straight_cc.Codegen.opt_level -> string ->
-    Assembler.Image.t * Straight_cc.Codegen.stats
-  (** Compile MiniC to a STRAIGHT image (default max distance: the
-      Table-I value, 31). *)
+  val backend : target -> Ssa_ir.Ir.program -> output
+  (** Generate code for the program and assemble it.  Mutates the IR
+      (critical-edge splitting, block layout): clone it first if it is
+      needed afterwards. *)
 
-  val to_riscv :
-    ?opt:Ssa_ir.Passes.opt_level -> ?checked:bool -> string ->
-    Assembler.Image.t
-
-  val straight_asm :
-    ?opt:Ssa_ir.Passes.opt_level -> ?checked:bool ->
-    ?max_dist:int -> level:Straight_cc.Codegen.opt_level -> string -> string
-  (** The generated assembly text (Fig. 10-style inspection). *)
-
-  val riscv_asm :
-    ?opt:Ssa_ir.Passes.opt_level -> ?checked:bool -> string -> string
+  val compile :
+    ?opt:Ssa_ir.Passes.opt_level -> ?checked:bool -> target -> string ->
+    output
+  (** [frontend] then [backend]. *)
 end
 
 (** Running a workload on a cycle-level model. *)
@@ -76,6 +78,14 @@ module Experiment : sig
     | Riscv               (** the superscalar baseline *)
 
   val target_label : target -> string
+
+  val codegen : ?max_dist:int -> target -> Compile.target
+  (** The code generator a target's images come from (default max
+      distance: the Table-I value, 31). *)
+
+  val of_name : string -> target option
+  (** The target names the tools accept: [straight] and [straight-re]
+      (RE+), [straight-raw], [riscv] and [ss]. *)
 
   type result = {
     workload : string;

@@ -64,7 +64,7 @@ let sweep ?(procs = 0) ?(timeout = 600.) ?(retries = 1)
         (fun i -> finish i (Runner.run ~sample_store:cache_dir points.(i)))
         todo
     else begin
-      Store.mkdir_p ckpt_dir;
+      Snapshot.File.mkdir_p ckpt_dir;
       let worker j =
         let i = todo.(j) in
         let r =
@@ -139,7 +139,7 @@ let to_json (spec : Grid.spec) (s : summary) (records : Runner.record list) :
   J.t =
   J.Obj
     [ ("schema", J.Str "straight-sweep/1");
-      ("code_hash", J.Str (Store.code_digest ()));
+      ("code_hash", J.Str (Snapshot.File.code_digest ()));
       ("grid", spec_to_json spec);
       ("summary",
        J.Obj

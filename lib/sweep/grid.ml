@@ -217,3 +217,14 @@ let golden =
     workloads = [ "fib"; "quicksort"; "pointer_chase" ];
     samples = [ None ];
     quick = true }
+
+let preset ~quick name =
+  let spec =
+    match name with
+    | "default" -> Some (default ~quick)
+    | "smoke" -> Some smoke
+    | "golden" -> Some golden
+    | _ -> None
+  in
+  (* presets carry their own quick flag; [quick] forces it on *)
+  Option.map (fun s -> if quick then { s with quick = true } else s) spec

@@ -64,6 +64,11 @@ val golden : spec
     machines) whose per-point cycles and CPI stacks live in
     [test/sweep_golden.json]. *)
 
+val preset : quick:bool -> string -> spec option
+(** The preset named [default], [smoke] or [golden] ([None] for any
+    other name).  [quick] forces the smaller iteration counts on; a
+    preset keeps its own flag otherwise. *)
+
 val expand : spec -> point list
 (** Cartesian product in deterministic order (machines outermost,
     workloads innermost). *)

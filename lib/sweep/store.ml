@@ -3,10 +3,6 @@
 module Params = Ooo_common.Params
 module J = Ooo_common.Stats.Json
 
-let code_digest =
-  let d = lazy (Digest.to_hex (Digest.file Sys.executable_name)) in
-  fun () -> Lazy.force d
-
 let key (pt : Grid.point) : string =
   let w = pt.Grid.workload in
   let manifest =
@@ -20,18 +16,12 @@ let key (pt : Grid.point) : string =
         (match pt.Grid.sample with
          | None -> "exact"
          | Some sp -> Sample.Spec.to_string sp);
-        code_digest () ]
+        Snapshot.File.code_digest () ]
   in
   Digest.to_hex (Digest.string manifest)
 
 let cache_dir dir = Filename.concat dir "cache"
 let path dir k = Filename.concat (cache_dir dir) (k ^ ".json")
-
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 (* ---------- stale temp-file hygiene ----------
 
@@ -103,18 +93,10 @@ let lookup_doc ~dir ~sub k : J.t option =
 
 let save_doc ~dir ~sub k (doc : J.t) : unit =
   let d = Filename.concat dir sub in
-  mkdir_p d;
+  Snapshot.File.mkdir_p d;
   sweep_once d;
-  let final = doc_path ~dir ~sub k in
-  let tmp = Printf.sprintf "%s.tmp.%d" final (Unix.getpid ()) in
-  Out_channel.with_open_text tmp (fun oc ->
-      output_string oc (J.to_string doc));
-  (* a failed rename (directory removed underneath us, EXDEV, quota)
-     must not strand the temp file next to the cache forever *)
-  try Unix.rename tmp final
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  Snapshot.File.write_atomic (doc_path ~dir ~sub k) (fun oc ->
+      output_string oc (J.to_string doc))
 
 let lookup ~dir k : Runner.record option =
   sweep_once (cache_dir dir);

@@ -10,15 +10,8 @@
     never leak cycle counts).  Re-running a sweep therefore simulates
     only the points whose inputs changed. *)
 
-val code_digest : unit -> string
-(** MD5 of the running executable (computed once, cached). *)
-
 val key : Grid.point -> string
 (** Stable content address (hex). *)
-
-val mkdir_p : string -> unit
-(** Create a directory and any missing parents (an existing one is
-    fine, so concurrent creators do not race). *)
 
 val lookup : dir:string -> string -> Runner.record option
 (** [lookup ~dir key] returns the cached record with [cached = true],
@@ -27,8 +20,9 @@ val lookup : dir:string -> string -> Runner.record option
 
 val save : dir:string -> string -> Runner.record -> unit
 (** Atomic (write-to-temp + rename) so parallel sweeps and interrupted
-    runs can never expose a torn entry.  If the rename itself fails the
-    temp file is unlinked before the error propagates. *)
+    runs can never expose a torn entry ({!Snapshot.File.write_atomic}:
+    a failed write or rename unlinks the temp file before the error
+    propagates). *)
 
 val sweep_stale : dir:string -> int
 (** Remove orphaned ["<key>.json.tmp.<pid>"] entries under

@@ -49,6 +49,7 @@ module T = Term
 module Image = Assembler.Image
 module Sisa = Straight_isa.Isa
 module Risa = Riscv_isa.Isa
+module Compile = Straight_core.Compile
 
 type target = Straight | Riscv
 
@@ -1169,19 +1170,18 @@ let validate_image ?(max_dist = Sisa.max_dist) ~(target : target)
 
 (* ---------- compile-and-validate front doors ---------- *)
 
+(* Both front doors compile a clone through the pipeline the simulators
+   run, so the caller's program stays pristine. *)
 let validate_straight ?(config = Straight_cc.Codegen.default_config)
     (p : Ir.program) : finding list =
   let p = clone_program p in
-  let items = Straight_cc.Codegen.compile ~config p in
-  let image = Assembler.Asm.Straight.assemble ~entry:"_start" items in
+  let out = Compile.backend (Compile.Straight config) p in
   validate_image ~max_dist:config.Straight_cc.Codegen.max_dist
-    ~target:Straight p image
+    ~target:Straight p out.Compile.image
 
 let validate_riscv (p : Ir.program) : finding list =
   let p = clone_program p in
-  let items = Riscv_cc.Codegen.compile p in
-  let image = Assembler.Asm.Riscv.assemble ~entry:"_start" items in
-  validate_image ~target:Riscv p image
+  validate_image ~target:Riscv p (Compile.backend Compile.Riscv p).Compile.image
 
 (* ---------- the mutation harness ---------- *)
 

@@ -136,10 +136,12 @@ let test_disassembly_roundtrip () =
   let prog = Minic.Lower.compile src in
   List.iter Ssa_ir.Passes.optimize prog.Ir.funcs;
   let simage =
-    Straight_cc.Codegen.compile_to_image
-      ~config:{ Straight_cc.Codegen.max_dist = 31;
-                level = Straight_cc.Codegen.Re_plus }
-      prog
+    (Straight_core.Compile.backend
+       (Straight_core.Compile.Straight
+          { Straight_cc.Codegen.max_dist = 31;
+            level = Straight_cc.Codegen.Re_plus })
+       prog)
+      .Straight_core.Compile.image
   in
   Array.iter
     (fun w ->
@@ -151,7 +153,10 @@ let test_disassembly_roundtrip () =
     simage.Assembler.Image.text;
   let prog2 = Minic.Lower.compile src in
   List.iter Ssa_ir.Passes.optimize prog2.Ir.funcs;
-  let rimage = Riscv_cc.Codegen.compile_to_image prog2 in
+  let rimage =
+    (Straight_core.Compile.backend Straight_core.Compile.Riscv prog2)
+      .Straight_core.Compile.image
+  in
   Array.iter
     (fun w ->
        match Riscv_isa.Encoding.decode w with

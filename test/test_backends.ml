@@ -21,7 +21,10 @@ let run_interp src = fst (Ssa_ir.Interp.run (compile_ir src))
 let run_straight ~level ~max_dist src =
   let p = compile_ir src in
   let config = { Straight_cc.Codegen.max_dist; level } in
-  let image = Straight_cc.Codegen.compile_to_image ~config p in
+  let image =
+    (Straight_core.Compile.backend (Straight_core.Compile.Straight config) p)
+      .Straight_core.Compile.image
+  in
   let r =
     Iss.Straight_iss.run
       ~config:{ Iss.Straight_iss.default_config with max_insns = 10_000_000 }
@@ -31,7 +34,10 @@ let run_straight ~level ~max_dist src =
 
 let run_riscv src =
   let p = compile_ir src in
-  let image = Riscv_cc.Codegen.compile_to_image p in
+  let image =
+    (Straight_core.Compile.backend Straight_core.Compile.Riscv p)
+      .Straight_core.Compile.image
+  in
   let r =
     Iss.Riscv_iss.run
       ~config:{ Iss.Riscv_iss.default_config with max_insns = 10_000_000 }
@@ -404,7 +410,10 @@ int main() { iota(arr, 16); putint(arr[7]); }
   let retired level =
     let p = compile_ir src in
     let config = { Straight_cc.Codegen.max_dist = 1023; level } in
-    let image = Straight_cc.Codegen.compile_to_image ~config p in
+    let image =
+      (Straight_core.Compile.backend (Straight_core.Compile.Straight config) p)
+        .Straight_core.Compile.image
+    in
     (Iss.Straight_iss.run image).Iss.Trace.retired
   in
   Alcotest.(check bool) "re+ retires fewer instructions" true

@@ -144,9 +144,12 @@ let test_lint_workloads_clean () =
     (fun (w : Workloads.t) ->
        List.iter
          (fun (level, max_dist) ->
-            let image, _ =
-              Straight_core.Compile.to_straight ~max_dist ~level
-                w.Workloads.source
+            let image =
+              (Straight_core.Compile.compile
+                 (Straight_core.Compile.Straight
+                    { Straight_cc.Codegen.max_dist; level })
+                 w.Workloads.source)
+                .Straight_core.Compile.image
             in
             match Lint.lint ~max_dist image with
             | [] -> ()
@@ -157,7 +160,11 @@ let test_lint_workloads_clean () =
            (Straight_cc.Codegen.Raw, 1023);
            (Straight_cc.Codegen.Re_plus, 31);
            (Straight_cc.Codegen.Raw, 31) ];
-       let riscv = Straight_core.Compile.to_riscv w.Workloads.source in
+       let riscv =
+         (Straight_core.Compile.compile Straight_core.Compile.Riscv
+            w.Workloads.source)
+           .Straight_core.Compile.image
+       in
        match RLint.lint riscv with
        | [] -> ()
        | f :: _ ->

@@ -246,7 +246,10 @@ int main() {
   let config =
     { Straight_cc.Codegen.max_dist = 31; level = Straight_cc.Codegen.Re_plus }
   in
-  let image = Straight_cc.Codegen.compile_to_image ~config prog in
+  let image =
+    (Straight_core.Compile.backend (Straight_core.Compile.Straight config) prog)
+      .Straight_core.Compile.image
+  in
   (* both collections on: the interrupted run must also return the
      whole trace and distance histogram, not just the resumed half *)
   let config =

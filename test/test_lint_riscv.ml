@@ -139,8 +139,9 @@ let test_workloads_clean_all_levels () =
        List.iter
          (fun opt ->
             let image =
-              Straight_core.Compile.to_riscv ~opt ~checked:true
-                w.Workloads.source
+              (Straight_core.Compile.compile ~opt ~checked:true
+                 Straight_core.Compile.Riscv w.Workloads.source)
+                .Straight_core.Compile.image
             in
             match Lint.lint image with
             | [] -> ()

@@ -130,12 +130,14 @@ let compile_straight src =
   let config =
     { Straight_cc.Codegen.max_dist = 31; level = Straight_cc.Codegen.Re_plus }
   in
-  Straight_cc.Codegen.compile_to_image ~config p
+  (Straight_core.Compile.backend (Straight_core.Compile.Straight config) p)
+    .Straight_core.Compile.image
 
 let compile_riscv src =
   let p = Minic.Lower.compile src in
   List.iter Ssa_ir.Passes.optimize p.Ssa_ir.Ir.funcs;
-  Riscv_cc.Codegen.compile_to_image p
+  (Straight_core.Compile.backend Straight_core.Compile.Riscv p)
+    .Straight_core.Compile.image
 
 let sim_source = {|
 int data[32];
@@ -322,7 +324,10 @@ let test_pointer_chase_misses () =
   let w = Workloads.pointer_chase ~nodes:16384 ~hops:3000 () in
   let p = Minic.Lower.compile w.Workloads.source in
   List.iter Ssa_ir.Passes.optimize p.Ssa_ir.Ir.funcs;
-  let image = Riscv_cc.Codegen.compile_to_image p in
+  let image =
+    (Straight_core.Compile.backend Straight_core.Compile.Riscv p)
+      .Straight_core.Compile.image
+  in
   let r = Ooo_riscv.Pipeline.run Params.ss_2way image in
   Alcotest.(check bool) "pointer chase misses in L1D" true
     (r.Ooo_riscv.Pipeline.stats.Engine.l1d_misses > 500)

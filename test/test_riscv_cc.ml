@@ -121,10 +121,12 @@ int main() { putint(f(3)); }
   let p2 = Minic.Lower.compile src in
   List.iter Ssa_ir.Passes.optimize p2.Ir.funcs;
   let image =
-    Straight_cc.Codegen.compile_to_image
-      ~config:{ Straight_cc.Codegen.max_dist = 31;
-                level = Straight_cc.Codegen.Re_plus }
-      p2
+    (Straight_core.Compile.backend
+       (Straight_core.Compile.Straight
+          { Straight_cc.Codegen.max_dist = 31;
+            level = Straight_cc.Codegen.Re_plus })
+       p2)
+      .Straight_core.Compile.image
   in
   Alcotest.(check string) "straight too" reference
     (Iss.Straight_iss.run image).Iss.Trace.output

@@ -17,12 +17,14 @@ let compile_straight src =
   let config =
     { Straight_cc.Codegen.max_dist = 31; level = Straight_cc.Codegen.Re_plus }
   in
-  Straight_cc.Codegen.compile_to_image ~config p
+  (Straight_core.Compile.backend (Straight_core.Compile.Straight config) p)
+    .Straight_core.Compile.image
 
 let compile_riscv src =
   let p = Minic.Lower.compile src in
   List.iter Ssa_ir.Passes.optimize p.Ssa_ir.Ir.funcs;
-  Riscv_cc.Codegen.compile_to_image p
+  (Straight_core.Compile.backend Straight_core.Compile.Riscv p)
+    .Straight_core.Compile.image
 
 (* a small workload with branches, calls, loads, stores, and a multiply:
    every fault kind has targets, and 100 runs stay fast *)

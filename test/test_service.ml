@@ -13,8 +13,10 @@
    - N identical concurrent requests coalesce onto one job: every
      client gets the record, the daemon's own counters show exactly one
      simulation;
-   - a sweep request returns the same records as the CLI driver on the
-     same grid (daemon == CLI);
+   - a sweep request returns the CLI driver's straight-sweep/1 document
+     for the same grid (daemon == CLI);
+   - the compile op answers every target name with the library's
+     listing, memoizes it, and rejects an unknown target;
    - a shutdown request drains cleanly: exit 0, socket unlinked. *)
 
 module J = Ooo_common.Stats.Json
@@ -249,22 +251,32 @@ let test_concurrent_coalescing () =
       List.iter Client.close cs)
 
 let test_sweep_matches_cli () =
-  (* daemon == CLI: the daemon's sweep op and the CLI driver agree on
-     every record of the smoke grid, up to host time and cache state *)
-  let render (r : Sweep.Runner.record) =
-    J.to_string ~indent:false
-      (Sweep.Runner.to_json
-         { r with Sweep.Runner.host_seconds = 0.; cached = false })
+  (* daemon == CLI: the daemon's sweep reply is the CLI driver's
+     straight-sweep/1 document for the same grid, byte for byte, up to
+     host time and cache state *)
+  let blank keys = function
+    | J.Obj kv ->
+      J.Obj (List.map (fun (k, v) -> (k, if List.mem k keys then J.Null else v)) kv)
+    | j -> j
+  in
+  let normalize = function
+    | J.Obj kv ->
+      J.to_string
+        (J.Obj
+           (List.map
+              (fun (k, v) ->
+                 match k, v with
+                 | "summary", s -> (k, blank [ "wall_seconds" ] s)
+                 | "records", J.List rs ->
+                   (k, J.List (List.map (blank [ "host_seconds"; "cached" ]) rs))
+                 | _ -> (k, v))
+              kv))
+    | j -> Alcotest.failf "sweep document is not an object: %s" (J.to_string j)
   in
   let field name j =
     match J.member name j with
     | Some v -> v
     | None -> Alcotest.failf "sweep reply without %S" name
-  in
-  let summary_int name s =
-    match J.get_int (J.member name s) with
-    | Some n -> n
-    | None -> Alcotest.failf "sweep summary without %S" name
   in
   with_daemon (fun ~sock ~cache:_ ~pid:_ ->
       let c = Client.connect sock in
@@ -273,24 +285,64 @@ let test_sweep_matches_cli () =
           (J.Obj [ ("op", J.Str "sweep"); ("grid", J.Str "smoke") ])
       in
       Client.close c;
-      let result = field "result" reply in
-      let daemon_records =
-        match J.get_list (J.member "records" result) with
-        | Some l -> List.map (fun j -> render (Sweep.Runner.of_json j)) l
-        | None -> Alcotest.fail "sweep records are not a list"
-      in
-      let daemon_summary = field "summary" result in
       let records, summary =
         Sweep.Driver.sweep ~procs:0 ~cache_dir:(tmpdir "straightd-cli")
           Sweep.Grid.smoke
       in
-      Alcotest.(check (list string)) "daemon records equal the CLI's"
-        (List.map render records) daemon_records;
-      Alcotest.(check int) "daemon total" 2 (summary_int "total" daemon_summary);
-      Alcotest.(check int) "daemon failed" 0
-        (summary_int "failed" daemon_summary);
+      Alcotest.(check string) "daemon document equals the CLI's"
+        (normalize (Sweep.Driver.to_json Sweep.Grid.smoke summary records))
+        (normalize (field "result" reply));
       Alcotest.(check int) "CLI total" 2 summary.Sweep.Driver.total;
       Alcotest.(check int) "CLI failed" 0 summary.Sweep.Driver.failed)
+
+let test_compile_op () =
+  (* every target name the tools accept maps onto its experiment target;
+     the daemon answers each with the right label and the library's own
+     listing, and serves a repeat from the memo cache *)
+  let module Exp = Straight_core.Experiment in
+  let src = (Sweep.Grid.workload ~quick:true "fib").Workloads.source in
+  let expected =
+    [ ("ss", Exp.Riscv, "SS");
+      ("riscv", Exp.Riscv, "SS");
+      ("straight", Exp.Straight_re, "STRAIGHT(RE+)");
+      ("straight-re", Exp.Straight_re, "STRAIGHT(RE+)");
+      ("straight-raw", Exp.Straight_raw, "STRAIGHT(RAW)") ]
+  in
+  List.iter
+    (fun (name, target, _) ->
+       Alcotest.(check bool) (name ^ ": of_name") true
+         (Exp.of_name name = Some target))
+    expected;
+  Alcotest.(check bool) "unknown name" true (Exp.of_name "bogus" = None);
+  let req target =
+    J.Obj
+      [ ("op", J.Str "compile"); ("target", J.Str target);
+        ("workload", J.Str "fib") ]
+  in
+  with_daemon (fun ~sock ~cache:_ ~pid:_ ->
+      let c = Client.connect sock in
+      List.iter
+        (fun (name, target, label) ->
+           let asm =
+             Lazy.force
+               (Straight_core.Compile.compile (Exp.codegen target) src)
+                 .Straight_core.Compile.listing
+           in
+           let reply = Client.request c (req name) in
+           let result = Option.value ~default:J.Null (J.member "result" reply) in
+           Alcotest.(check (option string)) (name ^ ": label") (Some label)
+             (J.get_string (J.member "target" result));
+           Alcotest.(check (option string)) (name ^ ": listing") (Some asm)
+             (J.get_string (J.member "asm" result)))
+        expected;
+      let reply = Client.request c (req "straight-raw") in
+      Alcotest.(check bool) "a repeat is cached" true
+        (J.member "cached" reply = Some (J.Bool true));
+      let reply = Client.request c (req "bogus") in
+      Alcotest.(check (option string)) "unknown target is CONFIG_ERROR"
+        (Some "CONFIG_ERROR")
+        (J.get_string (J.member "code" reply));
+      Client.close c)
 
 let test_clean_shutdown () =
   with_daemon (fun ~sock ~cache:_ ~pid ->
@@ -318,6 +370,7 @@ let suite =
       test_concurrent_coalescing;
     Alcotest.test_case "daemon: sweep equals the CLI sweep" `Slow
       test_sweep_matches_cli;
+    Alcotest.test_case "daemon: compile op" `Quick test_compile_op;
     Alcotest.test_case "daemon: clean shutdown" `Quick test_clean_shutdown ]
 
 let () = Alcotest.run "service" [ ("service", suite) ]

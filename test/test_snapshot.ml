@@ -307,6 +307,51 @@ let test_sweep_unusable_checkpoint_restarts () =
   Alcotest.(check bool) "garbage checkpoint deleted" true
     (not (Sys.file_exists path))
 
+(* Every store writes through [File.write_atomic]: a writer that raises
+   or a rename that fails must leave the destination as it was and no
+   temp file behind.  [File.mkdir_p] creates every missing level. *)
+let test_atomic_write_failures () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let path = tmp "atomic.txt" in
+  Snapshot.File.write_atomic path (fun oc -> output_string oc "first");
+  (match
+     Snapshot.File.write_atomic path (fun oc ->
+         output_string oc "torn";
+         failwith "writer died")
+   with
+   | () -> Alcotest.fail "the writer's exception must propagate"
+   | exception Failure _ -> ());
+  Alcotest.(check string) "destination unchanged" "first" (read path);
+  let dir = tmp "atomic-dir" in
+  let nested = Filename.concat (Filename.concat dir "a") "b" in
+  Snapshot.File.mkdir_p nested;
+  Snapshot.File.mkdir_p nested;
+  Alcotest.(check bool) "nested directories created" true
+    (Sys.is_directory nested);
+  (* renaming a file over a non-empty directory fails (EISDIR) *)
+  (match
+     Snapshot.File.write_atomic (Filename.concat dir "a") (fun oc ->
+         output_string oc "x")
+   with
+   | () -> Alcotest.fail "a rename over a directory must fail"
+   | exception Sys_error _ -> ());
+  Alcotest.(check (list string)) "no temp file next to the directory"
+    [ "a" ] (Array.to_list (Sys.readdir dir));
+  Unix.rmdir nested;
+  Unix.rmdir (Filename.dirname nested);
+  Unix.rmdir dir;
+  let contains_tmp f =
+    let marker = ".tmp." in
+    let n = String.length marker in
+    let rec go i =
+      i + n <= String.length f && (String.sub f i n = marker || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check (list string)) "no temp file left behind" []
+    (List.filter contains_tmp
+       (Array.to_list (Sys.readdir (Lazy.force tmpdir))))
+
 let suite =
   [ ("recovery determinism (seeded campaign, both pipelines)", `Slow,
      test_recovery_determinism);
@@ -325,6 +370,8 @@ let suite =
     ("sweep: resumed point = clean point", `Slow,
      test_sweep_resume_identical);
     ("sweep: unusable checkpoint restarts clean", `Quick,
-     test_sweep_unusable_checkpoint_restarts) ]
+     test_sweep_unusable_checkpoint_restarts);
+    ("atomic write: failures leave no temp file", `Quick,
+     test_atomic_write_failures) ]
 
 let () = Alcotest.run "snapshot" [ ("snapshot", suite) ]

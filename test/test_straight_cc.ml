@@ -236,7 +236,10 @@ let test_st_boundary_offsets () =
          { funcs = [ main ]; data = [ { sym = "buf"; words; extra_bytes = 0 } ] }
        in
        let image =
-         CC.compile_to_image ~config:{ CC.max_dist; level } p
+         (Straight_core.Compile.backend
+            (Straight_core.Compile.Straight { CC.max_dist; level })
+            p)
+           .Straight_core.Compile.image
        in
        (* the generated image must also satisfy the static verifier *)
        (match Straight_lint.Lint.lint ~max_dist image with

@@ -183,7 +183,10 @@ let test_clone_isolation () =
   let f2 = V.validate_straight ~config:(tv_config Straight_cc.Codegen.Re_plus) prog in
   Alcotest.(check int) "same result twice" (List.length f1) (List.length f2);
   (* and the program still compiles cleanly afterwards *)
-  ignore (Straight_cc.Codegen.compile_to_image prog)
+  ignore
+    (Straight_core.Compile.backend
+       (Straight_core.Compile.Straight Straight_cc.Codegen.default_config)
+       prog)
 
 (* ---------- rejection: pinned mutation seeds ---------- *)
 

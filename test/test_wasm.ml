@@ -82,7 +82,10 @@ let run_interp ~level src = Ssa_ir.Interp.run (compile_at level src)
 let run_straight ~level ~max_dist ~opt src =
   let p = compile_at opt src in
   let config = { Straight_cc.Codegen.max_dist; level } in
-  let image = Straight_cc.Codegen.compile_to_image ~config p in
+  let image =
+    (Straight_core.Compile.backend (Straight_core.Compile.Straight config) p)
+      .Straight_core.Compile.image
+  in
   let r =
     Iss.Straight_iss.run
       ~config:{ Iss.Straight_iss.default_config with max_insns = 10_000_000 }
@@ -92,7 +95,10 @@ let run_straight ~level ~max_dist ~opt src =
 
 let run_riscv ~opt src =
   let p = compile_at opt src in
-  let image = Riscv_cc.Codegen.compile_to_image p in
+  let image =
+    (Straight_core.Compile.backend Straight_core.Compile.Riscv p)
+      .Straight_core.Compile.image
+  in
   let r =
     Iss.Riscv_iss.run
       ~config:{ Iss.Riscv_iss.default_config with max_insns = 10_000_000 }
@@ -197,14 +203,18 @@ let test_lint_workloads () =
               Printf.sprintf "%s %s %s" w.Workloads.name lname what
             in
             let simage =
-              Straight_cc.Codegen.compile_to_image
-                (compile_at level w.Workloads.source)
+              (Straight_core.Compile.backend
+                 (Straight_core.Compile.Straight
+                    Straight_cc.Codegen.default_config)
+                 (compile_at level w.Workloads.source))
+                .Straight_core.Compile.image
             in
             check_no_errors (tag "lint straight")
               (Straight_lint.Lint.lint simage);
             let rimage =
-              Riscv_cc.Codegen.compile_to_image
-                (compile_at level w.Workloads.source)
+              (Straight_core.Compile.backend Straight_core.Compile.Riscv
+                 (compile_at level w.Workloads.source))
+                .Straight_core.Compile.image
             in
             check_no_errors (tag "lint riscv") (Riscv_lint.Lint.lint rimage))
          opt_levels)

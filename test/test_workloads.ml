@@ -14,12 +14,16 @@ let interp src =
   fst (Ssa_ir.Interp.run p)
 
 let straight_out ~level ~max_dist src =
-  let image, _ = Straight_core.Compile.to_straight ~max_dist ~level src in
-  (Iss.Straight_iss.run image).Iss.Trace.output
+  let out =
+    Straight_core.Compile.compile
+      (Straight_core.Compile.Straight { Straight_cc.Codegen.max_dist; level })
+      src
+  in
+  (Iss.Straight_iss.run out.Straight_core.Compile.image).Iss.Trace.output
 
 let riscv_out src =
-  let image = Straight_core.Compile.to_riscv src in
-  (Iss.Riscv_iss.run image).Iss.Trace.output
+  let out = Straight_core.Compile.compile Straight_core.Compile.Riscv src in
+  (Iss.Riscv_iss.run out.Straight_core.Compile.image).Iss.Trace.output
 
 let check_workload (w : Workloads.t) =
   let reference = interp w.Workloads.source in
@@ -98,9 +102,13 @@ let test_shape_no_penalty_gap () =
 
 let test_shape_distance_distribution () =
   (* Fig. 16: ~30-50% of operands at distance 1, >90% within 32 *)
-  let image, _ =
-    Straight_core.Compile.to_straight ~max_dist:1023
-      ~level:Straight_cc.Codegen.Re_plus coremark2.Workloads.source
+  let image =
+    (Straight_core.Compile.compile
+       (Straight_core.Compile.Straight
+          { Straight_cc.Codegen.max_dist = 1023;
+            level = Straight_cc.Codegen.Re_plus })
+       coremark2.Workloads.source)
+      .Straight_core.Compile.image
   in
   let r =
     Iss.Straight_iss.run
