@@ -1,7 +1,7 @@
 .PHONY: check build test examples bench bench-json bench-gate fuzz-smoke \
 	wasm-smoke lint lint-workloads tv fmt \
 	sweep-quick sweep-smoke snapshot-smoke sample-smoke stream-smoke \
-	daemon-smoke coverage clean
+	daemon-smoke sim-identity coverage clean
 
 check: build test
 
@@ -170,6 +170,15 @@ stream-smoke:
 # straightd-bench/1 reports land in _daemon_smoke/ for CI to archive.
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
+
+# Simulation identity for refactors that must not change a result: the
+# simulator, bench and example outputs of this tree must be
+# byte-identical to those of BASE, a built checkout of the parent, e.g.
+#   git clone -q . ../base && git -C ../base checkout -q HEAD~1 \
+#     && (cd ../base && dune build) && make sim-identity BASE=../base
+# Each differing output is named (exit 1); see scripts/sim_identity.sh.
+sim-identity: build
+	sh scripts/sim_identity.sh $(BASE)
 
 # Line coverage for the test suite via bisect_ppx (not vendored: the
 # target is a no-op with a hint when the tooling is absent).  The HTML

@@ -341,21 +341,17 @@ let ablation () =
   Printf.printf "%-6s %12s %14s\n" "level" "SS" "STRAIGHT RE+";
   List.iter
     (fun (name, opt) ->
-       let compile_run target =
+       let compile_run model target =
          let image =
            (Compile.compile ~opt (Exp.codegen target) w.Workloads.source)
              .Compile.image
          in
-         match target with
-         | Exp.Riscv ->
-           (Ooo_riscv.Pipeline.run Models.ss_4way image)
-             .Ooo_riscv.Pipeline.stats.Engine.cycles
-         | Exp.Straight_re | Exp.Straight_raw ->
-           (Ooo_straight.Pipeline.run Models.straight_4way image)
-             .Ooo_straight.Pipeline.stats.Engine.cycles
+         (Ooo_common.Pipeline.run model image)
+           .Ooo_common.Pipeline.stats.Engine.cycles
        in
-       Printf.printf "%-6s %12d %14d\n%!" name (compile_run Exp.Riscv)
-         (compile_run Exp.Straight_re))
+       Printf.printf "%-6s %12d %14d\n%!" name
+         (compile_run Models.ss_4way Exp.Riscv)
+         (compile_run Models.straight_4way Exp.Straight_re))
     [ ("O0", Ssa_ir.Passes.O0); ("O1", Ssa_ir.Passes.O1);
       ("O2", Ssa_ir.Passes.O2) ]
 
@@ -485,52 +481,28 @@ let json_suite out =
     a.(Array.length a / 2)
   in
   let time_engine (model : Ooo_common.Params.t) target (w : Workloads.t) =
-    let run_reps mk_checker trace decode_static =
-      let window () = Ooo_common.Window.of_array trace in
-      (* one untimed warmup settles the heap before measuring *)
-      ignore
-        (Engine.run model ~window:(window ()) ~decode_static
-           ~checker:(mk_checker ()) ());
-      List.init reps (fun _ ->
-          let checker = mk_checker () in
-          let window = window () in
-          let t0 = Unix.gettimeofday () in
-          let s = Engine.run model ~window ~decode_static ~checker () in
-          let dt = Unix.gettimeofday () -. t0 in
-          (float_of_int s.Engine.cycles /. dt /. 1000., s))
-    in
     let image =
       (Compile.compile (Exp.codegen target) w.Workloads.source).Compile.image
     in
-    match target with
-    | Exp.Riscv ->
-      let r =
-        Iss.Riscv_iss.run
-          ~config:{ Iss.Riscv_iss.collect_trace = true;
-                    max_insns = 50_000_000 }
-          image
-      in
-      run_reps
-        (fun () ->
-           Ooo_common.Checker.create ~rename:model.Ooo_common.Params.rename
-             ~retired:r.Iss.Trace.retired ())
-        r.Iss.Trace.trace
-        (Ooo_riscv.Pipeline.static_uop image)
-    | Exp.Straight_re | Exp.Straight_raw ->
-      let r =
-        Iss.Straight_iss.run
-          ~config:{ Iss.Straight_iss.collect_trace = true;
-                    collect_dist = false; max_insns = 50_000_000 }
-          image
-      in
-      run_reps
-        (fun () ->
-           Ooo_common.Checker.create
-             ~max_dist:Ooo_common.Params.straight_max_dist
-             ~rename:model.Ooo_common.Params.rename
-             ~retired:r.Iss.Trace.retired ())
-        r.Iss.Trace.trace
-        (Ooo_straight.Pipeline.static_uop image)
+    let r = Iss.Machine.run ~collect_trace:true image in
+    let decode_static = Iss.Machine.static_uop image in
+    let checker () =
+      Ooo_common.Pipeline.checker ~check:true
+        ~max_dist:Ooo_common.Params.straight_max_dist model
+        ~retired:r.Iss.Trace.retired
+    in
+    let window () = Ooo_common.Window.of_array r.Iss.Trace.trace in
+    (* one untimed warmup settles the heap before measuring *)
+    ignore
+      (Engine.run model ~window:(window ()) ~decode_static
+         ?checker:(checker ()) ());
+    List.init reps (fun _ ->
+        let checker = checker () in
+        let window = window () in
+        let t0 = Unix.gettimeofday () in
+        let s = Engine.run model ~window ~decode_static ?checker () in
+        let dt = Unix.gettimeofday () -. t0 in
+        (float_of_int s.Engine.cycles /. dt /. 1000., s))
   in
   let entries =
     List.concat_map

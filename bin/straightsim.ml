@@ -51,6 +51,7 @@ module Inject = Ooo_common.Inject
 module Exp = Straight_core.Experiment
 module Diagnostics = Straight_core.Diagnostics
 module Engine = Ooo_common.Engine
+module Pipeline = Ooo_common.Pipeline
 module Stats = Ooo_common.Stats
 module Sim = Snapshot.Sim
 
@@ -194,12 +195,6 @@ let () =
     | Some t -> t
     | None -> Printf.eprintf "unknown target %s\n" !target_name; exit 2
   in
-  (match target, model.Params.rename with
-   | Exp.Riscv, Params.Rp
-   | (Exp.Straight_re | Exp.Straight_raw), (Params.Rmt _ | Params.Rmt_checkpoint _) ->
-     Printf.eprintf "warning: %s target on %s model mixes the ISA and the core\n"
-       !target_name model.Params.name
-   | _ -> ());
   let resolve_workload () =
     match !workload, !file with
     | "", f when f <> "" ->
@@ -264,33 +259,16 @@ let () =
       Sim.spec ~max_dist:!maxdist ~check:(not !no_check) ~model ~target
         (resolve_workload ())
     in
-    let image = Sim.compile spec in
-    let engine, finish =
-      match target with
-      | Exp.Riscv ->
-        let s =
-          Ooo_riscv.Pipeline.start_region ~check:spec.Sim.check ~warm:!warm
-            ~from:!fast_forward model image
-        in
-        ( s.Ooo_riscv.Pipeline.engine,
-          fun () ->
-            let r = Ooo_riscv.Pipeline.finish s in
-            (r.Ooo_riscv.Pipeline.stats, r.Ooo_riscv.Pipeline.output) )
-      | Exp.Straight_raw | Exp.Straight_re ->
-        let s =
-          Ooo_straight.Pipeline.start_region ~check:spec.Sim.check
-            ~max_dist:!maxdist ~warm:!warm ~from:!fast_forward model image
-        in
-        ( s.Ooo_straight.Pipeline.engine,
-          fun () ->
-            let r = Ooo_straight.Pipeline.finish s in
-            (r.Ooo_straight.Pipeline.stats, r.Ooo_straight.Pipeline.output) )
+    let s =
+      Pipeline.start_region ~check:spec.Sim.check ~max_dist:!maxdist
+        ~warm:!warm ~from:!fast_forward model (Sim.compile spec)
     in
+    let engine = s.Pipeline.engine in
     while not (Engine.finished engine) do
       Engine.step engine
     done;
     let committed = Engine.committed_count engine in
-    let stats, output = finish () in
+    let { Pipeline.stats; output; _ } = Pipeline.finish s in
     Printf.printf "model        : %s\n" model.Params.name;
     Printf.printf "target       : %s\n" (Exp.target_label target);
     Printf.printf "fast-forward : %d instructions (%s handoff)\n"

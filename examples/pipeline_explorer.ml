@@ -21,8 +21,8 @@ let () =
   Printf.printf "%-34s %10s %8s %8s %8s\n" "configuration" "cycles" "IPC"
     "bmisp" "L1D-miss";
   let show (p : Params.t) =
-    let r = Ooo_straight.Pipeline.run p image in
-    let s = r.Ooo_straight.Pipeline.stats in
+    let r = Ooo_common.Pipeline.run p image in
+    let s = r.Ooo_common.Pipeline.stats in
     Printf.printf "%-34s %10d %8.2f %8d %8d\n%!" p.Params.name
       s.Engine.cycles s.Engine.ipc s.Engine.branch_mispredicts
       s.Engine.l1d_misses

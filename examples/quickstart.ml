@@ -41,7 +41,7 @@ let () =
     stats.Straight_cc.Codegen.nop;
   Printf.printf "retired instructions: %d\n" run.Iss.Trace.retired;
   (* and time it on the 2-way STRAIGHT core of Table I *)
-  let r = Ooo_straight.Pipeline.run Straight_core.Models.straight_2way image in
+  let r = Ooo_common.Pipeline.run Straight_core.Models.straight_2way image in
   Printf.printf "STRAIGHT-2way cycles: %d (IPC %.2f)\n"
-    r.Ooo_straight.Pipeline.stats.Ooo_common.Engine.cycles
-    r.Ooo_straight.Pipeline.stats.Ooo_common.Engine.ipc
+    r.Ooo_common.Pipeline.stats.Ooo_common.Engine.cycles
+    r.Ooo_common.Pipeline.stats.Ooo_common.Engine.ipc

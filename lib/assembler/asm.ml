@@ -21,6 +21,9 @@ type 'insn item =
 module type TARGET = sig
   type 'lab insn
 
+  val isa : Image.isa
+  (** Recorded in every image this target assembles. *)
+
   val parse_insn : string list -> string insn
   (** Parse a tokenized statement into a symbolic instruction. *)
 
@@ -177,7 +180,8 @@ module Make (T : TARGET) = struct
       | None, Some a -> a
       | None, None -> Layout.text_base
     in
-    { Image.entry = entry_addr;
+    { Image.isa = T.isa;
+      entry = entry_addr;
       text_base = Layout.text_base;
       text;
       data_base = Layout.data_base;
@@ -208,6 +212,7 @@ end
 module Straight_target = struct
   type 'lab insn = 'lab Straight_isa.Isa.t
 
+  let isa = Image.Straight
   let parse_insn = Straight_isa.Parser.parse_insn
   let map_label = Straight_isa.Isa.map_label
   let encode = Straight_isa.Encoding.encode
@@ -221,6 +226,7 @@ end
 module Riscv_target = struct
   type 'lab insn = 'lab Riscv_isa.Isa.t
 
+  let isa = Image.Riscv
   let parse_insn = Riscv_isa.Parser.parse_insn
   let map_label = Riscv_isa.Isa.map_label
   let encode = Riscv_isa.Encoding.encode

@@ -21,6 +21,9 @@ type 'insn item =
 module type TARGET = sig
   type 'lab insn
 
+  val isa : Image.isa
+  (** Recorded in every image this target assembles. *)
+
   val parse_insn : string list -> string insn
   (** Parse a tokenized statement into a symbolic instruction. *)
 

@@ -1,7 +1,13 @@
 (* A loadable program image: the output of the assembler/linker and the
    input of the functional and cycle-accurate simulators. *)
 
+(* The instruction set the text section is encoded in: only the
+   assembler knows it, so it records it here, and every simulator that
+   takes an image reads it instead of being told. *)
+type isa = Straight | Riscv
+
 type t = {
+  isa : isa;
   entry : int;                    (* PC of the first executed instruction *)
   text_base : int;
   text : int32 array;             (* encoded instruction words *)

@@ -1,7 +1,12 @@
 (** A loadable program image: the output of the assembler/linker and the
     input of the functional and cycle-level simulators. *)
 
+(** The instruction set the text section is encoded in, recorded by the
+    assembler that encoded it. *)
+type isa = Straight | Riscv
+
 type t = {
+  isa : isa;
   entry : int;                    (** PC of the first executed instruction *)
   text_base : int;
   text : int32 array;             (** encoded instruction words *)

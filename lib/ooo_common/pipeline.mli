@@ -1,17 +1,19 @@
-(** The STRAIGHT out-of-order pipeline (the paper's Fig. 2): the shared
-    engine instantiated with RP-based operand determination (Fig. 3), a
-    6-stage front end, and single-ROB-read recovery (Fig. 4). *)
+(** The out-of-order pipeline for either ISA: the shared {!Engine}
+    replaying the correct path that the image's functional simulator
+    ({!Iss.Machine}) retires.
 
-val static_uop : Assembler.Image.t -> int -> Iss.Trace.uop option
-(** Decode a static instruction for wrong-path fetch ([None] at HALT or
-    outside .text).  [static_uop image] decodes the whole text once;
-    the function it returns looks a pc up in that table and returns the
-    shared uop. *)
+    Everything the paper varies between the STRAIGHT core (Fig. 2) and
+    the superscalar RV32IM baseline (Section V-A) is a {!Params} field
+    the engine reads: RP-based operand determination (Fig. 3) or RMT
+    renaming, the front-end depth, and single-ROB-read recovery
+    (Fig. 4) or the ROB walk.  This module only connects the image's
+    ISS to the engine, so one copy serves both cores. *)
 
 type result = {
-  stats : Ooo_common.Engine.stats;
+  stats : Engine.stats;
   output : string;                (** the program's console output *)
-  dist_histogram : int array;     (** source-distance histogram (Fig. 16) *)
+  dist_histogram : int array;
+      (** source-distance histogram (Fig. 16); empty for RV32IM *)
 }
 
 (** A live run: the cycle-level engine plus the functional outcome of
@@ -19,27 +21,33 @@ type result = {
     before the engine exists, so [run_info]'s output, retired count and
     distance histogram are final from cycle 0 ([run_info.trace] is
     empty); the engine pulls the correct path from a second ISS session
-    through a bounded {!Ooo_common.Window}. *)
+    through a bounded {!Window}. *)
 type session = {
-  engine : Ooo_common.Engine.t;
+  engine : Engine.t;
   run_info : Iss.Trace.run;
 }
 
+val checker :
+  check:bool -> max_dist:int -> Params.t -> retired:int -> Checker.t option
+(** The lockstep golden-model checker for a stream of [retired]
+    commits, or [None] when [check] is false.  [max_dist] bounds checked
+    source distances on RP models; RMT checkers ignore it. *)
+
 val start :
   ?max_insns:int -> ?check:bool -> ?max_dist:int ->
-  Ooo_common.Params.t -> Assembler.Image.t -> session
+  Params.t -> Assembler.Image.t -> session
 (** Run the functional pre-pass (ISS faults surface here) and stand up
     the timing model at cycle 0 over the streamed correct path.
     [check] (default [true]) arms the lockstep golden-model checker
     against the ISS stream; [max_dist] (default
     {!Straight_isa.Isa.max_dist}) bounds checked source distances.
-    Advance with {!Ooo_common.Engine.step} until
-    {!Ooo_common.Engine.finished}, then call {!finish}. *)
+    Advance with {!Engine.step} until {!Engine.finished}, then call
+    {!finish}. *)
 
 val start_region :
   ?max_insns:int -> ?check:bool -> ?max_dist:int -> ?warm:bool ->
   from:int -> ?len:int ->
-  Ooo_common.Params.t -> Assembler.Image.t -> session
+  Params.t -> Assembler.Image.t -> session
 (** Fast-forward: run the functional simulator over the first [from]
     retirements at full speed — functionally warming the caches, branch
     predictor and RAS unless [warm] is [false] — then stand up the
@@ -52,23 +60,20 @@ val start_region :
 
 val resume :
   ?max_insns:int -> ?check:bool -> ?max_dist:int ->
-  Ooo_common.Params.t -> Assembler.Image.t ->
-  Ooo_common.Bin.reader -> session
+  Params.t -> Assembler.Image.t -> Bin.reader -> session
 (** Like {!start}, but the engine state comes from a checkpoint image
     instead of cycle 0.  The ISS re-runs deterministically, and the
     streaming session skips ahead to the image's committed count; the
     caller (the snapshot layer) is responsible for checking that params
     and the regenerated stream match the checkpoint.
-    @raise Ooo_common.Bin.Corrupt on a malformed or mismatched image. *)
+    @raise Bin.Corrupt on a malformed or mismatched image. *)
 
 val finish : session -> result
 (** Run the checker's end-of-run validation and freeze statistics. *)
 
 val run :
   ?max_insns:int -> ?check:bool -> ?max_dist:int ->
-  Ooo_common.Params.t -> Assembler.Image.t -> result
+  Params.t -> Assembler.Image.t -> result
 (** The timing model over the streamed correct path — [start] stepped
-    to completion.  [check] (default [true]) arms the lockstep
-    golden-model checker against the ISS stream; [max_dist] (default
-    {!Straight_isa.Isa.max_dist}) bounds checked source distances.
+    to completion, with the same options.
     @raise Diag.Error on simulator deadlock or checker divergence. *)

@@ -233,26 +233,8 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
       Warm.observe warm u
     in
     let total_retired =
-      match spec.Sim.target with
-      | Exp.Riscv ->
-        let s =
-          Iss.Riscv_iss.start
-            ~config:{ Iss.Riscv_iss.collect_trace = false;
-                      max_insns = spec.Sim.max_insns }
-            ~on_retire image
-        in
-        Iss.Riscv_iss.run_session s;
-        (Iss.Riscv_iss.finish s).Trace.retired
-      | Exp.Straight_raw | Exp.Straight_re ->
-        let s =
-          Iss.Straight_iss.start
-            ~config:{ Iss.Straight_iss.collect_trace = false;
-                      collect_dist = false;
-                      max_insns = spec.Sim.max_insns }
-            ~on_retire image
-        in
-        Iss.Straight_iss.run_session s;
-        (Iss.Straight_iss.finish s).Trace.retired
+      (Iss.Machine.run ~max_insns:spec.Sim.max_insns ~on_retire image)
+        .Trace.retired
     in
     (* the program halted with windows still open: truncated intervals *)
     List.iter close !open_windows;
@@ -303,22 +285,13 @@ let run_file path : result =
       reject path "stored sub-trace digest %s differs from meta digest %s"
         digest m.File.trace_digest;
     let checker =
-      if spec.Sim.check then
-        Some
-          (Ooo_common.Checker.create ~max_dist:spec.Sim.max_dist
-             ~rename:spec.Sim.params.Params.rename ~retired:(Array.length uops)
-             ())
-      else None
-    in
-    let decode_static =
-      match spec.Sim.target with
-      | Exp.Riscv -> Ooo_riscv.Pipeline.static_uop image
-      | Exp.Straight_raw | Exp.Straight_re ->
-        Ooo_straight.Pipeline.static_uop image
+      Ooo_common.Pipeline.checker ~check:spec.Sim.check
+        ~max_dist:spec.Sim.max_dist spec.Sim.params
+        ~retired:(Array.length uops)
     in
     let engine =
       Engine.create spec.Sim.params ~window:(Ooo_common.Window.of_array uops)
-        ~decode_static ?checker ~warm ()
+        ~decode_static:(Iss.Machine.static_uop image) ?checker ~warm ()
     in
     (* detailed warmup: simulate until the warmup prefix has committed,
        then snapshot the accounting so the interval is measured alone *)

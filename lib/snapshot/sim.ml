@@ -1,9 +1,10 @@
-(* Checkpointable simulation sessions over either pipeline.  See sim.mli
+(* Checkpointable simulation sessions over the pipeline.  See sim.mli
    for the fixpoint and validation contracts. *)
 
 module Bin = Ooo_common.Bin
 module Engine = Ooo_common.Engine
 module Params = Ooo_common.Params
+module Pipeline = Ooo_common.Pipeline
 module Json = Ooo_common.Stats.Json
 module Trace = Iss.Trace
 module Exp = Straight_core.Experiment
@@ -18,8 +19,29 @@ type spec = {
   check : bool;
 }
 
+(* A STRAIGHT image carries its operands as distances, which only the RP
+   core reads; an RV32IM image names registers, which only a renaming
+   core maps.  Any other pairing would time a run with no operand
+   dependences at all. *)
 let spec ?(max_insns = 50_000_000) ?(max_dist = Params.straight_max_dist)
     ?(check = true) ~model ~target workload =
+  let rp =
+    match model.Params.rename with
+    | Params.Rp -> true
+    | Params.Rmt _ | Params.Rmt_checkpoint _ -> false
+  and straight =
+    match target with
+    | Exp.Straight_raw | Exp.Straight_re -> true
+    | Exp.Riscv -> false
+  in
+  if rp <> straight then begin
+    let core rp = if rp then "an RP core" else "a renaming (RMT) core" in
+    Diag.error
+      ~context:
+        [ ("model", model.Params.name); ("target", Exp.target_label target) ]
+      Diag.Config_error "%s code needs %s, but model %s is %s"
+      (Exp.target_label target) (core straight) model.Params.name (core rp)
+  end;
   { target; params = model; workload; max_insns; max_dist; check }
 
 type session = {
@@ -36,20 +58,9 @@ let compile (s : spec) : Assembler.Image.t =
 
 let start (s : spec) : session =
   let image = compile s in
-  let engine, run_info =
-    match s.target with
-    | Exp.Riscv ->
-      let ps =
-        Ooo_riscv.Pipeline.start ~max_insns:s.max_insns ~check:s.check s.params
-          image
-      in
-      (ps.Ooo_riscv.Pipeline.engine, ps.Ooo_riscv.Pipeline.run_info)
-    | Exp.Straight_raw | Exp.Straight_re ->
-      let ps =
-        Ooo_straight.Pipeline.start ~max_insns:s.max_insns ~check:s.check
-          ~max_dist:s.max_dist s.params image
-      in
-      (ps.Ooo_straight.Pipeline.engine, ps.Ooo_straight.Pipeline.run_info)
+  let { Pipeline.engine; run_info } =
+    Pipeline.start ~max_insns:s.max_insns ~check:s.check ~max_dist:s.max_dist
+      s.params image
   in
   { spec = s; image; engine; run_info; digest = None }
 
@@ -63,19 +74,8 @@ let digest (s : session) : string =
   | None ->
     let st = Trace.digest_init () in
     let on_retire _ u = Trace.digest_add st u in
-    let max_insns = s.spec.max_insns in
-    (match s.spec.target with
-     | Exp.Riscv ->
-       Iss.Riscv_iss.run_session
-         (Iss.Riscv_iss.start
-            ~config:{ Iss.Riscv_iss.collect_trace = false; max_insns }
-            ~on_retire s.image)
-     | Exp.Straight_raw | Exp.Straight_re ->
-       Iss.Straight_iss.run_session
-         (Iss.Straight_iss.start
-            ~config:{ Iss.Straight_iss.collect_trace = false;
-                      collect_dist = false; max_insns }
-            ~on_retire s.image));
+    Iss.Machine.run_session
+      (Iss.Machine.start ~max_insns:s.spec.max_insns ~on_retire s.image);
     let d = Trace.digest_result st in
     s.digest <- Some d;
     d
@@ -149,21 +149,10 @@ let restore_meta path (m : File.meta) (r : Bin.reader) : session =
         (use straightsim -sample to consume it)");
   let s = spec_of_meta path m in
   let image = compile s in
-  let engine, run_info =
+  let { Pipeline.engine; run_info } =
     try
-      match s.target with
-      | Exp.Riscv ->
-        let ps =
-          Ooo_riscv.Pipeline.resume ~max_insns:s.max_insns ~check:s.check
-            s.params image r
-        in
-        (ps.Ooo_riscv.Pipeline.engine, ps.Ooo_riscv.Pipeline.run_info)
-      | Exp.Straight_raw | Exp.Straight_re ->
-        let ps =
-          Ooo_straight.Pipeline.resume ~max_insns:s.max_insns ~check:s.check
-            ~max_dist:s.max_dist s.params image r
-        in
-        (ps.Ooo_straight.Pipeline.engine, ps.Ooo_straight.Pipeline.run_info)
+      Pipeline.resume ~max_insns:s.max_insns ~check:s.check
+        ~max_dist:s.max_dist s.params image r
     with Bin.Corrupt msg -> reject path "engine image: %s" msg
   in
   let session = { spec = s; image; engine; run_info; digest = None } in
@@ -230,10 +219,7 @@ let finish (s : session) : Exp.result =
     ipc = stats.Engine.ipc;
     output = s.run_info.Trace.output;
     stats;
-    dist_histogram =
-      (match s.spec.target with
-       | Exp.Riscv -> [||]
-       | _ -> s.run_info.Trace.dist_histogram) }
+    dist_histogram = s.run_info.Trace.dist_histogram }
 
 (* ---------- driver loop ---------- *)
 

@@ -1,6 +1,6 @@
 (** Checkpointable simulation sessions.
 
-    A {!session} is a live cycle-level run (either pipeline) that can be
+    A {!session} is a live cycle-level run (either ISA) that can be
     advanced cycle by cycle, saved to a {!File} container at any cycle
     boundary, and later restored — from the file alone.  The fixpoint
     contract, enforced by [test/test_snapshot.ml]: save at any cycle,
@@ -31,7 +31,10 @@ val spec :
   target:Straight_core.Experiment.target ->
   Workloads.t -> spec
 (** Defaults mirror [Experiment.run]: 50M instruction budget, Table-I
-    max distance, checker on. *)
+    max distance, checker on.
+    @raise Diag.Error code [Config_error] unless the model's core can
+    run the target's code: a STRAIGHT target needs an RP model, the
+    RV32IM target an RMT or checkpointed-RMT model. *)
 
 val compile : spec -> Assembler.Image.t
 (** Compile the spec's workload for its target (shared with the

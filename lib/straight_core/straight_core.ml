@@ -157,25 +157,17 @@ module Experiment = struct
       (Compile.compile (codegen ~max_dist target) w.Workloads.source)
         .Compile.image
     in
-    let stats, output, dist_histogram =
-      match target with
-      | Riscv ->
-        let r = Ooo_riscv.Pipeline.run ~check model image in
-        (r.Ooo_riscv.Pipeline.stats, r.Ooo_riscv.Pipeline.output, [||])
-      | Straight_raw | Straight_re ->
-        let r = Ooo_straight.Pipeline.run ~check ~max_dist model image in
-        ( r.Ooo_straight.Pipeline.stats, r.Ooo_straight.Pipeline.output,
-          r.Ooo_straight.Pipeline.dist_histogram )
-    in
+    let r = Ooo_common.Pipeline.run ~check ~max_dist model image in
+    let stats = r.Ooo_common.Pipeline.stats in
     { workload = w.Workloads.name;
       model = model.Ooo_common.Params.name;
       target;
       cycles = stats.Ooo_common.Engine.cycles;
       committed = stats.Ooo_common.Engine.committed;
       ipc = stats.Ooo_common.Engine.ipc;
-      output;
+      output = r.Ooo_common.Pipeline.output;
       stats;
-      dist_histogram }
+      dist_histogram = r.Ooo_common.Pipeline.dist_histogram }
 
   (* Relative performance (inverse cycles), the metric of Figs. 11-14. *)
   let relative_perf ~(baseline : result) (r : result) : float =

@@ -182,7 +182,8 @@ let test_lint_workloads_clean () =
 
 let image_of_words ?(entry_word = 0) words =
   let base = Assembler.Layout.text_base in
-  { Image.entry = base + (4 * entry_word);
+  { Image.isa = Image.Straight;
+    entry = base + (4 * entry_word);
     text_base = base;
     text = Array.of_list words;
     data_base = Assembler.Layout.data_base;

@@ -375,6 +375,94 @@ let test_asm_errors () =
      Alcotest.fail "duplicate label accepted"
    with Assembler.Asm.Asm_error _ -> ())
 
+(* ---------- Iss.Machine ---------- *)
+
+module Image = Assembler.Image
+module Exp = Straight_core.Experiment
+
+(* Every compiled image names its ISA, and [Iss.Machine] runs it on that
+   ISA's own simulator: the same run, the same wrong-path decode. *)
+let test_machine_dispatch () =
+  List.iter
+    (fun (w : Workloads.t) ->
+       List.iter
+         (fun target ->
+            let label =
+              Printf.sprintf "%s/%s" w.Workloads.name (Exp.target_label target)
+            in
+            let image =
+              (Straight_core.Compile.compile (Exp.codegen target)
+                 w.Workloads.source)
+                .Straight_core.Compile.image
+            in
+            let undecodable pc =
+              Alcotest.failf "%s: undecodable text word at %#x" label pc
+            in
+            (* the target's ISA, its own ISS run, and its own decode of a
+               text word ([None] at the stop instruction) *)
+            let isa, own, shape =
+              match target with
+              | Exp.Straight_raw | Exp.Straight_re ->
+                ( Image.Straight,
+                  Iss.Straight_iss.run
+                    ~config:
+                      { Iss.Straight_iss.default_config with
+                        collect_trace = true; collect_dist = true }
+                    image,
+                  fun pc word ->
+                    match Straight_isa.Encoding.decode word with
+                    | Some Straight_isa.Isa.Halt -> None
+                    | Some insn -> Some (Iss.Straight_iss.uop_shape pc insn)
+                    | None -> undecodable pc )
+              | Exp.Riscv ->
+                ( Image.Riscv,
+                  Iss.Riscv_iss.run
+                    ~config:
+                      { Iss.Riscv_iss.default_config with collect_trace = true }
+                    image,
+                  fun pc word ->
+                    match Riscv_isa.Encoding.decode word with
+                    | Some Riscv_isa.Isa.Ebreak -> None
+                    | Some insn -> Some (Iss.Riscv_iss.uop_shape pc insn)
+                    | None -> undecodable pc )
+            in
+            Alcotest.(check bool) (label ^ ": image ISA") true
+              (image.Image.isa = isa);
+            let m =
+              Iss.Machine.run ~collect_trace:true ~collect_dist:true image
+            in
+            Alcotest.(check string) (label ^ ": output") own.Iss.Trace.output
+              m.Iss.Trace.output;
+            Alcotest.(check int) (label ^ ": retired") own.Iss.Trace.retired
+              m.Iss.Trace.retired;
+            Alcotest.(check (array int)) (label ^ ": distance histogram")
+              own.Iss.Trace.dist_histogram m.Iss.Trace.dist_histogram;
+            Alcotest.(check string) (label ^ ": trace digest")
+              (Iss.Trace.digest own.Iss.Trace.trace)
+              (Iss.Trace.digest m.Iss.Trace.trace);
+            let static = Iss.Machine.static_uop image in
+            let base = image.Image.text_base in
+            List.iter
+              (fun pc ->
+                 Alcotest.(check bool)
+                   (Printf.sprintf "%s: no uop at %#x" label pc)
+                   true (static pc = None))
+              [ base - 4; Image.text_end image; base + 2 ];
+            let stops = ref 0 in
+            Array.iteri
+              (fun i word ->
+                 let pc = base + (4 * i) in
+                 let want = shape pc word in
+                 if want = None then incr stops;
+                 Alcotest.(check bool)
+                   (Printf.sprintf "%s: static uop at %#x" label pc)
+                   true (static pc = want))
+              image.Image.text;
+            Alcotest.(check bool) (label ^ ": text has a stop word") true
+              (!stops > 0))
+         [ Exp.Straight_raw; Exp.Straight_re; Exp.Riscv ])
+    [ Workloads.fib (); Workloads.wasm_sieve () ]
+
 let suite =
   [ ("straight fib (fig 1a)", `Quick, test_straight_fib);
     ("straight loop + distance fixing", `Quick, test_straight_loop_and_branch);
@@ -393,6 +481,7 @@ let suite =
     ("straight memory faults", `Quick, test_straight_memory_faults);
     ("riscv memory faults", `Quick, test_riscv_memory_faults);
     ("fuel exhaustion", `Quick, test_fuel_exhaustion);
-    ("assembler errors", `Quick, test_asm_errors) ]
+    ("assembler errors", `Quick, test_asm_errors);
+    ("machine: dispatch by image ISA", `Quick, test_machine_dispatch) ]
 
 let () = Alcotest.run "iss" [ ("iss", suite) ]

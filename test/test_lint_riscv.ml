@@ -66,7 +66,8 @@ let test_fixtures_rejected () =
 
 let image_of_words ?(entry_word = 0) words =
   let base = Assembler.Layout.text_base in
-  { Image.entry = base + (4 * entry_word);
+  { Image.isa = Image.Riscv;
+    entry = base + (4 * entry_word);
     text_base = base;
     text = Array.of_list words;
     data_base = Assembler.Layout.data_base;

@@ -161,20 +161,20 @@ int main() {
 
 let test_engine_straight_runs () =
   let image = compile_straight sim_source in
-  let r = Ooo_straight.Pipeline.run Params.straight_4way image in
-  let s = r.Ooo_straight.Pipeline.stats in
+  let r = Ooo_common.Pipeline.run Params.straight_4way image in
+  let s = r.Ooo_common.Pipeline.stats in
   Alcotest.(check bool) "ipc positive" true (s.Engine.ipc > 0.0);
   Alcotest.(check bool) "ipc below issue width" true
     (s.Engine.ipc <= float_of_int Params.straight_4way.Params.issue_width);
   Alcotest.(check bool) "committed everything" true (s.Engine.committed > 0);
   (* functional output must be produced by the ISS leg unchanged *)
   Alcotest.(check bool) "output nonempty" true
-    (String.length r.Ooo_straight.Pipeline.output > 0)
+    (String.length r.Ooo_common.Pipeline.output > 0)
 
 let test_engine_riscv_runs () =
   let image = compile_riscv sim_source in
-  let r = Ooo_riscv.Pipeline.run Params.ss_4way image in
-  let s = r.Ooo_riscv.Pipeline.stats in
+  let r = Ooo_common.Pipeline.run Params.ss_4way image in
+  let s = r.Ooo_common.Pipeline.stats in
   Alcotest.(check bool) "ipc positive" true (s.Engine.ipc > 0.0);
   Alcotest.(check bool) "ipc below issue width" true
     (s.Engine.ipc <= float_of_int Params.ss_4way.Params.issue_width)
@@ -188,100 +188,100 @@ let test_engine_commit_count_matches_trace () =
                 max_insns = 10_000_000 }
       image
   in
-  let r = Ooo_straight.Pipeline.run Params.straight_2way image in
+  let r = Ooo_common.Pipeline.run Params.straight_2way image in
   Alcotest.(check int) "committed = trace length" iss.Iss.Trace.retired
-    r.Ooo_straight.Pipeline.stats.Engine.committed
+    r.Ooo_common.Pipeline.stats.Engine.committed
 
 let test_engine_determinism () =
   let image = compile_straight sim_source in
-  let r1 = Ooo_straight.Pipeline.run Params.straight_4way image in
-  let r2 = Ooo_straight.Pipeline.run Params.straight_4way image in
-  Alcotest.(check int) "same cycles" r1.Ooo_straight.Pipeline.stats.Engine.cycles
-    r2.Ooo_straight.Pipeline.stats.Engine.cycles
+  let r1 = Ooo_common.Pipeline.run Params.straight_4way image in
+  let r2 = Ooo_common.Pipeline.run Params.straight_4way image in
+  Alcotest.(check int) "same cycles" r1.Ooo_common.Pipeline.stats.Engine.cycles
+    r2.Ooo_common.Pipeline.stats.Engine.cycles
 
 let test_ideal_recovery_not_slower () =
   let image = compile_riscv sim_source in
-  let normal = Ooo_riscv.Pipeline.run Params.ss_2way image in
+  let normal = Ooo_common.Pipeline.run Params.ss_2way image in
   let ideal =
-    Ooo_riscv.Pipeline.run (Params.with_ideal_recovery Params.ss_2way) image
+    Ooo_common.Pipeline.run (Params.with_ideal_recovery Params.ss_2way) image
   in
   Alcotest.(check bool) "ideal recovery is not slower" true
-    (ideal.Ooo_riscv.Pipeline.stats.Engine.cycles
-     <= normal.Ooo_riscv.Pipeline.stats.Engine.cycles)
+    (ideal.Ooo_common.Pipeline.stats.Engine.cycles
+     <= normal.Ooo_common.Pipeline.stats.Engine.cycles)
 
 let test_deeper_frontend_not_faster () =
   let image = compile_straight sim_source in
-  let shallow = Ooo_straight.Pipeline.run Params.straight_4way image in
+  let shallow = Ooo_common.Pipeline.run Params.straight_4way image in
   let deep =
-    Ooo_straight.Pipeline.run
+    Ooo_common.Pipeline.run
       { Params.straight_4way with Params.frontend_depth = 12; name = "deep" }
       image
   in
   Alcotest.(check bool) "12-deep front end is not faster" true
-    (deep.Ooo_straight.Pipeline.stats.Engine.cycles
-     >= shallow.Ooo_straight.Pipeline.stats.Engine.cycles)
+    (deep.Ooo_common.Pipeline.stats.Engine.cycles
+     >= shallow.Ooo_common.Pipeline.stats.Engine.cycles)
 
 let test_wider_machine_not_slower () =
   let image = compile_straight sim_source in
-  let narrow = Ooo_straight.Pipeline.run Params.straight_2way image in
-  let wide = Ooo_straight.Pipeline.run Params.straight_4way image in
+  let narrow = Ooo_common.Pipeline.run Params.straight_2way image in
+  let wide = Ooo_common.Pipeline.run Params.straight_4way image in
   Alcotest.(check bool) "4-way is not slower than 2-way" true
-    (wide.Ooo_straight.Pipeline.stats.Engine.cycles
-     <= narrow.Ooo_straight.Pipeline.stats.Engine.cycles)
+    (wide.Ooo_common.Pipeline.stats.Engine.cycles
+     <= narrow.Ooo_common.Pipeline.stats.Engine.cycles)
 
 let test_mix_totals () =
   let image = compile_straight sim_source in
-  let r = Ooo_straight.Pipeline.run Params.straight_2way image in
-  let s = r.Ooo_straight.Pipeline.stats in
+  let r = Ooo_common.Pipeline.run Params.straight_2way image in
+  let s = r.Ooo_common.Pipeline.stats in
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 s.Engine.mix in
   Alcotest.(check int) "mix sums to committed" s.Engine.committed total
 
 let test_slow_memory_slower () =
   let image = compile_straight sim_source in
-  let fast = Ooo_straight.Pipeline.run Params.straight_2way image in
+  let fast = Ooo_common.Pipeline.run Params.straight_2way image in
   let slow =
-    Ooo_straight.Pipeline.run
+    Ooo_common.Pipeline.run
       { Params.straight_2way with Params.memory_latency = 800; name = "slowmem" }
       image
   in
   Alcotest.(check bool) "4x memory latency is not faster" true
-    (slow.Ooo_straight.Pipeline.stats.Engine.cycles
-     >= fast.Ooo_straight.Pipeline.stats.Engine.cycles)
+    (slow.Ooo_common.Pipeline.stats.Engine.cycles
+     >= fast.Ooo_common.Pipeline.stats.Engine.cycles)
 
 (* the checkpointed-RMT variant (Section II-A) removes the walk but adds
    checkpoint-occupancy stalls: it must land between SS and ideal *)
 let test_checkpointed_rmt_between () =
   let image = compile_riscv sim_source in
-  let ss = Ooo_riscv.Pipeline.run Params.ss_4way image in
+  let ss = Ooo_common.Pipeline.run Params.ss_4way image in
   let ck =
-    Ooo_riscv.Pipeline.run (Params.with_checkpoints ~n:8 Params.ss_4way) image
+    Ooo_common.Pipeline.run (Params.with_checkpoints ~n:8 Params.ss_4way) image
   in
   let ideal =
-    Ooo_riscv.Pipeline.run (Params.with_ideal_recovery Params.ss_4way) image
+    Ooo_common.Pipeline.run (Params.with_ideal_recovery Params.ss_4way) image
   in
   Alcotest.(check bool) "checkpoints not slower than walk" true
-    (ck.Ooo_riscv.Pipeline.stats.Engine.cycles
-     <= ss.Ooo_riscv.Pipeline.stats.Engine.cycles);
+    (ck.Ooo_common.Pipeline.stats.Engine.cycles
+     <= ss.Ooo_common.Pipeline.stats.Engine.cycles);
   Alcotest.(check bool) "checkpoints not faster than ideal" true
-    (ck.Ooo_riscv.Pipeline.stats.Engine.cycles
-     >= ideal.Ooo_riscv.Pipeline.stats.Engine.cycles);
+    (ck.Ooo_common.Pipeline.stats.Engine.cycles
+     >= ideal.Ooo_common.Pipeline.stats.Engine.cycles);
   Alcotest.(check int) "no walk with checkpoints" 0
-    ck.Ooo_riscv.Pipeline.stats.Engine.walk_stall_cycles
+    ck.Ooo_common.Pipeline.stats.Engine.walk_stall_cycles
 
 (* starved checkpoints must actually stall *)
 let test_checkpoint_starvation () =
   let image = compile_riscv sim_source in
   let starved =
-    Ooo_riscv.Pipeline.run (Params.with_checkpoints ~n:1 Params.ss_4way) image
+    Ooo_common.Pipeline.run (Params.with_checkpoints ~n:1 Params.ss_4way) image
   in
   Alcotest.(check bool) "1 checkpoint causes stalls" true
-    (starved.Ooo_riscv.Pipeline.stats.Engine.checkpoint_stall_slots > 0)
+    (starved.Ooo_common.Pipeline.stats.Engine.checkpoint_stall_slots > 0)
 
 (* Section III-B: the SPADD dispatch restriction is negligible *)
 let test_spadd_limit_negligible () =
   let image = compile_straight sim_source in
-  let r = Ooo_straight.Pipeline.run Params.straight_4way image in
-  let s = r.Ooo_straight.Pipeline.stats in
+  let r = Ooo_common.Pipeline.run Params.straight_4way image in
+  let s = r.Ooo_common.Pipeline.stats in
   Alcotest.(check bool)
     (Printf.sprintf "spadd stalls %d < 2%% of cycles %d"
        s.Engine.spadd_stall_slots s.Engine.cycles)
@@ -328,9 +328,9 @@ let test_pointer_chase_misses () =
     (Straight_core.Compile.backend Straight_core.Compile.Riscv p)
       .Straight_core.Compile.image
   in
-  let r = Ooo_riscv.Pipeline.run Params.ss_2way image in
+  let r = Ooo_common.Pipeline.run Params.ss_2way image in
   Alcotest.(check bool) "pointer chase misses in L1D" true
-    (r.Ooo_riscv.Pipeline.stats.Engine.l1d_misses > 500)
+    (r.Ooo_common.Pipeline.stats.Engine.l1d_misses > 500)
 
 let suite =
   [ ("cache basics", `Quick, test_cache_basics);

@@ -43,17 +43,15 @@ let all_kinds =
    deadlock.  Anything else escapes and fails the test. *)
 let campaign_run (model : Params.t) ~seed : (int, Diag.t) result =
   let model = Params.with_faults (Inject.plan ~period:200 ~kinds:all_kinds seed) model in
-  match model.Params.rename with
-  | Params.Rp ->
-    (try
-       let r = Ooo_straight.Pipeline.run model (Lazy.force straight_image) in
-       Ok r.Ooo_straight.Pipeline.stats.Engine.faults_injected
-     with Diag.Error d -> Error d)
-  | Params.Rmt _ | Params.Rmt_checkpoint _ ->
-    (try
-       let r = Ooo_riscv.Pipeline.run model (Lazy.force riscv_image) in
-       Ok r.Ooo_riscv.Pipeline.stats.Engine.faults_injected
-     with Diag.Error d -> Error d)
+  let image =
+    match model.Params.rename with
+    | Params.Rp -> straight_image
+    | Params.Rmt _ | Params.Rmt_checkpoint _ -> riscv_image
+  in
+  try
+    let r = Ooo_common.Pipeline.run model (Lazy.force image) in
+    Ok r.Ooo_common.Pipeline.stats.Engine.faults_injected
+  with Diag.Error d -> Error d
 
 let test_fault_campaign () =
   let models =
@@ -99,7 +97,7 @@ let test_watchdog_deadlock () =
   let model =
     { Params.straight_2way with Params.scheduler_entries = 0; name = "wedged" }
   in
-  match Ooo_straight.Pipeline.run model (Lazy.force straight_image) with
+  match Ooo_common.Pipeline.run model (Lazy.force straight_image) with
   | _ -> Alcotest.fail "deadlocked configuration completed"
   | exception Diag.Error d ->
     Alcotest.(check string) "deadlock code" "SIM_DEADLOCK"
@@ -138,7 +136,7 @@ let test_checker_divergence () =
   match
     Engine.run Params.straight_2way
       ~window:(Ooo_common.Window.of_array tampered)
-      ~decode_static:(Ooo_straight.Pipeline.static_uop image) ~checker ()
+      ~decode_static:(Iss.Machine.static_uop image) ~checker ()
   with
   | _ -> Alcotest.fail "checker accepted a divergent golden trace"
   | exception Diag.Error d ->

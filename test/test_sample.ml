@@ -240,15 +240,15 @@ let test_warm_handoff_helps () =
   let image = Sim.compile spec in
   let region warm =
     let s =
-      Ooo_straight.Pipeline.start_region ~warm ~from:15_000
+      Ooo_common.Pipeline.start_region ~warm ~from:15_000
         Params.straight_2way image
     in
-    let e = s.Ooo_straight.Pipeline.engine in
+    let e = s.Ooo_common.Pipeline.engine in
     while not (Ooo_common.Engine.finished e) do
       Ooo_common.Engine.step e
     done;
-    let r = Ooo_straight.Pipeline.finish s in
-    r.Ooo_straight.Pipeline.stats.Ooo_common.Engine.cycles
+    let r = Ooo_common.Pipeline.finish s in
+    r.Ooo_common.Pipeline.stats.Ooo_common.Engine.cycles
   in
   let cold = region false and warmed = region true in
   Alcotest.(check bool)

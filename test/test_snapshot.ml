@@ -264,6 +264,34 @@ let test_flags_need_path () =
     [ (fun () -> Sim.run ~checkpoint_every:100 spec);
       (fun () -> Sim.run ~stop_at:100 spec) ]
 
+(* a STRAIGHT image only runs on the RP core and an RV32IM image only on
+   a renaming core: any other pairing is refused when the spec is built,
+   before anything is compiled or simulated *)
+let test_spec_rejects_isa_core_mismatch () =
+  let w = Workloads.iota ~n:10 () in
+  let ss_ckpt = Params.with_checkpoints ~n:8 Params.ss_4way in
+  List.iter
+    (fun (model, target) ->
+       let label =
+         Printf.sprintf "%s on %s" (Exp.target_label target)
+           model.Params.name
+       in
+       match Sim.spec ~model ~target w with
+       | (_ : Sim.spec) -> Alcotest.failf "%s: mismatch accepted" label
+       | exception Diag.Error d ->
+         Alcotest.(check string) (label ^ ": config error") "CONFIG_ERROR"
+           (Diag.code_name d.Diag.code))
+    [ (Params.straight_2way, Exp.Riscv);
+      (Params.ss_2way, Exp.Straight_re);
+      (Params.ss_4way, Exp.Straight_raw);
+      (ss_ckpt, Exp.Straight_re) ];
+  List.iter
+    (fun (model, target) ->
+       ignore (Sim.spec ~model ~target w : Sim.spec))
+    [ (Params.ss_2way, Exp.Riscv); (Params.ss_4way, Exp.Riscv);
+      (Params.straight_2way, Exp.Straight_re);
+      (Params.straight_4way, Exp.Straight_raw); (ss_ckpt, Exp.Riscv) ]
+
 (* ---------- the sweep's resume path ---------- *)
 
 let sweep_point () =
@@ -367,6 +395,8 @@ let suite =
     ("reject: resume under a different spec", `Quick,
      test_reject_spec_mismatch);
     ("checkpoint flags require a path", `Quick, test_flags_need_path);
+    ("spec: ISA/core mismatch is a config error", `Quick,
+     test_spec_rejects_isa_core_mismatch);
     ("sweep: resumed point = clean point", `Slow,
      test_sweep_resume_identical);
     ("sweep: unusable checkpoint restarts clean", `Quick,

@@ -1,9 +1,9 @@
 (* Streamed ≡ array-fed.
 
-   The pipelines feed the cycle engine through a bounded window over a
+   The pipeline feeds the cycle engine through a bounded window over a
    live ISS session; the interval sampler and the engine-only perf suite
    feed it a collected array through the same window.  Seeded over the
-   built-in workloads at short sizes × both pipelines × the four Table-I
+   built-in workloads at short sizes × both ISAs × the four Table-I
    models, with the lockstep checker armed, this checks:
 
    - [Pipeline.run] returns the same full [Engine.stats] as [Engine.run]
@@ -42,7 +42,7 @@ let workloads rng =
     Workloads.wasm_crc32 ~nbytes:(Rng.range rng 4 12) ();
     Workloads.wasm_expr ~iters:(Rng.range rng 5 20) () ]
 
-(* the four Table-I models, each on its own pipeline *)
+(* the four Table-I models, each with its own target *)
 let models =
   [ (Params.ss_2way, Exp.Riscv); (Params.ss_4way, Exp.Riscv);
     (Params.straight_2way, Exp.Straight_re);
@@ -59,41 +59,32 @@ type pipeline = {
 }
 
 let pipeline (params : Params.t) target image : pipeline =
+  let module P = Ooo_common.Pipeline in
   let checker retired =
     Checker.create ~max_dist ~rename:params.Params.rename ~retired ()
   in
-  match target with
-  | Exp.Riscv ->
-    let module P = Ooo_riscv.Pipeline in
-    { run = (fun () -> (P.run params image).P.stats);
-      start = (fun () -> (P.start params image).P.engine);
-      resume = (fun r -> (P.resume params image r).P.engine);
-      array_fed =
-        (fun () ->
-           let r =
-             Iss.Riscv_iss.run
-               ~config:{ Iss.Riscv_iss.default_config with collect_trace = true }
-               image
-           in
-           Engine.run params ~window:(Window.of_array r.Iss.Trace.trace)
-             ~decode_static:(P.static_uop image)
-             ~checker:(checker r.Iss.Trace.retired) ()) }
-  | Exp.Straight_raw | Exp.Straight_re ->
-    let module P = Ooo_straight.Pipeline in
-    { run = (fun () -> (P.run ~max_dist params image).P.stats);
-      start = (fun () -> (P.start ~max_dist params image).P.engine);
-      resume = (fun r -> (P.resume ~max_dist params image r).P.engine);
-      array_fed =
-        (fun () ->
-           let r =
-             Iss.Straight_iss.run
-               ~config:
-                 { Iss.Straight_iss.default_config with collect_trace = true }
-               image
-           in
-           Engine.run params ~window:(Window.of_array r.Iss.Trace.trace)
-             ~decode_static:(P.static_uop image)
-             ~checker:(checker r.Iss.Trace.retired) ()) }
+  (* the reference collects its trace from the target's own ISS, not
+     through [Iss.Machine], which the pipeline under test runs on *)
+  let reference_run () =
+    match target with
+    | Exp.Riscv ->
+      Iss.Riscv_iss.run
+        ~config:{ Iss.Riscv_iss.default_config with collect_trace = true }
+        image
+    | Exp.Straight_raw | Exp.Straight_re ->
+      Iss.Straight_iss.run
+        ~config:{ Iss.Straight_iss.default_config with collect_trace = true }
+        image
+  in
+  { run = (fun () -> (P.run ~max_dist params image).P.stats);
+    start = (fun () -> (P.start ~max_dist params image).P.engine);
+    resume = (fun r -> (P.resume ~max_dist params image r).P.engine);
+    array_fed =
+      (fun () ->
+         let r = reference_run () in
+         Engine.run params ~window:(Window.of_array r.Iss.Trace.trace)
+           ~decode_static:(Iss.Machine.static_uop image)
+           ~checker:(checker r.Iss.Trace.retired) ()) }
 
 let describe (s : Engine.stats) =
   Printf.sprintf "cycles %d, committed %d, checked %d, wrong-path %d, \
