@@ -518,17 +518,17 @@ let json_suite out =
               Printf.printf "%-14s %-14s %-10s %9d cyc  ipc %5.3f  %8.1f kc/s\n%!"
                 model.Ooo_common.Params.name (Exp.target_label target)
                 w.Workloads.name s.Engine.cycles s.Engine.ipc med;
-              Stats.Json.Obj
-                [ ("model", Stats.Json.Str model.Ooo_common.Params.name);
-                  ("target", Stats.Json.Str (Exp.target_label target));
-                  ("workload", Stats.Json.Str w.Workloads.name);
-                  ("cycles", Stats.Json.Int s.Engine.cycles);
-                  ("instructions", Stats.Json.Int s.Engine.committed);
-                  ("ipc", Stats.Json.Float s.Engine.ipc);
+              Json.Obj
+                [ ("model", Json.Str model.Ooo_common.Params.name);
+                  ("target", Json.Str (Exp.target_label target));
+                  ("workload", Json.Str w.Workloads.name);
+                  ("cycles", Json.Int s.Engine.cycles);
+                  ("instructions", Json.Int s.Engine.committed);
+                  ("ipc", Json.Float s.Engine.ipc);
                   ("khz_reps",
-                   Stats.Json.List (List.map (fun k -> Stats.Json.Float k) khz));
-                  ("khz_median", Stats.Json.Float med);
-                  ("khz_best", Stats.Json.Float best);
+                   Json.List (List.map (fun k -> Json.Float k) khz));
+                  ("khz_median", Json.Float med);
+                  ("khz_best", Json.Float best);
                   ("cpi_stack", Stats.cpi_to_json s.Engine.cpi_stack) ])
            workloads)
       combos
@@ -540,15 +540,15 @@ let json_suite out =
     else base
   in
   let json =
-    Stats.Json.Obj
-      [ ("schema", Stats.Json.Str "straight-bench/1");
-        ("label", Stats.Json.Str label);
-        ("quick", Stats.Json.Bool !quick);
-        ("reps", Stats.Json.Int reps);
-        ("entries", Stats.Json.List entries) ]
+    Json.Obj
+      [ ("schema", Json.Str "straight-bench/1");
+        ("label", Json.Str label);
+        ("quick", Json.Bool !quick);
+        ("reps", Json.Int reps);
+        ("entries", Json.List entries) ]
   in
   Out_channel.with_open_text out (fun oc ->
-      output_string oc (Stats.Json.to_string json));
+      output_string oc (Json.to_string json));
   Printf.printf "wrote %s (%d entries)\n%!" out (List.length entries)
 
 (* ---------- driver ---------- *)

@@ -32,44 +32,22 @@ type failure = {
   f_minimized : string option;
 }
 
-let failure_json_string ?(indent = "    ") (f : failure) : string =
-  let buf = Buffer.create 256 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "%s{\n" indent;
-  out "%s  \"seed\": %d,\n" indent f.f_seed;
-  out "%s  \"kind\": \"%s\",\n" indent (Lint_report.json_escape f.f_kind);
-  out "%s  \"detail\": [%s],\n" indent
-    (String.concat ", "
-       (List.map
-          (fun d -> "\"" ^ Lint_report.json_escape d ^ "\"")
-          f.f_detail));
-  out "%s  \"source\": \"%s\"" indent (Lint_report.json_escape f.f_source);
-  (match f.f_minimized with
-   | Some m ->
-     out ",\n%s  \"minimized\": \"%s\"\n" indent
-       (Lint_report.json_escape m)
-   | None -> out "\n");
-  out "%s}" indent;
-  Buffer.contents buf
-
-let write_json (file : string) (failures : failure list) : unit =
-  let oc = open_out file in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"failures\": [";
-  List.iteri
-    (fun i f ->
-       if i > 0 then out ",";
-       out "\n%s" (failure_json_string f))
-    failures;
-  out "\n  ]\n}\n";
-  close_out oc
+let failure_json (f : failure) : Json.t =
+  Json.Obj
+    ([ ("seed", Json.Int f.f_seed);
+       ("kind", Json.Str f.f_kind);
+       ("detail", Json.List (List.map (fun d -> Json.Str d) f.f_detail));
+       ("source", Json.Str f.f_source) ]
+     @ match f.f_minimized with
+     | None -> []
+     | Some m -> [ ("minimized", Json.Str m) ])
 
 (* -corpus persistence: every write is tmp+rename so a SIGKILL mid-write
    can never leave a torn or half-visible file in the corpus. *)
 let corpus_save (dir : string) ~(ext : string) (f : failure) : unit =
   let stem = Filename.concat dir (Printf.sprintf "seed-%05d" f.f_seed) in
   let save path s = File.write_atomic path (fun oc -> output_string oc s) in
-  save (stem ^ ".json") (failure_json_string ~indent:"" f ^ "\n");
+  save (stem ^ ".json") (Json.to_string (failure_json f));
   if f.f_source <> "" then save (stem ^ ext) f.f_source;
   match f.f_minimized with
   | Some m -> save (stem ^ ".min" ^ ext) m
@@ -537,13 +515,16 @@ let () =
     Printf.printf "tv: %d validations, %d abstained\n" !tv_validations
       !tv_abstained;
   if !json_file <> "" then begin
-    if !tv_workloads_only then
-      (* the machine-readable TV report keeps every finding, including
-         abstentions, under the straight-tv/1 schema *)
-      Out_channel.with_open_text !json_file (fun oc ->
-          output_string oc
-            (Lint_report.report_to_json ~schema:"straight-tv/1" !tv_groups))
-    else write_json !json_file failures
+    let report =
+      if !tv_workloads_only then
+        (* the machine-readable TV report keeps every finding, including
+           abstentions, under the straight-tv/1 schema *)
+        Lint_report.report_json ~schema:"straight-tv/1" !tv_groups
+      else
+        Json.Obj [ ("failures", Json.List (List.map failure_json failures)) ]
+    in
+    Out_channel.with_open_text !json_file (fun oc ->
+        output_string oc (Json.to_string report))
   end;
   match failures with
   | [] when !prior_failures > 0 ->

@@ -74,7 +74,8 @@ let main () =
       findings;
     if !lint_json <> "" then
       Out_channel.with_open_text !lint_json (fun oc ->
-          output_string oc (Lint_report.report_to_json [ (label, findings) ]));
+          output_string oc
+            (Json.to_string (Lint_report.report_json [ (label, findings) ])));
     match Lint_report.errors findings with
     | [] -> Printf.printf "%s: lint clean\n" label
     | errs ->
@@ -91,8 +92,9 @@ let main () =
     if !tv_json <> "" then
       Out_channel.with_open_text !tv_json (fun oc ->
           output_string oc
-            (Lint_report.report_to_json ~schema:"straight-tv/1"
-               [ (label, findings) ]));
+            (Json.to_string
+               (Lint_report.report_json ~schema:"straight-tv/1"
+                  [ (label, findings) ])));
     match Lint_report.errors findings with
     | [] ->
       let abstained =

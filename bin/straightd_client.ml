@@ -17,7 +17,7 @@
    Exit codes: 0 ok; 1 bench saw request errors; 2 usage; 10 cannot
    reach the daemon; otherwise the error reply's Diag exit code. *)
 
-module J = Ooo_common.Stats.Json
+module J = Json
 
 let usage () =
   prerr_endline

@@ -306,7 +306,7 @@ let () =
     let failures = ref [] in
     Sweep.Pool.run ~jobs:(Array.length entries)
       ~worker:(fun i ->
-          Stats.Json.to_string ~indent:false
+          Json.to_string ~indent:false
             (Sample.Interval.result_to_json
                (Sample.Interval.run_file entries.(i).Sample.Interval.path)))
       ~procs:!jobs
@@ -314,7 +314,7 @@ let () =
           | Ok line ->
             results.(i) <-
               Some
-                (Sample.Interval.result_of_json (Stats.Json.of_string line))
+                (Sample.Interval.result_of_json (Json.of_string line))
           | Error msg -> failures := (i, msg) :: !failures)
       ();
     List.iter
@@ -341,7 +341,7 @@ let () =
             est.Sample.Recombine.stack));
     (if !sample_json <> "" then begin
        let text =
-         Stats.Json.to_string
+         Json.to_string
            (Sample.Recombine.report_json ~workload:w.Workloads.name
               ~target:(Exp.target_label target) ~spec:sp est)
        in
@@ -406,30 +406,30 @@ let () =
             (Stats.cpi_to_assoc s.Engine.cpi_stack)));
     (if !stats_json <> "" then begin
        let json =
-         Stats.Json.Obj
-           [ ("schema", Stats.Json.Str "straightsim-stats/1");
-             ("model", Stats.Json.Str r.Exp.model);
-             ("target", Stats.Json.Str (Exp.target_label r.Exp.target));
-             ("workload", Stats.Json.Str r.Exp.workload);
-             ("cycles", Stats.Json.Int r.Exp.cycles);
-             ("instructions", Stats.Json.Int r.Exp.committed);
-             ("ipc", Stats.Json.Float r.Exp.ipc);
+         Json.Obj
+           [ ("schema", Json.Str "straightsim-stats/1");
+             ("model", Json.Str r.Exp.model);
+             ("target", Json.Str (Exp.target_label r.Exp.target));
+             ("workload", Json.Str r.Exp.workload);
+             ("cycles", Json.Int r.Exp.cycles);
+             ("instructions", Json.Int r.Exp.committed);
+             ("ipc", Json.Float r.Exp.ipc);
              ("cpi_stack", Stats.cpi_to_json s.Engine.cpi_stack);
-             ("branch_mispredicts", Stats.Json.Int s.Engine.branch_mispredicts);
-             ("return_mispredicts", Stats.Json.Int s.Engine.return_mispredicts);
-             ("memdep_violations", Stats.Json.Int s.Engine.memdep_violations);
-             ("walk_stall_cycles", Stats.Json.Int s.Engine.walk_stall_cycles);
-             ("l1i_misses", Stats.Json.Int s.Engine.l1i_misses);
-             ("l1d_misses", Stats.Json.Int s.Engine.l1d_misses);
-             ("l1d_accesses", Stats.Json.Int s.Engine.l1d_accesses);
-             ("wrong_path_fetched", Stats.Json.Int s.Engine.wrong_path_fetched);
-             ("faults_injected", Stats.Json.Int s.Engine.faults_injected);
-             ("commits_checked", Stats.Json.Int s.Engine.commits_checked);
+             ("branch_mispredicts", Json.Int s.Engine.branch_mispredicts);
+             ("return_mispredicts", Json.Int s.Engine.return_mispredicts);
+             ("memdep_violations", Json.Int s.Engine.memdep_violations);
+             ("walk_stall_cycles", Json.Int s.Engine.walk_stall_cycles);
+             ("l1i_misses", Json.Int s.Engine.l1i_misses);
+             ("l1d_misses", Json.Int s.Engine.l1d_misses);
+             ("l1d_accesses", Json.Int s.Engine.l1d_accesses);
+             ("wrong_path_fetched", Json.Int s.Engine.wrong_path_fetched);
+             ("faults_injected", Json.Int s.Engine.faults_injected);
+             ("commits_checked", Json.Int s.Engine.commits_checked);
              ("mix",
-              Stats.Json.Obj
-                (List.map (fun (k, v) -> (k, Stats.Json.Int v)) s.Engine.mix)) ]
+              Json.Obj
+                (List.map (fun (k, v) -> (k, Json.Int v)) s.Engine.mix)) ]
        in
-       let text = Stats.Json.to_string json in
+       let text = Json.to_string json in
        match !stats_json with
        | "-" -> print_string text
        | path ->

@@ -21,7 +21,7 @@
    128+signal when interrupted by SIGINT/SIGTERM. *)
 
 module Params = Ooo_common.Params
-module J = Ooo_common.Stats.Json
+module J = Json
 
 let usage () =
   prerr_endline

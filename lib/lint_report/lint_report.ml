@@ -1,7 +1,7 @@
 (* Shared reporting vocabulary for the static binary verifiers
-   (lib/straight_lint and lib/riscv_lint): one finding record with a
-   severity, a formatter, and a dependency-free JSON emitter so CI can
-   archive lint reports as build artifacts.
+   (lib/straight_lint and lib/riscv_lint) and the translation validator:
+   one finding record with a severity, a formatter, and the report as a
+   [Json.t] so CI can archive lint reports as build artifacts.
 
    The [check] field is a short machine-stable name ("live-window",
    "uninit-read", ...): tools and tests match on it, so renaming one is
@@ -38,36 +38,15 @@ let errors (fs : finding list) : finding list =
 
 (* ---------- JSON ---------- *)
 
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let finding_json (f : finding) : Json.t =
+  Json.Obj
+    ([ ("pc", Json.Int f.pc);
+       ("check", Json.Str f.check);
+       ("severity", Json.Str (severity_name f.severity));
+       ("message", Json.Str f.message) ]
+     @ match f.func with None -> [] | Some fn -> [ ("func", Json.Str fn) ])
 
-let finding_to_json (f : finding) : string =
-  let func_field =
-    match f.func with
-    | None -> ""
-    | Some fn -> Printf.sprintf ", \"func\": \"%s\"" (json_escape fn)
-  in
-  Printf.sprintf
-    "{\"pc\": %d, \"check\": \"%s\", \"severity\": \"%s\", \"message\": \
-     \"%s\"%s}"
-    f.pc (json_escape f.check)
-    (severity_name f.severity)
-    (json_escape f.message) func_field
-
-(* [report_to_json ?schema groups] renders a whole lint run: one entry
+(* [report_json ?schema groups] describes a whole lint run: one entry
    per linted image, labeled by target/configuration.  The shape is
    stable, and only ever extended additively (old readers keep working):
 
@@ -75,42 +54,22 @@ let finding_to_json (f : finding) : string =
        "findings_total": N,
        "errors": N, "warnings": N, "infos": N,
        "images": [ { "label": "...", "findings": [ {...}, ... ] } ] } *)
-let report_to_json ?schema (groups : (string * finding list) list) : string =
-  let buf = Buffer.create 1024 in
-  let total =
-    List.fold_left (fun acc (_, fs) -> acc + List.length fs) 0 groups
-  in
+let report_json ?schema (groups : (string * finding list) list) : Json.t =
+  let all = List.concat_map snd groups in
   let count sev =
-    List.fold_left
-      (fun acc (_, fs) ->
-         acc + List.length (List.filter (fun f -> f.severity = sev) fs))
-      0 groups
+    Json.Int (List.length (List.filter (fun f -> f.severity = sev) all))
   in
-  Buffer.add_string buf "{\n";
-  (match schema with
-   | None -> ()
-   | Some s ->
-     Buffer.add_string buf
-       (Printf.sprintf "  \"schema\": \"%s\",\n" (json_escape s)));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"findings_total\": %d,\n  \"errors\": %d,\n  \"warnings\": %d,\n\
-       \  \"infos\": %d,\n  \"images\": [" total (count Error) (count Warning)
-       (count Info));
-  List.iteri
-    (fun i (label, fs) ->
-       if i > 0 then Buffer.add_char buf ',';
-       Buffer.add_string buf
-         (Printf.sprintf "\n    {\n      \"label\": \"%s\",\n      \"findings\": ["
-            (json_escape label));
-       List.iteri
-         (fun j f ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf ("\n        " ^ finding_to_json f))
-         fs;
-       if fs <> [] then Buffer.add_string buf "\n      ";
-       Buffer.add_string buf "]\n    }")
-    groups;
-  if groups <> [] then Buffer.add_string buf "\n  ";
-  Buffer.add_string buf "]\n}\n";
-  Buffer.contents buf
+  Json.Obj
+    ((match schema with None -> [] | Some s -> [ ("schema", Json.Str s) ])
+     @ [ ("findings_total", Json.Int (List.length all));
+         ("errors", count Error);
+         ("warnings", count Warning);
+         ("infos", count Info);
+         ("images",
+          Json.List
+            (List.map
+               (fun (label, fs) ->
+                  Json.Obj
+                    [ ("label", Json.Str label);
+                      ("findings", Json.List (List.map finding_json fs)) ])
+               groups)) ])

@@ -1,7 +1,7 @@
 (** Shared reporting vocabulary for the static binary verifiers
-    ([Straight_lint] and [Riscv_lint]): a finding record with severity,
-    a formatter, and a dependency-free JSON emitter so CI can archive
-    lint reports as build artifacts. *)
+    ([Straight_lint] and [Riscv_lint]) and the translation validator: a
+    finding record with severity, a formatter, and the report as a
+    [Json.t] so CI can archive lint reports as build artifacts. *)
 
 type severity = Error | Warning | Info
 
@@ -31,13 +31,12 @@ val finding_to_string : finding -> string
 val errors : finding list -> finding list
 (** Just the [Error]-severity findings (the ones that fail a build). *)
 
-val json_escape : string -> string
+val finding_json : finding -> Json.t
+(** One finding as a JSON object: [pc], [check], [severity], [message],
+    then [func] when known. *)
 
-val finding_to_json : finding -> string
-(** One finding as a JSON object. *)
-
-val report_to_json : ?schema:string -> (string * finding list) list -> string
-(** A whole lint run as JSON, one labeled entry per linted image:
+val report_json : ?schema:string -> (string * finding list) list -> Json.t
+(** A whole lint run, one labeled entry per linted image:
     [{ "findings_total": N, "errors": N, "warnings": N, "infos": N,
        "images": [{ "label", "findings" }] }], prefixed with a
     ["schema"] key when [?schema] is given.  Extensions over the

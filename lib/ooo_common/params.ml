@@ -153,9 +153,7 @@ let with_faults plan p =
    worth of nested data.  [of_json] inverts [to_json] exactly;
    [equal] is structural. *)
 
-exception Json_error of string
-
-module J = Stats.Json
+module J = Json
 
 let cache_to_json (c : cache_params) : J.t =
   J.Obj
@@ -164,28 +162,11 @@ let cache_to_json (c : cache_params) : J.t =
       ("line_bytes", J.Int c.line_bytes);
       ("hit_latency", J.Int c.hit_latency) ]
 
-let jfail fmt = Printf.ksprintf (fun m -> raise (Json_error m)) fmt
-
-let jint name j =
-  match J.get_int (J.member name j) with
-  | Some n -> n
-  | None -> jfail "missing int field %S" name
-
-let jstr name j =
-  match J.get_string (J.member name j) with
-  | Some s -> s
-  | None -> jfail "missing string field %S" name
-
-let jbool name j =
-  match J.member name j with
-  | Some (J.Bool b) -> b
-  | _ -> jfail "missing bool field %S" name
-
 let cache_of_json j =
-  { size_bytes = jint "size_bytes" j;
-    ways = jint "ways" j;
-    line_bytes = jint "line_bytes" j;
-    hit_latency = jint "hit_latency" j }
+  { size_bytes = J.int "size_bytes" j;
+    ways = J.int "ways" j;
+    line_bytes = J.int "line_bytes" j;
+    hit_latency = J.int "hit_latency" j }
 
 let rename_to_json = function
   | Rmt { phys_regs } ->
@@ -198,13 +179,13 @@ let rename_to_json = function
   | Rp -> J.Obj [ ("kind", J.Str "rp") ]
 
 let rename_of_json j =
-  match jstr "kind" j with
-  | "rmt" -> Rmt { phys_regs = jint "phys_regs" j }
+  match J.string "kind" j with
+  | "rmt" -> Rmt { phys_regs = J.int "phys_regs" j }
   | "rmt_checkpoint" ->
     Rmt_checkpoint
-      { phys_regs = jint "phys_regs" j; checkpoints = jint "checkpoints" j }
+      { phys_regs = J.int "phys_regs" j; checkpoints = J.int "checkpoints" j }
   | "rp" -> Rp
-  | k -> jfail "unknown rename kind %S" k
+  | k -> J.fail "unknown rename kind %S" k
 
 let predictor_name = function Gshare -> "gshare" | Tage -> "tage"
 
@@ -223,24 +204,20 @@ let inject_to_json = function
          J.List
            (List.map (fun k -> J.Str (Inject.kind_name k)) pl.Inject.kinds)) ]
 
-let inject_of_json = function
-  | None | Some J.Null -> None
-  | Some j ->
-    let kinds =
-      match J.get_list (J.member "kinds" j) with
-      | Some ks ->
-        List.map
-          (fun k ->
-             match J.get_string (Some k) with
-             | Some s ->
-               (match Inject.kind_of_string s with
-                | Some kind -> kind
-                | None -> jfail "unknown fault kind %S" s)
-             | None -> jfail "fault kind is not a string")
-          ks
-      | None -> jfail "missing fault kinds"
-    in
-    Some { Inject.seed = jint "seed" j; period = jint "period" j; kinds }
+let inject_of_json j =
+  let kind = function
+    | J.Str s ->
+      (match Inject.kind_of_string s with
+       | Some kind -> kind
+       | None -> J.fail "unknown fault kind %S" s)
+    | _ -> J.fail "fault kind is not a string"
+  in
+  let kinds =
+    match J.field "kinds" j with
+    | J.List ks -> List.map kind ks
+    | _ -> J.fail "field \"kinds\" must be a list"
+  in
+  { Inject.seed = J.int "seed" j; period = J.int "period" j; kinds }
 
 let to_json (p : t) : J.t =
   J.Obj
@@ -274,46 +251,38 @@ let to_json (p : t) : J.t =
       ("inject", inject_to_json p.inject) ]
 
 let of_json (j : J.t) : t =
-  let sub name =
-    match J.member name j with
-    | Some s -> s
-    | None -> jfail "missing field %S" name
-  in
-  { name = jstr "name" j;
-    fetch_width = jint "fetch_width" j;
-    frontend_depth = jint "frontend_depth" j;
-    rob_entries = jint "rob_entries" j;
-    scheduler_entries = jint "scheduler_entries" j;
-    issue_width = jint "issue_width" j;
-    commit_width = jint "commit_width" j;
-    ldq_entries = jint "ldq_entries" j;
-    stq_entries = jint "stq_entries" j;
-    n_alu = jint "n_alu" j;
-    n_mul = jint "n_mul" j;
-    n_div = jint "n_div" j;
-    n_bc = jint "n_bc" j;
-    n_mem = jint "n_mem" j;
-    rename = rename_of_json (sub "rename");
+  { name = J.string "name" j;
+    fetch_width = J.int "fetch_width" j;
+    frontend_depth = J.int "frontend_depth" j;
+    rob_entries = J.int "rob_entries" j;
+    scheduler_entries = J.int "scheduler_entries" j;
+    issue_width = J.int "issue_width" j;
+    commit_width = J.int "commit_width" j;
+    ldq_entries = J.int "ldq_entries" j;
+    stq_entries = J.int "stq_entries" j;
+    n_alu = J.int "n_alu" j;
+    n_mul = J.int "n_mul" j;
+    n_div = J.int "n_div" j;
+    n_bc = J.int "n_bc" j;
+    n_mem = J.int "n_mem" j;
+    rename = rename_of_json (J.field "rename" j);
     predictor =
-      (let s = jstr "predictor" j in
+      (let s = J.string "predictor" j in
        match predictor_of_name s with
        | Some p -> p
-       | None -> jfail "unknown predictor %S" s);
-    l1i = cache_of_json (sub "l1i");
-    l1d = cache_of_json (sub "l1d");
-    l2 = cache_of_json (sub "l2");
-    l3 =
-      (match J.member "l3" j with
-       | None | Some J.Null -> None
-       | Some c -> Some (cache_of_json c));
-    memory_latency = jint "memory_latency" j;
-    ideal_recovery = jbool "ideal_recovery" j;
-    latency_alu = jint "latency_alu" j;
-    latency_mul = jint "latency_mul" j;
-    latency_div = jint "latency_div" j;
-    branch_resolve_latency = jint "branch_resolve_latency" j;
-    dispatch_issue_latency = jint "dispatch_issue_latency" j;
-    inject = inject_of_json (J.member "inject" j) }
+       | None -> J.fail "unknown predictor %S" s);
+    l1i = cache_of_json (J.field "l1i" j);
+    l1d = cache_of_json (J.field "l1d" j);
+    l2 = cache_of_json (J.field "l2" j);
+    l3 = Option.map cache_of_json (J.opt J.field "l3" j);
+    memory_latency = J.int "memory_latency" j;
+    ideal_recovery = J.bool "ideal_recovery" j;
+    latency_alu = J.int "latency_alu" j;
+    latency_mul = J.int "latency_mul" j;
+    latency_div = J.int "latency_div" j;
+    branch_resolve_latency = J.int "branch_resolve_latency" j;
+    dispatch_issue_latency = J.int "dispatch_issue_latency" j;
+    inject = Option.map inject_of_json (J.opt J.field "inject" j) }
 
 (* [t] is first-order data (ints, strings, lists of enums), so the
    structural comparison is exactly configuration equality. *)

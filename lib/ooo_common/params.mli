@@ -101,16 +101,14 @@ val spadd_per_cycle : int
     The design-space sweep subsystem ([lib/sweep]) content-addresses
     cached simulation results by configuration, and the bench harness
     memoizes runs by the same key, so [t] round-trips through the
-    dependency-free JSON layer and hashes stably across processes. *)
+    one JSON codec ([Json]) and hashes stably across processes. *)
 
-exception Json_error of string
-(** Raised by {!of_json} on a malformed or incomplete configuration. *)
-
-val to_json : t -> Stats.Json.t
+val to_json : t -> Json.t
 (** Total over every field, including the fault-injection plan. *)
 
-val of_json : Stats.Json.t -> t
-(** Exact inverse of {!to_json}.  @raise Json_error on malformed input. *)
+val of_json : Json.t -> t
+(** Exact inverse of {!to_json}.  @raise Json.Parse_error on a malformed
+    or incomplete configuration. *)
 
 val equal : t -> t -> bool
 (** Structural configuration equality ([t] is first-order data). *)

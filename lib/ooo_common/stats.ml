@@ -1,7 +1,6 @@
-(* Cycle accounting (CPI stack) and the JSON support shared by the
-   observability surface: the engine attributes every simulated cycle to
-   exactly one bucket, and bench/straightsim/bench_gate exchange the
-   result as JSON without an external dependency. *)
+(* Cycle accounting (CPI stack): the engine attributes every simulated
+   cycle to exactly one bucket, and the stack travels as JSON through
+   [cpi_to_json]/[cpi_of_json]. *)
 
 type cpi_stack = {
   base : int;
@@ -75,225 +74,17 @@ let load_acc r acc =
 
 (* ---------- JSON ---------- *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-         match c with
-         | '"' -> Buffer.add_string b "\\\""
-         | '\\' -> Buffer.add_string b "\\\\"
-         | '\n' -> Buffer.add_string b "\\n"
-         | '\r' -> Buffer.add_string b "\\r"
-         | '\t' -> Buffer.add_string b "\\t"
-         | c when Char.code c < 0x20 ->
-           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-         | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let float_repr f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.1f" f
-    else
-      (* shortest representation that parses back to the same double,
-         so cached/serialized records compare exactly on reload *)
-      let s = Printf.sprintf "%.12g" f in
-      if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-  let rec write b ~indent ~level t =
-    let pad n = if indent then Buffer.add_string b (String.make (2 * n) ' ') in
-    let nl () = if indent then Buffer.add_char b '\n' in
-    match t with
-    | Null -> Buffer.add_string b "null"
-    | Bool v -> Buffer.add_string b (if v then "true" else "false")
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Float f -> Buffer.add_string b (float_repr f)
-    | Str s -> Buffer.add_char b '"'; Buffer.add_string b (escape s);
-      Buffer.add_char b '"'
-    | List [] -> Buffer.add_string b "[]"
-    | List xs ->
-      Buffer.add_char b '[';
-      nl ();
-      List.iteri
-        (fun i x ->
-           if i > 0 then (Buffer.add_char b ','; nl ());
-           pad (level + 1);
-           write b ~indent ~level:(level + 1) x)
-        xs;
-      nl (); pad level; Buffer.add_char b ']'
-    | Obj [] -> Buffer.add_string b "{}"
-    | Obj kvs ->
-      Buffer.add_char b '{';
-      nl ();
-      List.iteri
-        (fun i (k, v) ->
-           if i > 0 then (Buffer.add_char b ','; nl ());
-           pad (level + 1);
-           Buffer.add_char b '"'; Buffer.add_string b (escape k);
-           Buffer.add_string b "\": ";
-           write b ~indent ~level:(level + 1) v)
-        kvs;
-      nl (); pad level; Buffer.add_char b '}'
-
-  let to_string ?(indent = true) t =
-    let b = Buffer.create 1024 in
-    write b ~indent ~level:0 t;
-    if indent then Buffer.add_char b '\n';
-    Buffer.contents b
-
-  exception Parse_error of string
-
-  (* Recursive-descent parser for the subset we emit (which is all of
-     JSON except \u surrogate pairs, decoded as replacement bytes). *)
-  let of_string (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while !pos < n
-            && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do incr pos done
-    in
-    let expect c =
-      if !pos < n && s.[!pos] = c then incr pos
-      else fail (Printf.sprintf "expected %c" c)
-    in
-    let literal lit v =
-      let l = String.length lit in
-      if !pos + l <= n && String.sub s !pos l = lit then (pos := !pos + l; v)
-      else fail (Printf.sprintf "expected %s" lit)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          if !pos >= n then fail "unterminated escape";
-          (match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'n' -> Buffer.add_char b '\n'
-           | 'r' -> Buffer.add_char b '\r'
-           | 't' -> Buffer.add_char b '\t'
-           | 'b' -> Buffer.add_char b '\b'
-           | 'f' -> Buffer.add_char b '\012'
-           | 'u' ->
-             if !pos + 4 >= n then fail "truncated \\u escape";
-             let hex = String.sub s (!pos + 1) 4 in
-             pos := !pos + 4;
-             (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-              | Some _ -> Buffer.add_char b '?'
-              | None -> fail "bad \\u escape")
-           | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          incr pos;
-          go ()
-        | c -> Buffer.add_char b c; incr pos; go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num s.[!pos] do incr pos done;
-      let tok = String.sub s start (!pos - start) in
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None ->
-        (match float_of_string_opt tok with
-         | Some f -> Float f
-         | None -> fail (Printf.sprintf "bad number %S" tok))
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then (incr pos; Obj [])
-        else begin
-          let kvs = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            kvs := (k, v) :: !kvs;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr pos; members ()
-            | Some '}' -> incr pos
-            | _ -> fail "expected , or }"
-          in
-          members ();
-          Obj (List.rev !kvs)
-        end
-      | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then (incr pos; List [])
-        else begin
-          let xs = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            xs := v :: !xs;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr pos; elements ()
-            | Some ']' -> incr pos
-            | _ -> fail "expected , or ]"
-          in
-          elements ();
-          List (List.rev !xs)
-        end
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  (* accessors *)
-  let member key = function
-    | Obj kvs -> List.assoc_opt key kvs
-    | _ -> None
-
-  let get_float = function
-    | Some (Int i) -> Some (float_of_int i)
-    | Some (Float f) -> Some f
-    | _ -> None
-
-  let get_int = function Some (Int i) -> Some i | _ -> None
-  let get_string = function Some (Str s) -> Some s | _ -> None
-  let get_list = function Some (List l) -> Some l | _ -> None
-end
+(* The codec lives in lib/json; this alias is kept only because
+   stackbench/ names it [Ooo_common.Stats.Json] and BENCHMARK.json
+   freezes that directory.  Everything else uses [Json]. *)
+module Json = Json
 
 let cpi_to_json c =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (cpi_to_assoc c))
+
+let cpi_of_json j =
+  { base = Json.int "base" j;
+    frontend = Json.int "frontend" j;
+    branch_squash = Json.int "branch_squash" j;
+    memory = Json.int "memory" j;
+    structural = Json.int "structural" j }

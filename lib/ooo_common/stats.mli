@@ -1,4 +1,4 @@
-(** Cycle accounting (CPI stack) and dependency-free JSON.
+(** Cycle accounting (CPI stack).
 
     The engine attributes every simulated cycle to exactly one bucket, so
     the buckets of a finished run always sum to the cycle count:
@@ -54,36 +54,15 @@ val save_acc : Buffer.t -> cpi_acc -> unit
 val load_acc : Bin.reader -> cpi_acc -> unit
 (** Inverse of {!save_acc}.  @raise Bin.Corrupt on malformed input. *)
 
-(** Minimal JSON tree with a printer and parser — the interchange format
-    of [bench --json], [straightsim -stats-json], and
-    [scripts/bench_gate].  No external dependency. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  val to_string : ?indent:bool -> t -> string
-  (** [indent] defaults to [true] (pretty-printed, trailing newline). *)
-
-  exception Parse_error of string
-
-  val of_string : string -> t
-  (** @raise Parse_error on malformed input. *)
-
-  val member : string -> t -> t option
-  (** Field lookup on [Obj]; [None] otherwise. *)
-
-  val get_float : t option -> float option
-  (** Numeric coercion ([Int] or [Float]). *)
-
-  val get_int : t option -> int option
-  val get_string : t option -> string option
-  val get_list : t option -> t list option
-end
+module Json = Json
+(** The codec of lib/json.  This alias exists only because [stackbench/]
+    names it [Ooo_common.Stats.Json] and [BENCHMARK.json] freezes that
+    directory; every other module uses [Json] directly. *)
 
 val cpi_to_json : cpi_stack -> Json.t
+(** The five buckets as an object of integers, in {!cpi_to_assoc}
+    order. *)
+
+val cpi_of_json : Json.t -> cpi_stack
+(** Inverse of {!cpi_to_json}.  @raise Json.Parse_error on a missing or
+    non-integer bucket. *)

@@ -5,7 +5,6 @@ module Bin = Ooo_common.Bin
 module Engine = Ooo_common.Engine
 module Params = Ooo_common.Params
 module Stats = Ooo_common.Stats
-module Json = Stats.Json
 module Warm = Ooo_common.Warm
 module Uop_io = Ooo_common.Uop_io
 module Trace = Iss.Trace
@@ -118,29 +117,22 @@ let plan_to_json (p : plan) : Json.t =
                    ("path", Json.Str e.path) ])
             p.entries)) ]
 
-let plan_of_json (j : Json.t) : plan option =
-  let open Json in
-  match (get_string (member "schema" j), get_string (member "key" j),
-         get_int (member "total_retired" j), get_list (member "entries" j))
-  with
-  | Some s, Some key, Some total_retired, Some entries
-    when s = manifest_schema ->
-    (try
-       let entries =
-         List.map
-           (fun e ->
-              match (get_int (member "index" e), get_int (member "start" e),
-                     get_int (member "len" e), get_int (member "warmup" e),
-                     get_string (member "path" e))
-              with
-              | Some index, Some start, Some len, Some warmup, Some path ->
-                { index; start; len; warmup; path }
-              | _ -> raise Exit)
-           entries
-       in
-       Some { key; total_retired; entries }
-     with Exit -> None)
-  | _ -> None
+let plan_of_json (j : Json.t) : plan =
+  if Json.string "schema" j <> manifest_schema then
+    Json.fail "not a %s manifest" manifest_schema;
+  let entry e =
+    { index = Json.int "index" e;
+      start = Json.int "start" e;
+      len = Json.int "len" e;
+      warmup = Json.int "warmup" e;
+      path = Json.string "path" e }
+  in
+  { key = Json.string "key" j;
+    total_retired = Json.int "total_retired" j;
+    entries =
+      (match Json.field "entries" j with
+       | Json.List es -> List.map entry es
+       | _ -> Json.fail "field \"entries\" must be a list") }
 
 let load_manifest path key : plan option =
   if not (Sys.file_exists path) then None
@@ -156,10 +148,9 @@ let load_manifest path key : plan option =
     with
     | None -> None
     | Some s ->
-      (match (try plan_of_json (Json.of_string s) with Json.Parse_error _ -> None)
-       with
-       | Some p when p.key = key -> Some p
-       | _ -> None)
+      (match plan_of_json (Json.of_string s) with
+       | p when p.key = key -> Some p
+       | _ | (exception Json.Parse_error _) -> None)
 
 (* ---------- materialization ---------- *)
 
@@ -325,50 +316,20 @@ let result_to_json (r : result) : Json.t =
       ("warmup", Json.Int r.r_warmup);
       ("cycles", Json.Int r.r_cycles);
       ("warm_cycles", Json.Int r.r_warm_cycles);
-      ("cpi_stack",
-       Json.Obj
-         (List.map
-            (fun (k, v) -> (k, Json.Int v))
-            (Stats.cpi_to_assoc r.r_cpi)));
+      ("cpi_stack", Stats.cpi_to_json r.r_cpi);
       ("host_seconds", Json.Float r.r_host_seconds) ]
 
 let result_of_json (j : Json.t) : result =
-  let bad fmt =
-    Printf.ksprintf
-      (fun reason ->
-         Diag.error
-           ~context:[ ("json", Json.to_string ~indent:false j) ]
-           Diag.Config_error "malformed interval result: %s" reason)
-      fmt
-  in
-  let geti k =
-    match Json.get_int (Json.member k j) with
-    | Some n -> n
-    | None -> bad "missing or non-integer %S" k
-  in
-  let stack =
-    match Json.member "cpi_stack" j with
-    | Some s ->
-      let b k =
-        match Json.get_int (Json.member k s) with
-        | Some n -> n
-        | None -> bad "cpi_stack: missing %S" k
-      in
-      { Stats.base = b "base";
-        frontend = b "frontend";
-        branch_squash = b "branch_squash";
-        memory = b "memory";
-        structural = b "structural" }
-    | None -> bad "missing cpi_stack"
-  in
-  { r_index = geti "index";
-    r_start = geti "start";
-    r_len = geti "len";
-    r_warmup = geti "warmup";
-    r_cycles = geti "cycles";
-    r_warm_cycles = geti "warm_cycles";
-    r_cpi = stack;
-    r_host_seconds =
-      (match Json.get_float (Json.member "host_seconds" j) with
-       | Some f -> f
-       | None -> bad "missing host_seconds") }
+  try
+    { r_index = Json.int "index" j;
+      r_start = Json.int "start" j;
+      r_len = Json.int "len" j;
+      r_warmup = Json.int "warmup" j;
+      r_cycles = Json.int "cycles" j;
+      r_warm_cycles = Json.int "warm_cycles" j;
+      r_cpi = Stats.cpi_of_json (Json.field "cpi_stack" j);
+      r_host_seconds = Json.float "host_seconds" j }
+  with Json.Parse_error reason ->
+    Diag.error
+      ~context:[ ("json", Json.to_string ~indent:false j) ]
+      Diag.Config_error "malformed interval result: %s" reason

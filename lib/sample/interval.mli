@@ -55,7 +55,7 @@ val run_file : string -> result
     non-interval file, and whatever the engine raises (deadlock,
     checker divergence). *)
 
-val result_to_json : result -> Ooo_common.Stats.Json.t
-val result_of_json : Ooo_common.Stats.Json.t -> result
+val result_to_json : result -> Json.t
+val result_of_json : Json.t -> result
 (** @raise Diag.Error code [Config_error] on a malformed object (the
     pool transports results as JSON lines). *)

@@ -2,7 +2,6 @@
    recombine.mli for the statistics. *)
 
 module Stats = Ooo_common.Stats
-module Json = Stats.Json
 
 type estimate = {
   intervals : int;

@@ -38,7 +38,7 @@ val recombine : total_insns:int -> Interval.result list -> estimate
 
 val report_json :
   workload:string -> target:string -> spec:Spec.t -> estimate ->
-  Ooo_common.Stats.Json.t
+  Json.t
 (** The sampled-CPI report, schema ["straight-sample/1"] — written by
     [straightsim -sample-json] and uploaded as a CI artifact.  Schema
     documented in EXPERIMENTS.md. *)

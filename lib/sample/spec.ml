@@ -1,7 +1,5 @@
 (* Sampling-plan shape and its CLI/JSON syntax.  See spec.mli. *)
 
-module Json = Ooo_common.Stats.Json
-
 type t = { interval : int; warmup : int; every : int }
 
 exception Parse_error of string
@@ -63,13 +61,12 @@ let to_json t =
       ("every", Json.Int t.every) ]
 
 let of_json j =
-  let get k =
-    match Json.get_int (Json.member k j) with
-    | Some n -> n
-    | None -> fail "sample spec: missing or non-integer %S" k
+  let t =
+    try
+      { interval = Json.int "interval" j; warmup = Json.int "warmup" j;
+        every = Json.int "every" j }
+    with Json.Parse_error m -> fail "sample spec: %s" m
   in
-  let t = { interval = get "interval"; warmup = get "warmup";
-            every = get "every" } in
   if t.interval <= 0 || t.warmup < 0 || t.every < 1 then
     fail "sample spec: out-of-range fields in %s"
       (Json.to_string ~indent:false j);

@@ -26,6 +26,6 @@ val to_string : t -> string
 (** Canonical [interval=..,warmup=..,every=..] rendering (exact digits,
     no suffixes) — stable for content-addressing. *)
 
-val to_json : t -> Ooo_common.Stats.Json.t
-val of_json : Ooo_common.Stats.Json.t -> t
+val to_json : t -> Json.t
+val of_json : Json.t -> t
 (** @raise Parse_error on a malformed object. *)

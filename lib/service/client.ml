@@ -2,7 +2,7 @@
    object per line, and collect streamed replies until the terminal
    one.  Used by bin/straightd-client and the protocol tests. *)
 
-module J = Ooo_common.Stats.Json
+module J = Json
 
 type t = {
   fd : Unix.file_descr;
@@ -19,19 +19,6 @@ let connect path =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-let send t (doc : J.t) =
-  let line = J.to_string ~indent:false doc ^ "\n" in
-  let n = String.length line in
-  let rec put off =
-    if off < n then
-      match Unix.write_substring t.fd line off (n - off) with
-      | written -> put (off + written)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> put off
-      | exception Unix.Unix_error (e, _, _) ->
-        Diag.error Diag.Service_error "send: %s" (Unix.error_message e)
-  in
-  put 0
-
 let send_raw t line =
   let line = line ^ "\n" in
   let n = String.length line in
@@ -44,6 +31,8 @@ let send_raw t line =
         Diag.error Diag.Service_error "send: %s" (Unix.error_message e)
   in
   put 0
+
+let send t (doc : J.t) = send_raw t (J.to_string ~indent:false doc)
 
 (* one complete line off the buffered stream, reading as needed *)
 let recv_line t : string option =

@@ -7,7 +7,7 @@
    with a Diag code name). *)
 
 module Params = Ooo_common.Params
-module J = Ooo_common.Stats.Json
+module J = Json
 module Grid = Sweep.Grid
 
 let schema = "straightd-proto/1"
@@ -46,31 +46,24 @@ exception Bad_request of Diag.code * string
 
 let bad code fmt = Printf.ksprintf (fun m -> raise (Bad_request (code, m))) fmt
 
+(* The shared field decoders, with a shape error as a [Proto_error]: a
+   missing or null optional field takes its default, a present field of
+   the wrong type is rejected. *)
+let proto dec name j =
+  try dec name j with J.Parse_error m -> bad Diag.Proto_error "%s" m
+
+let opt_str_field = proto (J.opt J.string)
+let opt_int_field = proto (J.opt J.int)
+
 let str_field ?default name j =
-  match J.get_string (J.member name j) with
-  | Some s -> s
-  | None ->
-    (match default with
-     | Some d -> d
-     | None -> bad Diag.Proto_error "missing string field %S" name)
+  match default with
+  | None -> proto J.string name j
+  | Some d -> Option.value ~default:d (opt_str_field name j)
 
-let int_field ~default name j =
-  match J.member name j with
-  | None | Some J.Null -> default
-  | Some (J.Int n) -> n
-  | Some _ -> bad Diag.Proto_error "field %S must be an integer" name
-
-let opt_int_field name j =
-  match J.member name j with
-  | None | Some J.Null -> None
-  | Some (J.Int n) -> Some n
-  | Some _ -> bad Diag.Proto_error "field %S must be an integer or null" name
+let int_field ~default name j = Option.value ~default (opt_int_field name j)
 
 let bool_field ~default name j =
-  match J.member name j with
-  | None | Some J.Null -> default
-  | Some (J.Bool b) -> b
-  | Some _ -> bad Diag.Proto_error "field %S must be a boolean" name
+  Option.value ~default (proto (J.opt J.bool) name j)
 
 let request_id j =
   match J.get_string (J.member "id" j) with Some s -> s | None -> "-"
@@ -89,16 +82,15 @@ let point_req_of_json ?(require_sample = false) j : point_req =
     | None -> bad Diag.Config_error "unknown predictor %S" predictor_name
   in
   let sample =
-    match J.member "sample" j with
-    | None | Some J.Null ->
+    match opt_str_field "sample" j with
+    | None ->
       if require_sample then
         bad Diag.Proto_error "op \"sample\" requires a \"sample\" spec"
       else None
-    | Some (J.Str s) ->
+    | Some s ->
       (try Some (Sample.Spec.parse s)
        with Sample.Spec.Parse_error m ->
          bad Diag.Config_error "bad sample spec %S: %s" s m)
-    | Some _ -> bad Diag.Proto_error "field \"sample\" must be a spec string"
   in
   { machine;
     width = int_field ~default:2 "width" j;
@@ -113,38 +105,23 @@ let point_req_of_json ?(require_sample = false) j : point_req =
 let split_list s = String.split_on_char ',' s |> List.filter (fun x -> x <> "")
 
 let sweep_req_of_json j : sweep_req =
+  (* an axis override is a comma list in one string *)
+  let axis name f =
+    Option.map (fun s -> List.map f (split_list s)) (opt_str_field name j)
+  in
   let machines =
-    match J.member "machines" j with
-    | None | Some J.Null -> None
-    | Some (J.Str s) ->
-      Some
-        (List.map
-           (fun m ->
-              match Grid.machine_of_label m with
-              | Some m -> m
-              | None -> bad Diag.Config_error "unknown machine %S" m)
-           (split_list s))
-    | Some _ -> bad Diag.Proto_error "field \"machines\" must be a comma list"
+    axis "machines" (fun m ->
+        match Grid.machine_of_label m with
+        | Some m -> m
+        | None -> bad Diag.Config_error "unknown machine %S" m)
   in
   let widths =
-    match J.member "widths" j with
-    | None | Some J.Null -> None
-    | Some (J.Str s) ->
-      Some
-        (List.map
-           (fun w ->
-              match int_of_string_opt w with
-              | Some n -> n
-              | None -> bad Diag.Config_error "bad width %S" w)
-           (split_list s))
-    | Some _ -> bad Diag.Proto_error "field \"widths\" must be a comma list"
+    axis "widths" (fun w ->
+        match int_of_string_opt w with
+        | Some n -> n
+        | None -> bad Diag.Config_error "bad width %S" w)
   in
-  let workloads =
-    match J.member "workloads" j with
-    | None | Some J.Null -> None
-    | Some (J.Str s) -> Some (split_list s)
-    | Some _ -> bad Diag.Proto_error "field \"workloads\" must be a comma list"
-  in
+  let workloads = axis "workloads" Fun.id in
   { sw_grid = str_field ~default:"smoke" "grid" j;
     sw_machines = machines;
     sw_widths = widths;

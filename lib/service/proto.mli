@@ -53,10 +53,10 @@ exception Bad_request of Diag.code * string
     reply ([Proto_error] for shape violations, [Config_error] for
     well-formed requests naming unknown machines/predictors/specs). *)
 
-val request_id : Ooo_common.Stats.Json.t -> string
+val request_id : Json.t -> string
 (** The ["id"] field, or ["-"]. *)
 
-val request_of_json : Ooo_common.Stats.Json.t -> request
+val request_of_json : Json.t -> request
 (** @raise Bad_request on an unknown op or malformed fields. *)
 
 val grid_point : point_req -> Sweep.Grid.point
@@ -69,22 +69,22 @@ val point_req_of_grid_point : bool -> Sweep.Grid.point -> point_req
     a request, such that [grid_point] reproduces [pt]'s content address
     exactly. *)
 
-val point_req_to_json : point_req -> Ooo_common.Stats.Json.t
+val point_req_to_json : point_req -> Json.t
 (** Canonical form: also the pool-worker job payload. *)
 
 val point_req_of_json :
-  ?require_sample:bool -> Ooo_common.Stats.Json.t -> point_req
+  ?require_sample:bool -> Json.t -> point_req
 (** @raise Bad_request (also when [require_sample] and no spec). *)
 
-val sweep_req_of_json : Ooo_common.Stats.Json.t -> sweep_req
+val sweep_req_of_json : Json.t -> sweep_req
 
 val reply_event :
   id:string -> event:string ->
-  (string * Ooo_common.Stats.Json.t) list -> Ooo_common.Stats.Json.t
+  (string * Json.t) list -> Json.t
 
 val reply_result :
   id:string -> op:string -> cached:bool ->
-  Ooo_common.Stats.Json.t -> Ooo_common.Stats.Json.t
+  Json.t -> Json.t
 
 val reply_error :
-  id:string -> Diag.code -> string -> Ooo_common.Stats.Json.t
+  id:string -> Diag.code -> string -> Json.t

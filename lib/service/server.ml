@@ -11,7 +11,7 @@
    the workers grind. *)
 
 module Params = Ooo_common.Params
-module J = Ooo_common.Stats.Json
+module J = Json
 module Grid = Sweep.Grid
 module Store = Sweep.Store
 module Runner = Sweep.Runner
@@ -306,7 +306,7 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
                  (Printf.sprintf "store save failed for %s: %s" job.j_key
                     (Printexc.to_string e)));
             List.iter (fun w -> deliver w r) waiters
-          | exception (J.Parse_error _ | Params.Json_error _) ->
+          | exception J.Parse_error _ ->
             ctr.sim_failures <- ctr.sim_failures + 1;
             List.iter
               (fun w -> deliver_error w "worker returned a malformed record")

@@ -40,7 +40,7 @@ val compile_key : target:string -> w:Workloads.t -> string
 (** Content address of a compile artifact: target, workload identity,
     and the simulator's own {!Snapshot.File.code_digest}. *)
 
-val compile_doc : target:string -> w:Workloads.t -> Ooo_common.Stats.Json.t
+val compile_doc : target:string -> w:Workloads.t -> Json.t
 (** Compile [w] for [target] (a {!Straight_core.Experiment.of_name} name:
     "ss"/"riscv", "straight-raw", "straight"/"straight-re") and wrap the
     listing as a [straightd-compile/1] document.

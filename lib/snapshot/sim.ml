@@ -5,7 +5,6 @@ module Bin = Ooo_common.Bin
 module Engine = Ooo_common.Engine
 module Params = Ooo_common.Params
 module Pipeline = Ooo_common.Pipeline
-module Json = Ooo_common.Stats.Json
 module Trace = Iss.Trace
 module Exp = Straight_core.Experiment
 module Compile = Straight_core.Compile
@@ -126,9 +125,8 @@ let target_of_label path = function
 
 let spec_of_meta path (m : File.meta) : spec =
   let params =
-    try Params.of_json (Json.of_string m.File.params_json) with
-    | Params.Json_error msg -> reject path "embedded model: %s" msg
-    | Json.Parse_error msg -> reject path "embedded model JSON: %s" msg
+    try Params.of_json (Json.of_string m.File.params_json)
+    with Json.Parse_error msg -> reject path "embedded model: %s" msg
   in
   { target = target_of_label path m.File.target;
     params;

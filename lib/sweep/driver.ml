@@ -1,7 +1,7 @@
 (* Sweep orchestration (see driver.mli). *)
 
 module Params = Ooo_common.Params
-module J = Ooo_common.Stats.Json
+module J = Json
 
 type summary = {
   total : int;

@@ -41,5 +41,5 @@ val sweep :
     {!Pool.Interrupted} escapes to the caller; completed points are
     already in the cache. *)
 
-val to_json : Grid.spec -> summary -> Runner.record list -> Ooo_common.Stats.Json.t
+val to_json : Grid.spec -> summary -> Runner.record list -> Json.t
 (** The [sweep.json] document (schema ["straight-sweep/1"]). *)

@@ -4,7 +4,7 @@ module Params = Ooo_common.Params
 module Stats = Ooo_common.Stats
 module Engine = Ooo_common.Engine
 module Exp = Straight_core.Experiment
-module J = Stats.Json
+module J = Json
 
 type record = {
   model : string;
@@ -30,17 +30,6 @@ type record = {
   sample_intervals : int;
 }
 
-(* With [checkpoint], the point runs under the snapshot driver: resume
-   from the file when it exists (a previous attempt died mid-run),
-   checkpoint every [checkpoint_every] cycles while running.  A
-   checkpoint the snapshot layer rejects (corrupt, or taken under
-   different inputs — possible only if the caller keyed the path wrong,
-   since cache keys cover params, workload, and code digest) is deleted
-   and the point starts clean rather than wedging every retry. *)
-let cpi_zero =
-  { Stats.base = 0; frontend = 0; branch_squash = 0; memory = 0;
-    structural = 0 }
-
 let base_record (pt : Grid.point) : record =
   let p = pt.Grid.params in
   { model = p.Params.name;
@@ -58,7 +47,7 @@ let base_record (pt : Grid.point) : record =
     committed = 0;
     ipc = 0.;
     branch_mispredicts = 0;
-    cpi = cpi_zero;
+    cpi = Stats.empty_cpi;
     host_seconds = 0.;
     cached = false;
     sample = None;
@@ -93,7 +82,7 @@ let run_sampled ~sample_store (sp : Sample.Spec.t) (pt : Grid.point) : record =
         ("structural", s) ] ->
       { Stats.base = scale b; frontend = scale f; branch_squash = scale bs;
         memory = scale m; structural = scale s }
-    | _ -> cpi_zero
+    | _ -> Stats.empty_cpi
   in
   { (base_record pt) with
     cycles = scale est.Sample.Recombine.cpi;
@@ -105,6 +94,13 @@ let run_sampled ~sample_store (sp : Sample.Spec.t) (pt : Grid.point) : record =
     sample_ci95 = est.Sample.Recombine.ci95;
     sample_intervals = est.Sample.Recombine.intervals }
 
+(* With [checkpoint], the point runs under the snapshot driver: resume
+   from the file when it exists (a previous attempt died mid-run),
+   checkpoint every [checkpoint_every] cycles while running.  A
+   checkpoint the snapshot layer rejects (corrupt, or taken under
+   different inputs — possible only if the caller keyed the path wrong,
+   since cache keys cover params, workload, and code digest) is deleted
+   and the point starts clean rather than wedging every retry. *)
 let run ?checkpoint ?(checkpoint_every = 20_000) ?(sample_store = "_sweep")
     (pt : Grid.point) : record =
   match pt.Grid.sample with
@@ -140,27 +136,13 @@ let run ?checkpoint ?(checkpoint_every = 20_000) ?(sample_store = "_sweep")
          go None)
   in
   let host_seconds = Unix.gettimeofday () -. t0 in
-  { model = p.Params.name;
-    target = Exp.target_label pt.Grid.target;
-    workload = pt.Grid.workload.Workloads.name;
-    iterations = pt.Grid.workload.Workloads.iterations;
-    machine = Grid.machine_label pt.Grid.machine;
-    width = pt.Grid.width;
-    rob = p.Params.rob_entries;
-    sched = p.Params.scheduler_entries;
-    predictor = Params.predictor_name p.Params.predictor;
-    ideal = p.Params.ideal_recovery;
-    params_hash = Params.digest p;
+  { (base_record pt) with
     cycles = r.Exp.cycles;
     committed = r.Exp.committed;
     ipc = r.Exp.ipc;
     branch_mispredicts = r.Exp.stats.Engine.branch_mispredicts;
     cpi = r.Exp.stats.Engine.cpi_stack;
-    host_seconds;
-    cached = false;
-    sample = None;
-    sample_ci95 = 0.;
-    sample_intervals = 0 }
+    host_seconds }
 
 let to_json (r : record) : J.t =
   J.Obj
@@ -190,72 +172,35 @@ let to_json (r : record) : J.t =
           ("sample_ci95", J.Float r.sample_ci95);
           ("sample_intervals", J.Int r.sample_intervals) ]))
 
-let jfail fmt = Printf.ksprintf (fun m -> raise (Params.Json_error m)) fmt
-
-let jint name j =
-  match J.get_int (J.member name j) with
-  | Some n -> n
-  | None -> jfail "sweep record: missing int field %S" name
-
-let jstr name j =
-  match J.get_string (J.member name j) with
-  | Some s -> s
-  | None -> jfail "sweep record: missing string field %S" name
-
-let jbool name j =
-  match J.member name j with
-  | Some (J.Bool b) -> b
-  | _ -> jfail "sweep record: missing bool field %S" name
-
-let jfloat name j =
-  match J.get_float (J.member name j) with
-  | Some f -> f
-  | None -> jfail "sweep record: missing float field %S" name
-
 let of_json (j : J.t) : record =
-  let cpi =
-    match J.member "cpi_stack" j with
-    | Some c ->
-      { Stats.base = jint "base" c;
-        frontend = jint "frontend" c;
-        branch_squash = jint "branch_squash" c;
-        memory = jint "memory" c;
-        structural = jint "structural" c }
-    | None -> jfail "sweep record: missing field \"cpi_stack\""
-  in
-  { model = jstr "model" j;
-    target = jstr "target" j;
-    workload = jstr "workload" j;
-    iterations = jint "iterations" j;
-    machine = jstr "machine" j;
-    width = jint "width" j;
-    rob = jint "rob" j;
-    sched = jint "sched" j;
-    predictor = jstr "predictor" j;
-    ideal = jbool "ideal" j;
-    params_hash = jstr "params_hash" j;
-    cycles = jint "cycles" j;
-    committed = jint "committed" j;
-    ipc = jfloat "ipc" j;
-    branch_mispredicts = jint "branch_mispredicts" j;
-    cpi;
-    host_seconds = jfloat "host_seconds" j;
-    cached = jbool "cached" j;
+  { model = J.string "model" j;
+    target = J.string "target" j;
+    workload = J.string "workload" j;
+    iterations = J.int "iterations" j;
+    machine = J.string "machine" j;
+    width = J.int "width" j;
+    rob = J.int "rob" j;
+    sched = J.int "sched" j;
+    predictor = J.string "predictor" j;
+    ideal = J.bool "ideal" j;
+    params_hash = J.string "params_hash" j;
+    cycles = J.int "cycles" j;
+    committed = J.int "committed" j;
+    ipc = J.float "ipc" j;
+    branch_mispredicts = J.int "branch_mispredicts" j;
+    cpi = Stats.cpi_of_json (J.field "cpi_stack" j);
+    host_seconds = J.float "host_seconds" j;
+    cached = J.bool "cached" j;
     sample =
       (match J.member "sample" j with
        | None -> None
        | Some sj ->
          (try Some (Sample.Spec.of_json sj)
           with Sample.Spec.Parse_error m ->
-            jfail "sweep record: bad sample spec: %s" m));
-    sample_ci95 =
-      (match J.get_float (J.member "sample_ci95" j) with
-       | Some f -> f
-       | None -> 0.);
+            J.fail "sweep record: bad sample spec: %s" m));
+    sample_ci95 = Option.value ~default:0. (J.opt J.float "sample_ci95" j);
     sample_intervals =
-      (match J.get_int (J.member "sample_intervals" j) with
-       | Some n -> n
-       | None -> 0) }
+      Option.value ~default:0 (J.opt J.int "sample_intervals" j) }
 
 let sample_label (r : record) =
   match r.sample with None -> "" | Some sp -> Sample.Spec.to_string sp

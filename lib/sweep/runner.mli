@@ -50,10 +50,10 @@ val run :
     [checkpoint] is ignored for sampled points (each interval is
     already a restartable unit of work). *)
 
-val to_json : record -> Ooo_common.Stats.Json.t
+val to_json : record -> Json.t
 
-val of_json : Ooo_common.Stats.Json.t -> record
-(** @raise Ooo_common.Params.Json_error on malformed input. *)
+val of_json : Json.t -> record
+(** @raise Json.Parse_error on malformed input. *)
 
 val compare_order : record -> record -> int
 (** Deterministic sort for aggregated output: (workload, machine,

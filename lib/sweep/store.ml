@@ -1,7 +1,7 @@
 (* Content-addressed result cache (see store.mli). *)
 
 module Params = Ooo_common.Params
-module J = Ooo_common.Stats.Json
+module J = Json
 
 let key (pt : Grid.point) : string =
   let w = pt.Grid.workload in
@@ -106,7 +106,7 @@ let lookup ~dir k : Runner.record option =
   | text ->
     (match Runner.of_json (J.of_string text) with
      | r -> Some { r with Runner.cached = true }
-     | exception (J.Parse_error _ | Params.Json_error _) -> None)
+     | exception J.Parse_error _ -> None)
 
 let save ~dir k (r : Runner.record) : unit =
   save_doc ~dir ~sub:"cache" k (Runner.to_json r)

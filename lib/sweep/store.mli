@@ -41,7 +41,7 @@ val sweep_stale : dir:string -> int
     document kind: [<dir>/<sub>/<key>.json].  Same atomicity and
     stale-temp hygiene as the record cache. *)
 
-val lookup_doc : dir:string -> sub:string -> string -> Ooo_common.Stats.Json.t option
+val lookup_doc : dir:string -> sub:string -> string -> Json.t option
 (** [None] on a miss or an unparseable entry (treated as a miss). *)
 
-val save_doc : dir:string -> sub:string -> string -> Ooo_common.Stats.Json.t -> unit
+val save_doc : dir:string -> sub:string -> string -> Json.t -> unit

@@ -20,8 +20,6 @@
    Throughput improvements and new entries are reported but never
    fail. *)
 
-module Json = Ooo_common.Stats.Json
-
 let thr_tolerance = 0.10  (* fractional host-throughput regression *)
 let ipc_tolerance = 0.005 (* fractional IPC drift, either direction *)
 

@@ -19,7 +19,10 @@
 #   - the -sched 0 deadlock (exit 6, context dump) and -inject all -seed 7;
 #   - bench/main.exe --quick, and `micro --quick --json` with the timing
 #     fields and the label dropped from the JSON (its stdout is timing);
-#   - the six examples.
+#   - the six examples;
+#   - the archived reports: fuzz -lint-workloads -json, -tv-workloads
+#     -json and -seed 1 -count 20 -json, and straightc -lint-json (both
+#     targets) and -tv-json on a fuzz regression program.
 # Every run's exit status is recorded with its stdout, and its stderr is
 # compared too.  Outputs land in _sim_identity/{base,head}/; each
 # differing file is named and the script exits 1.
@@ -31,7 +34,8 @@ head=$(pwd)
 out=$head/_sim_identity
 
 for tree in "$base" "$head"; do
-  for exe in bin/straightsim.exe bench/main.exe examples/quickstart.exe; do
+  for exe in bin/straightsim.exe bin/straightc.exe bin/fuzz.exe \
+             bench/main.exe examples/quickstart.exe; do
     if [ ! -x "$tree/_build/default/$exe" ]; then
       echo "sim-identity: $tree/_build/default/$exe missing (run dune build there)" >&2
       exit 2
@@ -115,6 +119,18 @@ battery() {
             power_report asm_playground; do
     run "example.$ex" "$1/_build/default/examples/$ex.exe"
   done
+  fuzz=$1/_build/default/bin/fuzz.exe
+  cc=$1/_build/default/bin/straightc.exe
+  run fuzz.lint "$fuzz" -lint-workloads -json fuzz.lint.json
+  run fuzz.tv "$fuzz" -tv-workloads -json fuzz.tv.json
+  run fuzz.seeds "$fuzz" -seed 1 -count 20 -json fuzz.seeds.json
+  # the reports are labeled by the source path: give both trees one path
+  cp "$head/test/fuzz_regressions/seed7_minint_call_arg.mc" logs/seed7.mc
+  for t in straight riscv; do
+    run "straightc.lint.$t" "$cc" -target "$t" -lint-json "straightc.lint.$t.json" \
+      logs/seed7.mc
+  done
+  run straightc.tv "$cc" -tv-json straightc.tv.json logs/seed7.mc
 }
 
 rm -rf "$out"

@@ -18,7 +18,7 @@
 
 module Params = Ooo_common.Params
 module Stats = Ooo_common.Stats
-module J = Stats.Json
+module J = Json
 module Exp = Straight_core.Experiment
 module Sim = Snapshot.Sim
 module Spec = Sample.Spec

@@ -19,7 +19,7 @@
      listing, memoizes it, and rejects an unknown target;
    - a shutdown request drains cleanly: exit 0, socket unlinked. *)
 
-module J = Ooo_common.Stats.Json
+module J = Json
 module Proto = Service.Proto
 module Client = Service.Client
 
@@ -107,6 +107,28 @@ let test_proto_codec () =
    with
    | _ -> Alcotest.fail "an unknown machine must be rejected"
    | exception Proto.Bad_request (Diag.Config_error, _) -> ());
+  (* a present field of the wrong type is a protocol violation, never
+     its default *)
+  List.iter
+    (fun (req, field) ->
+       match Proto.request_of_json (J.of_string req) with
+       | _ -> Alcotest.failf "%s: a mistyped %S must be rejected" req field
+       | exception Proto.Bad_request (Diag.Proto_error, m) ->
+         Alcotest.(check string) (req ^ ": message")
+           (Printf.sprintf "field %S must be a string" field) m)
+    [ ({|{"op":"simulate","workload":"fib","machine":5}|}, "machine");
+      ({|{"op":"simulate","workload":"fib","predictor":true}|}, "predictor");
+      ({|{"op":"compile","workload":"fib","target":["riscv"]}|}, "target");
+      ({|{"op":"sweep","grid":7}|}, "grid") ];
+  (* ... while a missing or null one still takes its default *)
+  (match
+     Proto.request_of_json
+       (J.of_string {|{"op":"simulate","workload":"fib","machine":null}|})
+   with
+   | Proto.Point preq ->
+     Alcotest.(check string) "null machine defaults to ss" "ss"
+       (Sweep.Grid.machine_label preq.Proto.machine)
+   | _ -> Alcotest.fail "expected a point request");
   (* "sample" without a spec is a protocol violation *)
   (match
      Proto.request_of_json
@@ -184,6 +206,19 @@ let test_malformed_requests () =
       let st = get_status c in
       Alcotest.(check bool) "server still answers" true
         (status_int "requests" st >= 3);
+      (* a 1 MiB line of open brackets is rejected by the parser's
+         nesting bound, and the loop goes on to serve another client *)
+      Client.send_raw c (String.make ((1 lsl 20) - 1) '[');
+      (match Client.recv c with
+       | Some reply ->
+         Alcotest.(check (option string)) "deep nesting is PROTO_ERROR"
+           (Some "PROTO_ERROR")
+           (J.get_string (J.member "code" reply))
+       | None -> Alcotest.fail "server closed on a deeply nested line");
+      let d = Client.connect sock in
+      Alcotest.(check bool) "status on another connection" true
+        (status_int "requests" (get_status d) >= 6);
+      Client.close d;
       Client.close c)
 
 let test_disconnect_mid_job () =

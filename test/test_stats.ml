@@ -1,8 +1,7 @@
 (* Stats-layer tests: the engine's hot-path data structures (ring-buffer
    window, event-driven wakeup) must not change simulated timing by a
-   single cycle, the CPI stack must account for every cycle exactly
-   once, and the dependency-free JSON layer must round-trip the values
-   the bench/gate pipeline exchanges. *)
+   single cycle, and the CPI stack must account for every cycle exactly
+   once.  The JSON codec is tested in test_json.ml. *)
 
 module Params = Ooo_common.Params
 module Engine = Ooo_common.Engine
@@ -119,75 +118,11 @@ let test_cpi_shape () =
     [ "base"; "frontend"; "branch_squash"; "memory"; "structural" ]
     (List.map fst (Stats.cpi_to_assoc c))
 
-(* ---------- JSON ---------- *)
-
-let test_json_roundtrip () =
-  let j =
-    Stats.Json.Obj
-      [ ("schema", Stats.Json.Str "straight-bench/1");
-        ("quick", Stats.Json.Bool true);
-        ("reps", Stats.Json.Int 3);
-        ("ipc", Stats.Json.Float 1.4176);
-        ("label", Stats.Json.Str "esc \"quotes\" and\nnewlines");
-        ("nothing", Stats.Json.Null);
-        ("entries",
-         Stats.Json.List
-           [ Stats.Json.Obj [ ("khz_median", Stats.Json.Float 612.5) ];
-             Stats.Json.List []; Stats.Json.Obj [] ]) ]
-  in
-  let round ~indent =
-    Alcotest.(check bool)
-      (Printf.sprintf "round-trip indent=%b" indent)
-      true
-      (Stats.Json.of_string (Stats.Json.to_string ~indent j) = j)
-  in
-  round ~indent:true;
-  round ~indent:false;
-  (* accessors used by the gate *)
-  let parsed = Stats.Json.of_string (Stats.Json.to_string j) in
-  Alcotest.(check (option int)) "get_int" (Some 3)
-    (Stats.Json.get_int (Stats.Json.member "reps" parsed));
-  Alcotest.(check (option (float 1e-9))) "get_float coerces int" (Some 3.0)
-    (Stats.Json.get_float (Stats.Json.member "reps" parsed));
-  Alcotest.(check (option string)) "get_string" (Some "straight-bench/1")
-    (Stats.Json.get_string (Stats.Json.member "schema" parsed));
-  (match Stats.Json.get_list (Stats.Json.member "entries" parsed) with
-   | Some (first :: _) ->
-     Alcotest.(check (option (float 1e-9))) "nested float" (Some 612.5)
-       (Stats.Json.get_float (Stats.Json.member "khz_median" first))
-   | _ -> Alcotest.fail "entries list lost in round-trip");
-  (* cpi_stack emission is stable and parseable *)
-  let cpi =
-    { Stats.base = 10; frontend = 2; branch_squash = 3; memory = 4;
-      structural = 0 }
-  in
-  Alcotest.(check bool) "cpi_to_json round-trips" true
-    (Stats.Json.of_string (Stats.Json.to_string (Stats.cpi_to_json cpi))
-     = Stats.cpi_to_json cpi)
-
-let test_json_errors () =
-  let rejects label s =
-    Alcotest.(check bool) label true
-      (match Stats.Json.of_string s with
-       | _ -> false
-       | exception Stats.Json.Parse_error _ -> true)
-  in
-  rejects "trailing garbage" "{} x";
-  rejects "unterminated string" "\"abc";
-  rejects "bare word" "nonsense";
-  rejects "unclosed object" "{\"a\": 1";
-  rejects "bad number" "1.2.3";
-  Alcotest.(check bool) "numbers: int vs float" true
-    (Stats.Json.of_string "42" = Stats.Json.Int 42
-     && Stats.Json.of_string "42.5" = Stats.Json.Float 42.5)
-
 let suite =
   [ Alcotest.test_case "golden cycle counts (Table-I models)" `Slow
       test_golden_base;
     Alcotest.test_case "golden cycle counts (variants)" `Slow
       test_golden_variants;
-    Alcotest.test_case "cpi stack shape" `Quick test_cpi_shape;
-    Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "json parse errors" `Quick test_json_errors ]
+    Alcotest.test_case "cpi stack shape" `Quick test_cpi_shape ]
 
 let () = Alcotest.run "stats" [ ("stats", suite) ]

@@ -16,7 +16,7 @@
 
 module Params = Ooo_common.Params
 module Stats = Ooo_common.Stats
-module J = Stats.Json
+module J = Json
 module Inject = Ooo_common.Inject
 
 (* ---------- Params serialization ---------- *)
@@ -75,7 +75,7 @@ let test_params_digest () =
   Alcotest.(check bool) "of_json rejects junk" true
     (match Params.of_json (J.Obj [ ("name", J.Str "x") ]) with
      | _ -> false
-     | exception Params.Json_error _ -> true)
+     | exception J.Parse_error _ -> true)
 
 (* ---------- grid expansion ---------- *)
 

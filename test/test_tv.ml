@@ -324,7 +324,10 @@ let test_report_json () =
       Lint_report.finding ~severity:Lint_report.Info ~pc:0x1004
         ~check:"tv-abstain" "gave up" ]
   in
-  let js = Lint_report.report_to_json ~schema:"straight-tv/1" [ ("img", fs) ] in
+  let js =
+    Json.to_string
+      (Lint_report.report_json ~schema:"straight-tv/1" [ ("img", fs) ])
+  in
   List.iter
     (fun needle ->
        Alcotest.(check bool) ("report contains " ^ needle) true
@@ -333,7 +336,7 @@ let test_report_json () =
       "\"errors\": 1"; "\"infos\": 1"; "\"warnings\": 0";
       "\"func\": \"main\""; "\"images\""; "\"label\": \"img\"" ];
   (* without ?schema the original shape keys survive unchanged *)
-  let js0 = Lint_report.report_to_json [ ("img", fs) ] in
+  let js0 = Json.to_string (Lint_report.report_json [ ("img", fs) ]) in
   Alcotest.(check bool) "no schema key when not requested" false
     (contains ~needle:"\"schema\"" js0);
   Alcotest.(check bool) "images key present" true
