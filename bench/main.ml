@@ -487,9 +487,10 @@ let json_suite out =
     let r = Iss.Machine.run ~collect_trace:true image in
     let decode_static = Iss.Machine.static_uop image in
     let checker () =
-      Ooo_common.Pipeline.checker ~check:true
-        ~max_dist:Ooo_common.Params.straight_max_dist model
-        ~retired:r.Iss.Trace.retired
+      Some
+        (Ooo_common.Checker.create ~max_dist:Ooo_common.Params.straight_max_dist
+           ~rename:model.Ooo_common.Params.rename ~retired:r.Iss.Trace.retired
+           ())
     in
     let window () = Ooo_common.Window.of_array r.Iss.Trace.trace in
     (* one untimed warmup settles the heap before measuring *)

@@ -91,43 +91,34 @@ let outcome_detail (o : Fuzz.Diff.outcome) : string list =
 (* Compile one source to every target and run the static verifiers over
    the linked images: STRAIGHT at both codegen levels through
    [Straight_lint], RV32IM through the full [Riscv_lint] dataflow
-   verifier.  [opt] selects the shared middle-end level.  Compile
-   crashes are only reported in lint-only mode: the differential run
-   already reports them. *)
-let lint_source ?(opt = Ssa_ir.Passes.O2) ~(report_crash : bool)
-    (src : string) : string list =
-  let lint_one label image =
-    List.map
-      (fun f ->
-         Printf.sprintf "%s: %s" label (Lint_report.finding_to_string f))
-      (Straight_lint.Lint.lint image)
-  in
-  let straight level label =
-    match
-      Straight_core.Compile.compile ~opt
-        (Straight_core.Compile.Straight
-           { Straight_cc.Codegen.max_dist = Straight_isa.Isa.max_dist; level })
-        src
-    with
-    | out -> lint_one label out.Straight_core.Compile.image
+   verifier.  [opt] selects the shared middle-end level; [on_image] sees
+   each linked image's target label and findings.  Compile crashes are
+   only reported in lint-only mode: the differential run already
+   reports them. *)
+let lint_source ?(opt = Ssa_ir.Passes.O2) ?(on_image = fun _ _ -> ())
+    ~(report_crash : bool) (src : string) : string list =
+  let lint label backend lint =
+    match Straight_core.Compile.compile ~opt backend src with
+    | out ->
+      let findings = lint out.Straight_core.Compile.image in
+      on_image label findings;
+      List.map
+        (fun f ->
+           Printf.sprintf "%s: %s" label (Lint_report.finding_to_string f))
+        findings
     | exception e when report_crash ->
       [ Printf.sprintf "%s: compile crashed: %s" label (Printexc.to_string e) ]
     | exception _ -> []
   in
-  let riscv () =
-    match Straight_core.Compile.compile ~opt Straight_core.Compile.Riscv src with
-    | out ->
-      List.map
-        (fun f ->
-           Printf.sprintf "riscv: %s" (Lint_report.finding_to_string f))
-        (Riscv_lint.Lint.lint out.Straight_core.Compile.image)
-    | exception e when report_crash ->
-      [ Printf.sprintf "riscv: compile crashed: %s" (Printexc.to_string e) ]
-    | exception _ -> []
+  let straight level label =
+    lint label
+      (Straight_core.Compile.Straight
+         { Straight_cc.Codegen.max_dist = Straight_isa.Isa.max_dist; level })
+      (fun image -> Straight_lint.Lint.lint image)
   in
-  straight Straight_cc.Codegen.Re_plus "straight-re+"
-  @ straight Straight_cc.Codegen.Raw "straight-raw"
-  @ riscv ()
+  let re_plus = straight Straight_cc.Codegen.Re_plus "straight-re+" in
+  let raw = straight Straight_cc.Codegen.Raw "straight-raw" in
+  re_plus @ raw @ lint "riscv" Straight_core.Compile.Riscv Riscv_lint.Lint.lint
 
 let opt_levels =
   [ (Ssa_ir.Passes.O0, "O0"); (Ssa_ir.Passes.O1, "O1");
@@ -335,27 +326,40 @@ let tv_mutations ~(base : int) (n : int) : failure list =
   !fails
 
 (* [-lint-workloads]: every benchmark, every middle-end level, both
-   ISAs.  Also writes a JSON report when [-json] is given (handled by
-   the caller through the returned failures). *)
-let lint_workloads () : failure list =
-  List.concat_map
-    (fun (w : Workloads.t) ->
-       List.filter_map
-         (fun (opt, oname) ->
-            let label = Printf.sprintf "%s -%s" w.Workloads.name oname in
-            let findings =
-              List.map (fun d -> label ^ ": " ^ d)
-                (lint_source ~opt ~report_crash:true w.Workloads.source)
-            in
-            if findings = [] then begin
-              Printf.printf "lint %-14s %s clean\n%!" w.Workloads.name oname;
-              None
-            end
-            else
-              Some { f_seed = -1; f_kind = "lint"; f_detail = findings;
-                     f_source = ""; f_minimized = None })
-         opt_levels)
-    (workloads ())
+   ISAs.  Returns one labeled finding group per linked image
+   ([<workload>:<target>:<O-level>], for the JSON report) alongside the
+   failures. *)
+let lint_workloads () :
+  (string * Lint_report.finding list) list * failure list =
+  let groups = ref [] in
+  let failures =
+    List.concat_map
+      (fun (w : Workloads.t) ->
+         List.filter_map
+           (fun (opt, oname) ->
+              let label = Printf.sprintf "%s -%s" w.Workloads.name oname in
+              let on_image target findings =
+                groups :=
+                  (Printf.sprintf "%s:%s:%s" w.Workloads.name target oname,
+                   findings)
+                  :: !groups
+              in
+              let findings =
+                List.map (fun d -> label ^ ": " ^ d)
+                  (lint_source ~opt ~on_image ~report_crash:true
+                     w.Workloads.source)
+              in
+              if findings = [] then begin
+                Printf.printf "lint %-14s %s clean\n%!" w.Workloads.name oname;
+                None
+              end
+              else
+                Some { f_seed = -1; f_kind = "lint"; f_detail = findings;
+                       f_source = ""; f_minimized = None })
+           opt_levels)
+      (workloads ())
+  in
+  (List.rev !groups, failures)
 
 let () =
   let seed = ref 1 in
@@ -387,7 +391,9 @@ let () =
         exit (-json writes a straight-tv/1 report)");
       ("-tv-mutations", Arg.Set_int tv_mutations_n,
        "N  inject N seeded codegen bugs; each must be rejected");
-      ("-json", Arg.Set_string json_file, "FILE  write a JSON failure report");
+      ("-json", Arg.Set_string json_file,
+       "FILE  write a JSON report: the failures, or with -lint-workloads / \
+        -tv-workloads every image's findings");
       ("-corpus", Arg.Set_string corpus,
        "DIR  persist each failure as it is found; resume a killed campaign");
       ("-v", Arg.Set verbose, "  print every seed as it runs") ]
@@ -426,12 +432,14 @@ let () =
            (if !prior_failures = 1 then "" else "s") !first
      | _ -> ())
   end;
-  let tv_groups = ref [] in
+  (* the labeled finding groups of -lint-workloads / -tv-workloads *)
+  let report_groups = ref [] in
   let tv_validations = ref 0 and tv_abstained = ref 0 in
-  if !workloads_only then failures := lint_workloads ()
-  else if !tv_workloads_only then begin
-    let groups, fs = tv_workloads () in
-    tv_groups := groups;
+  if !workloads_only || !tv_workloads_only then begin
+    let groups, fs =
+      (if !workloads_only then lint_workloads else tv_workloads) ()
+    in
+    report_groups := groups;
     failures := List.rev fs
   end
   else if !tv_mutations_n > 0 then
@@ -516,10 +524,13 @@ let () =
       !tv_abstained;
   if !json_file <> "" then begin
     let report =
-      if !tv_workloads_only then
-        (* the machine-readable TV report keeps every finding, including
-           abstentions, under the straight-tv/1 schema *)
-        Lint_report.report_json ~schema:"straight-tv/1" !tv_groups
+      if !workloads_only || !tv_workloads_only then
+        (* every finding of every image, warnings, infos and TV
+           abstentions included: the lint report straightc -lint-json
+           writes, or the straight-tv/1 one *)
+        Lint_report.report_json
+          ?schema:(if !tv_workloads_only then Some "straight-tv/1" else None)
+          !report_groups
       else
         Json.Obj [ ("failures", Json.List (List.map failure_json failures)) ]
     in

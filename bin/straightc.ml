@@ -140,20 +140,17 @@ let main () =
        | Compile.Riscv -> Tv.Validate.validate_riscv prog);
   let out = Compile.backend compile_target prog in
   if !show_asm then print_string (Lazy.force out.Compile.listing);
-  let disassemble, execute, verify =
+  let disassemble, verify =
     match compile_target with
     | Compile.Straight _ ->
       ( Assembler.Asm.disassemble_straight,
-        (fun image -> Iss.Straight_iss.run image),
         Straight_lint.Lint.lint ~max_dist:!maxdist )
     | Compile.Riscv ->
-      ( Assembler.Asm.disassemble_riscv,
-        (fun image -> Iss.Riscv_iss.run image),
-        fun image -> Riscv_lint.Lint.lint image )
+      (Assembler.Asm.disassemble_riscv, fun image -> Riscv_lint.Lint.lint image)
   in
   if !dump then print_string (disassemble out.Compile.image);
   if !run then begin
-    let r = execute out.Compile.image in
+    let r = Iss.Machine.run out.Compile.image in
     print_string r.Iss.Trace.output;
     Printf.printf "[retired %d instructions]\n" r.Iss.Trace.retired
   end;

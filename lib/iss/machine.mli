@@ -27,6 +27,27 @@ val run_session : ?until:int -> session -> unit
 
 val finish : session -> Trace.run
 
+val retired : session -> int
+(** Instructions retired so far. *)
+
+val halted : session -> bool
+(** The program's stop instruction (HALT, EBREAK) has retired. *)
+
+val save : Buffer.t -> session -> unit
+(** Encode the architectural state at the session's instruction
+    boundary: the ISA, the PC and registers (STRAIGHT: SP, RP and the
+    last {!Straight_isa.Isa.max_dist} values, Section III-A; RV32IM:
+    x0-x31 and instret), and the memory with its console output.
+    @raise Invalid_argument once the program has stopped. *)
+
+val load :
+  ?max_insns:int -> ?on_retire:(int -> Trace.uop -> unit) ->
+  Assembler.Image.t -> Bin.reader -> session
+(** Inverse of {!save}: a session over [image] that continues where the
+    saved one stood ([max_insns] and [on_retire] as for {!start}).
+    @raise Bin.Corrupt on malformed input, a pc outside the text, or a
+    state of the other ISA. *)
+
 val run :
   ?max_insns:int -> ?collect_trace:bool -> ?collect_dist:bool ->
   ?on_retire:(int -> Trace.uop -> unit) -> Assembler.Image.t -> Trace.run

@@ -66,3 +66,27 @@ let load_image t (image : Image.t) =
     image.Image.data
 
 let output t = Buffer.contents t.console
+
+(* The console so far, then the pages in address order. *)
+let save b t =
+  Bin.w_string b (Buffer.contents t.console);
+  Bin.w_list b
+    (fun b (i, p) -> Bin.w_int b i; Array.iter (Bin.w_int32 b) p)
+    (List.sort compare (List.of_seq (Hashtbl.to_seq t.pages)))
+
+let load r =
+  let t = create () in
+  Buffer.add_string t.console (Bin.r_string r);
+  let page r =
+    let i = Bin.r_int r in
+    (i, Array.init page_words (fun _ -> Bin.r_int32 r))
+  in
+  List.fold_left
+    (fun last (i, p) ->
+       if i <= last then
+         Bin.corrupt "memory page %d out of order" i;
+       Hashtbl.replace t.pages i p;
+       i)
+    (-1) (Bin.r_list r page)
+  |> ignore;
+  t

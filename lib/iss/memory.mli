@@ -21,3 +21,10 @@ val load_image : t -> Assembler.Image.t -> unit
 
 val output : t -> string
 (** Console output accumulated so far. *)
+
+val save : Buffer.t -> t -> unit
+(** Encode the console output and the pages, in address order. *)
+
+val load : Bin.reader -> t
+(** Inverse of {!save}: a fresh memory with the same contents.
+    @raise Bin.Corrupt on malformed input. *)

@@ -18,16 +18,6 @@ type config = { max_insns : int; collect_trace : bool }
 
 let default_config = { max_insns = 50_000_000; collect_trace = false }
 
-let decode_text (image : Image.t) : Isa.resolved array =
-  Array.mapi
-    (fun i w ->
-       match Encoding.decode w with
-       | Some insn -> insn
-       | None ->
-         fail "illegal instruction word 0x%lx at 0x%x" w
-           (image.Image.text_base + (4 * i)))
-    image.Image.text
-
 type session = {
   code : Isa.resolved array;
   text_base : int;
@@ -41,7 +31,7 @@ type session = {
   on_retire : (int -> Trace.uop -> unit) option;
   shapes : (Trace.uop array * Trace.uop array) Lazy.t;
       (* per text word, the retired uop with a branch not taken and
-         taken (see [shape_table]) *)
+         taken (see [Text.shapes]) *)
 }
 
 (* The uop the instruction at [pc] retires as, given its dynamic
@@ -81,21 +71,6 @@ let retired_uop pc (insn : Isa.resolved) ~mem_addr ~taken ~next : Trace.uop =
 
 let uop_shape pc insn = retired_uop pc insn ~mem_addr:0 ~taken:false ~next:(-1)
 
-(* The uops of the text, built at the first retirement that asks for one
-   and shared by every retirement whose dynamic fields they hold: the
-   cycle engine keeps thousands of uops in flight, and fresh ones would
-   each be promoted out of the minor heap. *)
-let shape_table text_base code =
-  lazy
-    (let uops taken =
-       Array.mapi
-         (fun i insn ->
-            retired_uop (text_base + (4 * i)) insn ~mem_addr:0 ~taken
-              ~next:(-1))
-         code
-     in
-     (uops false, uops true))
-
 (* The retired uop of [insn], the text word [idx] at [pc]: built afresh
    only when it carries a memory address or an indirect target. *)
 let session_uop s idx pc (insn : Isa.resolved) ~mem_addr ~taken ~next =
@@ -106,23 +81,43 @@ let session_uop s idx pc (insn : Isa.resolved) ~mem_addr ~taken ~next =
     let not_taken, taken_ = Lazy.force s.shapes in
     if taken then taken_.(idx) else not_taken.(idx)
 
-let start ?(config = default_config) ?on_retire (image : Image.t) : session =
-  let mem = Memory.create () in
-  Memory.load_image mem image;
-  let regs = Array.make 32 0l in
-  regs.(2) <- Int32.of_int Layout.stack_top;
-  let code = decode_text image and text_base = image.Image.text_base in
+(* The architectural state at an instruction boundary: the PC, x0-x31
+   and the retired-instruction count (RV32's [instret] counter, which
+   numbers the retirements [on_retire] sees and the budget counts). *)
+type arch_state = {
+  a_pc : int;
+  a_regs : int32 array;
+  a_instret : int;
+}
+
+let checkpoint (s : session) : arch_state =
+  { a_pc = s.pc; a_regs = Array.copy s.regs; a_instret = s.count }
+
+let resume ?(config = default_config) ?on_retire (image : Image.t)
+    (mem : Memory.t) (st : arch_state) : session =
+  let code =
+    Text.decode Encoding.decode image ~illegal:(fun w pc ->
+        fail "illegal instruction word 0x%lx at 0x%x" w pc)
+  and text_base = image.Image.text_base in
   { code;
     text_base;
     mem;
-    regs;
-    pc = image.Image.entry;
-    count = 0;
+    regs = Array.copy st.a_regs;
+    pc = st.a_pc;
+    count = st.a_instret;
     halted = false;
     config;
     uops = [];
     on_retire;
-    shapes = shape_table text_base code }
+    shapes = Text.shapes retired_uop text_base code }
+
+let start ?config ?on_retire (image : Image.t) : session =
+  let mem = Memory.create () in
+  Memory.load_image mem image;
+  let regs = Array.make 32 0l in
+  regs.(2) <- Int32.of_int Layout.stack_top;
+  resume ?config ?on_retire image mem
+    { a_pc = image.Image.entry; a_regs = regs; a_instret = 0 }
 
 (* [exec s ~want] executes one instruction.  It returns the retired uop
    when [want], trace collection or the observer asks for one, and
@@ -199,6 +194,8 @@ let run_session ?(until = max_int) (s : session) : unit =
   done
 
 let session_memory (s : session) : Memory.t = s.mem
+let retired (s : session) = s.count
+let halted (s : session) = s.halted
 
 let finish (s : session) : Trace.run =
   { Trace.output = Memory.output s.mem;

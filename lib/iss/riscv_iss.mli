@@ -42,6 +42,28 @@ val finish : session -> Trace.run
 
 val session_memory : session -> Memory.t
 
+val retired : session -> int
+(** Instructions retired so far. *)
+
+val halted : session -> bool
+(** [ebreak] has retired. *)
+
+(** The architectural state at an instruction boundary. *)
+type arch_state = {
+  a_pc : int;
+  a_regs : int32 array;  (** x0..x31 *)
+  a_instret : int;       (** retired instructions *)
+}
+
+val checkpoint : session -> arch_state
+(** Capture the architectural state; memory is not part of it, as for
+    {!Straight_iss.checkpoint}. *)
+
+val resume :
+  ?config:config -> ?on_retire:(int -> Trace.uop -> unit) ->
+  Assembler.Image.t -> Memory.t -> arch_state -> session
+(** Rebuild a session from a checkpoint and the memory it ran against. *)
+
 val run : ?config:config -> Assembler.Image.t -> Trace.run
 (** Execute from the entry point until [ebreak]; SP (x2) starts at the
     stack top.

@@ -9,9 +9,10 @@
    STRAIGHT offers precise interrupts (Section III-A): the architectural
    state is exactly {PC, SP, RP} plus the bounded window of the last
    [max_dist] register values (older values can never be referenced).
-   [checkpoint]/[resume] implement that contract and are exercised by the
-   test suite: interrupting a run at any instruction boundary and resuming
-   from the captured state is indistinguishable from an uninterrupted run. *)
+   [checkpoint]/[resume] implement that contract; [Machine.save]/[load]
+   encode it, and the test suite checks that interrupting a run at any
+   instruction boundary and resuming from the encoded state is
+   indistinguishable from an uninterrupted run. *)
 
 module Isa = Straight_isa.Isa
 module Encoding = Straight_isa.Encoding
@@ -37,17 +38,6 @@ type config = {
 let default_config =
   { max_insns = 50_000_000; collect_trace = false; collect_dist = false }
 
-(* Pre-decoded text section for fast dispatch. *)
-let decode_text (image : Image.t) : Isa.resolved array =
-  Array.mapi
-    (fun i w ->
-       match Encoding.decode w with
-       | Some insn -> insn
-       | None ->
-         fail "illegal instruction word 0x%lx at 0x%x" w
-           (image.Image.text_base + (4 * i)))
-    image.Image.text
-
 type session = {
   code : Isa.resolved array;
   text_base : int;
@@ -65,7 +55,7 @@ type session = {
          trace collection — the functional-warming / sampling tap *)
   shapes : (Trace.uop array * Trace.uop array) Lazy.t;
       (* per text word, the retired uop with a conditional branch not
-         taken and taken (see [shape_table]) *)
+         taken and taken (see [Text.shapes]) *)
 }
 
 (* The uop the instruction at [pc] retires as, given its dynamic
@@ -106,21 +96,6 @@ let retired_uop pc (insn : Isa.resolved) ~mem_addr ~taken ~next : Trace.uop =
 
 let uop_shape pc insn = retired_uop pc insn ~mem_addr:0 ~taken:false ~next:(-1)
 
-(* The uops of the text, built at the first retirement that asks for one
-   and shared by every retirement whose dynamic fields they hold: the
-   cycle engine keeps thousands of uops in flight, and fresh ones would
-   each be promoted out of the minor heap. *)
-let shape_table text_base code =
-  lazy
-    (let uops taken =
-       Array.mapi
-         (fun i insn ->
-            retired_uop (text_base + (4 * i)) insn ~mem_addr:0 ~taken
-              ~next:(-1))
-         code
-     in
-     (uops false, uops true))
-
 (* The retired uop of [insn], the text word [idx] at [pc]: built afresh
    only when it carries a memory address or an indirect target. *)
 let session_uop s idx pc (insn : Isa.resolved) ~mem_addr ~taken ~next =
@@ -130,26 +105,6 @@ let session_uop s idx pc (insn : Isa.resolved) ~mem_addr ~taken ~next =
   | _ ->
     let not_taken, taken_ = Lazy.force s.shapes in
     if taken then taken_.(idx) else not_taken.(idx)
-
-(* [start ?config image] loads the image and returns a fresh session at the
-   reset state (SP at the stack top, PC at the entry point). *)
-let start ?(config = default_config) ?on_retire (image : Image.t) : session =
-  let mem = Memory.create () in
-  Memory.load_image mem image;
-  let code = decode_text image and text_base = image.Image.text_base in
-  { code;
-    text_base;
-    mem;
-    regs = Array.make ring 0l;
-    sp = Int32.of_int Layout.stack_top;
-    pc = image.Image.entry;
-    count = 0;
-    halted = false;
-    config;
-    uops = [];
-    dist_hist = Array.make (Isa.max_dist + 1) 0;
-    on_retire;
-    shapes = shape_table text_base code }
 
 (* The precise architectural state at an instruction boundary: PC, SP, RP,
    and the last [max_dist] register values (window.(i) is the value at
@@ -178,7 +133,10 @@ let checkpoint (s : session) : arch_state =
    property. *)
 let resume ?(config = default_config) ?on_retire (image : Image.t)
     (mem : Memory.t) (st : arch_state) : session =
-  let code = decode_text image and text_base = image.Image.text_base in
+  let code =
+    Text.decode Encoding.decode image ~illegal:(fun w pc ->
+        fail "illegal instruction word 0x%lx at 0x%x" w pc)
+  and text_base = image.Image.text_base in
   let s =
     { code;
       text_base;
@@ -192,7 +150,7 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
       uops = [];
       dist_hist = Array.make (Isa.max_dist + 1) 0;
       on_retire;
-      shapes = shape_table text_base code }
+      shapes = Text.shapes retired_uop text_base code }
   in
   Array.iteri
     (fun i v ->
@@ -200,6 +158,15 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
        if d <= st.a_rp then s.regs.((st.a_rp - d) land ring_mask) <- v)
     st.a_window;
   s
+
+(* [start ?config image] loads the image and returns a fresh session at the
+   reset state (SP at the stack top, PC at the entry point). *)
+let start ?config ?on_retire (image : Image.t) : session =
+  let mem = Memory.create () in
+  Memory.load_image mem image;
+  resume ?config ?on_retire image mem
+    { a_pc = image.Image.entry; a_sp = Int32.of_int Layout.stack_top;
+      a_rp = 0; a_window = [||] }
 
 (* [exec s ~want] executes one instruction.  It returns the retired uop
    when [want], trace collection or the observer asks for one, and
@@ -301,6 +268,8 @@ let run_session ?(until = max_int) (s : session) : unit =
   done
 
 let session_memory (s : session) : Memory.t = s.mem
+let retired (s : session) = s.count
+let halted (s : session) = s.halted
 
 let finish (s : session) : Trace.run =
   { Trace.output = Memory.output s.mem;
@@ -320,27 +289,3 @@ let run ?(config = default_config) (image : Image.t) : Trace.run =
    are HALT, JR, retval — main's result sits at distance 3. *)
 let exit_value (s : session) : int32 =
   if s.count < 3 then 0l else s.regs.((s.count - 3) land ring_mask)
-
-(* [run_with_interrupt ~at image] takes a precise interrupt after [at]
-   retired instructions: the session is checkpointed, destroyed, and
-   rebuilt from only {PC, SP, RP, window} + memory before continuing.
-   The combined run must equal an uninterrupted one: the resumed session
-   collects its own trace and histogram, so both halves are joined. *)
-let run_with_interrupt ?(config = default_config) ~(at : int)
-    (image : Image.t) : Trace.run =
-  let s = start ~config image in
-  run_session ~until:at s;
-  if s.halted then finish s
-  else begin
-    let before = finish s in
-    let s' = resume ~config image s.mem (checkpoint s) in
-    run_session s';
-    (* the console lives in the shared memory; retired counts continue
-       from the checkpointed RP *)
-    let after = finish s' in
-    { after with
-      Trace.trace = Array.append before.Trace.trace after.Trace.trace;
-      dist_histogram =
-        Array.map2 ( + ) before.Trace.dist_histogram
-          after.Trace.dist_histogram }
-  end

@@ -9,7 +9,8 @@
     The precise-interrupt contract (Section III-A) is exposed via
     {!checkpoint}/{!resume}: the architectural state is exactly
     {PC, SP, RP} plus the bounded window of the last
-    {!Straight_isa.Isa.max_dist} register values. *)
+    {!Straight_isa.Isa.max_dist} register values.  {!Machine.save}
+    encodes it with the memory. *)
 
 exception Exec_error of string
 
@@ -61,6 +62,12 @@ val session_memory : session -> Memory.t
 (** The session's (shared, mutable) memory — inspect after HALT for
     differential comparison of final data. *)
 
+val retired : session -> int
+(** Instructions retired so far: the architectural RP. *)
+
+val halted : session -> bool
+(** HALT has retired. *)
+
 val exit_value : session -> int32
 (** [main]'s return value after a completed run of a compiled image: the
     startup stub is [_start: JAL f_main; HALT] and the epilogue places
@@ -88,10 +95,3 @@ val resume :
 
 val run : ?config:config -> Assembler.Image.t -> Trace.run
 (** Execute a whole program. *)
-
-val run_with_interrupt :
-  ?config:config -> at:int -> Assembler.Image.t -> Trace.run
-(** Take a precise interrupt after [at] retired instructions: checkpoint,
-    destroy the session, rebuild from the checkpoint, continue.  The
-    result — output, retired count, trace and distance histogram — must
-    equal an uninterrupted {!run} (tested). *)

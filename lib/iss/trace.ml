@@ -104,11 +104,6 @@ let digest_add st u =
 
 let digest_result st = Digest.to_hex (Digest.string (Buffer.contents st.dbuf))
 
-let digest (trace : uop array) : string =
-  let st = digest_init () in
-  Array.iter (digest_add st) trace;
-  digest_result st
-
 (* A completed program run. *)
 type run = {
   output : string;             (* MMIO console output *)

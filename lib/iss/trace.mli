@@ -60,10 +60,6 @@ val digest_add : digest_state -> uop -> unit
 val digest_result : digest_state -> string
 (** Hex digest of the uops added so far. *)
 
-val digest : uop array -> string
-(** [digest a] is the fold of {!digest_add} over [a]: the same
-    fingerprint as streaming the uops one by one. *)
-
 (** A completed program run. *)
 type run = {
   output : string;             (** MMIO console output *)

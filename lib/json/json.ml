@@ -149,21 +149,30 @@ let of_string (s : string) : t =
     go ();
     Buffer.contents b
   in
+  (* RFC 8259: -?(0|[1-9][0-9]* )(.[0-9]+)?([eE][+-]?[0-9]+)?, an [Int]
+     when it has neither fraction nor exponent and fits *)
   let parse_number () =
     let start = !pos in
-    let is_num c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digit () = !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' in
+    let digits () =
+      if not (digit ()) then err "bad number";
+      while digit () do incr pos done
     in
-    while !pos < n && is_num s.[!pos] do incr pos done;
+    if peek () = Some '-' then incr pos;
+    if peek () = Some '0' then (incr pos; if digit () then err "bad number")
+    else digits ();
+    let frac = peek () = Some '.' in
+    if frac then (incr pos; digits ());
+    let exp = match peek () with Some ('e' | 'E') -> true | _ -> false in
+    if exp then begin
+      incr pos;
+      (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
+      digits ()
+    end;
     let tok = String.sub s start (!pos - start) in
-    match int_of_string_opt tok with
+    match if frac || exp then None else int_of_string_opt tok with
     | Some i -> Int i
-    | None ->
-      (match float_of_string_opt tok with
-       | Some f -> Float f
-       | None -> err (Printf.sprintf "bad number %S" tok))
+    | None -> Float (float_of_string tok)
   in
   (* [depth]: arrays and objects enclosing the one opening at [pos] *)
   let enter depth =

@@ -24,7 +24,9 @@ exception Parse_error of string
     below). *)
 
 val of_string : string -> t
-(** @raise Parse_error on malformed input, or on arrays and objects
+(** Numbers follow RFC 8259 ([-]int[.frac][exp], no leading zeros); one
+    without fraction or exponent that fits an [int] is an [Int].
+    @raise Parse_error on malformed input, or on arrays and objects
     nested more than 512 deep. *)
 
 val member : string -> t -> t option

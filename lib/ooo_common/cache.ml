@@ -142,7 +142,7 @@ let load_hierarchy r (h : hierarchy) =
   (match Bin.r_bool r, h.l3 with
    | true, Some l3 -> load_cache r l3
    | false, None -> ()
-   | _ -> raise (Bin.Corrupt "L3 presence does not match the configuration"));
+   | _ -> Bin.corrupt "L3 presence does not match the configuration");
   h.prefetches <- Bin.r_int r
 
 (* [access_below h addr] walks L2/L3/memory and returns the additional

@@ -28,15 +28,6 @@ val corrupt_tag : cache -> victim:int -> flip:int -> unit
     a corrupted tag induces extra misses or false hits, never wrong
     values.  Invalid lines are left untouched. *)
 
-val save_cache : Buffer.t -> cache -> unit
-(** Serialize the mutable portion of a cache (tags, LRU stamps,
-    counters).  Geometry comes from [Params] on restore. *)
-
-val load_cache : Bin.reader -> cache -> unit
-(** Inverse of {!save_cache} into a freshly [create]d cache of the same
-    geometry.  @raise Bin.Corrupt on malformed input or a shape
-    mismatch. *)
-
 type hierarchy = {
   l1i : cache;
   l1d : cache;
@@ -50,7 +41,9 @@ type hierarchy = {
 val create_hierarchy : Params.t -> hierarchy
 
 val save_hierarchy : Buffer.t -> hierarchy -> unit
-(** Serialize every level plus the prefetch counter. *)
+(** Serialize every level's mutable portion (tags, LRU stamps,
+    counters; geometry comes from [Params]) plus the prefetch
+    counter. *)
 
 val load_hierarchy : Bin.reader -> hierarchy -> unit
 (** Inverse of {!save_hierarchy} into a freshly built hierarchy of the

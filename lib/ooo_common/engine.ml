@@ -31,10 +31,10 @@
 
    All simulation state lives in an explicit record [t] so a run can be
    advanced one cycle at a time ([create] / [step] / [finish]) and
-   checkpointed mid-flight ([save] / [restore]): the serialized image
+   checkpointed mid-flight ([save] / [load]): the serialized image
    covers every structure above plus the predictors, caches, fault
    injector, and CPI accounting, with the fixpoint contract
-   [restore (save t); run n  ==  run n] cycle-for-cycle. *)
+   [load (save t) (create ...); run n  ==  run n] cycle-for-cycle. *)
 
 module Trace = Iss.Trace
 
@@ -1119,6 +1119,13 @@ let committed_count t = t.committed
 let window t = t.uops
 let inflight t = Ring.length t.rob + Ring.length t.frontend_q
 
+let wrong_path_inflight t =
+  let n = ref 0 in
+  let count d = if d.wrong_path then incr n in
+  Ring.iter count t.rob;
+  Ring.iter count t.frontend_q;
+  !n
+
 (* Mid-run snapshot of the cycle-accounting buckets; the interval
    sampler subtracts the snapshot taken at the warmup boundary from the
    final stack to measure only the interval proper. *)
@@ -1191,20 +1198,18 @@ let run (p : Params.t) ~(window : Window.t)
      belonged to a squashed or committed dyn, which the [win_mem] guard
      treats exactly like [-1];
    - correct-path uops are regenerated through the window and stored by
-     index; wrong-path uops are serialized inline. *)
+     index; a wrong-path uop is [decode_static pc], its only source, so
+     it is stored as its pc and re-derived on restore. *)
 
-(* v2: the checker cursor carries the golden next pc *)
-let engine_version = 2
-
-(* The uop codec lives in Uop_io so the sampling checkpoints share it. *)
-let w_uop = Uop_io.write
-let r_uop = Uop_io.read
+(* v2: the checker cursor carries the golden next pc; v3: wrong-path
+   uops are stored by pc *)
+let engine_version = 3
 
 let w_dyn t b (d : dyn) =
   Bin.w_int b d.seq;
   Bin.w_bool b d.wrong_path;
   Bin.w_int b d.trace_idx;
-  if d.trace_idx < 0 then w_uop b d.uop;
+  if d.trace_idx < 0 then Bin.w_int b d.uop.Trace.pc;
   Bin.w_int b d.fetched_at;
   Bin.w_list b Bin.w_int d.producers;
   Bin.w_bool b d.dispatched;
@@ -1233,15 +1238,18 @@ let r_dyn t r : dyn * int list =
   let wrong_path = Bin.r_bool r in
   let trace_idx = Bin.r_int r in
   let uop =
-    if trace_idx < 0 then r_uop r
+    if trace_idx < 0 then begin
+      let pc = Bin.r_int r in
+      match t.decode_static pc with
+      | Some u -> u
+      | None ->
+        Bin.corrupt "wrong-path pc 0x%x has no static instruction" pc
+    end
     else if trace_idx >= Window.base t.uops && trace_idx < t.n_trace then
       Window.get t.uops trace_idx
     else
-      raise
-        (Bin.Corrupt
-           (Printf.sprintf "dyn trace index %d outside the uncommitted \
-                            stream [%d, %d)" trace_idx (Window.base t.uops)
-              t.n_trace))
+      Bin.corrupt "dyn trace index %d outside the uncommitted stream [%d, %d)"
+        trace_idx (Window.base t.uops) t.n_trace
   in
   let fetched_at = Bin.r_int r in
   let producers = Bin.r_list r Bin.r_int in
@@ -1344,31 +1352,22 @@ let save b t =
    | None -> Bin.w_bool b false
    | Some ck -> Bin.w_bool b true; Checker.save b ck)
 
-let restore (p : Params.t) ~(window : Window.t)
-    ~(decode_static : int -> Trace.uop option)
-    ?(checker : Checker.t option) (r : Bin.reader) : t =
-  let t = create p ~window ~decode_static ?checker () in
+let load (r : Bin.reader) (t : t) : unit =
   let v = Bin.r_int r in
   if v <> engine_version then
-    raise
-      (Bin.Corrupt
-         (Printf.sprintf "engine image version %d, this build reads %d" v
-            engine_version));
+    Bin.corrupt "engine image version %d, this build reads %d" v
+      engine_version;
   let n = Bin.r_int r in
   if n <> t.n_trace then
-    raise
-      (Bin.Corrupt
-         (Printf.sprintf "engine image covers a %d-uop trace, workload \
-                          regenerated %d uops" n t.n_trace));
+    Bin.corrupt "engine image covers a %d-uop trace, workload regenerated \
+                 %d uops" n t.n_trace;
   t.next_seq <- Bin.r_int r;
   t.now <- Bin.r_int r;
   t.done_ <- Bin.r_bool r;
   t.committed <- Bin.r_int r;
   if t.committed < 0 || t.committed > t.n_trace then
-    raise
-      (Bin.Corrupt
-         (Printf.sprintf "engine image committed %d of a %d-uop stream"
-            t.committed t.n_trace));
+    Bin.corrupt "engine image committed %d of a %d-uop stream" t.committed
+      t.n_trace;
   (* every uop below the committed count has left the window *)
   Window.seek t.uops t.committed;
   t.commits_now <- Bin.r_int r;
@@ -1393,41 +1392,33 @@ let restore (p : Params.t) ~(window : Window.t)
      let idx = Bin.r_int r in
      (* fetch resumes at or past the committed count *)
      if idx < t.committed || idx > t.n_trace then
-       raise
-         (Bin.Corrupt
-            (Printf.sprintf "fetch index %d outside [%d, %d]" idx t.committed
-               t.n_trace));
+       Bin.corrupt "fetch index %d outside [%d, %d]" idx t.committed
+         t.n_trace;
      t.mode <- Fetch_correct idx
    | 1 -> t.mode <- Fetch_wrong (Bin.r_int r)
    | 2 -> t.mode <- Fetch_stalled
-   | n -> raise (Bin.Corrupt (Printf.sprintf "bad fetch-mode tag %d" n)));
+   | n -> Bin.corrupt "bad fetch-mode tag %d" n);
   Bin.r_int_array_into r t.rmt;
   let win_cap = Bin.r_int r in
   if win_cap < 1 || win_cap land (win_cap - 1) <> 0 then
-    raise (Bin.Corrupt (Printf.sprintf "bad window capacity %d" win_cap));
+    Bin.corrupt "bad window capacity %d" win_cap;
   t.win <- Array.make win_cap t.dummy;
   t.win_mask <- win_cap - 1;
   (* pass 1: rebuild every live dyn, reinsert into the window *)
-  let pending_waiters = ref [] in
   let read_ring ring =
-    let len = Bin.r_int r in
-    if len < 0 || len > Bin.remaining r then
-      raise (Bin.Corrupt (Printf.sprintf "bad deque length %d" len));
-    for _ = 1 to len do
-      let d, waiter_seqs = r_dyn t r in
-      win_insert t d;
-      Ring.push_back ring d;
-      if waiter_seqs <> [] then
-        pending_waiters := (d, waiter_seqs) :: !pending_waiters
-    done
+    Bin.r_list r (fun r ->
+        let d, waiter_seqs = r_dyn t r in
+        win_insert t d;
+        Ring.push_back ring d;
+        (d, waiter_seqs))
   in
-  read_ring t.rob;
-  read_ring t.frontend_q;
+  let rob = read_ring t.rob in
+  let pending_waiters = rob @ read_ring t.frontend_q in
   (* seq -> live dyn; a dangling reference means a corrupt image *)
   let live s =
     let d = win_get t s in
     if d == t.dummy then
-      raise (Bin.Corrupt (Printf.sprintf "dangling seq %d in engine image" s));
+      Bin.corrupt "dangling seq %d in engine image" s;
     d
   in
   (* pass 2: rebuild wakeup edges (all serialized edges are unfired) *)
@@ -1435,25 +1426,17 @@ let restore (p : Params.t) ~(window : Window.t)
     (fun (d, waiter_seqs) ->
        d.waiters <-
          List.map (fun s -> { consumer = live s; fired = false }) waiter_seqs)
-    !pending_waiters;
-  let iq_n = Bin.r_int r in
-  if iq_n < 0 || iq_n > Bin.remaining r then
-    raise (Bin.Corrupt (Printf.sprintf "bad issue-queue length %d" iq_n));
-  for _ = 1 to iq_n do iq_push t (live (Bin.r_int r)) done;
+    pending_waiters;
+  List.iter (fun s -> iq_push t (live s)) (Bin.r_list r Bin.r_int);
   let read_seq_ring ring =
-    let len = Bin.r_int r in
-    if len < 0 || len > Bin.remaining r then
-      raise (Bin.Corrupt (Printf.sprintf "bad queue length %d" len));
-    for _ = 1 to len do Ring.push_back ring (live (Bin.r_int r)) done
+    List.iter (fun s -> Ring.push_back ring (live s)) (Bin.r_list r Bin.r_int)
   in
   read_seq_ring t.ldq;
   read_seq_ring t.stq;
   let wheel_n = Bin.r_int r in
   if wheel_n <> Array.length t.wheel then
-    raise
-      (Bin.Corrupt
-         (Printf.sprintf "timing wheel of %d slots, configuration builds %d"
-            wheel_n (Array.length t.wheel)));
+    Bin.corrupt "timing wheel of %d slots, configuration builds %d" wheel_n
+      (Array.length t.wheel);
   for i = 0 to wheel_n - 1 do
     t.wheel.(i) <- List.map live (Bin.r_list r Bin.r_int)
   done;
@@ -1492,13 +1475,10 @@ let restore (p : Params.t) ~(window : Window.t)
    | true, Some ck -> Checker.load r ck
    | false, None -> ()
    | true, None ->
-     raise
-       (Bin.Corrupt
-          "checkpoint was taken with lockstep checking on; restore requires \
-           a checker")
+     Bin.corrupt
+       "checkpoint was taken with lockstep checking on; restore requires a \
+        checker"
    | false, Some _ ->
-     raise
-       (Bin.Corrupt
-          "checkpoint was taken without lockstep checking; restore must not \
-           add a checker"));
-  t
+     Bin.corrupt
+       "checkpoint was taken without lockstep checking; restore must not \
+        add a checker")

@@ -97,6 +97,9 @@ val inflight : t -> int
 (** Instructions now in the ROB or the front-end queue, wrong path
     included. *)
 
+val wrong_path_inflight : t -> int
+(** The wrong-path share of {!inflight}. *)
+
 val cpi_now : t -> Stats.cpi_stack
 (** Mid-run snapshot of the cycle-accounting buckets (buckets sum to
     {!cycle}).  The interval sampler subtracts the snapshot taken at the
@@ -132,17 +135,14 @@ val save : Buffer.t -> t -> unit
     stepping [n] cycles is bit-identical — every stat, every cycle — to
     stepping the original [n] cycles. *)
 
-val restore :
-  Params.t ->
-  window:Window.t ->
-  decode_static:(int -> Iss.Trace.uop option) ->
-  ?checker:Checker.t ->
-  Bin.reader -> t
-(** Inverse of {!save}.  [p] and the window's stream must be the ones
-    the image was saved under (the snapshot file layer enforces this;
-    the engine layer shape-checks stream length, wheel geometry, and
-    internal references).  The unread [window] is {!Window.seek}ed to
-    the image's committed count, so a live source skips ahead instead
-    of replaying what already committed.  A checkpoint taken with a
-    lockstep checker must be restored with one, and vice versa.
+val load : Bin.reader -> t -> unit
+(** Inverse of {!save}, into a freshly {!create}d engine over an unread
+    window, the way {!Warm.load} fills a fresh bundle.  The engine's
+    params and stream must be the ones the image was saved under (the
+    snapshot file layer enforces this; the engine layer shape-checks
+    stream length, wheel geometry, and internal references).  The
+    window is {!Window.seek}ed to the image's committed count, so a live
+    source skips ahead instead of replaying what already committed.  A
+    checkpoint taken with a lockstep checker must be loaded into an
+    engine with one, and vice versa.
     @raise Bin.Corrupt on any malformed or mismatched image. *)

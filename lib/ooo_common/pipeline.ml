@@ -29,15 +29,21 @@ let prepass ~max_insns ?until ~collect_dist image : Trace.run =
   Machine.run_session ?until s;
   Machine.finish s
 
-(* The window over session [s], whose next retirement is stream index
-   0 at absolute retirement [origin]. *)
-let window_of s ~origin ~length =
-  Window.of_source ~length
-    ~next:(fun () -> Machine.step_uop s)
+(* The window over the next [length] retirements of session [s]: stream
+   index [n] is absolute retirement [retired s + n]. *)
+let window ?digest s ~length =
+  let origin = Machine.retired s in
+  let next =
+    match digest with
+    | None -> fun () -> Machine.step_uop s
+    | Some d ->
+      fun () ->
+        let u = Machine.step_uop s in
+        Trace.digest_add d u;
+        u
+  in
+  Window.of_source ~length ~next
     ~skip:(fun n -> Machine.run_session ~until:(origin + n) s)
-
-let stream ~max_insns ~length image =
-  window_of ~origin:0 ~length (Machine.start ~max_insns image)
 
 (* The ISS doubles as the golden model: unless [check] is false, a
    lockstep checker validates every commit against the stream. *)
@@ -46,18 +52,19 @@ let checker ~check ~max_dist (params : Params.t) ~retired =
     Some (Checker.create ~max_dist ~rename:params.Params.rename ~retired ())
   else None
 
-let start ?(max_insns = 50_000_000) ?(check = true)
-    ?(max_dist = Straight_isa.Isa.max_dist) (params : Params.t)
+let region ?(check = true) ?(max_dist = Straight_isa.Isa.max_dist) ?warm
+    ?digest (params : Params.t) (image : Image.t) s ~length : Engine.t =
+  Engine.create params ~window:(window ?digest s ~length)
+    ~decode_static:(Machine.static_uop image)
+    ?checker:(checker ~check ~max_dist params ~retired:length) ?warm ()
+
+let start ?(max_insns = 50_000_000) ?check ?max_dist (params : Params.t)
     (image : Image.t) : session =
   let r = prepass ~max_insns ~collect_dist:true image in
-  let retired = r.Trace.retired in
-  let engine =
-    Engine.create params
-      ~window:(stream ~max_insns ~length:retired image)
-      ~decode_static:(Machine.static_uop image)
-      ?checker:(checker ~check ~max_dist params ~retired) ()
-  in
-  { engine; run_info = r }
+  { engine =
+      region ?check ?max_dist params image (Machine.start ~max_insns image)
+        ~length:r.Trace.retired;
+    run_info = r }
 
 (* [start_region ~from ?len] fast-forwards functionally over the first
    [from] retirements — warming caches/predictors along the way unless
@@ -67,9 +74,8 @@ let start ?(max_insns = 50_000_000) ?(check = true)
    producers precede the region resolve as already committed (STRAIGHT)
    or read the architectural file through a fresh RMT (RV32IM), exactly
    as they would mid-flight with the window drained. *)
-let start_region ?(max_insns = 50_000_000) ?(check = true)
-    ?(max_dist = Straight_isa.Isa.max_dist) ?(warm = true) ~(from : int) ?len
-    (params : Params.t) (image : Image.t) : session =
+let start_region ?(max_insns = 50_000_000) ?check ?max_dist ?(warm = true)
+    ~(from : int) ?len (params : Params.t) (image : Image.t) : session =
   let stop = match len with None -> max_int | Some l -> from + l in
   let r = prepass ~max_insns ~until:stop ~collect_dist:false image in
   let n = r.Trace.retired - from in
@@ -83,25 +89,8 @@ let start_region ?(max_insns = 50_000_000) ?(check = true)
   in
   let s = Machine.start ~max_insns ?on_retire image in
   Machine.run_session ~until:from s;
-  let engine =
-    Engine.create params ~window:(window_of s ~origin:from ~length:n)
-      ~decode_static:(Machine.static_uop image)
-      ?checker:(checker ~check ~max_dist params ~retired:n) ?warm:w ()
-  in
-  { engine; run_info = r }
-
-let resume ?(max_insns = 50_000_000) ?(check = true)
-    ?(max_dist = Straight_isa.Isa.max_dist) (params : Params.t)
-    (image : Image.t) (reader : Bin.reader) : session =
-  let r = prepass ~max_insns ~collect_dist:true image in
-  let retired = r.Trace.retired in
-  let engine =
-    Engine.restore params
-      ~window:(stream ~max_insns ~length:retired image)
-      ~decode_static:(Machine.static_uop image)
-      ?checker:(checker ~check ~max_dist params ~retired) reader
-  in
-  { engine; run_info = r }
+  { engine = region ?check ?max_dist ?warm:w params image s ~length:n;
+    run_info = r }
 
 let finish (s : session) : result =
   { stats = Engine.finish s.engine;

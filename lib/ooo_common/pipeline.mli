@@ -27,11 +27,16 @@ type session = {
   run_info : Iss.Trace.run;
 }
 
-val checker :
-  check:bool -> max_dist:int -> Params.t -> retired:int -> Checker.t option
-(** The lockstep golden-model checker for a stream of [retired]
-    commits, or [None] when [check] is false.  [max_dist] bounds checked
-    source distances on RP models; RMT checkers ignore it. *)
+val region :
+  ?check:bool -> ?max_dist:int -> ?warm:Warm.t ->
+  ?digest:Iss.Trace.digest_state -> Params.t -> Assembler.Image.t ->
+  Iss.Machine.session -> length:int -> Engine.t
+(** [region params image s ~length]: the timing model at cycle 0 over
+    the next [length] retirements of the live ISS session [s], stepped
+    as fetch reaches them — behind every other constructor here and
+    behind interval replay.  [warm] hands the engine warmed tables
+    ({!Engine.create}); [digest] folds in every uop pulled, so a
+    finished run has digested exactly its stream. *)
 
 val start :
   ?max_insns:int -> ?check:bool -> ?max_dist:int ->
@@ -52,21 +57,12 @@ val start_region :
     retirements at full speed — functionally warming the caches, branch
     predictor and RAS unless [warm] is [false] — then stand up the
     timing model over the next [len] retirements only (to the end of the
-    program when omitted), with the warmed tables handed to the engine.
-    [run_info] covers the run up to the region's end; the lockstep
-    checker (when [check]) validates the region's commit stream.
+    program when omitted): {!region} over the fast-forwarded session,
+    with the warmed tables.  [run_info] covers the run up to the
+    region's end; the lockstep checker (when [check]) validates the
+    region's commit stream.
     @raise Diag.Error code [Config_error] when [from] is at or past the
     end of the program. *)
-
-val resume :
-  ?max_insns:int -> ?check:bool -> ?max_dist:int ->
-  Params.t -> Assembler.Image.t -> Bin.reader -> session
-(** Like {!start}, but the engine state comes from a checkpoint image
-    instead of cycle 0.  The ISS re-runs deterministically, and the
-    streaming session skips ahead to the image's committed count; the
-    caller (the snapshot layer) is responsible for checking that params
-    and the regenerated stream match the checkpoint.
-    @raise Bin.Corrupt on a malformed or mismatched image. *)
 
 val finish : session -> result
 (** Run the checker's end-of-run validation and freeze statistics. *)

@@ -6,8 +6,8 @@
     from the source, a commit drops everything below it.  Besides the
     uop, each retained index carries the sequence number of its last
     dispatch, which the STRAIGHT operand determination looks producers
-    up by.  An array is a source that is already complete, so the
-    engine has one path for live ISS runs and stored slices alike. *)
+    up by.  Every detailed run reads a live ISS session through
+    {!of_source}. *)
 
 type t
 
@@ -20,7 +20,8 @@ val of_source :
     retains, never past [length]. *)
 
 val of_array : Iss.Trace.uop array -> t
-(** The stream of an already collected trace. *)
+(** The stream of an already collected trace: the array-fed reference
+    of the tests and the engine-only perf suite. *)
 
 val length : t -> int
 (** Uops in the whole stream. *)

@@ -1,12 +1,11 @@
 (* Interval-checkpoint materialization and execution.  See interval.mli
    for the one-pass warming design and the store layout. *)
 
-module Bin = Ooo_common.Bin
 module Engine = Ooo_common.Engine
 module Params = Ooo_common.Params
 module Stats = Ooo_common.Stats
 module Warm = Ooo_common.Warm
-module Uop_io = Ooo_common.Uop_io
+module Machine = Iss.Machine
 module Trace = Iss.Trace
 module Exp = Straight_core.Experiment
 module Sim = Snapshot.Sim
@@ -56,46 +55,6 @@ let plan_key (spec : Sim.spec) (sp : Spec.t) : string =
   in
   Digest.to_hex (Digest.string manifest)
 
-(* ---------- checkpoint files ---------- *)
-
-let reject path fmt =
-  Printf.ksprintf
-    (fun reason ->
-       Diag.error
-         ~context:[ ("snapshot", path); ("reason", reason) ]
-         Diag.Snapshot_error "cannot use interval checkpoint %s: %s" path
-         reason)
-    fmt
-
-let meta_of_spec (spec : Sim.spec) ~kind ~trace_digest : File.meta =
-  { File.kind;
-    target = Exp.target_label spec.Sim.target;
-    params_json =
-      Json.to_string ~indent:false (Params.to_json spec.Sim.params);
-    workload_name = spec.Sim.workload.Workloads.name;
-    workload_source = spec.Sim.workload.Workloads.source;
-    workload_iterations = spec.Sim.workload.Workloads.iterations;
-    max_insns = spec.Sim.max_insns;
-    max_dist = spec.Sim.max_dist;
-    check = spec.Sim.check;
-    cycle = 0;
-    committed = 0;
-    trace_digest;
-    output = "";
-    retired = 0;
-    dist_histogram = [||] }
-
-let write_checkpoint (spec : Sim.spec) ~path ~index ~start ~len ~warmup
-    ~(warm_snap : string) (uops : Trace.uop array) =
-  let payload = Buffer.create (65536 + (String.length warm_snap)) in
-  Bin.w_string payload warm_snap;
-  Bin.w_int payload (Array.length uops);
-  Array.iter (Uop_io.write payload) uops;
-  let kind = File.Interval { index; start; len; warmup } in
-  File.save path
-    (meta_of_spec spec ~kind ~trace_digest:(Trace.digest uops))
-    ~payload:(Buffer.contents payload)
-
 (* ---------- manifest ---------- *)
 
 let manifest_schema = "straight-sample-plan/1"
@@ -135,34 +94,26 @@ let plan_of_json (j : Json.t) : plan =
        | _ -> Json.fail "field \"entries\" must be a list") }
 
 let load_manifest path key : plan option =
-  if not (Sys.file_exists path) then None
-  else
-    match
-      (try
-         let ic = open_in_bin path in
-         let n = in_channel_length ic in
-         let s = really_input_string ic n in
-         close_in ic;
-         Some s
-       with Sys_error _ | End_of_file -> None)
-    with
-    | None -> None
-    | Some s ->
-      (match plan_of_json (Json.of_string s) with
-       | p when p.key = key -> Some p
-       | _ | (exception Json.Parse_error _) -> None)
+  match
+    In_channel.with_open_bin path In_channel.input_all
+    |> Json.of_string |> plan_of_json
+  with
+  | p when p.key = key -> Some p
+  | _ | (exception (Sys_error _ | Json.Parse_error _)) -> None
 
 (* ---------- materialization ---------- *)
 
-(* One open collection window: the warmed state was snapshotted at
-   [w_substart]; uops accumulate (reversed) until the window closes at
-   [w_start + interval - 1] or the program halts. *)
+(* One open collection window: the warm tables and the ISS state were
+   saved at its first retirement [w_substart]; the digest takes every
+   uop until the window closes at [w_start + interval - 1] or the
+   program halts. *)
 type window = {
   w_index : int;
   w_start : int;
   w_substart : int;
-  w_snap : string;
-  mutable w_buf : Trace.uop list;
+  w_payload : string;
+  w_digest : Trace.digest_state;
+  mutable w_uops : int;
 }
 
 let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
@@ -177,42 +128,36 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
     let image = Sim.compile spec in
     let warm = Warm.create spec.Sim.params in
     let period = sp.Spec.every * sp.Spec.interval in
-    let next_index = ref 0 in
-    let next_start = ref 0 in
     let open_windows = ref [] in
     let entries = ref [] in
-    let path_of index = Filename.concat sdir (Printf.sprintf "%s.i%d.snap" key index) in
     let close (w : window) =
-      let uops = Array.of_list (List.rev w.w_buf) in
       let warmup = w.w_start - w.w_substart in
-      let len = Array.length uops - warmup in
+      let len = w.w_uops - warmup in
       (* a window that ended before its measured region began holds only
          warmup — nothing to measure, drop it *)
       if len > 0 then begin
-        let path = path_of w.w_index in
-        write_checkpoint spec ~path ~index:w.w_index ~start:w.w_start ~len
-          ~warmup ~warm_snap:w.w_snap uops;
+        let path =
+          Filename.concat sdir (Printf.sprintf "%s.i%d.snap" key w.w_index)
+        in
+        let kind =
+          File.Interval { index = w.w_index; start = w.w_start; len; warmup }
+        in
+        File.save path
+          (Sim.meta spec ~kind ~trace_digest:(Trace.digest_result w.w_digest))
+          ~payload:w.w_payload;
         entries :=
           { index = w.w_index; start = w.w_start; len; warmup; path }
           :: !entries
       end
     in
     let on_retire idx u =
-      (* open every window whose warmed-state snapshot belongs at this
-         retirement (multiple can coincide at 0 when warmup >= period) *)
-      while idx = max 0 (!next_start - sp.Spec.warmup) do
-        let b = Buffer.create 65536 in
-        Warm.save b warm;
-        open_windows :=
-          { w_index = !next_index; w_start = !next_start; w_substart = idx;
-            w_snap = Buffer.contents b; w_buf = [] }
-          :: !open_windows;
-        incr next_index;
-        next_start := !next_start + period
-      done;
+      Warm.observe warm u;
       List.iter
         (fun w ->
-           if idx < w.w_start + sp.Spec.interval then w.w_buf <- u :: w.w_buf)
+           if idx < w.w_start + sp.Spec.interval then begin
+             Trace.digest_add w.w_digest u;
+             w.w_uops <- w.w_uops + 1
+           end)
         !open_windows;
       let closing, still =
         List.partition
@@ -220,13 +165,30 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
           !open_windows
       in
       List.iter close closing;
-      open_windows := still;
-      Warm.observe warm u
+      open_windows := still
     in
-    let total_retired =
-      (Iss.Machine.run ~max_insns:spec.Sim.max_insns ~on_retire image)
-        .Trace.retired
+    let s = Machine.start ~max_insns:spec.Sim.max_insns ~on_retire image in
+    (* open each window at its first retirement (several coincide at 0
+       when warmup >= period): the warm tables have observed every
+       earlier uop, and the ISS stands at that boundary *)
+    let rec open_from index start =
+      let substart = max 0 (start - sp.Spec.warmup) in
+      Machine.run_session ~until:substart s;
+      if Machine.retired s = substart && not (Machine.halted s) then begin
+        let b = Buffer.create 65536 in
+        Warm.save b warm;
+        Machine.save b s;
+        open_windows :=
+          { w_index = index; w_start = start; w_substart = substart;
+            w_payload = Buffer.contents b; w_digest = Trace.digest_init ();
+            w_uops = 0 }
+          :: !open_windows;
+        open_from (index + 1) (start + period)
+      end
     in
+    open_from 0 0;
+    Machine.run_session s;
+    let total_retired = Machine.retired s in
     (* the program halted with windows still open: truncated intervals *)
     List.iter close !open_windows;
     if total_retired = 0 || !entries = [] then
@@ -249,40 +211,29 @@ let run_file path : result =
   let m, r = File.load path in
   match m.File.kind with
   | File.Engine_image ->
-    reject path "this is an engine-image checkpoint, not a sampling interval"
+    File.reject path
+      "this is an engine-image checkpoint, not a sampling interval"
   | File.Interval { index; start; len; warmup } ->
     let spec = Sim.spec_of_meta path m in
     let image = Sim.compile spec in
     let warm = Warm.create spec.Sim.params in
-    let uops =
+    let iss =
       try
-        let warm_snap = Bin.r_string r in
-        let wr = Bin.reader warm_snap in
-        Warm.load wr warm;
-        Bin.expect_end wr;
-        let n = Bin.r_int r in
-        if n <> warmup + len then
-          raise
-            (Bin.Corrupt
-               (Printf.sprintf "stores %d uops, meta promises %d + %d" n
-                  warmup len));
-        let uops = Array.init n (fun _ -> Uop_io.read r) in
+        Warm.load r warm;
+        let s = Machine.load ~max_insns:spec.Sim.max_insns image r in
         Bin.expect_end r;
-        uops
-      with Bin.Corrupt msg -> reject path "payload: %s" msg
+        s
+      with Bin.Corrupt msg -> File.reject path "payload: %s" msg
     in
-    let digest = Trace.digest uops in
-    if digest <> m.File.trace_digest then
-      reject path "stored sub-trace digest %s differs from meta digest %s"
-        digest m.File.trace_digest;
-    let checker =
-      Ooo_common.Pipeline.checker ~check:spec.Sim.check
-        ~max_dist:spec.Sim.max_dist spec.Sim.params
-        ~retired:(Array.length uops)
-    in
+    if Machine.retired iss <> start - warmup then
+      File.reject path
+        "ISS state stands at retirement %d, the window starts at %d"
+        (Machine.retired iss) (start - warmup);
+    let digest = Trace.digest_init () in
     let engine =
-      Engine.create spec.Sim.params ~window:(Ooo_common.Window.of_array uops)
-        ~decode_static:(Iss.Machine.static_uop image) ?checker ~warm ()
+      Ooo_common.Pipeline.region ~check:spec.Sim.check
+        ~max_dist:spec.Sim.max_dist ~warm ~digest spec.Sim.params image iss
+        ~length:(warmup + len)
     in
     (* detailed warmup: simulate until the warmup prefix has committed,
        then snapshot the accounting so the interval is measured alone *)
@@ -297,6 +248,12 @@ let run_file path : result =
       Engine.step engine
     done;
     let stats = Engine.finish engine in
+    (* the engine has pulled the whole slice: prove it is the one the
+       file was written against *)
+    let regenerated = Trace.digest_result digest in
+    if regenerated <> m.File.trace_digest then
+      File.reject path "regenerated slice digest %s differs from meta digest %s"
+        regenerated m.File.trace_digest;
     { r_index = index;
       r_start = start;
       r_len = len;

@@ -2,27 +2,27 @@
     per-interval result record.
 
     [materialize] makes ONE functional (ISS) pass over the whole
-    program.  While fast-forwarding it continuously warms a
-    {!Ooo_common.Warm.t}; at each measured interval's window start it
-    snapshots the warmed state, collects the window's uops, and writes
-    the window out as a self-contained checkpoint the moment it closes —
-    peak memory is one window (interval + warmup uops), never the whole
-    trace.  Checkpoints are content-addressed under [dir] (the
-    [_sweep/] store): a manifest keyed on the model, workload, sampling
-    spec, and executable digests lets a re-run skip the ISS pass
-    entirely when every file already exists.
+    program, continuously warming a {!Ooo_common.Warm.t}.  At each
+    measured interval's window start it saves the warmed tables and the
+    ISS state ({!Iss.Machine.save}); while the window is open it folds
+    each retired uop into a digest, and it writes the window out as a
+    self-contained checkpoint the moment it closes — no uop is stored.
+    Checkpoints are content-addressed under [dir] (the [_sweep/] store):
+    a manifest keyed on the model, workload, sampling spec, and
+    executable digests lets a re-run skip the ISS pass entirely when
+    every file already exists.
 
     [run_file] turns one checkpoint into a measured {!result} in a
-    fresh process: it rebuilds the warmed state and the sub-trace from
-    the file, stands up the engine via the [?warm] handoff, simulates
-    the detailed-warmup prefix (excluded from statistics), then the
-    interval proper. *)
+    fresh process: it restores the warmed tables and the ISS session,
+    streams the window from it into the engine
+    ({!Ooo_common.Pipeline.region}), simulates the detailed-warmup
+    prefix (excluded from statistics), then the interval proper. *)
 
 type entry = {
   index : int;    (** ordinal among measured intervals *)
   start : int;    (** first measured retirement (absolute) *)
   len : int;      (** measured retirements (last interval may truncate) *)
-  warmup : int;   (** detailed-warmup retirements stored before [start] *)
+  warmup : int;   (** detailed-warmup retirements replayed before [start] *)
   path : string;  (** checkpoint file *)
 }
 
@@ -51,9 +51,10 @@ type result = {
 
 val run_file : string -> result
 (** Simulate one interval checkpoint.
-    @raise Diag.Error code [Snapshot_error] on a corrupt or
-    non-interval file, and whatever the engine raises (deadlock,
-    checker divergence). *)
+    @raise Diag.Error code [Snapshot_error] on a corrupt, stale or
+    non-interval file and on a regenerated slice whose digest differs
+    from the recorded one (no result is returned), and whatever the
+    engine raises (deadlock, checker divergence). *)
 
 val result_to_json : result -> Json.t
 val result_of_json : Json.t -> result

@@ -65,8 +65,7 @@ let int_field ~default name j = Option.value ~default (opt_int_field name j)
 let bool_field ~default name j =
   Option.value ~default (proto (J.opt J.bool) name j)
 
-let request_id j =
-  match J.get_string (J.member "id" j) with Some s -> s | None -> "-"
+let request_id j = Option.value ~default:"-" (opt_str_field "id" j)
 
 let point_req_of_json ?(require_sample = false) j : point_req =
   let machine_label = str_field ~default:"ss" "machine" j in
@@ -131,6 +130,7 @@ let sweep_req_of_json j : sweep_req =
 let request_of_json j : request =
   match j with
   | J.Obj _ ->
+    ignore (request_id j : string);
     (match str_field "op" j with
      | "compile" ->
        Compile

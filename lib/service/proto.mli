@@ -54,10 +54,13 @@ exception Bad_request of Diag.code * string
     well-formed requests naming unknown machines/predictors/specs). *)
 
 val request_id : Json.t -> string
-(** The ["id"] field, or ["-"]. *)
+(** The ["id"] field, or ["-"] when it is absent or null.
+    @raise Bad_request with [Proto_error] when it is present and not a
+    string. *)
 
 val request_of_json : Json.t -> request
-(** @raise Bad_request on an unknown op or malformed fields. *)
+(** @raise Bad_request on an unknown op or malformed fields, the id
+    included (reply to such a request as ["-"]). *)
 
 val grid_point : point_req -> Sweep.Grid.point
 (** Expand to the concrete grid point (params resolved, workload

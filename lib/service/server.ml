@@ -412,7 +412,8 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
           (Proto.reply_error ~id:"-" Diag.Proto_error
              ("malformed request: " ^ m))
       | j ->
-        let id = Proto.request_id j in
+        (* a malformed id is itself a protocol error, addressed to "-" *)
+        let id = try Proto.request_id j with Proto.Bad_request _ -> "-" in
         (match Proto.request_of_json j with
          | exception Proto.Bad_request (code, m) ->
            send c (Proto.reply_error ~id code m)

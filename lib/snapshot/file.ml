@@ -1,15 +1,15 @@
 (* The on-disk checkpoint container: magic, version, length, CRC-32,
-   then a Bin-encoded meta section followed by the raw engine image.
+   then a Bin-encoded meta section followed by the kind's payload.
    See file.mli for the layout and the atomicity/rejection contract. *)
-
-module Bin = Ooo_common.Bin
 
 let magic = "STR8SNAP"
 
 (* v2 added the [kind] discriminator (engine image vs. sampling-interval
    checkpoint); v3 changed [trace_digest] to the chunked, incremental
-   stream digest.  Older files are rejected with a version message. *)
-let version = 3
+   stream digest; v4 stores an interval as warm tables and ISS state
+   instead of its uop slice.  Older files are rejected with a version
+   message. *)
+let version = 4
 let header_len = 24
 
 (* What the payload after the meta section holds. *)
@@ -69,7 +69,7 @@ let r_meta r : meta =
       let len = Bin.r_int r in
       let warmup = Bin.r_int r in
       Interval { index; start; len; warmup }
-    | n -> raise (Bin.Corrupt (Printf.sprintf "bad snapshot kind %d" n))
+    | n -> Bin.corrupt "bad snapshot kind %d" n
   in
   let target = Bin.r_string r in
   let params_json = Bin.r_string r in
@@ -149,17 +149,8 @@ let save path (m : meta) ~(payload : string) =
 
 let load path : meta * Bin.reader =
   let raw =
-    match
-      (try
-         let ic = open_in_bin path in
-         let n = in_channel_length ic in
-         let s = really_input_string ic n in
-         close_in ic;
-         Some s
-       with Sys_error _ | End_of_file -> None)
-    with
-    | Some s -> s
-    | None -> reject path "file missing or unreadable"
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error _ -> reject path "file missing or unreadable"
   in
   if String.length raw < header_len then
     reject path "truncated header (%d bytes)" (String.length raw);

@@ -8,7 +8,7 @@
     8       4     container version
     12      8     payload length
     20      4     CRC-32 of the payload
-    24      n     payload: Bin-encoded meta, then the raw engine image
+    24      n     payload: Bin-encoded meta, then the kind's payload
     v}
 
     The meta section embeds the full workload source and model
@@ -27,8 +27,9 @@
 val magic : string
 
 val version : int
-(** Container version 2: v2 added {!meta.kind} (engine image vs.
-    sampling-interval checkpoint); v1 files are rejected. *)
+(** Container version 4: v2 added {!meta.kind} (engine image vs.
+    sampling-interval checkpoint), v3 the incremental stream digest, v4
+    intervals as architectural state; older files are rejected. *)
 
 (** What the payload after the meta section holds. *)
 type kind =
@@ -36,11 +37,14 @@ type kind =
       (** a full engine image ({!Ooo_common.Engine.save}) — the
           crash-recovery checkpoints of {!Sim} *)
   | Interval of { index : int; start : int; len : int; warmup : int }
-      (** a sampling-interval checkpoint ([lib/sample]): warmed
-          microarchitectural state at retirement [start - warmup], then
-          the region's uop sub-trace.  [start]/[len] are in retired
-          instructions of the measured interval proper; [index] is the
-          interval's ordinal in the sampling plan. *)
+      (** a sampling-interval checkpoint ([lib/sample]): the warmed
+          microarchitectural tables ({!Ooo_common.Warm.save}) and the
+          ISS state ({!Iss.Machine.save}) at retirement
+          [start - warmup], the window's first.  Replay restores the
+          ISS and regenerates the window's [warmup + len] uops, which
+          must match {!meta.trace_digest}.  [start]/[len] are in
+          retired instructions of the measured interval proper;
+          [index] is the interval's ordinal in the sampling plan. *)
 
 type meta = {
   kind : kind;
@@ -56,11 +60,16 @@ type meta = {
   committed : int;
   trace_digest : string;
       (** {!Iss.Trace} digest of the retirement stream (engine images:
-          the whole run; interval files: the stored slice) *)
+          the whole run; interval files: the window's slice) *)
   output : string;              (** ISS console output (full run) *)
   retired : int;                (** ISS retired count (full run) *)
   dist_histogram : int array;
 }
+
+val reject : string -> ('a, unit, string, 'b) format4 -> 'a
+(** [reject path fmt ...] raises the [Snapshot_error] every unusable
+    checkpoint ends in, with the file and the formatted reason in its
+    context. *)
 
 val mkdir_p : string -> unit
 (** Create a directory and any missing parents (an existing one is
@@ -83,7 +92,7 @@ val save : string -> meta -> payload:string -> unit
     payload's shape is named by [meta.kind].
     @raise Sys_error when the destination is not writable. *)
 
-val load : string -> meta * Ooo_common.Bin.reader
+val load : string -> meta * Bin.reader
 (** Validate the container and decode the meta section.  The returned
     reader is positioned at the kind-specific payload; the caller
     consumes it (and should [expect_end] it).

@@ -38,7 +38,14 @@ val spec :
 
 val compile : spec -> Assembler.Image.t
 (** Compile the spec's workload for its target (shared with the
-    interval sampler, which needs the image for wrong-path decode). *)
+    interval sampler, which needs the image for its ISS and for
+    wrong-path decode). *)
+
+val meta : spec -> kind:File.kind -> trace_digest:string -> File.meta
+(** The container meta of a checkpoint taken under [spec], with the
+    run's outcome fields (cycle, committed, output, retired, distance
+    histogram) empty: an engine image fills them in, an interval file
+    leaves them so.  {!spec_of_meta} reads the spec back. *)
 
 val spec_of_meta : string -> File.meta -> spec
 (** Decode the spec embedded in a checkpoint's meta section; the string
@@ -69,6 +76,9 @@ val resume : spec -> string -> session
 val step : session -> unit
 val finished : session -> bool
 val cycle : session -> int
+
+val engine : session -> Ooo_common.Engine.t
+(** The live engine, for inspection. *)
 
 val save : session -> string -> unit
 (** Atomically checkpoint the session at the current cycle boundary. *)
@@ -127,7 +137,3 @@ val run :
     See {!drive} for the flag semantics.
     @raise Diag.Error code [Config_error] when [checkpoint_every] or
     [stop_at] is given without [checkpoint_path]. *)
-
-val run_restored : string -> Straight_core.Experiment.result
-(** [restore] + step to completion + [finish]: one-call reproduction of
-    a run from its checkpoint file. *)

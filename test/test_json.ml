@@ -1,6 +1,7 @@
 (* The one JSON codec (lib/json): both printer layouts read back to the
    tree they printed, for random trees with arbitrary-byte strings, the
-   full int range and finite floats; malformed text and over-deep
+   full int range and finite floats; numbers follow RFC 8259 and every
+   printed number reads back bit for bit; malformed text and over-deep
    nesting raise [Parse_error]; the field decoders name the field and
    the type they wanted; and the lint/TV report's layout change keeps
    its content. *)
@@ -78,6 +79,56 @@ let test_integral_float () =
        Alcotest.(check bool) (text ^ " reads back as a Float") true
          (Json.of_string text = Json.Float f))
     [ 1234567890123456.; -1e15; 99999999999999984.; 1e17; 0.; -0.; 1e300 ]
+
+(* ---------- numbers ---------- *)
+
+(* RFC 8259 numbers only: no sign but '-', no leading zeros, digits on
+   both sides of a '.', and digits after an exponent marker. *)
+let test_numbers () =
+  List.iter
+    (fun (text, want) ->
+       match Json.of_string text, want with
+       | Json.Float f, Json.Float g ->
+         Alcotest.(check bool) (text ^ " reads back bit for bit") true
+           (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
+       | v, _ -> Alcotest.(check bool) (text ^ " parses") true (v = want))
+    [ ("0", Json.Int 0); ("-0", Json.Int 0); ("5", Json.Int 5);
+      ("-12", Json.Int (-12)); ("5.0", Json.Float 5.0);
+      ("-0.0", Json.Float (-0.)); ("1.5e-07", Json.Float 1.5e-07);
+      ("1e+20", Json.Float 1e20); ("2E3", Json.Float 2000.);
+      ("0.25", Json.Float 0.25);
+      (string_of_int max_int, Json.Int max_int);
+      (string_of_int min_int, Json.Int min_int);
+      ("[1,-2.5]", Json.List [ Json.Int 1; Json.Float (-2.5) ]) ];
+  List.iter
+    (fun text ->
+       match Json.of_string text with
+       | _ -> Alcotest.failf "%S accepted" text
+       | exception Json.Parse_error _ -> ())
+    [ "+5"; "007"; "-0012"; ".5"; "5."; "1e"; "-"; "1e+"; "--1"; "0x1F";
+      "1_000"; "[01]"; "{\"a\":+1}"; "- 1" ]
+
+(* Every number the printer writes is read back as itself: ints across
+   the whole range, finite floats bit for bit (signed zero included). *)
+let prop_numbers =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ map (fun i -> Json.Int i)
+            (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+          map (fun f -> Json.Float f)
+            (oneof
+               [ map (fun f -> if Float.is_finite f then f else -0.) float;
+                 oneofl [ 0.; -0.; 5e-324; 1.7976931348623157e308; 1e20 ];
+                 map Float.of_int int ]) ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"printed numbers read back exactly"
+    (QCheck.make ~print:(Json.to_string ~indent:false) gen)
+    (fun v ->
+       match v, Json.of_string (Json.to_string ~indent:false v) with
+       | Json.Float f, Json.Float g ->
+         Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+       | v, w -> v = w)
 
 (* ---------- random trees ---------- *)
 
@@ -219,6 +270,8 @@ let () =
     [ ("json",
        [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
          Alcotest.test_case "parse errors" `Quick test_json_errors;
+         Alcotest.test_case "RFC 8259 numbers" `Quick test_numbers;
+         QCheck_alcotest.to_alcotest prop_numbers;
          Alcotest.test_case "integral floats stay floats" `Quick
            test_integral_float;
          QCheck_alcotest.to_alcotest prop_roundtrip;

@@ -12,6 +12,9 @@
    - interval checkpoints: materialize -> run_file reproduces the
      recombined estimate from a fresh process-like path, interval files
      are rejected by the engine-image restore path and vice versa;
+     replaying an interval's warm tables and ISS state equals a live
+     warmed fast-forward to the same retirement (both ISAs), and stale
+     or forged files are refused;
    - full-vs-sampled validation: on workloads small enough to simulate
      exactly, the sampled estimate lands within its reported error bars
      of the exact CPI, on both pipelines. *)
@@ -272,7 +275,7 @@ let test_warm_save_load_roundtrip () =
   Ooo_common.Warm.save b warm;
   let snap = Buffer.contents b in
   let warm' = Ooo_common.Warm.create Params.ss_2way in
-  Ooo_common.Warm.load (Ooo_common.Bin.reader snap) warm';
+  Ooo_common.Warm.load (Bin.reader snap) warm';
   Alcotest.(check int) "observed count survives" warm.Ooo_common.Warm.observed
     warm'.Ooo_common.Warm.observed;
   let b' = Buffer.create 4096 in
@@ -325,6 +328,126 @@ let test_interval_files () =
     (match Interval.run_file engine_snap with
      | _ -> false
      | exception Diag.Error d -> d.Diag.code = Diag.Snapshot_error)
+
+(* An interval file holds the warm tables and the ISS state at the
+   window's first retirement, so replaying it must equal a live
+   fast-forward to that retirement followed by the same detailed
+   warmup, on either ISA. *)
+let test_run_file_equals_live_region () =
+  let dir = tmpdir "straight-sample-live" in
+  List.iter
+    (fun (label, target, model) ->
+       let spec = Sim.spec ~model ~target (Workloads.dhrystone ()) in
+       let plan, _ =
+         Interval.materialize ~dir spec
+           (Spec.parse "interval=3k,warmup=1k,every=4")
+       in
+       let image = Sim.compile spec in
+       Alcotest.(check bool) (label ^ ": several intervals") true
+         (List.length plan.Interval.entries > 2);
+       List.iter
+         (fun (e : Interval.entry) ->
+            let r = Interval.run_file e.Interval.path in
+            let s =
+              Ooo_common.Pipeline.start_region ~check:spec.Sim.check
+                ~max_dist:spec.Sim.max_dist ~warm:true
+                ~from:(e.Interval.start - e.Interval.warmup)
+                ~len:(e.Interval.warmup + e.Interval.len) model image
+            in
+            let eng = s.Ooo_common.Pipeline.engine in
+            let module E = Ooo_common.Engine in
+            while E.committed_count eng < e.Interval.warmup
+                  && not (E.finished eng) do
+              E.step eng
+            done;
+            let warm_cycles = E.cycle eng and warm_stack = E.cpi_now eng in
+            while not (E.finished eng) do E.step eng done;
+            let stats =
+              (Ooo_common.Pipeline.finish s).Ooo_common.Pipeline.stats
+            in
+            let what = Printf.sprintf "%s interval %d" label e.Interval.index in
+            Alcotest.(check int) (what ^ ": warmup cycles") warm_cycles
+              r.Interval.r_warm_cycles;
+            Alcotest.(check int) (what ^ ": measured cycles")
+              (stats.E.cycles - warm_cycles) r.Interval.r_cycles;
+            Alcotest.(check bool) (what ^ ": CPI stack") true
+              (Stats.cpi_sub stats.E.cpi_stack warm_stack = r.Interval.r_cpi))
+         plan.Interval.entries)
+    targets
+
+(* Stale or forged interval files are refused with a Snapshot_error and
+   no result: a container of the previous version, a truncated ISS
+   state, an ISS state of the other ISA or with its pc outside the text,
+   and a recorded digest that the regenerated slice does not match. *)
+let test_interval_rejects_forgeries () =
+  let dir = tmpdir "straight-sample-forged" in
+  let spec =
+    Sim.spec ~model:Params.straight_2way ~target:Exp.Straight_re
+      (Workloads.quicksort ())
+  in
+  let plan, _ =
+    Interval.materialize ~dir spec (Spec.parse "interval=2k,warmup=500")
+  in
+  let good = (List.nth plan.Interval.entries 1).Interval.path in
+  let m, r = Snapshot.File.load good in
+  let payload = String.sub r.Bin.data r.Bin.pos (Bin.remaining r) in
+  let refused label path =
+    match Interval.run_file path with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Diag.Error d ->
+      Alcotest.(check string) (label ^ ": code") "SNAPSHOT_ERROR"
+        (Diag.code_name d.Diag.code);
+      Alcotest.(check int) (label ^ ": exit code") 9
+        (Diag.exit_code d.Diag.code)
+  in
+  let forged name meta payload =
+    let path = Filename.concat dir name in
+    Snapshot.File.save path meta ~payload;
+    path
+  in
+  ignore (Interval.run_file good : Interval.result);
+  (* the container version sits at byte 8 *)
+  let old = Filename.concat dir "old.snap" in
+  let bytes =
+    Bytes.of_string (In_channel.with_open_bin good In_channel.input_all)
+  in
+  Bytes.set bytes 8 (Char.chr (Snapshot.File.version - 1));
+  Out_channel.with_open_bin old (fun oc -> Out_channel.output_bytes oc bytes);
+  refused "previous container version" old;
+  refused "truncated ISS state"
+    (forged "short.snap" m (String.sub payload 0 (String.length payload - 7)));
+  let riscv_state =
+    let image =
+      Sim.compile (Sim.spec ~model:Params.ss_2way ~target:Exp.Riscv
+                     (Workloads.quicksort ()))
+    in
+    let s = Iss.Machine.start image in
+    Iss.Machine.run_session ~until:1500 s;
+    let b = Buffer.create 65536 in
+    Ooo_common.Warm.save b (Ooo_common.Warm.create Params.straight_2way);
+    Iss.Machine.save b s;
+    Buffer.contents b
+  in
+  refused "RV32IM state in a STRAIGHT interval"
+    (forged "wrong-isa.snap" m riscv_state);
+  (* the ISS state follows the warm tables: ISA tag, then pc *)
+  let pc_outside_text =
+    let r = Bin.reader payload in
+    Ooo_common.Warm.load r (Ooo_common.Warm.create Params.straight_2way);
+    ignore (Bin.r_int r : int);
+    let pc_at = r.Bin.pos in
+    ignore (Bin.r_int r : int);
+    let b = Buffer.create (String.length payload) in
+    Buffer.add_string b (String.sub payload 0 pc_at);
+    Bin.w_int b 0;
+    Buffer.add_string b (String.sub payload r.Bin.pos (Bin.remaining r));
+    Buffer.contents b
+  in
+  refused "ISS pc outside the text" (forged "pc.snap" m pc_outside_text);
+  refused "recorded digest the slice does not match"
+    (forged "digest.snap"
+       { m with Snapshot.File.trace_digest = String.make 32 '0' }
+       payload)
 
 (* ---------- sweep integration ---------- *)
 
@@ -382,6 +505,10 @@ let suite =
       test_warm_handoff_helps;
     Alcotest.test_case "interval: files, store, rejection" `Slow
       test_interval_files;
+    Alcotest.test_case "interval: run_file = live fast-forward (both ISAs)"
+      `Slow test_run_file_equals_live_region;
+    Alcotest.test_case "interval: stale or forged files are refused" `Slow
+      test_interval_rejects_forgeries;
     Alcotest.test_case "error bars shrink with interval count" `Slow
       test_error_shrinks_with_intervals;
     Alcotest.test_case "sampled CPI within error bars (both pipelines)" `Slow

@@ -120,6 +120,25 @@ let test_proto_codec () =
       ({|{"op":"simulate","workload":"fib","predictor":true}|}, "predictor");
       ({|{"op":"compile","workload":"fib","target":["riscv"]}|}, "target");
       ({|{"op":"sweep","grid":7}|}, "grid") ];
+  (* the request id too: a present, non-null id must be a string *)
+  List.iter
+    (fun (req, want) ->
+       Alcotest.(check string) (req ^ ": id") want
+         (Proto.request_id (J.of_string req)))
+    [ ({|{"op":"status"}|}, "-"); ({|{"id":null,"op":"status"}|}, "-");
+      ({|{"id":"a","op":"status"}|}, "a") ];
+  List.iter
+    (fun req ->
+       match Proto.request_id (J.of_string req) with
+       | id -> Alcotest.failf "%s: id %S accepted" req id
+       | exception Proto.Bad_request (Diag.Proto_error, m) ->
+         Alcotest.(check string) (req ^ ": message")
+           {|field "id" must be a string|} m)
+    [ {|{"id":5,"op":"status"}|}; {|{"id":["a"],"op":"status"}|};
+      {|{"id":true,"op":"status"}|} ];
+  (match Proto.request_of_json (J.of_string {|{"id":5,"op":"status"}|}) with
+   | _ -> Alcotest.fail "a request with a numeric id must be rejected"
+   | exception Proto.Bad_request (Diag.Proto_error, _) -> ());
   (* ... while a missing or null one still takes its default *)
   (match
      Proto.request_of_json
@@ -197,6 +216,17 @@ let test_malformed_requests () =
       Alcotest.(check (option string)) "unknown op is PROTO_ERROR"
         (Some "PROTO_ERROR")
         (J.get_string (J.member "code" reply));
+      (* a numeric id is a protocol error, and its reply is addressed
+         to "-" *)
+      Client.send_raw c {|{"id":5,"op":"status"}|};
+      (match Client.recv c with
+       | Some reply ->
+         Alcotest.(check (option string)) "numeric id is PROTO_ERROR"
+           (Some "PROTO_ERROR")
+           (J.get_string (J.member "code" reply));
+         Alcotest.(check (option string)) "reply addressed to -" (Some "-")
+           (J.get_string (J.member "id" reply))
+       | None -> Alcotest.fail "server closed on a numeric id");
       (* unknown workload is a config error, not a crash *)
       let reply = Client.request c (simulate_req "no-such-workload") in
       Alcotest.(check (option string)) "unknown workload is CONFIG_ERROR"

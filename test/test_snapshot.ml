@@ -56,7 +56,13 @@ let check_result_equal label (a : Exp.result) (b : Exp.result) =
   Alcotest.(check bool) (label ^ ": dist histogram") true
     (a.Exp.dist_histogram = b.Exp.dist_histogram)
 
-(* save at [stop], abandon, restore from the file alone, finish *)
+let completed = function
+  | Sim.Completed r -> r
+  | Sim.Stopped _ -> Alcotest.fail "run stopped without a stop cycle"
+
+(* save at [stop], abandon, restore from the file alone, finish; also
+   returns how many wrong-path uops the restored engine holds in flight
+   (the image stores each by its pc alone) *)
 let kill_and_recover label spec ~stop =
   let fname =
     String.map (fun c -> if c = '/' || c = ' ' then '_' else c) label
@@ -69,11 +75,26 @@ let kill_and_recover label spec ~stop =
        (cycle >= stop)
    | Sim.Completed _ ->
      Alcotest.fail (label ^ ": run completed before the simulated kill"));
-  let r = Sim.run_restored path in
+  let s = Sim.restore path in
+  let wrong_path = Engine.wrong_path_inflight (Sim.engine s) in
   Sys.remove path;
-  r
+  (completed (Sim.drive s), wrong_path)
 
 let campaign_points = 3  (* restore points per (workload, model, target) *)
+
+(* The first cycle at or after [from] when wrong-path uops are in
+   flight, if any: one more restore point, so that every configuration
+   restores some in-flight wrong path. *)
+let wrong_path_cycle spec ~from =
+  let s = Sim.start spec in
+  let rec go () =
+    if Sim.finished s then None
+    else if Sim.cycle s >= from
+         && Engine.wrong_path_inflight (Sim.engine s) > 0
+    then Some (Sim.cycle s)
+    else (Sim.step s; go ())
+  in
+  go ()
 
 let test_recovery_determinism () =
   let grid =
@@ -84,6 +105,8 @@ let test_recovery_determinism () =
       ("st2-raw", Params.straight_2way, Exp.Straight_raw);
       ("ss2", Params.ss_2way, Exp.Riscv) ]
   in
+  (* restore points with wrong-path uops in flight, per ISA *)
+  let wrong_path_points = Hashtbl.create 2 in
   List.iter
     (fun (wname, w) ->
        List.iter
@@ -95,14 +118,33 @@ let test_recovery_determinism () =
               | Sim.Stopped _ -> assert false
             in
             let next = lcg (Hashtbl.hash (wname, cname)) in
-            for k = 1 to campaign_points do
-              let stop = 1 + (next () mod (baseline.Exp.cycles - 2)) in
-              let label = Printf.sprintf "%s/%s #%d@%d" wname cname k stop in
-              let r = kill_and_recover label spec ~stop in
-              check_result_equal label baseline r
-            done)
+            let seeded =
+              List.init campaign_points (fun _ ->
+                  1 + (next () mod (baseline.Exp.cycles - 2)))
+            in
+            let stops =
+              match wrong_path_cycle spec ~from:(List.hd seeded) with
+              | Some c when c > 0 -> seeded @ [ c ]
+              | _ -> seeded
+            in
+            List.iteri
+              (fun k stop ->
+                 let label =
+                   Printf.sprintf "%s/%s #%d@%d" wname cname (k + 1) stop
+                 in
+                 let r, wrong_path = kill_and_recover label spec ~stop in
+                 check_result_equal label baseline r;
+                 if wrong_path > 0 then
+                   Hashtbl.replace wrong_path_points (target = Exp.Riscv) ())
+              stops)
          configs)
-    grid
+    grid;
+  List.iter
+    (fun (riscv, isa) ->
+       Alcotest.(check bool)
+         (isa ^ ": some restore point has wrong-path uops in flight") true
+         (Hashtbl.mem wrong_path_points riscv))
+    [ (false, "STRAIGHT"); (true, "RV32IM") ]
 
 let fault_kinds =
   [ Inject.Flip_prediction; Inject.Corrupt_cache_tag;
@@ -128,7 +170,7 @@ let test_recovery_with_faults () =
     (fun frac ->
        let stop = max 1 (baseline.Exp.cycles * frac / 100) in
        let label = Printf.sprintf "faulted@%d%%" frac in
-       let r = kill_and_recover label spec ~stop in
+       let r, _ = kill_and_recover label spec ~stop in
        check_result_equal label baseline r;
        Alcotest.(check int) (label ^ ": fault count")
          baseline.Exp.stats.Engine.faults_injected
@@ -149,7 +191,7 @@ let test_periodic_checkpoints () =
   in
   Alcotest.(check bool) "periodic checkpoint exists" true
     (Sys.file_exists path);
-  let r = Sim.run_restored path in
+  let r = completed (Sim.drive (Sim.restore path)) in
   Sys.remove path;
   check_result_equal "periodic" baseline r
 
@@ -222,11 +264,32 @@ let test_reject_bad_magic () =
            ignore (Sim.restore path)))
 
 let test_reject_bad_version () =
-  with_mutant "version.snap"
-    (fun b -> Bytes.set b 8 (Char.chr (Snapshot.File.version + 1)))
-    (fun path ->
-       expect_snapshot_error "future container version" (fun () ->
-           ignore (Sim.restore path)))
+  List.iter
+    (fun (label, v) ->
+       with_mutant "version.snap"
+         (fun b -> Bytes.set b 8 (Char.chr v))
+         (fun path ->
+            expect_snapshot_error label (fun () -> ignore (Sim.restore path))))
+    [ ("future container version", Snapshot.File.version + 1);
+      ("previous container version", Snapshot.File.version - 1) ]
+
+(* a current container around an engine image of the previous version
+   (2, whose wrong-path uops were stored whole): the version varint
+   leads the payload *)
+let test_reject_old_engine_image () =
+  let _, good = Lazy.force good_snapshot in
+  let m, r = Snapshot.File.load good in
+  let payload =
+    Bytes.of_string (String.sub r.Bin.data r.Bin.pos (Bin.remaining r))
+  in
+  Alcotest.(check int) "payload leads with engine version 3" 3
+    (Char.code (Bytes.get payload 0));
+  Bytes.set payload 0 '\002';
+  let path = tmp "engine-v2.snap" in
+  Snapshot.File.save path m ~payload:(Bytes.to_string payload);
+  expect_snapshot_error "engine image version 2" (fun () ->
+      ignore (Sim.restore path));
+  Sys.remove path
 
 let test_reject_missing () =
   expect_snapshot_error "missing file" (fun () ->
@@ -391,6 +454,8 @@ let suite =
     ("reject: truncated file", `Quick, test_reject_truncated);
     ("reject: bad magic", `Quick, test_reject_bad_magic);
     ("reject: future version", `Quick, test_reject_bad_version);
+    ("reject: engine image of the previous version", `Quick,
+     test_reject_old_engine_image);
     ("reject: missing file", `Quick, test_reject_missing);
     ("reject: resume under a different spec", `Quick,
      test_reject_spec_mismatch);

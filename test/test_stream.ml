@@ -1,7 +1,7 @@
 (* Streamed ≡ array-fed.
 
    The pipeline feeds the cycle engine through a bounded window over a
-   live ISS session; the interval sampler and the engine-only perf suite
+   live ISS session; the engine-only perf suite and the reference here
    feed it a collected array through the same window.  Seeded over the
    built-in workloads at short sizes × both ISAs × the four Table-I
    models, with the lockstep checker armed, this checks:
@@ -19,7 +19,6 @@ module Engine = Ooo_common.Engine
 module Params = Ooo_common.Params
 module Window = Ooo_common.Window
 module Checker = Ooo_common.Checker
-module Bin = Ooo_common.Bin
 module Exp = Straight_core.Experiment
 module Sim = Snapshot.Sim
 module Rng = Fuzz.Rng
@@ -78,7 +77,11 @@ let pipeline (params : Params.t) target image : pipeline =
   in
   { run = (fun () -> (P.run ~max_dist params image).P.stats);
     start = (fun () -> (P.start ~max_dist params image).P.engine);
-    resume = (fun r -> (P.resume ~max_dist params image r).P.engine);
+    resume =
+      (fun r ->
+         let e = (P.start ~max_dist params image).P.engine in
+         Engine.load r e;
+         e);
     array_fed =
       (fun () ->
          let r = reference_run () in
