@@ -484,8 +484,10 @@ let json_suite out =
     let image =
       (Compile.compile (Exp.codegen target) w.Workloads.source).Compile.image
     in
-    let r = Iss.Machine.run ~collect_trace:true image in
-    let decode_static = Iss.Machine.static_uop image in
+    let s = Iss.Machine.start ~collect_trace:true image in
+    Iss.Machine.run_session s;
+    let r = Iss.Machine.finish s in
+    let decode_static = Iss.Machine.static_uop s in
     let checker () =
       Some
         (Ooo_common.Checker.create ~max_dist:Ooo_common.Params.straight_max_dist

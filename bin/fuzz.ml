@@ -1,11 +1,15 @@
 (* fuzz — differential fuzzer and static verifier driver.
 
-   Default mode generates [count] seeded random MiniC programs starting
-   at [seed], runs each through every toolchain consumer (SSA
-   interpreter, straight_cc at both optimization levels and two max_dist
-   settings, riscv_cc) and compares console output, exit value and final
+   Default mode generates [count] seeded random MiniC (or, with -target
+   wasm, WAT) programs starting at [seed] and builds each once
+   ([Fuzz.Diff.build]): the O0 reference, one checked O2 program, and
+   one image per back-end configuration (straight_cc at both
+   optimization levels and two max_dist settings, riscv_cc).  The oracle
+   runs every image and compares console output, exit value and final
    global memory against the unoptimized-interpreter reference; the
-   STRAIGHT images are additionally passed through the static linter.
+   static linters and, with -tv, the translation validator judge the
+   same images, so a pass that breaks the SSA reaches all of them as the
+   one crash the oracle reports.
 
      fuzz -seed 1 -count 200            # a fixed, reproducible campaign
      fuzz -seed 7 -count 1 -shrink      # minimize a known-bad seed
@@ -88,37 +92,32 @@ let outcome_detail (o : Fuzz.Diff.outcome) : string list =
   | Fuzz.Diff.Crashed { target; message } ->
     [ Printf.sprintf "%s: %s" target message ]
 
-(* Compile one source to every target and run the static verifiers over
-   the linked images: STRAIGHT at both codegen levels through
-   [Straight_lint], RV32IM through the full [Riscv_lint] dataflow
-   verifier.  [opt] selects the shared middle-end level; [on_image] sees
-   each linked image's target label and findings.  Compile crashes are
-   only reported in lint-only mode: the differential run already
-   reports them. *)
-let lint_source ?(opt = Ssa_ir.Passes.O2) ?(on_image = fun _ _ -> ())
-    ~(report_crash : bool) (src : string) : string list =
-  let lint label backend lint =
-    match Straight_core.Compile.compile ~opt backend src with
-    | out ->
-      let findings = lint out.Straight_core.Compile.image in
-      on_image label findings;
-      List.map
-        (fun f ->
-           Printf.sprintf "%s: %s" label (Lint_report.finding_to_string f))
-        findings
-    | exception e when report_crash ->
-      [ Printf.sprintf "%s: compile crashed: %s" label (Printexc.to_string e) ]
-    | exception _ -> []
-  in
-  let straight level label =
-    lint label
-      (Straight_core.Compile.Straight
-         { Straight_cc.Codegen.max_dist = Straight_isa.Isa.max_dist; level })
-      (fun image -> Straight_lint.Lint.lint image)
-  in
-  let re_plus = straight Straight_cc.Codegen.Re_plus "straight-re+" in
-  let raw = straight Straight_cc.Codegen.Raw "straight-raw" in
-  re_plus @ raw @ lint "riscv" Straight_core.Compile.Riscv Riscv_lint.Lint.lint
+(* Run the static verifiers over the images a build linked: STRAIGHT at
+   both codegen levels through [Straight_lint], RV32IM through the full
+   [Riscv_lint] dataflow verifier.  [on_image] sees each linked image's
+   target label and findings.  Compile crashes are only reported in
+   lint-only mode: the differential run already reports them. *)
+let lint_build ?(on_image = fun _ _ -> ()) ~(report_crash : bool)
+    (b : Fuzz.Diff.build) : string list =
+  List.concat_map
+    (fun (label, t) ->
+       match Fuzz.Diff.compiled b t with
+       | { Fuzz.Diff.image; _ } ->
+         let findings =
+           match image.Assembler.Image.isa with
+           | Assembler.Image.Straight -> Straight_lint.Lint.lint image
+           | Assembler.Image.Riscv -> Riscv_lint.Lint.lint image
+         in
+         on_image label findings;
+         List.map
+           (fun f ->
+              Printf.sprintf "%s: %s" label (Lint_report.finding_to_string f))
+           findings
+       | exception e when report_crash ->
+         [ Printf.sprintf "%s: compile crashed: %s" label
+             (Printexc.to_string e) ]
+       | exception _ -> [])
+    Fuzz.Diff.verified
 
 let opt_levels =
   [ (Ssa_ir.Passes.O0, "O0"); (Ssa_ir.Passes.O1, "O1");
@@ -133,36 +132,29 @@ let workloads () =
 
 (* ---- translation validation (lib/tv) ---- *)
 
-let tv_config level =
-  { Straight_cc.Codegen.max_dist = Straight_isa.Isa.max_dist; level }
-
-(* Validate one source through every back-end configuration; each run
-   returns the number of functions it validated and the findings.
-   [tv-abstain] Infos are the validator explicitly giving up on a
-   function: never a pass, and counted on every surface. *)
-let tv_runs ?(opt = Ssa_ir.Passes.O2) (src : string) :
+(* Validate each verified image of a build against the clone its back
+   end compiled; each run returns the number of functions it validated
+   and the findings.  [tv-abstain] Infos are the validator explicitly
+   giving up on a function: never a pass, and counted on every
+   surface. *)
+let tv_runs (b : Fuzz.Diff.build) :
   (string * (unit -> int * Lint_report.finding list)) list =
-  let run validate () =
-    let p = Straight_core.Compile.frontend ~opt src in
-    (List.length p.Ssa_ir.Ir.funcs, validate p)
-  in
-  [ ("straight-re+",
-     run
-       (Tv.Validate.validate_straight
-          ~config:(tv_config Straight_cc.Codegen.Re_plus)));
-    ("straight-raw",
-     run
-       (Tv.Validate.validate_straight
-          ~config:(tv_config Straight_cc.Codegen.Raw)));
-    ("riscv", run Tv.Validate.validate_riscv) ]
+  List.map
+    (fun (label, t) ->
+       ( label,
+         fun () ->
+           let { Fuzz.Diff.ir; image } = Fuzz.Diff.compiled b t in
+           ( List.length ir.Ssa_ir.Ir.funcs,
+             Tv.Validate.validate_compiled (Fuzz.Diff.backend t) ir image ) ))
+    Fuzz.Diff.verified
 
 let abstentions findings =
   List.filter (fun f -> f.Lint_report.check = "tv-abstain") findings
 
 (* Returns the function validations, the abstentions and the failure
    lines: only [Error] findings fail a seed. *)
-let tv_source ?(opt = Ssa_ir.Passes.O2) ~(report_crash : bool)
-    (src : string) : int * int * string list =
+let tv_build ~(report_crash : bool) (b : Fuzz.Diff.build) :
+  int * int * string list =
   List.fold_left
     (fun (nv, na, lines) (tname, run) ->
        match run () with
@@ -181,7 +173,7 @@ let tv_source ?(opt = Ssa_ir.Passes.O2) ~(report_crash : bool)
            @ [ Printf.sprintf "%s: tv crashed: %s" tname
                  (Printexc.to_string e) ] )
        | exception _ -> (nv, na, lines))
-    (0, 0, []) (tv_runs ~opt src)
+    (0, 0, []) (tv_runs b)
 
 (* [-tv-workloads]: every benchmark x middle-end level x back-end
    configuration.  An [Error] finding or an abstention fails the
@@ -194,6 +186,7 @@ let tv_workloads () :
     (fun (w : Workloads.t) ->
        List.iter
          (fun (opt, oname) ->
+            let b = Fuzz.Diff.build ~opt w.Workloads.source in
             List.iter
               (fun (tname, run) ->
                  let label =
@@ -229,7 +222,7 @@ let tv_workloads () :
                              (Printexc.to_string e) ];
                        f_source = ""; f_minimized = None }
                      :: !failures)
-              (tv_runs ~opt w.Workloads.source))
+              (tv_runs b))
          opt_levels)
     (workloads ());
   (List.rev !groups, List.rev !failures)
@@ -239,17 +232,13 @@ let tv_workloads () :
    to separate genuine validator misses from semantically invisible
    mutations (e.g. dropping a copy of a value nothing deeper reads). *)
 let iss_fingerprint (image : Assembler.Image.t) : string =
-  let config =
-    { Iss.Straight_iss.default_config with
-      Iss.Straight_iss.max_insns = 2_000_000 }
-  in
-  match Iss.Straight_iss.start ~config image with
+  match Iss.Machine.start ~max_insns:2_000_000 image with
   | session ->
-    (match Iss.Straight_iss.run_session session with
+    (match Iss.Machine.run_session session with
      | () ->
-       let r = Iss.Straight_iss.finish session in
+       let r = Iss.Machine.finish session in
        Printf.sprintf "ok:%ld:%s"
-         (Iss.Straight_iss.exit_value session) r.Iss.Trace.output
+         (Iss.Machine.exit_value session) r.Iss.Trace.output
      | exception e -> "fault:" ^ Printexc.to_string e)
   | exception e -> "fault:" ^ Printexc.to_string e
 
@@ -268,10 +257,12 @@ let tv_mutations ~(base : int) (n : int) : failure list =
     let s = !seed in
     incr seed;
     let fresh () =
-      Straight_core.Compile.frontend ~opt:Ssa_ir.Passes.O1
-        (Fuzz.Gen.render (Fuzz.Gen.generate s))
+      Lazy.force
+        (Fuzz.Diff.build ~opt:Ssa_ir.Passes.O1
+           (Fuzz.Gen.render (Fuzz.Gen.generate s)))
+          .Fuzz.Diff.optimized
     in
-    match Tv.Validate.mutation_trial ~config:(tv_config Straight_cc.Codegen.Re_plus) ~fresh ~seed:s () with
+    match Tv.Validate.mutation_trial ~fresh ~seed:s () with
     | None -> ()
     | Some m ->
       incr tried;
@@ -346,8 +337,8 @@ let lint_workloads () :
               in
               let findings =
                 List.map (fun d -> label ^ ": " ^ d)
-                  (lint_source ~opt ~on_image ~report_crash:true
-                     w.Workloads.source)
+                  (lint_build ~on_image ~report_crash:true
+                     (Fuzz.Diff.build ~opt w.Workloads.source))
               in
               if findings = [] then begin
                 Printf.printf "lint %-14s %s clean\n%!" w.Workloads.name oname;
@@ -475,13 +466,14 @@ let () =
         failures := f :: !failures;
         if !corpus <> "" then corpus_save !corpus ~ext:src_ext f
       in
-      let lint_findings = lint_source ~report_crash:!lint_only src in
+      let b = Fuzz.Diff.build src in
+      let lint_findings = lint_build ~report_crash:!lint_only b in
       if lint_findings <> [] then
         add_failure
           { f_seed = s; f_kind = "lint"; f_detail = lint_findings;
             f_source = src; f_minimized = None };
       if !do_tv then begin
-        let nv, na, tv_findings = tv_source ~report_crash:!lint_only src in
+        let nv, na, tv_findings = tv_build ~report_crash:!lint_only b in
         tv_validations := !tv_validations + nv;
         tv_abstained := !tv_abstained + na;
         if tv_findings <> [] then
@@ -491,7 +483,7 @@ let () =
       end;
       (* differential execution *)
       if not !lint_only then begin
-        match Fuzz.Diff.check src with
+        match Fuzz.Diff.check_build b with
         | Fuzz.Diff.Agree _ -> ()
         | outcome ->
           let sig_ = signature outcome in

@@ -131,14 +131,12 @@ let main () =
     | t -> Printf.eprintf "unknown target %s\n" t; exit 2
   in
   let label = Printf.sprintf "%s:%s:%s" !file !target olabel in
-  (* TV first: the back end mutates the IR in place, and the validator
-     wants to clone-and-compile the pristine program itself. *)
+  (* one compile serves every flag; TV validates the linked image
+     against the program as the back end left it, and prints first *)
+  let out = Compile.backend compile_target prog in
   if !tv then
     finish_tv label
-      (match compile_target with
-       | Compile.Straight config -> Tv.Validate.validate_straight ~config prog
-       | Compile.Riscv -> Tv.Validate.validate_riscv prog);
-  let out = Compile.backend compile_target prog in
+      (Tv.Validate.validate_compiled compile_target prog out.Compile.image);
   if !show_asm then print_string (Lazy.force out.Compile.listing);
   let disassemble, verify =
     match compile_target with

@@ -215,11 +215,12 @@ let () =
     (* a snapshot is self-contained: -restore rebuilds the workload and
        model from the file and ignores the selection flags *)
     let session =
-      if !restore <> "" then Sim.restore !restore
-      else
-        Sim.start
-          (Sim.spec ~max_dist:!maxdist ~check:(not !no_check) ~model ~target
-             (resolve_workload ()))
+      lazy
+        (if !restore <> "" then Sim.restore !restore
+         else
+           Sim.start
+             (Sim.spec ~max_dist:!maxdist ~check:(not !no_check) ~model
+                ~target (resolve_workload ())))
     in
     Sim.drive ~checkpoint_every:!checkpoint_every
       ?checkpoint_path:(if !checkpoint = "" then None else Some !checkpoint)

@@ -39,6 +39,15 @@ let halted = function
   | Straight s -> Straight_iss.halted s
   | Riscv s -> Riscv_iss.halted s
 
+let memory = function
+  | Straight s -> Straight_iss.session_memory s
+  | Riscv s -> Riscv_iss.session_memory s
+
+(* RV32IM returns [main]'s value in a0 *)
+let exit_value = function
+  | Straight s -> Straight_iss.exit_value s
+  | Riscv s -> (Riscv_iss.checkpoint s).Riscv_iss.a_regs.(10)
+
 (* ---------- the ISS state ---------- *)
 
 (* The ISA tag, the PC, the retired count (STRAIGHT's RP, RV32IM's
@@ -46,21 +55,19 @@ let halted = function
    values; RV32IM: x0-x31), then the memory. *)
 let save b s =
   if halted s then invalid_arg "Machine.save: the program has stopped";
-  let tag, pc, count, words, mem =
+  let tag, pc, count, words =
     match s with
     | Straight s ->
       let st = Straight_iss.checkpoint s in
       ( 0, st.Straight_iss.a_pc, st.Straight_iss.a_rp,
-        Array.append [| st.Straight_iss.a_sp |] st.Straight_iss.a_window,
-        Straight_iss.session_memory s )
+        Array.append [| st.Straight_iss.a_sp |] st.Straight_iss.a_window )
     | Riscv s ->
       let st = Riscv_iss.checkpoint s in
-      ( 1, st.Riscv_iss.a_pc, st.Riscv_iss.a_instret, st.Riscv_iss.a_regs,
-        Riscv_iss.session_memory s )
+      (1, st.Riscv_iss.a_pc, st.Riscv_iss.a_instret, st.Riscv_iss.a_regs)
   in
   List.iter (Bin.w_int b) [ tag; pc; count ];
   Array.iter (Bin.w_int32 b) words;
-  Memory.save b mem
+  Memory.save b (memory s)
 
 let isa_name = function Image.Straight -> "STRAIGHT" | Image.Riscv -> "RV32IM"
 
@@ -102,27 +109,6 @@ let run ?max_insns ?collect_trace ?collect_dist ?on_retire image : Trace.run =
   run_session s;
   finish s
 
-(* Wrong-path fetch decodes the static image once: applying
-   [static_uop image] builds a table over the text words, and every
-   fetch returns the shared entry for its pc.  Fetch stops at the
-   program's stop instruction (HALT, EBREAK). *)
-let static_uop (image : Image.t) : int -> Trace.uop option =
-  let shape : int -> int32 -> Trace.uop option =
-    match image.Image.isa with
-    | Image.Straight ->
-      fun pc w ->
-        (match Straight_isa.Encoding.decode w with
-         | None | Some Straight_isa.Isa.Halt -> None
-         | Some insn -> Some (Straight_iss.uop_shape pc insn))
-    | Image.Riscv ->
-      fun pc w ->
-        (match Riscv_isa.Encoding.decode w with
-         | None | Some Riscv_isa.Isa.Ebreak -> None
-         | Some insn -> Some (Riscv_iss.uop_shape pc insn))
-  in
-  let base = image.Image.text_base in
-  let table = Array.mapi (fun i w -> shape (base + (4 * i)) w) image.Image.text in
-  fun pc ->
-    if pc >= base && pc < base + (4 * Array.length table) && pc land 3 = 0
-    then table.((pc - base) asr 2)
-    else None
+let static_uop = function
+  | Straight s -> Straight_iss.static_uop s
+  | Riscv s -> Riscv_iss.static_uop s

@@ -33,6 +33,12 @@ val retired : session -> int
 val halted : session -> bool
 (** The program's stop instruction (HALT, EBREAK) has retired. *)
 
+val memory : session -> Memory.t
+(** The session's (shared, mutable) memory. *)
+
+val exit_value : session -> int32
+(** [main]'s return value once a compiled image has stopped. *)
+
 val save : Buffer.t -> session -> unit
 (** Encode the architectural state at the session's instruction
     boundary: the ISA, the PC and registers (STRAIGHT: SP, RP and the
@@ -54,9 +60,8 @@ val run :
 (** {!start}, {!run_session} to the end, {!finish}.
     @raise as the image's ISS does. *)
 
-val static_uop : Assembler.Image.t -> int -> Trace.uop option
-(** Decode a static instruction for wrong-path fetch: the ISS's
-    [uop_shape] of the text word at a pc, or [None] at HALT/EBREAK, on
-    an undecodable word, or outside .text.  [static_uop image] decodes
-    the whole text once; the function it returns looks a pc up in that
-    table and returns the shared uop. *)
+val static_uop : session -> int -> Trace.uop option
+(** Wrong-path fetch over the session's own decoded text: the
+    [uop_shape] of the word at a pc, shared with the session's not-taken
+    retirements, or [None] at HALT/EBREAK, at a misaligned pc, or
+    outside .text. *)

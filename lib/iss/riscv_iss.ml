@@ -193,6 +193,10 @@ let run_session ?(until = max_int) (s : session) : unit =
     step s
   done
 
+let static_uop (s : session) =
+  let is_stop = function Isa.Ebreak -> true | _ -> false in
+  Text.static_uop ~is_stop s.text_base s.code s.shapes
+
 let session_memory (s : session) : Memory.t = s.mem
 let retired (s : session) = s.count
 let halted (s : session) = s.halted

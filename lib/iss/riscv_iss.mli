@@ -34,6 +34,9 @@ val uop_shape : int -> Riscv_isa.Isa.resolved -> Trace.uop
     [-1], memory address [0] — the wrong-path view of the static
     image. *)
 
+val static_uop : session -> int -> Trace.uop option
+(** As {!Straight_iss.static_uop}; [None] at [ebreak]. *)
+
 val run_session : ?until:int -> session -> unit
 (** Execute until [ebreak], or until the retired count reaches
     [until]. *)

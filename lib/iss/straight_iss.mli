@@ -53,6 +53,11 @@ val uop_shape : int -> Straight_isa.Isa.resolved -> Trace.uop
     target [-1], memory address [0] — the wrong-path view of the static
     image. *)
 
+val static_uop : session -> int -> Trace.uop option
+(** Wrong-path fetch over the session's text: the {!uop_shape} at a pc,
+    shared with the session's own retirements, or [None] at HALT, at a
+    misaligned pc or outside the text. *)
+
 val run_session : ?until:int -> session -> unit
 (** Execute until HALT, or until the retired count reaches [until]. *)
 

@@ -26,3 +26,12 @@ let shapes retired_uop text_base code =
          code
      in
      (uops false, uops true))
+
+(* Wrong-path fetch at [pc]: the not-taken half of [shapes], or [None]
+   at a stop instruction, at a misaligned pc or outside the text. *)
+let static_uop ~is_stop text_base code shapes pc =
+  let idx = (pc - text_base) asr 2 in
+  if pc land 3 <> 0 || idx < 0 || idx >= Array.length code
+     || is_stop code.(idx)
+  then None
+  else Some (fst (Lazy.force shapes)).(idx)

@@ -53,16 +53,16 @@ let checker ~check ~max_dist (params : Params.t) ~retired =
   else None
 
 let region ?(check = true) ?(max_dist = Straight_isa.Isa.max_dist) ?warm
-    ?digest (params : Params.t) (image : Image.t) s ~length : Engine.t =
+    ?digest (params : Params.t) s ~length : Engine.t =
   Engine.create params ~window:(window ?digest s ~length)
-    ~decode_static:(Machine.static_uop image)
+    ~decode_static:(Machine.static_uop s)
     ?checker:(checker ~check ~max_dist params ~retired:length) ?warm ()
 
 let start ?(max_insns = 50_000_000) ?check ?max_dist (params : Params.t)
     (image : Image.t) : session =
   let r = prepass ~max_insns ~collect_dist:true image in
   { engine =
-      region ?check ?max_dist params image (Machine.start ~max_insns image)
+      region ?check ?max_dist params (Machine.start ~max_insns image)
         ~length:r.Trace.retired;
     run_info = r }
 
@@ -89,7 +89,7 @@ let start_region ?(max_insns = 50_000_000) ?check ?max_dist ?(warm = true)
   in
   let s = Machine.start ~max_insns ?on_retire image in
   Machine.run_session ~until:from s;
-  { engine = region ?check ?max_dist ?warm:w params image s ~length:n;
+  { engine = region ?check ?max_dist ?warm:w params s ~length:n;
     run_info = r }
 
 let finish (s : session) : result =

@@ -29,12 +29,13 @@ type session = {
 
 val region :
   ?check:bool -> ?max_dist:int -> ?warm:Warm.t ->
-  ?digest:Iss.Trace.digest_state -> Params.t -> Assembler.Image.t ->
+  ?digest:Iss.Trace.digest_state -> Params.t ->
   Iss.Machine.session -> length:int -> Engine.t
-(** [region params image s ~length]: the timing model at cycle 0 over
-    the next [length] retirements of the live ISS session [s], stepped
-    as fetch reaches them — behind every other constructor here and
-    behind interval replay.  [warm] hands the engine warmed tables
+(** [region params s ~length]: the timing model at cycle 0 over the
+    next [length] retirements of the live ISS session [s], stepped as
+    fetch reaches them, with wrong-path fetch reading [s]'s decoded text
+    ({!Iss.Machine.static_uop}) — behind every other constructor here
+    and behind interval replay.  [warm] hands the engine warmed tables
     ({!Engine.create}); [digest] folds in every uop pulled, so a
     finished run has digested exactly its stream. *)
 

@@ -232,7 +232,7 @@ let run_file path : result =
     let digest = Trace.digest_init () in
     let engine =
       Ooo_common.Pipeline.region ~check:spec.Sim.check
-        ~max_dist:spec.Sim.max_dist ~warm ~digest spec.Sim.params image iss
+        ~max_dist:spec.Sim.max_dist ~warm ~digest spec.Sim.params iss
         ~length:(warmup + len)
     in
     (* detailed warmup: simulate until the warmup prefix has committed,

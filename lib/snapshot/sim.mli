@@ -85,7 +85,7 @@ val save : session -> string -> unit
 
 val finish : session -> Straight_core.Experiment.result
 
-(** How {!run} ended. *)
+(** How {!drive} ended. *)
 type outcome =
   | Completed of Straight_core.Experiment.result
   | Stopped of { cycle : int; path : string }
@@ -97,9 +97,11 @@ val drive :
   ?checkpoint_path:string ->
   ?stop_at:int ->
   ?deadlock_snapshot:string ->
-  session -> outcome
-(** The checkpoint-aware stepping loop on an existing session — the body
-    of {!run}, usable after {!start} or {!restore} alike:
+  session Lazy.t -> outcome
+(** The checkpoint-aware driver loop, over [lazy (start sp)], [lazy
+    (resume sp path)] or [lazy (restore path)] alike.  The options are
+    checked before the session is forced, so a bad combination is
+    refused before any compile or restore:
 
     - [checkpoint_every]: save to [checkpoint_path] every N cycles
       (0 = never);
@@ -112,28 +114,5 @@ val drive :
       can be re-entered under a debugger.
 
     @raise Diag.Error code [Config_error] when [checkpoint_every] or
-    [stop_at] is given without [checkpoint_path]. *)
-
-val run :
-  ?checkpoint_every:int ->
-  ?checkpoint_path:string ->
-  ?restore_from:string ->
-  ?stop_at:int ->
-  ?deadlock_snapshot:string ->
-  spec -> outcome
-(** The full checkpoint-aware driver loop:
-
-    - [restore_from]: resume from this checkpoint (spec-validated via
-      {!resume}) instead of starting at cycle 0;
-    - [checkpoint_every]: save to [checkpoint_path] every N cycles
-      (0 = never);
-    - [stop_at]: once the engine reaches this cycle, checkpoint to
-      [checkpoint_path] and return {!Stopped} without finishing;
-    - [deadlock_snapshot]: when the engine watchdog raises
-      [Sim_deadlock], save a restorable snapshot here and re-raise with
-      a [("snapshot", path)] context entry, so the wedged machine state
-      can be re-entered under a debugger.
-
-    See {!drive} for the flag semantics.
-    @raise Diag.Error code [Config_error] when [checkpoint_every] or
-    [stop_at] is given without [checkpoint_path]. *)
+    [stop_at] is given without [checkpoint_path], before the session is
+    forced. *)

@@ -77,6 +77,12 @@ let fresh_value f =
   f.nvalues <- v + 1;
   v
 
+(* Passes and back ends mutate only through record fields. *)
+let clone (p : program) : program =
+  let block b = { bid = b.bid; insts = b.insts; term = b.term } in
+  let func f = { f with blocks = List.map block f.blocks } in
+  { p with funcs = List.map func p.funcs }
+
 let successors term =
   match term with
   | Ret _ -> []

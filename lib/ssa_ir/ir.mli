@@ -64,6 +64,12 @@ type program = {
 val entry_block : func -> block
 val block : func -> block_id -> block
 val fresh_value : func -> value
+
+val clone : program -> program
+(** Fresh function and block records over the shared, immutable
+    instructions and data: the back ends mutate the IR they compile, so
+    each compile of one program gets its own clone. *)
+
 val successors : terminator -> block_id list
 val operand_value : operand -> value option
 

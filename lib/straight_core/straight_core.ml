@@ -74,13 +74,13 @@ module Compile = struct
   }
 
   (* [frontend ?opt ?checked src] parses + lowers + optimizes source
-     into SSA IR (each call returns a fresh program: back ends mutate
-     the IR).  The front-end is sniffed from the content — WAT modules
-     start with '(' (lib/wasm), anything else is MiniC — so WASM
-     workloads flow through every consumer of this entry point.  [opt]
-     selects the middle-end level (default O2, matching the paper's
-     clang -O2); [checked] validates the SSA after every pass, blaming
-     the culprit pass on violation. *)
+     into a fresh SSA program (back ends mutate the IR: one program
+     compiled for several gives each an [Ssa_ir.Ir.clone]).  The
+     front-end is sniffed from the content — WAT modules start with '('
+     (lib/wasm), anything else is MiniC — so WASM workloads flow through
+     every consumer of this entry point.  [opt] selects the middle-end
+     level (default O2, matching the paper's clang -O2); [checked]
+     validates the SSA after every pass, blaming the culprit pass. *)
   let frontend ?(opt = Ssa_ir.Passes.O2) ?(checked = false) (src : string) :
     Ssa_ir.Ir.program =
     let p = Wasm.Front.compile_any src in

@@ -53,11 +53,14 @@ module Compile : sig
   val frontend :
     ?opt:Ssa_ir.Passes.opt_level -> ?checked:bool -> string ->
     Ssa_ir.Ir.program
-  (** Parse + lower + optimize.  Each call returns a fresh program (the
-      back ends mutate the IR).  [opt] selects the middle-end level
-      (default [O2]); [checked] (default [false]) runs
-      {!Ssa_ir.Passes.checked_at}, validating the SSA after every pass so
-      a violation blames the culprit pass by name. *)
+  (** Parse + lower + optimize.  Each call returns a fresh program; the
+      back ends mutate the IR, so a caller that compiles one program for
+      several back ends gives each an {!Ssa_ir.Ir.clone} (as
+      [Fuzz.Diff.build] does) instead of running the front end again.
+      [opt] selects the middle-end level (default [O2]); [checked]
+      (default [false]) runs {!Ssa_ir.Passes.checked_at}, validating the
+      SSA after every pass so a violation blames the culprit pass by
+      name. *)
 
   val backend : target -> Ssa_ir.Ir.program -> output
   (** Generate code for the program and assemble it.  Mutates the IR

@@ -115,25 +115,25 @@ let run ?checkpoint ?(checkpoint_every = 20_000) ?(sample_store = "_sweep")
       let spec =
         Snapshot.Sim.spec ~model:p ~target:pt.Grid.target pt.Grid.workload
       in
-      let go restore_from =
+      let go session =
         match
-          Snapshot.Sim.run ?restore_from ~checkpoint_every
-            ~checkpoint_path:path spec
+          Snapshot.Sim.drive ~checkpoint_every ~checkpoint_path:path session
         with
         | Snapshot.Sim.Completed r -> r
         | Snapshot.Sim.Stopped _ -> assert false (* no stop_at here *)
       in
+      let fresh = lazy (Snapshot.Sim.start spec) in
       (match
          if Sys.file_exists path then
-           try Ok (go (Some path))
+           try Ok (go (lazy (Snapshot.Sim.resume spec path)))
            with Diag.Error d when d.Diag.code = Diag.Snapshot_error ->
              Error d
-         else Ok (go None)
+         else Ok (go fresh)
        with
        | Ok r -> r
        | Error _ ->
          (try Sys.remove path with Sys_error _ -> ());
-         go None)
+         go fresh)
   in
   let host_seconds = Unix.gettimeofday () -. t0 in
   { (base_record pt) with

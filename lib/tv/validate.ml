@@ -57,26 +57,6 @@ let target_name = function Straight -> "straight" | Riscv -> "riscv"
 
 type finding = Lint_report.finding
 
-(* ---------- program cloning ---------- *)
-
-(* Both back-ends mutate the IR they compile (edge splitting, layout,
-   DCE), so validating X against its image requires compiling a clone
-   when the caller wants to keep X pristine — and the *mutated* clone is
-   what the image is validated against. *)
-let clone_func (f : Ir.func) : Ir.func =
-  { Ir.name = f.Ir.name;
-    nparams = f.Ir.nparams;
-    nvalues = f.Ir.nvalues;
-    frame_bytes = f.Ir.frame_bytes;
-    blocks =
-      List.map
-        (fun (b : Ir.block) ->
-           { Ir.bid = b.Ir.bid; insts = b.Ir.insts; term = b.Ir.term })
-        f.Ir.blocks }
-
-let clone_program (p : Ir.program) : Ir.program =
-  { Ir.funcs = List.map clone_func p.Ir.funcs; data = p.Ir.data }
-
 (* ---------- symbolic states ---------- *)
 
 module IMap = Map.Make (Int)
@@ -1170,18 +1150,24 @@ let validate_image ?(max_dist = Sisa.max_dist) ~(target : target)
 
 (* ---------- compile-and-validate front doors ---------- *)
 
+let validate_compiled (t : Compile.target) (p : Ir.program) (image : Image.t)
+  : finding list =
+  match t with
+  | Compile.Straight config ->
+    validate_image ~max_dist:config.Straight_cc.Codegen.max_dist
+      ~target:Straight p image
+  | Compile.Riscv -> validate_image ~target:Riscv p image
+
 (* Both front doors compile a clone through the pipeline the simulators
    run, so the caller's program stays pristine. *)
-let validate_straight ?(config = Straight_cc.Codegen.default_config)
-    (p : Ir.program) : finding list =
-  let p = clone_program p in
-  let out = Compile.backend (Compile.Straight config) p in
-  validate_image ~max_dist:config.Straight_cc.Codegen.max_dist
-    ~target:Straight p out.Compile.image
+let validate_clone (t : Compile.target) (p : Ir.program) : finding list =
+  let p = Ir.clone p in
+  validate_compiled t p (Compile.backend t p).Compile.image
 
-let validate_riscv (p : Ir.program) : finding list =
-  let p = clone_program p in
-  validate_image ~target:Riscv p (Compile.backend Compile.Riscv p).Compile.image
+let validate_straight ?(config = Straight_cc.Codegen.default_config) p =
+  validate_clone (Compile.Straight config) p
+
+let validate_riscv p = validate_clone Compile.Riscv p
 
 (* ---------- the mutation harness ---------- *)
 

@@ -35,21 +35,23 @@ val target_name : target -> string
 
 type finding = Lint_report.finding
 
-val clone_program : Ir.program -> Ir.program
-(** Deep-copy the mutable function skeletons (both back-ends mutate the
-    IR they compile); instruction lists and data are shared. *)
-
 val validate_image :
   ?max_dist:int -> target:target -> Ir.program -> Image.t -> finding list
 (** Validate a linked image against the (post-compilation) program it
     was produced from.  [prog] must be the exact IR the back-end
     compiled — i.e. after its in-place mutations — which is what
-    {!validate_straight} / {!validate_riscv} arrange. *)
+    {!validate_compiled} callers pass. *)
+
+val validate_compiled :
+  Straight_core.Compile.target -> Ir.program -> Image.t -> finding list
+(** {!validate_image} of the image [Straight_core.Compile.backend t p]
+    linked, against [p] as that back end left it. *)
 
 val validate_straight :
   ?config:Straight_cc.Codegen.config -> Ir.program -> finding list
-(** Clone, compile with [config] (default {!Straight_cc.Codegen.default_config}),
-    link, and validate.  The input program is left untouched. *)
+(** Compile an {!Ssa_ir.Ir.clone} with [config] (default
+    {!Straight_cc.Codegen.default_config}), link, and validate.  The
+    input program is left untouched. *)
 
 val validate_riscv : Ir.program -> finding list
 

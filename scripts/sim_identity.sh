@@ -22,7 +22,10 @@
 #   - the six examples;
 #   - the archived reports: fuzz -lint-workloads -json, -tv-workloads
 #     -json and -seed 1 -count 20 -json, and straightc -lint-json (both
-#     targets) and -tv-json on a fuzz regression program.
+#     targets) and -tv-json on a fuzz regression program;
+#   - the campaigns that build each source once for every checker: fuzz
+#     -seed 1 -count 20 -tv -json for MiniC and WAT, -lint-only -tv,
+#     and straightc -tv -lint -run -asm on the same regression program.
 # Every run's exit status is recorded with its stdout, and its stderr is
 # compared too.  Outputs land in _sim_identity/{base,head}/; each
 # differing file is named and the script exits 1.
@@ -131,6 +134,11 @@ battery() {
       logs/seed7.mc
   done
   run straightc.tv "$cc" -tv-json straightc.tv.json logs/seed7.mc
+  run fuzz.seeds.tv "$fuzz" -seed 1 -count 20 -tv -json fuzz.seeds.tv.json
+  run fuzz.wasm.tv "$fuzz" -target wasm -seed 1 -count 20 -tv \
+    -json fuzz.wasm.tv.json
+  run fuzz.lint-only.tv "$fuzz" -lint-only -seed 1 -count 20 -tv
+  run straightc.all "$cc" -tv -lint -run -asm logs/seed7.mc
 }
 
 rm -rf "$out"

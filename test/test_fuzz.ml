@@ -178,6 +178,67 @@ let test_lint_workloads_clean () =
       Workloads.quicksort ~n:24 ();
       Workloads.pointer_chase () ]
 
+(* ---------- one build per source ---------- *)
+
+module Compile = Straight_core.Compile
+
+let machine_targets =
+  List.filter (fun t -> t <> Diff.Interp_opt) Diff.default_targets
+
+(* Every image of a build equals a fresh checked compile of its
+   configuration word for word, and TV over the build's clones reports
+   what validate_straight / validate_riscv report on a fresh front end.
+   The build compiles all of its images before any is compared, so a
+   clone that shared mutable IR with the optimized program or with
+   another clone shows up as a wrong image. *)
+let check_isolated ~label ?opt src =
+  let b = Diff.build ?opt src in
+  let built = List.map (fun t -> (t, Diff.compiled b t)) machine_targets in
+  List.iter
+    (fun (t, (c : Diff.compiled)) ->
+       let label = Printf.sprintf "%s %s" label (Diff.target_label t) in
+       let fresh =
+         (Compile.compile ?opt ~checked:true (Diff.backend t) src).Compile.image
+       in
+       Alcotest.(check (array int32)) (label ^ ": text")
+         fresh.Image.text c.Diff.image.Image.text;
+       Alcotest.(check (array int32)) (label ^ ": data")
+         fresh.Image.data c.Diff.image.Image.data;
+       Alcotest.(check bool) (label ^ ": image") true (fresh = c.Diff.image);
+       let tv findings = List.map Lint_report.finding_to_string findings in
+       let on_fresh =
+         match Diff.backend t with
+         | Compile.Straight config ->
+           Tv.Validate.validate_straight ~config (Compile.frontend ?opt src)
+         | Compile.Riscv ->
+           Tv.Validate.validate_riscv (Compile.frontend ?opt src)
+       in
+       Alcotest.(check (list string)) (label ^ ": tv") (tv on_fresh)
+         (tv
+            (Tv.Validate.validate_compiled (Diff.backend t) c.Diff.ir
+               c.Diff.image)))
+    built
+
+let test_build_isolated () =
+  for seed = 1 to 50 do
+    check_isolated ~label:(Printf.sprintf "minic seed %d" seed)
+      (Gen.render (Gen.generate seed));
+    check_isolated ~label:(Printf.sprintf "wat seed %d" seed)
+      (Fuzz.Gen_wasm.render (Fuzz.Gen_wasm.generate seed))
+  done;
+  List.iter
+    (fun (w : Workloads.t) ->
+       List.iter
+         (fun (opt, oname) ->
+            check_isolated ~label:(w.Workloads.name ^ " " ^ oname) ~opt
+              w.Workloads.source)
+         [ (Ssa_ir.Passes.O0, "O0"); (Ssa_ir.Passes.O1, "O1");
+           (Ssa_ir.Passes.O2, "O2") ])
+    ([ Workloads.dhrystone (); Workloads.coremark (); Workloads.fib ();
+       Workloads.iota (); Workloads.sort (); Workloads.quicksort ();
+       Workloads.pointer_chase () ]
+     @ Workloads.all_wasm ())
+
 (* ---------- linter: rejection of broken images ---------- *)
 
 let image_of_words ?(entry_word = 0) words =
@@ -242,6 +303,7 @@ let suite =
     ("shrinker minimizes", `Quick, test_shrinker_minimizes);
     ("shrinker preserves failure", `Slow, test_shrinker_preserves_failure);
     ("lint workloads clean", `Slow, test_lint_workloads_clean);
+    ("each build is isolated", `Slow, test_build_isolated);
     ("lint rejects broken images", `Quick, test_lint_rejects) ]
 
 let () = Alcotest.run "fuzz" [ ("fuzz", suite) ]

@@ -470,9 +470,11 @@ let test_machine_dispatch () =
             in
             Alcotest.(check bool) (label ^ ": image ISA") true
               (image.Image.isa = isa);
-            let m =
-              Iss.Machine.run ~collect_trace:true ~collect_dist:true image
+            let session =
+              Iss.Machine.start ~collect_trace:true ~collect_dist:true image
             in
+            Iss.Machine.run_session session;
+            let m = Iss.Machine.finish session in
             Alcotest.(check string) (label ^ ": output") own.Iss.Trace.output
               m.Iss.Trace.output;
             Alcotest.(check int) (label ^ ": retired") own.Iss.Trace.retired
@@ -481,7 +483,7 @@ let test_machine_dispatch () =
               own.Iss.Trace.dist_histogram m.Iss.Trace.dist_histogram;
             Alcotest.(check bool) (label ^ ": trace") true
               (own.Iss.Trace.trace = m.Iss.Trace.trace);
-            let static = Iss.Machine.static_uop image in
+            let static = Iss.Machine.static_uop session in
             let base = image.Image.text_base in
             List.iter
               (fun pc ->
@@ -500,7 +502,26 @@ let test_machine_dispatch () =
                    true (static pc = want))
               image.Image.text;
             Alcotest.(check bool) (label ^ ": text has a stop word") true
-              (!stops > 0))
+              (!stops > 0);
+            (* one shape table per run: a retirement with no dynamic
+               field is the very uop wrong-path fetch returns (the last
+               one is the stop instruction, which fetch never returns) *)
+            let trace = m.Iss.Trace.trace in
+            Array.iteri
+              (fun i (u : Iss.Trace.uop) ->
+                 match u.Iss.Trace.ctrl, u.Iss.Trace.fu with
+                 | _, (Iss.Trace.FU_load | Iss.Trace.FU_store)
+                 | Iss.Trace.Uncond _, _
+                 | Iss.Trace.Cond { taken = true; _ }, _ -> ()
+                 | _ ->
+                   Alcotest.(check bool)
+                     (Printf.sprintf "%s: shared uop at %#x" label
+                        u.Iss.Trace.pc)
+                     true
+                     (match static u.Iss.Trace.pc with
+                      | Some v -> v == u
+                      | None -> i = Array.length trace - 1))
+              trace)
          [ Exp.Straight_raw; Exp.Straight_re; Exp.Riscv ])
     [ Workloads.fib (); Workloads.wasm_sieve () ]
 

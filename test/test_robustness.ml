@@ -136,7 +136,8 @@ let test_checker_divergence () =
   match
     Engine.run Params.straight_2way
       ~window:(Ooo_common.Window.of_array tampered)
-      ~decode_static:(Iss.Machine.static_uop image) ~checker ()
+      ~decode_static:(Iss.Machine.static_uop (Iss.Machine.start image))
+      ~checker ()
   with
   | _ -> Alcotest.fail "checker accepted a divergent golden trace"
   | exception Diag.Error d ->
@@ -201,7 +202,7 @@ let test_restore_then_reinject () =
       (Workloads.sort ~n:40 ())
   in
   let baseline =
-    match Sim.run spec with
+    match Sim.drive (lazy (Sim.start spec)) with
     | Sim.Completed r -> r
     | Sim.Stopped _ -> assert false
   in
@@ -213,7 +214,9 @@ let test_restore_then_reinject () =
       (Printf.sprintf "straight-reinject.%d.snap" (Unix.getpid ()))
   in
   let stop = baseline.Straight_core.Experiment.cycles / 2 in
-  (match Sim.run ~checkpoint_path:path ~stop_at:stop spec with
+  (match
+     Sim.drive ~checkpoint_path:path ~stop_at:stop (lazy (Sim.start spec))
+   with
    | Sim.Stopped _ -> ()
    | Sim.Completed _ -> Alcotest.fail "run completed before the kill point");
   let session = Sim.restore path in

@@ -68,7 +68,9 @@ let kill_and_recover label spec ~stop =
     String.map (fun c -> if c = '/' || c = ' ' then '_' else c) label
   in
   let path = tmp (fname ^ ".snap") in
-  (match Sim.run ~checkpoint_path:path ~stop_at:stop spec with
+  (match
+     Sim.drive ~checkpoint_path:path ~stop_at:stop (lazy (Sim.start spec))
+   with
    | Sim.Stopped { cycle; path = p } ->
      Alcotest.(check string) (label ^ ": checkpoint path") path p;
      Alcotest.(check bool) (label ^ ": stopped at/after stop_at") true
@@ -78,7 +80,7 @@ let kill_and_recover label spec ~stop =
   let s = Sim.restore path in
   let wrong_path = Engine.wrong_path_inflight (Sim.engine s) in
   Sys.remove path;
-  (completed (Sim.drive s), wrong_path)
+  (completed (Sim.drive (Lazy.from_val s)), wrong_path)
 
 let campaign_points = 3  (* restore points per (workload, model, target) *)
 
@@ -113,7 +115,7 @@ let test_recovery_determinism () =
          (fun (cname, model, target) ->
             let spec = Sim.spec ~model ~target w in
             let baseline =
-              match Sim.run spec with
+              match Sim.drive (lazy (Sim.start spec)) with
               | Sim.Completed r -> r
               | Sim.Stopped _ -> assert false
             in
@@ -160,7 +162,7 @@ let test_recovery_with_faults () =
   in
   let spec = Sim.spec ~model ~target:Exp.Straight_re (Workloads.sort ~n:40 ()) in
   let baseline =
-    match Sim.run spec with
+    match Sim.drive (lazy (Sim.start spec)) with
     | Sim.Completed r -> r
     | Sim.Stopped _ -> assert false
   in
@@ -185,13 +187,16 @@ let test_periodic_checkpoints () =
   in
   let path = tmp "periodic.snap" in
   let baseline =
-    match Sim.run ~checkpoint_every:500 ~checkpoint_path:path spec with
+    match
+      Sim.drive ~checkpoint_every:500 ~checkpoint_path:path
+        (lazy (Sim.start spec))
+    with
     | Sim.Completed r -> r
     | Sim.Stopped _ -> assert false
   in
   Alcotest.(check bool) "periodic checkpoint exists" true
     (Sys.file_exists path);
-  let r = completed (Sim.drive (Sim.restore path)) in
+  let r = completed (Sim.drive (lazy (Sim.restore path))) in
   Sys.remove path;
   check_result_equal "periodic" baseline r
 
@@ -223,7 +228,9 @@ let good_snapshot =
          (Workloads.iota ~n:30 ())
      in
      let path = tmp "good.snap" in
-     (match Sim.run ~checkpoint_path:path ~stop_at:200 spec with
+     (match
+        Sim.drive ~checkpoint_path:path ~stop_at:200 (lazy (Sim.start spec))
+      with
       | Sim.Stopped _ -> ()
       | Sim.Completed _ -> Alcotest.fail "seed snapshot run too short");
      (spec, path))
@@ -311,11 +318,21 @@ let test_reject_spec_mismatch () =
   (* the self-contained restore still accepts it *)
   ignore (Sim.restore good : Sim.session)
 
+(* A checkpoint flag without a path is refused before any work:
+   straightsim drives [lazy (start spec)] or [lazy (restore file)], and
+   neither is forced.  A source that does not parse and a snapshot that
+   does not exist would each fail with their own code (3, 9) if it
+   were. *)
 let test_flags_need_path () =
   let spec =
     Sim.spec ~model:Params.straight_2way ~target:Exp.Straight_re
       (Workloads.iota ~n:10 ())
   in
+  let unparsable =
+    { spec with
+      Sim.workload = { spec.Sim.workload with Workloads.source = "int (" } }
+  in
+  let missing = tmp "never-written.snap" in
   List.iter
     (fun f ->
        match f () with
@@ -323,9 +340,15 @@ let test_flags_need_path () =
          Alcotest.fail "checkpoint flag without a path was accepted"
        | exception Diag.Error d ->
          Alcotest.(check string) "config error" "CONFIG_ERROR"
-           (Diag.code_name d.Diag.code))
-    [ (fun () -> Sim.run ~checkpoint_every:100 spec);
-      (fun () -> Sim.run ~stop_at:100 spec) ]
+           (Diag.code_name d.Diag.code);
+         Alcotest.(check int) "exit code" 2 (Diag.exit_code d.Diag.code))
+    [ (fun () -> Sim.drive ~checkpoint_every:100 (lazy (Sim.start spec)));
+      (fun () -> Sim.drive ~stop_at:100 (lazy (Sim.start spec)));
+      (fun () -> Sim.drive ~stop_at:5 (lazy (Sim.start unparsable)));
+      (fun () -> Sim.drive ~checkpoint_every:5 (lazy (Sim.start unparsable)));
+      (fun () -> Sim.drive ~stop_at:5 (lazy (Sim.restore missing)));
+      (fun () ->
+         Sim.drive ~checkpoint_every:5 (lazy (Sim.resume spec missing))) ]
 
 (* a STRAIGHT image only runs on the RP core and an RV32IM image only on
    a renaming core: any other pairing is refused when the spec is built,
@@ -377,7 +400,9 @@ let test_sweep_resume_identical () =
       pt.Sweep.Grid.workload
   in
   (match
-     Sim.run ~checkpoint_path:path ~stop_at:(clean.Sweep.Runner.cycles / 2) spec
+     Sim.drive ~checkpoint_path:path
+       ~stop_at:(clean.Sweep.Runner.cycles / 2)
+       (lazy (Sim.start spec))
    with
    | Sim.Stopped _ -> ()
    | Sim.Completed _ -> Alcotest.fail "point too short to interrupt");

@@ -86,7 +86,7 @@ let pipeline (params : Params.t) target image : pipeline =
       (fun () ->
          let r = reference_run () in
          Engine.run params ~window:(Window.of_array r.Iss.Trace.trace)
-           ~decode_static:(Iss.Machine.static_uop image)
+           ~decode_static:(Iss.Machine.static_uop (Iss.Machine.start image))
            ~checker:(checker r.Iss.Trace.retired) ()) }
 
 let describe (s : Engine.stats) =
