@@ -101,28 +101,53 @@ sweep-smoke:
 	  -figures none -out /dev/null -no-stream -expect-cached
 
 # Crash-recovery smoke: on two workloads x two pipelines, checkpoint a
-# run mid-flight and abandon it (-stop-at, a simulated kill), restore
-# from the file alone, and require the recovered run's -stats-json to
-# be byte-identical to an uninterrupted baseline's.
+# run and abandon it (-stop-at, a simulated kill) at cycle 400 and again
+# three cycles before its end, restore each from the file alone, and
+# restore the first, checkpoint it again halfway to the end, and restore
+# that; every recovered run's -stats-json must be byte-identical to an
+# uninterrupted baseline's.  Last, checkpoint the 30.2M-instruction
+# stream at cycle 1000 and restore it to a second checkpoint at cycle
+# 2000: both must exit 0 (each fingerprints only the prefix its engine
+# has read).
 SNAP_DIR = _snapshot_smoke
+SNAPSIM = dune exec bin/straightsim.exe --
 snapshot-smoke:
 	rm -rf $(SNAP_DIR) && mkdir -p $(SNAP_DIR)
 	@set -e; \
 	for cfg in "straight-2way straight iota" "ss-2way riscv iota" \
 	           "straight-4way straight sort" "ss-4way riscv sort"; do \
 	  set -- $$cfg; model=$$1; target=$$2; wl=$$3; tag=$$model-$$wl; \
+	  d=$(SNAP_DIR)/$$tag; \
 	  echo "snapshot-smoke: $$model/$$target/$$wl"; \
-	  dune exec bin/straightsim.exe -- -model $$model -target $$target \
-	    -workload $$wl -stats-json $(SNAP_DIR)/$$tag.base.json >/dev/null; \
-	  dune exec bin/straightsim.exe -- -model $$model -target $$target \
-	    -workload $$wl -checkpoint $(SNAP_DIR)/$$tag.snap -stop-at 400 \
+	  $(SNAPSIM) -model $$model -target $$target -workload $$wl \
+	    -stats-json $$d.base.json >/dev/null; \
+	  cycles=$$(sed -n 's/^  "cycles": \([0-9]*\),$$/\1/p' $$d.base.json); \
+	  [ -n "$$cycles" ] || \
+	    { echo "snapshot-smoke: no cycle count in $$d.base.json"; exit 1; }; \
+	  late=$$((cycles - 3)); chain=$$(((400 + cycles) / 2)); \
+	  for stop in 400 $$late; do \
+	    $(SNAPSIM) -model $$model -target $$target -workload $$wl \
+	      -checkpoint $$d.$$stop.snap -stop-at $$stop >/dev/null; \
+	    $(SNAPSIM) -restore $$d.$$stop.snap \
+	      -stats-json $$d.$$stop.json >/dev/null; \
+	    cmp $$d.base.json $$d.$$stop.json || \
+	      { echo "snapshot-smoke: $$tag diverged after a restore at" \
+	             "cycle $$stop"; exit 1; }; \
+	  done; \
+	  $(SNAPSIM) -restore $$d.400.snap -checkpoint $$d.chain.snap \
+	    -stop-at $$chain >/dev/null; \
+	  $(SNAPSIM) -restore $$d.chain.snap -stats-json $$d.chain.json \
 	    >/dev/null; \
-	  dune exec bin/straightsim.exe -- -restore $(SNAP_DIR)/$$tag.snap \
-	    -stats-json $(SNAP_DIR)/$$tag.resumed.json >/dev/null; \
-	  cmp $(SNAP_DIR)/$$tag.base.json $(SNAP_DIR)/$$tag.resumed.json || \
-	    { echo "snapshot-smoke: $$tag diverged after restore"; exit 1; }; \
+	  cmp $$d.base.json $$d.chain.json || \
+	    { echo "snapshot-smoke: $$tag diverged after restore ->" \
+	           "checkpoint at cycle $$chain -> restore"; exit 1; }; \
 	done
 	@echo "snapshot-smoke: recovered runs bit-identical on all 4 configs"
+	$(SNAPSIM) -model straight-4way -workload stream \
+	  -checkpoint $(SNAP_DIR)/stream.1000.snap -stop-at 1000 >/dev/null
+	$(SNAPSIM) -restore $(SNAP_DIR)/stream.1000.snap \
+	  -checkpoint $(SNAP_DIR)/stream.2000.snap -stop-at 2000 >/dev/null
+	@echo "snapshot-smoke: stream checkpointed at cycle 1000 and restored"
 	rm -rf $(SNAP_DIR)
 
 # Sampling smoke: on one workload x both pipelines, exercise the

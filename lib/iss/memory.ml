@@ -10,17 +10,32 @@ let page_shift = 10 (* log2 page_words *)
 type t = {
   pages : (int, int32 array) Hashtbl.t;
   console : Buffer.t;
+  mutable last_index : int;        (* the page found last, -1 for none *)
+  mutable last_page : int32 array;
 }
 
-let create () = { pages = Hashtbl.create 64; console = Buffer.create 256 }
+let create () =
+  { pages = Hashtbl.create 64; console = Buffer.create 256;
+    last_index = -1; last_page = [||] }
 
+(* Page [index] (word address lsr [page_shift]), created zeroed on first
+   touch.  Accesses cluster, so the page found last answers most
+   lookups; the others take [Hashtbl.find], which allocates nothing. *)
 let page t index =
-  match Hashtbl.find_opt t.pages index with
-  | Some p -> p
-  | None ->
-    let p = Array.make page_words 0l in
-    Hashtbl.replace t.pages index p;
+  if index = t.last_index then t.last_page
+  else begin
+    let p =
+      match Hashtbl.find t.pages index with
+      | p -> p
+      | exception Not_found ->
+        let p = Array.make page_words 0l in
+        Hashtbl.replace t.pages index p;
+        p
+    in
+    t.last_index <- index;
+    t.last_page <- p;
     p
+  end
 
 let check_aligned addr =
   if addr land 3 <> 0 then
@@ -56,14 +71,25 @@ let write t addr v =
     (page t (w lsr page_shift)).(w land (page_words - 1)) <- v
   end
 
+(* [words] stored from byte address [base] on, page by page: exactly
+   the pages holding a word of the section exist afterwards.  The
+   sections of an image lie far below the MMIO window. *)
+let load_section t base words =
+  check_aligned base;
+  let n = Array.length words in
+  let i = ref 0 in
+  while !i < n do
+    let w = (base lsr 2) + !i in
+    let off = w land (page_words - 1) in
+    let k = min (n - !i) (page_words - off) in
+    Array.blit words !i (page t (w lsr page_shift)) off k;
+    i := !i + k
+  done
+
 (* [load_image t image] copies .text and .data into memory. *)
 let load_image t (image : Image.t) =
-  Array.iteri
-    (fun i w -> write t (image.Image.text_base + (4 * i)) w)
-    image.Image.text;
-  Array.iteri
-    (fun i w -> write t (image.Image.data_base + (4 * i)) w)
-    image.Image.data
+  load_section t image.Image.text_base image.Image.text;
+  load_section t image.Image.data_base image.Image.data
 
 let output t = Buffer.contents t.console
 

@@ -50,59 +50,77 @@ let kind_label u =
   | FU_mul | FU_div -> "ALU"
   | FU_alu -> if u.is_rmov then "RMOV" else if u.is_nop then "NOP" else "ALU"
 
-(* Canonical fingerprint of a retirement stream, used by the snapshot
-   machinery to prove that a regenerated run matches the one a
-   checkpoint was taken against.  Every field of every uop is written to
-   a buffer; every [digest_chunk] uops the buffer is folded into a
-   running MD5 chain, so a stream of any length is fingerprinted in
-   bounded memory.  Any behavioural change to the ISS or the compilers
-   changes the digest. *)
-type digest_state = { dbuf : Buffer.t; mutable pending : int }
+(* Canonical fingerprint of a retirement stream (see trace.mli): each
+   uop's fields as fixed-width words, each word folded into two 63-bit
+   multiply-xorshift lanes.  For a fixed word a step is a bijection of
+   its lane, so changing any one word of the stream changes both lanes,
+   whatever follows. *)
+type digest_state = {
+  mutable lane_a : int;
+  mutable lane_b : int;
+  mutable uops : int;
+}
 
-let digest_chunk = 4096
+let digest_version = "straight-trace-digest/3"
+
+(* odd multipliers, so each step is invertible modulo 2^63 *)
+let mul_a = 0x1f3d_5b79_7a4c_2e65
+let mul_b = 0x2c6f_e96e_e78b_6955
+
+let fold st w =
+  let a = (st.lane_a lxor w) * mul_a in
+  st.lane_a <- a lxor (a lsr 32);
+  let b = (st.lane_b + w) * mul_b in
+  st.lane_b <- b lxor (b lsr 29)
 
 let digest_init () =
-  let dbuf = Buffer.create (64 * digest_chunk) in
-  Buffer.add_string dbuf "straight-trace-digest/2";
-  { dbuf; pending = 0 }
+  let st = { lane_a = 0; lane_b = 0; uops = 0 } in
+  String.iter (fun c -> fold st (Char.code c)) digest_version;
+  st
+
+let fu_code = function
+  | FU_alu -> 0 | FU_mul -> 1 | FU_div -> 2 | FU_branch -> 3
+  | FU_load -> 4 | FU_store -> 5
+
+let bit b k = if b then 1 lsl k else 0
+
+(* bits 0-2 fu, 3-6 flags, 7-8 ctrl variant, 9-11 taken/is_call/is_ret,
+   16-39 the distance count, 40- the register count *)
+let header u =
+  let ctrl =
+    match u.ctrl with
+    | Not_ctrl -> 0
+    | Cond { taken; _ } -> 1 lor bit taken 2
+    | Uncond { is_call; is_ret; _ } -> 2 lor bit is_call 3 lor bit is_ret 4
+  in
+  fu_code u.fu lor bit u.has_dest 3 lor bit u.is_rmov 4 lor bit u.is_nop 5
+  lor bit u.is_spadd 6 lor (ctrl lsl 7)
+  lor (Array.length u.srcs_dist lsl 16)
+  lor (Array.length u.srcs_reg lsl 40)
 
 let digest_add st u =
-  let b = st.dbuf in
-  let add_int n = Buffer.add_string b (string_of_int n); Buffer.add_char b ',' in
-  let add_bool v = Buffer.add_char b (if v then '1' else '0') in
-  let fu_code = function
-    | FU_alu -> 0 | FU_mul -> 1 | FU_div -> 2 | FU_branch -> 3
-    | FU_load -> 4 | FU_store -> 5
-  in
-  add_int u.pc;
-  add_int (fu_code u.fu);
-  Array.iter add_int u.srcs_dist;
-  Buffer.add_char b ';';
-  Array.iter add_int u.srcs_reg;
-  Buffer.add_char b ';';
-  add_int u.dest_reg;
-  add_bool u.has_dest;
-  add_bool u.is_rmov;
-  add_bool u.is_nop;
-  add_bool u.is_spadd;
-  add_int u.mem_addr;
-  (match u.ctrl with
-   | Not_ctrl -> Buffer.add_char b 'n'
-   | Cond { taken; target } ->
-     Buffer.add_char b 'c'; add_bool taken; add_int target
-   | Uncond { target; is_call; is_ret } ->
-     Buffer.add_char b 'u'; add_int target; add_bool is_call;
-     add_bool is_ret);
-  Buffer.add_char b '\n';
-  st.pending <- st.pending + 1;
-  if st.pending = digest_chunk then begin
-    let h = Digest.string (Buffer.contents b) in
-    Buffer.clear b;
-    Buffer.add_string b h;
-    st.pending <- 0
-  end
+  fold st (header u);
+  fold st u.pc;
+  fold st u.dest_reg;
+  fold st u.mem_addr;
+  fold st
+    (match u.ctrl with
+     | Not_ctrl -> 0
+     | Cond { target; _ } | Uncond { target; _ } -> target);
+  for i = 0 to Array.length u.srcs_dist - 1 do
+    fold st (Array.unsafe_get u.srcs_dist i)
+  done;
+  for i = 0 to Array.length u.srcs_reg - 1 do
+    fold st (Array.unsafe_get u.srcs_reg i)
+  done;
+  st.uops <- st.uops + 1
 
-let digest_result st = Digest.to_hex (Digest.string (Buffer.contents st.dbuf))
+(* the lanes with the uop count folded into a copy, so the state keeps
+   going *)
+let digest_result st =
+  let fin = { st with uops = 0 } in
+  fold fin st.uops;
+  Printf.sprintf "%016x%016x" fin.lane_a fin.lane_b
 
 (* A completed program run. *)
 type run = {

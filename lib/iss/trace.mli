@@ -46,19 +46,30 @@ val kind_label : uop -> string
 (** The Fig. 15 bucket: ["ALU"], ["LD"], ["ST"], ["Jump+Branch"],
     ["RMOV"], or ["NOP"]. *)
 
-(** Incremental fingerprint of a retirement stream: every field of
-    every uop, folded into an MD5 chain in fixed-size chunks, so a stream
-    of any length is fingerprinted in bounded memory.  The snapshot
-    machinery regenerates the stream from the workload source on restore
-    and uses this to prove it matches the one the checkpoint was taken
-    against. *)
+(** Incremental fingerprint of a retirement stream.  Every field of
+    every uop is encoded as fixed-width integers — a header word packing
+    the FU class, the flags, the control variant with its
+    taken/is_call/is_ret bits and both source counts, then pc,
+    [dest_reg], [mem_addr], the control target and each source — and
+    folded into two 63-bit multiply-xorshift lanes (version
+    ["straight-trace-digest/3"]).  A step is a bijection of its lane for
+    a fixed word, so changing any one field of any one uop changes the
+    digest.  {!digest_add} allocates nothing and costs about as much as
+    an ISS step; a stream of any length is fingerprinted in constant
+    memory.  The snapshot machinery regenerates the stream from the
+    workload source on restore and uses this to prove it matches the
+    one the checkpoint was taken against.  It guards against a stream
+    that differs by accident (compiler or ISS drift), not against an
+    adversary. *)
 type digest_state
 
 val digest_init : unit -> digest_state
 val digest_add : digest_state -> uop -> unit
 
 val digest_result : digest_state -> string
-(** Hex digest of the uops added so far. *)
+(** Hex digest of the uops added so far (their count included); the
+    state stays usable, so a stream can be fingerprinted at several
+    prefixes in one pass. *)
 
 (** A completed program run. *)
 type run = {

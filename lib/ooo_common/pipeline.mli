@@ -20,8 +20,12 @@ type result = {
     the run it replays.  A pre-pass of the ISS without a trace completes
     before the engine exists, so [run_info]'s output, retired count and
     distance histogram are final from cycle 0 ([run_info.trace] is
-    empty); the engine pulls the correct path from a second ISS session
-    through a bounded {!Window}. *)
+    empty): the lockstep checker is armed with that count, and callers
+    read the outcome before the first {!Engine.step}.  The engine pulls
+    the correct path from a second ISS session through a bounded
+    {!Window}.  Neither session digests anything; a checkpoint
+    fingerprints the prefix the window has pulled with a cursor of its
+    own ([Snapshot.Sim]). *)
 type session = {
   engine : Engine.t;
   run_info : Iss.Trace.run;
@@ -36,8 +40,10 @@ val region :
     fetch reaches them, with wrong-path fetch reading [s]'s decoded text
     ({!Iss.Machine.static_uop}) — behind every other constructor here
     and behind interval replay.  [warm] hands the engine warmed tables
-    ({!Engine.create}); [digest] folds in every uop pulled, so a
-    finished run has digested exactly its stream. *)
+    ({!Engine.create}); [digest] folds in every uop pulled
+    ({!Iss.Trace.digest_add}, which allocates nothing), so a finished
+    run has digested exactly its stream: interval replay proves its
+    window this way. *)
 
 val start :
   ?max_insns:int -> ?check:bool -> ?max_dist:int ->

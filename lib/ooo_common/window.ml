@@ -86,4 +86,5 @@ let seek w n =
   w.base <- n;
   w.frontier <- n
 
+let frontier w = w.frontier
 let high_water w = w.high_water

@@ -55,5 +55,10 @@ val seek : t -> int -> unit
     @raise Invalid_argument when the window has already been read or
     [n] is outside [0, length]. *)
 
+val frontier : t -> int
+(** One past the newest index pulled from the source: every uop the
+    engine has read, and so every index its state can name, lies below
+    it.  It only grows ({!seek} sets it on a fresh window). *)
+
 val high_water : t -> int
 (** The largest number of indices retained at once so far. *)

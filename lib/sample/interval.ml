@@ -143,29 +143,35 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
           File.Interval { index = w.w_index; start = w.w_start; len; warmup }
         in
         File.save path
-          (Sim.meta spec ~kind ~trace_digest:(Trace.digest_result w.w_digest))
+          (Sim.meta spec ~kind ~trace_digest:(Trace.digest_result w.w_digest)
+             ~digested:w.w_uops)
           ~payload:w.w_payload;
         entries :=
           { index = w.w_index; start = w.w_start; len; warmup; path }
           :: !entries
       end
     in
+    (* Windows open in start order and all run [interval] retirements
+       past their start, so they close in the order they opened: the
+       oldest is the only one that can close at a given retirement.
+       Nothing here allocates per retirement. *)
+    let rec feed u = function
+      | [] -> ()
+      | w :: rest ->
+        Trace.digest_add w.w_digest u;
+        w.w_uops <- w.w_uops + 1;
+        feed u rest
+    in
     let on_retire idx u =
       Warm.observe warm u;
-      List.iter
-        (fun w ->
-           if idx < w.w_start + sp.Spec.interval then begin
-             Trace.digest_add w.w_digest u;
-             w.w_uops <- w.w_uops + 1
-           end)
-        !open_windows;
-      let closing, still =
-        List.partition
-          (fun w -> idx = w.w_start + sp.Spec.interval - 1)
-          !open_windows
-      in
-      List.iter close closing;
-      open_windows := still
+      match !open_windows with
+      | [] -> ()
+      | oldest :: still as ws ->
+        feed u ws;
+        if idx = oldest.w_start + sp.Spec.interval - 1 then begin
+          close oldest;
+          open_windows := still
+        end
     in
     let s = Machine.start ~max_insns:spec.Sim.max_insns ~on_retire image in
     (* open each window at its first retirement (several coincide at 0
@@ -179,10 +185,10 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
         Warm.save b warm;
         Machine.save b s;
         open_windows :=
-          { w_index = index; w_start = start; w_substart = substart;
-            w_payload = Buffer.contents b; w_digest = Trace.digest_init ();
-            w_uops = 0 }
-          :: !open_windows;
+          !open_windows
+          @ [ { w_index = index; w_start = start; w_substart = substart;
+                w_payload = Buffer.contents b;
+                w_digest = Trace.digest_init (); w_uops = 0 } ];
         open_from (index + 1) (start + period)
       end
     in

@@ -7,9 +7,10 @@ let magic = "STR8SNAP"
 (* v2 added the [kind] discriminator (engine image vs. sampling-interval
    checkpoint); v3 changed [trace_digest] to the chunked, incremental
    stream digest; v4 stores an interval as warm tables and ISS state
-   instead of its uop slice.  Older files are rejected with a version
-   message. *)
-let version = 4
+   instead of its uop slice; v5 changed [trace_digest] to the binary
+   fold and added [digested], the retirements it covers.  Older files
+   are rejected with a version message. *)
+let version = 5
 let header_len = 24
 
 (* What the payload after the meta section holds. *)
@@ -30,6 +31,7 @@ type meta = {
   cycle : int;
   committed : int;
   trace_digest : string;
+  digested : int;
   output : string;
   retired : int;
   dist_histogram : int array;
@@ -55,6 +57,7 @@ let w_meta b (m : meta) =
   Bin.w_int b m.cycle;
   Bin.w_int b m.committed;
   Bin.w_string b m.trace_digest;
+  Bin.w_int b m.digested;
   Bin.w_string b m.output;
   Bin.w_int b m.retired;
   Bin.w_int_array b m.dist_histogram
@@ -82,12 +85,13 @@ let r_meta r : meta =
   let cycle = Bin.r_int r in
   let committed = Bin.r_int r in
   let trace_digest = Bin.r_string r in
+  let digested = Bin.r_int r in
   let output = Bin.r_string r in
   let retired = Bin.r_int r in
   let dist_histogram = Bin.r_int_array r in
   { kind; target; params_json; workload_name; workload_source;
     workload_iterations; max_insns; max_dist; check; cycle; committed;
-    trace_digest; output; retired; dist_histogram }
+    trace_digest; digested; output; retired; dist_histogram }
 
 (* little-endian fixed-width header fields *)
 let put_le b n width =

@@ -15,7 +15,8 @@
     configuration, so a snapshot file alone reproduces its run: restore
     recompiles the workload, re-runs the functional simulator (which is
     deterministic), and proves the regenerated retirement stream
-    identical via {!meta.trace_digest} before handing the session over.
+    identical over the retirements the file names ({!meta.digested})
+    via {!meta.trace_digest} before handing the session over.
 
     Writes are atomic (temp file + [rename] in the destination
     directory), so a crash mid-checkpoint can never leave a torn file
@@ -27,9 +28,10 @@
 val magic : string
 
 val version : int
-(** Container version 4: v2 added {!meta.kind} (engine image vs.
+(** Container version 5: v2 added {!meta.kind} (engine image vs.
     sampling-interval checkpoint), v3 the incremental stream digest, v4
-    intervals as architectural state; older files are rejected. *)
+    intervals as architectural state, v5 the binary stream digest and
+    {!meta.digested}; older files are rejected. *)
 
 (** What the payload after the meta section holds. *)
 type kind =
@@ -60,7 +62,13 @@ type meta = {
   committed : int;
   trace_digest : string;
       (** {!Iss.Trace} digest of the retirement stream (engine images:
-          the whole run; interval files: the window's slice) *)
+          the prefix [\[0, digested)]; interval files: the window's
+          slice) *)
+  digested : int;
+      (** the retirements [trace_digest] covers: for an engine image
+          the window frontier at the save, at least [committed] and at
+          most [retired] (every stream index the image names lies
+          below it); for an interval file its window, [warmup + len] *)
   output : string;              (** ISS console output (full run) *)
   retired : int;                (** ISS retired count (full run) *)
   dist_histogram : int array;

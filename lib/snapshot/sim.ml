@@ -4,6 +4,7 @@
 module Engine = Ooo_common.Engine
 module Params = Ooo_common.Params
 module Pipeline = Ooo_common.Pipeline
+module Window = Ooo_common.Window
 module Trace = Iss.Trace
 module Exp = Straight_core.Experiment
 module Compile = Straight_core.Compile
@@ -42,12 +43,17 @@ let spec ?(max_insns = 50_000_000) ?(max_dist = Params.straight_max_dist)
   end;
   { target; params = model; workload; max_insns; max_dist; check }
 
+(* The fingerprint cursor: a second ISS session over the image, with the
+   digest of everything it has retired.  A session gets one at its first
+   save (or at restore) and only ever moves it forward. *)
+type cursor = { iss : Iss.Machine.session; fold : Trace.digest_state }
+
 type session = {
   spec : spec;
   image : Assembler.Image.t;
   engine : Engine.t;
   run_info : Trace.run;
-  mutable digest : string option;  (* the run's fingerprint, once known *)
+  mutable cursor : cursor option;
 }
 
 let compile (s : spec) : Assembler.Image.t =
@@ -60,23 +66,31 @@ let start (s : spec) : session =
     Pipeline.start ~max_insns:s.max_insns ~check:s.check ~max_dist:s.max_dist
       s.params image
   in
-  { spec = s; image; engine; run_info; digest = None }
+  { spec = s; image; engine; run_info; cursor = None }
 
-(* The run's fingerprint: the incremental digest of its retirement
-   stream, regenerated by a fresh ISS session in bounded memory.  Only
-   save and restore need it — every sweep point and daemon job runs
-   through [drive] — so a session computes it at most once, on demand. *)
-let digest (s : session) : string =
-  match s.digest with
-  | Some d -> d
-  | None ->
-    let st = Trace.digest_init () in
-    let on_retire _ u = Trace.digest_add st u in
-    Iss.Machine.run_session
-      (Iss.Machine.start ~max_insns:s.spec.max_insns ~on_retire s.image);
-    let d = Trace.digest_result st in
-    s.digest <- Some d;
-    d
+(* The digest of retirements [0, upto), advancing the session's cursor
+   (created on first use) to [upto] if it stands below: a run that is
+   never saved or restored does no digest work, and periodic saves
+   fingerprint each retirement once.  Returns the digest and the
+   retirements it covers: [upto], or the cursor's position when that is
+   further. *)
+let fingerprint (s : session) ~upto : string * int =
+  let c =
+    match s.cursor with
+    | Some c -> c
+    | None ->
+      let fold = Trace.digest_init () in
+      let c =
+        { iss =
+            Iss.Machine.start ~max_insns:s.spec.max_insns
+              ~on_retire:(fun _ u -> Trace.digest_add fold u) s.image;
+          fold }
+      in
+      s.cursor <- Some c;
+      c
+  in
+  Iss.Machine.run_session ~until:upto c.iss;
+  (Trace.digest_result c.fold, Iss.Machine.retired c.iss)
 
 let step s = Engine.step s.engine
 let finished s = Engine.finished s.engine
@@ -85,7 +99,7 @@ let engine s = s.engine
 
 (* ---------- save ---------- *)
 
-let meta (sp : spec) ~kind ~trace_digest : File.meta =
+let meta (sp : spec) ~kind ~trace_digest ~digested : File.meta =
   { File.kind;
     target = Exp.target_label sp.target;
     params_json = Json.to_string ~indent:false (Params.to_json sp.params);
@@ -98,22 +112,28 @@ let meta (sp : spec) ~kind ~trace_digest : File.meta =
     cycle = 0;
     committed = 0;
     trace_digest;
+    digested;
     output = "";
     retired = 0;
     dist_histogram = [||] }
 
-let meta_of (s : session) : File.meta =
-  { (meta s.spec ~kind:File.Engine_image ~trace_digest:(digest s)) with
-    File.cycle = Engine.cycle s.engine;
-    committed = Engine.committed_count s.engine;
-    output = s.run_info.Trace.output;
-    retired = s.run_info.Trace.retired;
-    dist_histogram = s.run_info.Trace.dist_histogram }
-
+(* The image names no stream index at or past the window frontier, so
+   the prefix below it is all the fingerprint has to cover. *)
 let save (s : session) path =
+  let trace_digest, digested =
+    fingerprint s ~upto:(Window.frontier (Engine.window s.engine))
+  in
+  let m =
+    { (meta s.spec ~kind:File.Engine_image ~trace_digest ~digested) with
+      File.cycle = Engine.cycle s.engine;
+      committed = Engine.committed_count s.engine;
+      output = s.run_info.Trace.output;
+      retired = s.run_info.Trace.retired;
+      dist_histogram = s.run_info.Trace.dist_histogram }
+  in
   let b = Buffer.create 65536 in
   Engine.save b s.engine;
-  File.save path (meta_of s) ~payload:(Buffer.contents b)
+  File.save path m ~payload:(Buffer.contents b)
 
 (* ---------- restore ---------- *)
 
@@ -147,25 +167,39 @@ let restore_meta path (m : File.meta) (r : Bin.reader) : session =
      reject path
        "this is a sampling-interval checkpoint, not an engine image \
         (use straightsim -sample to consume it)");
-  (* a fresh session over the regenerated stream, loaded with the image *)
+  (* a fresh session over the regenerated run: its whole outcome must be
+     the one the checkpoint recorded *)
   let session = start (spec_of_meta path m) in
+  let info = session.run_info in
+  if info.Trace.output <> m.File.output then
+    reject path "regenerated program output differs from the checkpoint";
+  if info.Trace.retired <> m.File.retired then
+    reject path "regenerated run retired %d instructions, checkpoint ran %d"
+      info.Trace.retired m.File.retired;
+  if m.File.digested < m.File.committed || m.File.digested > m.File.retired
+  then
+    reject path
+      "fingerprinted prefix of %d retirements is outside [%d, %d] (committed \
+       to retired)"
+      m.File.digested m.File.committed m.File.retired;
   (try
      Engine.load r session.engine;
      Bin.expect_end r
    with Bin.Corrupt msg -> reject path "engine image: %s" msg);
-  (* prove the regenerated functional run is the one the checkpoint was
-     taken against, not merely shaped like it *)
-  let digest = digest session in
+  let frontier = Window.frontier (Engine.window session.engine) in
+  if frontier > m.File.digested then
+    reject path
+      "engine image reads retirement %d, past the %d-retirement \
+       fingerprinted prefix"
+      (frontier - 1) m.File.digested;
+  (* prove the regenerated prefix is the one the checkpoint was taken
+     against, not merely shaped like it *)
+  let digest, _ = fingerprint session ~upto:m.File.digested in
   if digest <> m.File.trace_digest then
     reject path
       "regenerated trace digest %s differs from checkpoint digest %s \
        (compiler or ISS drift since the checkpoint was taken)"
       digest m.File.trace_digest;
-  if session.run_info.Trace.output <> m.File.output then
-    reject path "regenerated program output differs from the checkpoint";
-  if session.run_info.Trace.retired <> m.File.retired then
-    reject path "regenerated run retired %d instructions, checkpoint ran %d"
-      session.run_info.Trace.retired m.File.retired;
   if Engine.cycle session.engine <> m.File.cycle then
     reject path "engine image is at cycle %d, meta records %d"
       (Engine.cycle session.engine) m.File.cycle;

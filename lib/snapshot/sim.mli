@@ -9,12 +9,16 @@
     counts) is bit-identical to the uninterrupted run.
 
     Restoring re-runs the deterministic functional simulator and proves
-    the regenerated retirement stream identical to the one the
-    checkpoint was taken against (the incremental {!Iss.Trace} digest,
-    computed in bounded memory) before the restored session is handed
-    out, so a snapshot can never silently resume against drifted code.
-    A session computes that fingerprint at most once, and only when it
-    is saved or restored. *)
+    the regenerated run identical to the one the checkpoint was taken
+    against before the restored session is handed out, so a snapshot
+    can never silently resume against drifted code: the whole run's
+    output and retired count, and the {!Iss.Trace} digest of the
+    retirement prefix [\[0, F)] the engine had pulled when it was saved
+    ({!File.meta.digested}) — the image names no stream index outside
+    it.  The fingerprint comes from a cursor, a second ISS session
+    created at the first save (or at restore) that only moves forward:
+    periodic saves digest each retirement once, and a run that is never
+    saved or restored does no digest work. *)
 
 type spec = {
   target : Straight_core.Experiment.target;
@@ -41,11 +45,14 @@ val compile : spec -> Assembler.Image.t
     interval sampler, which needs the image for its ISS and for
     wrong-path decode). *)
 
-val meta : spec -> kind:File.kind -> trace_digest:string -> File.meta
-(** The container meta of a checkpoint taken under [spec], with the
-    run's outcome fields (cycle, committed, output, retired, distance
-    histogram) empty: an engine image fills them in, an interval file
-    leaves them so.  {!spec_of_meta} reads the spec back. *)
+val meta :
+  spec -> kind:File.kind -> trace_digest:string -> digested:int ->
+  File.meta
+(** The container meta of a checkpoint taken under [spec] whose digest
+    covers [digested] retirements, with the run's outcome fields
+    (cycle, committed, output, retired, distance histogram) empty: an
+    engine image fills them in, an interval file leaves them so.
+    {!spec_of_meta} reads the spec back. *)
 
 val spec_of_meta : string -> File.meta -> spec
 (** Decode the spec embedded in a checkpoint's meta section; the string
@@ -61,10 +68,13 @@ val start : spec -> session
 
 val restore : string -> session
 (** Rebuild a session from a checkpoint file alone: the embedded spec
-    is recompiled and the regenerated stream is verified against the
-    stored digest and functional outcome.
+    is recompiled, the regenerated run's output and retired count are
+    compared with the recorded ones, and a cursor digests the
+    regenerated prefix [\[0, F)] against the stored digest.
     @raise Diag.Error code [Snapshot_error] on any corrupt, truncated,
-    version-mismatched, or workload-mismatched file. *)
+    version-mismatched, or workload-mismatched file, on an [F] below
+    the committed count or past the retired count, and on an image
+    that names a stream index at or past [F]. *)
 
 val resume : spec -> string -> session
 (** Like {!restore}, but additionally requires the checkpoint's
@@ -81,7 +91,10 @@ val engine : session -> Ooo_common.Engine.t
 (** The live engine, for inspection. *)
 
 val save : session -> string -> unit
-(** Atomically checkpoint the session at the current cycle boundary. *)
+(** Atomically checkpoint the session at the current cycle boundary,
+    fingerprinting the prefix up to the window frontier [F] (the
+    cursor's position, if that is further): the cursor advances from
+    where the previous save left it. *)
 
 val finish : session -> Straight_core.Experiment.result
 

@@ -525,6 +525,158 @@ let test_machine_dispatch () =
          [ Exp.Straight_raw; Exp.Straight_re; Exp.Riscv ])
     [ Workloads.fib (); Workloads.wasm_sieve () ]
 
+(* The stream digest changes when any one field of any one uop changes,
+   when a source is added or dropped, and when two adjacent uops swap;
+   and it allocates nothing.  Each mutation is tried at the first and
+   last uops and either side of index 4096, on a stream of each ISA
+   several thousand uops long. *)
+let test_digest_sensitive () =
+  let module T = Iss.Trace in
+  let digest (a : T.uop array) =
+    let st = T.digest_init () in
+    Array.iter (T.digest_add st) a;
+    T.digest_result st
+  in
+  let flip_ctrl f (u : T.uop) =
+    match u.T.ctrl with
+    | T.Not_ctrl -> None
+    | c -> Option.map (fun ctrl -> { u with T.ctrl }) (f c)
+  in
+  let each_src get set (u : T.uop) =
+    List.init (Array.length (get u)) (fun i ->
+        let a = Array.copy (get u) in
+        a.(i) <- a.(i) + 1;
+        set u a)
+  in
+  let drop_src get set (u : T.uop) =
+    List.init (Array.length (get u)) (fun i ->
+        set u
+          (Array.of_list
+             (List.filteri (fun j _ -> j <> i) (Array.to_list (get u)))))
+  in
+  let dist u = u.T.srcs_dist and set_dist u a = { u with T.srcs_dist = a } in
+  let regs u = u.T.srcs_reg and set_regs u a = { u with T.srcs_reg = a } in
+  let one f u = Option.to_list (f u) in
+  let fus = [ T.FU_alu; T.FU_mul; T.FU_div; T.FU_branch; T.FU_load;
+              T.FU_store ] in
+  (* every mutation a uop admits, by name *)
+  let mutations : (string * (T.uop -> T.uop list)) list =
+    [ ("pc", fun u -> [ { u with T.pc = u.T.pc + 4 } ]);
+      ("fu", fun u ->
+          List.filter_map
+            (fun fu -> if fu = u.T.fu then None else Some { u with T.fu })
+            fus);
+      ("source distance", each_src dist set_dist);
+      ("source register", each_src regs set_regs);
+      ("added distance",
+       fun u -> [ set_dist u (Array.append (dist u) [| 1 |]) ]);
+      ("added register",
+       fun u -> [ set_regs u (Array.append (regs u) [| 1 |]) ]);
+      ("dropped distance", drop_src dist set_dist);
+      ("dropped register", drop_src regs set_regs);
+      ("dest_reg", fun u -> [ { u with T.dest_reg = u.T.dest_reg + 1 } ]);
+      ("has_dest", fun u -> [ { u with T.has_dest = not u.T.has_dest } ]);
+      ("is_rmov", fun u -> [ { u with T.is_rmov = not u.T.is_rmov } ]);
+      ("is_nop", fun u -> [ { u with T.is_nop = not u.T.is_nop } ]);
+      ("is_spadd", fun u -> [ { u with T.is_spadd = not u.T.is_spadd } ]);
+      ("mem_addr", fun u -> [ { u with T.mem_addr = u.T.mem_addr + 4 } ]);
+      ("ctrl variant", fun u ->
+          [ { u with
+              T.ctrl =
+                (match u.T.ctrl with
+                 | T.Not_ctrl -> T.Cond { taken = false; target = 0 }
+                 | T.Cond { target; _ } ->
+                   T.Uncond { target; is_call = false; is_ret = false }
+                 | T.Uncond _ -> T.Not_ctrl) } ]);
+      ("taken", one (flip_ctrl (function
+           | T.Cond c -> Some (T.Cond { c with taken = not c.taken })
+           | _ -> None)));
+      ("target", one (flip_ctrl (function
+           | T.Cond c -> Some (T.Cond { c with target = c.target + 4 })
+           | T.Uncond c -> Some (T.Uncond { c with target = c.target + 4 })
+           | T.Not_ctrl -> None)));
+      ("is_call", one (flip_ctrl (function
+           | T.Uncond c -> Some (T.Uncond { c with is_call = not c.is_call })
+           | _ -> None)));
+      ("is_ret", one (flip_ctrl (function
+           | T.Uncond c -> Some (T.Uncond { c with is_ret = not c.is_ret })
+           | _ -> None))) ]
+  in
+  let exercised = Hashtbl.create 32 in
+  List.iter
+    (fun target ->
+       let label = Exp.target_label target in
+       let image =
+         (Straight_core.Compile.compile (Exp.codegen target)
+            (Workloads.sort ~n:40 ()).Workloads.source)
+           .Straight_core.Compile.image
+       in
+       let trace = (Iss.Machine.run ~collect_trace:true image).T.trace in
+       let n = Array.length trace in
+       Alcotest.(check bool) (label ^ ": stream past index 4096") true
+         (n > 8192);
+       let base = digest trace in
+       (* each mutation at the first uop at or after each anchor that
+          admits it *)
+       List.iter
+         (fun (what, mutate) ->
+            List.iter
+              (fun anchor ->
+                 let rec find i =
+                   if i >= n then None
+                   else
+                     match mutate trace.(i) with
+                     | [] -> find (i + 1)
+                     | vs -> Some (i, vs)
+                 in
+                 match find anchor with
+                 | None -> ()
+                 | Some (i, variants) ->
+                   Hashtbl.replace exercised what ();
+                   List.iter
+                     (fun v ->
+                        let a = Array.copy trace in
+                        a.(i) <- v;
+                        if digest a = base then
+                          Alcotest.failf "%s: %s changed at uop %d, same digest"
+                            label what i)
+                     variants)
+              [ 0; 4095; 4096; n - 1 ])
+         mutations;
+       (* adjacent swaps of distinct uops, every 97th position *)
+       let swaps = ref 0 in
+       for i = 0 to n - 2 do
+         if i mod 97 = 0 && trace.(i) <> trace.(i + 1) then begin
+           let a = Array.copy trace in
+           a.(i) <- trace.(i + 1);
+           a.(i + 1) <- trace.(i);
+           incr swaps;
+           if digest a = base then
+             Alcotest.failf "%s: uops %d and %d swapped, same digest" label i
+               (i + 1)
+         end
+       done;
+       Alcotest.(check bool) (label ^ ": swaps tried") true (!swaps > 50);
+       (* a dropped or repeated last uop *)
+       Alcotest.(check bool) (label ^ ": prefix differs") true
+         (digest (Array.sub trace 0 (n - 1)) <> base);
+       (* no allocation: 100k additions *)
+       let st = T.digest_init () in
+       let before = Gc.minor_words () in
+       for i = 0 to 99_999 do
+         T.digest_add st (Array.unsafe_get trace (i mod n))
+       done;
+       let words = Gc.minor_words () -. before in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %.0f minor words over 100k uops" label words)
+         true (words < 100_000.))
+    [ Exp.Straight_re; Exp.Riscv ];
+  List.iter
+    (fun (what, _) ->
+       Alcotest.(check bool) (what ^ " mutated on some stream") true
+         (Hashtbl.mem exercised what))
+    mutations
+
 let suite =
   [ ("straight fib (fig 1a)", `Quick, test_straight_fib);
     ("straight loop + distance fixing", `Quick, test_straight_loop_and_branch);
@@ -544,6 +696,8 @@ let suite =
     ("riscv memory faults", `Quick, test_riscv_memory_faults);
     ("fuel exhaustion", `Quick, test_fuel_exhaustion);
     ("assembler errors", `Quick, test_asm_errors);
-    ("machine: dispatch by image ISA", `Quick, test_machine_dispatch) ]
+    ("machine: dispatch by image ISA", `Quick, test_machine_dispatch);
+    ("trace digest: sensitive and allocation-free", `Quick,
+     test_digest_sensitive) ]
 
 let () = Alcotest.run "iss" [ ("iss", suite) ]

@@ -449,6 +449,45 @@ let test_interval_rejects_forgeries () =
        { m with Snapshot.File.trace_digest = String.make 32 '0' }
        payload)
 
+(* Materialization's per-retirement work is warming and digesting the
+   open windows, neither of which allocates: over the 5-iteration
+   stream, sampled as stackbench samples it, it allocates at most one
+   minor word per retirement more than the same compile plus a bare ISS
+   run feeding the warmer (both ISAs).  The margin is what each window
+   costs to save: the warm tables, the ISS state and the file. *)
+let test_materialize_allocation () =
+  List.iter
+    (fun (model, target) ->
+       let label = Exp.target_label target in
+       let spec = Sim.spec ~model ~target (Workloads.stream ~iterations:5 ()) in
+       let minor f =
+         Gc.full_major ();
+         let before = Gc.minor_words () in
+         let r = f () in
+         (r, Gc.minor_words () -. before)
+       in
+       let retired, bare =
+         minor (fun () ->
+             let w = Ooo_common.Warm.create model in
+             (Iss.Machine.run ~on_retire:(fun _ u -> Ooo_common.Warm.observe w u)
+                (Sim.compile spec)).Iss.Trace.retired)
+       in
+       let dir = tmpdir "straight-sample-alloc" in
+       let (plan, _), words =
+         minor (fun () ->
+             Interval.materialize ~dir spec
+               (Spec.parse "interval=100k,warmup=10k,every=4"))
+       in
+       Alcotest.(check bool) (label ^ ": several windows") true
+         (List.length plan.Interval.entries >= 3);
+       let extra = (words -. bare) /. float_of_int retired in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %.3f extra minor words per retirement (%.0f vs \
+                          %.0f over %d)"
+            label extra words bare retired)
+         true (extra <= 1.0))
+    [ (Params.straight_4way, Exp.Straight_re); (Params.ss_4way, Exp.Riscv) ]
+
 (* ---------- sweep integration ---------- *)
 
 let test_sweep_sampled_axis () =
@@ -509,6 +548,8 @@ let suite =
       `Slow test_run_file_equals_live_region;
     Alcotest.test_case "interval: stale or forged files are refused" `Slow
       test_interval_rejects_forgeries;
+    Alcotest.test_case "interval: materialize allocates per window only"
+      `Slow test_materialize_allocation;
     Alcotest.test_case "error bars shrink with interval count" `Slow
       test_error_shrinks_with_intervals;
     Alcotest.test_case "sampled CPI within error bars (both pipelines)" `Slow

@@ -210,7 +210,8 @@ let write_bytes path b =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_bytes oc b)
 
-let expect_snapshot_error label (f : unit -> unit) =
+(* [because], when given, must occur in the reason *)
+let expect_snapshot_error ?because label (f : unit -> unit) =
   match f () with
   | () -> Alcotest.fail (label ^ ": bad snapshot was accepted")
   | exception Diag.Error d ->
@@ -219,7 +220,19 @@ let expect_snapshot_error label (f : unit -> unit) =
     Alcotest.(check int) (label ^ ": exit code") 9
       (Diag.exit_code d.Diag.code);
     Alcotest.(check bool) (label ^ ": names the file") true
-      (List.mem_assoc "snapshot" d.Diag.context)
+      (List.mem_assoc "snapshot" d.Diag.context);
+    Option.iter
+      (fun because ->
+         let reason = List.assoc "reason" d.Diag.context in
+         let n = String.length because in
+         let rec at i =
+           i + n <= String.length reason
+           && (String.sub reason i n = because || at (i + 1))
+         in
+         Alcotest.(check bool)
+           (Printf.sprintf "%s: %S names %S" label reason because)
+           true (at 0))
+      because
 
 let good_snapshot =
   lazy
@@ -317,6 +330,143 @@ let test_reject_spec_mismatch () =
       ignore (Sim.resume wrong_check good));
   (* the self-contained restore still accepts it *)
   ignore (Sim.restore good : Sim.session)
+
+(* An engine image fingerprints only the prefix [0, F) its window had
+   pulled when it was saved.  On a long run F stays within the
+   window's high-water mark of the committed count, far below the
+   run's length; a forged digest, an F outside [committed, retired] or
+   below the retirements the image names, and a container or interval
+   file of version 4 are all refused. *)
+let test_fingerprint_prefix () =
+  List.iter
+    (fun (model, target) ->
+       let label = Exp.target_label target in
+       let spec = Sim.spec ~model ~target (Workloads.stream ~iterations:1 ()) in
+       let s = Sim.start spec in
+       while Sim.cycle s < 2000 do Sim.step s done;
+       let path = tmp "prefix.snap" in
+       Sim.save s path;
+       let window = Engine.window (Sim.engine s) in
+       let m, r = Snapshot.File.load path in
+       let payload = String.sub r.Bin.data r.Bin.pos (Bin.remaining r) in
+       let open Snapshot.File in
+       Alcotest.(check int) (label ^ ": F is the window frontier")
+         (Ooo_common.Window.frontier window) m.digested;
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: F %d within [%d, %d + high water %d]" label
+            m.digested m.committed m.committed
+            (Ooo_common.Window.high_water window))
+         true
+         (m.digested >= m.committed
+          && m.digested <= m.committed + Ooo_common.Window.high_water window);
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: F %d far below the %d retired" label m.digested
+            m.retired)
+         true
+         (m.digested * 10 < m.retired);
+       Alcotest.(check bool) (label ^ ": in-flight uops past the commit") true
+         (m.digested > m.committed);
+       let forged what ~because meta =
+         let p = tmp "forged.snap" in
+         save p meta ~payload;
+         expect_snapshot_error ~because (label ^ ": " ^ what) (fun () ->
+             ignore (Sim.restore p));
+         Sys.remove p
+       in
+       forged "forged digest" ~because:"trace digest"
+         { m with trace_digest = String.make 32 '0' };
+       forged "F below the commit" ~because:"fingerprinted prefix"
+         { m with digested = m.committed - 1 };
+       forged "F past the run" ~because:"fingerprinted prefix"
+         { m with digested = m.retired + 1 };
+       forged "F below the image's uops" ~because:"past the"
+         { m with digested = m.committed };
+       let b = read_bytes path in
+       Bytes.set b 8 '\004';
+       write_bytes path b;
+       expect_snapshot_error ~because:"container version 4"
+         (label ^ ": version 4 engine image") (fun () ->
+           ignore (Sim.restore path));
+       Sys.remove path;
+       (* the original file restores and finishes as the run does *)
+       Sim.save s path;
+       let resumed = completed (Sim.drive (lazy (Sim.restore path))) in
+       Sys.remove path;
+       check_result_equal label
+         (completed (Sim.drive (Lazy.from_val s)))
+         resumed)
+    [ (Params.straight_4way, Exp.Straight_re); (Params.ss_4way, Exp.Riscv) ];
+  (* an interval file of version 4 *)
+  let dir = tmp "v4-intervals" in
+  let plan, _ =
+    Sample.Interval.materialize ~dir
+      (Sim.spec ~model:Params.straight_2way ~target:Exp.Straight_re
+         (Workloads.iota ~n:30 ()))
+      (Sample.Spec.parse "interval=200,warmup=50")
+  in
+  let file = (List.hd plan.Sample.Interval.entries).Sample.Interval.path in
+  let b = read_bytes file in
+  Bytes.set b 8 '\004';
+  write_bytes file b;
+  expect_snapshot_error ~because:"container version 4"
+    "version 4 interval file" (fun () ->
+      ignore (Sample.Interval.run_file file));
+  let sample = Filename.concat dir "sample" in
+  Array.iter
+    (fun f -> Sys.remove (Filename.concat sample f))
+    (Sys.readdir sample);
+  Unix.rmdir sample;
+  Unix.rmdir dir
+
+(* A restored session saves again, at once and later, and each file
+   restores to the uninterrupted result.  The first save is taken just
+   after a squash of correct-path uops (a memory-dependence replay):
+   the window has pulled indices no uop in flight names, so the
+   restored window stands below the restored F and the second save must
+   record the cursor's position. *)
+let test_chained_checkpoints () =
+  List.iter
+    (fun (model, target, w) ->
+       let spec = Sim.spec ~model ~target w in
+       let label = Exp.target_label target in
+       let baseline = completed (Sim.drive (lazy (Sim.start spec))) in
+       (* live correct-path uops are the indices from the committed count
+          on, so the window frontier passes them only after a squash *)
+       let s = Sim.start spec in
+       let pulled_past_inflight () =
+         let e = Sim.engine s in
+         Ooo_common.Window.frontier (Engine.window e)
+         > Engine.committed_count e + Engine.inflight e
+           - Engine.wrong_path_inflight e
+       in
+       while not (Sim.finished s || pulled_past_inflight ()) do
+         Sim.step s
+       done;
+       Alcotest.(check bool) (label ^ ": a squash of correct-path uops") true
+         (not (Sim.finished s));
+       let c1 = Sim.cycle s and c2 = (Sim.cycle s + baseline.Exp.cycles) / 2 in
+       let a = tmp "chain-a.snap" and b = tmp "chain-b.snap"
+       and c = tmp "chain-c.snap" in
+       let stop ~at path s =
+         match Sim.drive ~checkpoint_path:path ~stop_at:at s with
+         | Sim.Stopped _ -> ()
+         | Sim.Completed _ -> Alcotest.failf "%s: ran past cycle %d" label at
+       in
+       stop ~at:c1 a (Lazy.from_val s);
+       let restored = Sim.restore a in
+       Alcotest.(check bool) (label ^ ": restored window below F") true
+         (Ooo_common.Window.frontier (Engine.window (Sim.engine restored))
+          < (fst (Snapshot.File.load a)).Snapshot.File.digested);
+       stop ~at:c1 b (Lazy.from_val restored);
+       stop ~at:c2 c (lazy (Sim.restore b));
+       List.iter
+         (fun (what, path) ->
+            check_result_equal (label ^ ": " ^ what) baseline
+              (completed (Sim.drive (lazy (Sim.restore path)))))
+         [ ("first save", a); ("re-saved at once", b); ("re-saved later", c) ];
+       List.iter Sys.remove [ a; b; c ])
+    [ (Params.straight_4way, Exp.Straight_re, Workloads.sort ~n:40 ());
+      (Params.ss_4way, Exp.Riscv, Workloads.sort ~n:40 ()) ]
 
 (* A checkpoint flag without a path is refused before any work:
    straightsim drives [lazy (start spec)] or [lazy (restore file)], and
@@ -482,6 +632,10 @@ let suite =
     ("reject: engine image of the previous version", `Quick,
      test_reject_old_engine_image);
     ("reject: missing file", `Quick, test_reject_missing);
+    ("fingerprint: bounded prefix, forgeries refused", `Quick,
+     test_fingerprint_prefix);
+    ("restore, save again, restore: chained checkpoints", `Quick,
+     test_chained_checkpoints);
     ("reject: resume under a different spec", `Quick,
      test_reject_spec_mismatch);
     ("checkpoint flags require a path", `Quick, test_flags_need_path);
