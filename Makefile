@@ -1,6 +1,6 @@
 .PHONY: check build test examples bench bench-json bench-gate fuzz-smoke \
 	wasm-smoke lint lint-workloads tv fmt \
-	sweep-quick sweep-smoke snapshot-smoke sample-smoke stream-smoke \
+	paper paper-check sweep-smoke snapshot-smoke sample-smoke stream-smoke \
 	daemon-smoke sim-identity coverage clean
 
 check: build test
@@ -24,8 +24,10 @@ examples:
 	  echo "examples: $$e"; ./_build/default/examples/$$e.exe >/dev/null; \
 	done
 
+# Bechamel microbenchmarks of the simulator's primitives.  The paper's
+# tables come from `make paper`.
 bench:
-	dune exec bench/main.exe -- --quick
+	dune exec bench/main.exe -- micro
 
 # Measure the perf suite (engine host throughput + CPI stacks) into
 # bench.json.  Pass QUICK= (empty) for the full workload sizes.
@@ -80,15 +82,28 @@ wasm-smoke:
 	dune exec test/test_wasm.exe
 	dune exec bin/fuzz.exe -- -target wasm -seed 1 -count 200 -tv
 
-# Design-space sweep (see EXPERIMENTS.md, "Design-space sweeps").
-# The default 32-point grid at quick iteration counts; results land in
-# sweep.json and the per-figure tables in FIGURES.md.  Re-runs are
-# served from the _sweep/ cache; JOBS= overrides the worker count.
+# The paper's evaluation (see EXPERIMENTS.md): every point of Figs.
+# 11-17, Section VI-B, both ablations and the ROB sweep at full workload
+# sizes, with Table I, Fig. 10 and Fig. 16 beside them, rendered into
+# FIGURES.md (the one generated document; sweep.json holds the records).
+# Re-runs are served from the _sweep/ cache; JOBS= overrides the worker
+# count.
 JOBS ?= 0
 SWEEP_JOBS = $(if $(filter 0,$(JOBS)),,-j $(JOBS))
-sweep-quick:
-	dune exec bin/sweep.exe -- -quick $(SWEEP_JOBS) -no-stream \
+paper:
+	dune exec bin/sweep.exe -- -grid paper $(SWEEP_JOBS) -no-stream \
 	  -out sweep.json -figures FIGURES.md
+
+# CI check that FIGURES.md is what the simulator measures: regenerate it
+# from a cold cache and fail on any difference, so a change that moves a
+# number must update the document in the same commit.
+PAPER_DIR = _paper_check
+paper-check:
+	rm -rf $(PAPER_DIR)
+	dune exec bin/sweep.exe -- -grid paper -j 2 -cache-dir $(PAPER_DIR)/cache \
+	  -no-stream -out $(PAPER_DIR)/sweep.json -figures $(PAPER_DIR)/FIGURES.md
+	diff -u FIGURES.md $(PAPER_DIR)/FIGURES.md
+	@echo "paper-check: FIGURES.md matches a cold regeneration"
 
 # CI cache-hit smoke: the 2-point smoke grid twice against a scratch
 # cache.  The second invocation must be served entirely from the cache

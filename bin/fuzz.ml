@@ -120,8 +120,9 @@ let lint_build ?(on_image = fun _ _ -> ()) ~(report_crash : bool)
     Fuzz.Diff.verified
 
 let opt_levels =
-  [ (Ssa_ir.Passes.O0, "O0"); (Ssa_ir.Passes.O1, "O1");
-    (Ssa_ir.Passes.O2, "O2") ]
+  List.map
+    (fun o -> (o, Ssa_ir.Passes.opt_name o))
+    [ Ssa_ir.Passes.O0; Ssa_ir.Passes.O1; Ssa_ir.Passes.O2 ]
 
 (* The benchmark programs [-lint-workloads] and [-tv-workloads] cover. *)
 let workloads () =

@@ -114,12 +114,7 @@ let main () =
         (if List.length errs = 1 then "" else "s");
       exit (Diagnostics.exit_code Diagnostics.Lint_finding)
   in
-  let olabel =
-    match !opt with
-    | Ssa_ir.Passes.O0 -> "O0"
-    | Ssa_ir.Passes.O1 -> "O1"
-    | Ssa_ir.Passes.O2 -> "O2"
-  in
+  let olabel = Ssa_ir.Passes.opt_name !opt in
   let compile_target =
     match !target with
     | "straight" ->

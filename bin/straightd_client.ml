@@ -64,17 +64,7 @@ let one_shot ~socket ~quiet (req : J.t) =
     (match J.get_string (J.member "code" reply) with
      | Some name ->
        let code =
-         (* map the reply's code name back to an exit code *)
-         let all =
-           [ Diag.Lex_error; Diag.Parse_error; Diag.Lower_error;
-             Diag.Invalid_ir; Diag.Interp_error; Diag.Codegen_error;
-             Diag.Encode_error; Diag.Asm_error; Diag.Exec_error;
-             Diag.Mem_unaligned; Diag.Mem_mmio; Diag.Fuel_exhausted;
-             Diag.Sim_deadlock; Diag.Checker_divergence; Diag.Lint_finding;
-             Diag.Config_error; Diag.Snapshot_error; Diag.Proto_error;
-             Diag.Service_error ]
-         in
-         match List.find_opt (fun c -> Diag.code_name c = name) all with
+         match Diag.of_code_name name with
          | Some c -> Diag.exit_code c
          | None -> 1
        in

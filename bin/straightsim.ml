@@ -426,9 +426,7 @@ let () =
              ("wrong_path_fetched", Json.Int s.Engine.wrong_path_fetched);
              ("faults_injected", Json.Int s.Engine.faults_injected);
              ("commits_checked", Json.Int s.Engine.commits_checked);
-             ("mix",
-              Json.Obj
-                (List.map (fun (k, v) -> (k, Json.Int v)) s.Engine.mix)) ]
+             ("mix", Stats.mix_to_json s.Engine.mix) ]
        in
        let text = Json.to_string json in
        match !stats_json with

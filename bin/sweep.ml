@@ -4,12 +4,13 @@
 
    Expands a declarative grid over the microarchitectural parameter
    space (Figs. 12-14 axes: machine width, window sizes, rename model,
-   predictor, recovery idealization, workload), fans the points out
-   across a fork-based worker pool, streams one JSON line per finished
-   point, and aggregates into sweep.json plus per-figure FIGURES.md
-   tables.  Results are content-addressed under the cache directory, so
-   a re-run only simulates the points whose inputs changed (see
-   EXPERIMENTS.md, "Design-space sweeps").
+   predictor, recovery idealization, workload) -- or takes the paper's
+   evaluation (-grid paper, Grid.paper) -- fans the points out across a
+   fork-based worker pool, streams one JSON line per finished point, and
+   aggregates into sweep.json plus, with -figures FILE, the paper's
+   tables (FIGURES.md; `make paper`).  Results are content-addressed
+   under the cache directory, so a re-run only simulates the points
+   whose inputs changed (see EXPERIMENTS.md, "Design-space sweeps").
 
    In-flight points checkpoint their engine state under
    <cache-dir>/ckpt/ every -checkpoint-every cycles; a retry after a
@@ -27,7 +28,8 @@ let usage () =
   prerr_endline
     "usage: sweep [options]\n\
      \  -j N              worker processes (default: host cores; 0 = in-process)\n\
-     \  -grid NAME        preset: default | smoke | golden\n\
+     \  -grid NAME        preset: default | smoke | golden | paper (the\n\
+     \                    paper's evaluation; takes no axis flags)\n\
      \  -quick            small workload iteration counts\n\
      \  -machines LIST    ss,ss-ckptN,straight-raw,straight-re\n\
      \  -widths LIST      issue widths (2 and 4 are the Table-I pairs)\n\
@@ -39,7 +41,7 @@ let usage () =
      \  -samples LIST     ';'-separated fidelity axis: exact and/or sampling\n\
      \                    specs like interval=1M,warmup=100k,every=4\n\
      \  -out FILE         aggregated output (default sweep.json)\n\
-     \  -figures FILE     derived tables (default FIGURES.md; 'none' skips)\n\
+     \  -figures FILE     render the paper's tables to FILE (default none)\n\
      \  -cache-dir DIR    result cache root (default _sweep)\n\
      \  -timeout SEC      per-point budget before kill+retry (default 600)\n\
      \  -retries N        retries after a failure (default 1)\n\
@@ -50,59 +52,43 @@ let usage () =
      \  -list             print the expanded points and exit";
   exit 2
 
-let split_list s = String.split_on_char ',' s |> List.filter (fun x -> x <> "")
-
-let parse_machines s =
-  List.map
-    (fun m ->
-       match Sweep.Grid.machine_of_label m with
-       | Some m -> m
-       | None ->
-         Printf.eprintf "unknown machine %S\n" m;
-         usage ())
-    (split_list s)
-
-let parse_ints what s =
-  List.map
-    (fun v ->
-       match int_of_string_opt v with
-       | Some n -> n
-       | None ->
-         Printf.eprintf "bad %s %S\n" what v;
-         usage ())
-    (split_list s)
-
-let parse_opt_ints what s =
-  List.map
-    (fun v ->
-       if v = "default" then None
-       else
-         match int_of_string_opt v with
-         | Some n -> Some n
-         | None ->
-           Printf.eprintf "bad %s %S\n" what v;
-           usage ())
-    (split_list s)
-
-let parse_predictors s =
-  List.map
-    (fun p ->
-       match Params.predictor_of_name p with
-       | Some p -> p
-       | None ->
-         Printf.eprintf "unknown predictor %S\n" p;
-         usage ())
-    (split_list s)
-
-let parse_ideal s =
-  List.map
-    (function
-      | "real" | "false" | "0" -> false
-      | "ideal" | "true" | "1" -> true
-      | v ->
-        Printf.eprintf "bad recovery model %S (want real|ideal)\n" v;
+(* An axis value list: comma-separated elements, each through [parse]; a
+   bad element is a usage error. *)
+let axis what parse v =
+  String.split_on_char ',' v
+  |> List.filter (fun x -> x <> "")
+  |> List.map (fun x ->
+      match parse x with
+      | Some y -> y
+      | None ->
+        Printf.eprintf "bad %s %S\n" what x;
         usage ())
-    (split_list s)
+
+let size = function
+  | "default" -> Some None
+  | v -> Option.map Option.some (int_of_string_opt v)
+
+let recovery = function
+  | "real" | "false" | "0" -> Some false
+  | "ideal" | "true" | "1" -> Some true
+  | _ -> None
+
+(* The axis flags: each overrides one axis of the preset grid. *)
+let axes : (string * (string -> Sweep.Grid.spec -> Sweep.Grid.spec)) list =
+  let module G = Sweep.Grid in
+  let set what parse update v =
+    let l = axis what parse v in
+    fun s -> update s l
+  in
+  [ ("-machines", set "machine" G.machine_of_label (fun s l -> { s with G.machines = l }));
+    ("-widths", set "width" int_of_string_opt (fun s l -> { s with G.widths = l }));
+    ("-robs", set "rob size" size (fun s l -> { s with G.robs = l }));
+    ("-scheds", set "scheduler size" size (fun s l -> { s with G.scheds = l }));
+    ("-predictors",
+     set "predictor" Params.predictor_of_name (fun s l -> { s with G.predictors = l }));
+    ("-ideal",
+     set "recovery model (want real|ideal)" recovery (fun s l -> { s with G.ideal = l }));
+    ("-workloads", set "workload" Option.some (fun s l -> { s with G.workloads = l })) ]
 
 let () =
   let procs = ref (Domain.recommended_domain_count ()) in
@@ -111,7 +97,7 @@ let () =
   let spec_override :
     (Sweep.Grid.spec -> Sweep.Grid.spec) list ref = ref [] in
   let out = ref "sweep.json" in
-  let figures = ref "FIGURES.md" in
+  let figures = ref "none" in
   let cache_dir = ref "_sweep" in
   let timeout = ref 600.0 in
   let retries = ref 1 in
@@ -129,33 +115,8 @@ let () =
       parse rest
     | "-grid" :: g :: rest -> grid := g; parse rest
     | "-quick" :: rest -> quick := true; parse rest
-    | "-machines" :: v :: rest ->
-      let ms = parse_machines v in
-      override (fun s -> { s with Sweep.Grid.machines = ms });
-      parse rest
-    | "-widths" :: v :: rest ->
-      let ws = parse_ints "width" v in
-      override (fun s -> { s with Sweep.Grid.widths = ws });
-      parse rest
-    | "-robs" :: v :: rest ->
-      let rs = parse_opt_ints "rob size" v in
-      override (fun s -> { s with Sweep.Grid.robs = rs });
-      parse rest
-    | "-scheds" :: v :: rest ->
-      let ss = parse_opt_ints "scheduler size" v in
-      override (fun s -> { s with Sweep.Grid.scheds = ss });
-      parse rest
-    | "-predictors" :: v :: rest ->
-      let ps = parse_predictors v in
-      override (fun s -> { s with Sweep.Grid.predictors = ps });
-      parse rest
-    | "-ideal" :: v :: rest ->
-      let is = parse_ideal v in
-      override (fun s -> { s with Sweep.Grid.ideal = is });
-      parse rest
-    | "-workloads" :: v :: rest ->
-      let ws = split_list v in
-      override (fun s -> { s with Sweep.Grid.workloads = ws });
+    | flag :: v :: rest when List.mem_assoc flag axes ->
+      override ((List.assoc flag axes) v);
       parse rest
     | "-samples" :: v :: rest ->
       let ss =
@@ -200,29 +161,44 @@ let () =
       usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let base_spec =
-    match Sweep.Grid.preset ~quick:!quick !grid with
-    | Some spec -> spec
-    | None ->
-      Printf.eprintf "unknown grid %S (default|smoke|golden)\n" !grid;
-      usage ()
+  let points, grid_json, quick =
+    if !grid = "paper" then begin
+      if !spec_override <> [] then begin
+        prerr_endline "sweep: -grid paper takes no axis flags";
+        usage ()
+      end;
+      ( Sweep.Grid.paper ~quick:!quick,
+        J.Obj [ ("preset", J.Str "paper"); ("quick", J.Bool !quick) ],
+        !quick )
+    end
+    else
+      let base_spec =
+        match Sweep.Grid.preset ~quick:!quick !grid with
+        | Some spec -> spec
+        | None ->
+          Printf.eprintf "unknown grid %S (default|smoke|golden|paper)\n" !grid;
+          usage ()
+      in
+      let spec =
+        List.fold_left (fun s f -> f s) base_spec (List.rev !spec_override)
+      in
+      match Sweep.Grid.expand spec with
+      | points -> (points, Sweep.Grid.spec_to_json spec, spec.Sweep.Grid.quick)
+      | exception Invalid_argument m ->
+        prerr_endline m;
+        exit 2
   in
-  let spec =
-    List.fold_left (fun s f -> f s) base_spec (List.rev !spec_override)
-  in
-  let points =
-    try Sweep.Grid.expand spec
-    with Invalid_argument m ->
-      prerr_endline m;
-      exit 2
+  let name (pt : Sweep.Grid.point) =
+    let sp = pt.Sweep.Grid.spec in
+    ( sp.Snapshot.Sim.params.Params.name,
+      Straight_core.Experiment.target_label sp.Snapshot.Sim.target,
+      sp.Snapshot.Sim.workload.Workloads.name )
   in
   if !list_only then begin
     List.iter
-      (fun (pt : Sweep.Grid.point) ->
-         Printf.printf "%-28s %-14s %-14s %s\n"
-           pt.Sweep.Grid.params.Params.name
-           (Straight_core.Experiment.target_label pt.Sweep.Grid.target)
-           pt.Sweep.Grid.workload.Workloads.name
+      (fun pt ->
+         let model, target, workload = name pt in
+         Printf.printf "%-28s %-14s %-14s %s\n" model target workload
            (Sweep.Store.key pt))
       points;
     Printf.printf "%d points\n" (List.length points);
@@ -234,29 +210,27 @@ let () =
     if !stream then
       print_endline (J.to_string ~indent:false (Sweep.Runner.to_json r))
   in
-  let on_retry (pt : Sweep.Grid.point) ~attempt ~backoff reason =
+  let on_retry pt ~attempt ~backoff reason =
+    let model, target, workload = name pt in
     if !stream then
       print_endline
         (J.to_string ~indent:false
            (J.Obj
               [ ("event", J.Str "retry");
-                ("model", J.Str pt.Sweep.Grid.params.Params.name);
-                ("workload", J.Str pt.Sweep.Grid.workload.Workloads.name);
-                ("target",
-                 J.Str
-                   (Straight_core.Experiment.target_label pt.Sweep.Grid.target));
+                ("model", J.Str model);
+                ("workload", J.Str workload);
+                ("target", J.Str target);
                 ("attempt", J.Int attempt);
                 ("backoff_seconds", J.Float backoff);
                 ("reason", J.Str reason) ]));
     Printf.eprintf "sweep: retrying %s/%s (attempt %d, backoff %.2fs): %s\n%!"
-      pt.Sweep.Grid.params.Params.name pt.Sweep.Grid.workload.Workloads.name
-      attempt backoff reason
+      model workload attempt backoff reason
   in
   let records, summary =
     try
       Sweep.Driver.sweep ~procs:!procs ~timeout:!timeout ~retries:!retries
         ~cache_dir:!cache_dir ~checkpoint_every:!checkpoint_every ~on_record
-        ~on_retry spec
+        ~on_retry points
     with Sweep.Pool.Interrupted s ->
       let n = Sweep.Pool.posix_signal s in
       Printf.eprintf
@@ -264,13 +238,13 @@ let () =
          cached\n%!" n;
       exit (128 + n)
   in
-  let doc = Sweep.Driver.to_json spec summary records in
+  let doc = Sweep.Driver.to_json grid_json summary records in
   Snapshot.File.mkdir_p (Filename.dirname !out);
   Out_channel.with_open_text !out (fun oc ->
       output_string oc (J.to_string doc));
   if !figures <> "none" then
     Out_channel.with_open_text !figures (fun oc ->
-        output_string oc (Sweep.Figures.render records));
+        output_string oc (Sweep.Figures.render ~quick records));
   Printf.eprintf
     "sweep: %d total, %d simulated, %d cached, %d failed in %.1fs -> %s%s\n%!"
     summary.Sweep.Driver.total summary.Sweep.Driver.executed

@@ -48,8 +48,32 @@ let r_i64_leb r : int64 =
   done;
   !acc
 
-let w_int b n = w_i64_leb b (Int64.of_int n)
-let r_int r = Int64.to_int (r_i64_leb r)
+(* [w_i64_leb (Int64.of_int n)] and [Int64.to_int (r_i64_leb r)] on the
+   native int, boxing nothing.  A negative int sign-extends to 64 bits:
+   nine continued 7-bit groups of its 63 bits, then bit 63 alone; the
+   reader drops that bit as [Int64.to_int] does. *)
+let w_int b n =
+  let v = ref n and groups = ref 0 in
+  while if n >= 0 then !v >= 0x80 else !groups < 9 do
+    Buffer.add_char b (Char.unsafe_chr (!v land 0x7F lor 0x80));
+    v := !v lsr 7;
+    incr groups
+  done;
+  Buffer.add_char b (Char.unsafe_chr (if n >= 0 then !v else 1))
+
+let r_int r =
+  let acc = ref 0 and shift = ref 0 and fini = ref false in
+  while not !fini do
+    if !shift > 63 then corrupt "overlong varint at offset %d" r.pos;
+    need r 1;
+    let byte = Char.code (String.unsafe_get r.data r.pos) in
+    r.pos <- r.pos + 1;
+    if !shift < 63 then acc := !acc lor ((byte land 0x7F) lsl !shift);
+    shift := !shift + 7;
+    fini := byte land 0x80 = 0
+  done;
+  !acc
+
 let w_i64 = w_i64_leb
 let r_i64 = r_i64_leb
 

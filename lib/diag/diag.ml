@@ -46,6 +46,27 @@ let code_name = function
   | Proto_error -> "PROTO_ERROR"
   | Service_error -> "SERVICE_ERROR"
 
+(* Each code's successor in declaration order.  The match is exhaustive,
+   so a new code fails to compile until it is chained in here, and
+   [codes] (hence [of_code_name]) cannot leave one out. *)
+let next = function
+  | Lex_error -> Some Parse_error | Parse_error -> Some Lower_error
+  | Lower_error -> Some Wasm_error | Wasm_error -> Some Invalid_ir
+  | Invalid_ir -> Some Interp_error | Interp_error -> Some Codegen_error
+  | Codegen_error -> Some Encode_error | Encode_error -> Some Asm_error
+  | Asm_error -> Some Exec_error | Exec_error -> Some Mem_unaligned
+  | Mem_unaligned -> Some Mem_mmio | Mem_mmio -> Some Fuel_exhausted
+  | Fuel_exhausted -> Some Sim_deadlock | Sim_deadlock -> Some Checker_divergence
+  | Checker_divergence -> Some Lint_finding | Lint_finding -> Some Config_error
+  | Config_error -> Some Snapshot_error | Snapshot_error -> Some Proto_error
+  | Proto_error -> Some Service_error | Service_error -> None
+
+let codes =
+  let rec from c = c :: (match next c with Some c -> from c | None -> []) in
+  from Lex_error
+
+let of_code_name name = List.find_opt (fun c -> code_name c = name) codes
+
 (* Exit codes are grouped by failure class so scripts can branch on the
    kind of failure without parsing stderr; 1 is left to uncaught
    exceptions and 2 to usage errors, per Unix convention. *)

@@ -43,6 +43,13 @@ type code =
 val code_name : code -> string
 (** Stable upper-case identifier, e.g. ["SIM_DEADLOCK"]. *)
 
+val codes : code list
+(** Every code, in declaration order. *)
+
+val of_code_name : string -> code option
+(** Inverse of {!code_name} ([None] for any other string): how a client
+    maps an error reply's code back to an exit code. *)
+
 val exit_code : code -> int
 (** Process exit code for command-line drivers.  Distinct per failure
     class: 2 usage/config, 3 compile-family, 4 execution/memory faults,

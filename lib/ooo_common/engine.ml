@@ -57,6 +57,21 @@ let fresh_activity () =
     rf_reads = 0; rf_writes = 0; iq_wakeups = 0; rob_writes = 0;
     rob_walk_steps = 0; alu_ops = 0; agu_ops = 0 }
 
+(* One list of the counters, in checkpoint order: the engine image and
+   the sweep record's JSON both walk it. *)
+let activity_fields =
+  [ ("rename_reads", (fun a -> a.rename_reads), fun a v -> a.rename_reads <- v);
+    ("rename_writes", (fun a -> a.rename_writes), fun a v -> a.rename_writes <- v);
+    ("freelist_ops", (fun a -> a.freelist_ops), fun a v -> a.freelist_ops <- v);
+    ("rp_ops", (fun a -> a.rp_ops), fun a v -> a.rp_ops <- v);
+    ("rf_reads", (fun a -> a.rf_reads), fun a v -> a.rf_reads <- v);
+    ("rf_writes", (fun a -> a.rf_writes), fun a v -> a.rf_writes <- v);
+    ("iq_wakeups", (fun a -> a.iq_wakeups), fun a v -> a.iq_wakeups <- v);
+    ("rob_writes", (fun a -> a.rob_writes), fun a v -> a.rob_writes <- v);
+    ("rob_walk_steps", (fun a -> a.rob_walk_steps), fun a v -> a.rob_walk_steps <- v);
+    ("alu_ops", (fun a -> a.alu_ops), fun a v -> a.alu_ops <- v);
+    ("agu_ops", (fun a -> a.agu_ops), fun a v -> a.agu_ops <- v) ]
+
 type dyn = {
   seq : int;
   uop : Trace.uop;
@@ -1337,17 +1352,7 @@ let save b t =
   Inject.save b t.inj;
   Cache.save_hierarchy b t.hier;
   Stats.save_acc b t.cpi;
-  Bin.w_int b t.act.rename_reads;
-  Bin.w_int b t.act.rename_writes;
-  Bin.w_int b t.act.freelist_ops;
-  Bin.w_int b t.act.rp_ops;
-  Bin.w_int b t.act.rf_reads;
-  Bin.w_int b t.act.rf_writes;
-  Bin.w_int b t.act.iq_wakeups;
-  Bin.w_int b t.act.rob_writes;
-  Bin.w_int b t.act.rob_walk_steps;
-  Bin.w_int b t.act.alu_ops;
-  Bin.w_int b t.act.agu_ops;
+  List.iter (fun (_, get, _) -> Bin.w_int b (get t.act)) activity_fields;
   (match t.checker with
    | None -> Bin.w_bool b false
    | Some ck -> Bin.w_bool b true; Checker.save b ck)
@@ -1459,17 +1464,7 @@ let load (r : Bin.reader) (t : t) : unit =
   Inject.load r t.inj;
   Cache.load_hierarchy r t.hier;
   Stats.load_acc r t.cpi;
-  t.act.rename_reads <- Bin.r_int r;
-  t.act.rename_writes <- Bin.r_int r;
-  t.act.freelist_ops <- Bin.r_int r;
-  t.act.rp_ops <- Bin.r_int r;
-  t.act.rf_reads <- Bin.r_int r;
-  t.act.rf_writes <- Bin.r_int r;
-  t.act.iq_wakeups <- Bin.r_int r;
-  t.act.rob_writes <- Bin.r_int r;
-  t.act.rob_walk_steps <- Bin.r_int r;
-  t.act.alu_ops <- Bin.r_int r;
-  t.act.agu_ops <- Bin.r_int r;
+  List.iter (fun (_, _, set) -> set t.act (Bin.r_int r)) activity_fields;
   let had_checker = Bin.r_bool r in
   (match had_checker, t.checker with
    | true, Some ck -> Checker.load r ck

@@ -28,6 +28,11 @@ type activity = {
 
 val fresh_activity : unit -> activity
 
+val activity_fields :
+  (string * (activity -> int) * (activity -> int -> unit)) list
+(** Every counter with its name, getter and setter, in the order the
+    engine image stores them. *)
+
 type stats = {
   cycles : int;
   committed : int;                 (** correct-path retired instructions *)

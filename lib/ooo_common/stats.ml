@@ -88,3 +88,9 @@ let cpi_of_json j =
     branch_squash = Json.int "branch_squash" j;
     memory = Json.int "memory" j;
     structural = Json.int "structural" j }
+
+let mix_to_json mix = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) mix)
+
+let mix_of_json = function
+  | Json.Obj kv as j -> List.map (fun (k, _) -> (k, Json.int k j)) kv
+  | _ -> Json.fail "mix must be an object"

@@ -66,3 +66,9 @@ val cpi_to_json : cpi_stack -> Json.t
 val cpi_of_json : Json.t -> cpi_stack
 (** Inverse of {!cpi_to_json}.  @raise Json.Parse_error on a missing or
     non-integer bucket. *)
+
+val mix_to_json : (string * int) list -> Json.t
+val mix_of_json : Json.t -> (string * int) list
+(** A retired-instruction mix ([Engine.stats.mix], the Fig. 15 buckets)
+    as an object of integers, in list order, and back.
+    @raise Json.Parse_error on anything but an object of integers. *)

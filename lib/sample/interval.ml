@@ -2,12 +2,10 @@
    for the one-pass warming design and the store layout. *)
 
 module Engine = Ooo_common.Engine
-module Params = Ooo_common.Params
 module Stats = Ooo_common.Stats
 module Warm = Ooo_common.Warm
 module Machine = Iss.Machine
 module Trace = Iss.Trace
-module Exp = Straight_core.Experiment
 module Sim = Snapshot.Sim
 module File = Snapshot.File
 
@@ -39,21 +37,7 @@ type result = {
 (* ---------- content addressing ---------- *)
 
 let plan_key (spec : Sim.spec) (sp : Spec.t) : string =
-  let manifest =
-    String.concat "\n"
-      [ "straight-sample-key/1";
-        Params.digest spec.Sim.params;
-        Exp.target_label spec.Sim.target;
-        spec.Sim.workload.Workloads.name;
-        string_of_int spec.Sim.workload.Workloads.iterations;
-        Digest.to_hex (Digest.string spec.Sim.workload.Workloads.source);
-        Spec.to_string sp;
-        string_of_int spec.Sim.max_insns;
-        string_of_int spec.Sim.max_dist;
-        string_of_bool spec.Sim.check;
-        File.code_digest () ]
-  in
-  Digest.to_hex (Digest.string manifest)
+  Sim.key spec ~fidelity:(Spec.to_string sp)
 
 (* ---------- manifest ---------- *)
 

@@ -8,9 +8,9 @@
     each retired uop into a digest, and it writes the window out as a
     self-contained checkpoint the moment it closes — no uop is stored.
     Checkpoints are content-addressed under [dir] (the [_sweep/] store):
-    a manifest keyed on the model, workload, sampling spec, and
-    executable digests lets a re-run skip the ISS pass entirely when
-    every file already exists.
+    a manifest keyed by {!Snapshot.Sim.key} (every spec field, the
+    sampling spec and the executable's digest) lets a re-run skip the
+    ISS pass entirely when every file already exists.
 
     [run_file] turns one checkpoint into a measured {!result} in a
     fresh process: it restores the warmed tables and the ISS session,
@@ -31,6 +31,10 @@ type plan = {
   total_retired : int;    (** whole-run retired instructions *)
   entries : entry list;   (** in interval order *)
 }
+
+val plan_key : Snapshot.Sim.spec -> Spec.t -> string
+(** The plan's content address: {!Snapshot.Sim.key} at the sampling
+    spec's fidelity. *)
 
 val materialize :
   dir:string -> Snapshot.Sim.spec -> Spec.t -> plan * bool

@@ -164,7 +164,7 @@ let grid_point (r : point_req) : Grid.point =
   | _ -> assert false (* singleton axes expand to exactly one point *)
 
 let point_req_of_grid_point quick (pt : Grid.point) : point_req =
-  let p = pt.Grid.params in
+  let p = pt.Grid.spec.Snapshot.Sim.params in
   { machine = pt.Grid.machine;
     width = pt.Grid.width;
     (* rob/sched overrides rename the model ("-robN"), so re-deriving
@@ -176,7 +176,7 @@ let point_req_of_grid_point quick (pt : Grid.point) : point_req =
     sched = None;
     predictor = p.Params.predictor;
     ideal = p.Params.ideal_recovery;
-    workload = pt.Grid.workload.Workloads.name;
+    workload = pt.Grid.spec.Snapshot.Sim.workload.Workloads.name;
     quick;
     sample = pt.Grid.sample }
 

@@ -260,7 +260,7 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
     send agg.sa_client
       (Proto.reply_result ~id:agg.sa_id ~op:"sweep"
          ~cached:(agg.sa_executed = 0 && agg.sa_failed = 0)
-         (Sweep.Driver.to_json agg.sa_spec summary records))
+         (Sweep.Driver.to_json (Grid.spec_to_json agg.sa_spec) summary records))
   in
   let sweep_point_done (agg : sweep_agg) i (res : Runner.record option) =
     (match res with

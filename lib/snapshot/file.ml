@@ -8,9 +8,10 @@ let magic = "STR8SNAP"
    checkpoint); v3 changed [trace_digest] to the chunked, incremental
    stream digest; v4 stores an interval as warm tables and ISS state
    instead of its uop slice; v5 changed [trace_digest] to the binary
-   fold and added [digested], the retirements it covers.  Older files
-   are rejected with a version message. *)
-let version = 5
+   fold and added [digested], the retirements it covers; v6 added [opt],
+   the IR level the workload was compiled at.  Older files are rejected
+   with a version message. *)
+let version = 6
 let header_len = 24
 
 (* What the payload after the meta section holds. *)
@@ -28,6 +29,7 @@ type meta = {
   max_insns : int;
   max_dist : int;
   check : bool;
+  opt : string;
   cycle : int;
   committed : int;
   trace_digest : string;
@@ -54,6 +56,7 @@ let w_meta b (m : meta) =
   Bin.w_int b m.max_insns;
   Bin.w_int b m.max_dist;
   Bin.w_bool b m.check;
+  Bin.w_string b m.opt;
   Bin.w_int b m.cycle;
   Bin.w_int b m.committed;
   Bin.w_string b m.trace_digest;
@@ -82,6 +85,7 @@ let r_meta r : meta =
   let max_insns = Bin.r_int r in
   let max_dist = Bin.r_int r in
   let check = Bin.r_bool r in
+  let opt = Bin.r_string r in
   let cycle = Bin.r_int r in
   let committed = Bin.r_int r in
   let trace_digest = Bin.r_string r in
@@ -90,7 +94,7 @@ let r_meta r : meta =
   let retired = Bin.r_int r in
   let dist_histogram = Bin.r_int_array r in
   { kind; target; params_json; workload_name; workload_source;
-    workload_iterations; max_insns; max_dist; check; cycle; committed;
+    workload_iterations; max_insns; max_dist; check; opt; cycle; committed;
     trace_digest; digested; output; retired; dist_histogram }
 
 (* little-endian fixed-width header fields *)

@@ -28,10 +28,10 @@
 val magic : string
 
 val version : int
-(** Container version 5: v2 added {!meta.kind} (engine image vs.
+(** Container version 6: v2 added {!meta.kind} (engine image vs.
     sampling-interval checkpoint), v3 the incremental stream digest, v4
     intervals as architectural state, v5 the binary stream digest and
-    {!meta.digested}; older files are rejected. *)
+    {!meta.digested}, v6 {!meta.opt}; older files are rejected. *)
 
 (** What the payload after the meta section holds. *)
 type kind =
@@ -58,6 +58,7 @@ type meta = {
   max_insns : int;
   max_dist : int;
   check : bool;                 (** lockstep checker armed *)
+  opt : string;                 (** IR level, [Ssa_ir.Passes.opt_name] *)
   cycle : int;                  (** engine cycle at the save point *)
   committed : int;
   trace_digest : string;

@@ -16,6 +16,7 @@ type spec = {
   max_insns : int;
   max_dist : int;
   check : bool;
+  opt : Ssa_ir.Passes.opt_level;
 }
 
 (* A STRAIGHT image carries its operands as distances, which only the RP
@@ -23,7 +24,7 @@ type spec = {
    core maps.  Any other pairing would time a run with no operand
    dependences at all. *)
 let spec ?(max_insns = 50_000_000) ?(max_dist = Params.straight_max_dist)
-    ?(check = true) ~model ~target workload =
+    ?(check = true) ?(opt = Ssa_ir.Passes.O2) ~model ~target workload =
   let rp =
     match model.Params.rename with
     | Params.Rp -> true
@@ -41,7 +42,28 @@ let spec ?(max_insns = 50_000_000) ?(max_dist = Params.straight_max_dist)
       Diag.Config_error "%s code needs %s, but model %s is %s"
       (Exp.target_label target) (core straight) model.Params.name (core rp)
   end;
-  { target; params = model; workload; max_insns; max_dist; check }
+  { target; params = model; workload; max_insns; max_dist; check; opt }
+
+(* Every field of the spec, then the fidelity and the executable: two
+   runs share a key exactly when they simulate the same thing with the
+   same code. *)
+let key (s : spec) ~fidelity : string =
+  let w = s.workload in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          [ "straight-run-key/1";
+            Params.digest s.params;
+            Exp.target_label s.target;
+            w.Workloads.name;
+            string_of_int w.Workloads.iterations;
+            Digest.to_hex (Digest.string w.Workloads.source);
+            string_of_int s.max_insns;
+            string_of_int s.max_dist;
+            string_of_bool s.check;
+            Ssa_ir.Passes.opt_name s.opt;
+            fidelity;
+            File.code_digest () ]))
 
 (* The fingerprint cursor: a second ISS session over the image, with the
    digest of everything it has retired.  A session gets one at its first
@@ -57,7 +79,7 @@ type session = {
 }
 
 let compile (s : spec) : Assembler.Image.t =
-  (Compile.compile (Exp.codegen ~max_dist:s.max_dist s.target)
+  (Compile.compile ~opt:s.opt (Exp.codegen ~max_dist:s.max_dist s.target)
      s.workload.Workloads.source).Compile.image
 
 let start (s : spec) : session =
@@ -109,6 +131,7 @@ let meta (sp : spec) ~kind ~trace_digest ~digested : File.meta =
     max_insns = sp.max_insns;
     max_dist = sp.max_dist;
     check = sp.check;
+    opt = Ssa_ir.Passes.opt_name sp.opt;
     cycle = 0;
     committed = 0;
     trace_digest;
@@ -158,7 +181,15 @@ let spec_of_meta path (m : File.meta) : spec =
         iterations = m.File.workload_iterations };
     max_insns = m.File.max_insns;
     max_dist = m.File.max_dist;
-    check = m.File.check }
+    check = m.File.check;
+    opt =
+      (match
+         List.find_opt
+           (fun o -> Ssa_ir.Passes.opt_name o = m.File.opt)
+           Ssa_ir.Passes.[ O0; O1; O2 ]
+       with
+       | Some o -> o
+       | None -> reject path "unknown IR level %S" m.File.opt) }
 
 let restore_meta path (m : File.meta) (r : Bin.reader) : session =
   (match m.File.kind with
@@ -209,31 +240,20 @@ let restore path : session =
   let m, r = File.load path in
   restore_meta path m r
 
+(* what a spec names, for a mismatch message *)
+let describe (s : spec) =
+  Printf.sprintf "%s (%s) %s on %s x%d, max_insns %d, max_dist %d, checker %s, %s"
+    s.params.Params.name (String.sub (Params.digest s.params) 0 8)
+    (Exp.target_label s.target) s.workload.Workloads.name
+    s.workload.Workloads.iterations s.max_insns s.max_dist
+    (if s.check then "on" else "off") (Ssa_ir.Passes.opt_name s.opt)
+
 let resume (want : spec) path : session =
   let m, r = File.load path in
   let got = spec_of_meta path m in
-  if got.target <> want.target then
-    reject path "checkpoint targets %s, caller wants %s"
-      (Exp.target_label got.target) (Exp.target_label want.target);
-  if not (Params.equal got.params want.params) then
-    reject path "checkpoint model %S (digest %s) differs from caller's %S \
-                 (digest %s)"
-      got.params.Params.name (Params.digest got.params)
-      want.params.Params.name (Params.digest want.params);
-  if got.workload.Workloads.name <> want.workload.Workloads.name
-     || got.workload.Workloads.source <> want.workload.Workloads.source
-     || got.workload.Workloads.iterations <> want.workload.Workloads.iterations
-  then
-    reject path "checkpoint workload %S differs from caller's %S"
-      got.workload.Workloads.name want.workload.Workloads.name;
-  if got.max_insns <> want.max_insns || got.max_dist <> want.max_dist then
-    reject path "checkpoint budgets (max_insns %d, max_dist %d) differ from \
-                 caller's (%d, %d)"
-      got.max_insns got.max_dist want.max_insns want.max_dist;
-  if got.check <> want.check then
-    reject path "checkpoint %s the lockstep checker, caller %s it"
-      (if got.check then "arms" else "omits")
-      (if want.check then "arms" else "omits");
+  if key got ~fidelity:"exact" <> key want ~fidelity:"exact" then
+    reject path "checkpoint was taken under %s, caller wants %s" (describe got)
+      (describe want);
   restore_meta path m r
 
 (* ---------- finish ---------- *)

@@ -27,23 +27,31 @@ type spec = {
   max_insns : int;
   max_dist : int;
   check : bool;          (** arm the lockstep golden-model checker *)
+  opt : Ssa_ir.Passes.opt_level;  (** IR level the workload compiles at *)
 }
 
 val spec :
   ?max_insns:int -> ?max_dist:int -> ?check:bool ->
+  ?opt:Ssa_ir.Passes.opt_level ->
   model:Ooo_common.Params.t ->
   target:Straight_core.Experiment.target ->
   Workloads.t -> spec
 (** Defaults mirror [Experiment.run]: 50M instruction budget, Table-I
-    max distance, checker on.
+    max distance, checker on, O2.
     @raise Diag.Error code [Config_error] unless the model's core can
     run the target's code: a STRAIGHT target needs an RP model, the
     RV32IM target an RMT or checkpointed-RMT model. *)
 
+val key : spec -> fidelity:string -> string
+(** The content address of a run (hex MD5): every field of the spec,
+    the workload's source digest, [fidelity] (["exact"], or a sampling
+    spec's rendering) and {!File.code_digest}.  The sweep's result store
+    and the interval sampler's plans are both keyed by it. *)
+
 val compile : spec -> Assembler.Image.t
-(** Compile the spec's workload for its target (shared with the
-    interval sampler, which needs the image for its ISS and for
-    wrong-path decode). *)
+(** Compile the spec's workload for its target at its IR level (shared
+    with the interval sampler, which needs the image for its ISS and
+    for wrong-path decode). *)
 
 val meta :
   spec -> kind:File.kind -> trace_digest:string -> digested:int ->
@@ -78,9 +86,10 @@ val restore : string -> session
 
 val resume : spec -> string -> session
 (** Like {!restore}, but additionally requires the checkpoint's
-    embedded spec to match [spec] (same model, target, workload,
-    budgets, checker arming) — the form used by the sweep pool, where a
-    checkpoint must only ever resume its own grid point.
+    embedded spec to have [spec]'s {!key} (same model, target,
+    workload, budgets, checker arming, IR level) — the form used by the
+    sweep pool, where a checkpoint must only ever resume its own grid
+    point.
     @raise Diag.Error code [Snapshot_error] on mismatch. *)
 
 val step : session -> unit

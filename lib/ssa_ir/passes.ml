@@ -523,6 +523,8 @@ let licm (f : func) : bool =
 (* Optimization levels, mirroring -O0/-O1/-O2. *)
 type opt_level = O0 | O1 | O2
 
+let opt_name = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2"
+
 (* A named IR-to-IR pass.  The name is what [run_passes ~validate] blames
    when the IR stops validating, so every entry in [pipeline] (and every
    test-injected pass) must carry a stable, human-meaningful name. *)

@@ -35,6 +35,10 @@ val licm : Ir.func -> bool
 (** Optimization levels, mirroring -O0/-O1/-O2. *)
 type opt_level = O0 | O1 | O2
 
+val opt_name : opt_level -> string
+(** ["O0"], ["O1"] or ["O2"]: the label reports, checkpoints and sweep
+    records carry. *)
+
 (** A named IR-to-IR pass; the name is what checked runs blame when the
     IR stops validating. *)
 type pass = {

@@ -11,8 +11,8 @@
      Printf.printf "IPC %.2f\n" exp.Straight_core.Experiment.ipc
    ]}
 
-   See examples/ for runnable programs and bench/ for the per-figure
-   reproduction harness. *)
+   See examples/ for runnable programs; the paper's tables come from
+   the sweep (`make paper`). *)
 
 module Models = struct
   include Ooo_common.Params
@@ -168,8 +168,4 @@ module Experiment = struct
       output = r.Ooo_common.Pipeline.output;
       stats;
       dist_histogram = r.Ooo_common.Pipeline.dist_histogram }
-
-  (* Relative performance (inverse cycles), the metric of Figs. 11-14. *)
-  let relative_perf ~(baseline : result) (r : result) : float =
-    float_of_int baseline.cycles /. float_of_int r.cycles
 end

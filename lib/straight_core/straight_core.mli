@@ -10,8 +10,8 @@
       Printf.printf "IPC %.2f\n" exp.Straight_core.Experiment.ipc
     ]}
 
-    See [examples/] for runnable programs and [bench/] for the per-figure
-    reproduction harness. *)
+    See [examples/] for runnable programs; the paper's tables come from
+    the sweep ([make paper], [Sweep.Figures]). *)
 
 (** The Table-I model configurations (re-exports {!Ooo_common.Params}). *)
 module Models : sig
@@ -108,7 +108,4 @@ module Experiment : sig
     Workloads.t -> result
   (** Compile the workload for the target ISA and simulate it.  [check]
       (default [true]) arms the lockstep golden-model checker. *)
-
-  val relative_perf : baseline:result -> result -> float
-  (** Inverse-cycles relative performance, the metric of Figs. 11-14. *)
 end

@@ -1,5 +1,5 @@
-(** Sweep orchestration: expand a grid, serve what the cache already
-    knows, fan the rest out over the {!Pool}, persist each fresh result,
+(** Sweep orchestration: take a grid's points, serve what the cache
+    already knows, fan the rest out over the {!Pool}, persist each fresh result,
     and aggregate.
 
     [procs = 0] runs every point in-process (no fork) — the mode the
@@ -21,7 +21,7 @@ val sweep :
   ?checkpoint_every:int ->
   ?on_record:(Runner.record -> unit) ->
   ?on_retry:(Grid.point -> attempt:int -> backoff:float -> string -> unit) ->
-  Grid.spec ->
+  Grid.point list ->
   Runner.record list * summary
 (** Records come back sorted by {!Runner.compare_order}; failed points
     are absent from the list and counted in the summary.  [on_record]
@@ -41,5 +41,7 @@ val sweep :
     {!Pool.Interrupted} escapes to the caller; completed points are
     already in the cache. *)
 
-val to_json : Grid.spec -> summary -> Runner.record list -> Json.t
-(** The [sweep.json] document (schema ["straight-sweep/1"]). *)
+val to_json : Json.t -> summary -> Runner.record list -> Json.t
+(** The [sweep.json] document (schema ["straight-sweep/1"]); the first
+    argument describes the grid ({!Grid.spec_to_json}, or the name of a
+    point list such as the paper grid). *)

@@ -2,6 +2,8 @@
 
 module Params = Ooo_common.Params
 module Exp = Straight_core.Experiment
+module Sim = Snapshot.Sim
+module J = Json
 
 type machine = Ss | Ss_ckpt of int | Straight_raw | Straight_re
 
@@ -36,9 +38,7 @@ type spec = {
 }
 
 type point = {
-  params : Params.t;
-  target : Exp.target;
-  workload : Workloads.t;
+  spec : Sim.spec;
   machine : machine;
   width : int;
   sample : Sample.Spec.t option;
@@ -132,7 +132,7 @@ let apply_sched sched (p : Params.t) =
     { p with Params.scheduler_entries = n;
       name = Printf.sprintf "%s-sched%d" p.Params.name n }
 
-let point_of ~quick machine width rob sched predictor ideal sample wname =
+let model machine ~width ~rob ~sched ~predictor ~ideal =
   let straight =
     match machine with Ss | Ss_ckpt _ -> false | Straight_raw | Straight_re -> true
   in
@@ -143,42 +143,32 @@ let point_of ~quick machine width rob sched predictor ideal sample wname =
   let p = apply_rob rob p in
   let p = apply_sched sched p in
   let p = match predictor with Params.Tage -> Params.with_tage p | Params.Gshare -> p in
-  let p = if ideal then Params.with_ideal_recovery p else p in
+  if ideal then Params.with_ideal_recovery p else p
+
+let point ?max_dist ?opt ?sample machine width model workload =
   let target =
     match machine with
     | Ss | Ss_ckpt _ -> Exp.Riscv
     | Straight_raw -> Exp.Straight_raw
     | Straight_re -> Exp.Straight_re
   in
-  { params = p; target; workload = workload ~quick wname; machine; width;
-    sample }
+  { spec = Sim.spec ?max_dist ?opt ~model ~target workload; machine; width; sample }
 
 let expand (s : spec) : point list =
-  List.concat_map
-    (fun machine ->
-       List.concat_map
-         (fun width ->
-            List.concat_map
-              (fun rob ->
-                 List.concat_map
-                   (fun sched ->
-                      List.concat_map
-                        (fun predictor ->
-                           List.concat_map
-                             (fun ideal ->
-                                List.concat_map
-                                  (fun sample ->
-                                     List.map
-                                       (point_of ~quick:s.quick machine width
-                                          rob sched predictor ideal sample)
-                                       s.workloads)
-                                  s.samples)
-                             s.ideal)
-                        s.predictors)
-                   s.scheds)
-              s.robs)
-         s.widths)
-    s.machines
+  let ( let* ) xs f = List.concat_map f xs in
+  let* machine = s.machines in
+  let* width = s.widths in
+  let* rob = s.robs in
+  let* sched = s.scheds in
+  let* predictor = s.predictors in
+  let* ideal = s.ideal in
+  let* sample = s.samples in
+  List.map
+    (fun w ->
+       point ?sample machine width
+         (model machine ~width ~rob ~sched ~predictor ~ideal)
+         (workload ~quick:s.quick w))
+    s.workloads
 
 (* ---------- presets ---------- *)
 
@@ -217,6 +207,64 @@ let golden =
     workloads = [ "fib"; "quicksort"; "pointer_chase" ];
     samples = [ None ];
     quick = true }
+
+(* ---------- the paper's evaluation ---------- *)
+
+(* Every configuration of Sections V-VI, at the paper's two widths:
+   Figs. 11/12 (both benchmarks, SS vs RAW vs RE+), the Fig. 13
+   zero-penalty SS, Fig. 14's TAGE variants, the Section VI-B maximum
+   distances, Fig. 17's one-iteration CoreMark power kernel, the
+   front-end-depth and IR-level ablations and the ROB sweep (with the
+   checkpointed-RMT superscalar of Section II-A).  Duplicates are
+   listed once: Fig. 15, the RE+ contribution and the SPADD count read
+   the Figs. 11/12 points. *)
+let paper ~quick =
+  let coremark = workload ~quick "coremark" in
+  let stock ?max_dist ?opt ?rob ?(predictor = Params.Gshare) ?(ideal = false)
+      ?(w = coremark) machine width =
+    point ?max_dist ?opt machine width
+      (model machine ~width ~rob ~sched:None ~predictor ~ideal)
+      w
+  in
+  let widths = [ 2; 4 ] and machines = [ Ss; Straight_raw; Straight_re ] in
+  let each f = List.concat_map (fun width -> List.map (f width) machines) widths in
+  let fe p d =
+    point (if p.Params.rename = Params.Rp then Straight_re else Ss) 4
+      { p with Params.frontend_depth = d;
+        name = Printf.sprintf "%s-fe%d" p.Params.name d }
+      coremark
+  in
+  List.concat_map
+    (fun w -> each (fun width m -> stock ~w m width))
+    [ workload ~quick "dhrystone"; coremark ]
+  @ List.map (fun width -> stock ~ideal:true Ss width) widths
+  @ each (fun width m -> stock ~predictor:Params.Tage m width)
+  @ List.map (fun d -> stock ~max_dist:d Straight_re 4) [ 1023; 127; 63 ]
+  @ List.map
+      (fun m -> stock ~w:(Workloads.coremark ~iterations:1 ()) m 2)
+      [ Ss; Straight_re ]
+  @ [ fe Params.ss_4way 6; fe Params.straight_4way 8 ]
+  @ List.concat_map
+      (fun opt -> List.map (fun m -> stock ~opt m 4) [ Ss; Straight_re ])
+      [ Ssa_ir.Passes.O0; Ssa_ir.Passes.O1 ]
+  @ List.concat_map
+      (fun rob -> List.map (fun m -> stock ~rob m 4) [ Ss; Ss_ckpt 8; Straight_re ])
+      [ 32; 64; 128; 224; 448 ]
+
+let spec_to_json (s : spec) : J.t =
+  let list f xs = J.List (List.map f xs) in
+  let opt_int = function None -> J.Null | Some n -> J.Int n in
+  J.Obj
+    [ ("machines", list (fun m -> J.Str (machine_label m)) s.machines);
+      ("widths", list (fun w -> J.Int w) s.widths);
+      ("robs", list opt_int s.robs);
+      ("scheds", list opt_int s.scheds);
+      ("predictors", list (fun p -> J.Str (Params.predictor_name p)) s.predictors);
+      ("ideal", list (fun b -> J.Bool b) s.ideal);
+      ("workloads", list (fun w -> J.Str w) s.workloads);
+      ("samples",
+       list (function None -> J.Null | Some sp -> Sample.Spec.to_json sp) s.samples);
+      ("quick", J.Bool s.quick) ]
 
 let preset ~quick name =
   let spec =

@@ -36,10 +36,11 @@ type spec = {
   quick : bool;               (** smaller iteration counts *)
 }
 
+(** One simulation: the spec names everything the run depends on
+    (model, target, workload, budgets, checker, maximum distance, IR
+    level); [machine] and [width] are the axis labels it came from. *)
 type point = {
-  params : Ooo_common.Params.t;
-  target : Straight_core.Experiment.target;
-  workload : Workloads.t;
+  spec : Snapshot.Sim.spec;
   machine : machine;
   width : int;
   sample : Sample.Spec.t option;
@@ -50,6 +51,15 @@ val workload_names : string list
 
 val workload : quick:bool -> string -> Workloads.t
 (** @raise Invalid_argument on an unknown workload name. *)
+
+val model :
+  machine -> width:int -> rob:int option -> sched:int option ->
+  predictor:Ooo_common.Params.predictor_kind -> ideal:bool ->
+  Ooo_common.Params.t
+(** The model a grid point on these axis values simulates: the width's
+    Table-I (or scaled) model, checkpointed for [Ss_ckpt], then the ROB
+    and scheduler overrides, the predictor and the recovery knob, each
+    recorded in the model's name. *)
 
 val default : quick:bool -> spec
 (** The 32-point grid behind [bin/sweep] with no axis flags: both
@@ -72,3 +82,15 @@ val preset : quick:bool -> string -> spec option
 val expand : spec -> point list
 (** Cartesian product in deterministic order (machines outermost,
     workloads innermost). *)
+
+val paper : quick:bool -> point list
+(** The 46 points of the paper's evaluation that simulate cycles:
+    Figs. 11-14 at both widths, Fig. 17 on one CoreMark iteration,
+    Section VI-B at maximum distances 1023, 127 and 63 (31 is the
+    Figs. 11/12 point), the front-end-depth and IR-level ablations and
+    the ROB sweep of SS, checkpointed SS and STRAIGHT RE+ on CoreMark
+    4-way.  [bin/sweep -grid paper] runs it; {!Figures.render} turns its
+    records into FIGURES.md. *)
+
+val spec_to_json : spec -> Json.t
+(** The axes of a grid, as [sweep.json] records them. *)

@@ -4,6 +4,7 @@ module Params = Ooo_common.Params
 module Stats = Ooo_common.Stats
 module Engine = Ooo_common.Engine
 module Exp = Straight_core.Experiment
+module Sim = Snapshot.Sim
 module J = Json
 
 type record = {
@@ -17,12 +18,17 @@ type record = {
   sched : int;
   predictor : string;
   ideal : bool;
+  max_dist : int;
+  opt : string;
   params_hash : string;
   cycles : int;
   committed : int;
   ipc : float;
   branch_mispredicts : int;
   cpi : Stats.cpi_stack;
+  mix : (string * int) list;
+  activity : Engine.activity;
+  spadd_stall_slots : int;
   host_seconds : float;
   cached : bool;
   sample : Sample.Spec.t option;
@@ -31,23 +37,29 @@ type record = {
 }
 
 let base_record (pt : Grid.point) : record =
-  let p = pt.Grid.params in
+  let sp = pt.Grid.spec in
+  let p = sp.Sim.params in
   { model = p.Params.name;
-    target = Exp.target_label pt.Grid.target;
-    workload = pt.Grid.workload.Workloads.name;
-    iterations = pt.Grid.workload.Workloads.iterations;
+    target = Exp.target_label sp.Sim.target;
+    workload = sp.Sim.workload.Workloads.name;
+    iterations = sp.Sim.workload.Workloads.iterations;
     machine = Grid.machine_label pt.Grid.machine;
     width = pt.Grid.width;
     rob = p.Params.rob_entries;
     sched = p.Params.scheduler_entries;
     predictor = Params.predictor_name p.Params.predictor;
     ideal = p.Params.ideal_recovery;
+    max_dist = sp.Sim.max_dist;
+    opt = Ssa_ir.Passes.opt_name sp.Sim.opt;
     params_hash = Params.digest p;
     cycles = 0;
     committed = 0;
     ipc = 0.;
     branch_mispredicts = 0;
     cpi = Stats.empty_cpi;
+    mix = [];
+    activity = Engine.fresh_activity ();
+    spadd_stall_slots = 0;
     host_seconds = 0.;
     cached = false;
     sample = None;
@@ -58,15 +70,14 @@ let base_record (pt : Grid.point) : record =
    [sample_store], simulate every interval sequentially in this worker,
    recombine.  Whole-run cycles are the extrapolated estimate; the CPI
    stack is the recombined per-instruction stack scaled back to cycles.
-   Branch-mispredict counts are not collected per interval, so sampled
-   records report 0 there. *)
+   Branch mispredicts, the mix, activity and SPADD stalls are not
+   collected per interval, so sampled records report 0 (or nothing)
+   there. *)
 let run_sampled ~sample_store (sp : Sample.Spec.t) (pt : Grid.point) : record =
   let t0 = Unix.gettimeofday () in
-  let spec =
-    Snapshot.Sim.spec ~model:pt.Grid.params ~target:pt.Grid.target
-      pt.Grid.workload
+  let plan, _cached =
+    Sample.Interval.materialize ~dir:sample_store pt.Grid.spec sp
   in
-  let plan, _cached = Sample.Interval.materialize ~dir:sample_store spec sp in
   let results =
     List.map
       (fun (e : Sample.Interval.entry) ->
@@ -94,55 +105,58 @@ let run_sampled ~sample_store (sp : Sample.Spec.t) (pt : Grid.point) : record =
     sample_ci95 = est.Sample.Recombine.ci95;
     sample_intervals = est.Sample.Recombine.intervals }
 
-(* With [checkpoint], the point runs under the snapshot driver: resume
-   from the file when it exists (a previous attempt died mid-run),
-   checkpoint every [checkpoint_every] cycles while running.  A
-   checkpoint the snapshot layer rejects (corrupt, or taken under
-   different inputs — possible only if the caller keyed the path wrong,
-   since cache keys cover params, workload, and code digest) is deleted
-   and the point starts clean rather than wedging every retry. *)
+let drive ?checkpoint ~checkpoint_every session =
+  match
+    Sim.drive
+      ?checkpoint_every:(Option.map (fun _ -> checkpoint_every) checkpoint)
+      ?checkpoint_path:checkpoint session
+  with
+  | Sim.Completed r -> r
+  | Sim.Stopped _ -> assert false (* no stop_at here *)
+
+(* Every exact point runs under the snapshot driver.  With [checkpoint]
+   it resumes from the file when it exists (a previous attempt died
+   mid-run) and checkpoints every [checkpoint_every] cycles while
+   running.  A checkpoint the snapshot layer rejects (corrupt, or taken
+   under different inputs — possible only if the caller keyed the path
+   wrong, since cache keys cover every spec field and the code digest)
+   is deleted and the point starts clean rather than wedging every
+   retry. *)
 let run ?checkpoint ?(checkpoint_every = 20_000) ?(sample_store = "_sweep")
     (pt : Grid.point) : record =
   match pt.Grid.sample with
   | Some sp -> run_sampled ~sample_store sp pt
   | None ->
-  let p = pt.Grid.params in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    match checkpoint with
-    | None -> Exp.run ~model:p ~target:pt.Grid.target pt.Grid.workload
-    | Some path ->
-      let spec =
-        Snapshot.Sim.spec ~model:p ~target:pt.Grid.target pt.Grid.workload
-      in
-      let go session =
-        match
-          Snapshot.Sim.drive ~checkpoint_every ~checkpoint_path:path session
-        with
-        | Snapshot.Sim.Completed r -> r
-        | Snapshot.Sim.Stopped _ -> assert false (* no stop_at here *)
-      in
-      let fresh = lazy (Snapshot.Sim.start spec) in
-      (match
-         if Sys.file_exists path then
-           try Ok (go (lazy (Snapshot.Sim.resume spec path)))
-           with Diag.Error d when d.Diag.code = Diag.Snapshot_error ->
-             Error d
-         else Ok (go fresh)
-       with
-       | Ok r -> r
-       | Error _ ->
-         (try Sys.remove path with Sys_error _ -> ());
-         go fresh)
-  in
-  let host_seconds = Unix.gettimeofday () -. t0 in
-  { (base_record pt) with
-    cycles = r.Exp.cycles;
-    committed = r.Exp.committed;
-    ipc = r.Exp.ipc;
-    branch_mispredicts = r.Exp.stats.Engine.branch_mispredicts;
-    cpi = r.Exp.stats.Engine.cpi_stack;
-    host_seconds }
+    let spec = pt.Grid.spec in
+    let t0 = Unix.gettimeofday () in
+    let fresh = lazy (Sim.start spec) in
+    let r =
+      match checkpoint with
+      | Some path when Sys.file_exists path ->
+        (try drive ?checkpoint ~checkpoint_every (lazy (Sim.resume spec path))
+         with Diag.Error d when d.Diag.code = Diag.Snapshot_error ->
+           (try Sys.remove path with Sys_error _ -> ());
+           drive ?checkpoint ~checkpoint_every fresh)
+      | _ -> drive ?checkpoint ~checkpoint_every fresh
+    in
+    let s = r.Exp.stats in
+    { (base_record pt) with
+      cycles = r.Exp.cycles;
+      committed = r.Exp.committed;
+      ipc = r.Exp.ipc;
+      branch_mispredicts = s.Engine.branch_mispredicts;
+      cpi = s.Engine.cpi_stack;
+      mix = s.Engine.mix;
+      activity = s.Engine.activity;
+      spadd_stall_slots = s.Engine.spadd_stall_slots;
+      host_seconds = Unix.gettimeofday () -. t0 }
+
+(* ---------- JSON ---------- *)
+
+let activity_of_json j =
+  let a = Engine.fresh_activity () in
+  List.iter (fun (name, _, set) -> set a (J.int name j)) Engine.activity_fields;
+  a
 
 let to_json (r : record) : J.t =
   J.Obj
@@ -156,12 +170,20 @@ let to_json (r : record) : J.t =
       ("sched", J.Int r.sched);
       ("predictor", J.Str r.predictor);
       ("ideal", J.Bool r.ideal);
+      ("max_dist", J.Int r.max_dist);
+      ("opt", J.Str r.opt);
       ("params_hash", J.Str r.params_hash);
       ("cycles", J.Int r.cycles);
       ("committed", J.Int r.committed);
       ("ipc", J.Float r.ipc);
       ("branch_mispredicts", J.Int r.branch_mispredicts);
       ("cpi_stack", Stats.cpi_to_json r.cpi);
+      ("mix", Stats.mix_to_json r.mix);
+      ("activity",
+       J.Obj
+         (List.map (fun (k, get, _) -> (k, J.Int (get r.activity)))
+            Engine.activity_fields));
+      ("spadd_stall_slots", J.Int r.spadd_stall_slots);
       ("host_seconds", J.Float r.host_seconds);
       ("cached", J.Bool r.cached) ]
      @
@@ -183,12 +205,17 @@ let of_json (j : J.t) : record =
     sched = J.int "sched" j;
     predictor = J.string "predictor" j;
     ideal = J.bool "ideal" j;
+    max_dist = J.int "max_dist" j;
+    opt = J.string "opt" j;
     params_hash = J.string "params_hash" j;
     cycles = J.int "cycles" j;
     committed = J.int "committed" j;
     ipc = J.float "ipc" j;
     branch_mispredicts = J.int "branch_mispredicts" j;
     cpi = Stats.cpi_of_json (J.field "cpi_stack" j);
+    mix = Stats.mix_of_json (J.field "mix" j);
+    activity = activity_of_json (J.field "activity" j);
+    spadd_stall_slots = J.int "spadd_stall_slots" j;
     host_seconds = J.float "host_seconds" j;
     cached = J.bool "cached" j;
     sample =
@@ -207,7 +234,7 @@ let sample_label (r : record) =
 
 let compare_order (a : record) (b : record) =
   compare
-    (a.workload, a.machine, a.width, a.predictor, a.ideal, a.rob, a.sched,
-     sample_label a)
-    (b.workload, b.machine, b.width, b.predictor, b.ideal, b.rob, b.sched,
-     sample_label b)
+    (a.workload, a.iterations, a.machine, a.width, a.predictor, a.ideal,
+     a.rob, a.sched, a.opt, -a.max_dist, a.model, sample_label a)
+    (b.workload, b.iterations, b.machine, b.width, b.predictor, b.ideal,
+     b.rob, b.sched, b.opt, -b.max_dist, b.model, sample_label b)

@@ -1,24 +1,13 @@
 (* Content-addressed result cache (see store.mli). *)
 
-module Params = Ooo_common.Params
 module J = Json
 
 let key (pt : Grid.point) : string =
-  let w = pt.Grid.workload in
-  let manifest =
-    String.concat "\n"
-      [ "straight-sweep-key/2";
-        Params.digest pt.Grid.params;
-        Straight_core.Experiment.target_label pt.Grid.target;
-        w.Workloads.name;
-        string_of_int w.Workloads.iterations;
-        Digest.to_hex (Digest.string w.Workloads.source);
-        (match pt.Grid.sample with
-         | None -> "exact"
-         | Some sp -> Sample.Spec.to_string sp);
-        Snapshot.File.code_digest () ]
-  in
-  Digest.to_hex (Digest.string manifest)
+  Snapshot.Sim.key pt.Grid.spec
+    ~fidelity:
+      (match pt.Grid.sample with
+       | None -> "exact"
+       | Some sp -> Sample.Spec.to_string sp)
 
 let cache_dir dir = Filename.concat dir "cache"
 let path dir k = Filename.concat (cache_dir dir) (k ^ ".json")
@@ -70,7 +59,9 @@ let swept : (string, unit) Hashtbl.t = Hashtbl.create 8
 
 let sweep_stale ~dir : int =
   Hashtbl.replace swept (cache_dir dir) ();
-  sweep_dir (cache_dir dir)
+  match Sys.readdir dir with
+  | exception Sys_error _ -> 0
+  | subs -> Array.fold_left (fun n d -> n + sweep_dir (Filename.concat dir d)) 0 subs
 
 let sweep_once d =
   if not (Hashtbl.mem swept d) then begin

@@ -1,14 +1,15 @@
 (** Content-addressed on-disk result cache.
 
     Each finished point is stored as [<dir>/cache/<key>.json] where
-    {!key} is the MD5 over everything that determines the simulated
-    outcome: the configuration digest ([Params.digest], every model
-    field), the workload identity (name, iteration count, and a digest
-    of its generated MiniC source), the compile/pipeline target, and a
-    digest of the running executable (the "code hash" — any rebuild of
-    the simulator invalidates the whole cache, so stale engines can
-    never leak cycle counts).  Re-running a sweep therefore simulates
-    only the points whose inputs changed. *)
+    {!key} is {!Snapshot.Sim.key} of the point's spec at its fidelity:
+    every spec field (model digest, target, workload name, iterations
+    and source digest, instruction budget, maximum distance, checker,
+    IR level), exact or the sampling spec, and a digest of the running
+    executable (the "code hash" — any rebuild of the simulator
+    invalidates the whole cache, so stale engines can never leak cycle
+    counts).  The interval sampler keys its plans the same way.
+    Re-running a sweep therefore simulates only the points whose inputs
+    changed. *)
 
 val key : Grid.point -> string
 (** Stable content address (hex). *)
@@ -25,14 +26,15 @@ val save : dir:string -> string -> Runner.record -> unit
     propagates). *)
 
 val sweep_stale : dir:string -> int
-(** Remove orphaned ["<key>.json.tmp.<pid>"] entries under
-    [<dir>/cache] whose writer pid is dead (a writer killed between the
-    temp write and the rename leaves one behind; nothing else ever
-    collects it).  Temp files of live pids — concurrent writers — are
-    kept.  Returns the number removed.  Every store entry point also
-    sweeps a directory the first time this process touches it; this
-    function is for long-running callers ([straightd]) that want to
-    re-sweep periodically. *)
+(** Remove orphaned ["<name>.tmp.<pid>"] entries in every subdirectory
+    of [dir] (the result cache, checkpoints, interval files, documents)
+    whose writer pid is dead (a writer killed between the temp write
+    and the rename leaves one behind; nothing else ever collects it).
+    Temp files of live pids — concurrent writers — are kept.  Returns
+    the number removed.  Every store entry point also sweeps a directory
+    the first time this process touches it; the sweep driver calls this
+    after its pool (and when interrupted), and long-running callers
+    ([straightd]) re-sweep periodically. *)
 
 (** {2 Generic JSON documents}
 

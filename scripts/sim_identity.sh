@@ -17,8 +17,10 @@
 #     ignoring host_seconds and the plan line, whose key covers the
 #     executable's digest;
 #   - the -sched 0 deadlock (exit 6, context dump) and -inject all -seed 7;
-#   - bench/main.exe --quick, and `micro --quick --json` with the timing
-#     fields and the label dropped from the JSON (its stdout is timing);
+#   - the paper's tables at quick sizes (sweep -grid paper -quick -j 0
+#     -figures), and bench/main.exe `micro --quick --json` with the
+#     timing fields and the label dropped from the JSON (its stdout is
+#     timing);
 #   - the six examples;
 #   - the archived reports: fuzz -lint-workloads -json, -tv-workloads
 #     -json and -seed 1 -count 20 -json, and straightc -lint-json (both
@@ -38,7 +40,7 @@ out=$head/_sim_identity
 
 for tree in "$base" "$head"; do
   for exe in bin/straightsim.exe bin/straightc.exe bin/fuzz.exe \
-             bench/main.exe examples/quickstart.exe; do
+             bin/sweep.exe bench/main.exe examples/quickstart.exe; do
     if [ ! -x "$tree/_build/default/$exe" ]; then
       echo "sim-identity: $tree/_build/default/$exe missing (run dune build there)" >&2
       exit 2
@@ -111,7 +113,12 @@ battery() {
   run inject.straight "$sim" -workload fib -inject all -seed 7
   run inject.riscv "$sim" -model ss-2way -target riscv -workload fib \
     -inject all -seed 7
-  run bench.quick "$bench" --quick
+  run paper.quick "$1/_build/default/bin/sweep.exe" -grid paper -quick -j 0 \
+    -cache-dir logs/paper -no-stream -out logs/paper.json \
+    -figures paper.quick.md
+  # the summary line carries the wall time
+  sed 's/ in [0-9.]*s -> / -> /' paper.quick.err >logs/paper.err
+  mv logs/paper.err paper.quick.err
   "$bench" micro --quick --json logs/micro.json >logs/micro.log 2>&1 \
     && st=0 || st=$?
   echo "exit $st" >micro.status

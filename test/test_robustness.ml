@@ -344,6 +344,26 @@ let test_exit_codes_distinct () =
     (fun e -> Alcotest.(check bool) "nonzero, non-1 exit" true (e >= 2))
     exits
 
+(* [Diag.codes] comes from an exhaustive match, so every code is here:
+   each name maps back to its code, names are distinct, and a name no
+   code has maps to nothing (a client exits 1 on it). *)
+let test_code_names_round_trip () =
+  Alcotest.(check int) "every code listed" 20 (List.length Diag.codes);
+  List.iter
+    (fun c ->
+       Alcotest.(check bool)
+         (Diag.code_name c ^ " round-trips")
+         true
+         (Diag.of_code_name (Diag.code_name c) = Some c))
+    Diag.codes;
+  Alcotest.(check int) "names distinct" (List.length Diag.codes)
+    (List.length (List.sort_uniq compare (List.map Diag.code_name Diag.codes)));
+  Alcotest.(check int) "WASM_ERROR exits 3" 3
+    (match Diag.of_code_name "WASM_ERROR" with
+     | Some c -> Diag.exit_code c
+     | None -> 1);
+  Alcotest.(check bool) "unknown name" true (Diag.of_code_name "NO_SUCH" = None)
+
 let suite =
   [ ("fault campaign (100 seeded runs, 4 models)", `Slow, test_fault_campaign);
     ("campaign determinism", `Quick, test_campaign_determinism);
@@ -355,6 +375,7 @@ let suite =
     ("checker: divergence reported", `Quick, test_checker_divergence);
     ("checker: golden pc/fu mismatch reported", `Quick,
      test_checker_golden_lockstep);
-    ("exit codes distinct", `Quick, test_exit_codes_distinct) ]
+    ("exit codes distinct", `Quick, test_exit_codes_distinct);
+    ("diag: code names round-trip", `Quick, test_code_names_round_trip) ]
 
 let () = Alcotest.run "robustness" [ ("robustness", suite) ]

@@ -352,10 +352,13 @@ let test_sweep_matches_cli () =
       Client.close c;
       let records, summary =
         Sweep.Driver.sweep ~procs:0 ~cache_dir:(tmpdir "straightd-cli")
-          Sweep.Grid.smoke
+          (Sweep.Grid.expand Sweep.Grid.smoke)
       in
       Alcotest.(check string) "daemon document equals the CLI's"
-        (normalize (Sweep.Driver.to_json Sweep.Grid.smoke summary records))
+        (normalize
+           (Sweep.Driver.to_json
+              (Sweep.Grid.spec_to_json Sweep.Grid.smoke)
+              summary records))
         (normalize (field "result" reply));
       Alcotest.(check int) "CLI total" 2 summary.Sweep.Driver.total;
       Alcotest.(check int) "CLI failed" 0 summary.Sweep.Driver.failed)

@@ -336,7 +336,8 @@ let test_reject_spec_mismatch () =
    window's high-water mark of the committed count, far below the
    run's length; a forged digest, an F outside [committed, retired] or
    below the retirements the image names, and a container or interval
-   file of version 4 are all refused. *)
+   file of version 5 (before the meta recorded the IR level) are all
+   refused. *)
 let test_fingerprint_prefix () =
   List.iter
     (fun (model, target) ->
@@ -382,10 +383,10 @@ let test_fingerprint_prefix () =
        forged "F below the image's uops" ~because:"past the"
          { m with digested = m.committed };
        let b = read_bytes path in
-       Bytes.set b 8 '\004';
+       Bytes.set b 8 '\005';
        write_bytes path b;
-       expect_snapshot_error ~because:"container version 4"
-         (label ^ ": version 4 engine image") (fun () ->
+       expect_snapshot_error ~because:"container version 5"
+         (label ^ ": version 5 engine image") (fun () ->
            ignore (Sim.restore path));
        Sys.remove path;
        (* the original file restores and finishes as the run does *)
@@ -396,8 +397,8 @@ let test_fingerprint_prefix () =
          (completed (Sim.drive (Lazy.from_val s)))
          resumed)
     [ (Params.straight_4way, Exp.Straight_re); (Params.ss_4way, Exp.Riscv) ];
-  (* an interval file of version 4 *)
-  let dir = tmp "v4-intervals" in
+  (* an interval file of version 5 *)
+  let dir = tmp "v5-intervals" in
   let plan, _ =
     Sample.Interval.materialize ~dir
       (Sim.spec ~model:Params.straight_2way ~target:Exp.Straight_re
@@ -406,10 +407,10 @@ let test_fingerprint_prefix () =
   in
   let file = (List.hd plan.Sample.Interval.entries).Sample.Interval.path in
   let b = read_bytes file in
-  Bytes.set b 8 '\004';
+  Bytes.set b 8 '\005';
   write_bytes file b;
-  expect_snapshot_error ~because:"container version 4"
-    "version 4 interval file" (fun () ->
+  expect_snapshot_error ~because:"container version 5"
+    "version 5 interval file" (fun () ->
       ignore (Sample.Interval.run_file file));
   let sample = Filename.concat dir "sample" in
   Array.iter
@@ -530,10 +531,10 @@ let test_spec_rejects_isa_core_mismatch () =
 
 (* ---------- the sweep's resume path ---------- *)
 
-let sweep_point () =
-  { Sweep.Grid.params = Params.straight_2way;
-    target = Exp.Straight_re;
-    workload = Workloads.iota ~n:40 ();
+let sweep_point ?opt () =
+  { Sweep.Grid.spec =
+      Sim.spec ?opt ~model:Params.straight_2way ~target:Exp.Straight_re
+        (Workloads.iota ~n:40 ());
     machine = Sweep.Grid.Straight_re;
     width = 2;
     sample = None }
@@ -545,10 +546,7 @@ let test_sweep_resume_identical () =
   let clean = Sweep.Runner.run pt in
   (* simulate the kill: leave a mid-run checkpoint at the keyed path *)
   let path = tmp "sweep-resume.snap" in
-  let spec =
-    Sim.spec ~model:pt.Sweep.Grid.params ~target:pt.Sweep.Grid.target
-      pt.Sweep.Grid.workload
-  in
+  let spec = pt.Sweep.Grid.spec in
   (match
      Sim.drive ~checkpoint_path:path
        ~stop_at:(clean.Sweep.Runner.cycles / 2)
@@ -560,6 +558,71 @@ let test_sweep_resume_identical () =
   Alcotest.(check bool)
     "resumed record identical to a clean run's (modulo host_seconds)" true
     (scrub clean = scrub resumed)
+
+(* A point compiled at O0 checkpoints and resumes to its own
+   uninterrupted result; the same file under the O2 spec is another
+   run's and is refused. *)
+let test_sweep_opt_checkpoint () =
+  let pt = sweep_point ~opt:Ssa_ir.Passes.O0 () in
+  let clean = Sweep.Runner.run pt in
+  Alcotest.(check string) "record names its IR level" "O0"
+    clean.Sweep.Runner.opt;
+  let o2 = Sweep.Runner.run (sweep_point ()) in
+  Alcotest.(check bool) "O0 and O2 retire different code" true
+    (clean.Sweep.Runner.committed <> o2.Sweep.Runner.committed);
+  let path = tmp "sweep-o0.snap" in
+  (match
+     Sim.drive ~checkpoint_path:path
+       ~stop_at:(clean.Sweep.Runner.cycles / 2)
+       (lazy (Sim.start pt.Sweep.Grid.spec))
+   with
+   | Sim.Stopped _ -> ()
+   | Sim.Completed _ -> Alcotest.fail "point too short to interrupt");
+  expect_snapshot_error ~because:"checker on, O0" "O2 resume of an O0 checkpoint"
+    (fun () -> ignore (Sim.resume (sweep_point ()).Sweep.Grid.spec path));
+  let resumed = Sweep.Runner.run ~checkpoint:path pt in
+  Alcotest.(check bool) "resumed O0 record = uninterrupted O0 record" true
+    (scrub clean = scrub resumed)
+
+(* [Bin.w_int]/[r_int] write the bytes of the Int64 LEB128 codec
+   ([w_i64] of the sign-extended value) without boxing an Int64. *)
+let test_bin_native_ints () =
+  let values =
+    [ 0; 1; 127; 128; max_int; min_int; -1; -128 ]
+    @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k ]) (List.init 56 (fun i -> i + 7))
+  in
+  List.iter
+    (fun n ->
+       let want = Buffer.create 10 and got = Buffer.create 10 in
+       Bin.w_i64 want (Int64.of_int n);
+       Bin.w_int got n;
+       Alcotest.(check string) (Printf.sprintf "bytes of %d" n)
+         (Buffer.contents want) (Buffer.contents got);
+       let r = Bin.reader (Buffer.contents got) in
+       Alcotest.(check int) (Printf.sprintf "%d reads back" n) n (Bin.r_int r);
+       Bin.expect_end r)
+    values;
+  Alcotest.(check int) "a negative int takes 10 bytes" 10
+    (let b = Buffer.create 10 in Bin.w_int b (-1); Buffer.length b);
+  let calls = 100_000 in
+  let b = Buffer.create (10 * calls) in
+  let per_call f =
+    let before = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let w =
+    per_call (fun () ->
+        for i = 1 to calls do Bin.w_int b (i * 7919 - 50_000) done)
+  in
+  let r = Bin.reader (Buffer.contents b) in
+  let sum = ref 0 in
+  let rd = per_call (fun () -> for _ = 1 to calls do sum := !sum + Bin.r_int r done) in
+  Bin.expect_end r;
+  Alcotest.(check bool) (Printf.sprintf "w_int: %.4f minor words per call" w) true
+    (w < 0.01);
+  Alcotest.(check bool) (Printf.sprintf "r_int: %.4f minor words per call" rd) true
+    (rd < 0.01)
 
 let test_sweep_unusable_checkpoint_restarts () =
   let pt = sweep_point () in
@@ -645,6 +708,9 @@ let suite =
      test_sweep_resume_identical);
     ("sweep: unusable checkpoint restarts clean", `Quick,
      test_sweep_unusable_checkpoint_restarts);
+    ("sweep: an O0 checkpoint resumes only as O0", `Quick,
+     test_sweep_opt_checkpoint);
+    ("bin: native LEB128 ints", `Quick, test_bin_native_ints);
     ("atomic write: failures leave no temp file", `Quick,
      test_atomic_write_failures) ]
 

@@ -87,8 +87,8 @@ let test_grid_expand () =
     List.sort_uniq compare
       (List.map
          (fun (pt : Sweep.Grid.point) ->
-            (Params.digest pt.Sweep.Grid.params,
-             pt.Sweep.Grid.workload.Workloads.name))
+            (Params.digest pt.Sweep.Grid.spec.Snapshot.Sim.params,
+             pt.Sweep.Grid.spec.Snapshot.Sim.workload.Workloads.name))
          points)
   in
   Alcotest.(check int) "every point is distinct" 32 (List.length digests);
@@ -102,11 +102,11 @@ let test_grid_expand () =
   let rob_pt =
     List.find
       (fun (pt : Sweep.Grid.point) ->
-         pt.Sweep.Grid.params.Params.rob_entries = 128
+         pt.Sweep.Grid.spec.Snapshot.Sim.params.Params.rob_entries = 128
          && pt.Sweep.Grid.machine = Sweep.Grid.Ss)
       bigger
   in
-  (match rob_pt.Sweep.Grid.params.Params.rename with
+  (match rob_pt.Sweep.Grid.spec.Snapshot.Sim.params.Params.rename with
    | Params.Rmt { phys_regs } ->
      Alcotest.(check int) "phys_regs = 32 + rob" 160 phys_regs
    | _ -> Alcotest.fail "SS point lost its RMT rename model");
@@ -116,6 +116,109 @@ let test_grid_expand () =
           Sweep.Grid.machine_of_label (Sweep.Grid.machine_label m) = Some m)
        [ Sweep.Grid.Ss; Sweep.Grid.Ss_ckpt 8; Sweep.Grid.Straight_raw;
          Sweep.Grid.Straight_re ])
+
+(* ---------- the content key ---------- *)
+
+(* The sweep store and the sampler's plans share one key: changing any
+   one input alone moves both. *)
+let test_key_covers_every_input () =
+  let module Sim = Snapshot.Sim in
+  let sp = Sample.Spec.parse "interval=5k,warmup=1k" in
+  let w = Workloads.fib () in
+  let base =
+    Sim.spec ~model:Params.straight_2way
+      ~target:Straight_core.Experiment.Straight_re w
+  in
+  let keys (spec, sample) =
+    ( Sweep.Store.key
+        { Sweep.Grid.spec; machine = Sweep.Grid.Straight_re; width = 2;
+          sample = Some sample },
+      Sample.Interval.plan_key spec sample )
+  in
+  let store0, plan0 = keys (base, sp) in
+  List.iter
+    (fun (what, variant) ->
+       let store, plan = keys variant in
+       Alcotest.(check bool) (what ^ " moves the store key") true (store <> store0);
+       Alcotest.(check bool) (what ^ " moves the plan key") true (plan <> plan0))
+    [ ("model", ({ base with Sim.params = Params.with_tage Params.straight_2way }, sp));
+      ("target", ({ base with Sim.target = Straight_core.Experiment.Straight_raw }, sp));
+      ("workload name", ({ base with Sim.workload = { w with Workloads.name = "fib2" } }, sp));
+      ("iterations",
+       ({ base with
+          Sim.workload = { w with Workloads.iterations = w.Workloads.iterations + 1 } },
+        sp));
+      ("source",
+       ({ base with Sim.workload = { w with Workloads.source = w.Workloads.source ^ "\n" } },
+        sp));
+      ("max_insns", ({ base with Sim.max_insns = base.Sim.max_insns - 1 }, sp));
+      ("max_dist", ({ base with Sim.max_dist = 127 }, sp));
+      ("check", ({ base with Sim.check = false }, sp));
+      ("opt", ({ base with Sim.opt = Ssa_ir.Passes.O1 }, sp));
+      ("sample spec", (base, Sample.Spec.parse "interval=4k,warmup=1k")) ];
+  Alcotest.(check bool) "an exact point keys apart from a sampled one" true
+    (Sweep.Store.key
+       { Sweep.Grid.spec = base; machine = Sweep.Grid.Straight_re; width = 2;
+         sample = None }
+     <> store0)
+
+(* ---------- the paper grid ---------- *)
+
+(* A record for a point without simulating it: distinct numbers per
+   point, every statistic a table reads nonzero. *)
+let synthetic i (pt : Sweep.Grid.point) : Sweep.Runner.record =
+  let sp = pt.Sweep.Grid.spec in
+  let p = sp.Snapshot.Sim.params in
+  let n k = 1000 * (i + 1) + k in
+  { Sweep.Runner.model = p.Params.name;
+    target = Straight_core.Experiment.target_label sp.Snapshot.Sim.target;
+    workload = sp.Snapshot.Sim.workload.Workloads.name;
+    iterations = sp.Snapshot.Sim.workload.Workloads.iterations;
+    machine = Sweep.Grid.machine_label pt.Sweep.Grid.machine;
+    width = pt.Sweep.Grid.width;
+    rob = p.Params.rob_entries; sched = p.Params.scheduler_entries;
+    predictor = Params.predictor_name p.Params.predictor;
+    ideal = p.Params.ideal_recovery;
+    max_dist = sp.Snapshot.Sim.max_dist;
+    opt = Ssa_ir.Passes.opt_name sp.Snapshot.Sim.opt;
+    params_hash = Params.digest p;
+    cycles = n 0; committed = n 500; ipc = 1.5; branch_mispredicts = n 1;
+    cpi = { Stats.base = n 0; frontend = 1; branch_squash = 2; memory = 3;
+            structural = 4 };
+    mix = [ ("Jump+Branch", n 1); ("ALU", n 2); ("LD", n 3); ("ST", n 4);
+            ("RMOV", n 5); ("NOP", n 6) ];
+    activity =
+      { Ooo_common.Engine.rename_reads = n 1; rename_writes = n 2;
+        freelist_ops = n 3; rp_ops = n 4; rf_reads = n 5; rf_writes = n 6;
+        iq_wakeups = n 7; rob_writes = n 8; rob_walk_steps = n 9;
+        alu_ops = n 10; agu_ops = n 11 };
+    spadd_stall_slots = n 7; host_seconds = 0.; cached = false;
+    sample = None; sample_ci95 = 0.; sample_intervals = 0 }
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+let test_paper_grid () =
+  let points = Sweep.Grid.paper ~quick:true in
+  Alcotest.(check int) "46 points" 46 (List.length points);
+  Alcotest.(check int) "no two points share a key" 46
+    (List.length (List.sort_uniq compare (List.map Sweep.Store.key points)));
+  let doc = Sweep.Figures.render ~quick:true (List.mapi synthetic points) in
+  Alcotest.(check bool) "no cell is missing" false (contains doc "| — |");
+  List.iter
+    (fun heading ->
+       Alcotest.(check bool) (heading ^ " is rendered") true
+         (contains doc ("\n## " ^ heading)))
+    [ "Table I"; "Fig. 10"; "Figs. 11 (4-way)"; "Fig. 13"; "Fig. 14"; "Fig. 15";
+      "Fig. 16"; "Section VI-B"; "Fig. 17"; "Ablation: IR optimization level";
+      "Window scalability" ];
+  List.iter
+    (fun model ->
+       Alcotest.(check bool) (model ^ " (front-end ablation) is rendered") true
+         (contains doc ("| " ^ model ^ " |")))
+    [ "SS-4way-fe6"; "STRAIGHT-4way-fe8" ]
 
 (* ---------- store ---------- *)
 
@@ -128,6 +231,12 @@ let sample_record () : Sweep.Runner.record =
     committed = 456; ipc = 3.7; branch_mispredicts = 8;
     cpi = { Stats.base = 100; frontend = 10; branch_squash = 5; memory = 6;
             structural = 2 };
+    max_dist = 31; opt = "O2";
+    mix = [ ("ALU", 300); ("LD", 100); ("RMOV", 0) ];
+    activity =
+      { (Ooo_common.Engine.fresh_activity ()) with
+        Ooo_common.Engine.rename_reads = 11; rob_walk_steps = 3 };
+    spadd_stall_slots = 4;
     host_seconds = 0.25; cached = false; sample = None; sample_ci95 = 0.;
     sample_intervals = 0 }
 
@@ -435,11 +544,11 @@ let test_store_rename_failure_unlinks_tmp () =
 let test_driver_cache_hits () =
   let dir = tmpdir "straight-sweep" in
   let spec = Sweep.Grid.smoke in
-  let r1, s1 = Sweep.Driver.sweep ~procs:0 ~cache_dir:dir spec in
+  let r1, s1 = Sweep.Driver.sweep ~procs:0 ~cache_dir:dir (Sweep.Grid.expand spec) in
   Alcotest.(check int) "first run simulates everything" 2
     s1.Sweep.Driver.executed;
   Alcotest.(check int) "first run hits nothing" 0 s1.Sweep.Driver.cached;
-  let r2, s2 = Sweep.Driver.sweep ~procs:0 ~cache_dir:dir spec in
+  let r2, s2 = Sweep.Driver.sweep ~procs:0 ~cache_dir:dir (Sweep.Grid.expand spec) in
   Alcotest.(check int) "second run simulates nothing" 0
     s2.Sweep.Driver.executed;
   Alcotest.(check int) "second run is all cache hits" 2
@@ -453,7 +562,7 @@ let test_driver_cache_hits () =
           = { b with Sweep.Runner.cached = false; host_seconds = 0. }))
     r1 r2;
   (* sweep.json document shape *)
-  let doc = Sweep.Driver.to_json spec s2 r2 in
+  let doc = Sweep.Driver.to_json (Sweep.Grid.spec_to_json spec) s2 r2 in
   Alcotest.(check (option string)) "schema" (Some "straight-sweep/1")
     (J.get_string (J.member "schema" doc));
   (match J.get_list (J.member "records" doc) with
@@ -469,7 +578,8 @@ let test_driver_nested_cache_dir () =
   in
   let records, s =
     Sweep.Driver.sweep ~procs:1 ~cache_dir:dir
-      { Sweep.Grid.smoke with Sweep.Grid.workloads = [ "fib" ] }
+      (Sweep.Grid.expand
+         { Sweep.Grid.smoke with Sweep.Grid.workloads = [ "fib" ] })
   in
   Alcotest.(check int) "one record" 1 (List.length records);
   Alcotest.(check int) "no failures" 0 s.Sweep.Driver.failed
@@ -545,6 +655,10 @@ let props_suite =
     Alcotest.test_case "params: stable digest" `Quick test_params_digest;
     Alcotest.test_case "grid: expansion" `Quick test_grid_expand;
     Alcotest.test_case "store: content addressing" `Quick test_store;
+    Alcotest.test_case "store: the key covers every input" `Quick
+      test_key_covers_every_input;
+    Alcotest.test_case "grid: the paper grid renders every table" `Quick
+      test_paper_grid;
     Alcotest.test_case "pool: fan-out/fan-in" `Quick test_pool_basic;
     Alcotest.test_case "pool: worker exception" `Quick
       test_pool_worker_exception;
