@@ -532,7 +532,7 @@ let lower_func ~globals ~known_funcs (fd : Ast.func) : Ir.func =
   terminate env (Ir.Ret (Ir.Const 0l));
   pop_scope env;
   remove_trivial_phis f;
-  ignore (Ssa_ir.Passes.remove_unreachable f);
+  Ssa_ir.Passes.remove_unreachable f;
   Ssa_ir.Analysis.validate f;
   f
 

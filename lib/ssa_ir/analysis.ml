@@ -10,49 +10,70 @@ module IntMap = Map.Make (Int)
 type cfg = {
   func : func;
   blocks : block array;            (* indexed by position in RPO *)
-  index_of : (block_id, int) Hashtbl.t;
+  index_of : int array;            (* block id -> RPO position, or -1 *)
   preds : int list array;          (* in RPO indices *)
   succs : int list array;
-  rpo : int array;                 (* identity permutation, kept for clarity *)
 }
 
 (* [build f] computes the CFG in reverse postorder.  Unreachable blocks are
-   dropped (they cannot affect execution and break dominance reasoning). *)
+   dropped (they cannot affect execution and break dominance reasoning).
+   Block ids index plain arrays, so they must be non-negative; a
+   terminator naming no block of [f] is [Invalid_argument] ([validate]
+   diagnoses both before building). *)
 let build (f : func) : cfg =
-  let by_id = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace by_id b.bid b) f.blocks;
+  let nids = 1 + List.fold_left (fun m b -> max m b.bid) (-1) f.blocks in
   let entry = entry_block f in
-  let visited = Hashtbl.create 16 in
+  (* an empty slot holds the entry, whose id is not the slot's *)
+  let by_id = Array.make nids entry in
+  List.iter
+    (fun b ->
+       if b.bid < 0 then
+         invalid_arg (Printf.sprintf "%s: negative block id bb%d" f.name b.bid);
+       by_id.(b.bid) <- b)
+    f.blocks;
+  let visited = Array.make nids false in
   let post = ref [] in
   let rec dfs bid =
-    if not (Hashtbl.mem visited bid) then begin
-      Hashtbl.replace visited bid ();
-      let b = Hashtbl.find by_id bid in
-      List.iter dfs (successors b.term);
+    if bid < 0 || bid >= nids || by_id.(bid).bid <> bid then
+      invalid_arg (Printf.sprintf "%s: no block bb%d" f.name bid);
+    if not visited.(bid) then begin
+      visited.(bid) <- true;
+      let b = by_id.(bid) in
+      (match b.term with
+       | Ret _ -> ()
+       | Br t -> dfs t
+       | Cond_br (_, t1, t2) -> dfs t1; dfs t2);
       post := b :: !post
     end
   in
   dfs entry.bid;
   let blocks = Array.of_list !post in
   let n = Array.length blocks in
-  let index_of = Hashtbl.create 16 in
-  Array.iteri (fun i b -> Hashtbl.replace index_of b.bid i) blocks;
+  let index_of = Array.make nids (-1) in
+  Array.iteri (fun i b -> index_of.(b.bid) <- i) blocks;
   let preds = Array.make n [] and succs = Array.make n [] in
   Array.iteri
     (fun i b ->
+       (* every successor of a reachable block is reachable *)
        let ss =
-         List.filter_map (fun s -> Hashtbl.find_opt index_of s)
-           (successors b.term)
+         match b.term with
+         | Ret _ -> []
+         | Br t -> [ index_of.(t) ]
+         | Cond_br (_, t1, t2) -> [ index_of.(t1); index_of.(t2) ]
        in
        succs.(i) <- ss;
        List.iter (fun s -> preds.(s) <- i :: preds.(s)) ss)
     blocks;
-  { func = f; blocks; index_of; preds; succs; rpo = Array.init n Fun.id }
+  { func = f; blocks; index_of; preds; succs }
+
+(* RPO index of block [bid], or -1 when it names no reachable block. *)
+let find_index cfg bid =
+  if bid >= 0 && bid < Array.length cfg.index_of then cfg.index_of.(bid) else -1
 
 let block_index cfg bid =
-  match Hashtbl.find_opt cfg.index_of bid with
-  | Some i -> i
-  | None -> invalid_arg (Printf.sprintf "block %d unreachable/unknown" bid)
+  let i = find_index cfg bid in
+  if i < 0 then invalid_arg (Printf.sprintf "block %d unreachable/unknown" bid);
+  i
 
 (* ---------- dominators ---------- *)
 
@@ -70,19 +91,24 @@ let idom (cfg : cfg) : int array =
     done;
     !f1
   in
+  (* intersect the processed predecessors in list order; -1 if none is *)
+  let rec meet acc = function
+    | [] -> acc
+    | p :: rest -> meet (if idom.(p) < 0 then acc else intersect acc p) rest
+  in
+  let rec first = function
+    | [] -> -1
+    | p :: rest -> if idom.(p) < 0 then first rest else meet p rest
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = 1 to n - 1 do
-      let processed = List.filter (fun p -> idom.(p) >= 0) cfg.preds.(i) in
-      match processed with
-      | [] -> ()
-      | first :: rest ->
-        let new_idom = List.fold_left intersect first rest in
-        if idom.(i) <> new_idom then begin
-          idom.(i) <- new_idom;
-          changed := true
-        end
+      let new_idom = first cfg.preds.(i) in
+      if new_idom >= 0 && idom.(i) <> new_idom then begin
+        idom.(i) <- new_idom;
+        changed := true
+      end
     done
   done;
   idom
@@ -115,6 +141,9 @@ let liveness (cfg : cfg) : liveness =
   Array.iteri
     (fun i b ->
        let local_defs = ref IntSet.empty in
+       let use u =
+         if not (IntSet.mem u !local_defs) then uses.(i) <- IntSet.add u uses.(i)
+       in
        List.iter
          (fun (v, inst) ->
             (match inst with
@@ -122,23 +151,15 @@ let liveness (cfg : cfg) : liveness =
                phi_defs.(i) <- IntSet.add v phi_defs.(i);
                List.iter
                  (fun (pred_bid, op) ->
-                    match operand_value op, Hashtbl.find_opt cfg.index_of pred_bid with
-                    | Some u, Some p -> phi_in.(p) <- IntSet.add u phi_in.(p)
+                    let p = find_index cfg pred_bid in
+                    match op with
+                    | Val u when p >= 0 -> phi_in.(p) <- IntSet.add u phi_in.(p)
                     | _ -> ())
                  ins
-             | _ ->
-               List.iter
-                 (fun u ->
-                    if not (IntSet.mem u !local_defs) then
-                      uses.(i) <- IntSet.add u uses.(i))
-                 (inst_uses inst));
+             | _ -> iter_uses use inst);
             local_defs := IntSet.add v !local_defs)
          b.insts;
-       List.iter
-         (fun u ->
-            if not (IntSet.mem u !local_defs) then
-              uses.(i) <- IntSet.add u uses.(i))
-         (term_uses b.term);
+       iter_term_uses use b.term;
        defs.(i) <- !local_defs)
     cfg.blocks;
   let live_in = Array.make n IntSet.empty in
@@ -212,6 +233,8 @@ let natural_loops (cfg : cfg) (idom : int array) : loop list =
          end)
       cfg.succs.(b)
   done;
+  (* the result's order is this table's fold order, which licm's per-loop
+     hoisting budget sees *)
   Hashtbl.fold
     (fun header body acc ->
        let exits =
@@ -232,46 +255,55 @@ exception Invalid_ir of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Invalid_ir s)) fmt
 
+(* Def sites in [validate]: a value-indexed array of RPO block indices, or
+   one of these two markers. *)
+let undefined = -2
+let param = -1
+
 (* [validate f] checks the SSA invariants we rely on: well-formed CFG
    (every terminator targets an existing block), single assignment with
    value ids inside [0, nvalues), defs dominate uses, phi arms match
-   predecessors, no phis in the entry block.  Every violation raises
-   [Invalid_ir] (never [Not_found]/[Invalid_argument]), so callers can
-   classify a broken pass uniformly. *)
+   predecessors and name blocks of [f], no phis in the entry block.  Every
+   violation raises [Invalid_ir] (never [Not_found]/[Invalid_argument]),
+   so callers can classify a broken pass uniformly. *)
 let validate (f : func) : unit =
   if f.blocks = [] then fail "%s: function has no blocks" f.name;
-  (* structural checks first: [build] itself assumes terminator targets
-     exist, so a dangling target must be diagnosed before the CFG walk *)
-  let by_id = Hashtbl.create 16 in
+  (* structural checks first: [build] itself assumes block ids index an
+     array and terminator targets exist, so both are diagnosed before the
+     CFG walk *)
+  let nids = 1 + List.fold_left (fun m b -> max m b.bid) (-1) f.blocks in
+  let exists = Array.make nids false in
   List.iter
     (fun b ->
-       if Hashtbl.mem by_id b.bid then
-         fail "%s: duplicate block id bb%d" f.name b.bid;
-       Hashtbl.replace by_id b.bid ())
+       if b.bid < 0 then fail "%s: negative block id bb%d" f.name b.bid;
+       if exists.(b.bid) then fail "%s: duplicate block id bb%d" f.name b.bid;
+       exists.(b.bid) <- true)
     f.blocks;
+  let is_block bid = bid >= 0 && bid < nids && exists.(bid) in
   List.iter
     (fun b ->
        List.iter
          (fun t ->
-            if not (Hashtbl.mem by_id t) then
+            if not (is_block t) then
               fail "%s: bb%d terminator targets nonexistent block bb%d"
                 f.name b.bid t)
          (successors b.term))
     f.blocks;
   let cfg = build f in
   let idom_arr = idom cfg in
-  let def_site = Hashtbl.create 64 in
-  for p = 0 to f.nparams - 1 do
-    Hashtbl.replace def_site p (`Param, 0)
-  done;
+  let nv = max f.nvalues f.nparams in
+  let def_block = Array.make nv undefined and def_pos = Array.make nv 0 in
+  Array.fill def_block 0 f.nparams param;
   Array.iteri
     (fun i b ->
        List.iteri
          (fun pos (v, inst) ->
             if v < 0 || v >= f.nvalues then
               fail "%s: value id %%%d outside [0, %d)" f.name v f.nvalues;
-            if Hashtbl.mem def_site v then fail "%s: value %%%d defined twice" f.name v;
-            Hashtbl.replace def_site v (`Block (i, pos), 0);
+            if def_block.(v) <> undefined then
+              fail "%s: value %%%d defined twice" f.name v;
+            def_block.(v) <- i;
+            def_pos.(v) <- pos;
             (match inst with
              | Phi [] -> fail "%s: phi %%%d has no arms" f.name v
              | Phi _ when i = 0 ->
@@ -301,11 +333,13 @@ let validate (f : func) : unit =
                   disagreement with the CFG; an arm naming an unreachable
                   block is the legal transient between a branch fold and
                   the next unreachable-block sweep (execution can never
-                  take that edge) *)
+                  take that edge); an arm naming no block at all is not *)
                List.iter
                  (fun a ->
-                    if not (List.mem a pred_ids) && Hashtbl.mem cfg.index_of a
-                    then
+                    if not (is_block a) then
+                      fail "%s: phi %%%d arm bb%d names no block of the function"
+                        f.name v a;
+                    if not (List.mem a pred_ids) && find_index cfg a >= 0 then
                       fail "%s: phi %%%d arm bb%d is not a predecessor of bb%d"
                         f.name v a cfg.blocks.(i).bid)
                  arm_ids
@@ -313,57 +347,51 @@ let validate (f : func) : unit =
          b.insts)
     cfg.blocks;
   (* defs dominate uses *)
+  let def_of u = if u < 0 || u >= nv then undefined else def_block.(u) in
   let check_use ~user_block ~user_pos v =
-    match Hashtbl.find_opt def_site v with
-    | None -> fail "%s: use of undefined value %%%d" f.name v
-    | Some (`Param, _) -> ()
-    | Some (`Block (db, dpos), _) ->
-      if db = user_block then begin
-        if dpos >= user_pos then
-          fail "%s: value %%%d used at or before its definition" f.name v
-      end
-      else if not (dominates idom_arr db user_block) then
-        fail "%s: def of %%%d (bb idx %d) does not dominate use (bb idx %d)"
-          f.name v db user_block
+    let db = def_of v in
+    if db = undefined then fail "%s: use of undefined value %%%d" f.name v
+    else if db = param then ()
+    else if db = user_block then begin
+      if def_pos.(v) >= user_pos then
+        fail "%s: value %%%d used at or before its definition" f.name v
+    end
+    else if not (dominates idom_arr db user_block) then
+      fail "%s: def of %%%d (bb idx %d) does not dominate use (bb idx %d)"
+        f.name v db user_block
   in
   Array.iteri
     (fun i b ->
-       List.iteri
-         (fun pos (_, inst) ->
-            match inst with
-            | Phi ins ->
-              List.iter
-                (fun (pred_bid, op) ->
-                   match operand_value op with
-                   | None -> ()
-                   | Some u ->
-                     (* arms from unreachable blocks carry no dataflow *)
-                     (match Hashtbl.find_opt cfg.index_of pred_bid with
-                      | None -> ()
-                      | Some p ->
-                        (* the input must be available at the end of pred *)
-                        (match Hashtbl.find_opt def_site u with
-                         | None -> fail "%s: phi input %%%d undefined" f.name u
-                         | Some (`Param, _) -> ()
-                         | Some (`Block (db, _), _) ->
-                           if not (dominates idom_arr db p) then
-                             fail "%s: phi input %%%d does not dominate pred"
-                               f.name u)))
-                ins
-            | _ ->
-              List.iter (fun u -> check_use ~user_block:i ~user_pos:pos u)
-                (inst_uses inst))
-         b.insts;
-       List.iter
-         (fun u -> check_use ~user_block:i ~user_pos:(List.length b.insts) u)
-         (term_uses b.term);
-       (* phis must be a prefix of the block *)
-       let seen_nonphi = ref false in
+       let pos = ref 0 and seen_nonphi = ref false and misplaced = ref false in
        List.iter
          (fun (_, inst) ->
-            if is_phi inst then begin
-              if !seen_nonphi then fail "%s: phi after non-phi in bb%d" f.name b.bid
-            end
-            else seen_nonphi := true)
-         b.insts)
+            (match inst with
+             | Phi ins ->
+               if !seen_nonphi then misplaced := true;
+               List.iter
+                 (fun (pred_bid, op) ->
+                    match op with
+                    | Const _ -> ()
+                    | Val u ->
+                      (* arms from unreachable blocks carry no dataflow *)
+                      let p = find_index cfg pred_bid in
+                      if p >= 0 then begin
+                        (* the input must be available at the end of pred *)
+                        let db = def_of u in
+                        if db = undefined then
+                          fail "%s: phi input %%%d undefined" f.name u
+                        else if db <> param && not (dominates idom_arr db p)
+                        then
+                          fail "%s: phi input %%%d does not dominate pred"
+                            f.name u
+                      end)
+                 ins
+             | _ ->
+               seen_nonphi := true;
+               iter_uses (check_use ~user_block:i ~user_pos:!pos) inst);
+            incr pos)
+         b.insts;
+       iter_term_uses (check_use ~user_block:i ~user_pos:!pos) b.term;
+       (* phis must be a prefix of the block *)
+       if !misplaced then fail "%s: phi after non-phi in bb%d" f.name b.bid)
     cfg.blocks

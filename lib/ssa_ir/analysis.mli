@@ -8,18 +8,25 @@ module IntMap : Map.S with type key = int
 type cfg = {
   func : Ir.func;
   blocks : Ir.block array;             (** indexed by RPO position *)
-  index_of : (Ir.block_id, int) Hashtbl.t;
+  index_of : int array;
+      (** block id -> RPO position, [-1] for an unreachable block; ids
+          past the largest block id are out of range: use
+          {!find_index} *)
   preds : int list array;              (** RPO indices *)
   succs : int list array;
-  rpo : int array;
 }
 
 val build : Ir.func -> cfg
-(** Compute the CFG in reverse postorder; unreachable blocks are
-    dropped. *)
+(** Compute the CFG in reverse postorder (depth-first, successors in
+    terminator order); unreachable blocks are dropped.
+    @raise Invalid_argument on a negative block id or a terminator that
+    targets no block ({!validate} reports both as [Invalid_ir]). *)
 
 val block_index : cfg -> Ir.block_id -> int
 (** @raise Invalid_argument for unknown/unreachable blocks. *)
+
+val find_index : cfg -> Ir.block_id -> int
+(** The RPO index of a reachable block, [-1] for any other id. *)
 
 val idom : cfg -> int array
 (** Immediate-dominator array over RPO indices (the entry maps to
@@ -57,10 +64,12 @@ val natural_loops : cfg -> int array -> loop list
 exception Invalid_ir of string
 
 val validate : Ir.func -> unit
-(** Check the SSA invariants the back ends rely on: every terminator
-    targets an existing block, single assignment with value ids inside
-    [0, nvalues), defs dominate uses, phi arms match predecessors, no
-    phis (and no empty phis) in the entry block, phis form a block
-    prefix.  Every violation raises [Invalid_ir] — never [Not_found] or
+(** Check the SSA invariants the back ends rely on: block ids are
+    distinct and non-negative, every terminator targets an existing
+    block, single assignment with value ids inside [0, nvalues), defs
+    dominate uses, phi arms match predecessors and name blocks of the
+    function (an arm from an unreachable block is tolerated), no phis
+    (and no empty phis) in the entry block, phis form a block prefix.
+    Every violation raises [Invalid_ir] — never [Not_found] or
     [Invalid_argument] — so a broken pass is classified uniformly.
     @raise Invalid_ir with a diagnostic otherwise. *)

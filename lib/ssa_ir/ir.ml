@@ -107,6 +107,22 @@ let term_uses = function
   | Br _ -> []
   | Cond_br (c, _, _) -> List.filter_map operand_value [ c ]
 
+(* The same values in the same order, without building the list. *)
+let iter_operand g = function Val v -> g v | Const _ -> ()
+
+let iter_uses g = function
+  | Bin (_, a, b) | Cmp (_, a, b) | Store (a, b, _) ->
+    iter_operand g a;
+    iter_operand g b
+  | Load (a, _) -> iter_operand g a
+  | Call (_, args) -> List.iter (iter_operand g) args
+  | Frame_addr _ | Global_addr _ -> ()
+  | Phi ins -> List.iter (fun (_, op) -> iter_operand g op) ins
+
+let iter_term_uses g = function
+  | Ret op | Cond_br (op, _, _) -> iter_operand g op
+  | Br _ -> ()
+
 let is_phi = function Phi _ -> true | _ -> false
 
 (* Pure instructions can be folded, eliminated when dead, and sunk by the

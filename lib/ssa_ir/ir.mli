@@ -77,6 +77,14 @@ val inst_uses : inst -> value list
 (** Values read by an instruction (multiplicity preserved). *)
 
 val term_uses : terminator -> value list
+
+val iter_uses : (value -> unit) -> inst -> unit
+(** [iter_uses g i] applies [g] to {!inst_uses}[ i] in order, without
+    building the list. *)
+
+val iter_term_uses : (value -> unit) -> terminator -> unit
+(** Likewise for {!term_uses}. *)
+
 val is_phi : inst -> bool
 
 val is_pure : inst -> bool

@@ -5,6 +5,83 @@
 open Ir
 module IntSet = Set.Make (Int)
 
+(* ---------- sharing rewrites ---------- *)
+
+(* The passes rewrite instruction lists functionally.  These helpers
+   return their input physically when nothing in it changed, so a pass
+   that leaves a block alone leaves its [insts] list physically in place
+   and [run_passes]'s change check returns at once on it.  Elements are
+   visited head first, like [List.map]. *)
+let rec map_sharing g l =
+  match l with
+  | [] -> l
+  | x :: tl ->
+    let x' = g x in
+    let tl' = map_sharing g tl in
+    if x' == x && tl' == tl then l else x' :: tl'
+
+let rec filter_sharing keep l =
+  match l with
+  | [] -> l
+  | x :: tl ->
+    let k = keep x in
+    let tl' = filter_sharing keep tl in
+    if not k then tl' else if tl' == tl then l else x :: tl'
+
+(* [inst] with every operand passed through [g]. *)
+let map_operands g inst =
+  match inst with
+  | Bin (op, a, x) ->
+    let a' = g a and x' = g x in
+    if a' == a && x' == x then inst else Bin (op, a', x')
+  | Cmp (op, a, x) ->
+    let a' = g a and x' = g x in
+    if a' == a && x' == x then inst else Cmp (op, a', x')
+  | Load (a, o) ->
+    let a' = g a in
+    if a' == a then inst else Load (a', o)
+  | Store (x, a, o) ->
+    let x' = g x and a' = g a in
+    if x' == x && a' == a then inst else Store (x', a', o)
+  | Call (name, args) ->
+    let args' = map_sharing g args in
+    if args' == args then inst else Call (name, args')
+  | Phi ins ->
+    let ins' =
+      map_sharing
+        (fun ((p, o) as arm) ->
+           let o' = g o in
+           if o' == o then arm else (p, o'))
+        ins
+    in
+    if ins' == ins then inst else Phi ins'
+  | Frame_addr _ | Global_addr _ -> inst
+
+let map_term_operand g term =
+  match term with
+  | Ret op ->
+    let op' = g op in
+    if op' == op then term else Ret op'
+  | Cond_br (c, t1, t2) ->
+    let c' = g c in
+    if c' == c then term else Cond_br (c', t1, t2)
+  | Br _ -> term
+
+(* Every instruction of [b] rewritten by [g] on [(v, inst)]. *)
+let map_insts g (b : block) = b.insts <- map_sharing g b.insts
+
+(* Every operand of [f] (instructions and terminators) through [g]. *)
+let subst_operands g (f : func) =
+  List.iter
+    (fun b ->
+       map_insts
+         (fun ((v, inst) as d) ->
+            let inst' = map_operands g inst in
+            if inst' == inst then d else (v, inst'))
+         b;
+       b.term <- map_term_operand g b.term)
+    f.blocks
+
 (* ---------- constant folding ---------- *)
 
 let fold_identities op a b =
@@ -24,16 +101,12 @@ let fold_identities op a b =
   | _ -> None
 
 (* [const_fold f] rewrites through known constants and folds pure
-   instructions; returns [true] if anything changed. *)
-let const_fold (f : func) : bool =
-  let known : (value, int32) Hashtbl.t = Hashtbl.create 32 in
-  let changed = ref false in
+   instructions.  [known.(v)] is [Const c] once [v] is known to be [c]. *)
+let const_fold (f : func) : unit =
+  let known = Array.make f.nvalues (Val (-1)) in
   let subst op =
     match op with
-    | Val v ->
-      (match Hashtbl.find_opt known v with
-       | Some c -> changed := true; Const c
-       | None -> op)
+    | Val v -> (match known.(v) with Const _ as c -> c | Val _ -> op)
     | Const _ -> op
   in
   (* two sweeps so constants discovered late propagate into earlier blocks
@@ -41,47 +114,32 @@ let const_fold (f : func) : bool =
   for _sweep = 1 to 2 do
     List.iter
       (fun b ->
-         b.insts <-
-           List.map
-             (fun (v, inst) ->
-                let inst =
-                  match inst with
-                  | Bin (op, a, x) -> Bin (op, subst a, subst x)
-                  | Cmp (op, a, x) -> Cmp (op, subst a, subst x)
-                  | Load (a, o) -> Load (subst a, o)
-                  | Store (x, a, o) -> Store (subst x, subst a, o)
-                  | Call (g, args) -> Call (g, List.map subst args)
-                  | Phi ins -> Phi (List.map (fun (p, o) -> (p, subst o)) ins)
-                  | Frame_addr _ | Global_addr _ -> inst
-                in
-                (match inst with
-                 | Bin (op, Const a, Const x) ->
-                   Hashtbl.replace known v (eval_binop op a x)
-                 | Cmp (op, Const a, Const x) ->
-                   Hashtbl.replace known v (if eval_cmpop op a x then 1l else 0l)
-                 | Bin (op, a, x) ->
-                   (match fold_identities op a x with
-                    | Some (`Const c) -> Hashtbl.replace known v c
-                    | Some (`Op (Const c)) -> Hashtbl.replace known v c
-                    | Some (`Op (Val _)) | None -> ())
-                 | Phi ins ->
-                   (* a phi whose inputs are all the same constant *)
-                   (match ins with
-                    | (_, Const c) :: rest
-                      when List.for_all (fun (_, o) -> o = Const c) rest ->
-                      Hashtbl.replace known v c
-                    | _ -> ())
-                 | _ -> ());
-                (v, inst))
-             b.insts;
+         map_insts
+           (fun ((v, inst) as d) ->
+              let inst' = map_operands subst inst in
+              (match inst' with
+               | Bin (op, Const a, Const x) -> known.(v) <- Const (eval_binop op a x)
+               | Cmp (op, Const a, Const x) ->
+                 known.(v) <- Const (if eval_cmpop op a x then 1l else 0l)
+               | Bin (op, a, x) ->
+                 (match fold_identities op a x with
+                  | Some (`Const c) | Some (`Op (Const c)) -> known.(v) <- Const c
+                  | Some (`Op (Val _)) | None -> ())
+               | Phi ins ->
+                 (* a phi whose inputs are all the same constant *)
+                 (match ins with
+                  | (_, (Const _ as c)) :: rest
+                    when List.for_all (fun (_, o) -> o = c) rest ->
+                    known.(v) <- c
+                  | _ -> ())
+               | _ -> ());
+              if inst' == inst then d else (v, inst'))
+           b;
          b.term <-
            (match b.term with
-            | Ret op -> Ret (subst op)
-            | Br t -> Br t
             | Cond_br (c, t1, t2) ->
               (match subst c with
                | Const c ->
-                 changed := true;
                  let kept = if c <> 0l then t1 else t2 in
                  let dropped = if c <> 0l then t2 else t1 in
                  (* the dropped target loses this predecessor: prune arms *)
@@ -89,19 +147,20 @@ let const_fold (f : func) : bool =
                    List.iter
                      (fun tb ->
                         if tb.bid = dropped then
-                          tb.insts <-
-                            List.map
-                              (fun (v, inst) ->
-                                 match inst with
-                                 | Phi arms ->
-                                   (v, Phi (List.filter
-                                              (fun (p, _) -> p <> b.bid)
-                                              arms))
-                                 | _ -> (v, inst))
-                              tb.insts)
+                          map_insts
+                            (fun ((v, inst) as d) ->
+                               match inst with
+                               | Phi arms ->
+                                 let arms' =
+                                   filter_sharing (fun (p, _) -> p <> b.bid) arms
+                                 in
+                                 if arms' == arms then d else (v, Phi arms')
+                               | _ -> d)
+                            tb)
                      f.blocks;
                  Br kept
-               | c -> Cond_br (c, t1, t2))))
+               | Val _ -> b.term)
+            | term -> map_term_operand subst term))
       f.blocks
   done;
   (* Replace folded definitions by trivial constants so DCE can drop them
@@ -109,17 +168,17 @@ let const_fold (f : func) : bool =
      already rewrote every arm to the constant, and turning one into a
      [Bin] mid-block would put later phis after a non-phi. *)
   List.iter
-    (fun b ->
-       b.insts <-
-         List.map
-           (fun (v, inst) ->
-              match Hashtbl.find_opt known v, inst with
-              | Some c, (Bin _ | Cmp _) -> (v, Bin (Add, Const c, Const 0l))
-              | _ -> (v, inst))
-           b.insts)
+    (map_insts (fun ((v, inst) as d) ->
+         match known.(v), inst with
+         | Const c, Bin (Add, Const c', Const 0l) when c = c' -> d
+         | Const c, (Bin _ | Cmp _) -> (v, Bin (Add, Const c, Const 0l))
+         | _ -> d))
     f.blocks;
-  (* rewrite uses of identity-folded values: x + 0 -> x *)
-  let copy_of : (value, operand) Hashtbl.t = Hashtbl.create 16 in
+  (* rewrite uses of identity-folded values: x + 0 -> x.  [copy_of.(v)]
+     is the operand [v] copies, [Val (-1)] if none. *)
+  let copy_of = Array.make f.nvalues (Val (-1)) in
+  let copies = ref false in
+  let copy v o = copy_of.(v) <- o; copies := true in
   List.iter
     (fun b ->
        List.iter
@@ -127,138 +186,95 @@ let const_fold (f : func) : bool =
             match inst with
             | Bin (op, a, x) ->
               (match fold_identities op a x with
-               | Some (`Op o) -> Hashtbl.replace copy_of v o
+               | Some (`Op o) -> copy v o
                | _ -> ())
-            | Phi [ (_, o) ] -> Hashtbl.replace copy_of v o
+            | Phi [ (_, o) ] -> copy v o
             | _ -> ())
          b.insts)
     f.blocks;
-  if Hashtbl.length copy_of > 0 then begin
+  if !copies then begin
     let rec resolve o =
       match o with
       | Val v ->
-        (match Hashtbl.find_opt copy_of v with
-         | Some o' -> resolve o'
-         | None -> o)
+        (match copy_of.(v) with
+         | Val w when w < 0 -> o
+         | o' -> resolve o')
       | Const _ -> o
     in
-    let subst2 o =
-      let o' = resolve o in
-      if o' <> o then changed := true;
-      o'
-    in
-    List.iter
-      (fun b ->
-         b.insts <-
-           List.map
-             (fun (v, inst) ->
-                let inst =
-                  match inst with
-                  | Bin (op, a, x) -> Bin (op, subst2 a, subst2 x)
-                  | Cmp (op, a, x) -> Cmp (op, subst2 a, subst2 x)
-                  | Load (a, o) -> Load (subst2 a, o)
-                  | Store (x, a, o) -> Store (subst2 x, subst2 a, o)
-                  | Call (g, args) -> Call (g, List.map subst2 args)
-                  | Phi ins -> Phi (List.map (fun (p, o) -> (p, subst2 o)) ins)
-                  | Frame_addr _ | Global_addr _ -> inst
-                in
-                (v, inst))
-             b.insts;
-         b.term <-
-           (match b.term with
-            | Ret op -> Ret (subst2 op)
-            | Br t -> Br t
-            | Cond_br (c, t1, t2) -> Cond_br (subst2 c, t1, t2)))
-      f.blocks
-  end;
-  !changed
+    subst_operands resolve f
+  end
 
 (* ---------- dead code elimination ---------- *)
 
-(* [dce f] removes pure instructions whose results are never used. *)
-let dce (f : func) : bool =
-  let used = Hashtbl.create 64 in
-  let mark op = match op with Val v -> Hashtbl.replace used v () | Const _ -> () in
-  let mark_inst inst = List.iter (fun v -> Hashtbl.replace used v ()) (inst_uses inst) in
-  (* seed: side effects and terminators *)
+(* [dce f] removes pure instructions whose results are never
+   (transitively) used: a worklist marks the uses of side effects and
+   terminators, then the uses of every marked pure definition. *)
+let dce (f : func) : unit =
+  let n = f.nvalues in
+  let def = Array.make n (Frame_addr 0) in   (* a def with no uses *)
+  let used = Array.make n false in
+  let stack = Array.make n 0 and top = ref 0 in
+  let mark u =
+    if not used.(u) then begin
+      used.(u) <- true;
+      stack.(!top) <- u;
+      incr top
+    end
+  in
   List.iter
     (fun b ->
-       List.iter (fun (_, inst) -> if has_side_effect inst then mark_inst inst) b.insts;
-       List.iter (fun v -> Hashtbl.replace used v ()) (term_uses b.term);
-       ignore mark)
+       List.iter
+         (fun (v, inst) ->
+            def.(v) <- inst;
+            if has_side_effect inst then iter_uses mark inst)
+         b.insts;
+       iter_term_uses mark b.term)
     f.blocks;
-  (* propagate backwards to a fixpoint *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-         List.iter
-           (fun (v, inst) ->
-              if Hashtbl.mem used v && not (has_side_effect inst) then
-                List.iter
-                  (fun u ->
-                     if not (Hashtbl.mem used u) then begin
-                       Hashtbl.replace used u ();
-                       changed := true
-                     end)
-                  (inst_uses inst))
-           b.insts)
-      f.blocks
+  while !top > 0 do
+    decr top;
+    let inst = def.(stack.(!top)) in
+    if not (has_side_effect inst) then iter_uses mark inst
   done;
-  let removed = ref false in
   List.iter
     (fun b ->
-       let keep, drop =
-         List.partition
-           (fun (v, inst) -> has_side_effect inst || Hashtbl.mem used v)
-           b.insts
-       in
-       if drop <> [] then removed := true;
-       b.insts <- keep)
-    f.blocks;
-  !removed
+       b.insts <-
+         filter_sharing (fun (v, inst) -> has_side_effect inst || used.(v)) b.insts)
+    f.blocks
 
 (* ---------- CFG cleanup ---------- *)
 
 (* Remove blocks unreachable from the entry and prune phi arms that
-   referenced them. *)
-let remove_unreachable (f : func) : bool =
+   referenced them; a phi left with one arm becomes a copy. *)
+let remove_unreachable (f : func) : unit =
   let cfg = Analysis.build f in
-  let reachable = Hashtbl.create 16 in
-  Array.iter (fun b -> Hashtbl.replace reachable b.bid ()) cfg.Analysis.blocks;
-  let before = List.length f.blocks in
-  f.blocks <- List.filter (fun b -> Hashtbl.mem reachable b.bid) f.blocks;
+  let reachable bid = Analysis.find_index cfg bid >= 0 in
+  if Array.length cfg.Analysis.blocks < List.length f.blocks then
+    f.blocks <- List.filter (fun b -> reachable b.bid) f.blocks;
   List.iter
-    (fun b ->
-       b.insts <-
-         List.map
-           (fun (v, inst) ->
-              match inst with
-              | Phi ins ->
-                let ins = List.filter (fun (p, _) -> Hashtbl.mem reachable p) ins in
-                (match ins with
-                 | [ (_, op) ] -> (v, Bin (Add, op, Const 0l))
-                 | _ -> (v, Phi ins))
-              | _ -> (v, inst))
-           b.insts)
-    f.blocks;
-  List.length f.blocks <> before
+    (map_insts (fun ((v, inst) as d) ->
+         match inst with
+         | Phi ins ->
+           let ins' = filter_sharing (fun (p, _) -> reachable p) ins in
+           (match ins' with
+            | [ (_, op) ] -> (v, Bin (Add, op, Const 0l))
+            | _ -> if ins' == ins then d else (v, Phi ins'))
+         | _ -> d))
+    f.blocks
 
 (* Merge a straight-line pair b -> s when s's only predecessor is b. *)
-let merge_blocks (f : func) : bool =
+let merge_blocks (f : func) : unit =
   let cfg = Analysis.build f in
   let n = Array.length cfg.Analysis.blocks in
+  let removed = Array.make n false in   (* by RPO index *)
   let merged = ref false in
-  let removed = Hashtbl.create 8 in
   for i = 0 to n - 1 do
     let b = cfg.Analysis.blocks.(i) in
-    if not (Hashtbl.mem removed b.bid) then
+    if not removed.(i) then
       match b.term with
       | Br t when t <> b.bid ->
         let ti = Analysis.block_index cfg t in
         let s = cfg.Analysis.blocks.(ti) in
-        if cfg.Analysis.preds.(ti) = [ i ] && not (Hashtbl.mem removed s.bid)
+        if cfg.Analysis.preds.(ti) = [ i ] && not removed.(ti)
            && not (List.exists (fun (_, inst) -> is_phi inst) s.insts)
            && s.bid <> (entry_block f).bid
         then begin
@@ -266,34 +282,30 @@ let merge_blocks (f : func) : bool =
           b.term <- s.term;
           (* successors of s now have predecessor b instead of s *)
           List.iter
-            (fun b' ->
-               b'.insts <-
-                 List.map
-                   (fun (v, inst) ->
-                      match inst with
-                      | Phi ins ->
-                        (v, Phi (List.map
-                                   (fun (p, o) -> ((if p = s.bid then b.bid else p), o))
-                                   ins))
-                      | _ -> (v, inst))
-                   b'.insts)
+            (map_insts (fun ((v, inst) as d) ->
+                 match inst with
+                 | Phi ins when List.exists (fun (p, _) -> p = s.bid) ins ->
+                   (v, Phi (List.map
+                              (fun (p, o) -> ((if p = s.bid then b.bid else p), o))
+                              ins))
+                 | _ -> d))
             f.blocks;
-          Hashtbl.replace removed s.bid ();
+          removed.(ti) <- true;
           merged := true
         end
       | _ -> ()
   done;
   if !merged then
-    f.blocks <- List.filter (fun b -> not (Hashtbl.mem removed b.bid)) f.blocks;
-  !merged
+    f.blocks <-
+      List.filter
+        (fun b ->
+           let i = Analysis.find_index cfg b.bid in
+           i < 0 || not removed.(i))
+        f.blocks
 
-let simplify_cfg (f : func) : bool =
-  let a = remove_unreachable f in
-  let b = merge_blocks f in
-  a || b
-
-(* forward declaration placeholder: [optimize] is defined after cse/licm
-   at the end of this file. *)
+let simplify_cfg (f : func) : unit =
+  remove_unreachable f;
+  merge_blocks f
 
 (* ---------- critical edge splitting ---------- *)
 
@@ -306,21 +318,17 @@ let split_critical_edges (f : func) : unit =
     ref (List.fold_left (fun acc b -> max acc b.bid) 0 f.blocks + 1)
   in
   let cfg = Analysis.build f in
-  let npreds = Hashtbl.create 16 in
-  Array.iteri
-    (fun i b ->
-       Hashtbl.replace npreds b.bid (List.length cfg.Analysis.preds.(i)))
-    cfg.Analysis.blocks;
+  let merge target =
+    let i = Analysis.find_index cfg target in
+    i >= 0 && List.compare_length_with cfg.Analysis.preds.(i) 1 > 0
+  in
   let new_blocks = ref [] in
   List.iter
     (fun b ->
        match b.term with
        | Cond_br (c, t1, t2) ->
          let maybe_split target =
-           if (match Hashtbl.find_opt npreds target with
-               | Some n -> n > 1
-               | None -> false)
-           then begin
+           if merge target then begin
              let e = { bid = !next_bid; insts = []; term = Br target } in
              incr next_bid;
              new_blocks := e :: !new_blocks;
@@ -355,7 +363,7 @@ let split_critical_edges (f : func) : unit =
 (* Order blocks in reverse postorder (entry first); drops unreachable
    blocks.  Back ends use this as their layout order. *)
 let layout_rpo (f : func) : unit =
-  ignore (remove_unreachable f);
+  remove_unreachable f;
   let cfg = Analysis.build f in
   f.blocks <- Array.to_list cfg.Analysis.blocks
 
@@ -378,63 +386,42 @@ let cse_key (inst : inst) : inst option =
   | Load _ | Store _ | Call _ | Phi _ -> None
 
 (* [cse f] removes redundant pure computations: an instruction is replaced
-   by an identical earlier one whose definition block dominates it. *)
-let cse (f : func) : bool =
+   by an identical earlier one whose definition block dominates it.  The
+   table keeps the first instance of each key seen in RPO order. *)
+let cse (f : func) : unit =
   let cfg = Analysis.build f in
   let idom = Analysis.idom cfg in
   let table : (inst, value * int) Hashtbl.t = Hashtbl.create 64 in
-  let replacement : (value, value) Hashtbl.t = Hashtbl.create 16 in
+  (* [replacement.(v)] is the earlier value [v] was folded into, or -1 *)
+  let replacement = Array.make f.nvalues (-1) in
+  let replaced = ref false in
   Array.iteri
     (fun bi b ->
        b.insts <-
-         List.filter
+         filter_sharing
            (fun (v, inst) ->
-              (* rewrite operands through earlier replacements so chains of
-                 equal expressions collapse in one pass *)
               match cse_key inst with
               | None -> true
               | Some key ->
                 (match Hashtbl.find_opt table key with
                  | Some (v0, b0) when Analysis.dominates idom b0 bi ->
-                   Hashtbl.replace replacement v v0;
+                   replacement.(v) <- v0;
+                   replaced := true;
                    false
                  | _ ->
                    Hashtbl.replace table key (v, bi);
                    true))
            b.insts)
     cfg.Analysis.blocks;
-  if Hashtbl.length replacement = 0 then false
-  else begin
+  if !replaced then begin
+    (* rewrite operands through the replacements; chains of equal
+       expressions collapse in one pass *)
     let rec resolve op =
       match op with
-      | Val v ->
-        (match Hashtbl.find_opt replacement v with
-         | Some v' -> resolve (Val v')
-         | None -> op)
-      | Const _ -> op
+      | Val v when replacement.(v) >= 0 -> resolve (Val replacement.(v))
+      | Val _ | Const _ -> op
     in
-    List.iter
-      (fun b ->
-         b.insts <-
-           List.map
-             (fun (v, inst) ->
-                ( v,
-                  match inst with
-                  | Bin (op, a, x) -> Bin (op, resolve a, resolve x)
-                  | Cmp (op, a, x) -> Cmp (op, resolve a, resolve x)
-                  | Load (a, o) -> Load (resolve a, o)
-                  | Store (x, a, o) -> Store (resolve x, resolve a, o)
-                  | Call (g, args) -> Call (g, List.map resolve args)
-                  | Phi arms -> Phi (List.map (fun (p, o) -> (p, resolve o)) arms)
-                  | Frame_addr _ | Global_addr _ -> inst ))
-             b.insts;
-         b.term <-
-           (match b.term with
-            | Ret op -> Ret (resolve op)
-            | Br t -> Br t
-            | Cond_br (c, t1, t2) -> Cond_br (resolve c, t1, t2)))
-      f.blocks;
-    true
+    subst_operands resolve f
   end
 
 (* ---------- loop-invariant code motion ---------- *)
@@ -443,11 +430,10 @@ let cse (f : func) : bool =
    into the loop preheader (the unique out-of-loop predecessor of the
    header).  Our pure instructions cannot trap (division by zero is
    defined), so speculative hoisting is safe. *)
-let licm (f : func) : bool =
+let licm (f : func) : unit =
   let cfg = Analysis.build f in
   let idom = Analysis.idom cfg in
   let loops = Analysis.natural_loops cfg idom in
-  let changed = ref false in
   List.iter
     (fun (l : Analysis.loop) ->
        let header = cfg.Analysis.blocks.(l.Analysis.header) in
@@ -503,7 +489,6 @@ let licm (f : func) : bool =
                   in
                   if hoisted <> [] then begin
                     again := true;
-                    changed := true;
                     pre.insts <- pre.insts @ hoisted;
                     b.insts <- kept;
                     List.iter
@@ -514,9 +499,7 @@ let licm (f : func) : bool =
            done
          end
        | _ -> ())
-    loops;
-  !changed
-
+    loops
 
 (* ---------- the pass pipeline ---------- *)
 
@@ -527,10 +510,12 @@ let opt_name = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2"
 
 (* A named IR-to-IR pass.  The name is what [run_passes ~validate] blames
    when the IR stops validating, so every entry in [pipeline] (and every
-   test-injected pass) must carry a stable, human-meaningful name. *)
+   test-injected pass) must carry a stable, human-meaningful name.  A pass
+   reports nothing: [run_passes] sees for itself whether it changed the
+   function. *)
 type pass = {
   pass_name : string;
-  pass_run : func -> bool;      (* true iff the function changed *)
+  pass_run : func -> unit;
 }
 
 let mk name run = { pass_name = name; pass_run = run }
@@ -551,12 +536,43 @@ let pipeline (level : opt_level) : pass list =
 (* Bound on fixpoint rounds; in practice the pipeline converges in 2-3. *)
 let max_rounds = 8
 
+(* Everything of a function a pass may change: each block's id,
+   instructions and terminator in block order, the value counter and the
+   frame size ([name] and [nparams] are immutable). *)
+type snapshot = {
+  s_blocks : (block_id * (value * inst) list * terminator) list;
+  s_nvalues : int;
+  s_frame_bytes : int;
+}
+
+let snapshot (f : func) =
+  { s_blocks = List.map (fun b -> (b.bid, b.insts, b.term)) f.blocks;
+    s_nvalues = f.nvalues;
+    s_frame_bytes = f.frame_bytes }
+
+(* Structural equality with [compare], which returns at once on
+   physically equal values: the passes keep the [insts] list of a block
+   they leave alone, so an unchanged function costs O(blocks). *)
+let unchanged (s : snapshot) (f : func) =
+  let rec same_blocks sbs bs =
+    match sbs, bs with
+    | [], [] -> true
+    | (bid, insts, term) :: sbs, b :: bs ->
+      bid = b.bid && compare insts b.insts = 0 && compare term b.term = 0
+      && same_blocks sbs bs
+    | _ -> false
+  in
+  s.s_nvalues = f.nvalues && s.s_frame_bytes = f.frame_bytes
+  && same_blocks s.s_blocks f.blocks
+
 (* [run_passes ?validate passes f] iterates [passes] in order until a
-   whole round changes nothing (or [max_rounds] is hit).  With
-   [~validate:true], [Analysis.validate] runs before the first pass and
-   after every pass application, and a violation is re-raised with the
-   culprit pass's name prepended — turning "the O2 pipeline miscompiles"
-   into "cse broke the IR: ...". *)
+   whole round changes nothing (or [max_rounds] is hit); each pass
+   application is compared with a snapshot taken before it.  With
+   [~validate:true], [Analysis.validate] runs on the input and after every
+   pass application that changed the function (IR equal to IR already
+   validated is not validated again), and a violation is re-raised with
+   the culprit pass's name prepended — turning "the O2 pipeline
+   miscompiles" into "cse broke the IR: ...". *)
 let run_passes ?(validate = false) (passes : pass list) (f : func) : unit =
   let check blame =
     if validate then
@@ -565,15 +581,17 @@ let run_passes ?(validate = false) (passes : pass list) (f : func) : unit =
         raise (Analysis.Invalid_ir (Printf.sprintf "%s: %s" blame msg))
   in
   check "before optimization";
+  let apply p =
+    let before = snapshot f in
+    p.pass_run f;
+    let changed = not (unchanged before f) in
+    if changed then check (Printf.sprintf "pass %s broke the IR" p.pass_name);
+    changed
+  in
   let rec go n =
     if n > 0 then begin
       let changed =
-        List.fold_left
-          (fun acc p ->
-             let c = p.pass_run f in
-             check (Printf.sprintf "pass %s broke the IR" p.pass_name);
-             acc || c)
-          false passes
+        List.fold_left (fun acc p -> let c = apply p in acc || c) false passes
       in
       if changed then go (n - 1)
     end

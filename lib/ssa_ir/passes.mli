@@ -2,32 +2,33 @@
     code elimination, CFG cleanup, and critical-edge splitting (required
     by both back ends before phi lowering / distance fixing).
 
-    All passes mutate the function in place and preserve SSA validity. *)
+    All passes mutate the function in place and preserve SSA validity.  A
+    block a pass leaves alone keeps its [insts] list physically, which
+    makes {!run_passes}' change check cheap. *)
 
-val const_fold : Ir.func -> bool
+val const_fold : Ir.func -> unit
 (** Rewrite through known constants, fold pure instructions and constant
-    conditional branches (pruning the dropped targets' phi arms).  Returns
-    [true] if anything changed. *)
+    conditional branches (pruning the dropped targets' phi arms). *)
 
-val dce : Ir.func -> bool
+val dce : Ir.func -> unit
 (** Remove pure instructions whose results are never (transitively)
     used. *)
 
-val remove_unreachable : Ir.func -> bool
+val remove_unreachable : Ir.func -> unit
 (** Drop blocks unreachable from the entry and prune the phi arms that
     referenced them. *)
 
-val merge_blocks : Ir.func -> bool
+val merge_blocks : Ir.func -> unit
 (** Merge straight-line pairs [b -> s] where [s]'s only predecessor is
     [b]. *)
 
-val simplify_cfg : Ir.func -> bool
+val simplify_cfg : Ir.func -> unit
 
-val cse : Ir.func -> bool
+val cse : Ir.func -> unit
 (** Dominator-scoped common-subexpression elimination over pure
     instructions (commutative operands normalized). *)
 
-val licm : Ir.func -> bool
+val licm : Ir.func -> unit
 (** Hoist pure loop-invariant instructions into the loop preheader.
     Speculative hoisting is safe because no pure instruction can trap
     (division by zero is defined). *)
@@ -40,10 +41,11 @@ val opt_name : opt_level -> string
     records carry. *)
 
 (** A named IR-to-IR pass; the name is what checked runs blame when the
-    IR stops validating. *)
+    IR stops validating.  Whether a run changed the function is
+    {!run_passes}' to find out, not the pass's to report. *)
 type pass = {
   pass_name : string;
-  pass_run : Ir.func -> bool;   (** [true] iff the function changed *)
+  pass_run : Ir.func -> unit;
 }
 
 val pipeline : opt_level -> pass list
@@ -52,11 +54,14 @@ val pipeline : opt_level -> pass list
 
 val run_passes : ?validate:bool -> pass list -> Ir.func -> unit
 (** Iterate a pass list in order until a whole round changes nothing
-    (bounded).  With [~validate:true], {!Analysis.validate} runs before
-    the first pass and after every pass application; a violation is
-    re-raised as {!Analysis.Invalid_ir} with the culprit pass's name
-    prepended.  Public so tests can inject a deliberately broken pass
-    and check it is blamed by name. *)
+    (bounded).  A pass application changed the function iff a snapshot
+    taken before it — each block's id, instructions and terminator, the
+    block order, [nvalues] and [frame_bytes] — differs structurally
+    afterwards.  With [~validate:true], {!Analysis.validate} runs on the
+    input and after every pass application that changed the function; a
+    violation is re-raised as {!Analysis.Invalid_ir} with the culprit
+    pass's name prepended.  Public so tests can inject a deliberately
+    broken pass and check it is blamed by name. *)
 
 val optimize_at : opt_level -> Ir.func -> unit
 (** [run_passes (pipeline level)]. *)

@@ -141,20 +141,18 @@ let fresh_tmp st =
   st.tmp <- st.tmp - 1;
   st.tmp
 
+(* An IR value with a use left in the current block, or live out of it. *)
+let needed st v =
+  v >= 0
+  && ((match Hashtbl.find_opt st.remaining v with
+       | Some n -> n > 0
+       | None -> false)
+      || IntSet.mem v st.live_out)
+
 (* Values that must remain reachable at the current point. *)
 let live_values st : int list =
   let base =
-    Hashtbl.fold
-      (fun v p acc ->
-         ignore p;
-         if v >= 0
-            && ((match Hashtbl.find_opt st.remaining v with
-                 | Some n -> n > 0
-                 | None -> false)
-                || IntSet.mem v st.live_out)
-         then v :: acc
-         else acc)
-      st.pos []
+    Hashtbl.fold (fun v _ acc -> if needed st v then v :: acc else acc) st.pos []
   in
   (* Pseudo values participate in refresh batches whenever they are
      positioned: the return address while carried, and the frame base
@@ -168,6 +166,10 @@ let live_values st : int list =
     (fun acc v ->
        if Hashtbl.mem st.pos v && not (List.mem v acc) then v :: acc else acc)
     base st.held
+
+(* Is positioned value [v] one of [live_values]? *)
+let is_live st v =
+  needed st v || v = vk_retaddr || v = vk_frame_base || List.mem v st.held
 
 (* Pin [v] across the headroom checks of the current lowering sequence:
    refresh batches re-position it, and spill_pressure counts it.  Always
@@ -294,15 +296,17 @@ let refresh_all st =
 (* Ensure that [headroom] more instructions can be emitted before any live
    value's distance would exceed the maximum. *)
 let ensure_headroom st headroom =
-  let live = live_values st in
-  let maxd =
-    List.fold_left
-      (fun acc v -> max acc (st.idx - Hashtbl.find st.pos v))
-      0 live
-  in
   (* refresh exactly when some live value would end up beyond the maximum
-     after [headroom] more instructions *)
-  if (not st.spilling) && maxd + headroom > st.cfgc.max_dist then begin
+     after [headroom] more instructions; only values that far back need
+     the liveness test *)
+  let far = st.cfgc.max_dist - headroom in
+  if (not st.spilling)
+  && (far < 0
+      || Hashtbl.fold
+           (fun v p acc -> acc || (st.idx - p > far && is_live st v))
+           st.pos false)
+  then begin
+    let live = live_values st in
     (* after a refresh the live values sit at distances 1..n_live; the
        batch only helps if the worst-case read — the farthest value
        consumed by the last of the [headroom] instructions — still fits.
@@ -1411,7 +1415,7 @@ let emit_block st (plans : block_plan array) (edge_env : (int, env_snapshot) Has
 
 let emit_function ~(config : config) ~globals (f : Ir.func) : item list =
   localize_addresses f;
-  ignore (Ssa_ir.Passes.dce f);  (* drop now-unused shared originals *)
+  Ssa_ir.Passes.dce f;  (* drop now-unused shared originals *)
   Ssa_ir.Passes.split_critical_edges f;
   Ssa_ir.Passes.layout_rpo f;
   Ssa_ir.Analysis.validate f;

@@ -432,7 +432,7 @@ let lower_func (m : module_) (fidx : int) (f : Ast.func) : Ir.func =
     terminate env (Ir.Ret op)
   end;
   Minic.Lower.remove_trivial_phis func;
-  ignore (Ssa_ir.Passes.remove_unreachable func);
+  Ssa_ir.Passes.remove_unreachable func;
   Ssa_ir.Analysis.validate func;
   func
 

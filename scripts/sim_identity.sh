@@ -27,7 +27,11 @@
 #     targets) and -tv-json on a fuzz regression program;
 #   - the campaigns that build each source once for every checker: fuzz
 #     -seed 1 -count 20 -tv -json for MiniC and WAT, -lint-only -tv,
-#     and straightc -tv -lint -run -asm on the same regression program.
+#     and straightc -tv -lint -run -asm on the same regression program;
+#   - the compilers' listings: straightc -asm at -O0/-O1/-O2 for
+#     -target riscv, -target straight, -raw and -maxdist 31, over every
+#     program in test/fuzz_regressions/ and every a*.wat accept fixture
+#     in test/wasm_fixtures/.
 # Every run's exit status is recorded with its stdout, and its stderr is
 # compared too.  Outputs land in _sim_identity/{base,head}/; each
 # differing file is named and the script exits 1.
@@ -146,6 +150,21 @@ battery() {
     -json fuzz.wasm.tv.json
   run fuzz.lint-only.tv "$fuzz" -lint-only -seed 1 -count 20 -tv
   run straightc.all "$cc" -tv -lint -run -asm logs/seed7.mc
+  for src in "$head"/test/fuzz_regressions/* "$head"/test/wasm_fixtures/a*.wat; do
+    prog=$(basename "$src")
+    ext=${prog##*.}
+    # one path per extension in both trees: a listing may name its source
+    cp "$src" "logs/prog.$ext"
+    for o in O0 O1 O2; do
+      run "asm.$prog.riscv.$o" "$cc" -target riscv "-$o" -asm "logs/prog.$ext"
+      run "asm.$prog.straight.$o" "$cc" -target straight "-$o" -asm \
+        "logs/prog.$ext"
+      run "asm.$prog.raw.$o" "$cc" -target straight -raw "-$o" -asm \
+        "logs/prog.$ext"
+      run "asm.$prog.maxdist31.$o" "$cc" -target straight -maxdist 31 "-$o" \
+        -asm "logs/prog.$ext"
+    done
+  done
 }
 
 rm -rf "$out"

@@ -122,7 +122,7 @@ int main() {
 |} in
   let main = List.find (fun g -> g.Ir.name = "main") f.Ir.funcs in
   Ssa_ir.Passes.optimize main;
-  ignore (Ssa_ir.Passes.remove_unreachable main);
+  Ssa_ir.Passes.remove_unreachable main;
   let cfg = Analysis.build main in
   let lv = Analysis.liveness cfg in
   (* the entry block's live-in must be empty: everything is defined inside *)
@@ -233,6 +233,28 @@ let test_validate_structural () =
   f.Ir.nvalues <- 1;
   (Ir.block f 1).Ir.insts <- [ (0, Ir.Phi [ (0, Ir.Const 0l); (2, Ir.Const 1l) ]) ];
   expect_invalid "non-pred arm" f;
+  (* a phi arm naming a block the function does not have, whatever its
+     id (past the last block, negative) and its value (here undefined) *)
+  let diamond arms =
+    let f = func_of_edges 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
+    f.Ir.nvalues <- 2;
+    (Ir.block f 3).Ir.insts <- [ (1, Ir.Phi arms) ];
+    f
+  in
+  let merge_arms = [ (1, Ir.Const 0l); (2, Ir.Const 1l) ] in
+  expect_invalid "arm naming no block"
+    (diamond (merge_arms @ [ (9999, Ir.Val 77) ]));
+  expect_invalid "arm with a negative block id"
+    (diamond (merge_arms @ [ (-1, Ir.Const 5l) ]));
+  (* a block with a negative id *)
+  let f = func_of_edges 2 [ (0, 1) ] in
+  f.Ir.blocks <- f.Ir.blocks @ [ { Ir.bid = -3; insts = []; term = Ir.Ret (Ir.Const 0l) } ];
+  expect_invalid "negative bid" f;
+  (* an arm from a block that exists but is unreachable is the legal
+     transient after a branch fold *)
+  let f = diamond (merge_arms @ [ (4, Ir.Const 2l) ]) in
+  f.Ir.blocks <- f.Ir.blocks @ [ { Ir.bid = 4; insts = []; term = Ir.Br 3 } ];
+  Analysis.validate f;
   (* and a well-formed lowered function passes *)
   let f = lowered {|
 int main() {
@@ -257,6 +279,11 @@ let test_checked_pipeline_clean () =
     [ Workloads.fib ~n:10 (); Workloads.sort ~n:16 ();
       Workloads.coremark ~iterations:1 () ]
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_checked_blames_broken_pass () =
   (* inject a deliberately broken pass between two honest ones: the
      failure must name it, not its neighbours *)
@@ -265,8 +292,7 @@ let test_checked_blames_broken_pass () =
       pass_run =
         (fun f ->
            (* redirect the entry terminator at a nonexistent block *)
-           (Ir.entry_block f).Ir.term <- Ir.Br 9999;
-           true) }
+           (Ir.entry_block f).Ir.term <- Ir.Br 9999) }
   in
   let pipeline =
     match Ssa_ir.Passes.pipeline Ssa_ir.Passes.O1 with
@@ -277,17 +303,126 @@ let test_checked_blames_broken_pass () =
   match Ssa_ir.Passes.run_passes ~validate:true pipeline f with
   | () -> Alcotest.fail "broken pass went unnoticed"
   | exception Analysis.Invalid_ir msg ->
-    let contains ~needle hay =
-      let nl = String.length needle and hl = String.length hay in
-      let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-      go 0
-    in
     Alcotest.(check bool)
       (Printf.sprintf "blames sabotage: %S" msg)
       true (contains ~needle:"pass sabotage broke the IR" msg);
     Alcotest.(check bool)
       (Printf.sprintf "does not blame const-fold: %S" msg)
       false (contains ~needle:"const-fold broke" msg)
+
+(* ---------- change detection ---------- *)
+
+let loop_src = {|
+int main() {
+  int s = 0;
+  for (int i = 0; i < 10; i = i + 1) {
+    if (i > 4) s = s + i * 3; else s = s - 1;
+  }
+  return s;
+}
+|}
+
+let counting name run =
+  let calls = ref 0 in
+  ( { Ssa_ir.Passes.pass_name = name;
+      pass_run = (fun f -> incr calls; run f) },
+    calls )
+
+let test_change_detection_term_in_place () =
+  (* the honest passes are quiet from the first round on (the function is
+     already at their fixpoint); the last pass then only rewrites one
+     existing block's terminator in place.  That is a change: it is
+     validated and blamed by name. *)
+  let f = lowered loop_src in
+  Ssa_ir.Passes.optimize_at Ssa_ir.Passes.O2 f;
+  let sabotage, calls =
+    counting "retarget"
+      (fun f ->
+         let b = List.nth f.Ir.blocks (List.length f.Ir.blocks - 1) in
+         b.Ir.term <- Ir.Br 9999)
+  in
+  let quiet = List.map (fun p -> counting p.Ssa_ir.Passes.pass_name p.Ssa_ir.Passes.pass_run)
+      (Ssa_ir.Passes.pipeline Ssa_ir.Passes.O2) in
+  match
+    Ssa_ir.Passes.run_passes ~validate:true (List.map fst quiet @ [ sabotage ]) f
+  with
+  | () -> Alcotest.fail "an in-place terminator rewrite went unvalidated"
+  | exception Analysis.Invalid_ir msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "blames retarget: %S" msg)
+      true (contains ~needle:"pass retarget broke the IR" msg);
+    Alcotest.(check int) "retarget ran once" 1 !calls;
+    List.iter
+      (fun (p, n) ->
+         Alcotest.(check int) (p.Ssa_ir.Passes.pass_name ^ " ran once") 1 !n)
+      quiet
+
+let test_change_detection_equal_rebuild () =
+  (* a pass that rebuilds every instruction list and terminator as
+     structurally equal values changes nothing: the fixpoint ends after
+     one round *)
+  let f = lowered loop_src in
+  Ssa_ir.Passes.optimize_at Ssa_ir.Passes.O2 f;
+  let before = Ir.func_to_string f in
+  let rebuild, calls =
+    counting "rebuild"
+      (fun f ->
+         f.Ir.blocks <- List.map (fun b -> b) f.Ir.blocks;
+         List.iter
+           (fun b ->
+              b.Ir.insts <- List.map (fun (v, i) -> (v, i)) b.Ir.insts;
+              b.Ir.term <-
+                (match b.Ir.term with
+                 | Ir.Ret o -> Ir.Ret o
+                 | Ir.Br t -> Ir.Br t
+                 | Ir.Cond_br (c, t1, t2) -> Ir.Cond_br (c, t1, t2)))
+           f.Ir.blocks)
+  in
+  let dce, dce_calls = counting "dce" Ssa_ir.Passes.dce in
+  Ssa_ir.Passes.run_passes ~validate:true [ rebuild; dce ] f;
+  Alcotest.(check int) "rebuild ran once" 1 !calls;
+  Alcotest.(check int) "dce ran once" 1 !dce_calls;
+  Alcotest.(check string) "function unchanged" before (Ir.func_to_string f);
+  (* one real change forces exactly one more round *)
+  let once = ref false in
+  let late, late_calls =
+    counting "late"
+      (fun f ->
+         if not !once then begin
+           once := true;
+           f.Ir.frame_bytes <- f.Ir.frame_bytes + 4
+         end)
+  in
+  Ssa_ir.Passes.run_passes ~validate:true [ rebuild; late ] f;
+  Alcotest.(check int) "two rounds after one change" 2 !late_calls
+
+(* ---------- O2 reaches its own fixpoint ---------- *)
+
+let test_o2_fixpoint () =
+  (* a second O2 run changes no function.  MiniC seeds 197, 238 and 246
+     are programs where const-fold rewrites a dead folded definition
+     without changing anything else in its round. *)
+  let check_src label src =
+    let p = Wasm.Front.compile_any src in
+    List.iter (Ssa_ir.Passes.checked_at Ssa_ir.Passes.O2) p.Ir.funcs;
+    List.iter
+      (fun f ->
+         let once = Ir.func_to_string f in
+         Ssa_ir.Passes.optimize_at Ssa_ir.Passes.O2 f;
+         Alcotest.(check string)
+           (Printf.sprintf "%s %s: O2 is a fixpoint" label f.Ir.name)
+           once (Ir.func_to_string f))
+      p.Ir.funcs
+  in
+  List.iter
+    (fun s ->
+       check_src (Printf.sprintf "minic-%d" s) (Fuzz.Gen.render (Fuzz.Gen.generate s)))
+    (List.init 120 Fun.id @ [ 197; 238; 246 ]);
+  List.iter
+    (fun s ->
+       check_src (Printf.sprintf "wat-%d" s)
+         (Fuzz.Gen_wasm.render (Fuzz.Gen_wasm.generate s)))
+    (List.init 60 Fun.id)
 
 let test_checked_accepts_unoptimized () =
   (* ~validate:true also validates the input before any pass runs *)
@@ -304,6 +439,11 @@ let suite =
     ("validate rejects structural breakage", `Quick, test_validate_structural);
     ("checked pipeline clean on workloads", `Quick, test_checked_pipeline_clean);
     ("checked pipeline blames culprit pass", `Quick, test_checked_blames_broken_pass);
+    ("change detection: in-place terminator rewrite", `Quick,
+     test_change_detection_term_in_place);
+    ("change detection: structurally equal rebuild", `Quick,
+     test_change_detection_equal_rebuild);
+    ("O2 result is a fixpoint", `Quick, test_o2_fixpoint);
     ("checked pipeline validates input", `Quick, test_checked_accepts_unoptimized) ]
 
 let () = Alcotest.run "analysis" [ ("analysis", suite) ]
