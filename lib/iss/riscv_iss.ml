@@ -29,9 +29,7 @@ type session = {
   config : config;
   mutable uops : Trace.uop list;
   on_retire : (int -> Trace.uop -> unit) option;
-  shapes : (Trace.uop array * Trace.uop array) Lazy.t;
-      (* per text word, the retired uop with a branch not taken and
-         taken (see [Text.shapes]) *)
+  shapes : Text.shapes Lazy.t;
 }
 
 (* The uop the instruction at [pc] retires as, given its dynamic
@@ -71,15 +69,18 @@ let retired_uop pc (insn : Isa.resolved) ~mem_addr ~taken ~next : Trace.uop =
 
 let uop_shape pc insn = retired_uop pc insn ~mem_addr:0 ~taken:false ~next:(-1)
 
-(* The retired uop of [insn], the text word [idx] at [pc]: built afresh
-   only when it carries a memory address or an indirect target. *)
-let session_uop s idx pc (insn : Isa.resolved) ~mem_addr ~taken ~next =
-  match insn with
-  | Isa.Lw _ | Isa.Sw _ | Isa.Jalr _ ->
-    retired_uop pc insn ~mem_addr ~taken ~next
-  | _ ->
-    let not_taken, taken_ = Lazy.force s.shapes in
-    if taken then taken_.(idx) else not_taken.(idx)
+let is_stop = function Isa.Ebreak -> true | _ -> false
+
+(* The retired uop of [insn], the text word [idx]: its shape, copied
+   only to set a memory address or JALR's target. *)
+let session_uop s idx (insn : Isa.resolved) ~mem_addr ~taken ~next =
+  let shapes = Lazy.force s.shapes in
+  let shape = shapes.Text.not_taken.(idx) in
+  match insn, shape.Trace.ctrl with
+  | (Isa.Lw _ | Isa.Sw _), _ -> { shape with Trace.mem_addr }
+  | Isa.Jalr _, Trace.Uncond c ->
+    { shape with Trace.ctrl = Trace.Uncond { c with target = next } }
+  | _ -> if taken then shapes.Text.taken.(idx) else shape
 
 (* The architectural state at an instruction boundary: the PC, x0-x31
    and the retired-instruction count (RV32's [instret] counter, which
@@ -109,7 +110,7 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
     config;
     uops = [];
     on_retire;
-    shapes = Text.shapes retired_uop text_base code }
+    shapes = Text.shapes retired_uop ~is_stop text_base code }
 
 let start ?config ?on_retire (image : Image.t) : session =
   let mem = Memory.create () in
@@ -118,6 +119,8 @@ let start ?config ?on_retire (image : Image.t) : session =
   regs.(2) <- Int32.of_int Layout.stack_top;
   resume ?config ?on_retire image mem
     { a_pc = image.Image.entry; a_regs = regs; a_instret = 0 }
+
+let set regs rd v = if rd <> 0 then regs.(rd) <- v
 
 (* [exec s ~want] executes one instruction.  It returns the retired uop
    when [want], trace collection or the observer asks for one, and
@@ -140,17 +143,16 @@ let exec (s : session) ~want : Trace.uop =
   let mem_addr = ref 0 in
   let taken = ref false in
   let regs = s.regs in
-  let set rd v = if rd <> 0 then regs.(rd) <- v in
   (match insn with
-   | Isa.Lui (rd, i) -> set rd (Int32.shift_left i 12)
+   | Isa.Lui (rd, i) -> set regs rd (Int32.shift_left i 12)
    | Isa.Auipc (rd, i) ->
-     set rd (Int32.add (Int32.of_int here) (Int32.shift_left i 12))
+     set regs rd (Int32.add (Int32.of_int here) (Int32.shift_left i 12))
    | Isa.Jal (rd, off) ->
-     set rd (Int32.of_int (here + 4));
+     set regs rd (Int32.of_int (here + 4));
      next := here + off
    | Isa.Jalr (rd, rs1, imm) ->
      let target = (Int32.to_int regs.(rs1) + imm) land 0xFFFFFFFE in
-     set rd (Int32.of_int (here + 4));
+     set regs rd (Int32.of_int (here + 4));
      next := target
    | Isa.Branch (cond, rs1, rs2, off) ->
      if Isa.eval_branch cond regs.(rs1) regs.(rs2) then begin
@@ -160,20 +162,21 @@ let exec (s : session) ~want : Trace.uop =
    | Isa.Lw (rd, rs1, imm) ->
      let addr = (Int32.to_int regs.(rs1) + imm) land 0xFFFFFFFF in
      mem_addr := addr;
-     set rd (Memory.read s.mem addr)
+     set regs rd (Memory.read s.mem addr)
    | Isa.Sw (rs2, rs1, imm) ->
      let addr = (Int32.to_int regs.(rs1) + imm) land 0xFFFFFFFF in
      mem_addr := addr;
      Memory.write s.mem addr regs.(rs2)
    | Isa.Alui (op, rd, rs1, imm) ->
-     set rd (Isa.eval_alu (Isa.alu_of_alui op) regs.(rs1) (Int32.of_int imm))
-   | Isa.Alu (op, rd, rs1, rs2) -> set rd (Isa.eval_alu op regs.(rs1) regs.(rs2))
+     set regs rd
+       (Isa.eval_alu (Isa.alu_of_alui op) regs.(rs1) (Int32.of_int imm))
+   | Isa.Alu (op, rd, rs1, rs2) ->
+     set regs rd (Isa.eval_alu op regs.(rs1) regs.(rs2))
    | Isa.Ebreak -> s.halted <- true);
   let u =
     if want || s.config.collect_trace || s.on_retire <> None then begin
       let u =
-        session_uop s idx here insn ~mem_addr:!mem_addr ~taken:!taken
-          ~next:!next
+        session_uop s idx insn ~mem_addr:!mem_addr ~taken:!taken ~next:!next
       in
       if s.config.collect_trace then s.uops <- u :: s.uops;
       (match s.on_retire with Some f -> f s.count u | None -> ());
@@ -193,9 +196,7 @@ let run_session ?(until = max_int) (s : session) : unit =
     step s
   done
 
-let static_uop (s : session) =
-  let is_stop = function Isa.Ebreak -> true | _ -> false in
-  Text.static_uop ~is_stop s.text_base s.code s.shapes
+let static_uop (s : session) = Text.static_uop s.text_base s.shapes
 
 let session_memory (s : session) : Memory.t = s.mem
 let retired (s : session) = s.count

@@ -53,9 +53,7 @@ type session = {
   on_retire : (int -> Trace.uop -> unit) option;
       (* observer fed (index, uop) at every retirement, independent of
          trace collection — the functional-warming / sampling tap *)
-  shapes : (Trace.uop array * Trace.uop array) Lazy.t;
-      (* per text word, the retired uop with a conditional branch not
-         taken and taken (see [Text.shapes]) *)
+  shapes : Text.shapes Lazy.t;
 }
 
 (* The uop the instruction at [pc] retires as, given its dynamic
@@ -96,15 +94,20 @@ let retired_uop pc (insn : Isa.resolved) ~mem_addr ~taken ~next : Trace.uop =
 
 let uop_shape pc insn = retired_uop pc insn ~mem_addr:0 ~taken:false ~next:(-1)
 
-(* The retired uop of [insn], the text word [idx] at [pc]: built afresh
-   only when it carries a memory address or an indirect target. *)
-let session_uop s idx pc (insn : Isa.resolved) ~mem_addr ~taken ~next =
+let is_stop = function Isa.Halt -> true | _ -> false
+
+(* The retired uop of [insn], the text word [idx]: its shape, copied
+   only to set a memory address or JR's target. *)
+let session_uop s idx (insn : Isa.resolved) ~mem_addr ~taken ~next =
+  let shapes = Lazy.force s.shapes in
+  let shape = shapes.Text.not_taken.(idx) in
   match insn with
-  | Isa.Ld _ | Isa.St _ | Isa.Jr _ ->
-    retired_uop pc insn ~mem_addr ~taken ~next
-  | _ ->
-    let not_taken, taken_ = Lazy.force s.shapes in
-    if taken then taken_.(idx) else not_taken.(idx)
+  | Isa.Ld _ | Isa.St _ -> { shape with Trace.mem_addr }
+  | Isa.Jr _ ->
+    { shape with
+      Trace.ctrl =
+        Trace.Uncond { target = next; is_call = false; is_ret = true } }
+  | _ -> if taken then shapes.Text.taken.(idx) else shape
 
 (* The precise architectural state at an instruction boundary: PC, SP, RP,
    and the last [max_dist] register values (window.(i) is the value at
@@ -150,7 +153,7 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
       uops = [];
       dist_hist = Array.make (Isa.max_dist + 1) 0;
       on_retire;
-      shapes = Text.shapes retired_uop text_base code }
+      shapes = Text.shapes retired_uop ~is_stop text_base code }
   in
   Array.iteri
     (fun i v ->
@@ -167,6 +170,11 @@ let start ?config ?on_retire (image : Image.t) : session =
   resume ?config ?on_retire image mem
     { a_pc = image.Image.entry; a_sp = Int32.of_int Layout.stack_top;
       a_rp = 0; a_window = [||] }
+
+let read_src s d = if d = 0 then 0l else s.regs.((s.count - d) land ring_mask)
+
+let record_dist s d =
+  if s.config.collect_dist && d > 0 then s.dist_hist.(d) <- s.dist_hist.(d) + 1
 
 (* [exec s ~want] executes one instruction.  It returns the retired uop
    when [want], trace collection or the observer asks for one, and
@@ -188,43 +196,38 @@ let exec (s : session) ~want : Trace.uop =
   let result = ref 0l in
   let mem_addr = ref 0 in
   let taken = ref false in
-  let read_src d = if d = 0 then 0l else s.regs.((s.count - d) land ring_mask) in
-  let record_dist d =
-    if s.config.collect_dist && d > 0 then
-      s.dist_hist.(d) <- s.dist_hist.(d) + 1
-  in
   (match insn with
    | Isa.Alu (op, a, b) ->
-     record_dist a; record_dist b;
-     result := Isa.eval_alu op (read_src a) (read_src b)
+     record_dist s a; record_dist s b;
+     result := Isa.eval_alu op (read_src s a) (read_src s b)
    | Isa.Alui (op, a, i) ->
-     record_dist a;
-     result := Isa.eval_alu (Isa.alu_of_alui op) (read_src a) i
+     record_dist s a;
+     result := Isa.eval_alu (Isa.alu_of_alui op) (read_src s a) i
    | Isa.Lui i -> result := Int32.shift_left i 12
-   | Isa.Rmov a -> record_dist a; result := read_src a
+   | Isa.Rmov a -> record_dist s a; result := read_src s a
    | Isa.Nop -> result := 0l
    | Isa.Ld (b, off) ->
-     record_dist b;
-     let addr = Int32.to_int (read_src b) + off in
+     record_dist s b;
+     let addr = Int32.to_int (read_src s b) + off in
      mem_addr := addr land 0xFFFFFFFF;
      result := Memory.read s.mem !mem_addr
    | Isa.St (v, b, off) ->
-     record_dist v; record_dist b;
-     let addr = Int32.to_int (read_src b) + off in
+     record_dist s v; record_dist s b;
+     let addr = Int32.to_int (read_src s b) + off in
      mem_addr := addr land 0xFFFFFFFF;
-     let value = read_src v in
+     let value = read_src s v in
      Memory.write s.mem !mem_addr value;
      (* The paper: "store value is returned in the current specification" *)
      result := value
    | Isa.Bez (a, off) ->
-     record_dist a;
-     if read_src a = 0l then begin
+     record_dist s a;
+     if read_src s a = 0l then begin
        taken := true;
        next := here + (4 * off)
      end
    | Isa.Bnz (a, off) ->
-     record_dist a;
-     if read_src a <> 0l then begin
+     record_dist s a;
+     if read_src s a <> 0l then begin
        taken := true;
        next := here + (4 * off)
      end
@@ -233,8 +236,8 @@ let exec (s : session) ~want : Trace.uop =
      result := Int32.of_int (here + 4);
      next := here + (4 * off)
    | Isa.Jr a ->
-     record_dist a;
-     next := Int32.to_int (read_src a) land 0xFFFFFFFF;
+     record_dist s a;
+     next := Int32.to_int (read_src s a) land 0xFFFFFFFF;
      result := Int32.of_int (here + 4)
    | Isa.Spadd i ->
      s.sp <- Int32.add s.sp (Int32.of_int i);
@@ -244,8 +247,7 @@ let exec (s : session) ~want : Trace.uop =
   let u =
     if want || s.config.collect_trace || s.on_retire <> None then begin
       let u =
-        session_uop s idx here insn ~mem_addr:!mem_addr ~taken:!taken
-          ~next:!next
+        session_uop s idx insn ~mem_addr:!mem_addr ~taken:!taken ~next:!next
       in
       if s.config.collect_trace then s.uops <- u :: s.uops;
       (match s.on_retire with Some f -> f s.count u | None -> ());
@@ -267,9 +269,7 @@ let run_session ?(until = max_int) (s : session) : unit =
     step s
   done
 
-let static_uop (s : session) =
-  let is_stop = function Isa.Halt -> true | _ -> false in
-  Text.static_uop ~is_stop s.text_base s.code s.shapes
+let static_uop (s : session) = Text.static_uop s.text_base s.shapes
 
 let session_memory (s : session) : Memory.t = s.mem
 let retired (s : session) = s.count

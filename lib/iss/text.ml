@@ -12,11 +12,20 @@ let decode decode ~illegal (image : Assembler.Image.t) =
     image.Assembler.Image.text
 
 (* Per text word, the uop it retires as with a conditional branch not
-   taken and taken.  Built at the first retirement that asks for one and
-   shared by every retirement whose dynamic fields they hold: the cycle
-   engine keeps thousands of uops in flight, and fresh ones would each
-   be promoted out of the minor heap. *)
-let shapes retired_uop text_base code =
+   taken and taken, and what wrong-path fetch reads there.  Built at the
+   first retirement that asks for one and shared by every retirement
+   whose dynamic fields they hold: the cycle engine keeps thousands of
+   uops in flight, and fresh ones would each be promoted out of the
+   minor heap.  A retirement with a memory address or an indirect
+   target copies its word's [not_taken] shape and sets that field. *)
+type shapes = {
+  not_taken : Trace.uop array;
+  taken : Trace.uop array;
+  fetched : Trace.uop option array;
+      (* the not-taken shape, or [None] at a stop instruction *)
+}
+
+let shapes retired_uop ~is_stop text_base code =
   lazy
     (let uops taken =
        Array.mapi
@@ -25,13 +34,18 @@ let shapes retired_uop text_base code =
               ~next:(-1))
          code
      in
-     (uops false, uops true))
+     let not_taken = uops false in
+     { not_taken;
+       taken = uops true;
+       fetched =
+         Array.mapi
+           (fun i insn -> if is_stop insn then None else Some not_taken.(i))
+           code })
 
-(* Wrong-path fetch at [pc]: the not-taken half of [shapes], or [None]
-   at a stop instruction, at a misaligned pc or outside the text. *)
-let static_uop ~is_stop text_base code shapes pc =
+(* Wrong-path fetch at [pc]: [fetched], or [None] at a misaligned pc or
+   outside the text. *)
+let static_uop text_base shapes pc =
+  let fetched = (Lazy.force shapes).fetched in
   let idx = (pc - text_base) asr 2 in
-  if pc land 3 <> 0 || idx < 0 || idx >= Array.length code
-     || is_stop code.(idx)
-  then None
-  else Some (fst (Lazy.force shapes)).(idx)
+  if pc land 3 <> 0 || idx < 0 || idx >= Array.length fetched then None
+  else fetched.(idx)

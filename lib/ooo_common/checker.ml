@@ -63,70 +63,77 @@ let diverge t ~invariant ~cycle ~seq ~trace_idx fmt =
                Diag.Checker_divergence msg)))
     fmt
 
+(* Every check names its failure in full rather than through a local
+   [fail] closure: this runs at every commit, and a closure would be
+   allocated each time. *)
 let on_commit t ~cycle ~seq ~trace_idx ~wrong_path ~free_regs ~golden uop =
-  let fail invariant fmt = diverge t ~invariant ~cycle ~seq ~trace_idx fmt in
   (* ROB FIFO discipline: seq strictly increasing, cycle nondecreasing *)
   if seq <= t.last_seq then
-    fail "rob-fifo" "commit seq %d not younger than previous %d" seq t.last_seq;
+    diverge t ~invariant:"rob-fifo" ~cycle ~seq ~trace_idx
+      "commit seq %d not younger than previous %d" seq t.last_seq;
   if cycle < t.last_cycle then
-    fail "commit-cycle-monotone" "commit at cycle %d after cycle %d" cycle
-      t.last_cycle;
+    diverge t ~invariant:"commit-cycle-monotone" ~cycle ~seq ~trace_idx
+      "commit at cycle %d after cycle %d" cycle t.last_cycle;
   if wrong_path then begin
     if trace_idx >= 0 then
-      fail "wrong-path-untraced"
+      diverge t ~invariant:"wrong-path-untraced" ~cycle ~seq ~trace_idx
         "wrong-path commit carries trace index %d" trace_idx
   end
   else begin
     (* program-order, exactly-once retirement *)
     if trace_idx <> t.last_trace_idx + 1 then
-      fail "program-order"
+      diverge t ~invariant:"program-order" ~cycle ~seq ~trace_idx
         "committed trace index %d, expected %d" trace_idx
         (t.last_trace_idx + 1);
     if trace_idx < 0 || trace_idx >= t.retired then
-      fail "trace-bounds" "trace index %d outside [0, %d)" trace_idx
-        t.retired;
+      diverge t ~invariant:"trace-bounds" ~cycle ~seq ~trace_idx
+        "trace index %d outside [0, %d)" trace_idx t.retired;
     (* golden lockstep: the retired uop is the stream's entry at its
        index, and it sits where the golden run went after the previous
        commit *)
     if t.next_pc >= 0 && uop.Trace.pc <> t.next_pc then
-      fail "pc-lockstep" "retired pc 0x%x, golden model continues at 0x%x"
-        uop.Trace.pc t.next_pc;
+      diverge t ~invariant:"pc-lockstep" ~cycle ~seq ~trace_idx
+        "retired pc 0x%x, golden model continues at 0x%x" uop.Trace.pc
+        t.next_pc;
     if uop.Trace.pc <> golden.Trace.pc then
-      fail "pc-lockstep" "retired pc 0x%x, golden model has 0x%x"
-        uop.Trace.pc golden.Trace.pc;
+      diverge t ~invariant:"pc-lockstep" ~cycle ~seq ~trace_idx
+        "retired pc 0x%x, golden model has 0x%x" uop.Trace.pc
+        golden.Trace.pc;
     if uop.Trace.fu <> golden.Trace.fu then
-      fail "fu-lockstep" "retired fu %s, golden model has %s"
-        (fu_name uop.Trace.fu) (fu_name golden.Trace.fu);
+      diverge t ~invariant:"fu-lockstep" ~cycle ~seq ~trace_idx
+        "retired fu %s, golden model has %s" (fu_name uop.Trace.fu)
+        (fu_name golden.Trace.fu);
     (match t.rename with
      | Params.Rp ->
        (* STRAIGHT: write-once (every instruction produces exactly one
           fresh register) and the bounded distance window *)
        if not uop.Trace.has_dest then
-         fail "write-once"
+         diverge t ~invariant:"write-once" ~cycle ~seq ~trace_idx
            "STRAIGHT uop at 0x%x retires without a destination" uop.Trace.pc;
        if Array.length uop.Trace.srcs_reg <> 0 then
-         fail "isa-shape" "STRAIGHT uop at 0x%x carries register operands"
-           uop.Trace.pc;
+         diverge t ~invariant:"isa-shape" ~cycle ~seq ~trace_idx
+           "STRAIGHT uop at 0x%x carries register operands" uop.Trace.pc;
        (match t.max_dist with
         | None -> ()
         | Some md ->
-          Array.iter
-            (fun d ->
-               if d < 1 || d > md then
-                 fail "max-dist"
-                   "source distance %d at 0x%x outside [1, %d]" d
-                   uop.Trace.pc md)
-            uop.Trace.srcs_dist)
+          let srcs = uop.Trace.srcs_dist in
+          for k = 0 to Array.length srcs - 1 do
+            let d = srcs.(k) in
+            if d < 1 || d > md then
+              diverge t ~invariant:"max-dist" ~cycle ~seq ~trace_idx
+                "source distance %d at 0x%x outside [1, %d]" d uop.Trace.pc md
+          done)
      | Params.Rmt _ | Params.Rmt_checkpoint _ ->
        if Array.length uop.Trace.srcs_dist <> 0 then
-         fail "isa-shape" "RISC-V uop at 0x%x carries distance operands"
-           uop.Trace.pc;
+         diverge t ~invariant:"isa-shape" ~cycle ~seq ~trace_idx
+           "RISC-V uop at 0x%x carries distance operands" uop.Trace.pc;
        if uop.Trace.dest_reg < 0 || uop.Trace.dest_reg > 31 then
-         fail "rmt-range" "destination register x%d out of range"
-           uop.Trace.dest_reg;
+         diverge t ~invariant:"rmt-range" ~cycle ~seq ~trace_idx
+           "destination register x%d out of range" uop.Trace.dest_reg;
        if uop.Trace.has_dest <> (uop.Trace.dest_reg <> 0) then
-         fail "rmt-dest" "has_dest inconsistent with dest x%d at 0x%x"
-           uop.Trace.dest_reg uop.Trace.pc);
+         diverge t ~invariant:"rmt-dest" ~cycle ~seq ~trace_idx
+           "has_dest inconsistent with dest x%d at 0x%x" uop.Trace.dest_reg
+           uop.Trace.pc);
     t.last_trace_idx <- trace_idx;
     t.next_pc <- successor_pc uop
   end;
@@ -134,7 +141,7 @@ let on_commit t ~cycle ~seq ~trace_idx ~wrong_path ~free_regs ~golden uop =
   (match t.phys_regs with
    | Some phys ->
      if free_regs < 0 || free_regs > phys - 32 then
-       fail "free-list"
+       diverge t ~invariant:"free-list" ~cycle ~seq ~trace_idx
          "free physical registers %d outside [0, %d]" free_regs (phys - 32)
    | None -> ());
   t.last_seq <- seq;

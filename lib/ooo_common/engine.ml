@@ -21,13 +21,27 @@
    pipeline structure is a seq-sorted sequence.  The in-flight window is
    an open-addressed ring indexed by [seq land mask]; the ROB, front-end
    queue, and LSQs are ring deques whose squash is a suffix truncation;
-   the issue queue is an age-sorted array compacted in place.  Operand
-   readiness is event-driven: a consumer holds a count of outstanding
-   producers, producers hold wakeup edges fired either from a timing
-   wheel when the value becomes available or when the producer leaves
-   the window.  None of this changes simulated timing — cycle counts are
-   bit-identical to the original list/Hashtbl engine (asserted by
-   test_stats.ml against recorded golden counts).
+   the issue queue is an age-sorted buffer of seqs, beside which the
+   subset with every operand available is kept, also by age, and issue
+   scans only that subset.  Operand readiness is event-driven: a
+   consumer holds a count of outstanding producers, and a producer holds
+   the seqs of its waiting consumers, woken either from a timing wheel
+   (slots of producer seqs) when the value becomes available or when
+   the producer commits.  None of this changes simulated timing — cycle
+   counts are bit-identical to the original list/Hashtbl engine
+   (asserted by test_stats.ml against recorded golden counts).
+
+   In-flight state allocates nothing per instruction.  A [dyn] record
+   is reused: commit and squash return it to a free list that fetch
+   draws from, so the engine holds as many records as it ever had in
+   flight at once.  Everything that names another instruction names it
+   by seq — a uop's at most two producers, a producer's waiters, a
+   wheel slot, a pending recovery — and is resolved through the window
+   ([win_get]).  Seqs are never reused, so a reference to a squashed,
+   committed or recycled instruction fails that lookup and is skipped;
+   those are exactly the references whose effect could never be
+   observed (a dead consumer's counter, a dead producer whose consumers
+   all died with it).
 
    All simulation state lives in an explicit record [t] so a run can be
    advanced one cycle at a time ([create] / [step] / [finish]) and
@@ -72,13 +86,36 @@ let activity_fields =
     ("alu_ops", (fun a -> a.alu_ops), fun a v -> a.alu_ops <- v);
     ("agu_ops", (fun a -> a.agu_ops), fun a v -> a.agu_ops <- v) ]
 
+(* Growable int buffer: a producer's waiters, a timing-wheel slot, the
+   pending recoveries.  Cleared by resetting the length, so a reused
+   buffer stops allocating once it has reached its largest size. *)
+module Ibuf = struct
+  type t = { mutable a : int array; mutable n : int }
+
+  let create () = { a = Array.make 4 0; n = 0 }
+  let clear b = b.n <- 0
+
+  let push b x =
+    if b.n = Array.length b.a then begin
+      let a = Array.make (2 * b.n) 0 in
+      Array.blit b.a 0 a 0 b.n;
+      b.a <- a
+    end;
+    b.a.(b.n) <- x;
+    b.n <- b.n + 1
+end
+
+(* An in-flight instruction.  Records are reused (see [alloc_dyn]), so
+   no other instruction holds one: it is reached by a window lookup of
+   its [seq]. *)
 type dyn = {
-  seq : int;
-  uop : Trace.uop;
-  wrong_path : bool;
-  trace_idx : int;                  (* -1 on the wrong path *)
-  fetched_at : int;
-  mutable producers : int list;     (* producer seq numbers *)
+  mutable seq : int;
+  mutable uop : Trace.uop;
+  mutable wrong_path : bool;
+  mutable trace_idx : int;          (* -1 on the wrong path *)
+  mutable fetched_at : int;
+  mutable prod0 : int;              (* producer seqs in source order, *)
+  mutable prod1 : int;              (* prod0 first; [no_producer] = none *)
   mutable dispatched : bool;
   mutable dispatched_at : int;
   mutable issued : bool;
@@ -91,13 +128,31 @@ type dyn = {
   mutable recovery_at : int;        (* pending recovery event; -1 = none *)
   mutable ras_snapshot : int;       (* RAS top-of-stack for recovery *)
   mutable n_unready : int;          (* producers whose value is pending *)
-  mutable waiters : edge list;      (* consumers to wake on availability *)
+  waiters : Ibuf.t;
+      (* seqs of consumers to wake on availability, oldest first; each
+         wakes once, from the timing wheel at the producer's
+         availability cycle or when the producer commits (the value is
+         then readable from the register file) *)
 }
 
-(* A wakeup edge fires exactly once: either from the timing wheel at the
-   producer's availability cycle, or when the producer leaves the window
-   (commit — the value is then readable from the register file). *)
-and edge = { consumer : dyn; mutable fired : bool }
+(* Not -1: a wrong-path source at distance seq + 1 names seq -1, which
+   [win_mem] finds wherever the dummy fills slot [-1 land mask]. *)
+let no_producer = min_int
+
+let n_producers d =
+  if d.prod0 = no_producer then 0 else if d.prod1 = no_producer then 1 else 2
+
+let producers d =
+  List.filter (fun s -> s <> no_producer) [ d.prod0; d.prod1 ]
+
+(* both ISAs name at most two sources *)
+let add_producer d s =
+  if d.prod0 = no_producer then d.prod0 <- s
+  else if d.prod1 = no_producer then d.prod1 <- s
+  else
+    invalid_arg
+      (Printf.sprintf "Engine: uop at 0x%x has more than two producers"
+         d.uop.Trace.pc)
 
 type stats = {
   cycles : int;
@@ -120,9 +175,10 @@ type stats = {
   cpi_stack : Stats.cpi_stack;      (* per-cycle attribution; sums to cycles *)
 }
 
+(* where fetch reads next; the index or pc is [t.fetch_at] *)
 type fetch_mode =
-  | Fetch_correct of int            (* next trace index *)
-  | Fetch_wrong of int              (* wrong-path static pc *)
+  | Fetch_correct                   (* the trace index [fetch_at] *)
+  | Fetch_wrong                     (* the wrong-path static pc [fetch_at] *)
   | Fetch_stalled                   (* waiting for a redirect *)
 
 let fu_latency (p : Params.t) = function
@@ -206,17 +262,26 @@ type t = {
   mutable win : dyn array;
   mutable win_mask : int;
   mutable next_seq : int;
+  (* records no instruction holds, reused by fetch *)
+  mutable free : dyn array;
+  mutable n_free : int;
   (* pipeline structures, all seq-sorted *)
   frontend_q : Ring.t;
   rob : Ring.t;
   ldq : Ring.t;
   stq : Ring.t;
-  (* issue queue: age-sorted array, compacted in place after selection *)
-  mutable iq_buf : dyn array;
-  mutable iq_len : int;
-  (* timing wheel for operand wakeups (spans the worst-case latency) *)
-  wheel : dyn list array;
+  (* issue queue: the seqs of dispatched, unissued instructions, oldest
+     first; [ready] is its subset whose operands are all available
+     ([n_unready = 0]), also oldest first, which is all issue scans *)
+  iq : Ibuf.t;
+  ready : Ibuf.t;
+  issued_now : Ibuf.t;              (* scratch: seqs issue just took *)
+  (* timing wheel for operand wakeups (spans the worst-case latency):
+     per cycle, the seqs of the producers whose values become available *)
+  wheel : Ibuf.t array;
   wheel_mask : int;
+  (* free issue ports this cycle, by [port_of] *)
+  ports : int array;
   (* rename state (superscalar) *)
   rmt : int array;
   mutable free_regs : int;
@@ -228,6 +293,7 @@ type t = {
   mutable rename_blocked_until : int;
   mutable fetch_stall_until : int;
   mutable mode : fetch_mode;
+  mutable fetch_at : int;
   mutable now : int;
   mutable done_ : bool;
   mutable committed : int;
@@ -239,9 +305,9 @@ type t = {
   cpi : Stats.cpi_acc;
   mutable redirect_until : int;     (* CPI attribution of post-squash refill *)
   mix_counts : int array;
-  (* pending recovery events: (cycle, seq of faulting instr, resume idx,
-     refetch_including_self) *)
-  mutable recoveries : (int * int * int * bool) list;
+  (* pending recovery events, oldest first, four ints each (see
+     [push_recovery]) *)
+  recoveries : Ibuf.t;
   (* watchdog + diagnostics state; last 8 commits kept in a ring *)
   mutable last_commit_cycle : int;
   lc_idx : int array;
@@ -273,10 +339,11 @@ let create (p : Params.t) ~(window : Window.t)
     Diag.error Diag.Config_error "empty trace: nothing to simulate";
   let dummy =
     { seq = -1; uop = Trace.placeholder; wrong_path = false; trace_idx = -1;
-      fetched_at = 0; producers = []; dispatched = false; dispatched_at = 0;
-      issued = false; ready_at = 0; replay_bump = 0; mispredicted = false;
-      resume_idx = -1; addr_known = false; executed_load = false;
-      recovery_at = -1; ras_snapshot = 0; n_unready = 0; waiters = [] }
+      fetched_at = 0; prod0 = no_producer; prod1 = no_producer;
+      dispatched = false; dispatched_at = 0; issued = false; ready_at = 0;
+      replay_bump = 0; mispredicted = false; resume_idx = -1;
+      addr_known = false; executed_load = false; recovery_at = -1;
+      ras_snapshot = 0; n_unready = 0; waiters = Ibuf.create () }
   in
   (* the wheel spans the worst-case latency (full memory hierarchy +
      fault stretch) *)
@@ -315,14 +382,18 @@ let create (p : Params.t) ~(window : Window.t)
     win = Array.make 1024 dummy;
     win_mask = 1023;
     next_seq = 0;
+    free = Array.make 64 dummy;
+    n_free = 0;
     frontend_q = Ring.create dummy;
     rob = Ring.create dummy;
     ldq = Ring.create dummy;
     stq = Ring.create dummy;
-    iq_buf = Array.make 128 dummy;
-    iq_len = 0;
-    wheel = Array.make wheel_size [];
+    iq = Ibuf.create ();
+    ready = Ibuf.create ();
+    issued_now = Ibuf.create ();
+    wheel = Array.init wheel_size (fun _ -> Ibuf.create ());
     wheel_mask = wheel_size - 1;
+    ports = Array.make 5 0;
     rmt = Array.make 32 (-1);
     free_regs =
       (match p.rename with
@@ -342,7 +413,8 @@ let create (p : Params.t) ~(window : Window.t)
     checkpoint_stalls = 0;
     rename_blocked_until = 0;
     fetch_stall_until = 0;
-    mode = Fetch_correct 0;
+    mode = Fetch_correct;
+    fetch_at = 0;
     now = 0;
     done_ = false;
     committed = 0;
@@ -354,7 +426,7 @@ let create (p : Params.t) ~(window : Window.t)
     cpi = Stats.fresh_acc ();
     redirect_until = 0;
     mix_counts = Array.make 6 0;
-    recoveries = [];
+    recoveries = Ibuf.create ();
     last_commit_cycle = 0;
     lc_idx = Array.make 8 0;
     lc_pc = Array.make 8 0;
@@ -389,79 +461,126 @@ let rec win_insert t d =
   if t.win.(i) != t.dummy then begin win_grow t; win_insert t d end
   else t.win.(i) <- d
 
+(* [d] is the youngest dispatched instruction *)
 let iq_push t d =
-  if t.iq_len = Array.length t.iq_buf then begin
-    let nbuf = Array.make (2 * t.iq_len) t.dummy in
-    Array.blit t.iq_buf 0 nbuf 0 t.iq_len;
-    t.iq_buf <- nbuf
-  end;
-  t.iq_buf.(t.iq_len) <- d;
-  t.iq_len <- t.iq_len + 1
+  Ibuf.push t.iq d.seq;
+  if d.n_unready = 0 then Ibuf.push t.ready d.seq
+
+(* [s] was waiting in the issue queue and its last operand became
+   available: insert it into [ready] by age *)
+let make_ready t s =
+  let r = t.ready in
+  Ibuf.push r s;
+  let i = ref (r.Ibuf.n - 1) in
+  while !i > 0 && r.Ibuf.a.(!i - 1) > s do
+    r.Ibuf.a.(!i) <- r.Ibuf.a.(!i - 1);
+    decr i
+  done;
+  r.Ibuf.a.(!i) <- s
+
+(* drop the seqs at or after [first] from the end of a seq-sorted buffer *)
+let truncate_from (b : Ibuf.t) first =
+  while b.Ibuf.n > 0 && b.Ibuf.a.(b.Ibuf.n - 1) >= first do
+    b.Ibuf.n <- b.Ibuf.n - 1
+  done
 
 (* ---------- wakeup plumbing ---------- *)
 
-let fire_edges d =
-  List.iter
-    (fun e ->
-       if not e.fired then begin
-         e.fired <- true;
-         e.consumer.n_unready <- e.consumer.n_unready - 1
-       end)
-    d.waiters;
-  d.waiters <- []
+(* Wake d's consumers.  A consumer that has left the window was squashed
+   (consumers commit after their producers), and nothing reads a
+   squashed instruction's counter, so it is skipped.  A live one is in
+   the issue queue: it registered at dispatch and cannot issue before
+   its count reaches zero. *)
+let fire_waiters t d =
+  let w = d.waiters in
+  for i = 0 to w.Ibuf.n - 1 do
+    let s = w.Ibuf.a.(i) in
+    let c = t.win.(s land t.win_mask) in
+    if c.seq = s then begin
+      c.n_unready <- c.n_unready - 1;
+      if c.n_unready = 0 then make_ready t s
+    end
+  done;
+  Ibuf.clear w
 
 (* called once per issued instruction, with the final availability
    cycle (base latency + cache + injected stretch + replay bump) *)
 let schedule_wakeup t d =
   let avail = d.ready_at + d.replay_bump in
   assert (avail - t.now < Array.length t.wheel);
-  let i = avail land t.wheel_mask in
-  t.wheel.(i) <- d :: t.wheel.(i)
+  Ibuf.push t.wheel.(avail land t.wheel_mask) d.seq
 
+(* A producer gone from the window committed (its waiters were woken
+   then) or was squashed with every consumer it had. *)
 let drain_wheel t =
-  let i = t.now land t.wheel_mask in
-  match t.wheel.(i) with
-  | [] -> ()
-  | ds -> t.wheel.(i) <- []; List.iter fire_edges ds
+  let slot = t.wheel.(t.now land t.wheel_mask) in
+  for i = 0 to slot.Ibuf.n - 1 do
+    let s = slot.Ibuf.a.(i) in
+    let d = t.win.(s land t.win_mask) in
+    if d.seq = s then fire_waiters t d
+  done;
+  Ibuf.clear slot
 
-(* register d's dependence edges at dispatch: a producer outside the
-   window (committed or never renamed) is readable immediately; one
+(* register d's dependence on producer s at dispatch: a producer outside
+   the window (committed or never renamed) is readable immediately; one
    already issued with an availability in the past likewise *)
+let register_producer t d s =
+  let pr = win_get t s in
+  if pr == t.dummy then ()
+  else if pr.issued && pr.ready_at + pr.replay_bump <= t.now then ()
+  else begin
+    d.n_unready <- d.n_unready + 1;
+    Ibuf.push pr.waiters d.seq
+  end
+
 let register_producers t d =
-  List.iter
-    (fun s ->
-       let pr = win_get t s in
-       if pr == t.dummy then ()
-       else if pr.issued && pr.ready_at + pr.replay_bump <= t.now then ()
-       else begin
-         d.n_unready <- d.n_unready + 1;
-         pr.waiters <- { consumer = d; fired = false } :: pr.waiters
-       end)
-    d.producers
+  if d.prod0 <> no_producer then register_producer t d d.prod0;
+  if d.prod1 <> no_producer then register_producer t d d.prod1
+
+(* A record to fill: the free list's last, or a fresh one while the
+   engine holds more in flight than ever before. *)
+let alloc_dyn t =
+  if t.n_free > 0 then begin
+    t.n_free <- t.n_free - 1;
+    t.free.(t.n_free)
+  end
+  else { t.dummy with waiters = Ibuf.create () }
 
 let mk_dyn t ~uop ~wrong_path ~trace_idx =
-  let d =
-    { seq = t.next_seq;
-      uop; wrong_path; trace_idx;
-      fetched_at = t.now;
-      producers = [];
-      dispatched = false;
-      dispatched_at = 0;
-      issued = false;
-      ready_at = max_int / 2;
-      replay_bump = 0;
-      mispredicted = false;
-      resume_idx = -1;
-      addr_known = false;
-      executed_load = false;
-      recovery_at = -1;
-      ras_snapshot = 0;
-      n_unready = 0;
-      waiters = [] }
-  in
+  let d = alloc_dyn t in
+  d.seq <- t.next_seq;
+  d.uop <- uop;
+  d.wrong_path <- wrong_path;
+  d.trace_idx <- trace_idx;
+  d.fetched_at <- t.now;
+  d.prod0 <- no_producer;
+  d.prod1 <- no_producer;
+  d.dispatched <- false;
+  d.dispatched_at <- 0;
+  d.issued <- false;
+  d.ready_at <- max_int / 2;
+  d.replay_bump <- 0;
+  d.mispredicted <- false;
+  d.resume_idx <- -1;
+  d.addr_known <- false;
+  d.executed_load <- false;
+  d.recovery_at <- -1;
+  d.ras_snapshot <- 0;
+  d.n_unready <- 0;
+  Ibuf.clear d.waiters;
   t.next_seq <- t.next_seq + 1;
   win_insert t d;
   d
+
+(* d has left the window for good (commit or squash) *)
+let recycle t d =
+  if t.n_free = Array.length t.free then begin
+    let a = Array.make (2 * t.n_free) t.dummy in
+    Array.blit t.free 0 a 0 t.n_free;
+    t.free <- a
+  end;
+  t.free.(t.n_free) <- d;
+  t.n_free <- t.n_free + 1
 
 (* ---------- squash ---------- *)
 (* Every structure is seq-sorted, so a squash is a suffix truncation:
@@ -469,10 +588,8 @@ let mk_dyn t ~uop ~wrong_path ~trace_idx =
    physical registers released: one per renamed (ROB-resident) squashed
    instruction with a destination. *)
 let squash_from t first_bad_seq =
-  while t.iq_len > 0 && t.iq_buf.(t.iq_len - 1).seq >= first_bad_seq do
-    t.iq_len <- t.iq_len - 1;
-    t.iq_buf.(t.iq_len) <- t.dummy
-  done;
+  truncate_from t.iq first_bad_seq;
+  truncate_from t.ready first_bad_seq;
   while Ring.length t.ldq > 0 && (Ring.back t.ldq).seq >= first_bad_seq do
     ignore (Ring.pop_back t.ldq)
   done;
@@ -483,11 +600,14 @@ let squash_from t first_bad_seq =
   while Ring.length t.rob > 0 && (Ring.back t.rob).seq >= first_bad_seq do
     let d = Ring.pop_back t.rob in
     if d.uop.Trace.has_dest && d.uop.Trace.dest_reg <> 0 then incr freed;
-    win_clear t d
+    win_clear t d;
+    recycle t d
   done;
   while Ring.length t.frontend_q > 0
         && (Ring.back t.frontend_q).seq >= first_bad_seq do
-    win_clear t (Ring.pop_back t.frontend_q)
+    let d = Ring.pop_back t.frontend_q in
+    win_clear t d;
+    recycle t d
   done;
   !freed
 
@@ -507,8 +627,13 @@ let walk_entries_after t seqno =
 
 (* ---------- recovery ---------- *)
 
+let fetch_correct t idx = t.mode <- Fetch_correct; t.fetch_at <- idx
+let fetch_wrong t pc = t.mode <- Fetch_wrong; t.fetch_at <- pc
+
 let do_recovery t ~(faulting : dyn) ~(resume_idx : int) ~(include_self : bool) =
   let first_bad = if include_self then faulting.seq else faulting.seq + 1 in
+  (* read before the squash, which may recycle [faulting] itself *)
+  let ras_snapshot = faulting.ras_snapshot in
   let walk_len =
     match t.p.Params.rename with
     | Params.Rmt _ ->
@@ -548,8 +673,8 @@ let do_recovery t ~(faulting : dyn) ~(resume_idx : int) ~(include_self : bool) =
   (* CPI: walk + refetch pipe refill are squash cost *)
   t.redirect_until <-
     max t.redirect_until (t.now + walk_len + t.p.Params.frontend_depth);
-  Branch_pred.Ras.restore t.ras faulting.ras_snapshot;
-  t.mode <- Fetch_correct resume_idx
+  Branch_pred.Ras.restore t.ras ras_snapshot;
+  fetch_correct t resume_idx
 
 (* ---------- commit ---------- *)
 
@@ -567,7 +692,7 @@ let commit t =
       win_clear t d;
       (* the value is now in the committed register file: consumers
          still counting on this producer become ready *)
-      fire_edges d;
+      fire_waiters t d;
       decr budget;
       (match d.uop.Trace.fu with
        | Trace.FU_load ->
@@ -621,165 +746,206 @@ let commit t =
            ~golden:(Window.find t.uops d.trace_idx) d.uop
        | None -> ());
       (* the stream window keeps only uncommitted correct-path uops *)
-      if not d.wrong_path then Window.release t.uops (d.trace_idx + 1)
+      if not d.wrong_path then Window.release t.uops (d.trace_idx + 1);
+      recycle t d
     end
     else continue_ := false
   done
 
 (* ---------- issue ---------- *)
 
+(* The issue port an FU class takes, an index into [t.ports]. *)
+let port_of = function
+  | Trace.FU_alu -> 0
+  | Trace.FU_mul -> 1
+  | Trace.FU_div -> 2
+  | Trace.FU_branch -> 3
+  | Trace.FU_load | Trace.FU_store -> 4
+
+(* A recovery event is four ints in [t.recoveries]: the cycle it is due,
+   the faulting instruction's seq, the trace index fetch resumes at, and
+   1 when the faulting instruction is refetched too (0 otherwise). *)
+let push_recovery t ~at ~seq ~resume_idx ~include_self =
+  let r = t.recoveries in
+  Ibuf.push r at;
+  Ibuf.push r seq;
+  Ibuf.push r resume_idx;
+  Ibuf.push r (if include_self then 1 else 0)
+
+(* The LSQ searches below walk the seq-sorted STQ/LDQ from the oldest
+   entry and stop at the first match. *)
+
+(* an older store whose address is not yet known *)
+let older_unknown_store t (d : dyn) =
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < Ring.length t.stq
+        && (Ring.get t.stq !i).seq < d.seq do
+    if not (Ring.get t.stq !i).addr_known then found := true;
+    incr i
+  done;
+  !found
+
+(* an older resolved store to word [addr_w] *)
+let forwarding_store t (d : dyn) addr_w =
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < Ring.length t.stq
+        && (Ring.get t.stq !i).seq < d.seq do
+    let s = Ring.get t.stq !i in
+    if s.addr_known && s.uop.Trace.mem_addr lsr 2 = addr_w then found := true;
+    incr i
+  done;
+  !found
+
+(* the oldest younger correct-path load that has executed at word
+   [addr_w], or [t.dummy] *)
+let violating_load t (d : dyn) addr_w =
+  let victim = ref t.dummy and i = ref 0 in
+  while !victim == t.dummy && !i < Ring.length t.ldq do
+    let l = Ring.get t.ldq !i in
+    if l.seq > d.seq && l.executed_load && (not l.wrong_path)
+       && l.uop.Trace.mem_addr lsr 2 = addr_w
+    then victim := l;
+    incr i
+  done;
+  !victim
+
 let issue t =
   let p = t.p in
-  let ports_alu = ref p.Params.n_alu and ports_mul = ref p.Params.n_mul in
-  let ports_div = ref p.Params.n_div and ports_bc = ref p.Params.n_bc in
-  let ports_mem = ref p.Params.n_mem in
+  let ports = t.ports in
+  ports.(0) <- p.Params.n_alu;
+  ports.(1) <- p.Params.n_mul;
+  ports.(2) <- p.Params.n_div;
+  ports.(3) <- p.Params.n_bc;
+  ports.(4) <- p.Params.n_mem;
   let total = ref p.Params.issue_width in
-  let n = t.iq_len in
+  (* Oldest first over the ready entries: an entry still waiting for an
+     operand can never issue, so skipping it changes nothing. *)
+  let r = t.ready in
+  let n = r.Ibuf.n in
   let kept = ref 0 in
   let i = ref 0 in
+  Ibuf.clear t.issued_now;
   while !i < n && !total > 0 do
-    let d = t.iq_buf.(!i) in
-    if not d.issued && t.now >= d.dispatched_at + p.Params.dispatch_issue_latency
-    then begin
-      let port =
-        match d.uop.Trace.fu with
-        | Trace.FU_alu -> ports_alu
-        | Trace.FU_mul -> ports_mul
-        | Trace.FU_div -> ports_div
-        | Trace.FU_branch -> ports_bc
-        | Trace.FU_load | Trace.FU_store -> ports_mem
-      in
-      if !port > 0 then begin
-        if d.n_unready = 0 then begin
-          (* loads may have to hold for the memory-dependence
-             predictor *)
-          let lsq_hold =
-            match d.uop.Trace.fu with
-            | Trace.FU_load
-              when (not d.wrong_path) && d.uop.Trace.mem_addr <> 0 ->
-              let older_unknown = ref false in
-              Ring.iter
-                (fun s ->
-                   if s.seq < d.seq && not s.addr_known then
-                     older_unknown := true)
-                t.stq;
-              !older_unknown && Memdep.predict_conflict t.memdep d.uop.Trace.pc
-            | _ -> false
-          in
-          if not lsq_hold then begin
-            d.issued <- true;
-            decr port;
-            decr total;
-            t.act.rf_reads <- t.act.rf_reads + List.length d.producers;
-            t.act.iq_wakeups <- t.act.iq_wakeups + 1;
-            if d.uop.Trace.has_dest then
-              t.act.rf_writes <- t.act.rf_writes + 1;
-            (match d.uop.Trace.fu with
-             | Trace.FU_alu | Trace.FU_mul | Trace.FU_div ->
-               t.act.alu_ops <- t.act.alu_ops + 1;
-               d.ready_at <- t.now + fu_latency p d.uop.Trace.fu
-             | Trace.FU_branch ->
-               t.act.alu_ops <- t.act.alu_ops + 1;
-               d.ready_at <- t.now + 1;
-               (* resolution happens one cycle later *)
-               if not d.wrong_path then begin
-                 if d.mispredicted then begin
-                   d.recovery_at <- t.now + p.Params.branch_resolve_latency;
-                   t.recoveries <-
-                     (d.recovery_at, d.seq, d.resume_idx, false)
-                     :: t.recoveries
-                 end
-                 else if d.trace_idx >= 0 && d.trace_idx < t.n_trace - 1
-                         && Inject.fire t.inj Inject.Spurious_recovery
-                 then begin
-                   (* fault: a correctly predicted branch resolves as
-                      mispredicted, forcing a full squash-and-refetch
-                      from its own fall-through point *)
-                   d.recovery_at <- t.now + p.Params.branch_resolve_latency;
-                   t.recoveries <-
-                     (d.recovery_at, d.seq, d.trace_idx + 1, false)
-                     :: t.recoveries
-                 end
+    let d = win_get t r.Ibuf.a.(!i) in
+    if t.now >= d.dispatched_at + p.Params.dispatch_issue_latency then begin
+      let port = port_of d.uop.Trace.fu in
+      if ports.(port) > 0 then begin
+        (* loads may have to hold for the memory-dependence
+           predictor *)
+        let lsq_hold =
+          match d.uop.Trace.fu with
+          | Trace.FU_load
+            when (not d.wrong_path) && d.uop.Trace.mem_addr <> 0 ->
+            older_unknown_store t d
+            && Memdep.predict_conflict t.memdep d.uop.Trace.pc
+          | _ -> false
+        in
+        if not lsq_hold then begin
+          d.issued <- true;
+          Ibuf.push t.issued_now d.seq;
+          ports.(port) <- ports.(port) - 1;
+          decr total;
+          t.act.rf_reads <- t.act.rf_reads + n_producers d;
+          t.act.iq_wakeups <- t.act.iq_wakeups + 1;
+          if d.uop.Trace.has_dest then
+            t.act.rf_writes <- t.act.rf_writes + 1;
+          (match d.uop.Trace.fu with
+           | Trace.FU_alu | Trace.FU_mul | Trace.FU_div ->
+             t.act.alu_ops <- t.act.alu_ops + 1;
+             d.ready_at <- t.now + fu_latency p d.uop.Trace.fu
+           | Trace.FU_branch ->
+             t.act.alu_ops <- t.act.alu_ops + 1;
+             d.ready_at <- t.now + 1;
+             (* resolution happens one cycle later *)
+             if not d.wrong_path then begin
+               if d.mispredicted then begin
+                 d.recovery_at <- t.now + p.Params.branch_resolve_latency;
+                 push_recovery t ~at:d.recovery_at ~seq:d.seq
+                   ~resume_idx:d.resume_idx ~include_self:false
                end
-             | Trace.FU_store ->
-               t.act.agu_ops <- t.act.agu_ops + 1;
-               d.ready_at <- t.now + 1;
-               d.addr_known <- true;
-               (* memory-order violation check against younger,
-                  already-executed loads at the same word *)
-               if (not d.wrong_path) && d.uop.Trace.mem_addr <> 0 then begin
-                 let addr_w = d.uop.Trace.mem_addr lsr 2 in
-                 let victim = ref t.dummy in
-                 Ring.iter
-                   (fun (l : dyn) ->
-                      if l.seq > d.seq && l.executed_load
-                         && (not l.wrong_path)
-                         && l.uop.Trace.mem_addr lsr 2 = addr_w
-                         && (!victim == t.dummy || l.seq < !victim.seq)
-                      then victim := l)
-                   t.ldq;
-                 if !victim != t.dummy then begin
-                   let l = !victim in
-                   Memdep.train_violation t.memdep l.uop.Trace.pc;
-                   l.recovery_at <- t.now + p.Params.branch_resolve_latency;
-                   t.recoveries <-
-                     (l.recovery_at, l.seq, l.trace_idx, true)
-                     :: t.recoveries
-                 end
+               else if d.trace_idx >= 0 && d.trace_idx < t.n_trace - 1
+                       && Inject.fire t.inj Inject.Spurious_recovery
+               then begin
+                 (* fault: a correctly predicted branch resolves as
+                    mispredicted, forcing a full squash-and-refetch
+                    from its own fall-through point *)
+                 d.recovery_at <- t.now + p.Params.branch_resolve_latency;
+                 push_recovery t ~at:d.recovery_at ~seq:d.seq
+                   ~resume_idx:(d.trace_idx + 1) ~include_self:false
                end
-             | Trace.FU_load ->
-               t.act.agu_ops <- t.act.agu_ops + 1;
-               if d.wrong_path || d.uop.Trace.mem_addr = 0 then
-                 d.ready_at <- t.now + 1 + t.hier.Cache.l1d.Cache.hit_latency
+             end
+           | Trace.FU_store ->
+             t.act.agu_ops <- t.act.agu_ops + 1;
+             d.ready_at <- t.now + 1;
+             d.addr_known <- true;
+             (* memory-order violation check against younger,
+                already-executed loads at the same word *)
+             if (not d.wrong_path) && d.uop.Trace.mem_addr <> 0 then begin
+               let l = violating_load t d (d.uop.Trace.mem_addr lsr 2) in
+               if l != t.dummy then begin
+                 Memdep.train_violation t.memdep l.uop.Trace.pc;
+                 l.recovery_at <- t.now + p.Params.branch_resolve_latency;
+                 push_recovery t ~at:l.recovery_at ~seq:l.seq
+                   ~resume_idx:l.trace_idx ~include_self:true
+               end
+             end
+           | Trace.FU_load ->
+             t.act.agu_ops <- t.act.agu_ops + 1;
+             if d.wrong_path || d.uop.Trace.mem_addr = 0 then
+               d.ready_at <- t.now + 1 + t.hier.Cache.l1d.Cache.hit_latency
+             else begin
+               let addr = d.uop.Trace.mem_addr in
+               (* store-to-load forwarding from the youngest older
+                  resolved store to the same word *)
+               if forwarding_store t d (addr lsr 2) then
+                 d.ready_at <- t.now + 2
                else begin
-                 let addr = d.uop.Trace.mem_addr in
-                 let addr_w = addr lsr 2 in
-                 (* store-to-load forwarding from the youngest older
-                    resolved store to the same word *)
-                 let forward = ref false in
-                 Ring.iter
-                   (fun (s : dyn) ->
-                      if s.seq < d.seq && s.addr_known
-                         && s.uop.Trace.mem_addr lsr 2 = addr_w
-                      then forward := true)
-                   t.stq;
-                 if !forward then d.ready_at <- t.now + 2
-                 else begin
-                   if Inject.fire t.inj Inject.Corrupt_cache_tag then
-                     Cache.corrupt_tag t.hier.Cache.l1d
-                       ~victim:
-                         (Inject.draw t.inj
-                            (Array.length t.hier.Cache.l1d.Cache.tags))
-                       ~flip:(Inject.draw t.inj 256);
-                   let lat = Cache.data_access t.hier addr in
-                   d.ready_at <- t.now + 1 + lat;
-                   (* cache-hit speculation: consumers woken for a hit
-                      pay a replay penalty on a miss *)
-                   if lat > p.Params.l1d.Params.hit_latency then
-                     d.replay_bump <- 1
-                 end;
-                 d.executed_load <- true
-               end);
-            (* fault: a transiently slow functional unit *)
-            if Inject.fire t.inj Inject.Stretch_fu_latency then
-              d.ready_at <- d.ready_at + 1 + Inject.draw t.inj 8;
-            schedule_wakeup t d
-          end
+                 if Inject.fire t.inj Inject.Corrupt_cache_tag then
+                   Cache.corrupt_tag t.hier.Cache.l1d
+                     ~victim:
+                       (Inject.draw t.inj
+                          (Array.length t.hier.Cache.l1d.Cache.tags))
+                     ~flip:(Inject.draw t.inj 256);
+                 let lat = Cache.data_access t.hier addr in
+                 d.ready_at <- t.now + 1 + lat;
+                 (* cache-hit speculation: consumers woken for a hit
+                    pay a replay penalty on a miss *)
+                 if lat > p.Params.l1d.Params.hit_latency then
+                   d.replay_bump <- 1
+               end;
+               d.executed_load <- true
+             end);
+          (* fault: a transiently slow functional unit *)
+          if Inject.fire t.inj Inject.Stretch_fu_latency then
+            d.ready_at <- d.ready_at + 1 + Inject.draw t.inj 8;
+          schedule_wakeup t d
         end
       end
     end;
     if not d.issued then begin
-      t.iq_buf.(!kept) <- d;
+      r.Ibuf.a.(!kept) <- r.Ibuf.a.(!i);
       incr kept
     end;
     incr i
   done;
   (* issue width exhausted: shift the unscanned tail down in place *)
   if !kept < !i then begin
-    if !i < n then Array.blit t.iq_buf !i t.iq_buf !kept (n - !i);
-    let nlen = n - (!i - !kept) in
-    for j = nlen to n - 1 do t.iq_buf.(j) <- t.dummy done;
-    t.iq_len <- nlen
+    Array.blit r.Ibuf.a !i r.Ibuf.a !kept (n - !i);
+    r.Ibuf.n <- n - (!i - !kept)
+  end;
+  (* the issued seqs leave the issue queue; both lists are sorted *)
+  let q = t.iq and out = t.issued_now in
+  if out.Ibuf.n > 0 then begin
+    let k = ref 0 and j = ref 0 in
+    for i = 0 to q.Ibuf.n - 1 do
+      let s = q.Ibuf.a.(i) in
+      if !j < out.Ibuf.n && out.Ibuf.a.(!j) = s then incr j
+      else begin
+        q.Ibuf.a.(!k) <- s;
+        incr k
+      end
+    done;
+    q.Ibuf.n <- !k
   end
 
 (* ---------- dispatch (rename) ---------- *)
@@ -794,7 +960,7 @@ let dispatch t =
     if d.fetched_at + p.Params.frontend_depth > t.now then continue_ := false
     else if t.now < t.rename_blocked_until then continue_ := false
     else if Ring.length t.rob >= p.Params.rob_entries then continue_ := false
-    else if t.iq_len >= p.Params.scheduler_entries then continue_ := false
+    else if t.iq.Ibuf.n >= p.Params.scheduler_entries then continue_ := false
     else if d.uop.Trace.fu = Trace.FU_load
             && Ring.length t.ldq >= p.Params.ldq_entries then continue_ := false
     else if d.uop.Trace.fu = Trace.FU_store
@@ -824,13 +990,11 @@ let dispatch t =
       (match p.Params.rename with
        | Params.Rmt _ | Params.Rmt_checkpoint _ ->
          let srcs = d.uop.Trace.srcs_reg in
-         let ps = ref [] in
-         for k = Array.length srcs - 1 downto 0 do
+         for k = 0 to Array.length srcs - 1 do
            let r = srcs.(k) in
            if r <> 0 then
-             match t.rmt.(r) with -1 -> () | s -> ps := s :: !ps
+             match t.rmt.(r) with -1 -> () | s -> add_producer d s
          done;
-         d.producers <- !ps;
          t.act.rename_reads <- t.act.rename_reads + Array.length srcs + 1;
          d.ras_snapshot <- Branch_pred.Ras.save t.ras;
          if d.uop.Trace.has_dest && d.uop.Trace.dest_reg <> 0 then begin
@@ -843,20 +1007,18 @@ let dispatch t =
          (* RP arithmetic keyed by distance; only still-in-flight
             producers are kept *)
          let srcs = d.uop.Trace.srcs_dist in
-         let ps = ref [] in
-         for k = Array.length srcs - 1 downto 0 do
+         for k = 0 to Array.length srcs - 1 do
            let dist = srcs.(k) in
            if d.wrong_path then begin
              let s = d.seq - dist in
-             if win_mem t s then ps := s :: !ps
+             if win_mem t s then add_producer d s
            end
            else begin
              (* committed producers have left the stream window *)
              let s = Window.seq t.uops (d.trace_idx - dist) in
-             if s >= 0 && win_mem t s then ps := s :: !ps
+             if s >= 0 && win_mem t s then add_producer d s
            end
          done;
-         d.producers <- !ps;
          t.act.rp_ops <- t.act.rp_ops + Array.length srcs + 1;
          d.ras_snapshot <- Branch_pred.Ras.save t.ras);
       register_producers t d;
@@ -884,7 +1046,8 @@ let fetch t =
     while !continue_ && !budget > 0 do
       match t.mode with
       | Fetch_stalled -> continue_ := false
-      | Fetch_correct idx ->
+      | Fetch_correct ->
+        let idx = t.fetch_at in
         if idx >= t.n_trace then continue_ := false
         else begin
           let uop = Window.get t.uops idx in
@@ -908,7 +1071,7 @@ let fetch t =
             Ring.push_back t.frontend_q d;
             decr budget;
             (match uop.Trace.ctrl with
-             | Trace.Not_ctrl -> t.mode <- Fetch_correct (idx + 1)
+             | Trace.Not_ctrl -> t.fetch_at <- idx + 1
              | Trace.Cond { taken; target } ->
                let predicted = t.pred.Branch_pred.predict uop.Trace.pc in
                (* train at fetch with the oracle outcome: models perfect
@@ -920,15 +1083,14 @@ let fetch t =
                  else predicted
                in
                if p.Params.ideal_recovery || predicted = taken then begin
-                 t.mode <- Fetch_correct (idx + 1);
+                 t.fetch_at <- idx + 1;
                  if taken then continue_ := false (* group ends *)
                end
                else begin
                  t.branch_misp <- t.branch_misp + 1;
                  d.mispredicted <- true;
                  d.resume_idx <- idx + 1;
-                 t.mode <-
-                   Fetch_wrong (if predicted then target else uop.Trace.pc + 4);
+                 fetch_wrong t (if predicted then target else uop.Trace.pc + 4);
                  continue_ := false
                end
              | Trace.Uncond { target; is_call; is_ret } ->
@@ -936,8 +1098,11 @@ let fetch t =
                  Branch_pred.Ras.push t.ras (uop.Trace.pc + 4);
                if is_ret then begin
                  let predicted = Branch_pred.Ras.pop t.ras in
-                 if p.Params.ideal_recovery || predicted = Some target then
-                   t.mode <- Fetch_correct (idx + 1)
+                 let hit =
+                   match predicted with Some a -> a = target | None -> false
+                 in
+                 if p.Params.ideal_recovery || hit then
+                   t.fetch_at <- idx + 1
                  else begin
                    t.ret_misp <- t.ret_misp + 1;
                    d.mispredicted <- true;
@@ -945,11 +1110,12 @@ let fetch t =
                    t.mode <- Fetch_stalled
                  end
                end
-               else t.mode <- Fetch_correct (idx + 1);
+               else t.fetch_at <- idx + 1;
                continue_ := false (* taken transfer ends the group *))
           end
         end
-      | Fetch_wrong pc ->
+      | Fetch_wrong ->
+        let pc = t.fetch_at in
         (match t.decode_static pc with
          | None -> t.mode <- Fetch_stalled; continue_ := false
          | Some uop ->
@@ -968,22 +1134,22 @@ let fetch t =
              Ring.push_back t.frontend_q d;
              decr budget;
              (match uop.Trace.ctrl with
-              | Trace.Not_ctrl -> t.mode <- Fetch_wrong (pc + 4)
+              | Trace.Not_ctrl -> t.fetch_at <- pc + 4
               | Trace.Cond { target; _ } ->
                 let predicted = t.pred.Branch_pred.predict pc in
                 if predicted then begin
-                  t.mode <- Fetch_wrong target;
+                  t.fetch_at <- target;
                   continue_ := false
                 end
-                else t.mode <- Fetch_wrong (pc + 4)
+                else t.fetch_at <- pc + 4
               | Trace.Uncond { target; is_call; is_ret } ->
                 if is_call then Branch_pred.Ras.push t.ras (pc + 4);
                 if is_ret || target < 0 then begin
                   match Branch_pred.Ras.pop t.ras with
-                  | Some tgt -> t.mode <- Fetch_wrong tgt
+                  | Some tgt -> t.fetch_at <- tgt
                   | None -> t.mode <- Fetch_stalled
                 end
-                else t.mode <- Fetch_wrong target;
+                else t.fetch_at <- target;
                 continue_ := false)
            end)
     done
@@ -993,6 +1159,9 @@ let fetch t =
 (* One bucket per cycle, judged at the head of the window after commit
    and issue have run (see Stats and EXPERIMENTS.md for the
    heuristics).  Observability only: no effect on simulated timing. *)
+let in_flight_load t s =
+  s <> no_producer && (win_get t s).uop.Trace.fu = Trace.FU_load
+
 let classify_cycle t : Stats.bucket =
   if t.commits_now > 0 then Stats.Base
   else if not (Ring.is_empty t.rob) then begin
@@ -1005,12 +1174,9 @@ let classify_cycle t : Stats.bucket =
     else if d.n_unready > 0 then begin
       (* a dependence stall: charge memory when waiting (directly) on
          an in-flight load, otherwise count it against base ILP *)
-      let on_load =
-        List.exists
-          (fun s -> (win_get t s).uop.Trace.fu = Trace.FU_load)
-          d.producers
-      in
-      if on_load then Stats.Memory else Stats.Base
+      if in_flight_load t d.prod0 || in_flight_load t d.prod1 then
+        Stats.Memory
+      else Stats.Base
     end
     else Stats.Structural
   end
@@ -1033,19 +1199,19 @@ let diag_context t reason =
       ("committed", i t.committed);
       ("trace_length", i t.n_trace);
       ("rob_occupancy", i (Ring.length t.rob));
-      ("iq_occupancy", i t.iq_len);
+      ("iq_occupancy", i t.iq.Ibuf.n);
       ("ldq_occupancy", i (Ring.length t.ldq));
       ("stq_occupancy", i (Ring.length t.stq));
       ("frontend_occupancy", i (Ring.length t.frontend_q));
       ("free_regs", if t.is_rmt then i t.free_regs else "n/a");
       ("fetch_mode",
        (match t.mode with
-        | Fetch_correct idx -> Printf.sprintf "correct@%d" idx
-        | Fetch_wrong pc -> Printf.sprintf "wrong@0x%x" pc
+        | Fetch_correct -> Printf.sprintf "correct@%d" t.fetch_at
+        | Fetch_wrong -> Printf.sprintf "wrong@0x%x" t.fetch_at
         | Fetch_stalled -> "stalled"));
       ("fetch_stall_until", i t.fetch_stall_until);
       ("rename_blocked_until", i t.rename_blocked_until);
-      ("pending_recoveries", i (List.length t.recoveries));
+      ("pending_recoveries", i (t.recoveries.Ibuf.n / 4));
       ("faults_injected", i (Inject.total t.inj));
       ("last_commits",
        if t.lc_n = 0 then "none"
@@ -1070,14 +1236,14 @@ let diag_context t reason =
         ("head_ready_at", i d.ready_at);
         ("head_recovery_at", i d.recovery_at);
         ("head_producers",
-         if d.producers = [] then "none"
+         if d.prod0 = no_producer then "none"
          else
            String.concat ","
              (List.map
                 (fun s ->
                    Printf.sprintf "%d%s" s
                      (if win_mem t s then "(inflight)" else ""))
-                d.producers)) ]
+                (producers d))) ]
     else if not (Ring.is_empty t.frontend_q) then
       let d = Ring.front t.frontend_q in
       [ ("stuck_at", "frontend_head");
@@ -1089,6 +1255,33 @@ let diag_context t reason =
   base @ head
 
 (* ---------- stepping ---------- *)
+
+(* Process the recovery events due this cycle, oldest faulting seq
+   first and, for one seq, the latest pushed first.  Each is taken out
+   of [t.recoveries] before it runs; [do_recovery] pushes none. *)
+let process_recoveries t =
+  let r = t.recoveries in
+  let more = ref true in
+  while !more do
+    let best = ref (-1) and i = ref 0 in
+    while !i < r.Ibuf.n do
+      if r.Ibuf.a.(!i) <= t.now
+         && (!best < 0 || r.Ibuf.a.(!i + 1) <= r.Ibuf.a.(!best + 1))
+      then best := !i;
+      i := !i + 4
+    done;
+    if !best < 0 then more := false
+    else begin
+      let b = !best in
+      let seqno = r.Ibuf.a.(b + 1) and resume_idx = r.Ibuf.a.(b + 2)
+      and include_self = r.Ibuf.a.(b + 3) = 1 in
+      Array.blit r.Ibuf.a (b + 4) r.Ibuf.a b (r.Ibuf.n - b - 4);
+      r.Ibuf.n <- r.Ibuf.n - 4;
+      let d = win_get t seqno in
+      if d != t.dummy then do_recovery t ~faulting:d ~resume_idx ~include_self
+      (* otherwise: already squashed by an older recovery *)
+    end
+  done
 
 (* One simulated cycle.  Raises [Diag.Error Sim_deadlock] at the cycle
    boundary (before any state for the cycle is touched), so a caller
@@ -1104,22 +1297,7 @@ let step t =
        committed)"
       (t.now - t.last_commit_cycle) t.now t.committed t.n_trace;
   drain_wheel t;
-  (* process recovery events due this cycle, oldest faulting seq first *)
-  if t.recoveries <> [] then begin
-    let due, later =
-      List.partition (fun (c, _, _, _) -> c <= t.now) t.recoveries
-    in
-    t.recoveries <- later;
-    let due =
-      List.sort (fun (_, s1, _, _) (_, s2, _, _) -> compare s1 s2) due
-    in
-    List.iter
-      (fun (_, seqno, resume_idx, include_self) ->
-         let d = win_get t seqno in
-         if d != t.dummy then do_recovery t ~faulting:d ~resume_idx ~include_self
-         (* otherwise: already squashed by an older recovery *))
-      due
-  end;
+  if t.recoveries.Ibuf.n > 0 then process_recoveries t;
   t.commits_now <- 0;
   commit t;
   issue t;
@@ -1201,12 +1379,13 @@ let run (p : Params.t) ~(window : Window.t)
    - the live window is exactly [frontend_q ∪ rob] (disjoint), so those
      two deques enumerate every live [dyn];
    - iq/ldq/stq are subsets of the ROB, serialized as seq lists;
-   - an unfired wakeup edge held by a live producer targets either a
-     live consumer or a squashed one (whose counters are dead state) —
-     dead targets are dropped at save;
-   - fired edges never persist ([fire_edges] clears the whole list);
-   - timing-wheel slots may hold squashed producers, but all of their
-     consumers were squashed with them, so dead entries are dropped;
+   - a live producer's waiters name live consumers or squashed ones
+     (whose counters are dead state), so only live ones are written;
+   - timing-wheel slots may name squashed or committed producers, but
+     the first had only consumers squashed with them and the second
+     woke theirs at commit, so only live ones are written;
+   - waiters and wheel slots are written newest first, and the
+     recovery events likewise;
    - the stream window starts at the committed count (every older uop
      has committed), and its dispatch seqs are rebuilt from live
      dispatched correct-path dyns: a seq the image does not restore
@@ -1220,13 +1399,27 @@ let run (p : Params.t) ~(window : Window.t)
    uops are stored by pc *)
 let engine_version = 3
 
+(* the live seqs of [buf], newest first *)
+let w_live_seqs t b (buf : Ibuf.t) =
+  let n = ref 0 in
+  for i = 0 to buf.Ibuf.n - 1 do
+    if win_mem t buf.Ibuf.a.(i) then incr n
+  done;
+  Bin.w_int b !n;
+  for i = buf.Ibuf.n - 1 downto 0 do
+    if win_mem t buf.Ibuf.a.(i) then Bin.w_int b buf.Ibuf.a.(i)
+  done
+
+(* refill [buf] from seqs read newest first *)
+let fill_seqs (buf : Ibuf.t) seqs = List.iter (Ibuf.push buf) (List.rev seqs)
+
 let w_dyn t b (d : dyn) =
   Bin.w_int b d.seq;
   Bin.w_bool b d.wrong_path;
   Bin.w_int b d.trace_idx;
   if d.trace_idx < 0 then Bin.w_int b d.uop.Trace.pc;
   Bin.w_int b d.fetched_at;
-  Bin.w_list b Bin.w_int d.producers;
+  Bin.w_list b Bin.w_int (producers d);
   Bin.w_bool b d.dispatched;
   Bin.w_int b d.dispatched_at;
   Bin.w_bool b d.issued;
@@ -1239,53 +1432,49 @@ let w_dyn t b (d : dyn) =
   Bin.w_int b d.recovery_at;
   Bin.w_int b d.ras_snapshot;
   Bin.w_int b d.n_unready;
-  (* unfired edges whose consumer is still live; dead consumers only
-     absorb a harmless counter decrement, so they are dropped *)
-  Bin.w_list b Bin.w_int
-    (List.filter_map
-       (fun e -> if win_mem t e.consumer.seq then Some e.consumer.seq else None)
-       d.waiters)
+  w_live_seqs t b d.waiters
 
 (* first pass: reconstruct the record; waiter seqs are resolved in a
    second pass once every live dyn is back in the window *)
 let r_dyn t r : dyn * int list =
-  let seq = Bin.r_int r in
-  let wrong_path = Bin.r_bool r in
-  let trace_idx = Bin.r_int r in
-  let uop =
-    if trace_idx < 0 then begin
-      let pc = Bin.r_int r in
-      match t.decode_static pc with
-      | Some u -> u
-      | None ->
-        Bin.corrupt "wrong-path pc 0x%x has no static instruction" pc
-    end
-    else if trace_idx >= Window.base t.uops && trace_idx < t.n_trace then
-      Window.get t.uops trace_idx
-    else
-      Bin.corrupt "dyn trace index %d outside the uncommitted stream [%d, %d)"
-        trace_idx (Window.base t.uops) t.n_trace
-  in
-  let fetched_at = Bin.r_int r in
-  let producers = Bin.r_list r Bin.r_int in
-  let dispatched = Bin.r_bool r in
-  let dispatched_at = Bin.r_int r in
-  let issued = Bin.r_bool r in
-  let ready_at = Bin.r_int r in
-  let replay_bump = Bin.r_int r in
-  let mispredicted = Bin.r_bool r in
-  let resume_idx = Bin.r_int r in
-  let addr_known = Bin.r_bool r in
-  let executed_load = Bin.r_bool r in
-  let recovery_at = Bin.r_int r in
-  let ras_snapshot = Bin.r_int r in
-  let n_unready = Bin.r_int r in
-  let waiter_seqs = Bin.r_list r Bin.r_int in
-  ( { seq; uop; wrong_path; trace_idx; fetched_at; producers; dispatched;
-      dispatched_at; issued; ready_at; replay_bump; mispredicted; resume_idx;
-      addr_known; executed_load; recovery_at; ras_snapshot; n_unready;
-      waiters = [] },
-    waiter_seqs )
+  let d = alloc_dyn t in
+  d.seq <- Bin.r_int r;
+  d.wrong_path <- Bin.r_bool r;
+  d.trace_idx <- Bin.r_int r;
+  d.uop <-
+    (if d.trace_idx < 0 then begin
+        let pc = Bin.r_int r in
+        match t.decode_static pc with
+        | Some u -> u
+        | None ->
+          Bin.corrupt "wrong-path pc 0x%x has no static instruction" pc
+      end
+     else if d.trace_idx >= Window.base t.uops && d.trace_idx < t.n_trace then
+       Window.get t.uops d.trace_idx
+     else
+       Bin.corrupt "dyn trace index %d outside the uncommitted stream [%d, %d)"
+         d.trace_idx (Window.base t.uops) t.n_trace);
+  d.fetched_at <- Bin.r_int r;
+  (match Bin.r_list r Bin.r_int with
+   | ([] | [ _ ] | [ _; _ ]) as ps ->
+     d.prod0 <- no_producer;
+     d.prod1 <- no_producer;
+     List.iter (add_producer d) ps
+   | ps -> Bin.corrupt "dyn %d names %d producers" d.seq (List.length ps));
+  d.dispatched <- Bin.r_bool r;
+  d.dispatched_at <- Bin.r_int r;
+  d.issued <- Bin.r_bool r;
+  d.ready_at <- Bin.r_int r;
+  d.replay_bump <- Bin.r_int r;
+  d.mispredicted <- Bin.r_bool r;
+  d.resume_idx <- Bin.r_int r;
+  d.addr_known <- Bin.r_bool r;
+  d.executed_load <- Bin.r_bool r;
+  d.recovery_at <- Bin.r_int r;
+  d.ras_snapshot <- Bin.r_int r;
+  d.n_unready <- Bin.r_int r;
+  Ibuf.clear d.waiters;
+  (d, Bin.r_list r Bin.r_int)
 
 let save b t =
   Bin.w_int b engine_version;
@@ -1313,8 +1502,8 @@ let save b t =
   Bin.w_int_array b t.lc_pc;
   Bin.w_int_array b t.mix_counts;
   (match t.mode with
-   | Fetch_correct idx -> Bin.w_int b 0; Bin.w_int b idx
-   | Fetch_wrong pc -> Bin.w_int b 1; Bin.w_int b pc
+   | Fetch_correct -> Bin.w_int b 0; Bin.w_int b t.fetch_at
+   | Fetch_wrong -> Bin.w_int b 1; Bin.w_int b t.fetch_at
    | Fetch_stalled -> Bin.w_int b 2);
   Bin.w_int_array b t.rmt;
   (* window capacity, so a restored run grows at the same points *)
@@ -1325,8 +1514,8 @@ let save b t =
   Bin.w_int b (Ring.length t.frontend_q);
   Ring.iter (fun d -> w_dyn t b d) t.frontend_q;
   (* ROB-subset structures as seq lists *)
-  Bin.w_int b t.iq_len;
-  for i = 0 to t.iq_len - 1 do Bin.w_int b t.iq_buf.(i).seq done;
+  Bin.w_int b t.iq.Ibuf.n;
+  for i = 0 to t.iq.Ibuf.n - 1 do Bin.w_int b t.iq.Ibuf.a.(i) done;
   Bin.w_int b (Ring.length t.ldq);
   Ring.iter (fun d -> Bin.w_int b d.seq) t.ldq;
   Bin.w_int b (Ring.length t.stq);
@@ -1334,17 +1523,15 @@ let save b t =
   (* timing wheel: per-slot live seqs (dead producers have only dead
      consumers, so they are dropped) *)
   Bin.w_int b (Array.length t.wheel);
-  Array.iter
-    (fun ds ->
-       Bin.w_list b Bin.w_int
-         (List.filter_map
-            (fun d -> if win_mem t d.seq then Some d.seq else None)
-            ds))
-    t.wheel;
-  Bin.w_list b
-    (fun b (c, s, ri, inc) ->
-       Bin.w_int b c; Bin.w_int b s; Bin.w_int b ri; Bin.w_bool b inc)
-    t.recoveries;
+  Array.iter (w_live_seqs t b) t.wheel;
+  let r = t.recoveries in
+  Bin.w_int b (r.Ibuf.n / 4);
+  for e = (r.Ibuf.n / 4) - 1 downto 0 do
+    Bin.w_int b r.Ibuf.a.(4 * e);
+    Bin.w_int b r.Ibuf.a.((4 * e) + 1);
+    Bin.w_int b r.Ibuf.a.((4 * e) + 2);
+    Bin.w_bool b (r.Ibuf.a.((4 * e) + 3) = 1)
+  done;
   (* sub-components *)
   t.pred.Branch_pred.save b;
   Branch_pred.Ras.save_full b t.ras;
@@ -1399,8 +1586,8 @@ let load (r : Bin.reader) (t : t) : unit =
      if idx < t.committed || idx > t.n_trace then
        Bin.corrupt "fetch index %d outside [%d, %d]" idx t.committed
          t.n_trace;
-     t.mode <- Fetch_correct idx
-   | 1 -> t.mode <- Fetch_wrong (Bin.r_int r)
+     fetch_correct t idx
+   | 1 -> fetch_wrong t (Bin.r_int r)
    | 2 -> t.mode <- Fetch_stalled
    | n -> Bin.corrupt "bad fetch-mode tag %d" n);
   Bin.r_int_array_into r t.rmt;
@@ -1426,11 +1613,10 @@ let load (r : Bin.reader) (t : t) : unit =
       Bin.corrupt "dangling seq %d in engine image" s;
     d
   in
-  (* pass 2: rebuild wakeup edges (all serialized edges are unfired) *)
+  let live_seqs seqs = List.iter (fun s -> ignore (live s)) seqs; seqs in
+  (* pass 2: every waiter must be live *)
   List.iter
-    (fun (d, waiter_seqs) ->
-       d.waiters <-
-         List.map (fun s -> { consumer = live s; fired = false }) waiter_seqs)
+    (fun (d, waiter_seqs) -> fill_seqs d.waiters (live_seqs waiter_seqs))
     pending_waiters;
   List.iter (fun s -> iq_push t (live s)) (Bin.r_list r Bin.r_int);
   let read_seq_ring ring =
@@ -1443,15 +1629,18 @@ let load (r : Bin.reader) (t : t) : unit =
     Bin.corrupt "timing wheel of %d slots, configuration builds %d" wheel_n
       (Array.length t.wheel);
   for i = 0 to wheel_n - 1 do
-    t.wheel.(i) <- List.map live (Bin.r_list r Bin.r_int)
+    fill_seqs t.wheel.(i) (live_seqs (Bin.r_list r Bin.r_int))
   done;
-  t.recoveries <-
-    Bin.r_list r (fun r ->
-        let c = Bin.r_int r in
-        let s = Bin.r_int r in
-        let ri = Bin.r_int r in
-        let inc = Bin.r_bool r in
-        (c, s, ri, inc));
+  List.iter
+    (fun (at, seq, resume_idx, include_self) ->
+       push_recovery t ~at ~seq ~resume_idx ~include_self)
+    (List.rev
+       (Bin.r_list r (fun r ->
+            let c = Bin.r_int r in
+            let s = Bin.r_int r in
+            let ri = Bin.r_int r in
+            let inc = Bin.r_bool r in
+            (c, s, ri, inc))));
   (* dispatch seqs: sparse rebuild from live dispatched correct-path
      dyns; missing entries behave exactly like stale ones behind the
      win_mem guard *)

@@ -12,7 +12,14 @@
 #     pointer-chase and dhrystone on straight-2way/straight,
 #     straight-4way/straight-raw, ss-2way/riscv and ss-4way/ss;
 #   - -fast-forward 20000, with and without -warm (fib, dhrystone);
-#   - -checkpoint -stop-at 400, then -restore -stats-json (iota, sort);
+#   - -checkpoint -stop-at 400, then -restore -stats-json (iota, sort),
+#     and the checkpoint files themselves (their meta names no
+#     executable digest, so both trees write the same bytes);
+#   - stream-short (exact, -stats-json) on straight-4way/straight and
+#     ss-4way/ss: its front-end queue backs up to thousands of uops;
+#   - off Table I, on the same two pairings: -rob 4 -sched 2 (a ROB
+#     narrower than a fetch group), -rob 1 -sched 1, -tage and -ideal
+#     (fib, sort, pointer-chase, dhrystone);
 #   - -sample interval=5k,warmup=1k with -sample-json (dhrystone),
 #     ignoring host_seconds and the plan line, whose key covers the
 #     executable's digest;
@@ -101,6 +108,9 @@ battery() {
     for wl in iota sort; do
       run "stop.$m.$t.$wl" "$sim" -model "$m" -target "$t" -workload "$wl" \
         -checkpoint "logs/$m.$wl.snap" -stop-at 400
+      if [ -f "logs/$m.$wl.snap" ]; then
+        cp "logs/$m.$wl.snap" "stop.$m.$t.$wl.snap"
+      fi
       run "restore.$m.$t.$wl" "$sim" -restore "logs/$m.$wl.snap" \
         -stats-json "restore.$m.$t.$wl.json"
     done
@@ -112,6 +122,20 @@ battery() {
     if [ -f "logs/sample.$m.$t.json" ]; then
       strip host_seconds <"logs/sample.$m.$t.json" >"sample.$m.$t.json"
     fi
+  done
+  for cfg in straight-4way:straight ss-4way:ss; do
+    m=${cfg%%:*}
+    t=${cfg##*:}
+    run "exact.$m.$t.stream-short" "$sim" -model "$m" -target "$t" \
+      -workload stream-short -stats-json "exact.$m.$t.stream-short.json"
+    for opts in "-rob 4 -sched 2" "-rob 1 -sched 1" -tage -ideal; do
+      tag=$(echo "$opts" | tr -d ' -')
+      for wl in fib sort pointer-chase dhrystone; do
+        # unquoted: $opts is a list of flags
+        run "off.$m.$t.$tag.$wl" "$sim" -model "$m" -target "$t" \
+          -workload "$wl" $opts -stats-json "off.$m.$t.$tag.$wl.json"
+      done
+    done
   done
   run deadlock "$sim" -workload iota -sched 0 -dump-on-error -
   run inject.straight "$sim" -workload fib -inject all -seed 7

@@ -13,7 +13,15 @@
      count) and finishing equals the uninterrupted run;
    - the window's high-water mark stays within the engine's in-flight
      span: the largest ROB plus front-end-queue occupancy seen, plus one
-     fetch group. *)
+     fetch group.
+
+   And an allocation guard: stepping the engine over dhrystone and
+   coremark at the sizes stackbench's [exact] runs, checker armed,
+   allocates fewer than [alloc_bound] minor words per committed
+   instruction on every Table-I model.  In-flight records are reused
+   and every link between them is a seq, so what is left is the
+   streamed ISS step (boxed register words, a load's or store's uop)
+   and a few words per cycle. *)
 
 module Engine = Ooo_common.Engine
 module Params = Ooo_common.Params
@@ -143,6 +151,42 @@ let test_config (params, target) (w : Workloads.t) () =
     (Printf.sprintf "%s: restored at cycle %d" label stop)
     streamed (Engine.finish restored)
 
+let alloc_bound = 20.
+
+let test_alloc (params, target) (w : Workloads.t) () =
+  let label =
+    Printf.sprintf "%s/%s/%s" params.Params.name (Exp.target_label target)
+      w.Workloads.name
+  in
+  let image = Sim.compile (Sim.spec ~max_dist ~model:params ~target w) in
+  let module P = Ooo_common.Pipeline in
+  let e = (P.start ~max_dist params image).P.engine in
+  let before = Gc.minor_words () in
+  while not (Engine.finished e) do Engine.step e done;
+  let words = Gc.minor_words () -. before in
+  let s = Engine.finish e in
+  Alcotest.(check bool) (label ^ ": checker armed") true
+    (s.Engine.commits_checked > 0);
+  let per_insn = words /. float_of_int s.Engine.committed in
+  Printf.printf "%s: %.2f minor words per committed instruction\n" label
+    per_insn;
+  if per_insn >= alloc_bound then
+    Alcotest.failf "%s: Engine.step allocates %.1f minor words per committed \
+                    instruction (bound %.0f)"
+      label per_insn alloc_bound
+
+let alloc_suite =
+  List.concat_map
+    (fun ((params, _) as m) ->
+       List.map
+         (fun (w : Workloads.t) ->
+            ( Printf.sprintf "%s %s" params.Params.name w.Workloads.name,
+              `Quick,
+              test_alloc m w ))
+         [ Workloads.dhrystone ~iterations:100 ();
+           Workloads.coremark ~iterations:2 () ])
+    models
+
 let suite =
   List.concat_map
     (fun ((params, _) as m) ->
@@ -155,4 +199,7 @@ let suite =
          (workloads (Rng.make (seed + Hashtbl.hash params.Params.name))))
     models
 
-let () = Alcotest.run "stream" [ ("streamed vs array-fed", suite) ]
+let () =
+  Alcotest.run "stream"
+    [ ("streamed vs array-fed", suite);
+      ("engine allocation", alloc_suite) ]
