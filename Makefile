@@ -189,19 +189,22 @@ sample-smoke:
 	@echo "sample-smoke: sampled CPI within error bars on both pipelines"
 
 # Memory ceiling for exact simulation (see DESIGN.md, "Streaming the
-# correct path"): the full 30.2M-instruction stream workload, simulated
-# exactly with the lockstep checker on, on STRAIGHT-4way and SS-4way.
-# Each run fails if the simulator's peak RSS exceeds 100 MB (the
-# script's fixed ceiling).  The binary runs directly (not through dune
-# exec) so the measured child is the simulator.
+# correct path"): the full 30.2M-instruction stream workload, and
+# pointer-chase, whose front-end queue backs up by hundreds of
+# thousands of uops, simulated exactly with the lockstep checker on, on
+# STRAIGHT-4way and SS-4way.  Each run fails if the simulator's peak RSS
+# exceeds 100 MB (the script's fixed ceiling).  The binary runs directly
+# (not through dune exec) so the measured child is the simulator.
 STRAIGHTSIM = _build/default/bin/straightsim.exe
 stream-smoke:
 	dune build bin/straightsim.exe
-	python3 scripts/stream_smoke.py $(STRAIGHTSIM) \
-	  -model straight-4way -target straight -workload stream
-	python3 scripts/stream_smoke.py $(STRAIGHTSIM) \
-	  -model ss-4way -target riscv -workload stream
-	@echo "stream-smoke: exact stream under 100 MB on both pipelines"
+	for wl in stream pointer-chase; do \
+	  python3 scripts/stream_smoke.py $(STRAIGHTSIM) \
+	    -model straight-4way -target straight -workload $$wl || exit 1; \
+	  python3 scripts/stream_smoke.py $(STRAIGHTSIM) \
+	    -model ss-4way -target riscv -workload $$wl || exit 1; \
+	done
+	@echo "stream-smoke: exact stream and pointer-chase under 100 MB on both pipelines"
 
 # Resident-daemon smoke (see EXPERIMENTS.md, "The resident daemon"):
 # start straightd on a scratch socket, drive the load generator twice

@@ -47,12 +47,7 @@ let gshare ?(history_bits = 10) ?(entries = 32768) () : t =
 module Tage = struct
   type entry = { mutable tag : int; mutable ctr : int; mutable useful : int }
 
-  type component = {
-    entries : entry array;
-    hist_len : int;
-    index_of : int -> int -> int;   (* pc -> folded history -> index *)
-    tag_of : int -> int -> int;
-  }
+  type component = { entries : entry array; hist_len : int }
 
   type state = {
     bimodal : Bytes.t;
@@ -67,85 +62,88 @@ module Tage = struct
   let fold hist len bits =
     (* fold [len] history bits into [bits] bits *)
     let len = min len 62 in
-    let masked = hist land ((1 lsl len) - 1) in
-    let rec go acc h =
-      if h = 0 then acc else go (acc lxor (h land ((1 lsl bits) - 1))) (h lsr bits)
-    in
-    go 0 masked
+    let h = ref (hist land ((1 lsl len) - 1)) and acc = ref 0 in
+    while !h <> 0 do
+      acc := !acc lxor (!h land ((1 lsl bits) - 1));
+      h := !h lsr bits
+    done;
+    !acc
+
+  let index c pc h =
+    ((pc lsr 2) lxor fold h c.hist_len log_entries)
+    land ((1 lsl log_entries) - 1)
+
+  let tag c pc h =
+    ((pc lsr 2) lxor fold h c.hist_len 11 lxor (fold h c.hist_len 10 lsl 1))
+    land 0x7FF
 
   let create () =
     let hist_lens = [| 4; 8; 16; 24; 32; 44; 60 |] in
     let comps =
       Array.map
         (fun hl ->
-           let entries =
-             Array.init (1 lsl log_entries) (fun _ ->
-                 { tag = 0; ctr = 0; useful = 0 })
-           in
-           { entries;
-             hist_len = hl;
-             index_of =
-               (fun pc h ->
-                  ((pc lsr 2) lxor fold h hl log_entries)
-                  land ((1 lsl log_entries) - 1));
-             tag_of =
-               (fun pc h ->
-                  ((pc lsr 2) lxor fold h hl 11 lxor (fold h hl 10 lsl 1))
-                  land 0x7FF) })
+           { entries =
+               Array.init (1 lsl log_entries) (fun _ ->
+                   { tag = 0; ctr = 0; useful = 0 });
+             hist_len = hl })
         hist_lens
     in
     { bimodal = Bytes.make 16384 '\002'; comps; ghist = 0; tick = 0 }
 
   let bimodal_index pc = (pc lsr 2) land 16383
 
-  (* find the longest matching component; return (component idx, entry) *)
+  (* the longest matching component, or -1 *)
   let lookup st pc =
-    let found = ref None in
-    for i = n_tagged - 1 downto 0 do
-      if !found = None then begin
-        let c = st.comps.(i) in
-        let e = c.entries.(c.index_of pc st.ghist) in
-        if e.tag = c.tag_of pc st.ghist then found := Some (i, e)
-      end
+    let found = ref (-1) and i = ref (n_tagged - 1) in
+    while !found < 0 && !i >= 0 do
+      let c = st.comps.(!i) in
+      if c.entries.(index c pc st.ghist).tag = tag c pc st.ghist then
+        found := !i;
+      decr i
     done;
     !found
 
+  let entry st i pc =
+    let c = st.comps.(i) in
+    c.entries.(index c pc st.ghist)
+
+  let bimodal_taken st pc =
+    Char.code (Bytes.get st.bimodal (bimodal_index pc)) >= 2
+
   let predict st pc =
-    match lookup st pc with
-    | Some (_, e) -> e.ctr >= 0
-    | None -> Char.code (Bytes.get st.bimodal (bimodal_index pc)) >= 2
+    let i = lookup st pc in
+    if i >= 0 then (entry st i pc).ctr >= 0 else bimodal_taken st pc
 
   let update st pc taken =
     let provider = lookup st pc in
     let pred =
-      match provider with
-      | Some (_, e) -> e.ctr >= 0
-      | None -> Char.code (Bytes.get st.bimodal (bimodal_index pc)) >= 2
+      if provider >= 0 then (entry st provider pc).ctr >= 0
+      else bimodal_taken st pc
     in
-    (match provider with
-     | Some (_, e) ->
-       e.ctr <- (if taken then min 3 (e.ctr + 1) else max (-4) (e.ctr - 1));
-       if pred = taken then e.useful <- min 3 (e.useful + 1)
-       else e.useful <- max 0 (e.useful - 1)
-     | None ->
-       let i = bimodal_index pc in
-       let c = Char.code (Bytes.get st.bimodal i) in
-       let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
-       Bytes.set st.bimodal i (Char.chr c'));
+    if provider >= 0 then begin
+      let e = entry st provider pc in
+      e.ctr <- (if taken then min 3 (e.ctr + 1) else max (-4) (e.ctr - 1));
+      if pred = taken then e.useful <- min 3 (e.useful + 1)
+      else e.useful <- max 0 (e.useful - 1)
+    end
+    else begin
+      let i = bimodal_index pc in
+      let c = Char.code (Bytes.get st.bimodal i) in
+      let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+      Bytes.set st.bimodal i (Char.chr c')
+    end;
     (* allocate a longer-history entry on a misprediction *)
     if pred <> taken then begin
-      let start = match provider with Some (i, _) -> i + 1 | None -> 0 in
-      let allocated = ref false in
-      for i = start to n_tagged - 1 do
-        if not !allocated then begin
-          let c = st.comps.(i) in
-          let e = c.entries.(c.index_of pc st.ghist) in
-          if e.useful = 0 then begin
-            e.tag <- c.tag_of pc st.ghist;
-            e.ctr <- (if taken then 0 else -1);
-            allocated := true
-          end
+      let i = ref (provider + 1) in
+      while !i < n_tagged do
+        let c = st.comps.(!i) in
+        let e = c.entries.(index c pc st.ghist) in
+        if e.useful = 0 then begin
+          e.tag <- tag c pc st.ghist;
+          e.ctr <- (if taken then 0 else -1);
+          i := n_tagged
         end
+        else incr i
       done;
       (* periodically age usefulness so allocation cannot starve *)
       st.tick <- st.tick + 1;
@@ -209,11 +207,13 @@ module Ras = struct
     t.stack.(t.top mod Array.length t.stack) <- addr;
     t.top <- t.top + 1
 
+  let empty = -1
+
   let pop t =
-    if t.top = 0 then None
+    if t.top = 0 then empty
     else begin
       t.top <- t.top - 1;
-      Some t.stack.(t.top mod Array.length t.stack)
+      t.stack.(t.top mod Array.length t.stack)
     end
 
   (* recovery: snapshot/restore the top-of-stack pointer *)

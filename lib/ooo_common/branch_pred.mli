@@ -24,7 +24,11 @@ module Ras : sig
 
   val create : ?depth:int -> unit -> t
   val push : t -> int -> unit
-  val pop : t -> int option
+  val empty : int
+  (** What {!pop} returns for an empty stack (no return address is
+      negative). *)
+
+  val pop : t -> int
   val save : t -> int
   val restore : t -> int -> unit
 

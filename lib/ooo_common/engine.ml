@@ -18,30 +18,34 @@
 
    Hot-path organization: because sequence numbers are allocated
    monotonically, committed at the head, and squashed as a suffix, every
-   pipeline structure is a seq-sorted sequence.  The in-flight window is
-   an open-addressed ring indexed by [seq land mask]; the ROB, front-end
-   queue, and LSQs are ring deques whose squash is a suffix truncation;
-   the issue queue is an age-sorted buffer of seqs, beside which the
-   subset with every operand available is kept, also by age, and issue
-   scans only that subset.  Operand readiness is event-driven: a
-   consumer holds a count of outstanding producers, and a producer holds
-   the seqs of its waiting consumers, woken either from a timing wheel
-   (slots of producer seqs) when the value becomes available or when
-   the producer commits.  None of this changes simulated timing — cycle
-   counts are bit-identical to the original list/Hashtbl engine
-   (asserted by test_stats.ml against recorded golden counts).
+   pipeline structure is a seq-sorted sequence.  The ROB, LDQ and STQ
+   are ring deques of seqs whose squash is a suffix truncation; the
+   issue queue is a count, since its members are exactly the ROB's
+   unissued entries, and beside it the subset with every operand
+   available is kept by age, which is all issue scans.  Operand
+   readiness is event-driven: a consumer holds a count of outstanding
+   producers, and a producer holds the seqs of its waiting consumers,
+   woken either from a timing wheel (slots of producer seqs) when the
+   value becomes available or when the producer commits.  None of this
+   changes simulated timing — cycle counts are bit-identical to the
+   original list/Hashtbl engine (asserted by test_stats.ml against
+   recorded golden counts).
 
-   In-flight state allocates nothing per instruction.  A [dyn] record
-   is reused: commit and squash return it to a free list that fetch
-   draws from, so the engine holds as many records as it ever had in
-   flight at once.  Everything that names another instruction names it
-   by seq — a uop's at most two producers, a producer's waiters, a
-   wheel slot, a pending recovery — and is resolved through the window
-   ([win_get]).  Seqs are never reused, so a reference to a squashed,
-   committed or recycled instruction fails that lookup and is skipped;
-   those are exactly the references whose effect could never be
-   observed (a dead consumer's counter, a dead producer whose consumers
-   all died with it).
+   Per-instruction state is sized by the ROB, not by the front end, and
+   allocates nothing per instruction.  The in-flight window is a ring
+   of records indexed by [seq land mask], one per slot: dispatch fills
+   the slot's record ([dyn]) and commit and squash mark it dead, so no
+   hot-path store writes a record pointer.  The front-end queue has no
+   capacity (fetch keeps going while dispatch stalls, by hundreds of
+   thousands of uops on a long miss chain) and keeps only what fetch
+   sets, one column per field.  Everything that names another
+   instruction names it by seq — a uop's at most two producers, a
+   producer's waiters, a wheel slot, a pending recovery — and is
+   resolved through the window ([win_get]).  Seqs are never reused, so
+   a reference to a squashed or committed instruction fails that lookup
+   and is skipped; those are exactly the references whose effect could
+   never be observed (a dead consumer's counter, a dead producer whose
+   consumers all died with it).
 
    All simulation state lives in an explicit record [t] so a run can be
    advanced one cycle at a time ([create] / [step] / [finish]) and
@@ -105,24 +109,25 @@ module Ibuf = struct
     b.n <- b.n + 1
 end
 
-(* An in-flight instruction.  Records are reused (see [alloc_dyn]), so
-   no other instruction holds one: it is reached by a window lookup of
-   its [seq]. *)
+(* A dispatched instruction.  Each record belongs to one slot of the
+   in-flight window: dispatch fills it, commit and squash mark it
+   [dead], and it is reached only by a window lookup of its [seq]. *)
 type dyn = {
-  mutable seq : int;
+  mutable seq : int;                (* [dead] once committed or squashed *)
   mutable uop : Trace.uop;
   mutable wrong_path : bool;
   mutable trace_idx : int;          (* -1 on the wrong path *)
   mutable fetched_at : int;
   mutable prod0 : int;              (* producer seqs in source order, *)
   mutable prod1 : int;              (* prod0 first; [no_producer] = none *)
-  mutable dispatched : bool;
+  mutable prev_map : int;           (* RMT: the destination's mapping
+                                       before this rename, for squash *)
   mutable dispatched_at : int;
   mutable issued : bool;
   mutable ready_at : int;           (* cycle the result is available *)
   mutable replay_bump : int;        (* extra wakeup delay for consumers *)
-  mutable mispredicted : bool;
-  mutable resume_idx : int;         (* trace index to resume after squash *)
+  mutable resume_idx : int;         (* mispredicted: the trace index to
+                                       resume at after squash; else -1 *)
   mutable addr_known : bool;        (* stores: address resolved *)
   mutable executed_load : bool;
   mutable recovery_at : int;        (* pending recovery event; -1 = none *)
@@ -135,9 +140,20 @@ type dyn = {
          then readable from the register file) *)
 }
 
-(* Not -1: a wrong-path source at distance seq + 1 names seq -1, which
-   [win_mem] finds wherever the dummy fills slot [-1 land mask]. *)
-let no_producer = min_int
+(* Seqs start at 0, so no lookup matches a negative one. *)
+let dead = -1
+let no_producer = -1
+let not_ready = max_int / 2
+
+let fresh_dyn () =
+  { seq = dead; uop = Trace.placeholder; wrong_path = false; trace_idx = -1;
+    fetched_at = 0; prod0 = no_producer; prod1 = no_producer;
+    prev_map = -1; dispatched_at = 0; issued = false; ready_at = not_ready;
+    replay_bump = 0; resume_idx = -1; addr_known = false;
+    executed_load = false; recovery_at = -1; ras_snapshot = 0; n_unready = 0;
+    waiters = Ibuf.create () }
+
+let mispredicted d = d.resume_idx >= 0
 
 let n_producers d =
   if d.prod0 = no_producer then 0 else if d.prod1 = no_producer then 1 else 2
@@ -189,18 +205,13 @@ let fu_latency (p : Params.t) = function
   | Trace.FU_load -> 1 (* + cache *)
   | Trace.FU_store -> 1
 
-(* Seq-sorted ring deque: push at the back, commit pops the front, squash
-   truncates the back.  Capacity grows on demand (the front-end queue is
-   unbounded while dispatch stalls). *)
+(* Seq-sorted ring deque of seqs (the ROB, LDQ and STQ): push at the
+   back, commit pops the front, squash truncates the back.  Capacity
+   grows on demand. *)
 module Ring = struct
-  type t = {
-    dummy : dyn;
-    mutable buf : dyn array;
-    mutable head : int;
-    mutable len : int;
-  }
+  type t = { mutable buf : int array; mutable head : int; mutable len : int }
 
-  let create dummy = { dummy; buf = Array.make 64 dummy; head = 0; len = 0 }
+  let create () = { buf = Array.make 64 0; head = 0; len = 0 }
   let length t = t.len
   let is_empty t = t.len = 0
   let get t i = t.buf.((t.head + i) land (Array.length t.buf - 1))
@@ -208,9 +219,8 @@ module Ring = struct
   let back t = get t (t.len - 1)
 
   let grow t =
-    let cap = Array.length t.buf in
-    let nbuf = Array.make (2 * cap) t.dummy in
-    for i = 0 to t.len - 1 do nbuf.(i) <- t.buf.((t.head + i) land (cap - 1)) done;
+    let nbuf = Array.make (2 * Array.length t.buf) 0 in
+    for i = 0 to t.len - 1 do nbuf.(i) <- get t i done;
     t.buf <- nbuf;
     t.head <- 0
 
@@ -220,20 +230,65 @@ module Ring = struct
     t.len <- t.len + 1
 
   let pop_front t =
-    let x = t.buf.(t.head) in
-    t.buf.(t.head) <- t.dummy;
     t.head <- (t.head + 1) land (Array.length t.buf - 1);
-    t.len <- t.len - 1;
-    x
+    t.len <- t.len - 1
 
-  let pop_back t =
-    let i = (t.head + t.len - 1) land (Array.length t.buf - 1) in
-    let x = t.buf.(i) in
-    t.buf.(i) <- t.dummy;
-    t.len <- t.len - 1;
-    x
+  let pop_back t = t.len <- t.len - 1
+end
 
-  let iter f t = for i = 0 to t.len - 1 do f (get t i) done
+(* The front-end queue: what fetch sets for each instruction it has not
+   yet dispatched, one column per field, oldest first.  Nothing looks an
+   undispatched instruction up by seq, so it has no record; the queue is
+   unbounded (fetch keeps going while dispatch stalls) and grows on
+   demand. *)
+module Fq = struct
+  type t = {
+    mutable seq : int array;
+    mutable idx : int array;          (* stream index; -1 on the wrong path *)
+    mutable wuop : Trace.uop array;   (* the uop, written on the wrong path *)
+    mutable at : int array;           (* fetch cycle *)
+    mutable resume : int array;       (* [dyn.resume_idx] *)
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let create () =
+    { seq = Array.make 64 0; idx = Array.make 64 0;
+      wuop = Array.make 64 Trace.placeholder; at = Array.make 64 0;
+      resume = Array.make 64 0; head = 0; len = 0 }
+
+  (* the column index of the [i]th oldest entry *)
+  let slot q i = (q.head + i) land (Array.length q.seq - 1)
+
+  let grow q =
+    let col a fill =
+      let b = Array.make (2 * Array.length a) fill in
+      for i = 0 to q.len - 1 do b.(i) <- a.(slot q i) done;
+      b
+    in
+    q.idx <- col q.idx 0;
+    q.wuop <- col q.wuop Trace.placeholder;
+    q.at <- col q.at 0;
+    q.resume <- col q.resume 0;
+    q.seq <- col q.seq 0;
+    q.head <- 0
+
+  let push q ~seq ~idx ~(uop : Trace.uop) ~at =
+    if q.len = Array.length q.seq then grow q;
+    let i = slot q q.len in
+    q.seq.(i) <- seq;
+    q.idx.(i) <- idx;
+    if idx < 0 then q.wuop.(i) <- uop;
+    q.at.(i) <- at;
+    q.resume.(i) <- -1;
+    q.len <- q.len + 1
+
+  (* the youngest entry was mispredicted: fetch resumes at [idx] *)
+  let mispredict q idx = q.resume.(slot q (q.len - 1)) <- idx
+
+  let pop_front q =
+    q.head <- (q.head + 1) land (Array.length q.seq - 1);
+    q.len <- q.len - 1
 end
 
 let next_pow2 n =
@@ -255,27 +310,24 @@ type t = {
   memdep : Memdep.t;
   inj : Inject.t;
   act : activity;
-  dummy : dyn;
-  (* in-flight window: open-addressed ring indexed by seq.  A slot is
-     occupied only by a live entry (cleared at commit and squash), so a
-     collision on insert means the window span outgrew the capacity. *)
+  dummy : dyn;                      (* [win_get]'s "none" *)
+  (* in-flight window: a ring of records indexed by seq, one per slot.
+     A slot's record is live only while its instruction is in the ROB
+     (marked [dead] at commit and squash), so a live record in the slot
+     dispatch needs means the ROB's seq span outgrew the capacity. *)
   mutable win : dyn array;
   mutable win_mask : int;
   mutable next_seq : int;
-  (* records no instruction holds, reused by fetch *)
-  mutable free : dyn array;
-  mutable n_free : int;
   (* pipeline structures, all seq-sorted *)
-  frontend_q : Ring.t;
+  fq : Fq.t;
   rob : Ring.t;
   ldq : Ring.t;
   stq : Ring.t;
-  (* issue queue: the seqs of dispatched, unissued instructions, oldest
-     first; [ready] is its subset whose operands are all available
-     ([n_unready = 0]), also oldest first, which is all issue scans *)
-  iq : Ibuf.t;
+  (* issue queue: the ROB's unissued instructions, [iq_n] of them;
+     [ready] holds the seqs of those whose operands are all available
+     ([n_unready = 0]), oldest first, which is all issue scans *)
+  mutable iq_n : int;
   ready : Ibuf.t;
-  issued_now : Ibuf.t;              (* scratch: seqs issue just took *)
   (* timing wheel for operand wakeups (spans the worst-case latency):
      per cycle, the seqs of the producers whose values become available *)
   wheel : Ibuf.t array;
@@ -337,14 +389,6 @@ let create (p : Params.t) ~(window : Window.t)
   let n_trace = Window.length window in
   if n_trace = 0 then
     Diag.error Diag.Config_error "empty trace: nothing to simulate";
-  let dummy =
-    { seq = -1; uop = Trace.placeholder; wrong_path = false; trace_idx = -1;
-      fetched_at = 0; prod0 = no_producer; prod1 = no_producer;
-      dispatched = false; dispatched_at = 0; issued = false; ready_at = 0;
-      replay_bump = 0; mispredicted = false; resume_idx = -1;
-      addr_known = false; executed_load = false; recovery_at = -1;
-      ras_snapshot = 0; n_unready = 0; waiters = Ibuf.create () }
-  in
   (* the wheel spans the worst-case latency (full memory hierarchy +
      fault stretch) *)
   let wheel_size =
@@ -378,19 +422,16 @@ let create (p : Params.t) ~(window : Window.t)
     memdep = Memdep.create ();
     inj = Inject.make p.inject;
     act = fresh_activity ();
-    dummy;
-    win = Array.make 1024 dummy;
+    dummy = fresh_dyn ();
+    win = Array.init 1024 (fun _ -> fresh_dyn ());
     win_mask = 1023;
     next_seq = 0;
-    free = Array.make 64 dummy;
-    n_free = 0;
-    frontend_q = Ring.create dummy;
-    rob = Ring.create dummy;
-    ldq = Ring.create dummy;
-    stq = Ring.create dummy;
-    iq = Ibuf.create ();
+    fq = Fq.create ();
+    rob = Ring.create ();
+    ldq = Ring.create ();
+    stq = Ring.create ();
+    iq_n = 0;
     ready = Ibuf.create ();
-    issued_now = Ibuf.create ();
     wheel = Array.init wheel_size (fun _ -> Ibuf.create ());
     wheel_mask = wheel_size - 1;
     ports = Array.make 5 0;
@@ -435,36 +476,34 @@ let create (p : Params.t) ~(window : Window.t)
 
 (* ---------- in-flight window ---------- *)
 
-(* allocation-free lookup: [t.dummy] plays the role of [None] *)
+(* allocation-free lookup of a seq in the ROB: [t.dummy] plays the role
+   of [None] *)
 let win_get t s =
   let d = t.win.(s land t.win_mask) in
-  if d.seq = s then d else t.dummy
+  if d.seq = s && s >= 0 then d else t.dummy
 
-let win_mem t s = (t.win.(s land t.win_mask)).seq = s
+let win_mem t s = s >= 0 && (t.win.(s land t.win_mask)).seq = s
 
-let win_clear t d =
-  let i = d.seq land t.win_mask in
-  if t.win.(i) == d then t.win.(i) <- t.dummy
+(* the record of the [i]th oldest ROB entry *)
+let rob_get t i = t.win.(Ring.get t.rob i land t.win_mask)
 
 let win_grow t =
   (* live seqs are pairwise distinct modulo the old capacity, hence
      also modulo the doubled capacity: rehashing cannot collide *)
   let old = t.win in
   let ncap = 2 * Array.length old in
-  t.win <- Array.make ncap t.dummy;
-  t.win_mask <- ncap - 1;
-  Array.iter (fun d -> if d != t.dummy then t.win.(d.seq land t.win_mask) <- d)
-    old
+  let win = Array.make ncap t.dummy in
+  Array.iter (fun d -> if d.seq <> dead then win.(d.seq land (ncap - 1)) <- d)
+    old;
+  Array.iteri (fun i d -> if d == t.dummy then win.(i) <- fresh_dyn ()) win;
+  t.win <- win;
+  t.win_mask <- ncap - 1
 
-let rec win_insert t d =
-  let i = d.seq land t.win_mask in
-  if t.win.(i) != t.dummy then begin win_grow t; win_insert t d end
-  else t.win.(i) <- d
-
-(* [d] is the youngest dispatched instruction *)
-let iq_push t d =
-  Ibuf.push t.iq d.seq;
-  if d.n_unready = 0 then Ibuf.push t.ready d.seq
+(* the record dispatch fills for seq [s]: its slot's, once no live
+   instruction holds that slot *)
+let rec win_slot t s =
+  let d = t.win.(s land t.win_mask) in
+  if d.seq = dead then d else begin win_grow t; win_slot t s end
 
 (* [s] was waiting in the issue queue and its last operand became
    available: insert it into [ready] by age *)
@@ -537,77 +576,71 @@ let register_producers t d =
   if d.prod0 <> no_producer then register_producer t d d.prod0;
   if d.prod1 <> no_producer then register_producer t d d.prod1
 
-(* A record to fill: the free list's last, or a fresh one while the
-   engine holds more in flight than ever before. *)
-let alloc_dyn t =
-  if t.n_free > 0 then begin
-    t.n_free <- t.n_free - 1;
-    t.free.(t.n_free)
-  end
-  else { t.dummy with waiters = Ibuf.create () }
+(* the uop of the front-end entry in column [i] *)
+let fq_uop t i =
+  let q = t.fq in
+  let idx = q.Fq.idx.(i) in
+  if idx >= 0 then Window.get t.uops idx else q.Fq.wuop.(i)
 
-let mk_dyn t ~uop ~wrong_path ~trace_idx =
-  let d = alloc_dyn t in
-  d.seq <- t.next_seq;
+(* [d] as fetch leaves the front-end entry in column [i], whose uop is
+   [uop]: every field dispatch sets is at its initial value *)
+let fill_fetched t d i uop =
+  let q = t.fq in
+  d.seq <- q.Fq.seq.(i);
   d.uop <- uop;
-  d.wrong_path <- wrong_path;
-  d.trace_idx <- trace_idx;
-  d.fetched_at <- t.now;
+  d.trace_idx <- q.Fq.idx.(i);
+  d.wrong_path <- d.trace_idx < 0;
+  d.fetched_at <- q.Fq.at.(i);
+  d.resume_idx <- q.Fq.resume.(i);
   d.prod0 <- no_producer;
   d.prod1 <- no_producer;
-  d.dispatched <- false;
+  d.prev_map <- -1;
   d.dispatched_at <- 0;
   d.issued <- false;
-  d.ready_at <- max_int / 2;
+  d.ready_at <- not_ready;
   d.replay_bump <- 0;
-  d.mispredicted <- false;
-  d.resume_idx <- -1;
   d.addr_known <- false;
   d.executed_load <- false;
   d.recovery_at <- -1;
   d.ras_snapshot <- 0;
   d.n_unready <- 0;
-  Ibuf.clear d.waiters;
-  t.next_seq <- t.next_seq + 1;
-  win_insert t d;
-  d
+  Ibuf.clear d.waiters
 
-(* d has left the window for good (commit or squash) *)
-let recycle t d =
-  if t.n_free = Array.length t.free then begin
-    let a = Array.make (2 * t.n_free) t.dummy in
-    Array.blit t.free 0 a 0 t.n_free;
-    t.free <- a
-  end;
-  t.free.(t.n_free) <- d;
-  t.n_free <- t.n_free + 1
+let is_ctrl (u : Trace.uop) =
+  match u.Trace.ctrl with
+  | Trace.Cond _ | Trace.Uncond _ -> true
+  | Trace.Not_ctrl -> false
 
 (* ---------- squash ---------- *)
 (* Every structure is seq-sorted, so a squash is a suffix truncation:
-   O(squashed) instead of a full-window walk.  Returns the number of
-   physical registers released: one per renamed (ROB-resident) squashed
-   instruction with a destination. *)
+   O(squashed) instead of a full-window walk.  Walking the ROB's suffix
+   youngest first, it takes each squashed instruction out of the issue
+   queue count and the in-flight control count and undoes its rename.
+   Returns the number of physical registers released: one per renamed
+   (ROB-resident) squashed instruction with a destination. *)
 let squash_from t first_bad_seq =
-  truncate_from t.iq first_bad_seq;
   truncate_from t.ready first_bad_seq;
-  while Ring.length t.ldq > 0 && (Ring.back t.ldq).seq >= first_bad_seq do
-    ignore (Ring.pop_back t.ldq)
+  while Ring.length t.ldq > 0 && Ring.back t.ldq >= first_bad_seq do
+    Ring.pop_back t.ldq
   done;
-  while Ring.length t.stq > 0 && (Ring.back t.stq).seq >= first_bad_seq do
-    ignore (Ring.pop_back t.stq)
+  while Ring.length t.stq > 0 && Ring.back t.stq >= first_bad_seq do
+    Ring.pop_back t.stq
   done;
   let freed = ref 0 in
-  while Ring.length t.rob > 0 && (Ring.back t.rob).seq >= first_bad_seq do
-    let d = Ring.pop_back t.rob in
-    if d.uop.Trace.has_dest && d.uop.Trace.dest_reg <> 0 then incr freed;
-    win_clear t d;
-    recycle t d
+  while Ring.length t.rob > 0 && Ring.back t.rob >= first_bad_seq do
+    let d = t.win.(Ring.back t.rob land t.win_mask) in
+    Ring.pop_back t.rob;
+    if not d.issued then t.iq_n <- t.iq_n - 1;
+    if is_ctrl d.uop then t.inflight_ctrl <- t.inflight_ctrl - 1;
+    if d.uop.Trace.has_dest && d.uop.Trace.dest_reg <> 0 then begin
+      incr freed;
+      if t.is_rmt then t.rmt.(d.uop.Trace.dest_reg) <- d.prev_map
+    end;
+    d.seq <- dead
   done;
-  while Ring.length t.frontend_q > 0
-        && (Ring.back t.frontend_q).seq >= first_bad_seq do
-    let d = Ring.pop_back t.frontend_q in
-    win_clear t d;
-    recycle t d
+  let q = t.fq in
+  while q.Fq.len > 0 && q.Fq.seq.(Fq.slot q (q.Fq.len - 1)) >= first_bad_seq do
+    q.Fq.len <- q.Fq.len - 1
   done;
   !freed
 
@@ -621,7 +654,7 @@ let walk_entries_after t seqno =
   let lo = ref 0 and hi = ref (Ring.length t.rob) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if (Ring.get t.rob mid).seq > seqno then hi := mid else lo := mid + 1
+    if Ring.get t.rob mid > seqno then hi := mid else lo := mid + 1
   done;
   Ring.length t.rob - !lo
 
@@ -632,7 +665,7 @@ let fetch_wrong t pc = t.mode <- Fetch_wrong; t.fetch_at <- pc
 
 let do_recovery t ~(faulting : dyn) ~(resume_idx : int) ~(include_self : bool) =
   let first_bad = if include_self then faulting.seq else faulting.seq + 1 in
-  (* read before the squash, which may recycle [faulting] itself *)
+  (* read before the squash, which may mark [faulting] itself dead *)
   let ras_snapshot = faulting.ras_snapshot in
   let walk_len =
     match t.p.Params.rename with
@@ -644,24 +677,15 @@ let do_recovery t ~(faulting : dyn) ~(resume_idx : int) ~(include_self : bool) =
     | Params.Rp -> 0 (* a single ROB entry read restores RP/SP/PC (Fig. 4) *)
   in
   let freed = squash_from t first_bad in
-  (* recount in-flight control instructions (checkpoint occupancy) *)
-  t.inflight_ctrl <- 0;
-  Ring.iter
-    (fun d ->
-       match d.uop.Trace.ctrl with
-       | Trace.Cond _ | Trace.Uncond _ -> t.inflight_ctrl <- t.inflight_ctrl + 1
-       | Trace.Not_ctrl -> ())
-    t.rob;
   (match t.p.Params.rename with
    | Params.Rmt _ | Params.Rmt_checkpoint _ ->
-     (* functionally rebuild the RMT from the surviving ROB (the hardware
-        walk does this incrementally; the walk time is modeled below) *)
-     Array.fill t.rmt 0 32 (-1);
-     Ring.iter
-       (fun d ->
-          if d.uop.Trace.has_dest && d.uop.Trace.dest_reg <> 0 then
-            t.rmt.(d.uop.Trace.dest_reg) <- d.seq)
-       t.rob;
+     (* the squash undid the squashed renames (the hardware walk; its
+        time is modeled below); a mapping whose writer has committed
+        reads the register file, like no mapping at all, so the RMT
+        maps each register to its youngest writer in the ROB, or -1 *)
+     for r = 0 to 31 do
+       if t.rmt.(r) >= 0 && not (win_mem t t.rmt.(r)) then t.rmt.(r) <- -1
+     done;
      (* the walk returns the squashed instructions' registers *)
      t.free_regs <- t.free_regs + freed;
      (* refetch is gated on walk completion (checkpoint-free RMT) *)
@@ -682,25 +706,26 @@ let commit t =
   let budget = ref t.p.Params.commit_width in
   let continue_ = ref true in
   while !continue_ && !budget > 0 && not (Ring.is_empty t.rob) do
-    let d = Ring.front t.rob in
+    let s = Ring.front t.rob in
+    let d = t.win.(s land t.win_mask) in
     (* an instruction with a pending recovery must not retire before the
        redirect has been processed *)
     if d.issued && d.ready_at <= t.now
        && (d.recovery_at < 0 || t.now >= d.recovery_at)
     then begin
-      ignore (Ring.pop_front t.rob);
-      win_clear t d;
+      Ring.pop_front t.rob;
+      d.seq <- dead;
       (* the value is now in the committed register file: consumers
          still counting on this producer become ready *)
       fire_waiters t d;
       decr budget;
       (match d.uop.Trace.fu with
        | Trace.FU_load ->
-         if Ring.length t.ldq > 0 && (Ring.front t.ldq).seq = d.seq then
-           ignore (Ring.pop_front t.ldq)
+         if Ring.length t.ldq > 0 && Ring.front t.ldq = s then
+           Ring.pop_front t.ldq
        | Trace.FU_store ->
-         if Ring.length t.stq > 0 && (Ring.front t.stq).seq = d.seq then
-           ignore (Ring.pop_front t.stq)
+         if Ring.length t.stq > 0 && Ring.front t.stq = s then
+           Ring.pop_front t.stq
        | _ -> ());
       (* orphaned wrong-path instructions drain through commit; their
          registers must return to the free list *)
@@ -710,10 +735,8 @@ let commit t =
               && d.uop.Trace.dest_reg <> 0 ->
          t.free_regs <- t.free_regs + 1
        | _ -> ());
-      (match d.uop.Trace.ctrl with
-       | Trace.Cond _ | Trace.Uncond _ ->
-         if t.inflight_ctrl > 0 then t.inflight_ctrl <- t.inflight_ctrl - 1
-       | Trace.Not_ctrl -> ());
+      if is_ctrl d.uop && t.inflight_ctrl > 0 then
+        t.inflight_ctrl <- t.inflight_ctrl - 1;
       t.last_commit_cycle <- t.now;
       if not d.wrong_path then begin
         t.lc_idx.(t.lc_n land 7) <- d.trace_idx;
@@ -740,14 +763,13 @@ let commit t =
       end;
       (match t.checker with
        | Some ck ->
-         Checker.on_commit ck ~cycle:t.now ~seq:d.seq
+         Checker.on_commit ck ~cycle:t.now ~seq:s
            ~trace_idx:d.trace_idx ~wrong_path:d.wrong_path
            ~free_regs:t.free_regs
            ~golden:(Window.find t.uops d.trace_idx) d.uop
        | None -> ());
       (* the stream window keeps only uncommitted correct-path uops *)
-      if not d.wrong_path then Window.release t.uops (d.trace_idx + 1);
-      recycle t d
+      if not d.wrong_path then Window.release t.uops (d.trace_idx + 1)
     end
     else continue_ := false
   done
@@ -779,8 +801,9 @@ let push_recovery t ~at ~seq ~resume_idx ~include_self =
 let older_unknown_store t (d : dyn) =
   let found = ref false and i = ref 0 in
   while (not !found) && !i < Ring.length t.stq
-        && (Ring.get t.stq !i).seq < d.seq do
-    if not (Ring.get t.stq !i).addr_known then found := true;
+        && Ring.get t.stq !i < d.seq do
+    if not (t.win.(Ring.get t.stq !i land t.win_mask)).addr_known then
+      found := true;
     incr i
   done;
   !found
@@ -789,8 +812,8 @@ let older_unknown_store t (d : dyn) =
 let forwarding_store t (d : dyn) addr_w =
   let found = ref false and i = ref 0 in
   while (not !found) && !i < Ring.length t.stq
-        && (Ring.get t.stq !i).seq < d.seq do
-    let s = Ring.get t.stq !i in
+        && Ring.get t.stq !i < d.seq do
+    let s = t.win.(Ring.get t.stq !i land t.win_mask) in
     if s.addr_known && s.uop.Trace.mem_addr lsr 2 = addr_w then found := true;
     incr i
   done;
@@ -801,7 +824,7 @@ let forwarding_store t (d : dyn) addr_w =
 let violating_load t (d : dyn) addr_w =
   let victim = ref t.dummy and i = ref 0 in
   while !victim == t.dummy && !i < Ring.length t.ldq do
-    let l = Ring.get t.ldq !i in
+    let l = t.win.(Ring.get t.ldq !i land t.win_mask) in
     if l.seq > d.seq && l.executed_load && (not l.wrong_path)
        && l.uop.Trace.mem_addr lsr 2 = addr_w
     then victim := l;
@@ -824,9 +847,8 @@ let issue t =
   let n = r.Ibuf.n in
   let kept = ref 0 in
   let i = ref 0 in
-  Ibuf.clear t.issued_now;
   while !i < n && !total > 0 do
-    let d = win_get t r.Ibuf.a.(!i) in
+    let d = t.win.(r.Ibuf.a.(!i) land t.win_mask) in
     if t.now >= d.dispatched_at + p.Params.dispatch_issue_latency then begin
       let port = port_of d.uop.Trace.fu in
       if ports.(port) > 0 then begin
@@ -842,7 +864,7 @@ let issue t =
         in
         if not lsq_hold then begin
           d.issued <- true;
-          Ibuf.push t.issued_now d.seq;
+          t.iq_n <- t.iq_n - 1;
           ports.(port) <- ports.(port) - 1;
           decr total;
           t.act.rf_reads <- t.act.rf_reads + n_producers d;
@@ -858,7 +880,7 @@ let issue t =
              d.ready_at <- t.now + 1;
              (* resolution happens one cycle later *)
              if not d.wrong_path then begin
-               if d.mispredicted then begin
+               if mispredicted d then begin
                  d.recovery_at <- t.now + p.Params.branch_resolve_latency;
                  push_recovery t ~at:d.recovery_at ~seq:d.seq
                    ~resume_idx:d.resume_idx ~include_self:false
@@ -932,64 +954,50 @@ let issue t =
   if !kept < !i then begin
     Array.blit r.Ibuf.a !i r.Ibuf.a !kept (n - !i);
     r.Ibuf.n <- n - (!i - !kept)
-  end;
-  (* the issued seqs leave the issue queue; both lists are sorted *)
-  let q = t.iq and out = t.issued_now in
-  if out.Ibuf.n > 0 then begin
-    let k = ref 0 and j = ref 0 in
-    for i = 0 to q.Ibuf.n - 1 do
-      let s = q.Ibuf.a.(i) in
-      if !j < out.Ibuf.n && out.Ibuf.a.(!j) = s then incr j
-      else begin
-        q.Ibuf.a.(!k) <- s;
-        incr k
-      end
-    done;
-    q.Ibuf.n <- !k
   end
 
 (* ---------- dispatch (rename) ---------- *)
 
 let dispatch t =
   let p = t.p in
+  let q = t.fq in
   let budget = ref p.Params.fetch_width in
   let continue_ = ref true in
   let spadds_this_cycle = ref 0 in
-  while !continue_ && !budget > 0 && not (Ring.is_empty t.frontend_q) do
-    let d = Ring.front t.frontend_q in
-    if d.fetched_at + p.Params.frontend_depth > t.now then continue_ := false
+  while !continue_ && !budget > 0 && q.Fq.len > 0 do
+    let h = q.Fq.head in
+    let uop = fq_uop t h in
+    if q.Fq.at.(h) + p.Params.frontend_depth > t.now then continue_ := false
     else if t.now < t.rename_blocked_until then continue_ := false
     else if Ring.length t.rob >= p.Params.rob_entries then continue_ := false
-    else if t.iq.Ibuf.n >= p.Params.scheduler_entries then continue_ := false
-    else if d.uop.Trace.fu = Trace.FU_load
+    else if t.iq_n >= p.Params.scheduler_entries then continue_ := false
+    else if uop.Trace.fu = Trace.FU_load
             && Ring.length t.ldq >= p.Params.ldq_entries then continue_ := false
-    else if d.uop.Trace.fu = Trace.FU_store
+    else if uop.Trace.fu = Trace.FU_store
             && Ring.length t.stq >= p.Params.stq_entries then continue_ := false
     else if (match p.Params.rename with
         | Params.Rmt _ | Params.Rmt_checkpoint _ ->
-          d.uop.Trace.has_dest && t.free_regs <= 0
+          uop.Trace.has_dest && t.free_regs <= 0
         | Params.Rp -> false)
     then continue_ := false
-    else if (match d.uop.Trace.ctrl with
-        | (Trace.Cond _ | Trace.Uncond _)
-          when t.inflight_ctrl >= t.checkpoint_limit ->
-          t.checkpoint_stalls <- t.checkpoint_stalls + 1; true
-        | _ -> false)
-    then continue_ := false
-    else if p.Params.rename = Params.Rp && d.uop.Trace.is_spadd
+    else if is_ctrl uop && t.inflight_ctrl >= t.checkpoint_limit then begin
+      t.checkpoint_stalls <- t.checkpoint_stalls + 1;
+      continue_ := false
+    end
+    else if p.Params.rename = Params.Rp && uop.Trace.is_spadd
             && !spadds_this_cycle >= Params.spadd_per_cycle
     then begin t.spadd_stalls <- t.spadd_stalls + 1; continue_ := false end
     else begin
-      ignore (Ring.pop_front t.frontend_q);
+      let d = win_slot t q.Fq.seq.(h) in
+      fill_fetched t d h uop;
+      Fq.pop_front q;
       decr budget;
       (* operand determination *)
-      if d.uop.Trace.is_spadd then incr spadds_this_cycle;
-      (match d.uop.Trace.ctrl with
-       | Trace.Cond _ | Trace.Uncond _ -> t.inflight_ctrl <- t.inflight_ctrl + 1
-       | Trace.Not_ctrl -> ());
+      if uop.Trace.is_spadd then incr spadds_this_cycle;
+      if is_ctrl uop then t.inflight_ctrl <- t.inflight_ctrl + 1;
       (match p.Params.rename with
        | Params.Rmt _ | Params.Rmt_checkpoint _ ->
-         let srcs = d.uop.Trace.srcs_reg in
+         let srcs = uop.Trace.srcs_reg in
          for k = 0 to Array.length srcs - 1 do
            let r = srcs.(k) in
            if r <> 0 then
@@ -997,45 +1005,50 @@ let dispatch t =
          done;
          t.act.rename_reads <- t.act.rename_reads + Array.length srcs + 1;
          d.ras_snapshot <- Branch_pred.Ras.save t.ras;
-         if d.uop.Trace.has_dest && d.uop.Trace.dest_reg <> 0 then begin
+         if uop.Trace.has_dest && uop.Trace.dest_reg <> 0 then begin
            t.free_regs <- t.free_regs - 1;
            t.act.freelist_ops <- t.act.freelist_ops + 1;
-           t.rmt.(d.uop.Trace.dest_reg) <- d.seq;
+           d.prev_map <- t.rmt.(uop.Trace.dest_reg);
+           t.rmt.(uop.Trace.dest_reg) <- d.seq;
            t.act.rename_writes <- t.act.rename_writes + 1
          end
        | Params.Rp ->
          (* RP arithmetic keyed by distance; only still-in-flight
             producers are kept *)
-         let srcs = d.uop.Trace.srcs_dist in
+         let srcs = uop.Trace.srcs_dist in
          for k = 0 to Array.length srcs - 1 do
            let dist = srcs.(k) in
-           if d.wrong_path then begin
-             let s = d.seq - dist in
-             if win_mem t s then add_producer d s
-           end
-           else begin
-             (* committed producers have left the stream window *)
-             let s = Window.seq t.uops (d.trace_idx - dist) in
-             if s >= 0 && win_mem t s then add_producer d s
-           end
+           let s =
+             if d.wrong_path then d.seq - dist
+             else
+               (* committed producers have left the stream window *)
+               Window.seq t.uops (d.trace_idx - dist)
+           in
+           if win_mem t s then add_producer d s
          done;
          t.act.rp_ops <- t.act.rp_ops + Array.length srcs + 1;
          d.ras_snapshot <- Branch_pred.Ras.save t.ras);
       register_producers t d;
       if not d.wrong_path then Window.set_seq t.uops d.trace_idx d.seq;
-      d.dispatched <- true;
       d.dispatched_at <- t.now;
-      Ring.push_back t.rob d;
+      Ring.push_back t.rob d.seq;
       t.act.rob_writes <- t.act.rob_writes + 1;
-      iq_push t d;
-      (match d.uop.Trace.fu with
-       | Trace.FU_load -> Ring.push_back t.ldq d
-       | Trace.FU_store -> Ring.push_back t.stq d
+      t.iq_n <- t.iq_n + 1;
+      if d.n_unready = 0 then Ibuf.push t.ready d.seq;
+      (match uop.Trace.fu with
+       | Trace.FU_load -> Ring.push_back t.ldq d.seq
+       | Trace.FU_store -> Ring.push_back t.stq d.seq
        | _ -> ())
     end
   done
 
 (* ---------- fetch ---------- *)
+
+(* a fetched instruction takes the next seq and joins the front-end
+   queue: by stream index [idx], or by its [uop] on the wrong path *)
+let fetch_push t ~idx ~uop =
+  Fq.push t.fq ~seq:t.next_seq ~idx ~uop ~at:t.now;
+  t.next_seq <- t.next_seq + 1
 
 let fetch t =
   let p = t.p in
@@ -1067,8 +1080,7 @@ let fetch t =
             end
           end;
           if !continue_ then begin
-            let d = mk_dyn t ~uop ~wrong_path:false ~trace_idx:idx in
-            Ring.push_back t.frontend_q d;
+            fetch_push t ~idx ~uop;
             decr budget;
             (match uop.Trace.ctrl with
              | Trace.Not_ctrl -> t.fetch_at <- idx + 1
@@ -1088,8 +1100,7 @@ let fetch t =
                end
                else begin
                  t.branch_misp <- t.branch_misp + 1;
-                 d.mispredicted <- true;
-                 d.resume_idx <- idx + 1;
+                 Fq.mispredict t.fq (idx + 1);
                  fetch_wrong t (if predicted then target else uop.Trace.pc + 4);
                  continue_ := false
                end
@@ -1098,15 +1109,14 @@ let fetch t =
                  Branch_pred.Ras.push t.ras (uop.Trace.pc + 4);
                if is_ret then begin
                  let predicted = Branch_pred.Ras.pop t.ras in
-                 let hit =
-                   match predicted with Some a -> a = target | None -> false
-                 in
-                 if p.Params.ideal_recovery || hit then
+                 if p.Params.ideal_recovery
+                    || (predicted <> Branch_pred.Ras.empty
+                        && predicted = target)
+                 then
                    t.fetch_at <- idx + 1
                  else begin
                    t.ret_misp <- t.ret_misp + 1;
-                   d.mispredicted <- true;
-                   d.resume_idx <- idx + 1;
+                   Fq.mispredict t.fq (idx + 1);
                    t.mode <- Fetch_stalled
                  end
                end
@@ -1129,9 +1139,8 @@ let fetch t =
              end
            end;
            if !continue_ then begin
-             let d = mk_dyn t ~uop ~wrong_path:true ~trace_idx:(-1) in
+             fetch_push t ~idx:(-1) ~uop;
              t.wrong_fetched <- t.wrong_fetched + 1;
-             Ring.push_back t.frontend_q d;
              decr budget;
              (match uop.Trace.ctrl with
               | Trace.Not_ctrl -> t.fetch_at <- pc + 4
@@ -1145,9 +1154,9 @@ let fetch t =
               | Trace.Uncond { target; is_call; is_ret } ->
                 if is_call then Branch_pred.Ras.push t.ras (pc + 4);
                 if is_ret || target < 0 then begin
-                  match Branch_pred.Ras.pop t.ras with
-                  | Some tgt -> t.fetch_at <- tgt
-                  | None -> t.mode <- Fetch_stalled
+                  let tgt = Branch_pred.Ras.pop t.ras in
+                  if tgt = Branch_pred.Ras.empty then t.mode <- Fetch_stalled
+                  else t.fetch_at <- tgt
                 end
                 else t.fetch_at <- target;
                 continue_ := false)
@@ -1165,7 +1174,7 @@ let in_flight_load t s =
 let classify_cycle t : Stats.bucket =
   if t.commits_now > 0 then Stats.Base
   else if not (Ring.is_empty t.rob) then begin
-    let d = Ring.front t.rob in
+    let d = rob_get t 0 in
     if d.recovery_at >= 0 && t.now < d.recovery_at then Stats.Branch_squash
     else if d.issued then
       (match d.uop.Trace.fu with
@@ -1180,7 +1189,7 @@ let classify_cycle t : Stats.bucket =
     end
     else Stats.Structural
   end
-  else if not (Ring.is_empty t.frontend_q) then
+  else if t.fq.Fq.len > 0 then
     (if t.now < t.redirect_until then Stats.Branch_squash else Stats.Frontend)
   else if t.now < t.redirect_until then Stats.Branch_squash
   else Stats.Frontend
@@ -1199,10 +1208,10 @@ let diag_context t reason =
       ("committed", i t.committed);
       ("trace_length", i t.n_trace);
       ("rob_occupancy", i (Ring.length t.rob));
-      ("iq_occupancy", i t.iq.Ibuf.n);
+      ("iq_occupancy", i t.iq_n);
       ("ldq_occupancy", i (Ring.length t.ldq));
       ("stq_occupancy", i (Ring.length t.stq));
-      ("frontend_occupancy", i (Ring.length t.frontend_q));
+      ("frontend_occupancy", i t.fq.Fq.len);
       ("free_regs", if t.is_rmt then i t.free_regs else "n/a");
       ("fetch_mode",
        (match t.mode with
@@ -1225,7 +1234,7 @@ let diag_context t reason =
   in
   let head =
     if not (Ring.is_empty t.rob) then
-      let d = Ring.front t.rob in
+      let d = rob_get t 0 in
       [ ("stuck_at", "rob_head");
         ("head_seq", i d.seq);
         ("head_pc", Printf.sprintf "0x%x" d.uop.Trace.pc);
@@ -1244,12 +1253,13 @@ let diag_context t reason =
                    Printf.sprintf "%d%s" s
                      (if win_mem t s then "(inflight)" else ""))
                 (producers d))) ]
-    else if not (Ring.is_empty t.frontend_q) then
-      let d = Ring.front t.frontend_q in
+    else if t.fq.Fq.len > 0 then
+      let h = t.fq.Fq.head in
+      let u = fq_uop t h in
       [ ("stuck_at", "frontend_head");
-        ("head_seq", i d.seq);
-        ("head_pc", Printf.sprintf "0x%x" d.uop.Trace.pc);
-        ("head_fu", fu_name d.uop.Trace.fu) ]
+        ("head_seq", i t.fq.Fq.seq.(h));
+        ("head_pc", Printf.sprintf "0x%x" u.Trace.pc);
+        ("head_fu", fu_name u.Trace.fu) ]
     else [ ("stuck_at", "fetch") ]
   in
   base @ head
@@ -1310,13 +1320,16 @@ let finished t = t.done_
 let cycle t = t.now
 let committed_count t = t.committed
 let window t = t.uops
-let inflight t = Ring.length t.rob + Ring.length t.frontend_q
+let inflight t = Ring.length t.rob + t.fq.Fq.len
 
 let wrong_path_inflight t =
   let n = ref 0 in
-  let count d = if d.wrong_path then incr n in
-  Ring.iter count t.rob;
-  Ring.iter count t.frontend_q;
+  for i = 0 to Ring.length t.rob - 1 do
+    if (rob_get t i).wrong_path then incr n
+  done;
+  for i = 0 to t.fq.Fq.len - 1 do
+    if t.fq.Fq.idx.(Fq.slot t.fq i) < 0 then incr n
+  done;
   !n
 
 (* Mid-run snapshot of the cycle-accounting buckets; the interval
@@ -1376,9 +1389,12 @@ let run (p : Params.t) ~(window : Window.t)
    format relies on (all consequences of suffix-only squash and
    monotonic, never-reused sequence numbers):
 
-   - the live window is exactly [frontend_q ∪ rob] (disjoint), so those
-     two deques enumerate every live [dyn];
-   - iq/ldq/stq are subsets of the ROB, serialized as seq lists;
+   - every in-flight instruction is in the ROB (a live record) or the
+     front-end queue (columns), never both; the image writes both as
+     dyns, a front-end entry with a fetched dyn's defaults in every
+     field dispatch sets;
+   - the issue queue is the ROB's unissued entries and ldq/stq are
+     subsets of the ROB, all serialized as seq lists;
    - a live producer's waiters name live consumers or squashed ones
      (whose counters are dead state), so only live ones are written;
    - timing-wheel slots may name squashed or committed producers, but
@@ -1387,13 +1403,18 @@ let run (p : Params.t) ~(window : Window.t)
    - waiters and wheel slots are written newest first, and the
      recovery events likewise;
    - the stream window starts at the committed count (every older uop
-     has committed), and its dispatch seqs are rebuilt from live
-     dispatched correct-path dyns: a seq the image does not restore
-     belonged to a squashed or committed dyn, which the [win_mem] guard
+     has committed), and its dispatch seqs are rebuilt from the ROB's
+     correct-path entries: a seq the image does not restore belonged to
+     a squashed or committed instruction, which the [win_mem] guard
      treats exactly like [-1];
+   - an RMT model's previous mappings are rebuilt from the ROB's rename
+     order: a register's oldest in-flight writer gets -1, standing for
+     whatever had left the window, which a squash maps to -1 anyway;
    - correct-path uops are regenerated through the window and stored by
      index; a wrong-path uop is [decode_static pc], its only source, so
-     it is stored as its pc and re-derived on restore. *)
+     it is stored as its pc and re-derived on restore;
+   - the window capacity sizes the record window on restore; timing
+     does not depend on it. *)
 
 (* v2: the checker cursor carries the golden next pc; v3: wrong-path
    uops are stored by pc *)
@@ -1413,19 +1434,19 @@ let w_live_seqs t b (buf : Ibuf.t) =
 (* refill [buf] from seqs read newest first *)
 let fill_seqs (buf : Ibuf.t) seqs = List.iter (Ibuf.push buf) (List.rev seqs)
 
-let w_dyn t b (d : dyn) =
+let w_dyn t b ~dispatched (d : dyn) =
   Bin.w_int b d.seq;
   Bin.w_bool b d.wrong_path;
   Bin.w_int b d.trace_idx;
   if d.trace_idx < 0 then Bin.w_int b d.uop.Trace.pc;
   Bin.w_int b d.fetched_at;
   Bin.w_list b Bin.w_int (producers d);
-  Bin.w_bool b d.dispatched;
+  Bin.w_bool b dispatched;
   Bin.w_int b d.dispatched_at;
   Bin.w_bool b d.issued;
   Bin.w_int b d.ready_at;
   Bin.w_int b d.replay_bump;
-  Bin.w_bool b d.mispredicted;
+  Bin.w_bool b (mispredicted d);
   Bin.w_int b d.resume_idx;
   Bin.w_bool b d.addr_known;
   Bin.w_bool b d.executed_load;
@@ -1434,11 +1455,13 @@ let w_dyn t b (d : dyn) =
   Bin.w_int b d.n_unready;
   w_live_seqs t b d.waiters
 
-(* first pass: reconstruct the record; waiter seqs are resolved in a
-   second pass once every live dyn is back in the window *)
-let r_dyn t r : dyn * int list =
-  let d = alloc_dyn t in
-  d.seq <- Bin.r_int r;
+(* first pass: read one dyn into [into seq], the record its caller picks
+   for it, and return its waiter seqs, which are resolved in a second
+   pass once every live record is back in the window *)
+let r_dyn t r ~dispatched ~(into : int -> dyn) : dyn * int list =
+  let seq = Bin.r_int r in
+  let d = into seq in
+  d.seq <- seq;
   d.wrong_path <- Bin.r_bool r;
   d.trace_idx <- Bin.r_int r;
   d.uop <-
@@ -1454,6 +1477,9 @@ let r_dyn t r : dyn * int list =
      else
        Bin.corrupt "dyn trace index %d outside the uncommitted stream [%d, %d)"
          d.trace_idx (Window.base t.uops) t.n_trace);
+  if d.wrong_path <> (d.trace_idx < 0) then
+    Bin.corrupt "dyn %d: wrong-path flag disagrees with trace index %d" seq
+      d.trace_idx;
   d.fetched_at <- Bin.r_int r;
   (match Bin.r_list r Bin.r_int with
    | ([] | [ _ ] | [ _; _ ]) as ps ->
@@ -1461,13 +1487,17 @@ let r_dyn t r : dyn * int list =
      d.prod1 <- no_producer;
      List.iter (add_producer d) ps
    | ps -> Bin.corrupt "dyn %d names %d producers" d.seq (List.length ps));
-  d.dispatched <- Bin.r_bool r;
+  if Bin.r_bool r <> dispatched then
+    Bin.corrupt "dyn %d: dispatch flag disagrees with its queue" seq;
   d.dispatched_at <- Bin.r_int r;
   d.issued <- Bin.r_bool r;
   d.ready_at <- Bin.r_int r;
   d.replay_bump <- Bin.r_int r;
-  d.mispredicted <- Bin.r_bool r;
+  let flag = Bin.r_bool r in
   d.resume_idx <- Bin.r_int r;
+  if flag <> mispredicted d then
+    Bin.corrupt "dyn %d: misprediction flag disagrees with resume index %d"
+      seq d.resume_idx;
   d.addr_known <- Bin.r_bool r;
   d.executed_load <- Bin.r_bool r;
   d.recovery_at <- Bin.r_int r;
@@ -1506,20 +1536,32 @@ let save b t =
    | Fetch_wrong -> Bin.w_int b 1; Bin.w_int b t.fetch_at
    | Fetch_stalled -> Bin.w_int b 2);
   Bin.w_int_array b t.rmt;
-  (* window capacity, so a restored run grows at the same points *)
+  (* window capacity: sizes the restored record window *)
   Bin.w_int b (Array.length t.win);
-  (* every live dyn: ROB (dispatched) then front-end queue (fetched) *)
-  Bin.w_int b (Ring.length t.rob);
-  Ring.iter (fun d -> w_dyn t b d) t.rob;
-  Bin.w_int b (Ring.length t.frontend_q);
-  Ring.iter (fun d -> w_dyn t b d) t.frontend_q;
+  (* every in-flight instruction: ROB (dispatched) then front-end queue
+     (fetched) *)
+  let rob_n = Ring.length t.rob in
+  Bin.w_int b rob_n;
+  for i = 0 to rob_n - 1 do w_dyn t b ~dispatched:true (rob_get t i) done;
+  let q = t.fq and fetched = fresh_dyn () in
+  Bin.w_int b q.Fq.len;
+  for i = 0 to q.Fq.len - 1 do
+    let c = Fq.slot q i in
+    fill_fetched t fetched c (fq_uop t c);
+    w_dyn t b ~dispatched:false fetched
+  done;
   (* ROB-subset structures as seq lists *)
-  Bin.w_int b t.iq.Ibuf.n;
-  for i = 0 to t.iq.Ibuf.n - 1 do Bin.w_int b t.iq.Ibuf.a.(i) done;
-  Bin.w_int b (Ring.length t.ldq);
-  Ring.iter (fun d -> Bin.w_int b d.seq) t.ldq;
-  Bin.w_int b (Ring.length t.stq);
-  Ring.iter (fun d -> Bin.w_int b d.seq) t.stq;
+  Bin.w_int b t.iq_n;
+  for i = 0 to rob_n - 1 do
+    let d = rob_get t i in
+    if not d.issued then Bin.w_int b d.seq
+  done;
+  let w_ring ring =
+    Bin.w_int b (Ring.length ring);
+    for i = 0 to Ring.length ring - 1 do Bin.w_int b (Ring.get ring i) done
+  in
+  w_ring t.ldq;
+  w_ring t.stq;
   (* timing wheel: per-slot live seqs (dead producers have only dead
      consumers, so they are dropped) *)
   Bin.w_int b (Array.length t.wheel);
@@ -1594,19 +1636,34 @@ let load (r : Bin.reader) (t : t) : unit =
   let win_cap = Bin.r_int r in
   if win_cap < 1 || win_cap land (win_cap - 1) <> 0 then
     Bin.corrupt "bad window capacity %d" win_cap;
-  t.win <- Array.make win_cap t.dummy;
-  t.win_mask <- win_cap - 1;
-  (* pass 1: rebuild every live dyn, reinsert into the window *)
-  let read_ring ring =
+  if win_cap <> Array.length t.win then begin
+    t.win <- Array.init win_cap (fun _ -> fresh_dyn ());
+    t.win_mask <- win_cap - 1
+  end;
+  (* pass 1: rebuild every ROB record in its window slot, and the
+     front-end queue's columns *)
+  let rob =
     Bin.r_list r (fun r ->
-        let d, waiter_seqs = r_dyn t r in
-        win_insert t d;
-        Ring.push_back ring d;
-        (d, waiter_seqs))
+        let ((d, _) as entry) =
+          r_dyn t r ~dispatched:true ~into:(fun s ->
+              if s < 0 || win_mem t s then
+                Bin.corrupt "bad or repeated seq %d in engine image" s;
+              win_slot t s)
+        in
+        Ring.push_back t.rob d.seq;
+        entry)
   in
-  let rob = read_ring t.rob in
-  let pending_waiters = rob @ read_ring t.frontend_q in
-  (* seq -> live dyn; a dangling reference means a corrupt image *)
+  let fetched = fresh_dyn () in
+  ignore
+    (Bin.r_list r (fun r ->
+         let d, waiters =
+           r_dyn t r ~dispatched:false ~into:(fun _ -> fetched)
+         in
+         if waiters <> [] then
+           Bin.corrupt "front-end entry %d has waiters" d.seq;
+         Fq.push t.fq ~seq:d.seq ~idx:d.trace_idx ~uop:d.uop ~at:d.fetched_at;
+         if mispredicted d then Fq.mispredict t.fq d.resume_idx));
+  (* seq -> live record; a dangling reference means a corrupt image *)
   let live s =
     let d = win_get t s in
     if d == t.dummy then
@@ -1617,10 +1674,21 @@ let load (r : Bin.reader) (t : t) : unit =
   (* pass 2: every waiter must be live *)
   List.iter
     (fun (d, waiter_seqs) -> fill_seqs d.waiters (live_seqs waiter_seqs))
-    pending_waiters;
-  List.iter (fun s -> iq_push t (live s)) (Bin.r_list r Bin.r_int);
+    rob;
+  (* the issue queue is exactly the ROB's unissued entries *)
+  let iq = Bin.r_list r Bin.r_int in
+  let unissued =
+    List.filter_map (fun (d, _) -> if d.issued then None else Some d.seq) rob
+  in
+  if iq <> unissued then
+    Bin.corrupt "issue queue differs from the ROB's unissued entries";
+  t.iq_n <- List.length iq;
+  List.iter
+    (fun s -> if (live s).n_unready = 0 then Ibuf.push t.ready s)
+    iq;
   let read_seq_ring ring =
-    List.iter (fun s -> Ring.push_back ring (live s)) (Bin.r_list r Bin.r_int)
+    List.iter (fun s -> ignore (live s); Ring.push_back ring s)
+      (Bin.r_list r Bin.r_int)
   in
   read_seq_ring t.ldq;
   read_seq_ring t.stq;
@@ -1641,12 +1709,19 @@ let load (r : Bin.reader) (t : t) : unit =
             let ri = Bin.r_int r in
             let inc = Bin.r_bool r in
             (c, s, ri, inc))));
-  (* dispatch seqs: sparse rebuild from live dispatched correct-path
-     dyns; missing entries behave exactly like stale ones behind the
-     win_mem guard *)
-  Ring.iter
-    (fun d -> if not d.wrong_path then Window.set_seq t.uops d.trace_idx d.seq)
-    t.rob;
+  (* dispatch seqs: sparse rebuild from the ROB's correct-path entries;
+     missing entries behave exactly like stale ones behind the win_mem
+     guard.  Previous mappings: replay the ROB's renames in order. *)
+  let mapped = Array.make 32 (-1) in
+  List.iter
+    (fun (d, _) ->
+       if not d.wrong_path then Window.set_seq t.uops d.trace_idx d.seq;
+       if t.is_rmt && d.uop.Trace.has_dest && d.uop.Trace.dest_reg <> 0
+       then begin
+         d.prev_map <- mapped.(d.uop.Trace.dest_reg);
+         mapped.(d.uop.Trace.dest_reg) <- d.seq
+       end)
+    rob;
   t.pred.Branch_pred.load r;
   Branch_pred.Ras.load_full r t.ras;
   Memdep.load r t.memdep;

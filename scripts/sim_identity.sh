@@ -17,6 +17,10 @@
 #     executable digest, so both trees write the same bytes);
 #   - stream-short (exact, -stats-json) on straight-4way/straight and
 #     ss-4way/ss: its front-end queue backs up to thousands of uops;
+#   - on the same two pairings, stream-short and pointer-chase
+#     checkpointed at cycle 20011, deep in a front-end backlog, then
+#     -restore -stats-json; the checkpoint files are not compared: a
+#     tree whose in-flight window grew writes a larger capacity;
 #   - off Table I, on the same two pairings: -rob 4 -sched 2 (a ROB
 #     narrower than a fetch group), -rob 1 -sched 1, -tage and -ideal
 #     (fib, sort, pointer-chase, dhrystone);
@@ -128,6 +132,12 @@ battery() {
     t=${cfg##*:}
     run "exact.$m.$t.stream-short" "$sim" -model "$m" -target "$t" \
       -workload stream-short -stats-json "exact.$m.$t.stream-short.json"
+    for wl in stream-short pointer-chase; do
+      run "deep.$m.$t.$wl" "$sim" -model "$m" -target "$t" -workload "$wl" \
+        -checkpoint "logs/deep.$m.$wl.snap" -stop-at 20011
+      run "deep-restore.$m.$t.$wl" "$sim" -restore "logs/deep.$m.$wl.snap" \
+        -stats-json "deep-restore.$m.$t.$wl.json"
+    done
     for opts in "-rob 4 -sched 2" "-rob 1 -sched 1" -tage -ideal; do
       tag=$(echo "$opts" | tr -d ' -')
       for wl in fib sort pointer-chase dhrystone; do

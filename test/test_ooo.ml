@@ -104,14 +104,14 @@ let test_ras () =
   let r = BP.Ras.create () in
   BP.Ras.push r 0x100;
   BP.Ras.push r 0x200;
-  Alcotest.(check (option int)) "lifo pop" (Some 0x200) (BP.Ras.pop r);
+  Alcotest.(check int) "lifo pop" 0x200 (BP.Ras.pop r);
   let saved = BP.Ras.save r in
   BP.Ras.push r 0x300;
   ignore (BP.Ras.pop r);
   ignore (BP.Ras.pop r);
   BP.Ras.restore r saved;
-  Alcotest.(check (option int)) "restored top" (Some 0x100) (BP.Ras.pop r);
-  Alcotest.(check (option int)) "empty pop" None (BP.Ras.pop r)
+  Alcotest.(check int) "restored top" 0x100 (BP.Ras.pop r);
+  Alcotest.(check int) "empty pop" BP.Ras.empty (BP.Ras.pop r)
 
 let test_memdep () =
   let m = Ooo_common.Memdep.create () in

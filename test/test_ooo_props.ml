@@ -172,21 +172,19 @@ let test_ras_balance () =
       else
         match !model with
         | [] ->
-          (match Bp.Ras.pop ras with
-           | None -> ()
-           | Some v ->
-             Alcotest.failf "seed %d step %d: pop of empty RAS gave %#x" seed
-               step v)
+          let v = Bp.Ras.pop ras in
+          if v <> Bp.Ras.empty then
+            Alcotest.failf "seed %d step %d: pop of empty RAS gave %#x" seed
+              step v
         | expect :: rest ->
           model := rest;
-          (match Bp.Ras.pop ras with
-           | Some got when got = expect -> ()
-           | Some got ->
-             Alcotest.failf "seed %d step %d: popped %#x, pushed %#x" seed
-               step got expect
-           | None ->
-             Alcotest.failf "seed %d step %d: empty RAS, expected %#x" seed
-               step expect)
+          let got = Bp.Ras.pop ras in
+          if got = Bp.Ras.empty then
+            Alcotest.failf "seed %d step %d: empty RAS, expected %#x" seed
+              step expect
+          else if got <> expect then
+            Alcotest.failf "seed %d step %d: popped %#x, pushed %#x" seed
+              step got expect
     done
   done
 
@@ -214,13 +212,12 @@ let test_ras_save_restore () =
     Bp.Ras.restore ras snapshot;
     List.iteri
       (fun i expect ->
-         match Bp.Ras.pop ras with
-         | Some got when got = expect -> ()
-         | Some got ->
+         let got = Bp.Ras.pop ras in
+         if got = Bp.Ras.empty then
+           Alcotest.failf "seed %d pop %d after restore: empty" seed i
+         else if got <> expect then
            Alcotest.failf "seed %d pop %d after restore: %#x, expected %#x"
-             seed i got expect
-         | None ->
-           Alcotest.failf "seed %d pop %d after restore: empty" seed i)
+             seed i got expect)
       !stack
   done
 

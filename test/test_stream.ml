@@ -18,10 +18,11 @@
    And an allocation guard: stepping the engine over dhrystone and
    coremark at the sizes stackbench's [exact] runs, checker armed,
    allocates fewer than [alloc_bound] minor words per committed
-   instruction on every Table-I model.  In-flight records are reused
-   and every link between them is a seq, so what is left is the
-   streamed ISS step (boxed register words, a load's or store's uop)
-   and a few words per cycle. *)
+   instruction on every Table-I model and on both 4-way models with
+   TAGE (Fig. 14).  In-flight records belong to the window's slots and
+   every link between them is a seq, so what is left is the streamed
+   ISS step (boxed register words, a load's or store's uop) and a few
+   words per cycle. *)
 
 module Engine = Ooo_common.Engine
 module Params = Ooo_common.Params
@@ -176,6 +177,10 @@ let test_alloc (params, target) (w : Workloads.t) () =
       label per_insn alloc_bound
 
 let alloc_suite =
+  let tage =
+    [ (Params.with_tage Params.ss_4way, Exp.Riscv);
+      (Params.with_tage Params.straight_4way, Exp.Straight_re) ]
+  in
   List.concat_map
     (fun ((params, _) as m) ->
        List.map
@@ -185,7 +190,7 @@ let alloc_suite =
               test_alloc m w ))
          [ Workloads.dhrystone ~iterations:100 ();
            Workloads.coremark ~iterations:2 () ])
-    models
+    (models @ tage)
 
 let suite =
   List.concat_map
