@@ -115,7 +115,7 @@ let lint_build ?(on_image = fun _ _ -> ()) ~(report_crash : bool)
            findings
        | exception e when report_crash ->
          [ Printf.sprintf "%s: compile crashed: %s" label
-             (Printexc.to_string e) ]
+             (Fuzz.Diff.exn_message e) ]
        | exception _ -> [])
     Fuzz.Diff.verified
 
@@ -172,7 +172,7 @@ let tv_build ~(report_crash : bool) (b : Fuzz.Diff.build) :
          ( nv, na,
            lines
            @ [ Printf.sprintf "%s: tv crashed: %s" tname
-                 (Printexc.to_string e) ] )
+                 (Fuzz.Diff.exn_message e) ] )
        | exception _ -> (nv, na, lines))
     (0, 0, []) (tv_runs b)
 
@@ -220,7 +220,7 @@ let tv_workloads () :
                      { f_seed = -1; f_kind = "tv";
                        f_detail =
                          [ Printf.sprintf "%s: tv crashed: %s" label
-                             (Printexc.to_string e) ];
+                             (Fuzz.Diff.exn_message e) ];
                        f_source = ""; f_minimized = None }
                      :: !failures)
               (tv_runs b))
@@ -301,7 +301,7 @@ let tv_mutations ~(base : int) (n : int) : failure list =
         [ { f_seed = s; f_kind = "tv-mutation";
             f_detail =
               [ Printf.sprintf "mutation trial crashed: %s"
-                  (Printexc.to_string e) ];
+                  (Fuzz.Diff.exn_message e) ];
             f_source = ""; f_minimized = None } ]
   done;
   if !caught < n && !fails = [] then

@@ -8,7 +8,6 @@
    errors, 4 execution/memory faults, 5 fuel exhaustion, 8 lint
    findings. *)
 
-module Diagnostics = Straight_core.Diagnostics
 module Compile = Straight_core.Compile
 
 let main () =
@@ -81,7 +80,7 @@ let main () =
     | errs ->
       Printf.eprintf "%s: %d lint error%s\n" label (List.length errs)
         (if List.length errs = 1 then "" else "s");
-      exit (Diagnostics.exit_code Diagnostics.Lint_finding)
+      exit (Diag.exit_code Diag.Lint_finding)
   in
   (* [finish_tv] mirrors [finish_lint] for the translation validator:
      abstentions are Info findings and stay visible, only Errors fail. *)
@@ -112,7 +111,7 @@ let main () =
       Printf.eprintf "%s: %d translation-validation error%s\n" label
         (List.length errs)
         (if List.length errs = 1 then "" else "s");
-      exit (Diagnostics.exit_code Diagnostics.Lint_finding)
+      exit (Diag.exit_code Diag.Lint_finding)
   in
   let olabel = Ssa_ir.Passes.opt_name !opt in
   let compile_target =
@@ -151,9 +150,6 @@ let main () =
 
 let () =
   try main () with
-  | e ->
-    (match Diagnostics.of_exn e with
-     | None -> raise e
-     | Some d ->
-       Printf.eprintf "straightc: %s\n" (Diagnostics.to_string d);
-       exit (Diagnostics.exit_code d.Diagnostics.code))
+  | Diag.Error d ->
+    Printf.eprintf "straightc: %s\n" (Diag.to_string d);
+    exit (Diag.exit_code d.Diag.code)

@@ -49,7 +49,6 @@
 module Params = Ooo_common.Params
 module Inject = Ooo_common.Inject
 module Exp = Straight_core.Experiment
-module Diagnostics = Straight_core.Diagnostics
 module Engine = Ooo_common.Engine
 module Pipeline = Ooo_common.Pipeline
 module Stats = Ooo_common.Stats
@@ -231,20 +230,17 @@ let () =
          | p -> Some (p ^ ".snap"))
       session
   in
-  let handle_failure e =
-    match Diagnostics.of_exn e with
-    | None -> raise e
-    | Some d ->
-      Printf.eprintf "straightsim: %s\n" (Diagnostics.to_string d);
-      (match !dump_on_error with
-       | "" -> ()
-       | "-" -> prerr_string (Diagnostics.context_dump d)
-       | path ->
-         Out_channel.with_open_text path (fun oc ->
-             output_string oc (Diagnostics.context_dump d));
-         Printf.eprintf "straightsim: diagnostic context written to %s\n"
-           path);
-      exit (Diagnostics.exit_code d.Diagnostics.code)
+  let handle_failure (d : Diag.t) =
+    Printf.eprintf "straightsim: %s\n" (Diag.to_string d);
+    (match !dump_on_error with
+     | "" -> ()
+     | "-" -> prerr_string (Diag.context_dump d)
+     | path ->
+       Out_channel.with_open_text path (fun oc ->
+           output_string oc (Diag.context_dump d));
+       Printf.eprintf "straightsim: diagnostic context written to %s\n"
+         path);
+    exit (Diag.exit_code d.Diag.code)
   in
   let print_cpi_stack stack =
     Printf.printf "CPI stack    : %s\n"
@@ -369,9 +365,9 @@ let () =
   if !sample <> "" then
     try run_sampled () with
     | Sweep.Pool.Interrupted s -> exit (128 + Sweep.Pool.posix_signal s)
-    | e -> handle_failure e
+    | Diag.Error d -> handle_failure d
   else if !fast_forward > 0 then
-    try run_fast_forward () with e -> handle_failure e
+    try run_fast_forward () with Diag.Error d -> handle_failure d
   else
   match outcome () with
   | Sim.Stopped { cycle; path } ->
@@ -436,4 +432,4 @@ let () =
      end);
     print_string "--- program output ---\n";
     print_string r.Exp.output
-  | exception e -> handle_failure e
+  | exception Diag.Error d -> handle_failure d

@@ -2,9 +2,7 @@
    Pass 1 lays out sections and records label addresses; pass 2 resolves
    control-flow targets to PC-relative offsets and encodes machine words. *)
 
-exception Asm_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Asm_error s)) fmt
+let fail fmt = Diag.error Diag.Asm_error fmt
 
 type section = Text | Data
 

@@ -3,8 +3,6 @@
     control-flow targets to PC-relative offsets and encodes machine
     words. *)
 
-exception Asm_error of string
-
 type section = Text | Data
 
 (** A unit of assembly input.  Compilers build [item list] values directly;
@@ -48,13 +46,16 @@ module Make (T : TARGET) : sig
 
   val parse_source : string -> program
   (** Convert assembly text into items.
-      @raise Asm_error on malformed directives. *)
+      @raise Diag.Error with code [Asm_error] on malformed directives
+      (or the ISA parser's [Parse_error] on a malformed instruction). *)
 
   val assemble : ?entry:string -> program -> Image.t
   (** Run both passes and link a loadable image.  [entry] names the start
       symbol (default ["_start"], falling back to ["main"], falling back
       to the first text address).
-      @raise Asm_error on undefined or duplicate symbols. *)
+      @raise Diag.Error with code [Asm_error] on undefined or duplicate
+      symbols (or the encoder's [Encode_error] on a field that does not
+      fit). *)
 
   val assemble_source : ?entry:string -> string -> Image.t
 

@@ -1,17 +1,17 @@
 (** Structured diagnostics shared by every layer of the stack.
 
-    The repository historically grew one [exception Foo_error of string]
-    per library (~12 of them: parser/lexer/lowering errors, codegen
-    errors, assembler errors, ISS execution errors, memory faults, and
-    the cycle models' [Sim_error]).  This module unifies them behind one
-    carrier: an error {!code} naming the failure class, a human-readable
-    message, and a machine-readable [(key, value)] context that callers
-    (e.g. [straightsim -dump-on-error]) can persist verbatim.
-
-    New code raises {!Error} directly; the legacy per-library exceptions
-    are mapped to a {!t} by [Straight_core.Diagnostics.of_exn] so the
+    {!Error} is the one error the toolchain and the simulators raise:
+    an error {!code} naming the failure class, a human-readable message,
+    and a machine-readable [(key, value)] context that callers (e.g.
+    [straightsim -dump-on-error]) can persist verbatim.  Each library
+    raises it where the failure is found, with the context naming the
+    layer ([target=straight|riscv] from the code generators and
+    encoders, [source=straight-asm|riscv-asm] from the assembly parsers,
+    [iss=straight|riscv] from the ISSs), so catch sites match codes, the
     command-line drivers report every failure uniformly and exit with a
-    {!exit_code} distinct per failure class. *)
+    {!exit_code} distinct per failure class, and the daemon answers a
+    failed job with the same code and context.  This library depends on
+    nothing. *)
 
 (** The failure class.  Codes are stable identifiers: tools may match on
     {!code_name} output. *)

@@ -10,9 +10,7 @@ module Encoding = Riscv_isa.Encoding
 module Layout = Assembler.Layout
 module Image = Assembler.Image
 
-exception Exec_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Exec_error s)) fmt
+let fail fmt = Diag.error ~context:[ ("iss", "riscv") ] Diag.Exec_error fmt
 
 type config = { max_insns : int; collect_trace : bool }
 

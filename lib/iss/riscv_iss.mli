@@ -1,7 +1,5 @@
 (** Functional simulator for the RV32IM baseline ISA. *)
 
-exception Exec_error of string
-
 type config = { max_insns : int; collect_trace : bool }
 
 val default_config : config
@@ -19,10 +17,10 @@ val start :
 
 val step : session -> unit
 (** Execute one instruction.
-    @raise Exec_error on illegal instructions or PC out of text.
-    @raise Diag.Error with code [Fuel_exhausted] (context carries the
-    retired count) on budget overrun, or [Mem_unaligned]/[Mem_mmio] on
-    memory faults. *)
+    @raise Diag.Error with code [Exec_error] and context [iss=riscv] on
+    illegal instructions or PC out of text, [Fuel_exhausted] (context
+    carries the retired count) on budget overrun, or
+    [Mem_unaligned]/[Mem_mmio] on memory faults. *)
 
 val step_uop : session -> Trace.uop
 (** Like {!step}, and return the retired instruction's uop (see
@@ -70,10 +68,10 @@ val resume :
 val run : ?config:config -> Assembler.Image.t -> Trace.run
 (** Execute from the entry point until [ebreak]; SP (x2) starts at the
     stack top.
-    @raise Exec_error on illegal instructions or PC out of text.
-    @raise Diag.Error with code [Fuel_exhausted] (context carries the
-    retired count) on budget overrun, or [Mem_unaligned]/[Mem_mmio] on
-    memory faults. *)
+    @raise Diag.Error with code [Exec_error] and context [iss=riscv] on
+    illegal instructions or PC out of text, [Fuel_exhausted] (context
+    carries the retired count) on budget overrun, or
+    [Mem_unaligned]/[Mem_mmio] on memory faults. *)
 
 (** Trace plus final architectural state, for differential comparison
     against the other executions of the same program. *)
@@ -85,7 +83,7 @@ type outcome = {
 
 val run_outcome : ?config:config -> Assembler.Image.t -> outcome
 (** Like {!run}, but also exposes the final memory and registers.
-    @raise Exec_error / Diag.Error as {!run}. *)
+    @raise Diag.Error as {!run}. *)
 
 val exit_value : outcome -> int32
 (** [main]'s return value: register a0 at [ebreak]. *)

@@ -19,9 +19,8 @@ module Encoding = Straight_isa.Encoding
 module Layout = Assembler.Layout
 module Image = Assembler.Image
 
-exception Exec_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Exec_error s)) fmt
+let fail fmt =
+  Diag.error ~context:[ ("iss", "straight") ] Diag.Exec_error fmt
 
 (* Ring size: any power of two strictly greater than the maximum referable
    distance works functionally (the microarchitectural MAX_RP sizing rule is

@@ -12,8 +12,6 @@
     {!Straight_isa.Isa.max_dist} register values.  {!Machine.save}
     encodes it with the memory. *)
 
-exception Exec_error of string
-
 type config = {
   max_insns : int;       (** abort runaway programs *)
   collect_trace : bool;  (** keep the uop trace for the timing models *)
@@ -36,10 +34,10 @@ val start :
 
 val step : session -> unit
 (** Execute one instruction.
-    @raise Exec_error on illegal instructions or PC out of text.
-    @raise Diag.Error with code [Fuel_exhausted] (context carries the
-    retired count) on budget overrun, or [Mem_unaligned]/[Mem_mmio] on
-    memory faults. *)
+    @raise Diag.Error with code [Exec_error] and context [iss=straight]
+    on illegal instructions or PC out of text, [Fuel_exhausted] (context
+    carries the retired count) on budget overrun, or
+    [Mem_unaligned]/[Mem_mmio] on memory faults. *)
 
 val step_uop : session -> Trace.uop
 (** Like {!step}, and return the retired instruction's uop — what the

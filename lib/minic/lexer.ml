@@ -17,9 +17,7 @@ type token =
   | QUESTION | COLON
   | EOF
 
-exception Lex_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Lex_error s)) fmt
+let fail fmt = Diag.error Diag.Lex_error fmt
 
 let keyword = function
   | "int" -> Some INT_KW

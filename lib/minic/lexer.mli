@@ -17,10 +17,9 @@ type token =
   | QUESTION | COLON
   | EOF
 
-exception Lex_error of string
-
 val tokenize : string -> token list
 (** [tokenize src] produces the token list, [//] and [/* */] comments
     stripped, decimal/hex numbers and ['c'] literals (with [\n \t \0 \\ \'
     \r] escapes) recognized.
-    @raise Lex_error on stray characters or unterminated literals. *)
+    @raise Diag.Error with code [Lex_error] on stray characters or
+    unterminated literals. *)

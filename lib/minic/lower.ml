@@ -6,9 +6,7 @@
 open Ast
 module Ir = Ssa_ir.Ir
 
-exception Lower_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Lower_error s)) fmt
+let fail fmt = Diag.error Diag.Lower_error fmt
 
 type binding =
   | Bscalar of int                 (* SSA variable key *)

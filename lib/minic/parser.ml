@@ -3,9 +3,7 @@
 open Ast
 open Lexer
 
-exception Parse_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
+let fail fmt = Diag.error Diag.Parse_error fmt
 
 type state = { tokens : token array; mutable pos : int }
 

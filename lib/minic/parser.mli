@@ -3,8 +3,7 @@
     compound assignment and increment sugar, global scalars/arrays with
     initializers, function definitions and prototypes. *)
 
-exception Parse_error of string
-
 val parse : string -> Ast.program
 (** [parse src] parses a full translation unit.
-    @raise Parse_error (or {!Lexer.Lex_error}) on malformed input. *)
+    @raise Diag.Error with code [Parse_error] (or [Lex_error], from
+    {!Lexer.tokenize}) on malformed input. *)

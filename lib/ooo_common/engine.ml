@@ -1413,8 +1413,10 @@ let run (p : Params.t) ~(window : Window.t)
    - correct-path uops are regenerated through the window and stored by
      index; a wrong-path uop is [decode_static pc], its only source, so
      it is stored as its pc and re-derived on restore;
-   - the window capacity sizes the record window on restore; timing
-     does not depend on it. *)
+   - the window capacity is written and range-checked on restore but
+     sizes nothing: restore places the ROB's records through
+     [win_slot], growing the window as dispatch does, and timing does
+     not depend on its size. *)
 
 (* v2: the checker cursor carries the golden next pc; v3: wrong-path
    uops are stored by pc *)
@@ -1536,7 +1538,8 @@ let save b t =
    | Fetch_wrong -> Bin.w_int b 1; Bin.w_int b t.fetch_at
    | Fetch_stalled -> Bin.w_int b 2);
   Bin.w_int_array b t.rmt;
-  (* window capacity: sizes the restored record window *)
+  (* window capacity: checked on restore, which sizes the window by the
+     ROB it places *)
   Bin.w_int b (Array.length t.win);
   (* every in-flight instruction: ROB (dispatched) then front-end queue
      (fetched) *)
@@ -1633,13 +1636,13 @@ let load (r : Bin.reader) (t : t) : unit =
    | 2 -> t.mode <- Fetch_stalled
    | n -> Bin.corrupt "bad fetch-mode tag %d" n);
   Bin.r_int_array_into r t.rmt;
+  (* the saved capacity is checked but sizes nothing: the ROB records
+     below take their slots through [win_slot], which grows the window
+     as dispatch does, so the image's own window (or a forged varint)
+     allocates no record the restored run does not hold *)
   let win_cap = Bin.r_int r in
   if win_cap < 1 || win_cap land (win_cap - 1) <> 0 then
     Bin.corrupt "bad window capacity %d" win_cap;
-  if win_cap <> Array.length t.win then begin
-    t.win <- Array.init win_cap (fun _ -> fresh_dyn ());
-    t.win_mask <- win_cap - 1
-  end;
   (* pass 1: rebuild every ROB record in its window slot, and the
      front-end queue's columns *)
   let rob =

@@ -12,9 +12,8 @@ module Ir = Ssa_ir.Ir
 module Analysis = Ssa_ir.Analysis
 module IntSet = Analysis.IntSet
 
-exception Codegen_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Codegen_error s)) fmt
+let fail fmt =
+  Diag.error ~context:[ ("target", "riscv") ] Diag.Codegen_error fmt
 
 type item = string Isa.t Assembler.Asm.item
 

@@ -9,8 +9,6 @@
     spilling through two reserved scratch registers) -> prologue/epilogue
     insertion with the RISC-V calling convention. *)
 
-exception Codegen_error of string
-
 type item = string Riscv_isa.Isa.t Assembler.Asm.item
 
 val func_label : string -> string
@@ -28,7 +26,8 @@ val ret_label : string -> string
 val emit_function :
   globals:(string, int) Hashtbl.t -> Ssa_ir.Ir.func -> item list
 (** Compile one function (mutates it: edge splitting, RPO layout).
-    @raise Codegen_error on more than 8 register arguments or scratch
+    @raise Diag.Error with code [Codegen_error] and context
+    [target=riscv] on more than 8 register arguments or scratch
     exhaustion. *)
 
 val layout_globals : Ssa_ir.Ir.data_def list -> (string, int) Hashtbl.t

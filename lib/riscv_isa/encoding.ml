@@ -2,9 +2,8 @@
 
 open Isa
 
-exception Encode_error of string
-
-let bad fmt = Format.kasprintf (fun s -> raise (Encode_error s)) fmt
+let bad fmt =
+  Diag.error ~context:[ ("target", "riscv") ] Diag.Encode_error fmt
 
 let mask bits v = v land ((1 lsl bits) - 1)
 

@@ -4,9 +4,8 @@
 
 open Isa
 
-exception Parse_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
+let fail fmt =
+  Diag.error ~context:[ ("source", "riscv-asm") ] Diag.Parse_error fmt
 
 let parse_reg tok =
   match reg_of_name (String.lowercase_ascii tok) with
@@ -43,7 +42,7 @@ let aluis =
     ("srai", Srai) ]
 
 (* [parse_insn tokens] parses a mnemonic and its comma-stripped operands.
-   Raises [Parse_error] on malformed input. *)
+   Raises a [Diag.Parse_error] error on malformed input. *)
 let parse_insn (tokens : string list) : string t =
   match tokens with
   | [] -> fail "empty instruction"

@@ -3,8 +3,8 @@
 
    One JSON object per line in both directions.  Requests name an [op];
    replies echo the request [id] and carry a [type] of "event" (streamed
-   progress), "result" (terminal success) or "error" (terminal failure,
-   with a Diag code name). *)
+   progress), "result" (terminal success) or "error" (terminal failure:
+   a Diag's code name, message and, when it has one, context). *)
 
 module Params = Ooo_common.Params
 module J = Json
@@ -42,9 +42,8 @@ type request =
   | Status
   | Shutdown
 
-exception Bad_request of Diag.code * string
-
-let bad code fmt = Printf.ksprintf (fun m -> raise (Bad_request (code, m))) fmt
+let bad code fmt =
+  Printf.ksprintf (fun m -> raise (Diag.Error (Diag.make code m))) fmt
 
 (* The shared field decoders, with a shape error as a [Proto_error]: a
    missing or null optional field takes its default, a present field of
@@ -215,10 +214,7 @@ let reply_result ~id ~op ~cached (result : J.t) : J.t =
       ("cached", J.Bool cached);
       ("result", result) ]
 
-let reply_error ~id code message : J.t =
+let reply_error ~id (d : Diag.t) : J.t =
   J.Obj
-    [ ("schema", J.Str schema);
-      ("id", J.Str id);
-      ("type", J.Str "error");
-      ("code", J.Str (Diag.code_name code));
-      ("message", J.Str message) ]
+    ([ ("schema", J.Str schema); ("id", J.Str id); ("type", J.Str "error") ]
+     @ Sweep.Pool.diag_fields d)

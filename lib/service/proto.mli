@@ -8,8 +8,14 @@
     ["type"]: ["event"] (streamed progress: "queued", "coalesced",
     "started", "progress"), ["result"] (terminal success, with the
     payload under ["result"] and a ["cached"] flag), or ["error"]
-    (terminal failure, ["code"] a {!Diag.code_name} and ["message"]).
-    Schema details in EXPERIMENTS.md. *)
+    (terminal failure: ["code"] a {!Diag.code_name}, ["message"], and a
+    ["context"] object when the {!Diag.t} has context).  Schema details
+    in EXPERIMENTS.md.
+
+    The parsers below raise {!Diag.Error}: code [Proto_error] for shape
+    violations, [Config_error] for well-formed requests naming unknown
+    machines/predictors/specs; the server turns it into an ["error"]
+    reply. *)
 
 val schema : string
 (** ["straightd-proto/1"]. *)
@@ -48,19 +54,16 @@ type request =
   | Status
   | Shutdown
 
-exception Bad_request of Diag.code * string
-(** Raised by the parsers below; the server turns it into an ["error"]
-    reply ([Proto_error] for shape violations, [Config_error] for
-    well-formed requests naming unknown machines/predictors/specs). *)
-
 val request_id : Json.t -> string
 (** The ["id"] field, or ["-"] when it is absent or null.
-    @raise Bad_request with [Proto_error] when it is present and not a
-    string. *)
+    @raise Diag.Error with code [Proto_error] when it is present and not
+    a string. *)
 
 val request_of_json : Json.t -> request
-(** @raise Bad_request on an unknown op or malformed fields, the id
-    included (reply to such a request as ["-"]). *)
+(** @raise Diag.Error with code [Proto_error] on an unknown op or
+    malformed fields, the id included (reply to such a request as
+    ["-"]), or [Config_error] on an unknown machine, predictor or
+    sample spec. *)
 
 val grid_point : point_req -> Sweep.Grid.point
 (** Expand to the concrete grid point (params resolved, workload
@@ -77,7 +80,8 @@ val point_req_to_json : point_req -> Json.t
 
 val point_req_of_json :
   ?require_sample:bool -> Json.t -> point_req
-(** @raise Bad_request (also when [require_sample] and no spec). *)
+(** @raise Diag.Error as {!request_of_json} (also [Proto_error] when
+    [require_sample] and no spec). *)
 
 val sweep_req_of_json : Json.t -> sweep_req
 
@@ -89,5 +93,6 @@ val reply_result :
   id:string -> op:string -> cached:bool ->
   Json.t -> Json.t
 
-val reply_error :
-  id:string -> Diag.code -> string -> Json.t
+val reply_error : id:string -> Diag.t -> Json.t
+(** The ["error"] reply for a {!Diag.t}: {!Sweep.Pool.diag_fields} after
+    the schema, id and type. *)

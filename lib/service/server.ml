@@ -64,8 +64,9 @@ type counters = {
 (* ---------- worker side ---------- *)
 
 (* Runs in a forked pool worker: payload -> one compact record line.
-   Any exception (deadlock, checker divergence, bad workload) rides the
-   pool's "err" path back as text. *)
+   A [Diag.Error] (deadlock, checker divergence, bad workload) rides the
+   pool's "err" path back with its code and context, and the client gets
+   the error the command-line tools would report. *)
 let worker_job ~cache_dir payload =
   let req = Proto.point_req_of_json (J.of_string payload) in
   let pt = Proto.grid_point req in
@@ -89,8 +90,7 @@ let compile_doc ~target ~(w : Workloads.t) : J.t =
   let t =
     match Exp.of_name target with
     | Some t -> t
-    | None ->
-      raise (Proto.Bad_request (Diag.Config_error, "unknown target " ^ target))
+    | None -> Diag.error Diag.Config_error "unknown target %s" target
   in
   let asm =
     Lazy.force
@@ -282,10 +282,9 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
       send c (Proto.reply_result ~id ~op ~cached:false (Runner.to_json r))
     | Sweep_point (agg, i) -> sweep_point_done agg i (Some r)
   in
-  let deliver_error waiter msg =
+  let deliver_error waiter (d : Diag.t) =
     match waiter with
-    | Direct (c, id, _) ->
-      send c (Proto.reply_error ~id Diag.Service_error msg)
+    | Direct (c, id, _) -> send c (Proto.reply_error ~id d)
     | Sweep_point (agg, i) -> sweep_point_done agg i None
   in
   let handle_pool_result (jid, outcome) =
@@ -308,19 +307,20 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
             List.iter (fun w -> deliver w r) waiters
           | exception J.Parse_error _ ->
             ctr.sim_failures <- ctr.sim_failures + 1;
-            List.iter
-              (fun w -> deliver_error w "worker returned a malformed record")
-              waiters)
-       | Error msg ->
+            let d =
+              Diag.make Diag.Service_error "worker returned a malformed record"
+            in
+            List.iter (fun w -> deliver_error w d) waiters)
+       | Error d ->
          ctr.sim_failures <- ctr.sim_failures + 1;
-         List.iter (fun w -> deliver_error w msg) waiters)
+         List.iter (fun w -> deliver_error w d) waiters)
   in
   (* ---- request handlers ---- *)
   let handle_point (c : client) id (preq : Proto.point_req) =
     let op = if preq.Proto.sample = None then "simulate" else "sample" in
     match Proto.grid_point preq with
     | exception Invalid_argument m ->
-      send c (Proto.reply_error ~id Diag.Config_error m)
+      send c (Proto.reply_error ~id (Diag.make Diag.Config_error m))
     | pt ->
       let key = Store.key pt in
       (match Store.lookup ~dir:cache_dir key with
@@ -334,9 +334,10 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
     match Grid.preset ~quick:sreq.Proto.sw_quick sreq.Proto.sw_grid with
     | None ->
       send c
-        (Proto.reply_error ~id Diag.Config_error
-           ("unknown grid " ^ sreq.Proto.sw_grid
-            ^ " (default|smoke|golden)"))
+        (Proto.reply_error ~id
+           (Diag.make Diag.Config_error
+              ("unknown grid " ^ sreq.Proto.sw_grid
+               ^ " (default|smoke|golden)")))
     | Some spec ->
       let spec =
         { spec with
@@ -348,7 +349,7 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
       in
       (match Grid.expand spec with
        | exception Invalid_argument m ->
-         send c (Proto.reply_error ~id Diag.Config_error m)
+         send c (Proto.reply_error ~id (Diag.make Diag.Config_error m))
        | points ->
          let n = List.length points in
          let agg =
@@ -380,7 +381,7 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
   let handle_compile (c : client) id target workload quick =
     match Grid.workload ~quick workload with
     | exception Invalid_argument m ->
-      send c (Proto.reply_error ~id Diag.Config_error m)
+      send c (Proto.reply_error ~id (Diag.make Diag.Config_error m))
     | w ->
       let key = compile_key ~target ~w in
       (match Store.lookup_doc ~dir:cache_dir ~sub:"compile" key with
@@ -397,10 +398,7 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
                  (Printf.sprintf "compile cache save failed: %s"
                     (Printexc.to_string e)));
             send c (Proto.reply_result ~id ~op:"compile" ~cached:false doc)
-          | exception Proto.Bad_request (code, m) ->
-            send c (Proto.reply_error ~id code m)
-          | exception Diag.Error d ->
-            send c (Proto.reply_error ~id d.Diag.code (Diag.to_string d))))
+          | exception Diag.Error d -> send c (Proto.reply_error ~id d)))
   in
   let shutdown_requested = ref false in
   let handle_line (c : client) line =
@@ -409,17 +407,17 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
       match J.of_string line with
       | exception J.Parse_error m ->
         send c
-          (Proto.reply_error ~id:"-" Diag.Proto_error
-             ("malformed request: " ^ m))
+          (Proto.reply_error ~id:"-"
+             (Diag.make Diag.Proto_error ("malformed request: " ^ m)))
       | j ->
         (* a malformed id is itself a protocol error, addressed to "-" *)
-        let id = try Proto.request_id j with Proto.Bad_request _ -> "-" in
+        let id = try Proto.request_id j with Diag.Error _ -> "-" in
         (match Proto.request_of_json j with
-         | exception Proto.Bad_request (code, m) ->
-           send c (Proto.reply_error ~id code m)
+         | exception Diag.Error d -> send c (Proto.reply_error ~id d)
          | exception e ->
            send c
-             (Proto.reply_error ~id Diag.Service_error (Printexc.to_string e))
+             (Proto.reply_error ~id
+                (Diag.make Diag.Service_error (Printexc.to_string e)))
          | Proto.Compile { target; workload; quick } ->
            handle_compile c id target workload quick
          | Proto.Point preq -> handle_point c id preq
@@ -462,7 +460,8 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
       Buffer.add_subbytes c.inbuf buf 0 n;
       if Buffer.length c.inbuf > max_line then begin
         send c
-          (Proto.reply_error ~id:"-" Diag.Proto_error "request line too long");
+          (Proto.reply_error ~id:"-"
+             (Diag.make Diag.Proto_error "request line too long"));
         drop_client c
       end
       else begin
@@ -481,8 +480,8 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
              try handle_line c line
              with e ->
                send c
-                 (Proto.reply_error ~id:"-" Diag.Service_error
-                    (Printexc.to_string e)))
+                 (Proto.reply_error ~id:"-"
+                    (Diag.make Diag.Service_error (Printexc.to_string e))))
           lines
       end
   in
@@ -496,11 +495,10 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
         let pending = Hashtbl.fold (fun _ j acc -> j :: acc) jobs_by_id [] in
         Hashtbl.reset jobs_by_id;
         Hashtbl.reset jobs_by_key;
+        let d = Diag.make Diag.Service_error "daemon shutting down" in
         List.iter
           (fun job ->
-             List.iter
-               (fun w -> deliver_error w "daemon shutting down")
-               (List.rev job.j_waiters))
+             List.iter (fun w -> deliver_error w d) (List.rev job.j_waiters))
           pending;
         Persistent.shutdown pool;
         Hashtbl.iter

@@ -44,4 +44,5 @@ val compile_doc : target:string -> w:Workloads.t -> Json.t
 (** Compile [w] for [target] (a {!Straight_core.Experiment.of_name} name:
     "ss"/"riscv", "straight-raw", "straight"/"straight-re") and wrap the
     listing as a [straightd-compile/1] document.
-    @raise Proto.Bad_request on an unknown target. *)
+    @raise Diag.Error with code [Config_error] on an unknown target, or
+    the compiler's error. *)

@@ -251,9 +251,7 @@ let natural_loops (cfg : cfg) (idom : int array) : loop list =
 
 (* ---------- validation ---------- *)
 
-exception Invalid_ir of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Invalid_ir s)) fmt
+let fail fmt = Diag.error Diag.Invalid_ir fmt
 
 (* Def sites in [validate]: a value-indexed array of RPO block indices, or
    one of these two markers. *)
@@ -264,8 +262,9 @@ let param = -1
    (every terminator targets an existing block), single assignment with
    value ids inside [0, nvalues), defs dominate uses, phi arms match
    predecessors and name blocks of [f], no phis in the entry block.  Every
-   violation raises [Invalid_ir] (never [Not_found]/[Invalid_argument]),
-   so callers can classify a broken pass uniformly. *)
+   violation raises a [Diag.Invalid_ir] error (never
+   [Not_found]/[Invalid_argument]), so callers can classify a broken pass
+   uniformly. *)
 let validate (f : func) : unit =
   if f.blocks = [] then fail "%s: function has no blocks" f.name;
   (* structural checks first: [build] itself assumes block ids index an

@@ -20,7 +20,8 @@ val build : Ir.func -> cfg
 (** Compute the CFG in reverse postorder (depth-first, successors in
     terminator order); unreachable blocks are dropped.
     @raise Invalid_argument on a negative block id or a terminator that
-    targets no block ({!validate} reports both as [Invalid_ir]). *)
+    targets no block ({!validate} reports both as a [Diag.Invalid_ir]
+    error). *)
 
 val block_index : cfg -> Ir.block_id -> int
 (** @raise Invalid_argument for unknown/unreachable blocks. *)
@@ -61,8 +62,6 @@ type loop = {
 val natural_loops : cfg -> int array -> loop list
 (** One loop per back edge; loops sharing a header are merged. *)
 
-exception Invalid_ir of string
-
 val validate : Ir.func -> unit
 (** Check the SSA invariants the back ends rely on: block ids are
     distinct and non-negative, every terminator targets an existing
@@ -70,6 +69,7 @@ val validate : Ir.func -> unit
     dominate uses, phi arms match predecessors and name blocks of the
     function (an arm from an unreachable block is tolerated), no phis
     (and no empty phis) in the entry block, phis form a block prefix.
-    Every violation raises [Invalid_ir] — never [Not_found] or
+    Every violation raises the same error — never [Not_found] or
     [Invalid_argument] — so a broken pass is classified uniformly.
-    @raise Invalid_ir with a diagnostic otherwise. *)
+    @raise Diag.Error with code [Invalid_ir] and a diagnostic
+    otherwise. *)

@@ -7,9 +7,7 @@
 
 open Ir
 
-exception Interp_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Interp_error s)) fmt
+let fail fmt = Diag.error Diag.Interp_error fmt
 
 type state = {
   mem : (int, int32) Hashtbl.t;       (* word-addressed *)

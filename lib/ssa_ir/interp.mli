@@ -7,13 +7,12 @@
     (declaration order from {!Assembler.Layout.data_base}), so address
     arithmetic agrees across all three executions. *)
 
-exception Interp_error of string
-
 val run : ?max_steps:int -> Ir.program -> string * int32
 (** [run p] interprets the program from [main]; returns the console output
     and [main]'s return value.
-    @raise Interp_error on unknown globals/functions, unaligned accesses,
-    or when [max_steps] (default 50M) is exceeded. *)
+    @raise Diag.Error with code [Interp_error] on unknown
+    globals/functions, unaligned accesses, or when [max_steps] (default
+    50M) is exceeded. *)
 
 (** Final state of an interpreted program, for differential comparison
     against the compiled executions of the same source. *)
@@ -26,4 +25,4 @@ type snapshot = {
 
 val run_snapshot : ?max_steps:int -> Ir.program -> snapshot
 (** Like {!run}, but also exposes the final memory.
-    @raise Interp_error as {!run}. *)
+    @raise Diag.Error as {!run}. *)

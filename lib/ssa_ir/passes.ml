@@ -577,8 +577,8 @@ let run_passes ?(validate = false) (passes : pass list) (f : func) : unit =
   let check blame =
     if validate then
       try Analysis.validate f
-      with Analysis.Invalid_ir msg ->
-        raise (Analysis.Invalid_ir (Printf.sprintf "%s: %s" blame msg))
+      with Diag.Error ({ code = Diag.Invalid_ir; _ } as d) ->
+        raise (Diag.Error { d with message = blame ^ ": " ^ d.message })
   in
   check "before optimization";
   let apply p =

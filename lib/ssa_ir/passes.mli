@@ -59,9 +59,10 @@ val run_passes : ?validate:bool -> pass list -> Ir.func -> unit
     block order, [nvalues] and [frame_bytes] — differs structurally
     afterwards.  With [~validate:true], {!Analysis.validate} runs on the
     input and after every pass application that changed the function; a
-    violation is re-raised as {!Analysis.Invalid_ir} with the culprit
-    pass's name prepended.  Public so tests can inject a deliberately
-    broken pass and check it is blamed by name. *)
+    violation (a [Diag.Error] with code [Invalid_ir]) is re-raised with
+    the culprit pass's name prepended to its message.  Public so tests
+    can inject a deliberately broken pass and check it is blamed by
+    name. *)
 
 val optimize_at : opt_level -> Ir.func -> unit
 (** [run_passes (pipeline level)]. *)

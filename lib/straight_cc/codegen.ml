@@ -35,9 +35,8 @@ module Ir = Ssa_ir.Ir
 module Analysis = Ssa_ir.Analysis
 module IntSet = Analysis.IntSet
 
-exception Codegen_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Codegen_error s)) fmt
+let fail fmt =
+  Diag.error ~context:[ ("target", "straight") ] Diag.Codegen_error fmt
 
 type opt_level = Raw | Re_plus
 

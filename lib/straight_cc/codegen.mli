@@ -21,8 +21,6 @@
       re-materialization of address values, [SPADD 0] frame-base
       re-materialization. *)
 
-exception Codegen_error of string
-
 (** [Raw] is the basic algorithm of Sections IV-A..C; [Re_plus] adds the
     Section IV-D redundancy elimination. *)
 type opt_level = Raw | Re_plus
@@ -52,7 +50,8 @@ val emit_function :
   item list
 (** Compile one function (mutates it: critical-edge splitting, RPO
     layout).  [globals] maps data symbols to absolute addresses.
-    @raise Codegen_error if register pressure exceeds what the configured
+    @raise Diag.Error with code [Codegen_error] and context
+    [target=straight] if register pressure exceeds what the configured
     maximum distance can hold, or on malformed input. *)
 
 val layout_globals : Ssa_ir.Ir.data_def list -> (string, int) Hashtbl.t

@@ -12,47 +12,13 @@
    ]}
 
    See examples/ for runnable programs; the paper's tables come from
-   the sweep (`make paper`). *)
+   the sweep (`make paper`).  The layers below report their errors as
+   [Diag.Error] (see the interface). *)
 
 module Models = struct
   include Ooo_common.Params
 
   let all = [ ss_2way; straight_2way; ss_4way; straight_4way ]
-end
-
-(* Structured diagnostics: one place that understands every error the
-   toolchain and the simulators can produce.  New code raises
-   [Diag.Error] directly; the per-library [..._error of string]
-   exceptions predate [Diag] and are mapped here so drivers and tests
-   can report uniformly and pick exit codes without a catch-all. *)
-module Diagnostics = struct
-  include Diag
-
-  let of_exn : exn -> Diag.t option = function
-    | Diag.Error d -> Some d
-    | Minic.Lexer.Lex_error m -> Some (Diag.make Diag.Lex_error m)
-    | Minic.Parser.Parse_error m -> Some (Diag.make Diag.Parse_error m)
-    | Minic.Lower.Lower_error m -> Some (Diag.make Diag.Lower_error m)
-    | Ssa_ir.Analysis.Invalid_ir m -> Some (Diag.make Diag.Invalid_ir m)
-    | Ssa_ir.Interp.Interp_error m -> Some (Diag.make Diag.Interp_error m)
-    | Straight_cc.Codegen.Codegen_error m ->
-      Some (Diag.make ~context:[ ("target", "straight") ] Diag.Codegen_error m)
-    | Riscv_cc.Codegen.Codegen_error m ->
-      Some (Diag.make ~context:[ ("target", "riscv") ] Diag.Codegen_error m)
-    | Straight_isa.Encoding.Encode_error m ->
-      Some (Diag.make ~context:[ ("target", "straight") ] Diag.Encode_error m)
-    | Riscv_isa.Encoding.Encode_error m ->
-      Some (Diag.make ~context:[ ("target", "riscv") ] Diag.Encode_error m)
-    | Straight_isa.Parser.Parse_error m ->
-      Some (Diag.make ~context:[ ("source", "straight-asm") ] Diag.Parse_error m)
-    | Riscv_isa.Parser.Parse_error m ->
-      Some (Diag.make ~context:[ ("source", "riscv-asm") ] Diag.Parse_error m)
-    | Assembler.Asm.Asm_error m -> Some (Diag.make Diag.Asm_error m)
-    | Iss.Straight_iss.Exec_error m ->
-      Some (Diag.make ~context:[ ("iss", "straight") ] Diag.Exec_error m)
-    | Iss.Riscv_iss.Exec_error m ->
-      Some (Diag.make ~context:[ ("iss", "riscv") ] Diag.Exec_error m)
-    | _ -> None
 end
 
 (* The one compile pipeline (the paper's Fig. 7): source -> SSA IR ->

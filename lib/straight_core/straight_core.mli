@@ -11,7 +11,12 @@
     ]}
 
     See [examples/] for runnable programs; the paper's tables come from
-    the sweep ([make paper], [Sweep.Figures]). *)
+    the sweep ([make paper], [Sweep.Figures]).
+
+    The layers below — front ends, passes, code generators, assembler,
+    ISSs, cycle models — report their errors as {!Diag.Error}; callers
+    match its code rather than an exception type, and the command-line
+    tools exit with {!Diag.exit_code} of it. *)
 
 (** The Table-I model configurations (re-exports {!Ooo_common.Params}). *)
 module Models : sig
@@ -19,18 +24,6 @@ module Models : sig
 
   val all : t list
   (** [ss_2way; straight_2way; ss_4way; straight_4way]. *)
-end
-
-(** Structured diagnostics (re-exports {!Diag}, plus the mapping from
-    the legacy per-library exceptions). *)
-module Diagnostics : sig
-  include module type of struct include Diag end
-
-  val of_exn : exn -> Diag.t option
-  (** Map any toolchain or simulator exception to its structured
-      diagnostic: [Diag.Error] payloads pass through, the legacy
-      [..._error of string] exceptions are classified by origin, and
-      anything unrecognized yields [None]. *)
 end
 
 (** The one compile pipeline (Fig. 7): source -> SSA IR -> the STRAIGHT

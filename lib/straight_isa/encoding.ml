@@ -17,9 +17,8 @@
 
 open Isa
 
-exception Encode_error of string
-
-let bad fmt = Format.kasprintf (fun s -> raise (Encode_error s)) fmt
+let bad fmt =
+  Diag.error ~context:[ ("target", "straight") ] Diag.Encode_error fmt
 
 type op_code =
   | OP_ALU of alu_op
@@ -78,7 +77,7 @@ let enc_s op s1 s2 imm6 = word op ((s1 lsl 16) lor (s2 lsl 6) lor mask 6 imm6)
 let enc_j op imm26 = word op (mask 26 imm26)
 
 (* [encode insn] packs a resolved instruction into its 32-bit word.
-   Raises [Encode_error] when a field does not fit. *)
+   Raises a [Diag.Encode_error] error when a field does not fit. *)
 let encode (insn : resolved) : int32 =
   match insn with
   | Alu (op, a, b) ->

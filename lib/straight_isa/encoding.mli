@@ -4,11 +4,10 @@
     exists, immediates get the remaining bits (16-bit for ALU/load/branch,
     20-bit for LUI, 26-bit for jumps, 6-bit word-granular for stores). *)
 
-exception Encode_error of string
-
 val encode : Isa.resolved -> int32
 (** [encode insn] packs a resolved instruction into its 32-bit word.
-    @raise Encode_error when a field does not fit (distance out of
+    @raise Diag.Error with code [Encode_error] and context
+    [target=straight] when a field does not fit (distance out of
     [0, 1023], immediate out of range, misaligned store offset). *)
 
 val decode : int32 -> Isa.resolved option

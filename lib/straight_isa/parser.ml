@@ -4,9 +4,8 @@
 
 open Isa
 
-exception Parse_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
+let fail fmt =
+  Diag.error ~context:[ ("source", "straight-asm") ] Diag.Parse_error fmt
 
 let parse_dist tok =
   let n = String.length tok in
@@ -37,7 +36,7 @@ let alui_ops =
 
 (* [parse_insn tokens] parses a mnemonic plus operand tokens into a symbolic
    instruction.  Mnemonics are case-insensitive (the paper mixes `ADDi` and
-   `ADDI` styles).  Raises [Parse_error] on malformed input. *)
+   `ADDI` styles).  Raises a [Diag.Parse_error] error on malformed input. *)
 let parse_insn (tokens : string list) : string t =
   match tokens with
   | [] -> fail "empty instruction"

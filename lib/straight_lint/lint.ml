@@ -68,7 +68,8 @@ let decode_text (image : Image.t) :
                 (Printf.sprintf
                    "decoded instruction re-encodes to 0x%08lx, image has 0x%08lx"
                    w' w)
-            | exception Enc.Encode_error msg ->
+            | exception
+                Diag.Error { code = Diag.Encode_error; message = msg; _ } ->
               add pc "encode-roundtrip"
                 (Printf.sprintf "decoded instruction does not re-encode: %s" msg));
            Some insn)

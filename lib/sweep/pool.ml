@@ -5,14 +5,16 @@
    each way per job:
 
      parent -> worker:  "<id> <payload>\n"
-     worker -> parent:  "ok <id> <payload>\n"  |  "err <id> <msg>\n"
+     worker -> parent:  "ok <id> <payload>\n"  |  "err <id> <diag>\n"
 
    The result payload is produced in the child, so it must be
-   newline-free (the sweep ships compact JSON); [String.escaped] guards
-   the error path.  Workers are stateless between jobs — job data lives
-   in the payload or in the worker closure, which the child inherits
-   through fork — so a killed worker is replaced by simply forking
-   again. *)
+   newline-free (the sweep ships compact JSON).  <diag> is the job's
+   [Diag.t] as one compact JSON object of [diag_fields]; an exception
+   that is not a [Diag.Error] travels as a [Service_error] carrying its
+   [Printexc] text.  Workers are stateless between jobs — job data
+   lives in the payload or in the worker closure, which the child
+   inherits through fork — so a killed worker is replaced by simply
+   forking again. *)
 
 exception Interrupted of int
 
@@ -27,6 +29,35 @@ let oneline s =
   match String.index_opt s '\n' with
   | None -> s
   | Some i -> String.sub s 0 i
+
+let diag_fields (d : Diag.t) =
+  [ ("code", Json.Str (Diag.code_name d.Diag.code));
+    ("message", Json.Str d.Diag.message) ]
+  @
+  match d.Diag.context with
+  | [] -> []
+  | ctx ->
+    [ ("context", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) ctx)) ]
+
+let diag_to_line d = Json.to_string ~indent:false (Json.Obj (diag_fields d))
+
+(* [None] for anything [diag_to_line] cannot have written *)
+let diag_of_line s : Diag.t option =
+  let str = function Json.Str v -> v | _ -> Json.fail "context value" in
+  try
+    let j = Json.of_string s in
+    let context =
+      match Json.member "context" j with
+      | None -> []
+      | Some (Json.Obj ctx) -> List.map (fun (k, v) -> (k, str v)) ctx
+      | Some _ -> Json.fail "context"
+    in
+    Option.map
+      (fun code -> Diag.make code (Json.string "message" j) ~context)
+      (Diag.of_code_name (Json.string "code" j))
+  with Json.Parse_error _ -> None
+
+let pool_error message = Diag.make Diag.Service_error message
 
 (* a signal can land during select(); treat the EINTR as an empty wait
    and let the loop head observe the interrupt flag *)
@@ -99,7 +130,8 @@ module Persistent = struct
         | line ->
           let reply =
             match String.index_opt line ' ' with
-            | None -> Printf.sprintf "err 0 %s" (String.escaped "bad job line")
+            | None ->
+              "err 0 " ^ diag_to_line (pool_error "bad job line")
             | Some sp ->
               let id = String.sub line 0 sp in
               let payload =
@@ -107,9 +139,11 @@ module Persistent = struct
               in
               (match t.work payload with
                | result -> Printf.sprintf "ok %s %s" id (oneline result)
+               | exception Diag.Error d ->
+                 Printf.sprintf "err %s %s" id (diag_to_line d)
                | exception e ->
                  Printf.sprintf "err %s %s" id
-                   (String.escaped (Printexc.to_string e)))
+                   (diag_to_line (pool_error (Printexc.to_string e))))
           in
           output_string oc (reply ^ "\n");
           flush oc;
@@ -197,7 +231,19 @@ module Persistent = struct
     Queue.add { id; payload } t.queue;
     dispatch t
 
-  let poll ?(timeout_job = 0.) t : (int * (string, string) result) list =
+  (* one result line: [None] is a protocol violation *)
+  let parse_reply line =
+    match String.split_on_char ' ' line with
+    | "ok" :: id :: rest ->
+      Option.map (fun id -> (id, Ok (String.concat " " rest)))
+        (int_of_string_opt id)
+    | "err" :: id :: rest ->
+      (match int_of_string_opt id, diag_of_line (String.concat " " rest) with
+       | Some id, Some d -> Some (id, Error d)
+       | _ -> None)
+    | _ -> None
+
+  let poll ?(timeout_job = 0.) t : (int * (string, Diag.t) result) list =
     let out = ref [] in
     let busy = List.filter (fun w -> w.p_current <> None) t.pool in
     if busy <> [] then begin
@@ -210,28 +256,23 @@ module Persistent = struct
                let j = w.p_current in
                ignore (p_replace t w);
                (match j with
-                | Some j -> out := (j.id, Error "worker died") :: !out
+                | Some j ->
+                  out := (j.id, Error (pool_error "worker died")) :: !out
                 | None -> ())
              | line ->
-               (match String.split_on_char ' ' line with
-                | "ok" :: id :: rest when int_of_string_opt id <> None ->
+               (match parse_reply line with
+                | Some r ->
                   w.p_current <- None;
-                  out :=
-                    (int_of_string id, Ok (String.concat " " rest)) :: !out
-                | "err" :: id :: rest when int_of_string_opt id <> None ->
-                  w.p_current <- None;
-                  let msg = String.concat " " rest in
-                  out :=
-                    (int_of_string id,
-                     Error (try Scanf.unescaped msg with _ -> msg))
-                    :: !out
-                | _ ->
+                  out := r :: !out
+                | None ->
                   let j = w.p_current in
                   ignore (p_replace t w);
                   (match j with
                    | Some j ->
                      out :=
-                       (j.id, Error ("pool protocol violation: " ^ line))
+                       ( j.id,
+                         Error (pool_error ("pool protocol violation: " ^ line))
+                       )
                        :: !out
                    | None -> ())))
         busy;
@@ -243,8 +284,10 @@ module Persistent = struct
              | Some j when now -. w.p_started > timeout_job ->
                ignore (p_replace t w);
                out :=
-                 (j.id,
-                  Error (Printf.sprintf "timeout after %.0fs" timeout_job))
+                 ( j.id,
+                   Error
+                     (pool_error
+                        (Printf.sprintf "timeout after %.0fs" timeout_job)) )
                  :: !out
              | _ -> ())
           t.pool
@@ -278,6 +321,12 @@ let backoff_delay idx attempt =
   let raw = min 30. (0.25 *. (2. ** float_of_int (attempt - 1))) in
   let h = Hashtbl.hash (idx, attempt) land 0xffff in
   raw *. (0.75 +. (0.5 *. float_of_int h /. 65535.))
+
+(* [run]'s failure text: the pool's own failures and a worker's
+   non-[Diag] exception read as their message alone, a job's [Diag] as
+   the command-line tools print it. *)
+let reason (d : Diag.t) =
+  if d.Diag.code = Diag.Service_error then d.Diag.message else Diag.to_string d
 
 let run ~jobs ~(worker : int -> string) ~procs ?(timeout = 600.) ?(retries = 1)
     ?(on_event = fun _ -> ()) ?(on_interrupt = fun () -> ())
@@ -337,14 +386,14 @@ let run ~jobs ~(worker : int -> string) ~procs ?(timeout = 600.) ?(retries = 1)
     let attempts = Array.make jobs 0 in
     let done_count = ref 0 in
     let finish (idx, outcome) =
-      match outcome with
+      match Result.map_error reason outcome with
       | Error msg when attempts.(idx) < retries ->
         let attempt = attempts.(idx) + 1 in
         attempts.(idx) <- attempt;
         let backoff = backoff_delay idx attempt in
         on_event (Retry { job = idx; attempt; backoff; reason = msg });
         delayed := (Unix.gettimeofday () +. backoff, idx) :: !delayed
-      | _ ->
+      | outcome ->
         incr done_count;
         on_result idx outcome
     in

@@ -17,6 +17,13 @@ val posix_signal : int -> int
 (** POSIX number of a signal {!run} traps: 2 for [Sys.sigint], 15 for
     [Sys.sigterm]. *)
 
+val diag_fields : Diag.t -> (string * Json.t) list
+(** A {!Diag.t} as JSON object fields: ["code"] (its
+    {!Diag.code_name}), ["message"], and ["context"], an object of
+    strings, only when it has context.  A worker's error crosses the
+    result pipe in this form, and the daemon's error replies embed
+    it. *)
+
 (** Scheduling notifications (today: retries). *)
 type event =
   | Retry of { job : int; attempt : int; backoff : float; reason : string }
@@ -31,7 +38,14 @@ type event =
     adds its own.  The caller should ignore SIGPIPE for the session's
     lifetime (a worker dying between [submit] and the pipe write would
     otherwise kill the parent); worker loss is reported as an [Error]
-    result and the worker respawned. *)
+    result and the worker respawned.
+
+    A job's failure is a {!Diag.t}: the one the worker raised as
+    [Diag.Error], code, message and context intact; a [Service_error]
+    carrying the [Printexc] text of any other exception; or a
+    [Service_error] for the pool's own failures, whose messages are
+    ["worker died"], ["timeout after Ns"] and
+    ["pool protocol violation: <line>"]. *)
 module Persistent : sig
   type t
 
@@ -62,7 +76,7 @@ module Persistent : sig
       it if a worker is idle.  [id] tags the result in {!poll}.
       @raise Invalid_argument after {!shutdown}. *)
 
-  val poll : ?timeout_job:float -> t -> (int * (string, string) result) list
+  val poll : ?timeout_job:float -> t -> (int * (string, Diag.t) result) list
   (** Non-blocking: collect every finished job, respawn dead or
       protocol-violating workers (their in-flight jobs come back as
       [Error]), kill workers whose job ran past [timeout_job] seconds
@@ -95,8 +109,8 @@ val run :
     Fault handling:
     - a job that runs past [timeout] seconds gets its worker killed
       (SIGKILL) and is retried on a fresh worker up to [retries] times;
-    - a worker that raises ships the exception text back and the job is
-      retried the same way;
+    - a worker that raises ships the error back and the job is retried
+      the same way;
     - a worker that dies unexpectedly (EOF on its result pipe) is
       respawned and its in-flight job retried;
     - each retry waits out a capped exponential backoff
@@ -106,8 +120,11 @@ val run :
       transient resource pressure does not immediately re-trip it.
       Every retry is announced through [on_event].
 
-    A job whose retries are exhausted is reported as [Error msg].
-    [run] returns once every job has a result.  The caller must flush
+    A job whose retries are exhausted is reported as [Error msg]; [msg]
+    (and a retry's [reason]) is the failure's message for the pool's own
+    failures and for an exception that is not a [Diag.Error] (the
+    {!Persistent} [Service_error]s), and {!Diag.to_string} of any other
+    [Diag].  [run] returns once every job has a result.  The caller must flush
     [stdout]/[stderr] before calling (children inherit the buffers).
 
     Interruption: [run] installs SIGINT/SIGTERM handlers for its

@@ -1139,7 +1139,8 @@ let validate_image ?(max_dist = Sisa.max_dist) ~(target : target)
        in
        (try validate_func ctx with
         | Abandon_func -> ()
-        | An.Invalid_ir msg | Invalid_argument msg ->
+        | Diag.Error { code = Diag.Invalid_ir; message = msg; _ }
+        | Invalid_argument msg ->
           ctx.findings <-
             Lint_report.finding ~severity:Lint_report.Info ~func:f.Ir.name
               ~pc:image.Image.entry ~check:"tv-abstain"
@@ -1317,7 +1318,7 @@ let mutation_trial ?(config = Straight_cc.Codegen.default_config)
            items)
     in
     match Assembler.Asm.Straight.assemble ~entry:"_start" items' with
-    | exception Assembler.Asm.Asm_error msg ->
+    | exception Diag.Error { code = Diag.Asm_error; message = msg; _ } ->
       Some { m_desc = site.s_desc ^ " (did not assemble: " ^ msg ^ ")";
              m_func = site.s_func; m_caught = false; m_findings = [];
              m_images = None }

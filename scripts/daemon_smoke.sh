@@ -3,6 +3,9 @@
 # load generator twice with the same request mix, and require
 #   - the cold run to complete with zero request errors,
 #   - the warm (identical) run to be served >= 90% from the memo cache,
+#   - a point that deadlocks in its worker (a 0-entry scheduler) to be
+#     answered as straightsim reports it: code SIM_DEADLOCK, and
+#     straightd-client exiting 6 (Diag.exit_code Sim_deadlock),
 #   - a clean shutdown (daemon exit 0, socket unlinked).
 # The straightd-bench/1 reports land in _daemon_smoke/ for CI to
 # archive.  Run via `make daemon-smoke`.
@@ -60,6 +63,18 @@ awk -F': ' '/"cache_hit_rate"/ {
   echo "daemon-smoke: warm hit rate below 0.90"
   exit 1
 }
+
+echo "daemon-smoke: a deadlocking point reports SIM_DEADLOCK"
+st=0
+"$CLIENT" -socket "$SOCK" -quiet \
+  -json '{"op":"simulate","workload":"fib","sched":0}' \
+  >"$DIR/deadlock.json" || st=$?
+if [ "$st" != 6 ] || ! grep -q '"code": "SIM_DEADLOCK"' "$DIR/deadlock.json"
+then
+  echo "daemon-smoke: deadlock reply exited $st, want SIM_DEADLOCK and 6"
+  cat "$DIR/deadlock.json"
+  exit 1
+fi
 
 "$CLIENT" -socket "$SOCK" -op status -quiet >"$DIR/status.json"
 

@@ -39,6 +39,10 @@
 #   - the campaigns that build each source once for every checker: fuzz
 #     -seed 1 -count 20 -tv -json for MiniC and WAT, -lint-only -tv,
 #     and straightc -tv -lint -run -asm on the same regression program;
+#   - the error battery: straightc and straightsim on one FILE for each
+#     compile-family code a CLI can reach (LEX_ERROR, PARSE_ERROR,
+#     LOWER_ERROR, WASM_ERROR, and CODEGEN_ERROR at -maxdist 2), whose
+#     stderr carries the code, message and context;
 #   - the compilers' listings: straightc -asm at -O0/-O1/-O2 for
 #     -target riscv, -target straight, -raw and -maxdist 31, over every
 #     program in test/fuzz_regressions/ and every a*.wat accept fixture
@@ -184,6 +188,17 @@ battery() {
     -json fuzz.wasm.tv.json
   run fuzz.lint-only.tv "$fuzz" -lint-only -seed 1 -count 20 -tv
   run straightc.all "$cc" -tv -lint -run -asm logs/seed7.mc
+  printf 'int main() { return 1 @ 2; }\n' >logs/err.lex.mc
+  printf 'int main() { return 1 + ; }\n' >logs/err.parse.mc
+  printf 'int main() { return undefined_var; }\n' >logs/err.lower.mc
+  printf '(module\n  (func $f (result i32)\n    i32.const 1))\n' \
+    >logs/err.wasm.wat
+  for f in lex.mc parse.mc lower.mc wasm.wat; do
+    run "err.straightc.$f" "$cc" "logs/err.$f"
+    run "err.straightsim.$f" "$sim" "logs/err.$f"
+  done
+  run err.straightc.codegen "$cc" -maxdist 2 logs/seed7.mc
+  run err.straightsim.codegen "$sim" -maxdist 2 logs/seed7.mc
   for src in "$head"/test/fuzz_regressions/* "$head"/test/wasm_fixtures/a*.wat; do
     prog=$(basename "$src")
     ext=${prog##*.}

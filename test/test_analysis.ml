@@ -205,7 +205,7 @@ let lowered src =
 let expect_invalid name f =
   match Analysis.validate f with
   | () -> Alcotest.failf "%s: validate accepted a broken function" name
-  | exception Analysis.Invalid_ir _ -> ()
+  | exception Diag.Error { code = Diag.Invalid_ir; _ } -> ()
   | exception e ->
     Alcotest.failf "%s: expected Invalid_ir, got %s" name (Printexc.to_string e)
 
@@ -302,7 +302,7 @@ let test_checked_blames_broken_pass () =
   let f = lowered "int main() { return 1 + 2; }" in
   match Ssa_ir.Passes.run_passes ~validate:true pipeline f with
   | () -> Alcotest.fail "broken pass went unnoticed"
-  | exception Analysis.Invalid_ir msg ->
+  | exception Diag.Error { code = Diag.Invalid_ir; message = msg; _ } ->
     Alcotest.(check bool)
       (Printf.sprintf "blames sabotage: %S" msg)
       true (contains ~needle:"pass sabotage broke the IR" msg);
@@ -347,7 +347,7 @@ let test_change_detection_term_in_place () =
     Ssa_ir.Passes.run_passes ~validate:true (List.map fst quiet @ [ sabotage ]) f
   with
   | () -> Alcotest.fail "an in-place terminator rewrite went unvalidated"
-  | exception Analysis.Invalid_ir msg ->
+  | exception Diag.Error { code = Diag.Invalid_ir; message = msg; _ } ->
     Alcotest.(check bool)
       (Printf.sprintf "blames retarget: %S" msg)
       true (contains ~needle:"pass retarget broke the IR" msg);

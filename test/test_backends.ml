@@ -364,7 +364,8 @@ let prop_differential =
     (fun src ->
        let src = uniquify_loops src in
        match run_interp src with
-       | exception Minic.Lower.Lower_error _ -> QCheck2.assume_fail ()
+       | exception Diag.Error { code = Diag.Lower_error; _ } ->
+         QCheck2.assume_fail ()
        | reference ->
          let s1 = run_straight ~level:Straight_cc.Codegen.Re_plus ~max_dist:1023 src in
          let s2 = run_straight ~level:Straight_cc.Codegen.Raw ~max_dist:1023 src in

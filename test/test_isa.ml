@@ -125,21 +125,25 @@ let test_straight_examples () =
   Alcotest.check straight_insn "iota init" (S.Alui (S.Addi, 0, 0l))
     (S.map_label int_of_string i);
   Alcotest.check_raises "distance range"
-    (SP.Parse_error "distance 1024 out of range") (fun () ->
-      ignore (SP.parse_insn [ "RMOV"; "[1024]" ]))
+    (Diag.Error
+       (Diag.make ~context:[ ("source", "straight-asm") ] Diag.Parse_error
+          "distance 1024 out of range"))
+    (fun () -> ignore (SP.parse_insn [ "RMOV"; "[1024]" ]))
 
 let test_straight_field_limits () =
   (* 10-bit source fields: 1023 encodes, 1024 must be rejected. *)
   ignore (SE.encode (S.Rmov 1023));
   Alcotest.check_raises "dist overflow"
-    (SE.Encode_error "rmov distance 1024 out of [0,1023]") (fun () ->
-      ignore (SE.encode (S.Rmov 1024)));
+    (Diag.Error
+       (Diag.make ~context:[ ("target", "straight") ] Diag.Encode_error
+          "rmov distance 1024 out of [0,1023]"))
+    (fun () -> ignore (SE.encode (S.Rmov 1024)));
   (* ST offset is 6 signed bits of words. *)
   ignore (SE.encode (S.St (1, 2, 124)));
   (try
      ignore (SE.encode (S.St (1, 2, 128)));
      Alcotest.fail "st offset 128 should not encode"
-   with SE.Encode_error _ -> ())
+   with Diag.Error { code = Diag.Encode_error; _ } -> ())
 
 (* ---------- exhaustive boundary round-trips ----------
 
@@ -156,7 +160,7 @@ let roundtrips insn =
 
 let rejects insn =
   match SE.encode insn with
-  | exception SE.Encode_error _ -> true
+  | exception Diag.Error { code = Diag.Encode_error; _ } -> true
   | _ -> false
 
 let check_rt name insn = Alcotest.(check bool) name true (roundtrips insn)
@@ -231,7 +235,7 @@ let r_roundtrips insn =
 
 let r_rejects insn =
   match RE.encode insn with
-  | exception RE.Encode_error _ -> true
+  | exception Diag.Error { code = Diag.Encode_error; _ } -> true
   | _ -> false
 
 let r_rt name insn = Alcotest.(check bool) name true (r_roundtrips insn)

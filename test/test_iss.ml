@@ -411,11 +411,11 @@ let test_asm_errors () =
   (try
      ignore (SAsm.assemble_source ".text\nmain:\n  J nowhere\n  HALT\n");
      Alcotest.fail "undefined symbol accepted"
-   with Assembler.Asm.Asm_error _ -> ());
+   with Diag.Error { code = Diag.Asm_error; _ } -> ());
   (try
      ignore (SAsm.assemble_source ".text\nx:\nx:\n  HALT\n");
      Alcotest.fail "duplicate label accepted"
-   with Assembler.Asm.Asm_error _ -> ())
+   with Diag.Error { code = Diag.Asm_error; _ } -> ())
 
 (* ---------- Iss.Machine ---------- *)
 

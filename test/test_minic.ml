@@ -210,8 +210,10 @@ int sq(int x) { return x * x; }
 let test_errors () =
   let expect_fail src =
     match Minic.Lower.compile src with
-    | exception (Minic.Lower.Lower_error _ | Minic.Parser.Parse_error _
-                | Minic.Lexer.Lex_error _) -> ()
+    | exception
+        Diag.Error
+          { code = Diag.Lower_error | Diag.Parse_error | Diag.Lex_error; _ } ->
+      ()
     | _ -> Alcotest.fail ("should not compile: " ^ src)
   in
   expect_fail {| int main() { return undefined_var; } |};

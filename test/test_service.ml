@@ -17,6 +17,9 @@
      for the same grid (daemon == CLI);
    - the compile op answers every target name with the library's
      listing, memoizes it, and rejects an unknown target;
+   - a job that fails in its worker is answered with the worker's Diag
+     (code, message, context), the error the CLI reports (daemon ==
+     CLI);
    - a shutdown request drains cleanly: exit 0, socket unlinked. *)
 
 module J = Json
@@ -89,31 +92,31 @@ let simulate_req ?(id = "-") workload =
 let test_proto_codec () =
   (match Proto.request_of_json (J.Obj [ ("op", J.Str "frobnicate") ]) with
    | _ -> Alcotest.fail "unknown op must be rejected"
-   | exception Proto.Bad_request (Diag.Proto_error, _) -> ());
+   | exception Diag.Error { code = Diag.Proto_error; _ } -> ());
   (match Proto.request_of_json (J.Str "simulate") with
    | _ -> Alcotest.fail "non-object requests must be rejected"
-   | exception Proto.Bad_request (Diag.Proto_error, _) -> ());
+   | exception Diag.Error { code = Diag.Proto_error; _ } -> ());
   (match
      Proto.request_of_json
        (J.Obj [ ("op", J.Str "simulate"); ("workload", J.Str "fib");
                 ("width", J.Str "two") ])
    with
    | _ -> Alcotest.fail "a string width must be rejected"
-   | exception Proto.Bad_request (Diag.Proto_error, _) -> ());
+   | exception Diag.Error { code = Diag.Proto_error; _ } -> ());
   (match
      Proto.request_of_json
        (J.Obj [ ("op", J.Str "simulate"); ("workload", J.Str "fib");
                 ("machine", J.Str "valiant") ])
    with
    | _ -> Alcotest.fail "an unknown machine must be rejected"
-   | exception Proto.Bad_request (Diag.Config_error, _) -> ());
+   | exception Diag.Error { code = Diag.Config_error; _ } -> ());
   (* a present field of the wrong type is a protocol violation, never
      its default *)
   List.iter
     (fun (req, field) ->
        match Proto.request_of_json (J.of_string req) with
        | _ -> Alcotest.failf "%s: a mistyped %S must be rejected" req field
-       | exception Proto.Bad_request (Diag.Proto_error, m) ->
+       | exception Diag.Error { code = Diag.Proto_error; message = m; _ } ->
          Alcotest.(check string) (req ^ ": message")
            (Printf.sprintf "field %S must be a string" field) m)
     [ ({|{"op":"simulate","workload":"fib","machine":5}|}, "machine");
@@ -131,14 +134,14 @@ let test_proto_codec () =
     (fun req ->
        match Proto.request_id (J.of_string req) with
        | id -> Alcotest.failf "%s: id %S accepted" req id
-       | exception Proto.Bad_request (Diag.Proto_error, m) ->
+       | exception Diag.Error { code = Diag.Proto_error; message = m; _ } ->
          Alcotest.(check string) (req ^ ": message")
            {|field "id" must be a string|} m)
     [ {|{"id":5,"op":"status"}|}; {|{"id":["a"],"op":"status"}|};
       {|{"id":true,"op":"status"}|} ];
   (match Proto.request_of_json (J.of_string {|{"id":5,"op":"status"}|}) with
    | _ -> Alcotest.fail "a request with a numeric id must be rejected"
-   | exception Proto.Bad_request (Diag.Proto_error, _) -> ());
+   | exception Diag.Error { code = Diag.Proto_error; _ } -> ());
   (* ... while a missing or null one still takes its default *)
   (match
      Proto.request_of_json
@@ -154,7 +157,7 @@ let test_proto_codec () =
        (J.Obj [ ("op", J.Str "sample"); ("workload", J.Str "fib") ])
    with
    | _ -> Alcotest.fail "sample without a spec must be rejected"
-   | exception Proto.Bad_request (Diag.Proto_error, _) -> ());
+   | exception Diag.Error { code = Diag.Proto_error; _ } -> ());
   (* the canonical-JSON round trip preserves the store content address:
      the scheduler and the pool worker must derive the same key *)
   List.iter
@@ -412,6 +415,51 @@ let test_compile_op () =
         (J.get_string (J.member "code" reply));
       Client.close c)
 
+let test_worker_error_matches_cli () =
+  (* a scheduler of 0 entries wedges the machine: the watchdog's
+     SIM_DEADLOCK, raised in a pool worker, must reach the client as the
+     error straightsim reports for the same point, context included *)
+  let req =
+    J.Obj
+      [ ("op", J.Str "simulate"); ("workload", J.Str "fib");
+        ("sched", J.Int 0) ]
+  in
+  let want =
+    match Sweep.Runner.run (Proto.grid_point (Proto.point_req_of_json req)) with
+    | _ -> Alcotest.fail "a 0-entry scheduler must deadlock"
+    | exception Diag.Error d -> d
+  in
+  Alcotest.(check string) "the library raises SIM_DEADLOCK" "SIM_DEADLOCK"
+    (Diag.code_name want.Diag.code);
+  with_daemon (fun ~sock ~cache:_ ~pid:_ ->
+      let c = Client.connect sock in
+      let reply = Client.request c req in
+      Client.close c;
+      Alcotest.(check (option string)) "an error reply" (Some "error")
+        (J.get_string (J.member "type" reply));
+      Alcotest.(check (option string)) "the worker's code" (Some "SIM_DEADLOCK")
+        (J.get_string (J.member "code" reply));
+      Alcotest.(check (option string)) "the worker's message"
+        (Some want.Diag.message)
+        (J.get_string (J.member "message" reply));
+      let ctx =
+        match J.member "context" reply with
+        | Some (J.Obj l) ->
+          List.map (fun (k, v) -> (k, J.get_string (Some v))) l
+        | _ -> Alcotest.fail "no context object"
+      in
+      Alcotest.(check (list (pair string (option string))))
+        "the watchdog's context"
+        (List.map (fun (k, v) -> (k, Some v)) want.Diag.context)
+        ctx;
+      List.iter
+        (fun k ->
+           Alcotest.(check bool) (k ^ " in the context") true
+             (List.mem_assoc k ctx))
+        [ "reason"; "cycle"; "stuck_at" ];
+      Alcotest.(check int) "straightd-client exits as straightsim does" 6
+        (Diag.exit_code want.Diag.code))
+
 let test_clean_shutdown () =
   with_daemon (fun ~sock ~cache:_ ~pid ->
       let c = Client.connect sock in
@@ -439,6 +487,8 @@ let suite =
     Alcotest.test_case "daemon: sweep equals the CLI sweep" `Slow
       test_sweep_matches_cli;
     Alcotest.test_case "daemon: compile op" `Quick test_compile_op;
+    Alcotest.test_case "daemon: a worker's error is the CLI's" `Quick
+      test_worker_error_matches_cli;
     Alcotest.test_case "daemon: clean shutdown" `Quick test_clean_shutdown ]
 
 let () = Alcotest.run "service" [ ("service", suite) ]

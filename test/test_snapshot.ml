@@ -311,6 +311,74 @@ let test_reject_old_engine_image () =
       ignore (Sim.restore path));
   Sys.remove path
 
+(* The byte span of an engine image's window-capacity varint and its
+   value, read in [Engine.save]'s order: version, trace length, next
+   seq, cycle, the done flag, 15 counters, three int arrays, the fetch
+   mode and the RMT. *)
+let win_cap_span (payload : string) =
+  let r = Bin.reader payload in
+  for _ = 1 to 4 do ignore (Bin.r_int r) done;
+  ignore (Bin.r_bool r);
+  for _ = 1 to 15 do ignore (Bin.r_int r) done;
+  for _ = 1 to 3 do ignore (Bin.r_int_array r) done;
+  (match Bin.r_int r with 0 | 1 -> ignore (Bin.r_int r) | _ -> ());
+  ignore (Bin.r_int_array r);
+  let start = r.Bin.pos in
+  let cap = Bin.r_int r in
+  (start, r.Bin.pos, cap)
+
+(* The window-capacity varint sizes nothing on restore: an image whose
+   capacity was forged to 2^18 or 2^61 (CRC recomputed) restores to the
+   unforged image's result, and the 2^18 one allocates no more than the
+   unforged restore (each window record is some 30 words: 2^18 of them
+   would be over 60 MB). *)
+let test_forged_window_capacity () =
+  let spec =
+    Sim.spec ~model:Params.ss_2way ~target:Exp.Riscv (Workloads.iota ())
+  in
+  let good = tmp "wincap.snap" in
+  (match
+     Sim.drive ~checkpoint_path:good ~stop_at:400 (lazy (Sim.start spec))
+   with
+   | Sim.Stopped _ -> ()
+   | Sim.Completed _ -> Alcotest.fail "iota finished before cycle 400");
+  let m, r = Snapshot.File.load good in
+  let payload = String.sub r.Bin.data r.Bin.pos (Bin.remaining r) in
+  let start, stop, cap = win_cap_span payload in
+  Alcotest.(check int) "the image's window holds 1024 records" 1024 cap;
+  let forge cap =
+    let path = tmp (Printf.sprintf "wincap-%d.snap" cap) in
+    let b = Buffer.create 16 in
+    Bin.w_int b cap;
+    Snapshot.File.save path m
+      ~payload:
+        (String.sub payload 0 start ^ Buffer.contents b
+         ^ String.sub payload stop (String.length payload - stop));
+    path
+  in
+  let restore path =
+    (* an empty minor heap: nothing allocated before the restore is
+       promoted (and subtracted) while it runs *)
+    Gc.full_major ();
+    let before = Gc.allocated_bytes () in
+    let s = Sim.restore path in
+    let bytes = Gc.allocated_bytes () -. before in
+    Sys.remove path;
+    (completed (Sim.drive (Lazy.from_val s)), bytes)
+  in
+  let want, base_bytes = restore good in
+  List.iter
+    (fun (label, cap) ->
+       let got, bytes = restore (forge cap) in
+       check_result_equal label want got;
+       if cap = 1 lsl 18 then
+         Alcotest.(check bool)
+           (Printf.sprintf "%s: restore allocates %.1f MB, unforged %.1f MB"
+              label (bytes /. 1e6) (base_bytes /. 1e6))
+           true
+           (Float.abs (bytes -. base_bytes) <= 1e6))
+    [ ("capacity 2^18", 1 lsl 18); ("capacity 2^61", 1 lsl 61) ]
+
 let test_reject_missing () =
   expect_snapshot_error "missing file" (fun () ->
       ignore (Sim.restore (tmp "does-not-exist.snap")))
@@ -694,6 +762,8 @@ let suite =
     ("reject: future version", `Quick, test_reject_bad_version);
     ("reject: engine image of the previous version", `Quick,
      test_reject_old_engine_image);
+    ("restore: a forged window capacity sizes nothing", `Quick,
+     test_forged_window_capacity);
     ("reject: missing file", `Quick, test_reject_missing);
     ("fingerprint: bounded prefix, forgeries refused", `Quick,
      test_fingerprint_prefix);

@@ -468,16 +468,18 @@ let test_persistent_failures () =
     wait ()
   in
   Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
+  let service m = Error (Diag.make Diag.Service_error m) in
   Alcotest.(check bool) "a raising payload names the exception" true
-    (job "raise" = Error (Printexc.to_string (Failure "kaboom")));
+    (job "raise" = service (Printexc.to_string (Failure "kaboom")));
   Alcotest.(check bool) "an exiting payload reports a dead worker" true
-    (job "exit" = Error "worker died");
+    (job "exit" = service "worker died");
   Alcotest.(check bool) "the respawned worker serves the next job" true
     (job "a" = Ok "echo a");
   (match job ~timeout_job:0.3 "hang" with
-   | Error msg ->
+   | Error { Diag.code = Diag.Service_error; message = msg; _ } ->
      Alcotest.(check bool) "a hung job times out" true
        (String.length msg >= 7 && String.sub msg 0 7 = "timeout")
+   | Error d -> Alcotest.failf "a hung job: %s" (Diag.to_string d)
    | Ok _ -> Alcotest.fail "a hung job cannot succeed");
   Alcotest.(check bool) "the replacement worker serves the next job" true
     (job "b" = Ok "echo b");
@@ -485,6 +487,67 @@ let test_persistent_failures () =
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
   | _ -> Alcotest.fail "a worker survived shutdown"
+
+(* A worker's [Diag.Error] reaches the parent as the same [Diag.t],
+   whatever its code and however awkward its text; any other exception
+   is a [Service_error] with its [Printexc] text, and [Pool.run] reports
+   a job's [Diag] the way the command-line tools print it. *)
+let test_pool_worker_diag () =
+  let module P = Sweep.Pool.Persistent in
+  let diag_of name =
+    Diag.make
+      (Option.get (Diag.of_code_name name))
+      ("failed in " ^ name ^ " \"quoted\"\n\ttabbed \xce\xbb")
+      ~context:[ ("code", name); ("empty", ""); ("line", "a\nb") ]
+  in
+  let p =
+    P.create ~procs:2
+      ~worker:(function
+          | "failure" -> failwith "kaboom"
+          | "bare" -> raise (Diag.Error (Diag.make Diag.Sim_deadlock "stuck"))
+          | name -> raise (Diag.Error (diag_of name)))
+      ()
+  in
+  Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
+  let payloads = "failure" :: "bare" :: List.map Diag.code_name Diag.codes in
+  List.iteri (fun id payload -> P.submit p ~id payload) payloads;
+  let results = Hashtbl.create 32 in
+  let deadline = Unix.gettimeofday () +. 20. in
+  while Hashtbl.length results < List.length payloads do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "jobs never answered";
+    (try ignore (Unix.select (P.result_fds p) [] [] 0.05)
+     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    List.iter (fun (id, r) -> Hashtbl.replace results id r) (P.poll p)
+  done;
+  List.iteri
+    (fun id payload ->
+       let want =
+         match payload with
+         | "failure" ->
+           Diag.make Diag.Service_error (Printexc.to_string (Failure "kaboom"))
+         | "bare" -> Diag.make Diag.Sim_deadlock "stuck"
+         | name -> diag_of name
+       in
+       match Hashtbl.find results id with
+       | Error d ->
+         Alcotest.(check string) (payload ^ ": diag") (Diag.to_string want)
+           (Diag.to_string d);
+         Alcotest.(check bool) (payload ^ ": same Diag.t") true (d = want)
+       | Ok line -> Alcotest.failf "%s: succeeded with %S" payload line)
+    payloads;
+  let msgs = Array.make 2 "" in
+  Sweep.Pool.run ~jobs:2 ~procs:1 ~retries:0
+    ~worker:(function
+        | 0 -> raise (Diag.Error (diag_of "SIM_DEADLOCK"))
+        | _ -> failwith "kaboom")
+    ~on_result:(fun i -> function
+        | Error m -> msgs.(i) <- m
+        | Ok _ -> Alcotest.failf "job %d succeeded" i)
+    ();
+  Alcotest.(check string) "run: a Diag reads as the CLI prints it"
+    (Diag.to_string (diag_of "SIM_DEADLOCK")) msgs.(0);
+  Alcotest.(check string) "run: another exception reads as its text"
+    (Printexc.to_string (Failure "kaboom")) msgs.(1)
 
 (* ---------- stale temp hygiene ---------- *)
 
@@ -667,6 +730,8 @@ let props_suite =
       test_pool_callback_exception;
     Alcotest.test_case "pool: dead worker is retried" `Quick
       test_pool_worker_death;
+    Alcotest.test_case "pool: a worker's Diag crosses intact" `Quick
+      test_pool_worker_diag;
     Alcotest.test_case "pool: persistent session failures" `Quick
       test_persistent_failures;
     Alcotest.test_case "driver: nested cache directory" `Quick
