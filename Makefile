@@ -175,22 +175,22 @@ SAMPLE_DIR = _sample_smoke
 sample-smoke:
 	rm -rf $(SAMPLE_DIR) && mkdir -p $(SAMPLE_DIR)
 	dune exec bin/straightsim.exe -- -model straight-2way -target straight \
-	  -workload dhrystone -fast-forward 20000 -warm >/dev/null
+	  -workload dhrystone:100 -fast-forward 20000 -warm >/dev/null
 	dune exec bin/straightsim.exe -- -model ss-2way -target riscv \
-	  -workload dhrystone -fast-forward 20000 -warm >/dev/null
+	  -workload dhrystone:100 -fast-forward 20000 -warm >/dev/null
 	dune exec bin/straightsim.exe -- -model straight-2way -target straight \
-	  -workload dhrystone -sample interval=5k,warmup=1k -j 4 \
+	  -workload dhrystone:100 -sample interval=5k,warmup=1k -j 4 \
 	  -store $(SAMPLE_DIR) -sample-json $(SAMPLE_DIR)/sample-straight.json \
 	  -sample-check
 	dune exec bin/straightsim.exe -- -model ss-2way -target riscv \
-	  -workload dhrystone -sample interval=5k,warmup=1k -j 4 \
+	  -workload dhrystone:100 -sample interval=5k,warmup=1k -j 4 \
 	  -store $(SAMPLE_DIR) -sample-json $(SAMPLE_DIR)/sample-riscv.json \
 	  -sample-check
 	@echo "sample-smoke: sampled CPI within error bars on both pipelines"
 
 # Memory ceiling for exact simulation (see DESIGN.md, "Streaming the
 # correct path"): the full 30.2M-instruction stream workload, and
-# pointer-chase, whose front-end queue backs up by hundreds of
+# pointer_chase, whose front-end queue backs up by hundreds of
 # thousands of uops, simulated exactly with the lockstep checker on, on
 # STRAIGHT-4way and SS-4way.  Each run fails if the simulator's peak RSS
 # exceeds 100 MB (the script's fixed ceiling).  The binary runs directly
@@ -198,13 +198,13 @@ sample-smoke:
 STRAIGHTSIM = _build/default/bin/straightsim.exe
 stream-smoke:
 	dune build bin/straightsim.exe
-	for wl in stream pointer-chase; do \
+	for wl in stream pointer_chase; do \
 	  python3 scripts/stream_smoke.py $(STRAIGHTSIM) \
 	    -model straight-4way -target straight -workload $$wl || exit 1; \
 	  python3 scripts/stream_smoke.py $(STRAIGHTSIM) \
 	    -model ss-4way -target riscv -workload $$wl || exit 1; \
 	done
-	@echo "stream-smoke: exact stream and pointer-chase under 100 MB on both pipelines"
+	@echo "stream-smoke: exact stream and pointer_chase under 100 MB on both pipelines"
 
 # Resident-daemon smoke (see EXPERIMENTS.md, "The resident daemon"):
 # start straightd on a scratch socket, drive the load generator twice

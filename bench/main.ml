@@ -19,9 +19,6 @@ module Stats = Ooo_common.Stats
 
 let quick = ref false
 
-let dhrystone () = Workloads.dhrystone ~iterations:(if !quick then 30 else 200) ()
-let coremark () = Workloads.coremark ~iterations:(if !quick then 2 else 5) ()
-
 let header title =
   Printf.printf "\n==================== %s ====================\n%!" title
 
@@ -100,7 +97,9 @@ let json_suite out =
       (Models.straight_2way, Exp.Straight_re);
       (Models.straight_4way, Exp.Straight_re) ]
   in
-  let workloads = [ dhrystone (); coremark () ] in
+  let workloads =
+    List.map (Workloads.resolve ~quick:!quick) [ "dhrystone"; "coremark" ]
+  in
   let median xs =
     let a = Array.of_list xs in
     Array.sort compare a;

@@ -124,13 +124,6 @@ let opt_levels =
     (fun o -> (o, Ssa_ir.Passes.opt_name o))
     [ Ssa_ir.Passes.O0; Ssa_ir.Passes.O1; Ssa_ir.Passes.O2 ]
 
-(* The benchmark programs [-lint-workloads] and [-tv-workloads] cover. *)
-let workloads () =
-  [ Workloads.dhrystone (); Workloads.coremark (); Workloads.fib ();
-    Workloads.iota (); Workloads.sort (); Workloads.quicksort ();
-    Workloads.pointer_chase () ]
-  @ Workloads.all_wasm ()
-
 (* ---- translation validation (lib/tv) ---- *)
 
 (* Validate each verified image of a build against the clone its back
@@ -176,10 +169,10 @@ let tv_build ~(report_crash : bool) (b : Fuzz.Diff.build) :
        | exception _ -> (nv, na, lines))
     (0, 0, []) (tv_runs b)
 
-(* [-tv-workloads]: every benchmark x middle-end level x back-end
-   configuration.  An [Error] finding or an abstention fails the
-   configuration.  Returns the labeled finding groups (for the
-   [straight-tv/1] JSON report) alongside the failures. *)
+(* [-tv-workloads]: every registered workload at its default size x
+   middle-end level x back-end configuration.  An [Error] finding or an
+   abstention fails the configuration.  Returns the labeled finding
+   groups (for the [straight-tv/1] JSON report) alongside the failures. *)
 let tv_workloads () :
   (string * Lint_report.finding list) list * failure list =
   let groups = ref [] and failures = ref [] in
@@ -225,7 +218,7 @@ let tv_workloads () :
                      :: !failures)
               (tv_runs b))
          opt_levels)
-    (workloads ());
+    (List.map (Workloads.resolve ~quick:false) Workloads.names);
   (List.rev !groups, List.rev !failures)
 
 (* Behavioral fingerprint of an image on the functional simulator:
@@ -317,10 +310,10 @@ let tv_mutations ~(base : int) (n : int) : failure list =
       !caught n !tried;
   !fails
 
-(* [-lint-workloads]: every benchmark, every middle-end level, both
-   ISAs.  Returns one labeled finding group per linked image
-   ([<workload>:<target>:<O-level>], for the JSON report) alongside the
-   failures. *)
+(* [-lint-workloads]: every registered workload at its default size,
+   every middle-end level, both ISAs.  Returns one labeled finding group
+   per linked image ([<workload>:<target>:<O-level>], for the JSON
+   report) alongside the failures. *)
 let lint_workloads () :
   (string * Lint_report.finding list) list * failure list =
   let groups = ref [] in
@@ -349,7 +342,7 @@ let lint_workloads () :
                 Some { f_seed = -1; f_kind = "lint"; f_detail = findings;
                        f_source = ""; f_minimized = None })
            opt_levels)
-      (workloads ())
+      (List.map (Workloads.resolve ~quick:false) Workloads.names)
   in
   (List.rev !groups, failures)
 

@@ -20,12 +20,12 @@
 module J = Json
 
 let usage () =
-  prerr_endline
+  Printf.eprintf
     "usage: straightd-client -socket PATH [options]\n\
      one-shot:\n\
      \  -op OP          compile|simulate|sample|sweep|status|shutdown\n\
      \                  (default status)\n\
-     \  -workload W     workload name (compile/simulate/sample)\n\
+     \  -workload W     workload (compile/simulate/sample): %s\n\
      \  -machine M      ss|ss-ckptN|straight-raw|straight-re (default ss)\n\
      \  -width N        issue width (default 2)\n\
      \  -predictor P    gshare|tage (default gshare)\n\
@@ -43,9 +43,10 @@ let usage () =
      \  -bench          run the load generator and print straightd-bench/1\n\
      \  -clients N      concurrent client processes (default 8)\n\
      \  -requests M     requests per client (default 16)\n\
-     \  -mix LIST       comma list of op[:workload[:machine]] items\n\
+     \  -mix LIST       comma list of op[:workload[:N][:machine]] items\n\
      \                  (default simulate:fib,simulate:iota,status)\n\
-     \  -out FILE       write the bench report to FILE too";
+     \  -out FILE       write the bench report to FILE too\n"
+    Workloads.synopsis;
   exit 2
 
 (* ---------- one-shot ---------- *)
@@ -82,10 +83,15 @@ let parse_mix s =
   if items = [] then usage ();
   List.map
     (fun item ->
+       let mi op w m = { mi_op = op; mi_workload = w; mi_machine = m } in
+       (* a workload may carry its count: "simulate:coremark:1[:ss]" *)
+       let count n = int_of_string_opt n <> None in
        match String.split_on_char ':' item with
-       | [ op ] -> { mi_op = op; mi_workload = "fib"; mi_machine = "ss" }
-       | [ op; w ] -> { mi_op = op; mi_workload = w; mi_machine = "ss" }
-       | [ op; w; m ] -> { mi_op = op; mi_workload = w; mi_machine = m }
+       | [ op ] -> mi op "fib" "ss"
+       | [ op; w ] -> mi op w "ss"
+       | [ op; w; n ] when count n -> mi op (w ^ ":" ^ n) "ss"
+       | [ op; w; m ] -> mi op w m
+       | [ op; w; n; m ] when count n -> mi op (w ^ ":" ^ n) m
        | _ -> usage ())
     items
 

@@ -54,20 +54,6 @@ module Pipeline = Ooo_common.Pipeline
 module Stats = Ooo_common.Stats
 module Sim = Snapshot.Sim
 
-let workloads : (string * (unit -> Workloads.t)) list =
-  [ ("dhrystone", fun () -> Workloads.dhrystone ~iterations:100 ());
-    ("coremark", fun () -> Workloads.coremark ~iterations:2 ());
-    ("fib", fun () -> Workloads.fib ());
-    ("iota", fun () -> Workloads.iota ());
-    ("sort", fun () -> Workloads.sort ());
-    ("quicksort", fun () -> Workloads.quicksort ());
-    ("pointer-chase", fun () -> Workloads.pointer_chase ());
-    ("stream", fun () -> Workloads.stream ());
-    ("stream-short", fun () -> Workloads.stream ~iterations:1 ());
-    ("wasm-sieve", fun () -> Workloads.wasm_sieve ());
-    ("wasm-crc32", fun () -> Workloads.wasm_crc32 ());
-    ("wasm-expr", fun () -> Workloads.wasm_expr ()) ]
-
 let parse_inject_kinds (s : string) : Inject.kind list =
   if s = "all" then
     [ Inject.Flip_prediction; Inject.Corrupt_cache_tag;
@@ -161,7 +147,8 @@ let () =
         error bars");
       ("-sample-floor", Arg.Set_float sample_floor,
        "relative tolerance floor for -sample-check (default 0.02)");
-      ("-workload", Arg.Set_string workload, "built-in workload name") ]
+      ("-workload", Arg.Set_string workload,
+       "built-in workload: " ^ Workloads.synopsis) ]
   in
   Arg.parse spec (fun f -> file := f) "straightsim [options] [FILE]";
   let model =
@@ -194,21 +181,22 @@ let () =
     | Some t -> t
     | None -> Printf.eprintf "unknown target %s\n" !target_name; exit 2
   in
-  let resolve_workload () =
-    match !workload, !file with
-    | "", f when f <> "" ->
-      { Workloads.name = Filename.basename f;
-        source = In_channel.with_open_text f In_channel.input_all;
-        iterations = 1 }
-    | "", _ ->
-      prerr_endline "need a FILE, -workload, or -restore"; exit 2
-    | name, _ ->
-      (match List.assoc_opt name workloads with
-       | Some mk -> mk ()
-       | None ->
-         Printf.eprintf "unknown workload %s (valid: %s)\n" name
-           (String.concat ", " (List.map fst workloads));
-         exit 2)
+  (* the run the selection flags name: one program, FILE or -workload *)
+  let spec () =
+    let w =
+      match !workload, !file with
+      | "", "" -> prerr_endline "need a FILE, -workload, or -restore"; exit 2
+      | "", f ->
+        { Workloads.name = Filename.basename f;
+          source = In_channel.with_open_text f In_channel.input_all;
+          iterations = 1 }
+      | name, "" -> Workloads.resolve ~quick:false name
+      | name, f ->
+        Printf.eprintf "straightsim: -workload %s and FILE %s both name a \
+                        program; give one\n" name f;
+        exit 2
+    in
+    Sim.spec ~max_dist:!maxdist ~check:(not !no_check) ~model ~target w
   in
   let outcome () =
     (* a snapshot is self-contained: -restore rebuilds the workload and
@@ -216,10 +204,7 @@ let () =
     let session =
       lazy
         (if !restore <> "" then Sim.restore !restore
-         else
-           Sim.start
-             (Sim.spec ~max_dist:!maxdist ~check:(not !no_check) ~model
-                ~target (resolve_workload ())))
+         else Sim.start (spec ()))
     in
     Sim.drive ~checkpoint_every:!checkpoint_every
       ?checkpoint_path:(if !checkpoint = "" then None else Some !checkpoint)
@@ -252,10 +237,7 @@ let () =
   (* -fast-forward: functional skip (optionally warming), then the
      detailed model over the remainder only *)
   let run_fast_forward () =
-    let spec =
-      Sim.spec ~max_dist:!maxdist ~check:(not !no_check) ~model ~target
-        (resolve_workload ())
-    in
+    let spec = spec () in
     let s =
       Pipeline.start_region ~check:spec.Sim.check ~max_dist:!maxdist
         ~warm:!warm ~from:!fast_forward model (Sim.compile spec)
@@ -287,10 +269,7 @@ let () =
         Printf.eprintf "straightsim: -sample %S: %s\n" !sample m;
         exit 2
     in
-    let w = resolve_workload () in
-    let spec =
-      Sim.spec ~max_dist:!maxdist ~check:(not !no_check) ~model ~target w
-    in
+    let spec = spec () in
     let plan, cached = Sample.Interval.materialize ~dir:!store spec sp in
     let entries = Array.of_list plan.Sample.Interval.entries in
     Printf.printf "plan %s: %d interval(s) over %d retired insns%s\n"
@@ -339,7 +318,8 @@ let () =
     (if !sample_json <> "" then begin
        let text =
          Json.to_string
-           (Sample.Recombine.report_json ~workload:w.Workloads.name
+           (Sample.Recombine.report_json
+              ~workload:spec.Sim.workload.Workloads.name
               ~target:(Exp.target_label target) ~spec:sp est)
        in
        match !sample_json with
@@ -348,12 +328,13 @@ let () =
          Out_channel.with_open_text path (fun oc -> output_string oc text)
      end);
     if !sample_check then begin
-      let exact =
-        Exp.run ~max_dist:!maxdist ~check:(not !no_check) ~model ~target w
+      let exact_cycles =
+        match Sim.drive (lazy (Sim.start spec)) with
+        | Sim.Completed r -> r.Exp.cycles
+        | Sim.Stopped _ -> assert false (* no stop cycle given *)
       in
       let v =
-        Sample.Recombine.check est ~exact_cycles:exact.Exp.cycles
-          ~floor:!sample_floor
+        Sample.Recombine.check est ~exact_cycles ~floor:!sample_floor
       in
       Printf.printf "exact CPI    : %.4f (err %.4f, tolerance %.4f) -> %s\n"
         v.Sample.Recombine.exact_cpi v.Sample.Recombine.err
@@ -396,11 +377,7 @@ let () =
     Printf.printf "mix          : %s\n"
       (String.concat ", "
          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) s.Engine.mix));
-    Printf.printf "CPI stack    : %s\n"
-      (String.concat ", "
-         (List.map
-            (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-            (Stats.cpi_to_assoc s.Engine.cpi_stack)));
+    print_cpi_stack s.Engine.cpi_stack;
     (if !stats_json <> "" then begin
        let json =
          Json.Obj

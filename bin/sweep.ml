@@ -25,7 +25,7 @@ module Params = Ooo_common.Params
 module J = Json
 
 let usage () =
-  prerr_endline
+  Printf.eprintf
     "usage: sweep [options]\n\
      \  -j N              worker processes (default: host cores; 0 = in-process)\n\
      \  -grid NAME        preset: default | smoke | golden | paper (the\n\
@@ -37,7 +37,7 @@ let usage () =
      \  -scheds LIST      scheduler entries; 'default' keeps the model value\n\
      \  -predictors LIST  gshare,tage\n\
      \  -ideal LIST       real,ideal (recovery model)\n\
-     \  -workloads LIST   dhrystone,coremark,fib,iota,sort,quicksort,pointer_chase\n\
+     \  -workloads LIST   %s\n\
      \  -samples LIST     ';'-separated fidelity axis: exact and/or sampling\n\
      \                    specs like interval=1M,warmup=100k,every=4\n\
      \  -out FILE         aggregated output (default sweep.json)\n\
@@ -49,7 +49,8 @@ let usage () =
      \                    (default 20000; 0 disables)\n\
      \  -expect-cached    fail (exit 3) if any point had to simulate\n\
      \  -no-stream        suppress the per-point JSONL stream on stdout\n\
-     \  -list             print the expanded points and exit";
+     \  -list             print the expanded points and exit\n"
+    Workloads.synopsis;
   exit 2
 
 (* An axis value list: comma-separated elements, each through [parse]; a
@@ -184,9 +185,9 @@ let () =
       in
       match Sweep.Grid.expand spec with
       | points -> (points, Sweep.Grid.spec_to_json spec, spec.Sweep.Grid.quick)
-      | exception Invalid_argument m ->
-        prerr_endline m;
-        exit 2
+      | exception Diag.Error d ->
+        Printf.eprintf "sweep: %s\n" (Diag.to_string d);
+        exit (Diag.exit_code d.Diag.code)
   in
   let name (pt : Sweep.Grid.point) =
     let sp = pt.Sweep.Grid.spec in

@@ -6,14 +6,21 @@
 module Params = Ooo_common.Params
 module Exp = Straight_core.Experiment
 module Engine = Ooo_common.Engine
+module Sim = Snapshot.Sim
+
+(* One exact run: a session driven to completion. *)
+let simulate ~model ~target w =
+  match Sim.drive (lazy (Sim.start (Sim.spec ~model ~target w))) with
+  | Sim.Completed r -> r
+  | Sim.Stopped _ -> assert false (* no stop cycle given *)
 
 let () =
   Printf.printf "%-14s %-10s %8s %8s %8s %10s\n" "workload" "core" "rename"
     "regfile" "other" "cycles";
   List.iter
     (fun (w : Workloads.t) ->
-       let ss = Exp.run ~model:Params.ss_2way ~target:Exp.Riscv w in
-       let st = Exp.run ~model:Params.straight_2way ~target:Exp.Straight_re w in
+       let ss = simulate ~model:Params.ss_2way ~target:Exp.Riscv w in
+       let st = simulate ~model:Params.straight_2way ~target:Exp.Straight_re w in
        let show name (r : Exp.result) =
          let rep = Power.analyze ~cycles:r.Exp.cycles r.Exp.stats.Engine.activity in
          Printf.printf "%-14s %-10s %8.2f %8.2f %8.2f %10d\n%!"

@@ -166,16 +166,12 @@ let point_req_of_grid_point quick (pt : Grid.point) : point_req =
   let p = pt.Grid.spec.Snapshot.Sim.params in
   { machine = pt.Grid.machine;
     width = pt.Grid.width;
-    (* rob/sched overrides rename the model ("-robN"), so re-deriving
-       them from the expanded params would shift the content address;
-       the daemon's sweep op only reaches preset grids, which keep the
-       model defaults — [grid_point (point_req_of_grid_point pt)] must
-       reproduce [pt]'s digest exactly *)
+    (* the point's model is its axes' stock one (see proto.mli) *)
     rob = None;
     sched = None;
     predictor = p.Params.predictor;
     ideal = p.Params.ideal_recovery;
-    workload = pt.Grid.spec.Snapshot.Sim.workload.Workloads.name;
+    workload = Workloads.spelling pt.Grid.spec.Snapshot.Sim.workload;
     quick;
     sample = pt.Grid.sample }
 

@@ -34,8 +34,8 @@ type point_req = {
   sched : int option;
   predictor : Ooo_common.Params.predictor_kind;
   ideal : bool;
-  workload : string;
-  quick : bool;
+  workload : string;   (** a {!Workloads.resolve} spelling *)
+  quick : bool;        (** resolve a bare name to its quick program *)
   sample : Sample.Spec.t option;  (** [Some] = interval-sampled run *)
 }
 
@@ -67,13 +67,15 @@ val request_of_json : Json.t -> request
 
 val grid_point : point_req -> Sweep.Grid.point
 (** Expand to the concrete grid point (params resolved, workload
-    source generated).  @raise Invalid_argument on an unknown workload
-    or invalid width, as {!Sweep.Grid.expand} does. *)
+    source generated).  @raise Diag.Error code [Config_error] on an
+    unknown workload or an out-of-range axis value, as
+    {!Sweep.Grid.expand} does. *)
 
 val point_req_of_grid_point : bool -> Sweep.Grid.point -> point_req
-(** [point_req_of_grid_point quick pt] — requote a preset-grid point as
-    a request, such that [grid_point] reproduces [pt]'s content address
-    exactly. *)
+(** [point_req_of_grid_point quick pt] — requote a grid point whose
+    model is its axes' stock one (no ROB or scheduler override) as a
+    request that [grid_point] maps back to [pt]'s content address; the
+    workload is its {!Workloads.spelling} ("coremark:1"). *)
 
 val point_req_to_json : point_req -> Json.t
 (** Canonical form: also the pool-worker job payload. *)
@@ -82,8 +84,6 @@ val point_req_of_json :
   ?require_sample:bool -> Json.t -> point_req
 (** @raise Diag.Error as {!request_of_json} (also [Proto_error] when
     [require_sample] and no spec). *)
-
-val sweep_req_of_json : Json.t -> sweep_req
 
 val reply_event :
   id:string -> event:string ->

@@ -316,89 +316,74 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
          List.iter (fun w -> deliver_error w d) waiters)
   in
   (* ---- request handlers ---- *)
+  (* A handler raises a request's own [Diag] (an unknown name, an axis
+     out of range, a failed compile) before it sends or queues anything;
+     [handle_line] replies with it. *)
   let handle_point (c : client) id (preq : Proto.point_req) =
     let op = if preq.Proto.sample = None then "simulate" else "sample" in
-    match Proto.grid_point preq with
-    | exception Invalid_argument m ->
-      send c (Proto.reply_error ~id (Diag.make Diag.Config_error m))
-    | pt ->
-      let key = Store.key pt in
-      (match Store.lookup ~dir:cache_dir key with
-       | Some r ->
-         ctr.cache_hits <- ctr.cache_hits + 1;
-         send c (Proto.reply_result ~id ~op ~cached:true (Runner.to_json r))
-       | None ->
-         enqueue (Direct (c, id, op)) key (Proto.point_req_to_json preq))
+    let key = Store.key (Proto.grid_point preq) in
+    match Store.lookup ~dir:cache_dir key with
+    | Some r ->
+      ctr.cache_hits <- ctr.cache_hits + 1;
+      send c (Proto.reply_result ~id ~op ~cached:true (Runner.to_json r))
+    | None -> enqueue (Direct (c, id, op)) key (Proto.point_req_to_json preq)
   in
   let handle_sweep (c : client) id (sreq : Proto.sweep_req) =
-    match Grid.preset ~quick:sreq.Proto.sw_quick sreq.Proto.sw_grid with
-    | None ->
-      send c
-        (Proto.reply_error ~id
-           (Diag.make Diag.Config_error
-              ("unknown grid " ^ sreq.Proto.sw_grid
-               ^ " (default|smoke|golden)")))
-    | Some spec ->
-      let spec =
-        { spec with
-          Grid.machines =
-            Option.value ~default:spec.Grid.machines sreq.Proto.sw_machines;
-          widths = Option.value ~default:spec.Grid.widths sreq.Proto.sw_widths;
-          workloads =
-            Option.value ~default:spec.Grid.workloads sreq.Proto.sw_workloads }
-      in
-      (match Grid.expand spec with
-       | exception Invalid_argument m ->
-         send c (Proto.reply_error ~id (Diag.make Diag.Config_error m))
-       | points ->
-         let n = List.length points in
-         let agg =
-           { sa_client = c; sa_id = id; sa_spec = spec;
-             sa_total = n; sa_records = Array.make (max 1 n) None;
-             sa_t0 = Unix.gettimeofday (); sa_done = 0; sa_cached = 0;
-             sa_executed = 0; sa_failed = 0 }
-         in
-         send c
-           (Proto.reply_event ~id ~event:"queued" [ ("total", J.Int n) ]);
-         List.iteri
-           (fun i pt ->
-              let key = Store.key pt in
-              match Store.lookup ~dir:cache_dir key with
-              | Some r ->
-                ctr.cache_hits <- ctr.cache_hits + 1;
-                agg.sa_records.(i) <- Some r;
-                agg.sa_cached <- agg.sa_cached + 1;
-                agg.sa_done <- agg.sa_done + 1
-              | None ->
-                let preq =
-                  Proto.point_req_of_grid_point spec.Grid.quick pt
-                in
-                enqueue (Sweep_point (agg, i)) key
-                  (Proto.point_req_to_json preq))
-           points;
-         if agg.sa_done = agg.sa_total then finalize_sweep agg)
+    let spec =
+      match Grid.preset ~quick:sreq.Proto.sw_quick sreq.Proto.sw_grid with
+      | Some spec -> spec
+      | None ->
+        Diag.error Diag.Config_error "unknown grid %s (default|smoke|golden)"
+          sreq.Proto.sw_grid
+    in
+    let spec =
+      { spec with
+        Grid.machines =
+          Option.value ~default:spec.Grid.machines sreq.Proto.sw_machines;
+        widths = Option.value ~default:spec.Grid.widths sreq.Proto.sw_widths;
+        workloads =
+          Option.value ~default:spec.Grid.workloads sreq.Proto.sw_workloads }
+    in
+    let points = Grid.expand spec in
+    let n = List.length points in
+    let agg =
+      { sa_client = c; sa_id = id; sa_spec = spec;
+        sa_total = n; sa_records = Array.make (max 1 n) None;
+        sa_t0 = Unix.gettimeofday (); sa_done = 0; sa_cached = 0;
+        sa_executed = 0; sa_failed = 0 }
+    in
+    send c (Proto.reply_event ~id ~event:"queued" [ ("total", J.Int n) ]);
+    List.iteri
+      (fun i pt ->
+         let key = Store.key pt in
+         match Store.lookup ~dir:cache_dir key with
+         | Some r ->
+           ctr.cache_hits <- ctr.cache_hits + 1;
+           agg.sa_records.(i) <- Some r;
+           agg.sa_cached <- agg.sa_cached + 1;
+           agg.sa_done <- agg.sa_done + 1
+         | None ->
+           let preq = Proto.point_req_of_grid_point spec.Grid.quick pt in
+           enqueue (Sweep_point (agg, i)) key (Proto.point_req_to_json preq))
+      points;
+    if agg.sa_done = agg.sa_total then finalize_sweep agg
   in
   let handle_compile (c : client) id target workload quick =
-    match Grid.workload ~quick workload with
-    | exception Invalid_argument m ->
-      send c (Proto.reply_error ~id (Diag.make Diag.Config_error m))
-    | w ->
-      let key = compile_key ~target ~w in
-      (match Store.lookup_doc ~dir:cache_dir ~sub:"compile" key with
-       | Some doc ->
-         ctr.compile_hits <- ctr.compile_hits + 1;
-         send c (Proto.reply_result ~id ~op:"compile" ~cached:true doc)
-       | None ->
-         (match compile_doc ~target ~w with
-          | doc ->
-            ctr.compiles <- ctr.compiles + 1;
-            (try Store.save_doc ~dir:cache_dir ~sub:"compile" key doc
-             with e ->
-               log
-                 (Printf.sprintf "compile cache save failed: %s"
-                    (Printexc.to_string e)));
-            send c (Proto.reply_result ~id ~op:"compile" ~cached:false doc)
-          | exception Diag.Error d -> send c (Proto.reply_error ~id d)))
+    let w = Workloads.resolve ~quick workload in
+    let key = compile_key ~target ~w in
+    match Store.lookup_doc ~dir:cache_dir ~sub:"compile" key with
+    | Some doc ->
+      ctr.compile_hits <- ctr.compile_hits + 1;
+      send c (Proto.reply_result ~id ~op:"compile" ~cached:true doc)
+    | None ->
+      let doc = compile_doc ~target ~w in
+      ctr.compiles <- ctr.compiles + 1;
+      (try Store.save_doc ~dir:cache_dir ~sub:"compile" key doc
+       with e ->
+         log
+           (Printf.sprintf "compile cache save failed: %s"
+              (Printexc.to_string e)));
+      send c (Proto.reply_result ~id ~op:"compile" ~cached:false doc)
   in
   let shutdown_requested = ref false in
   let handle_line (c : client) line =
@@ -418,19 +403,23 @@ let run ~socket_path ?(procs = 2) ?(cache_dir = "_sweep")
            send c
              (Proto.reply_error ~id
                 (Diag.make Diag.Service_error (Printexc.to_string e)))
-         | Proto.Compile { target; workload; quick } ->
-           handle_compile c id target workload quick
-         | Proto.Point preq -> handle_point c id preq
-         | Proto.Sweep sreq -> handle_sweep c id sreq
-         | Proto.Status ->
-           send c
-             (Proto.reply_result ~id ~op:"status" ~cached:false
-                (status_json ()))
-         | Proto.Shutdown ->
-           send c
-             (Proto.reply_result ~id ~op:"shutdown" ~cached:false
-                (J.Obj [ ("ok", J.Bool true) ]));
-           shutdown_requested := true)
+         | req ->
+           (try
+              match req with
+              | Proto.Compile { target; workload; quick } ->
+                handle_compile c id target workload quick
+              | Proto.Point preq -> handle_point c id preq
+              | Proto.Sweep sreq -> handle_sweep c id sreq
+              | Proto.Status ->
+                send c
+                  (Proto.reply_result ~id ~op:"status" ~cached:false
+                     (status_json ()))
+              | Proto.Shutdown ->
+                send c
+                  (Proto.reply_result ~id ~op:"shutdown" ~cached:false
+                     (J.Obj [ ("ok", J.Bool true) ]));
+                shutdown_requested := true
+            with Diag.Error d -> send c (Proto.reply_error ~id d)))
     end
   in
   (* ---- client lifecycle ---- *)

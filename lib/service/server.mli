@@ -31,18 +31,3 @@ val run :
 
     @raise Diag.Error code [Service_error] when [socket_path] cannot be
     bound — including when a live daemon already answers on it. *)
-
-val worker_job : cache_dir:string -> string -> string
-(** The pool-worker body: canonical {!Proto.point_req} JSON in, one
-    compact [Runner.record] JSON line out.  Exposed for tests. *)
-
-val compile_key : target:string -> w:Workloads.t -> string
-(** Content address of a compile artifact: target, workload identity,
-    and the simulator's own {!Snapshot.File.code_digest}. *)
-
-val compile_doc : target:string -> w:Workloads.t -> Json.t
-(** Compile [w] for [target] (a {!Straight_core.Experiment.of_name} name:
-    "ss"/"riscv", "straight-raw", "straight"/"straight-re") and wrap the
-    listing as a [straightd-compile/1] document.
-    @raise Diag.Error with code [Config_error] on an unknown target, or
-    the compiler's error. *)

@@ -1,19 +1,7 @@
-(* Public facade of the STRAIGHT reproduction library.
-
-   Typical use:
-
-   {[
-     let exp = Straight_core.Experiment.run
-         ~model:Straight_core.Models.straight_4way
-         ~target:Straight_core.Experiment.Straight_re
-         (Workloads.coremark ())
-     in
-     Printf.printf "IPC %.2f\n" exp.Straight_core.Experiment.ipc
-   ]}
-
-   See examples/ for runnable programs; the paper's tables come from
-   the sweep (`make paper`).  The layers below report their errors as
-   [Diag.Error] (see the interface). *)
+(* Public facade of the STRAIGHT reproduction library; the interface
+   shows an exact run.  See examples/ for runnable programs; the paper's
+   tables come from the sweep (`make paper`).  The layers below report
+   their errors as [Diag.Error] (see the interface). *)
 
 module Models = struct
   include Ooo_common.Params

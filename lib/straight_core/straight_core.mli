@@ -1,13 +1,17 @@
 (** Public facade of the STRAIGHT reproduction library.
 
+    An exact run is a [Snapshot.Sim] session driven to completion:
     {[
-      let exp =
-        Straight_core.Experiment.run
+      let spec =
+        Snapshot.Sim.spec
           ~model:Straight_core.Models.straight_4way
           ~target:Straight_core.Experiment.Straight_re
-          (Workloads.coremark ())
+          (Workloads.resolve ~quick:false "coremark")
       in
-      Printf.printf "IPC %.2f\n" exp.Straight_core.Experiment.ipc
+      match Snapshot.Sim.drive (lazy (Snapshot.Sim.start spec)) with
+      | Snapshot.Sim.Completed r ->
+        Printf.printf "IPC %.2f\n" r.Straight_core.Experiment.ipc
+      | Snapshot.Sim.Stopped _ -> ()
     ]}
 
     See [examples/] for runnable programs; the paper's tables come from

@@ -31,12 +31,10 @@ let table b header rows =
 let axis_digest ?rob (r : R.record) =
   match Grid.machine_of_label r.R.machine, Params.predictor_of_name r.R.predictor with
   | Some m, Some predictor ->
-    (try
-       Some
-         (Params.digest
-            (Grid.model m ~width:r.R.width ~rob ~sched:None ~predictor
-               ~ideal:r.R.ideal))
-     with Invalid_argument _ -> None)
+    Some
+      (Params.digest
+         (Grid.model m ~width:r.R.width ~rob ~sched:None ~predictor
+            ~ideal:r.R.ideal))
   | _ -> None
 
 let stock r = axis_digest r = Some r.R.params_hash
@@ -109,8 +107,8 @@ let paper_value fmt =
 let paper ~quick (r : R.record) fmt =
   let paper_size =
     exact r
-    && (try (Grid.workload ~quick r.R.workload).Workloads.iterations = r.R.iterations
-        with Invalid_argument _ -> false)
+    && (Workloads.resolve ~quick r.R.workload).Workloads.iterations
+       = r.R.iterations
   in
   Printf.ksprintf (fun key -> if paper_size then paper_value "%s" key else "") fmt
 
@@ -177,27 +175,24 @@ let fig16 ~quick b rs =
      distance 1023)\n\n";
   let points = [ 1; 2; 4; 8; 16; 32; 64; 128 ] in
   table b (("workload" :: List.map string_of_int points) @ [ "max used"; "paper" ])
-    (List.filter_map
+    (List.map
        (fun name ->
-          match Grid.workload ~quick name with
-          | exception Invalid_argument _ -> None
-          | w ->
-            let hist =
-              (Iss.Straight_iss.run
-                 ~config:{ Iss.Straight_iss.collect_trace = false; collect_dist = true;
-                           max_insns = 50_000_000 }
-                 (compile_1023 Exp.Straight_re w).Compile.image)
-                .Iss.Trace.dist_histogram
-            in
-            let upto d =
-              Array.fold_left ( + ) 0 (Array.sub hist 0 (min (d + 1) (Array.length hist)))
-            in
-            let max_used = ref 0 in
-            Array.iteri (fun d n -> if n > 0 then max_used := d) hist;
-            Some
-              ((name
-                :: List.map (fun d -> f3 (ratio (upto d) (upto (Array.length hist)))) points)
-               @ [ string_of_int !max_used; paper_value "dist %s" name ]))
+          let hist =
+            (Iss.Straight_iss.run
+               ~config:{ Iss.Straight_iss.collect_trace = false; collect_dist = true;
+                         max_insns = 50_000_000 }
+               (compile_1023 Exp.Straight_re (Workloads.resolve ~quick name))
+                 .Compile.image)
+              .Iss.Trace.dist_histogram
+          in
+          let upto d =
+            Array.fold_left ( + ) 0 (Array.sub hist 0 (min (d + 1) (Array.length hist)))
+          in
+          let max_used = ref 0 in
+          Array.iteri (fun d n -> if n > 0 then max_used := d) hist;
+          (name
+           :: List.map (fun d -> f3 (ratio (upto d) (upto (Array.length hist)))) points)
+          @ [ string_of_int !max_used; paper_value "dist %s" name ])
        (distinct (fun r -> r.R.workload) rs))
 
 (* ---------- one row per record ---------- *)

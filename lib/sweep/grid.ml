@@ -44,32 +44,6 @@ type point = {
   sample : Sample.Spec.t option;
 }
 
-(* ---------- workload axis ---------- *)
-
-let workload_names =
-  [ "dhrystone"; "coremark"; "fib"; "iota"; "sort"; "quicksort";
-    "pointer_chase"; "wasm_sieve"; "wasm_crc32"; "wasm_expr" ]
-
-let workload ~quick = function
-  | "dhrystone" -> Workloads.dhrystone ~iterations:(if quick then 30 else 200) ()
-  | "coremark" -> Workloads.coremark ~iterations:(if quick then 2 else 5) ()
-  | "fib" -> Workloads.fib ()
-  | "iota" -> Workloads.iota ()
-  | "sort" -> Workloads.sort ()
-  | "quicksort" -> Workloads.quicksort ()
-  | "pointer_chase" ->
-    if quick then Workloads.pointer_chase ~nodes:256 ~hops:200 ()
-    else Workloads.pointer_chase ()
-  | "wasm_sieve" ->
-    Workloads.wasm_sieve ~limit:(if quick then 400 else 2000) ()
-  | "wasm_crc32" ->
-    Workloads.wasm_crc32 ~nbytes:(if quick then 64 else 256) ()
-  | "wasm_expr" -> Workloads.wasm_expr ~iters:(if quick then 100 else 600) ()
-  | name ->
-    invalid_arg
-      (Printf.sprintf "unknown workload %S (known: %s)" name
-         (String.concat ", " workload_names))
-
 (* ---------- machine-width axis ---------- *)
 
 (* Widths 2 and 4 are the paper's Table-I pairs.  Any other width scales
@@ -83,7 +57,7 @@ let model_of_width ~straight w =
   | 2, true -> Params.straight_2way
   | 4, false -> Params.ss_4way
   | 4, true -> Params.straight_4way
-  | w, _ when w >= 1 ->
+  | w, _ ->
     let base = if straight then Params.straight_4way else Params.ss_4way in
     let rob = 56 * w in
     let rename =
@@ -107,7 +81,6 @@ let model_of_width ~straight w =
       n_bc = w;
       n_mem = w;
       rename }
-  | w, _ -> invalid_arg (Printf.sprintf "invalid machine width %d" w)
 
 (* ---------- expansion ---------- *)
 
@@ -132,7 +105,17 @@ let apply_sched sched (p : Params.t) =
     { p with Params.scheduler_entries = n;
       name = Printf.sprintf "%s-sched%d" p.Params.name n }
 
+(* The one check of the numeric axes: a machine needs a lane and a ROB
+   entry; a 0-entry scheduler stays legal, as the watchdog's hook. *)
+let at_least what floor = function
+  | Some n when n < floor ->
+    Diag.error Diag.Config_error "%s must be at least %d, got %d" what floor n
+  | _ -> ()
+
 let model machine ~width ~rob ~sched ~predictor ~ideal =
+  at_least "machine width" 1 (Some width);
+  at_least "ROB entries" 1 rob;
+  at_least "scheduler entries" 0 sched;
   let straight =
     match machine with Ss | Ss_ckpt _ -> false | Straight_raw | Straight_re -> true
   in
@@ -167,7 +150,7 @@ let expand (s : spec) : point list =
     (fun w ->
        point ?sample machine width
          (model machine ~width ~rob ~sched ~predictor ~ideal)
-         (workload ~quick:s.quick w))
+         (Workloads.resolve ~quick:s.quick w))
     s.workloads
 
 (* ---------- presets ---------- *)
@@ -219,7 +202,7 @@ let golden =
    listed once: Fig. 15, the RE+ contribution and the SPADD count read
    the Figs. 11/12 points. *)
 let paper ~quick =
-  let coremark = workload ~quick "coremark" in
+  let coremark = Workloads.resolve ~quick "coremark" in
   let stock ?max_dist ?opt ?rob ?(predictor = Params.Gshare) ?(ideal = false)
       ?(w = coremark) machine width =
     point ?max_dist ?opt machine width
@@ -236,12 +219,12 @@ let paper ~quick =
   in
   List.concat_map
     (fun w -> each (fun width m -> stock ~w m width))
-    [ workload ~quick "dhrystone"; coremark ]
+    [ Workloads.resolve ~quick "dhrystone"; coremark ]
   @ List.map (fun width -> stock ~ideal:true Ss width) widths
   @ each (fun width m -> stock ~predictor:Params.Tage m width)
   @ List.map (fun d -> stock ~max_dist:d Straight_re 4) [ 1023; 127; 63 ]
   @ List.map
-      (fun m -> stock ~w:(Workloads.coremark ~iterations:1 ()) m 2)
+      (fun m -> stock ~w:(Workloads.resolve ~quick "coremark:1") m 2)
       [ Ss; Straight_re ]
   @ [ fe Params.ss_4way 6; fe Params.straight_4way 8 ]
   @ List.concat_map

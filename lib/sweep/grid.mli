@@ -28,12 +28,12 @@ type spec = {
   scheds : int option list;   (** scheduler entries; [None] = default *)
   predictors : Ooo_common.Params.predictor_kind list;
   ideal : bool list;          (** Fig. 13 zero-penalty recovery knob *)
-  workloads : string list;    (** resolved by {!workload} *)
+  workloads : string list;    (** {!Workloads.resolve} spellings *)
   samples : Sample.Spec.t option list;
       (** simulation-fidelity axis: [None] simulates the point exactly;
           [Some spec] runs it through the interval sampler, so long
           workloads compose with the rest of the grid *)
-  quick : bool;               (** smaller iteration counts *)
+  quick : bool;               (** each name's quick program *)
 }
 
 (** One simulation: the spec names everything the run depends on
@@ -46,12 +46,6 @@ type point = {
   sample : Sample.Spec.t option;
 }
 
-val workload_names : string list
-(** Every name {!workload} resolves. *)
-
-val workload : quick:bool -> string -> Workloads.t
-(** @raise Invalid_argument on an unknown workload name. *)
-
 val model :
   machine -> width:int -> rob:int option -> sched:int option ->
   predictor:Ooo_common.Params.predictor_kind -> ideal:bool ->
@@ -59,7 +53,8 @@ val model :
 (** The model a grid point on these axis values simulates: the width's
     Table-I (or scaled) model, checkpointed for [Ss_ckpt], then the ROB
     and scheduler overrides, the predictor and the recovery knob, each
-    recorded in the model's name. *)
+    recorded in the model's name.  @raise Diag.Error code [Config_error]
+    on a width or ROB below 1 or a scheduler below 0 (the deadlock hook). *)
 
 val default : quick:bool -> spec
 (** The 32-point grid behind [bin/sweep] with no axis flags: both
@@ -81,7 +76,8 @@ val preset : quick:bool -> string -> spec option
 
 val expand : spec -> point list
 (** Cartesian product in deterministic order (machines outermost,
-    workloads innermost). *)
+    workloads innermost).  @raise Diag.Error as {!model} and
+    {!Workloads.resolve} do. *)
 
 val paper : quick:bool -> point list
 (** The 46 points of the paper's evaluation that simulate cycles:

@@ -10,7 +10,7 @@
 type t = {
   name : string;
   source : string;        (* MiniC source text *)
-  iterations : int;       (* default iteration count used by the benches *)
+  iterations : int;       (* iteration count baked into the source *)
 }
 
 (* ---------- Dhrystone-like ----------
@@ -624,6 +624,67 @@ let wasm_crc32 ?(nbytes = 256) () =
 let wasm_expr ?(iters = 600) () =
   { name = "wasm_expr"; source = wasm_expr_source iters; iterations = 1 }
 
-let all_wasm () = [ wasm_sieve (); wasm_crc32 (); wasm_expr () ]
+(* ---------- the registry ----------
 
-let all_benchmarks () = [ dhrystone (); coremark () ]
+   Every tool resolves a workload name here, so one name is one program
+   everywhere: each name has a default program and a quick one, and the
+   iterated ones also take an explicit count, "name:N". *)
+
+type entry = {
+  sized : bool -> t;            (* the default program, or the quick one *)
+  counted : (int -> t) option;  (* the program at N iterations *)
+}
+
+let registry =
+  let iterated make full quick =
+    { sized = (fun q -> make (if q then quick else full)); counted = Some make }
+  in
+  let kernel full quick =
+    { sized = (fun q -> if q then quick () else full ()); counted = None }
+  in
+  [ ("dhrystone", iterated (fun iterations -> dhrystone ~iterations ()) 200 30);
+    ("coremark", iterated (fun iterations -> coremark ~iterations ()) 5 2);
+    ("fib", kernel fib fib);
+    ("iota", kernel iota iota);
+    ("sort", kernel sort sort);
+    ("quicksort", kernel quicksort quicksort);
+    ("pointer_chase", kernel pointer_chase (pointer_chase ~nodes:256 ~hops:200));
+    ("stream", iterated (fun iterations -> stream ~iterations ()) 100 1);
+    ("wasm_sieve", kernel wasm_sieve (wasm_sieve ~limit:400));
+    ("wasm_crc32", kernel wasm_crc32 (wasm_crc32 ~nbytes:64));
+    ("wasm_expr", kernel wasm_expr (wasm_expr ~iters:100)) ]
+
+let names = List.map fst registry
+
+let synopsis =
+  String.concat ", "
+    (List.map
+       (fun (n, e) -> if Option.is_some e.counted then n ^ "[:N]" else n)
+       registry)
+
+let resolve ~quick spelling =
+  let fail fmt =
+    Printf.ksprintf
+      (fun why -> Diag.error Diag.Config_error "%s (workloads: %s)" why synopsis)
+      fmt
+  in
+  let lookup name =
+    match List.assoc_opt name registry with
+    | Some e -> e
+    | None -> fail "unknown workload %S" spelling
+  in
+  match String.split_on_char ':' spelling with
+  | [ name ] -> (lookup name).sized quick
+  | [ name; n ] ->
+    (* decimal digits only: "name:N" is what [spelling] writes back *)
+    let digits = String.for_all (fun c -> '0' <= c && c <= '9') n in
+    (match (lookup name).counted, int_of_string_opt n with
+     | None, _ -> fail "workload %s takes no iteration count" name
+     | Some make, Some k when k >= 1 && digits -> make k
+     | Some _, _ -> fail "bad iteration count %S for %s" n name)
+  | _ -> fail "unknown workload %S" spelling
+
+let spelling (w : t) =
+  match List.assoc_opt w.name registry with
+  | Some { counted = Some _; _ } -> Printf.sprintf "%s:%d" w.name w.iterations
+  | _ -> w.name

@@ -41,8 +41,8 @@ val stream : ?iterations:int -> unit -> t
 (** STREAM-like phased loop kernel (copy / scale / reduce / triad /
     strided gather) whose CPI varies phase to phase — the long-workload
     showcase for interval sampling.  One outer iteration retires
-    ~100k instructions; the default 100 iterations reach the
-    ~10M-instruction scale that only completes under [-sample]. *)
+    ~300k instructions; the default 100 iterations retire ~30M, which
+    exact simulation still finishes in seconds (DESIGN.md §16). *)
 
 val wasm_sieve : ?limit:int -> unit -> t
 (** WAT source: sieve of Eratosthenes with composite flags in linear
@@ -58,8 +58,30 @@ val wasm_expr : ?iters:int -> unit -> t
     simultaneously each round, the distance-pressure profile that
     motivated the WASM front-end (DESIGN.md §15). *)
 
-val all_wasm : unit -> t list
-(** The three WASM kernels. *)
+(** {1 The registry}
 
-val all_benchmarks : unit -> t list
-(** The two paper benchmarks. *)
+    The one table from a workload name to a program, which every tool
+    resolves through.  A name is spelled as its program's [name] and
+    has a default program, the paper grid's size (dhrystone ×200,
+    coremark ×5, stream ×100, the other constructors' defaults), and a
+    quick one (×30, ×2, ×1; pointer_chase 256/200, wasm_sieve 400,
+    wasm_crc32 64, wasm_expr 100; the other kernels unchanged). *)
+
+val names : string list
+(** Every registered name, in registry order. *)
+
+val synopsis : string
+(** The names for a usage text, an iterated one marked as taking a
+    count: ["dhrystone[:N], coremark[:N], fib, ..."]. *)
+
+val resolve : quick:bool -> string -> t
+(** [resolve ~quick "name"] is the name's default program, or its quick
+    program when [quick]; ["name:N"] is dhrystone, coremark or stream at
+    [N >= 1] iterations, whatever [quick].
+    @raise Diag.Error code [Config_error], listing the names, on an
+    unknown name, a count given to a kernel, or a count that is not a
+    positive decimal integer. *)
+
+val spelling : t -> string
+(** What {!resolve} maps back to [w]: ["name:N"] for an iterated
+    program, else the bare name (at the size [w] was resolved at). *)

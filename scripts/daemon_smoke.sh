@@ -3,6 +3,8 @@
 # load generator twice with the same request mix, and require
 #   - the cold run to complete with zero request errors,
 #   - the warm (identical) run to be served >= 90% from the memo cache,
+#   - a sized workload (coremark:1) to be answered with straightsim's
+#     cycles and committed count on the same point, at one iteration,
 #   - a point that deadlocks in its worker (a 0-entry scheduler) to be
 #     answered as straightsim reports it: code SIM_DEADLOCK, and
 #     straightd-client exiting 6 (Diag.exit_code Sim_deadlock),
@@ -14,7 +16,7 @@ set -eu
 DIR=_daemon_smoke
 SOCK=$DIR/straightd.sock
 CACHE=$DIR/cache
-MIX="simulate:fib,simulate:iota,simulate:sort:straight-re,compile:dhrystone:straight-re,status"
+MIX="simulate:fib,simulate:iota,simulate:sort:straight-re,simulate:coremark:1:ss,compile:dhrystone:straight-re,status"
 CLIENTS=8
 REQUESTS=10
 
@@ -23,9 +25,10 @@ mkdir -p "$DIR"
 
 # build once up front: the daemon runs in the background, so later dune
 # invocations would contend for the build lock
-dune build bin/straightd.exe bin/straightd_client.exe
+dune build bin/straightd.exe bin/straightd_client.exe bin/straightsim.exe
 STRAIGHTD=_build/default/bin/straightd.exe
 CLIENT=_build/default/bin/straightd_client.exe
+SIM=_build/default/bin/straightsim.exe
 
 "$STRAIGHTD" -socket "$SOCK" -j 4 -cache-dir "$CACHE" \
   >"$DIR/daemon.log" 2>&1 &
@@ -63,6 +66,23 @@ awk -F': ' '/"cache_hit_rate"/ {
   echo "daemon-smoke: warm hit rate below 0.90"
   exit 1
 }
+
+echo "daemon-smoke: a sized workload answers as straightsim does"
+"$CLIENT" -socket "$SOCK" -quiet \
+  -json '{"op":"simulate","workload":"coremark:1","machine":"ss","width":2}' \
+  >"$DIR/sized.json"
+"$SIM" -model ss-2way -target riscv -workload coremark:1 \
+  -stats-json "$DIR/sized.cli.json" >/dev/null
+python3 - "$DIR/sized.json" "$DIR/sized.cli.json" <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))["result"]
+c = json.load(open(sys.argv[2]))
+got = (r["cycles"], r["committed"], r["iterations"])
+want = (c["cycles"], c["instructions"], 1)
+print("daemon-smoke: coremark:1 (cycles, committed, iterations): "
+      "daemon %s, straightsim %s" % (got, want))
+sys.exit(got != want)
+EOF
 
 echo "daemon-smoke: a deadlocking point reports SIM_DEADLOCK"
 st=0

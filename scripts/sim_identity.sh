@@ -9,22 +9,22 @@
 #
 # The battery:
 #   - straightsim stdout and -stats-json: fib, iota, sort, quicksort,
-#     pointer-chase and dhrystone on straight-2way/straight,
+#     pointer_chase and dhrystone:100 on straight-2way/straight,
 #     straight-4way/straight-raw, ss-2way/riscv and ss-4way/ss;
-#   - -fast-forward 20000, with and without -warm (fib, dhrystone);
+#   - -fast-forward 20000, with and without -warm (fib, dhrystone:100);
 #   - -checkpoint -stop-at 400, then -restore -stats-json (iota, sort),
 #     and the checkpoint files themselves (their meta names no
 #     executable digest, so both trees write the same bytes);
-#   - stream-short (exact, -stats-json) on straight-4way/straight and
+#   - stream:1 (exact, -stats-json) on straight-4way/straight and
 #     ss-4way/ss: its front-end queue backs up to thousands of uops;
-#   - on the same two pairings, stream-short and pointer-chase
+#   - on the same two pairings, stream:1 and pointer_chase
 #     checkpointed at cycle 20011, deep in a front-end backlog, then
 #     -restore -stats-json; the checkpoint files are not compared: a
 #     tree whose in-flight window grew writes a larger capacity;
 #   - off Table I, on the same two pairings: -rob 4 -sched 2 (a ROB
 #     narrower than a fetch group), -rob 1 -sched 1, -tage and -ideal
-#     (fib, sort, pointer-chase, dhrystone);
-#   - -sample interval=5k,warmup=1k with -sample-json (dhrystone),
+#     (fib, sort, pointer_chase, dhrystone:100);
+#   - -sample interval=5k,warmup=1k with -sample-json (dhrystone:100),
 #     ignoring host_seconds and the plan line, whose key covers the
 #     executable's digest;
 #   - the -sched 0 deadlock (exit 6, context dump) and -inject all -seed 7;
@@ -103,11 +103,11 @@ battery() {
   for cfg in $configs; do
     m=${cfg%%:*}
     t=${cfg##*:}
-    for wl in fib iota sort quicksort pointer-chase dhrystone; do
+    for wl in fib iota sort quicksort pointer_chase dhrystone:100; do
       run "exact.$m.$t.$wl" "$sim" -model "$m" -target "$t" -workload "$wl" \
         -stats-json "exact.$m.$t.$wl.json"
     done
-    for wl in fib dhrystone; do
+    for wl in fib dhrystone:100; do
       run "ff.$m.$t.$wl" "$sim" -model "$m" -target "$t" -workload "$wl" \
         -fast-forward 20000
       run "ffwarm.$m.$t.$wl" "$sim" -model "$m" -target "$t" -workload "$wl" \
@@ -122,8 +122,8 @@ battery() {
       run "restore.$m.$t.$wl" "$sim" -restore "logs/$m.$wl.snap" \
         -stats-json "restore.$m.$t.$wl.json"
     done
-    run "sample.$m.$t" "$sim" -model "$m" -target "$t" -workload dhrystone \
-      -sample interval=5k,warmup=1k -store logs/store \
+    run "sample.$m.$t" "$sim" -model "$m" -target "$t" \
+      -workload dhrystone:100 -sample interval=5k,warmup=1k -store logs/store \
       -sample-json "logs/sample.$m.$t.json"
     grep -v '^plan ' "sample.$m.$t.out" >"logs/sample.out" || true
     mv "logs/sample.out" "sample.$m.$t.out"
@@ -134,9 +134,9 @@ battery() {
   for cfg in straight-4way:straight ss-4way:ss; do
     m=${cfg%%:*}
     t=${cfg##*:}
-    run "exact.$m.$t.stream-short" "$sim" -model "$m" -target "$t" \
-      -workload stream-short -stats-json "exact.$m.$t.stream-short.json"
-    for wl in stream-short pointer-chase; do
+    run "exact.$m.$t.stream:1" "$sim" -model "$m" -target "$t" \
+      -workload stream:1 -stats-json "exact.$m.$t.stream:1.json"
+    for wl in stream:1 pointer_chase; do
       run "deep.$m.$t.$wl" "$sim" -model "$m" -target "$t" -workload "$wl" \
         -checkpoint "logs/deep.$m.$wl.snap" -stop-at 20011
       run "deep-restore.$m.$t.$wl" "$sim" -restore "logs/deep.$m.$wl.snap" \
@@ -144,7 +144,7 @@ battery() {
     done
     for opts in "-rob 4 -sched 2" "-rob 1 -sched 1" -tage -ideal; do
       tag=$(echo "$opts" | tr -d ' -')
-      for wl in fib sort pointer-chase dhrystone; do
+      for wl in fib sort pointer_chase dhrystone:100; do
         # unquoted: $opts is a list of flags
         run "off.$m.$t.$tag.$wl" "$sim" -model "$m" -target "$t" \
           -workload "$wl" $opts -stats-json "off.$m.$t.$tag.$wl.json"

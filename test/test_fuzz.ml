@@ -234,10 +234,7 @@ let test_build_isolated () =
               w.Workloads.source)
          [ (Ssa_ir.Passes.O0, "O0"); (Ssa_ir.Passes.O1, "O1");
            (Ssa_ir.Passes.O2, "O2") ])
-    ([ Workloads.dhrystone (); Workloads.coremark (); Workloads.fib ();
-       Workloads.iota (); Workloads.sort (); Workloads.quicksort ();
-       Workloads.pointer_chase () ]
-     @ Workloads.all_wasm ())
+    (List.map (Workloads.resolve ~quick:false) Workloads.names)
 
 (* ---------- linter: rejection of broken images ---------- *)
 

@@ -178,23 +178,95 @@ let test_proto_codec () =
           ("predictor", J.Str "tage"); ("ideal", J.Bool true);
           ("sample", J.Str "interval=2k,warmup=500,every=2") ] ]
 
+(* A grid point the wire can express: its axes' stock model on the
+   paper's code (the daemon's requests carry no maximum distance, IR
+   level or hand-built model). *)
+let wire_expressible (pt : Sweep.Grid.point) =
+  let sp = pt.Sweep.Grid.spec in
+  let p = sp.Snapshot.Sim.params in
+  sp.Snapshot.Sim.max_dist = Ooo_common.Params.straight_max_dist
+  && sp.Snapshot.Sim.opt = Ssa_ir.Passes.O2
+  && Ooo_common.Params.digest p
+     = Ooo_common.Params.digest
+         (Sweep.Grid.model pt.Sweep.Grid.machine ~width:pt.Sweep.Grid.width
+            ~rob:None ~sched:None ~predictor:p.Ooo_common.Params.predictor
+            ~ideal:p.Ooo_common.Params.ideal_recovery)
+
 let test_sweep_point_roundtrip () =
-  (* every preset-grid point must survive the requote-as-request trip
-     with its content address intact (this is what lets a daemon sweep
-     share cache entries with bin/sweep) *)
+  (* every preset-grid point, and every point of the paper grid the
+     wire can express, must survive the requote-as-request trip with
+     its content address intact (this is what lets a daemon sweep share
+     cache entries with bin/sweep) *)
+  let roundtrip quick pt =
+    let preq = Proto.point_req_of_grid_point quick pt in
+    let pt' =
+      Proto.grid_point (Proto.point_req_of_json (Proto.point_req_to_json preq))
+    in
+    Alcotest.(check string)
+      (preq.Proto.workload ^ ": store key preserved")
+      (Sweep.Store.key pt) (Sweep.Store.key pt')
+  in
   List.iter
     (fun (spec : Sweep.Grid.spec) ->
+       List.iter (roundtrip spec.Sweep.Grid.quick) (Sweep.Grid.expand spec))
+    [ Sweep.Grid.smoke; Sweep.Grid.default ~quick:true ];
+  List.iter
+    (fun quick ->
+       let points = List.filter wire_expressible (Sweep.Grid.paper ~quick) in
+       Alcotest.(check int) "wire-expressible paper points" 22
+         (List.length points);
+       List.iter (roundtrip quick) points)
+    [ true; false ]
+
+(* One name, one program: each registered name at both sizes, and the
+   iterated programs at an explicit count, resolve to one Sim.key
+   through straightsim's path ([Workloads.resolve]), a sweep workload
+   axis ([Grid.expand]) and a daemon simulate request. *)
+let test_one_key_per_spelling () =
+  let module G = Sweep.Grid in
+  let module Sim = Snapshot.Sim in
+  let key spec = Sim.key spec ~fidelity:"exact" in
+  let spellings =
+    List.concat_map (fun n -> [ (n, false); (n, true) ]) Workloads.names
+    @ [ ("dhrystone:7", false); ("coremark:1", true); ("stream:3", false) ]
+  in
+  List.iter
+    (fun (machine, model, target) ->
        List.iter
-         (fun pt ->
-            let preq = Proto.point_req_of_grid_point spec.Sweep.Grid.quick pt in
-            let pt' =
-              Proto.grid_point
-                (Proto.point_req_of_json (Proto.point_req_to_json preq))
+         (fun (spelling, quick) ->
+            let label =
+              Printf.sprintf "%s %s (quick %b)" (G.machine_label machine)
+                spelling quick
             in
-            Alcotest.(check string) "store key preserved"
-              (Sweep.Store.key pt) (Sweep.Store.key pt'))
-         (Sweep.Grid.expand spec))
-    [ Sweep.Grid.smoke; Sweep.Grid.default ~quick:true ]
+            let cli = key (Sim.spec ~model ~target (Workloads.resolve ~quick spelling)) in
+            let axis =
+              match
+                G.expand
+                  { G.smoke with G.machines = [ machine ]; widths = [ 2 ];
+                                 workloads = [ spelling ]; quick }
+              with
+              | [ pt ] -> key pt.G.spec
+              | _ -> Alcotest.failf "%s: one point" label
+            in
+            let daemon =
+              match
+                Proto.request_of_json
+                  (J.Obj
+                     [ ("op", J.Str "simulate");
+                       ("workload", J.Str spelling);
+                       ("machine", J.Str (G.machine_label machine));
+                       ("width", J.Int 2);
+                       ("quick", J.Bool quick) ])
+              with
+              | Proto.Point preq -> key (Proto.grid_point preq).G.spec
+              | _ -> Alcotest.failf "%s: not a point request" label
+            in
+            Alcotest.(check string) (label ^ ": sweep axis") cli axis;
+            Alcotest.(check string) (label ^ ": daemon request") cli daemon)
+         spellings)
+    [ (G.Ss, Ooo_common.Params.ss_2way, Straight_core.Experiment.Riscv);
+      (G.Straight_re, Ooo_common.Params.straight_2way,
+       Straight_core.Experiment.Straight_re) ]
 
 (* ---------- live daemon ---------- *)
 
@@ -235,8 +307,25 @@ let test_malformed_requests () =
       Alcotest.(check (option string)) "unknown workload is CONFIG_ERROR"
         (Some "CONFIG_ERROR")
         (J.get_string (J.member "code" reply));
-      (* the server survived all of it *)
+      (* so is an out-of-range axis value, answered before any job runs *)
+      List.iter
+        (fun (field, v) ->
+           let reply =
+             Client.request c
+               (J.Obj
+                  [ ("op", J.Str "simulate"); ("workload", J.Str "fib");
+                    (field, J.Int v) ])
+           in
+           Alcotest.(check (option string))
+             (Printf.sprintf "%s %d is CONFIG_ERROR" field v)
+             (Some "CONFIG_ERROR")
+             (J.get_string (J.member "code" reply)))
+        [ ("rob", 0); ("width", 0); ("sched", -1) ];
+      (* the server survived all of it, and ran no job *)
       let st = get_status c in
+      Alcotest.(check (list int)) "no job ran or failed" [ 0; 0; 0; 0 ]
+        (List.map (fun k -> status_int k st)
+           [ "jobs_running"; "jobs_queued"; "simulations"; "sim_failures" ]);
       Alcotest.(check bool) "server still answers" true
         (status_int "requests" st >= 3);
       (* a 1 MiB line of open brackets is rejected by the parser's
@@ -371,7 +460,7 @@ let test_compile_op () =
      the daemon answers each with the right label and the library's own
      listing, and serves a repeat from the memo cache *)
   let module Exp = Straight_core.Experiment in
-  let src = (Sweep.Grid.workload ~quick:true "fib").Workloads.source in
+  let src = (Workloads.resolve ~quick:true "fib").Workloads.source in
   let expected =
     [ ("ss", Exp.Riscv, "SS");
       ("riscv", Exp.Riscv, "SS");
@@ -478,6 +567,8 @@ let suite =
       test_proto_codec;
     Alcotest.test_case "proto: grid point key round-trip" `Quick
       test_sweep_point_roundtrip;
+    Alcotest.test_case "proto: one Sim.key per workload spelling" `Quick
+      test_one_key_per_spelling;
     Alcotest.test_case "daemon: malformed requests get errors" `Quick
       test_malformed_requests;
     Alcotest.test_case "daemon: disconnect mid-job" `Slow

@@ -117,6 +117,37 @@ let test_grid_expand () =
        [ Sweep.Grid.Ss; Sweep.Grid.Ss_ckpt 8; Sweep.Grid.Straight_raw;
          Sweep.Grid.Straight_re ])
 
+(* Axis values are checked once, in [Grid.model]: a machine needs a lane
+   and a ROB entry, a scheduler may be empty (the deadlock hook), and a
+   bad value or workload is a CONFIG_ERROR before anything simulates. *)
+let test_grid_axis_checks () =
+  let module G = Sweep.Grid in
+  let one = { G.smoke with G.workloads = [ "fib" ] } in
+  List.iter
+    (fun (label, spec) ->
+       match G.expand spec with
+       | _ -> Alcotest.failf "%s expanded" label
+       | exception Diag.Error { Diag.code = Diag.Config_error; _ } -> ())
+    [ ("rob 0", { one with G.robs = [ Some 0 ] });
+      ("rob -3", { one with G.robs = [ Some (-3) ] });
+      ("sched -1", { one with G.scheds = [ Some (-1) ] });
+      ("width 0", { one with G.widths = [ 0 ] });
+      ("width -2", { one with G.widths = [ -2 ] });
+      ("unknown workload", { one with G.workloads = [ "pointer-chase" ] });
+      ("kernel with a count", { one with G.workloads = [ "fib:2" ] }) ];
+  let pts =
+    G.expand
+      { one with G.robs = [ Some 1 ]; scheds = [ Some 0 ];
+                 workloads = [ "stream:1"; "wasm_sieve" ] }
+  in
+  Alcotest.(check (list (pair string int))) "rob 1, sched 0 and the names expand"
+    [ ("stream", 1); ("wasm_sieve", 1) ]
+    (List.map
+       (fun (pt : G.point) ->
+          let w = pt.G.spec.Snapshot.Sim.workload in
+          (w.Workloads.name, w.Workloads.iterations))
+       pts)
+
 (* ---------- the content key ---------- *)
 
 (* The sweep store and the sampler's plans share one key: changing any
@@ -717,6 +748,8 @@ let props_suite =
   [ Alcotest.test_case "params: json round-trip" `Quick test_params_roundtrip;
     Alcotest.test_case "params: stable digest" `Quick test_params_digest;
     Alcotest.test_case "grid: expansion" `Quick test_grid_expand;
+    Alcotest.test_case "grid: axis values are checked once" `Quick
+      test_grid_axis_checks;
     Alcotest.test_case "store: content addressing" `Quick test_store;
     Alcotest.test_case "store: the key covers every input" `Quick
       test_key_covers_every_input;

@@ -164,8 +164,58 @@ let test_maxdist_sweep_small_cost () =
     (Printf.sprintf "maxdist-31 cost %.1f%% < 8%%" (100. *. cost))
     true (cost < 0.08)
 
+(* The registry: each name once, at the sizes the paper grid and the
+   tools share; "name:N" only for the iterated programs; every bad
+   spelling a CONFIG_ERROR naming the workloads. *)
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+let test_registry () =
+  Alcotest.(check (list string)) "names"
+    [ "dhrystone"; "coremark"; "fib"; "iota"; "sort"; "quicksort";
+      "pointer_chase"; "stream"; "wasm_sieve"; "wasm_crc32"; "wasm_expr" ]
+    Workloads.names;
+  List.iter
+    (fun (spelling, quick, (want : Workloads.t), spelled) ->
+       let w = Workloads.resolve ~quick spelling in
+       Alcotest.(check (triple string int string))
+         (Printf.sprintf "%s (quick %b)" spelling quick)
+         (want.Workloads.name, want.Workloads.iterations, want.Workloads.source)
+         (w.Workloads.name, w.Workloads.iterations, w.Workloads.source);
+       Alcotest.(check string) (spelling ^ ": spelled back") spelled
+         (Workloads.spelling w))
+    [ ("dhrystone", false, Workloads.dhrystone ~iterations:200 (), "dhrystone:200");
+      ("dhrystone", true, Workloads.dhrystone ~iterations:30 (), "dhrystone:30");
+      ("coremark", false, Workloads.coremark ~iterations:5 (), "coremark:5");
+      ("coremark", true, Workloads.coremark ~iterations:2 (), "coremark:2");
+      ("stream", false, Workloads.stream ~iterations:100 (), "stream:100");
+      ("stream", true, Workloads.stream ~iterations:1 (), "stream:1");
+      ("coremark:1", false, Workloads.coremark ~iterations:1 (), "coremark:1");
+      ("dhrystone:100", true, Workloads.dhrystone ~iterations:100 (), "dhrystone:100");
+      ("fib", true, Workloads.fib (), "fib");
+      ("pointer_chase", false, Workloads.pointer_chase (), "pointer_chase");
+      ("pointer_chase", true, Workloads.pointer_chase ~nodes:256 ~hops:200 (),
+       "pointer_chase");
+      ("wasm_sieve", true, Workloads.wasm_sieve ~limit:400 (), "wasm_sieve");
+      ("wasm_crc32", true, Workloads.wasm_crc32 ~nbytes:64 (), "wasm_crc32");
+      ("wasm_expr", true, Workloads.wasm_expr ~iters:100 (), "wasm_expr") ];
+  List.iter
+    (fun spelling ->
+       match Workloads.resolve ~quick:false spelling with
+       | _ -> Alcotest.failf "%S resolved" spelling
+       | exception Diag.Error { Diag.code = Diag.Config_error; message; _ } ->
+         Alcotest.(check bool) (spelling ^ ": the message lists the names")
+           true
+           (List.for_all (contains message) Workloads.names))
+    [ "pointer-chase"; "stream-short"; "wasm-sieve"; ""; "fib:3"; "coremark:0";
+      "coremark:-1"; "coremark:+2"; "coremark:0x10"; "coremark:"; "stream:1:2";
+      "dhrystone:99999999999999999999999" ]
+
 let suite =
-  [ ("dhrystone all targets", `Slow, test_dhrystone);
+  [ ("registry: names, sizes and spellings", `Quick, test_registry);
+    ("dhrystone all targets", `Slow, test_dhrystone);
     ("coremark all targets", `Slow, test_coremark);
     ("micro kernels all targets", `Quick, test_micro_kernels);
     ("workload determinism", `Quick, test_workload_determinism);
