@@ -79,8 +79,8 @@ let () =
   let tage = ref false in
   let ideal = ref false in
   let maxdist = ref Params.straight_max_dist in
-  let rob = ref 0 in
-  let sched = ref (-1) in
+  let rob = ref None in
+  let sched = ref None in
   let no_check = ref false in
   let inject = ref "" in
   let seed = ref 1 in
@@ -108,8 +108,10 @@ let () =
       ("-tage", Arg.Set tage, "use the TAGE branch predictor");
       ("-ideal", Arg.Set ideal, "idealize misprediction recovery (fig 13)");
       ("-maxdist", Arg.Set_int maxdist, "maximum source distance (STRAIGHT)");
-      ("-rob", Arg.Set_int rob, "override ROB entries");
-      ("-sched", Arg.Set_int sched, "override scheduler entries");
+      ("-rob", Arg.Int (fun n -> rob := Some n),
+       "override ROB entries (at least 1)");
+      ("-sched", Arg.Int (fun n -> sched := Some n),
+       "override scheduler entries (0 deadlocks: the watchdog's hook)");
       ("-no-check", Arg.Set no_check, "disable the lockstep golden-model checker");
       ("-inject", Arg.Set_string inject,
        "arm fault injection: all or a comma list of flip,tag,spurious,stretch");
@@ -151,6 +153,14 @@ let () =
        "built-in workload: " ^ Workloads.synopsis) ]
   in
   Arg.parse spec (fun f -> file := f) "straightsim [options] [FILE]";
+  (* the sweep grid's axis check, so an override that sweep and the
+     daemon reject is a CONFIG_ERROR here too *)
+  (try
+     Sweep.Grid.at_least "ROB entries" 1 !rob;
+     Sweep.Grid.at_least "scheduler entries" 0 !sched
+   with Diag.Error d ->
+     Printf.eprintf "straightsim: %s\n" (Diag.to_string d);
+     exit (Diag.exit_code d.Diag.code));
   let model =
     match !model_name with
     | "ss-2way" -> Params.ss_2way
@@ -162,11 +172,14 @@ let () =
   let model = if !tage then Params.with_tage model else model in
   let model = if !ideal then Params.with_ideal_recovery model else model in
   let model =
-    if !rob > 0 then { model with Params.rob_entries = !rob } else model
+    match !rob with
+    | Some n -> { model with Params.rob_entries = n }
+    | None -> model
   in
   let model =
-    if !sched >= 0 then { model with Params.scheduler_entries = !sched }
-    else model
+    match !sched with
+    | Some n -> { model with Params.scheduler_entries = n }
+    | None -> model
   in
   let model =
     if !inject = "" then model

@@ -4,38 +4,47 @@
 module Layout = Assembler.Layout
 module Image = Assembler.Image
 
-let page_words = 1024
-let page_shift = 10 (* log2 page_words *)
+let page_bytes = 4096
+let page_shift = 12 (* log2 page_bytes *)
+let table_size = 64 (* direct-mapped page-table entries, a power of two *)
 
+(* A page is 4 KiB of [Bytes] holding its 1024 words little-endian, the
+   layout [Bin.w_int32] writes, so a saved page is its bytes.  The
+   functional simulators read and write words as sign-extended ints
+   ([read_int], [write_int]) and box nothing. *)
 type t = {
-  pages : (int, int32 array) Hashtbl.t;
+  pages : (int, Bytes.t) Hashtbl.t;  (* by page index: address lsr 12 *)
   console : Buffer.t;
-  mutable last_index : int;        (* the page found last, -1 for none *)
-  mutable last_page : int32 array;
+  tags : int array;      (* the page index each table entry holds, or -1 *)
+  slots : Bytes.t array;
 }
 
 let create () =
   { pages = Hashtbl.create 64; console = Buffer.create 256;
-    last_index = -1; last_page = [||] }
+    tags = Array.make table_size (-1);
+    slots = Array.make table_size Bytes.empty }
 
-(* Page [index] (word address lsr [page_shift]), created zeroed on first
-   touch.  Accesses cluster, so the page found last answers most
-   lookups; the others take [Hashtbl.find], which allocates nothing. *)
+(* Page [index], created zeroed on first touch.  A loop walking two or
+   three arrays alternates between their pages, so a direct-mapped table
+   answers most lookups; a miss takes [Hashtbl.find] and refills the
+   entry. *)
+let page_miss t index k =
+  let p =
+    match Hashtbl.find t.pages index with
+    | p -> p
+    | exception Not_found ->
+      let p = Bytes.make page_bytes '\000' in
+      Hashtbl.replace t.pages index p;
+      p
+  in
+  t.tags.(k) <- index;
+  t.slots.(k) <- p;
+  p
+
 let page t index =
-  if index = t.last_index then t.last_page
-  else begin
-    let p =
-      match Hashtbl.find t.pages index with
-      | p -> p
-      | exception Not_found ->
-        let p = Array.make page_words 0l in
-        Hashtbl.replace t.pages index p;
-        p
-    in
-    t.last_index <- index;
-    t.last_page <- p;
-    p
-  end
+  let k = index land (table_size - 1) in
+  if Array.unsafe_get t.tags k = index then Array.unsafe_get t.slots k
+  else page_miss t index k
 
 let check_aligned addr =
   if addr land 3 <> 0 then
@@ -43,48 +52,46 @@ let check_aligned addr =
       ~context:[ ("addr", Printf.sprintf "0x%x" addr) ]
       Diag.Mem_unaligned "unaligned word access at 0x%x" addr
 
-(* [read t addr] reads the 32-bit word at byte address [addr]. *)
-let read t addr =
+let read_int t addr =
   check_aligned addr;
   if Layout.is_mmio addr then
     Diag.error
       ~context:[ ("addr", Printf.sprintf "0x%x" addr) ]
       Diag.Mem_mmio "load from write-only MMIO address 0x%x" addr;
-  let w = addr lsr 2 in
-  (page t (w lsr page_shift)).(w land (page_words - 1))
+  Int32.to_int
+    (Bytes.get_int32_le (page t (addr lsr page_shift))
+       (addr land (page_bytes - 1)))
 
-(* [write t addr v] writes [v]; MMIO addresses drive the console instead. *)
-let write t addr v =
+let write_int t addr v =
   check_aligned addr;
   if Layout.is_mmio addr then begin
     if addr = Layout.mmio_putint then
-      Buffer.add_string t.console (Printf.sprintf "%ld\n" v)
+      Buffer.add_string t.console (Printf.sprintf "%ld\n" (Int32.of_int v))
     else if addr = Layout.mmio_putchar then
-      Buffer.add_char t.console (Char.chr (Int32.to_int v land 0xFF))
+      Buffer.add_char t.console (Char.chr (v land 0xFF))
     else
       Diag.error
         ~context:[ ("addr", Printf.sprintf "0x%x" addr) ]
         Diag.Mem_mmio "unknown MMIO store at 0x%x" addr
   end
-  else begin
-    let w = addr lsr 2 in
-    (page t (w lsr page_shift)).(w land (page_words - 1)) <- v
-  end
+  else
+    Bytes.set_int32_le (page t (addr lsr page_shift))
+      (addr land (page_bytes - 1)) (Int32.of_int v)
+
+let read t addr = Int32.of_int (read_int t addr)
+let write t addr v = write_int t addr (Int32.to_int v)
 
 (* [words] stored from byte address [base] on, page by page: exactly
    the pages holding a word of the section exist afterwards.  The
    sections of an image lie far below the MMIO window. *)
 let load_section t base words =
   check_aligned base;
-  let n = Array.length words in
-  let i = ref 0 in
-  while !i < n do
-    let w = (base lsr 2) + !i in
-    let off = w land (page_words - 1) in
-    let k = min (n - !i) (page_words - off) in
-    Array.blit words !i (page t (w lsr page_shift)) off k;
-    i := !i + k
-  done
+  Array.iteri
+    (fun i w ->
+       let addr = base + (4 * i) in
+       Bytes.set_int32_le (page t (addr lsr page_shift))
+         (addr land (page_bytes - 1)) w)
+    words
 
 (* [load_image t image] copies .text and .data into memory. *)
 let load_image t (image : Image.t) =
@@ -93,19 +100,26 @@ let load_image t (image : Image.t) =
 
 let output t = Buffer.contents t.console
 
-(* The console so far, then the pages in address order. *)
+(* The console so far, then the pages in address order, each as its
+   index and 1024 [Bin.w_int32] words. *)
 let save b t =
   Bin.w_string b (Buffer.contents t.console);
   Bin.w_list b
-    (fun b (i, p) -> Bin.w_int b i; Array.iter (Bin.w_int32 b) p)
-    (List.sort compare (List.of_seq (Hashtbl.to_seq t.pages)))
+    (fun b (i, p) -> Bin.w_int b i; Buffer.add_bytes b p)
+    (List.sort
+       (fun (i, _) (j, _) -> Int.compare i j)
+       (List.of_seq (Hashtbl.to_seq t.pages)))
 
 let load r =
   let t = create () in
   Buffer.add_string t.console (Bin.r_string r);
   let page r =
     let i = Bin.r_int r in
-    (i, Array.init page_words (fun _ -> Bin.r_int32 r))
+    let p = Bytes.create page_bytes in
+    for k = 0 to (page_bytes / 4) - 1 do
+      Bytes.set_int32_le p (4 * k) (Bin.r_int32 r)
+    done;
+    (i, p)
   in
   List.fold_left
     (fun last (i, p) ->

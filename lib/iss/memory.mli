@@ -1,5 +1,6 @@
 (** Word-granular sparse memory with the MMIO console, shared by both
-    functional simulators. *)
+    functional simulators.  Pages are 4 KiB of little-endian bytes, so
+    {!save} writes each as it is held. *)
 
 type t
 
@@ -15,6 +16,14 @@ val write : t -> int -> int32 -> unit
     ({!Assembler.Layout.mmio_putint} / [mmio_putchar]).
     @raise Diag.Error with code [Mem_unaligned] on unaligned access, or
     [Mem_mmio] on a store to an unmapped MMIO address. *)
+
+val read_int : t -> int -> int
+(** {!read} with the word as an OCaml int carrying its sign-extended
+    value, the functional simulators' representation: nothing is boxed.
+    @raise as {!read}. *)
+
+val write_int : t -> int -> int -> unit
+(** {!write} of the low 32 bits of an int.  @raise as {!write}. *)
 
 val load_image : t -> Assembler.Image.t -> unit
 (** Copy .text and .data into memory. *)

@@ -16,11 +16,14 @@ type config = { max_insns : int; collect_trace : bool }
 
 let default_config = { max_insns = 50_000_000; collect_trace = false }
 
+(* x0..x31 as OCaml ints carrying their sign-extended 32-bit value
+   ([Isa.sext32]), so a retirement boxes nothing; the [int32] arrays of
+   [checkpoint], [resume] and [outcome] are converted at the boundary. *)
 type session = {
   code : Isa.resolved array;
   text_base : int;
   mem : Memory.t;
-  regs : int32 array;
+  regs : int array;
   mutable pc : int;
   mutable count : int;
   mutable halted : bool;
@@ -90,7 +93,7 @@ type arch_state = {
 }
 
 let checkpoint (s : session) : arch_state =
-  { a_pc = s.pc; a_regs = Array.copy s.regs; a_instret = s.count }
+  { a_pc = s.pc; a_regs = Array.map Int32.of_int s.regs; a_instret = s.count }
 
 let resume ?(config = default_config) ?on_retire (image : Image.t)
     (mem : Memory.t) (st : arch_state) : session =
@@ -101,7 +104,7 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
   { code;
     text_base;
     mem;
-    regs = Array.copy st.a_regs;
+    regs = Array.map Int32.to_int st.a_regs;
     pc = st.a_pc;
     count = st.a_instret;
     halted = false;
@@ -142,45 +145,44 @@ let exec (s : session) ~want : Trace.uop =
   let taken = ref false in
   let regs = s.regs in
   (match insn with
-   | Isa.Lui (rd, i) -> set regs rd (Int32.shift_left i 12)
+   | Isa.Lui (rd, i) -> set regs rd (Int32.to_int (Int32.shift_left i 12))
    | Isa.Auipc (rd, i) ->
-     set regs rd (Int32.add (Int32.of_int here) (Int32.shift_left i 12))
+     set regs rd (Isa.sext32 (here + Int32.to_int (Int32.shift_left i 12)))
    | Isa.Jal (rd, off) ->
-     set regs rd (Int32.of_int (here + 4));
+     set regs rd (Isa.sext32 (here + 4));
      next := here + off
    | Isa.Jalr (rd, rs1, imm) ->
-     let target = (Int32.to_int regs.(rs1) + imm) land 0xFFFFFFFE in
-     set regs rd (Int32.of_int (here + 4));
+     let target = (regs.(rs1) + imm) land 0xFFFFFFFE in
+     set regs rd (Isa.sext32 (here + 4));
      next := target
    | Isa.Branch (cond, rs1, rs2, off) ->
-     if Isa.eval_branch cond regs.(rs1) regs.(rs2) then begin
+     if Isa.eval_branch_int cond regs.(rs1) regs.(rs2) then begin
        taken := true;
        next := here + off
      end
    | Isa.Lw (rd, rs1, imm) ->
-     let addr = (Int32.to_int regs.(rs1) + imm) land 0xFFFFFFFF in
+     let addr = Isa.u32 (regs.(rs1) + imm) in
      mem_addr := addr;
-     set regs rd (Memory.read s.mem addr)
+     set regs rd (Memory.read_int s.mem addr)
    | Isa.Sw (rs2, rs1, imm) ->
-     let addr = (Int32.to_int regs.(rs1) + imm) land 0xFFFFFFFF in
+     let addr = Isa.u32 (regs.(rs1) + imm) in
      mem_addr := addr;
-     Memory.write s.mem addr regs.(rs2)
+     Memory.write_int s.mem addr regs.(rs2)
    | Isa.Alui (op, rd, rs1, imm) ->
-     set regs rd
-       (Isa.eval_alu (Isa.alu_of_alui op) regs.(rs1) (Int32.of_int imm))
+     set regs rd (Isa.eval_alu_int (Isa.alu_of_alui op) regs.(rs1) imm)
    | Isa.Alu (op, rd, rs1, rs2) ->
-     set regs rd (Isa.eval_alu op regs.(rs1) regs.(rs2))
+     set regs rd (Isa.eval_alu_int op regs.(rs1) regs.(rs2))
    | Isa.Ebreak -> s.halted <- true);
   let u =
-    if want || s.config.collect_trace || s.on_retire <> None then begin
+    match s.on_retire with
+    | None when not (want || s.config.collect_trace) -> Trace.placeholder
+    | on_retire ->
       let u =
         session_uop s idx insn ~mem_addr:!mem_addr ~taken:!taken ~next:!next
       in
       if s.config.collect_trace then s.uops <- u :: s.uops;
-      (match s.on_retire with Some f -> f s.count u | None -> ());
+      (match on_retire with Some f -> f s.count u | None -> ());
       u
-    end
-    else Trace.placeholder
   in
   s.count <- s.count + 1;
   s.pc <- !next;
@@ -218,7 +220,7 @@ type outcome = {
 let run_outcome ?(config = default_config) (image : Image.t) : outcome =
   let s = start ~config image in
   run_session s;
-  { run = finish s; mem = s.mem; regs = s.regs }
+  { run = finish s; mem = s.mem; regs = Array.map Int32.of_int s.regs }
 
 let run ?config (image : Image.t) : Trace.run = (run_outcome ?config image).run
 

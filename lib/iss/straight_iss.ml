@@ -37,12 +37,15 @@ type config = {
 let default_config =
   { max_insns = 50_000_000; collect_trace = false; collect_dist = false }
 
+(* Register words are OCaml ints carrying their sign-extended 32-bit
+   value ([Isa.sext32]), so a retirement boxes nothing; [checkpoint] and
+   [resume] convert at the [int32] boundary. *)
 type session = {
   code : Isa.resolved array;
   text_base : int;
   mem : Memory.t;
-  regs : int32 array;
-  mutable sp : int32;
+  regs : int array;
+  mutable sp : int;
   mutable pc : int;
   mutable count : int;          (* retired instructions = architectural RP *)
   mutable halted : bool;
@@ -123,12 +126,13 @@ type arch_state = {
    checkpoint, as in a conventional CPU. *)
 let checkpoint (s : session) : arch_state =
   { a_pc = s.pc;
-    a_sp = s.sp;
+    a_sp = Int32.of_int s.sp;
     a_rp = s.count;
     a_window =
       Array.init Isa.max_dist (fun i ->
           let d = i + 1 in
-          if d > s.count then 0l else s.regs.((s.count - d) land ring_mask)) }
+          if d > s.count then 0l
+          else Int32.of_int s.regs.((s.count - d) land ring_mask)) }
 
 (* [resume ?config image mem state] rebuilds a session from a checkpoint:
    only {PC, SP, RP, window} are needed — the paper's precise-interrupt
@@ -143,8 +147,8 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
     { code;
       text_base;
       mem;
-      regs = Array.make ring 0l;
-      sp = st.a_sp;
+      regs = Array.make ring 0;
+      sp = Int32.to_int st.a_sp;
       pc = st.a_pc;
       count = st.a_rp;
       halted = false;
@@ -157,7 +161,8 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
   Array.iteri
     (fun i v ->
        let d = i + 1 in
-       if d <= st.a_rp then s.regs.((st.a_rp - d) land ring_mask) <- v)
+       if d <= st.a_rp then
+         s.regs.((st.a_rp - d) land ring_mask) <- Int32.to_int v)
     st.a_window;
   s
 
@@ -170,7 +175,7 @@ let start ?config ?on_retire (image : Image.t) : session =
     { a_pc = image.Image.entry; a_sp = Int32.of_int Layout.stack_top;
       a_rp = 0; a_window = [||] }
 
-let read_src s d = if d = 0 then 0l else s.regs.((s.count - d) land ring_mask)
+let read_src s d = if d = 0 then 0 else s.regs.((s.count - d) land ring_mask)
 
 let record_dist s d =
   if s.config.collect_dist && d > 0 then s.dist_hist.(d) <- s.dist_hist.(d) + 1
@@ -192,67 +197,66 @@ let exec (s : session) ~want : Trace.uop =
   let insn = s.code.(idx) in
   let here = s.pc in
   let next = ref (here + 4) in
-  let result = ref 0l in
+  let result = ref 0 in
   let mem_addr = ref 0 in
   let taken = ref false in
   (match insn with
    | Isa.Alu (op, a, b) ->
      record_dist s a; record_dist s b;
-     result := Isa.eval_alu op (read_src s a) (read_src s b)
+     result := Isa.eval_alu_int op (read_src s a) (read_src s b)
    | Isa.Alui (op, a, i) ->
      record_dist s a;
-     result := Isa.eval_alu (Isa.alu_of_alui op) (read_src s a) i
-   | Isa.Lui i -> result := Int32.shift_left i 12
+     result :=
+       Isa.eval_alu_int (Isa.alu_of_alui op) (read_src s a) (Int32.to_int i)
+   | Isa.Lui i -> result := Int32.to_int (Int32.shift_left i 12)
    | Isa.Rmov a -> record_dist s a; result := read_src s a
-   | Isa.Nop -> result := 0l
+   | Isa.Nop -> result := 0
    | Isa.Ld (b, off) ->
      record_dist s b;
-     let addr = Int32.to_int (read_src s b) + off in
-     mem_addr := addr land 0xFFFFFFFF;
-     result := Memory.read s.mem !mem_addr
+     mem_addr := Isa.u32 (read_src s b + off);
+     result := Memory.read_int s.mem !mem_addr
    | Isa.St (v, b, off) ->
      record_dist s v; record_dist s b;
-     let addr = Int32.to_int (read_src s b) + off in
-     mem_addr := addr land 0xFFFFFFFF;
+     mem_addr := Isa.u32 (read_src s b + off);
      let value = read_src s v in
-     Memory.write s.mem !mem_addr value;
+     Memory.write_int s.mem !mem_addr value;
      (* The paper: "store value is returned in the current specification" *)
      result := value
    | Isa.Bez (a, off) ->
      record_dist s a;
-     if read_src s a = 0l then begin
+     if read_src s a = 0 then begin
        taken := true;
        next := here + (4 * off)
      end
    | Isa.Bnz (a, off) ->
      record_dist s a;
-     if read_src s a <> 0l then begin
+     if read_src s a <> 0 then begin
        taken := true;
        next := here + (4 * off)
      end
    | Isa.J off -> next := here + (4 * off)
    | Isa.Jal off ->
-     result := Int32.of_int (here + 4);
+     result := Isa.sext32 (here + 4);
      next := here + (4 * off)
    | Isa.Jr a ->
      record_dist s a;
-     next := Int32.to_int (read_src s a) land 0xFFFFFFFF;
-     result := Int32.of_int (here + 4)
+     next := Isa.u32 (read_src s a);
+     result := Isa.sext32 (here + 4)
    | Isa.Spadd i ->
-     s.sp <- Int32.add s.sp (Int32.of_int i);
+     s.sp <- Isa.sext32 (s.sp + i);
      result := s.sp
    | Isa.Halt -> s.halted <- true);
   s.regs.(s.count land ring_mask) <- !result;
   let u =
-    if want || s.config.collect_trace || s.on_retire <> None then begin
+    match s.on_retire with
+    | None when not (want || s.config.collect_trace) -> Trace.placeholder
+    | on_retire ->
       let u =
         session_uop s idx insn ~mem_addr:!mem_addr ~taken:!taken ~next:!next
       in
       if s.config.collect_trace then s.uops <- u :: s.uops;
-      (match s.on_retire with Some f -> f s.count u | None -> ());
+      (match on_retire with Some f -> f s.count u | None -> ());
       u
-    end
-    else Trace.placeholder
   in
   s.count <- s.count + 1;
   s.pc <- !next;
@@ -291,4 +295,4 @@ let run ?(config = default_config) (image : Image.t) : Trace.run =
    immediately before JR, so once HALT retires the three youngest slots
    are HALT, JR, retval — main's result sits at distance 3. *)
 let exit_value (s : session) : int32 =
-  if s.count < 3 then 0l else s.regs.((s.count - 3) land ring_mask)
+  if s.count < 3 then 0l else Int32.of_int s.regs.((s.count - 3) land ring_mask)

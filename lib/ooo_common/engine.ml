@@ -984,7 +984,7 @@ let dispatch t =
       t.checkpoint_stalls <- t.checkpoint_stalls + 1;
       continue_ := false
     end
-    else if p.Params.rename = Params.Rp && uop.Trace.is_spadd
+    else if (not t.is_rmt) && uop.Trace.is_spadd
             && !spadds_this_cycle >= Params.spadd_per_cycle
     then begin t.spadd_stalls <- t.spadd_stalls + 1; continue_ := false end
     else begin

@@ -72,7 +72,7 @@ let seq w i = if retained w i then w.seqs.(i land w.mask) else -1
 let set_seq w i s = if retained w i then w.seqs.(i land w.mask) <- s
 
 let release w i =
-  let i = min i w.frontier in
+  let i = if i < w.frontier then i else w.frontier in
   while w.base < i do
     w.uops.(w.base land w.mask) <- Trace.placeholder;
     w.base <- w.base + 1

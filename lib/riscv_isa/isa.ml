@@ -69,44 +69,54 @@ let map_label f = function
   | Alu (op, rd, rs1, rs2) -> Alu (op, rd, rs1, rs2)
   | Ebreak -> Ebreak
 
-let eval_alu op (a : int32) (b : int32) : int32 =
-  let sh = Int32.to_int (Int32.logand b 31l) in
-  let u x = Int64.logand (Int64.of_int32 x) 0xFFFFFFFFL in
-  match op with
-  | Add -> Int32.add a b
-  | Sub -> Int32.sub a b
-  | Sll -> Int32.shift_left a sh
-  | Slt -> if Int32.compare a b < 0 then 1l else 0l
-  | Sltu -> if Int64.compare (u a) (u b) < 0 then 1l else 0l
-  | Xor -> Int32.logxor a b
-  | Srl -> Int32.shift_right_logical a sh
-  | Sra -> Int32.shift_right a sh
-  | Or -> Int32.logor a b
-  | And -> Int32.logand a b
-  | Mul -> Int32.mul a b
-  | Mulh -> Int64.to_int32 (Int64.shift_right (Int64.mul (Int64.of_int32 a) (Int64.of_int32 b)) 32)
-  | Mulhsu -> Int64.to_int32 (Int64.shift_right (Int64.mul (Int64.of_int32 a) (u b)) 32)
-  | Mulhu -> Int64.to_int32 (Int64.shift_right (Int64.mul (u a) (u b)) 32)
-  | Div ->
-    if b = 0l then -1l
-    else if a = Int32.min_int && b = -1l then Int32.min_int
-    else Int32.div a b
-  | Divu -> if b = 0l then -1l else Int64.to_int32 (Int64.div (u a) (u b))
-  | Rem ->
-    if b = 0l then a
-    else if a = Int32.min_int && b = -1l then 0l
-    else Int32.rem a b
-  | Remu -> if b = 0l then a else Int64.to_int32 (Int64.rem (u a) (u b))
+(* Words as the functional simulator holds them: OCaml ints carrying the
+   sign-extended 32-bit value (see [Straight_isa.Isa.sext32]). *)
+let sext32 x = Int32.to_int (Int32.of_int x)
+let u32 x = x land 0xFFFF_FFFF
 
-let eval_branch cond (a : int32) (b : int32) : bool =
-  let u x = Int64.logand (Int64.of_int32 x) 0xFFFFFFFFL in
+(* The high word of a 64-bit product; two 32-bit operands need one bit
+   more than an OCaml int holds, so it is taken through [Int64]. *)
+let mul_high a b =
+  Int64.to_int
+    (Int64.shift_right (Int64.mul (Int64.of_int a) (Int64.of_int b)) 32)
+
+let eval_alu_int op (a : int) (b : int) : int =
+  let sh = b land 31 in
+  match op with
+  | Add -> sext32 (a + b)
+  | Sub -> sext32 (a - b)
+  | Sll -> sext32 (a lsl sh)
+  | Slt -> if a < b then 1 else 0
+  | Sltu -> if u32 a < u32 b then 1 else 0
+  | Xor -> a lxor b
+  | Srl -> sext32 (u32 a lsr sh)
+  | Sra -> a asr sh
+  | Or -> a lor b
+  | And -> a land b
+  | Mul -> sext32 (a * b)
+  | Mulh -> mul_high a b
+  | Mulhsu -> mul_high a (u32 b)
+  | Mulhu -> sext32 (mul_high (u32 a) (u32 b))
+  (* [min_int / -1] overflows to [min_int], as [sext32] wraps it *)
+  | Div -> if b = 0 then -1 else sext32 (a / b)
+  | Divu -> if b = 0 then -1 else sext32 (u32 a / u32 b)
+  | Rem -> if b = 0 then a else a mod b
+  | Remu -> if b = 0 then a else sext32 (u32 a mod u32 b)
+
+let eval_branch_int cond (a : int) (b : int) : bool =
   match cond with
   | Beq -> a = b
   | Bne -> a <> b
-  | Blt -> Int32.compare a b < 0
-  | Bge -> Int32.compare a b >= 0
-  | Bltu -> Int64.compare (u a) (u b) < 0
-  | Bgeu -> Int64.compare (u a) (u b) >= 0
+  | Blt -> a < b
+  | Bge -> a >= b
+  | Bltu -> u32 a < u32 b
+  | Bgeu -> u32 a >= u32 b
+
+let eval_alu op (a : int32) (b : int32) : int32 =
+  Int32.of_int (eval_alu_int op (Int32.to_int a) (Int32.to_int b))
+
+let eval_branch cond (a : int32) (b : int32) : bool =
+  eval_branch_int cond (Int32.to_int a) (Int32.to_int b)
 
 (* ABI register names, used by the printer and parser. *)
 let reg_name r =

@@ -48,6 +48,20 @@ val eval_alu : alu_op -> int32 -> int32 -> int32
 
 val eval_branch : branch_cond -> int32 -> int32 -> bool
 
+val eval_alu_int : alu_op -> int -> int -> int
+(** {!eval_alu} on words held as OCaml ints carrying their sign-extended
+    32-bit value, the functional simulator's representation; the result
+    is sign-extended too.  [eval_alu] is this function on [int32]. *)
+
+val eval_branch_int : branch_cond -> int -> int -> bool
+(** {!eval_branch} on sign-extended words. *)
+
+val sext32 : int -> int
+(** The sign-extended value of an int's low 32 bits. *)
+
+val u32 : int -> int
+(** The low 32 bits of an int, read as unsigned. *)
+
 val reg_name : reg -> string
 (** ABI name ([zero], [ra], [sp], [t0], [a0], [s0], ...). *)
 

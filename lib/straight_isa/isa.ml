@@ -97,39 +97,43 @@ let alui_op_name = function
   | Slli -> "SLLi" | Srli -> "SRLi" | Srai -> "SRAi" | Slti -> "SLTi"
   | Sltui -> "SLTUi"
 
+(* A 32-bit word as the simulators hold it: the OCaml int carrying its
+   sign-extended value, so a register file is an [int array] and
+   arithmetic boxes nothing.  [sext32] brings a result back to 32 bits
+   and [u32] reads a word as unsigned. *)
+let sext32 x = Int32.to_int (Int32.of_int x)
+let u32 x = x land 0xFFFF_FFFF
+
 (* Evaluate a register-register ALU operation with RV32-style semantics
-   (shared by the functional simulator and constant folding). *)
-let eval_alu op (a : int32) (b : int32) : int32 =
-  let sh = Int32.to_int (Int32.logand b 31l) in
+   on sign-extended words (the functional simulator's representation).
+   A product of two words needs 64 bits, one more than an OCaml int
+   holds, so the high half is taken through [Int64]. *)
+let eval_alu_int op (a : int) (b : int) : int =
+  let sh = b land 31 in
   match op with
-  | Add -> Int32.add a b
-  | Sub -> Int32.sub a b
-  | And -> Int32.logand a b
-  | Or -> Int32.logor a b
-  | Xor -> Int32.logxor a b
-  | Sll -> Int32.shift_left a sh
-  | Srl -> Int32.shift_right_logical a sh
-  | Sra -> Int32.shift_right a sh
-  | Slt -> if Int32.compare a b < 0 then 1l else 0l
-  | Sltu ->
-    let ua = Int32.logxor a Int32.min_int and ub = Int32.logxor b Int32.min_int in
-    if Int32.compare ua ub < 0 then 1l else 0l
-  | Mul -> Int32.mul a b
+  | Add -> sext32 (a + b)
+  | Sub -> sext32 (a - b)
+  | And -> a land b
+  | Or -> a lor b
+  | Xor -> a lxor b
+  | Sll -> sext32 (a lsl sh)
+  | Srl -> sext32 (u32 a lsr sh)
+  | Sra -> a asr sh
+  | Slt -> if a < b then 1 else 0
+  | Sltu -> if u32 a < u32 b then 1 else 0
+  | Mul -> sext32 (a * b)
   | Mulh ->
-    let p = Int64.mul (Int64.of_int32 a) (Int64.of_int32 b) in
-    Int64.to_int32 (Int64.shift_right p 32)
-  | Div ->
-    if b = 0l then -1l
-    else if a = Int32.min_int && b = -1l then Int32.min_int
-    else Int32.div a b
-  | Divu ->
-    if b = 0l then -1l else Int64.to_int32 (Int64.div (Int64.logand (Int64.of_int32 a) 0xFFFFFFFFL) (Int64.logand (Int64.of_int32 b) 0xFFFFFFFFL))
-  | Rem ->
-    if b = 0l then a
-    else if a = Int32.min_int && b = -1l then 0l
-    else Int32.rem a b
-  | Remu ->
-    if b = 0l then a else Int64.to_int32 (Int64.rem (Int64.logand (Int64.of_int32 a) 0xFFFFFFFFL) (Int64.logand (Int64.of_int32 b) 0xFFFFFFFFL))
+    Int64.to_int
+      (Int64.shift_right (Int64.mul (Int64.of_int a) (Int64.of_int b)) 32)
+  (* [min_int / -1] overflows to [min_int], as [sext32] wraps it *)
+  | Div -> if b = 0 then -1 else sext32 (a / b)
+  | Divu -> if b = 0 then -1 else sext32 (u32 a / u32 b)
+  | Rem -> if b = 0 then a else a mod b
+  | Remu -> if b = 0 then a else sext32 (u32 a mod u32 b)
+
+(* The same on [int32] words (constant folding, TV). *)
+let eval_alu op (a : int32) (b : int32) : int32 =
+  Int32.of_int (eval_alu_int op (Int32.to_int a) (Int32.to_int b))
 
 let alu_of_alui = function
   | Addi -> Add | Andi -> And | Ori -> Or | Xori -> Xor

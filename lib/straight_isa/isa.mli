@@ -74,6 +74,17 @@ val eval_alu : alu_op -> int32 -> int32 -> int32
     folding): shifts use the low 5 bits, division by zero yields [-1]
     ([Div])/the dividend ([Rem]), [min_int / -1 = min_int]. *)
 
+val eval_alu_int : alu_op -> int -> int -> int
+(** {!eval_alu} on words held as OCaml ints carrying their sign-extended
+    32-bit value, the functional simulator's representation; the result
+    is sign-extended too.  [eval_alu] is this function on [int32]. *)
+
+val sext32 : int -> int
+(** The sign-extended value of an int's low 32 bits. *)
+
+val u32 : int -> int
+(** The low 32 bits of an int, read as unsigned. *)
+
 val alu_of_alui : alui_op -> alu_op
 (** The register-register operation computing the same function. *)
 

@@ -46,6 +46,14 @@ type point = {
   sample : Sample.Spec.t option;
 }
 
+val at_least : string -> int -> int option -> unit
+(** [at_least what floor n] is the one check of a numeric axis value,
+    shared by {!model} (so sweep and the daemon) and straightsim's
+    [-rob]/[-sched] overrides: a machine needs a lane and a ROB entry,
+    and a 0-entry scheduler stays legal as the watchdog's hook.
+    @raise Diag.Error code [Config_error], ["<what> must be at least
+    <floor>, got <n>"], when [n] is [Some v] with [v < floor]. *)
+
 val model :
   machine -> width:int -> rob:int option -> sched:int option ->
   predictor:Ooo_common.Params.predictor_kind -> ideal:bool ->

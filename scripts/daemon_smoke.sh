@@ -8,6 +8,8 @@
 #   - a point that deadlocks in its worker (a 0-entry scheduler) to be
 #     answered as straightsim reports it: code SIM_DEADLOCK, and
 #     straightd-client exiting 6 (Diag.exit_code Sim_deadlock),
+#   - a 0-entry ROB to be refused by both the daemon and straightsim
+#     with the same CONFIG_ERROR message, each exiting 2,
 #   - a clean shutdown (daemon exit 0, socket unlinked).
 # The straightd-bench/1 reports land in _daemon_smoke/ for CI to
 # archive.  Run via `make daemon-smoke`.
@@ -93,6 +95,25 @@ if [ "$st" != 6 ] || ! grep -q '"code": "SIM_DEADLOCK"' "$DIR/deadlock.json"
 then
   echo "daemon-smoke: deadlock reply exited $st, want SIM_DEADLOCK and 6"
   cat "$DIR/deadlock.json"
+  exit 1
+fi
+
+echo "daemon-smoke: a 0-entry ROB is a CONFIG_ERROR in both"
+st=0
+"$CLIENT" -socket "$SOCK" -quiet \
+  -json '{"op":"simulate","workload":"fib","rob":0}' \
+  >"$DIR/rob0.json" || st=$?
+sst=0
+"$SIM" -workload fib -rob 0 >/dev/null 2>"$DIR/rob0.err" || sst=$?
+want='ROB entries must be at least 1, got 0'
+if [ "$st" != 2 ] || [ "$sst" != 2 ] \
+   || ! grep -q '"code": "CONFIG_ERROR"' "$DIR/rob0.json" \
+   || ! grep -q "$want" "$DIR/rob0.json" \
+   || ! grep -q "CONFIG_ERROR: $want" "$DIR/rob0.err"
+then
+  echo "daemon-smoke: rob 0 exited $st (daemon) and $sst (straightsim),"
+  echo "  want CONFIG_ERROR \"$want\" and 2 from both"
+  cat "$DIR/rob0.json" "$DIR/rob0.err"
   exit 1
 fi
 

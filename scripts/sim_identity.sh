@@ -26,7 +26,9 @@
 #     (fib, sort, pointer_chase, dhrystone:100);
 #   - -sample interval=5k,warmup=1k with -sample-json (dhrystone:100),
 #     ignoring host_seconds and the plan line, whose key covers the
-#     executable's digest;
+#     executable's digest, and the interval files themselves, paired by
+#     interval index (their names embed that key; their bytes, ISS state
+#     from Iss.Machine.save included, must match);
 #   - the -sched 0 deadlock (exit 6, context dump) and -inject all -seed 7;
 #   - the paper's tables at quick sizes (sweep -grid paper -quick -j 0
 #     -figures), and bench/main.exe `micro --quick --json` with the
@@ -125,6 +127,16 @@ battery() {
     run "sample.$m.$t" "$sim" -model "$m" -target "$t" \
       -workload dhrystone:100 -sample interval=5k,warmup=1k -store logs/store \
       -sample-json "logs/sample.$m.$t.json"
+    # the interval files, by index: their names start with the plan key
+    # (the plan line's prefix of it), their bytes must not differ
+    key=$(sed -n 's/^plan \([0-9a-f]*\):.*/\1/p' "sample.$m.$t.out")
+    if [ -n "$key" ]; then
+      for f in logs/store/sample/"$key"*.i*.snap; do
+        [ -f "$f" ] || continue
+        i=${f##*.i}
+        cp "$f" "sample.$m.$t.i${i%.snap}.snap"
+      done
+    fi
     grep -v '^plan ' "sample.$m.$t.out" >"logs/sample.out" || true
     mv "logs/sample.out" "sample.$m.$t.out"
     if [ -f "logs/sample.$m.$t.json" ]; then

@@ -677,6 +677,319 @@ let test_digest_sensitive () =
          (Hashtbl.mem exercised what))
     mutations
 
+(* ---------- the ISS's word representation ---------- *)
+
+let workload_image target (w : Workloads.t) =
+  (Straight_core.Compile.compile (Exp.codegen target) w.Workloads.source)
+    .Straight_core.Compile.image
+
+(* [Machine.save]'s bytes for a session stopped mid-run, by digest.
+   Engine checkpoints and interval files embed them, so however the ISS
+   holds its register and memory words, the encoding must not move. *)
+let save_digests =
+  [ ("dhrystone", Exp.Straight_re, 50_001,
+     "c9dcc2877b9b49929ccdb54a09f17815");
+    ("dhrystone", Exp.Riscv, 50_001, "ac4dda63fa070545c81753aaaa33f489");
+    ("coremark", Exp.Straight_re, 120_003,
+     "1028cbeaaf6108427602fcf4115b9488");
+    ("coremark", Exp.Riscv, 120_003, "193f3c8bd8856ebdbf4ea85d7c281b5f") ]
+
+let sized = function
+  | "dhrystone" -> Workloads.dhrystone ~iterations:100 ()
+  | _ -> Workloads.coremark ~iterations:2 ()
+
+let test_save_bytes_pinned () =
+  List.iter
+    (fun (name, target, at, want) ->
+       let label =
+         Printf.sprintf "%s/%s at %d" name (Exp.target_label target) at
+       in
+       let s = Iss.Machine.start (workload_image target (sized name)) in
+       Iss.Machine.run_session ~until:at s;
+       Alcotest.(check int) (label ^ ": stopped there") at
+         (Iss.Machine.retired s);
+       let b = Buffer.create 65536 in
+       Iss.Machine.save b s;
+       Alcotest.(check string) (label ^ ": save digest") want
+         (Digest.to_hex (Digest.string (Buffer.contents b))))
+    save_digests
+
+(* A bare run retires without allocating: register and memory words are
+   unboxed ints, and a retirement nobody asked a uop of builds none.
+   The bound leaves room for the console and the pages a run touches;
+   a boxed word per register write is 3 words per retirement. *)
+let test_bare_run_alloc () =
+  List.iter
+    (fun (name, target) ->
+       let label = Printf.sprintf "%s/%s" name (Exp.target_label target) in
+       let s = Iss.Machine.start (workload_image target (sized name)) in
+       let before = Gc.minor_words () in
+       Iss.Machine.run_session s;
+       let words = Gc.minor_words () -. before in
+       let per = words /. float_of_int (Iss.Machine.retired s) in
+       Printf.printf "%s: %.3f minor words per retirement\n" label per;
+       if per >= 0.5 then
+         Alcotest.failf "%s: a bare run allocates %.2f minor words per \
+                         retirement (bound 0.5)"
+           label per)
+    [ ("dhrystone", Exp.Straight_re); ("dhrystone", Exp.Riscv);
+      ("coremark", Exp.Straight_re); ("coremark", Exp.Riscv) ]
+
+(* Memory words round-trip through [write]/[read] and through
+   [save]/[load], boundary values included, at aligned addresses on both
+   edges of a page and in pages that share a page-table entry. *)
+let boundary_words =
+  [ 0l; 1l; -1l; 2l; -2l; Int32.min_int; Int32.max_int;
+    Int32.add Int32.min_int 1l; Int32.sub Int32.max_int 1l; 31l; 32l; 33l;
+    63l; 64l; -31l; -32l; 0x7FFFl; -0x8000l; 0xFFFFl; 0x10000l;
+    0x8000_0001l; 0x7FFF_FFFEl ]
+
+let word_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (3, oneofl boundary_words);
+        (2, map Int32.of_int (int_range (-64) 64));
+        (3, map Int32.of_int int) ])
+
+(* an aligned address below the MMIO window: a page's first or last
+   word, or any word, in a page drawn so that several alias in the
+   direct-mapped table *)
+let addr_gen =
+  QCheck2.Gen.(
+    let* page =
+      frequency
+        [ (3, int_range 0 3 >|= fun k -> 0x100 + (k * 64));
+          (1, int_range 0 0xFFFEF) ]
+    and* word = frequency [ (2, oneofl [ 0; 1023 ]); (1, int_range 0 1023) ] in
+    return ((page lsl 12) + (4 * word)))
+
+let prop_memory_round_trip =
+  QCheck2.Test.make ~count:300 ~name:"memory: words round-trip, saved too"
+    ~print:
+      QCheck2.Print.(
+        list (pair (Printf.sprintf "0x%x") Int32.to_string))
+    QCheck2.Gen.(list_size (int_range 1 40) (pair addr_gen word_gen))
+    (fun writes ->
+       let m = Iss.Memory.create () in
+       List.iter (fun (a, v) -> Iss.Memory.write m a v) writes;
+       let last = Hashtbl.create 16 in
+       List.iter (fun (a, v) -> Hashtbl.replace last a v) writes;
+       let b = Buffer.create 4096 in
+       Iss.Memory.save b m;
+       let saved = Buffer.contents b in
+       let m' = Iss.Memory.load (Bin.reader saved) in
+       let b' = Buffer.create 4096 in
+       Iss.Memory.save b' m';
+       Hashtbl.fold
+         (fun a v ok ->
+            ok && Iss.Memory.read m a = v && Iss.Memory.read m' a = v
+            && Iss.Memory.read_int m a = Int32.to_int v)
+         last true
+       && Buffer.contents b' = saved)
+
+(* ---------- ALU and branch semantics on each ISS ---------- *)
+
+(* The reference: RV32IM on [Int64], where the product of two signed
+   words, or of a signed and an unsigned one, fits exactly, and the
+   unsigned product wraps but keeps its high word. *)
+module Ref = struct
+  let s = Int64.of_int32
+  let u x = Int64.logand (Int64.of_int32 x) 0xFFFF_FFFFL
+  let w = Int64.to_int32
+  let sh b = Int64.to_int (Int64.logand (s b) 31L)
+  let bool c = if c then 1l else 0l
+
+  let alu name a b =
+    match name with
+    | "add" -> w (Int64.add (s a) (s b))
+    | "sub" -> w (Int64.sub (s a) (s b))
+    | "and" -> w (Int64.logand (s a) (s b))
+    | "or" -> w (Int64.logor (s a) (s b))
+    | "xor" -> w (Int64.logxor (s a) (s b))
+    | "sll" -> w (Int64.shift_left (s a) (sh b))
+    | "srl" -> w (Int64.shift_right_logical (u a) (sh b))
+    | "sra" -> w (Int64.shift_right (s a) (sh b))
+    | "slt" -> bool (Int64.compare (s a) (s b) < 0)
+    | "sltu" -> bool (Int64.compare (u a) (u b) < 0)
+    | "mul" -> w (Int64.mul (s a) (s b))
+    | "mulh" -> w (Int64.shift_right (Int64.mul (s a) (s b)) 32)
+    | "mulhsu" -> w (Int64.shift_right (Int64.mul (s a) (u b)) 32)
+    | "mulhu" -> w (Int64.shift_right_logical (Int64.mul (u a) (u b)) 32)
+    | "div" -> if b = 0l then -1l else w (Int64.div (s a) (s b))
+    | "divu" -> if b = 0l then -1l else w (Int64.div (u a) (u b))
+    | "rem" -> if b = 0l then a else w (Int64.rem (s a) (s b))
+    | "remu" -> if b = 0l then a else w (Int64.rem (u a) (u b))
+    | op -> invalid_arg op
+
+  let branch name a b =
+    match name with
+    | "beq" -> a = b
+    | "bne" -> a <> b
+    | "blt" -> Int64.compare (s a) (s b) < 0
+    | "bge" -> Int64.compare (s a) (s b) >= 0
+    | "bltu" -> Int64.compare (u a) (u b) < 0
+    | "bgeu" -> Int64.compare (u a) (u b) >= 0
+    | op -> invalid_arg op
+end
+
+(* One instruction ([insn], assembly) on a STRAIGHT ISS resumed with [a]
+   at distance 1 and [b] at distance 2: the value it wrote and the words
+   the pc advanced by.  A branch's target is two words ahead. *)
+let straight_step insn a b =
+  let image =
+    SAsm.assemble_source
+      (Printf.sprintf ".text\nmain:\n  %s\n  HALT\nfar:\n  HALT\n" insn)
+  in
+  let mem = Iss.Memory.create () in
+  Iss.Memory.load_image mem image;
+  let window = Array.make Straight_isa.Isa.max_dist 0l in
+  window.(0) <- a;
+  window.(1) <- b;
+  let s =
+    Iss.Straight_iss.resume image mem
+      { Iss.Straight_iss.a_pc = image.Image.entry; a_sp = 0l; a_rp = 2;
+        a_window = window }
+  in
+  Iss.Straight_iss.step s;
+  let st = Iss.Straight_iss.checkpoint s in
+  ( st.Iss.Straight_iss.a_window.(0),
+    (st.Iss.Straight_iss.a_pc - image.Image.entry) / 4 )
+
+(* The same on RV32IM with [a] in t0 and [b] in t1, writing t2. *)
+let riscv_step insn a b =
+  let image =
+    RAsm.assemble_source
+      (Printf.sprintf ".text\nmain:\n  %s\n  ebreak\nfar:\n  ebreak\n" insn)
+  in
+  let mem = Iss.Memory.create () in
+  Iss.Memory.load_image mem image;
+  let regs = Array.make 32 0l in
+  regs.(5) <- a;
+  regs.(6) <- b;
+  let s =
+    Iss.Riscv_iss.resume image mem
+      { Iss.Riscv_iss.a_pc = image.Image.entry; a_regs = regs; a_instret = 0 }
+  in
+  Iss.Riscv_iss.step s;
+  let st = Iss.Riscv_iss.checkpoint s in
+  ( st.Iss.Riscv_iss.a_regs.(7),
+    (st.Iss.Riscv_iss.a_pc - image.Image.entry) / 4 )
+
+(* an immediate of [bits] signed bits, biased to its edges; shifts take
+   [0, 31] only *)
+let imm_gen ~bits ~shift =
+  let hi = (1 lsl (bits - 1)) - 1 in
+  QCheck2.Gen.(
+    if shift then oneof [ oneofl [ 0; 1; 30; 31 ]; int_range 0 31 ]
+    else
+      oneof
+        [ oneofl [ 0; 1; -1; 31; 32; hi; -hi - 1 ]; int_range (-hi - 1) hi ])
+
+let print_case name =
+  QCheck2.Print.(triple (fun s -> s) Int32.to_string Int32.to_string) name
+
+module SI = Straight_isa.Isa
+module RI = Riscv_isa.Isa
+
+let straight_alu_ops =
+  SI.[ Add; Sub; And; Or; Xor; Sll; Srl; Sra; Slt; Sltu; Mul; Mulh; Div;
+       Divu; Rem; Remu ]
+
+let riscv_alu_ops =
+  RI.[ Add; Sub; Sll; Slt; Sltu; Xor; Srl; Sra; Or; And; Mul; Mulh; Mulhsu;
+       Mulhu; Div; Divu; Rem; Remu ]
+
+let alu_names =
+  List.map (fun op -> "s:" ^ SI.alu_op_name op) straight_alu_ops
+  @ List.map (fun op -> "r:" ^ RI.alu_name op) riscv_alu_ops
+
+(* [name] is ["s:"] or ["r:"] and the ISA's mnemonic: the ISS and the
+   ISA's [int32] [eval_alu] both compute the reference's word *)
+let alu_agrees name a b =
+  let isa = name.[0] and op = String.sub name 2 (String.length name - 2) in
+  let want = Ref.alu (String.lowercase_ascii op) a b in
+  if isa = 's' then
+    let sop = List.find (fun o -> SI.alu_op_name o = op) straight_alu_ops in
+    fst (straight_step (op ^ " [1] [2]") a b) = want
+    && SI.eval_alu sop a b = want
+  else
+    let rop = List.find (fun o -> RI.alu_name o = op) riscv_alu_ops in
+    fst (riscv_step (op ^ " t2, t0, t1") a b) = want
+    && RI.eval_alu rop a b = want
+
+(* every op on every pair of boundary words: shift counts of 32 and
+   more, [min_int / -1], division by zero, unsigned compares across the
+   sign bit, [mulh] of two [min_int]s *)
+let test_alu_boundary_pairs () =
+  List.iter
+    (fun name ->
+       List.iter
+         (fun a ->
+            List.iter
+              (fun b ->
+                 if not (alu_agrees name a b) then
+                   Alcotest.failf "%s %ld %ld disagrees with the model" name
+                     a b)
+              boundary_words)
+         boundary_words)
+    alu_names
+
+let prop_alu =
+  QCheck2.Test.make ~count:3000
+    ~name:"ALU ops on both ISSs match an Int64 model"
+    ~print:print_case
+    QCheck2.Gen.(
+      triple (oneofl alu_names) word_gen word_gen)
+    (fun (name, a, b) -> alu_agrees name a b)
+
+let prop_alui =
+  QCheck2.Test.make ~count:1000
+    ~name:"ALU-immediate ops on both ISSs match Int64"
+    ~print:QCheck2.Print.(triple (fun s -> s) Int32.to_string int)
+    QCheck2.Gen.(
+      let* isa = bool in
+      let* op =
+        if isa then
+          map (fun o -> (SI.alui_op_name o, SI.alu_op_name (SI.alu_of_alui o)))
+            (oneofl SI.[ Addi; Andi; Ori; Xori; Slli; Srli; Srai; Slti; Sltui ])
+        else
+          map (fun o -> (RI.alui_name o, RI.alu_name (RI.alu_of_alui o)))
+            (oneofl RI.[ Addi; Slti; Sltiu; Xori; Ori; Andi; Slli; Srli; Srai ])
+      in
+      let shift =
+        List.mem (String.lowercase_ascii (fst op)) [ "slli"; "srli"; "srai" ]
+      in
+      let* a = word_gen in
+      let* i = imm_gen ~bits:(if isa then 16 else 12) ~shift in
+      return ((if isa then "s:" else "r:") ^ fst op ^ ":" ^ snd op, a, i))
+    (fun (name, a, i) ->
+       match String.split_on_char ':' name with
+       | [ isa; op; alu ] ->
+         let want = Ref.alu (String.lowercase_ascii alu) a (Int32.of_int i) in
+         if isa = "s" then
+           fst (straight_step (Printf.sprintf "%s [1] %d" op i) a 0l) = want
+         else
+           fst (riscv_step (Printf.sprintf "%s t2, t0, %d" op i) a 0l) = want
+       | _ -> false)
+
+let prop_branch =
+  QCheck2.Test.make ~count:1500
+    ~name:"branches on both ISSs match an Int64 model"
+    ~print:print_case
+    QCheck2.Gen.(
+      triple
+        (oneofl
+           [ "BEZ"; "BNZ"; "beq"; "bne"; "blt"; "bge"; "bltu"; "bgeu" ])
+        word_gen word_gen)
+    (fun (op, a, b) ->
+       match op with
+       | "BEZ" | "BNZ" ->
+         let taken = (a = 0l) = (op = "BEZ") in
+         snd (straight_step (op ^ " [1] far") a b) = if taken then 2 else 1
+       | _ ->
+         snd (riscv_step (op ^ " t0, t1, far") a b)
+         = if Ref.branch op a b then 2 else 1)
+
 let suite =
   [ ("straight fib (fig 1a)", `Quick, test_straight_fib);
     ("straight loop + distance fixing", `Quick, test_straight_loop_and_branch);
@@ -698,6 +1011,14 @@ let suite =
     ("assembler errors", `Quick, test_asm_errors);
     ("machine: dispatch by image ISA", `Quick, test_machine_dispatch);
     ("trace digest: sensitive and allocation-free", `Quick,
-     test_digest_sensitive) ]
+     test_digest_sensitive);
+    ("machine: save bytes pinned", `Quick, test_save_bytes_pinned);
+    ("machine: no allocation per retirement", `Quick, test_bare_run_alloc) ]
 
-let () = Alcotest.run "iss" [ ("iss", suite) ]
+let properties =
+  ("ALU ops on every pair of boundary words", `Quick, test_alu_boundary_pairs)
+  :: List.map QCheck_alcotest.to_alcotest
+    [ prop_memory_round_trip; prop_alu; prop_alui; prop_branch ]
+
+let () =
+  Alcotest.run "iss" [ ("iss", suite); ("words", properties) ]
